@@ -1,5 +1,6 @@
 """Dense linear-algebra substrate: CF-partitioned blocks, Schur complements,
-SPD norm matrices, M-inner products, M-adjoints, and induced operator norms.
+SPD norm matrices and their factors G with M = G*G, M-inner products,
+M-adjoints, and induced operator norms.
 
 Everything works on plain numpy arrays in double precision and targets desk
 scale (n up to a couple thousand). Constructed objects hold read-only copies
@@ -9,6 +10,7 @@ share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +27,14 @@ __all__ = [
     "partition",
     "schur_c",
     "schur_f",
+    "NormFactor",
     "realize_norm",
+    "as_norm_factor",
     "spd_check",
-    "spd_sqrt",
     "spd_sqrt_pair",
     "m_adjoint",
     "operator_m_norm",
-    "m_orthonormal_basis",
     "orth_basis",
-    "null_basis",
     "numerical_rank",
     "require_nonsingular",
     "solve_checked",
@@ -301,8 +302,115 @@ def spd_check(M, tol=SPD_TOL):
     return bool(w[0] > tol * w[-1])
 
 
-def realize_norm(spec, A, tol=SPD_TOL):
-    """Build the SPD matrix M selected by a NormSpec (or bare tag) for A."""
+@dataclass(frozen=True)
+class NormFactor:
+    """An SPD norm matrix M = G* G held through its factor G; M is never formed.
+
+    Each method applies one of G, G*, G^{-1}, G^{-*} to an n x k block, by
+    products with and triangular or LU solves against factors computed once.
+    Built by realize_norm(..., factored=True) or as_norm_factor.
+    """
+
+    tag: str
+    apply: Callable        # X -> G X
+    apply_adj: Callable    # X -> G* X
+    solve: Callable        # X -> G^{-1} X
+    solve_adj: Callable    # X -> G^{-*} X
+
+    def gram(self, X):
+        """M X = G*(G X)."""
+        return self.apply_adj(self.apply(X))
+
+    def gram_solve(self, X):
+        """M^{-1} X = G^{-1}(G^{-*} X)."""
+        return self.solve(self.solve_adj(X))
+
+
+def _identity_factor():
+    def same(X):
+        return np.asarray(X, dtype=float)
+
+    return NormFactor("identity", same, same, same, same)
+
+
+def _cholesky_factor(tag, S):
+    """G = L* for S = L L*, S symmetric positive definite."""
+    L = scipy.linalg.cholesky((S + S.T) / 2.0, lower=True)
+    return NormFactor(
+        tag,
+        lambda X: L.T @ X,
+        lambda X: L @ X,
+        lambda X: scipy.linalg.solve_triangular(L, X, lower=True, trans="T"),
+        lambda X: scipy.linalg.solve_triangular(L, X, lower=True),
+    )
+
+
+def _lu_solver(A):
+    """Solves with A or A* against one LU factorization of A, safe to share between threads.
+
+    scipy's getrs wrapper shifts the pivot indices in place during each call,
+    so every solve gets its own copy of them.
+    """
+    lu, piv = scipy.linalg.lu_factor(A)
+
+    def solve(X, trans=0):
+        return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)
+
+    return solve
+
+
+def _factored_norm(tag, A, S):
+    """The factor G of the norm selected by tag, preconditions already checked.
+
+    S is the SPD matrix the tag's check accepted: A, Asym or the payload.
+    """
+    if tag == "identity":
+        return _identity_factor()
+    if tag in ("A", "Asym", "Custom"):
+        return _cholesky_factor(tag, S)
+    if tag == "AstarA":
+        # G = A
+        lu_solve = _lu_solver(A)
+        return NormFactor(
+            tag,
+            lambda X: A @ X,
+            lambda X: A.T @ X,
+            lu_solve,
+            lambda X: lu_solve(X, trans=1),
+        )
+    if tag == "SqrtAstarA":
+        # G = Sigma^{1/2} V* from the SVD A = U Sigma V*
+        _, s, Vt = np.linalg.svd(A)
+        r = np.sqrt(s)[:, None]
+        return NormFactor(
+            tag,
+            lambda X: r * (Vt @ X),
+            lambda X: Vt.T @ (r * X),
+            lambda X: Vt.T @ (X / r),
+            lambda X: (Vt @ X) / r,
+        )
+    if tag == "AstarAsymInvA":
+        # G = L^{-1} A with Asym = L L*; C is the factor L* of Asym, so that
+        # L^{-1} = C.solve_adj and L = C.apply_adj
+        C = _cholesky_factor(tag, S)
+        lu_solve = _lu_solver(A)
+        return NormFactor(
+            tag,
+            lambda X: C.solve_adj(A @ X),
+            lambda X: A.T @ C.solve(X),
+            lambda X: lu_solve(C.apply_adj(X)),
+            lambda X: C.apply(lu_solve(X, trans=1)),
+        )
+    raise AssertionError(f"unhandled norm tag {tag!r}")
+
+
+def realize_norm(spec, A, tol=SPD_TOL, factored=False):
+    """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
+
+    With factored=True, return the NormFactor G with M = G* G instead, without
+    forming M. Both forms check the same preconditions and raise the same
+    errors.
+    """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
     A = as_matrix(A, "A")
@@ -311,39 +419,49 @@ def realize_norm(spec, A, tol=SPD_TOL):
         raise ValueError("A must be square")
 
     tag = spec.tag
-    if tag == "identity":
-        return np.eye(n)
+    M = None
     if tag == "A":
         if not spd_check(A, tol):
             raise ValueError("norm tag 'A' requires A to be SPD")
-        return A.copy()
-    if tag == "Asym":
+        M = A.copy()
+    elif tag in ("Asym", "AstarAsymInvA"):
         M = (A + A.T) / 2.0
         if not spd_check(M, tol):
-            raise ValueError("norm tag 'Asym' requires (A + A*)/2 to be SPD")
-        return M
-    if tag == "AstarA":
+            raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
+        if tag == "AstarAsymInvA":
+            require_nonsingular(A, "A")
+    elif tag in ("AstarA", "SqrtAstarA"):
         require_nonsingular(A, "A")
-        return A.T @ A
-    if tag == "SqrtAstarA":
-        require_nonsingular(A, "A")
-        # (A*A)^{1/2} = V Sigma V* from the SVD A = U Sigma V*
-        _, s, Vt = np.linalg.svd(A)
-        return (Vt.T * s) @ Vt
-    if tag == "AstarAsymInvA":
-        Asym = (A + A.T) / 2.0
-        if not spd_check(Asym, tol):
-            raise ValueError("norm tag 'AstarAsymInvA' requires (A + A*)/2 to be SPD")
-        require_nonsingular(A, "A")
-        return A.T @ scipy.linalg.solve(Asym, A, assume_a="pos")
-    if tag == "Custom":
+    elif tag == "Custom":
         M = np.array(spec.payload, dtype=float)
         if M.shape != (n, n):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
         if not spd_check(M, tol):
             raise ValueError("custom norm matrix is not SPD")
+
+    if factored:
+        return _factored_norm(tag, A, M)
+    if tag == "identity":
+        return np.eye(n)
+    if tag == "AstarA":
+        return A.T @ A
+    if tag == "SqrtAstarA":
+        # (A*A)^{1/2} = V Sigma V* from the SVD A = U Sigma V*
+        _, s, Vt = np.linalg.svd(A)
+        return (Vt.T * s) @ Vt
+    if tag == "AstarAsymInvA":
+        return A.T @ scipy.linalg.solve(M, A, assume_a="pos")
+    return M
+
+
+def as_norm_factor(M, tol=SPD_TOL):
+    """NormFactor of a dense SPD matrix (Cholesky after spd_check); factors pass through."""
+    if isinstance(M, NormFactor):
         return M
-    raise AssertionError(f"unhandled norm tag {tag!r}")
+    M = as_matrix(M, "M")
+    if not spd_check(M, tol):
+        raise ValueError("M must be SPD")
+    return _cholesky_factor("Custom", M)
 
 
 def spd_sqrt_pair(M, tol=SPD_TOL):
@@ -355,11 +473,6 @@ def spd_sqrt_pair(M, tol=SPD_TOL):
         raise ValueError("matrix is not SPD (nonpositive or negligible eigenvalue)")
     r = np.sqrt(w)
     return (V * r) @ V.T, (V / r) @ V.T
-
-
-def spd_sqrt(M, tol=SPD_TOL):
-    """SPD square root of M."""
-    return spd_sqrt_pair(M, tol)[0]
 
 
 def m_adjoint(T, M):
@@ -397,17 +510,6 @@ def orth_basis(X, rtol=RANK_RTOL):
     return U[:, s > rtol * s[0]]
 
 
-def null_basis(X, rtol=RANK_RTOL):
-    """Orthonormal basis for the (right) null space of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, s, Vt = np.linalg.svd(X)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    return Vt[rank:].T
-
-
 def numerical_rank(X, rtol=RANK_RTOL):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
@@ -416,13 +518,3 @@ def numerical_rank(X, rtol=RANK_RTOL):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
-
-
-def m_orthonormal_basis(X, M, rtol=RANK_RTOL):
-    """Basis for range(X) whose columns are orthonormal in the M-inner product."""
-    B = orth_basis(X, rtol)
-    if B.shape[1] == 0:
-        return B
-    G = B.T @ as_matrix(M, "M") @ B
-    L = np.linalg.cholesky((G + G.T) / 2.0)
-    return scipy.linalg.solve_triangular(L, B.T, lower=True).T

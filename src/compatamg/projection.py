@@ -1,36 +1,58 @@
 """Coarse-grid correction projections and everything measurable about them:
 induced M-norms, orthogonality conditions, the non-orthogonality measure over
 the M-orthogonal complement of the range, and minimal canonical angles.
+
+How Pi = P (R*AP)^{-1} R*A is measured. Write the SPD norm as M = G*G. Then
+G Pi G^{-1} is the oblique projection onto U = range(G P) along the orthogonal
+complement of V = range(G^{-*} A* R), so ||Pi||_M = 1 / cos(theta_max), where
+theta_max is the largest canonical angle between U and V (Szyld, Numer.
+Algorithms 42, 2006). The non-orthogonality sup is tan(theta_max) and the
+minimal canonical angle between range(Pi) and null(Pi) is pi/2 - theta_max.
+One kernel, canonical_angles, takes bases of U and V, makes two thin QRs and
+reads the sines of the angles directly as singular values (Bjorck & Golub,
+Math. Comp. 27, 1973), so a correction close to M-orthogonal is measured
+without cancellation. G comes from realize_norm(..., factored=True):
+
+    identity        I
+    AstarA          A, through one LU
+    A, Asym         L* from the Cholesky factor L of A or (A + A*)/2
+    AstarAsymInvA   L^{-1} A
+    SqrtAstarA      Sigma^{1/2} V* from the SVD A = U Sigma V*
+    Custom          L* from the Cholesky factor of the payload
+
+A pair reaches the kernel as a CoarseCorrection, with bases G P and
+G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
+A dense projection reaches it through one SVD, which gives range(Pi) and
+range(Pi*), and a dense SPD M through its Cholesky factor.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import (
     RANK_RTOL,
+    NormFactor,
     SingularMatrixError,
     as_matrix,
-    m_adjoint,
-    m_orthonormal_basis,
-    null_basis,
+    as_norm_factor,
     numerical_rank,
-    operator_m_norm,
     orth_basis,
-    spd_check,
-    spd_sqrt_pair,
+    require_nonsingular,
     solve_checked,
 )
 
 __all__ = [
-    "ProjectionReport",
+    "CanonicalAngles",
+    "CoarseCorrection",
     "OrthogonalityChecks",
     "build_pi",
+    "coarse_correction",
+    "canonical_angles",
     "pi_m_norm",
     "nonorth_measure",
     "min_canonical_angle",
@@ -43,7 +65,6 @@ __all__ = [
 # results are reproducible across runs and platforms.
 PROBE_COUNT = 64
 PROBE_SEED = 1729
-
 
 def build_pi(A, pair):
     """Materialize the coarse-grid correction projection and coarse operator.
@@ -64,33 +85,151 @@ def build_pi(A, pair):
     return Pi, K
 
 
+@dataclass(frozen=True)
+class CanonicalAngles:
+    """Canonical angles between two subspaces of equal dimension.
+
+    sines and cosines are the singular values of Qv - Qu (Qu* Qv) and of
+    Qu* Qv, sorted descending. The largest angle theta_max is read from its
+    sine below pi/4 and from its cosine above, so it is accurate in both
+    regimes.
+    """
+
+    sines: np.ndarray
+    cosines: np.ndarray
+
+    @property
+    def _extreme(self):
+        """(sin, cos) of theta_max: read from the sine below pi/4, the cosine above."""
+        if self.sines.size == 0:
+            return 0.0, 1.0
+        s = float(self.sines[0])
+        if s * s <= 0.5:
+            return s, math.sqrt((1.0 - s) * (1.0 + s))
+        c = float(self.cosines[-1])
+        return math.sqrt((1.0 - c) * (1.0 + c)), c
+
+    @property
+    def sin_max(self):
+        """sin(theta_max)."""
+        return self._extreme[0]
+
+    @property
+    def cos_max(self):
+        """cos(theta_max)."""
+        return self._extreme[1]
+
+    @property
+    def pi_norm(self):
+        """1 / cos(theta_max): the norm of the oblique projection onto U along V-perp.
+
+        Zero when the subspaces are {0}: the projection itself is zero.
+        """
+        if self.sines.size == 0:
+            return 0.0
+        c = self.cos_max
+        return math.inf if c == 0.0 else 1.0 / c
+
+    @property
+    def nonorth_sup(self):
+        """tan(theta_max), with pi_norm^2 = 1 + nonorth_sup^2."""
+        c = self.cos_max
+        return math.inf if c == 0.0 else self.sin_max / c
+
+    @property
+    def min_angle(self):
+        """pi/2 - theta_max, the minimal angle between range and null space."""
+        return math.atan2(self.cos_max, self.sin_max)
+
+
+def canonical_angles(X, Y):
+    """Canonical angles between range(X) and range(Y), both of full column rank k.
+
+    Two thin QRs give orthonormal bases Qu and Qv; the cosines are the
+    singular values of Qu* Qv and the sines those of Qv - Qu (Qu* Qv).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape != Y.shape:
+        raise ValueError(f"bases must have the same shape, got {X.shape} and {Y.shape}")
+    if X.shape[1] == 0:
+        return CanonicalAngles(np.zeros(0), np.zeros(0))
+    Qu, _ = scipy.linalg.qr(X, mode="economic")
+    Qv, _ = scipy.linalg.qr(Y, mode="economic")
+    C = Qu.T @ Qv
+    cosines = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
+    sines = np.clip(np.linalg.svd(Qv - Qu @ C, compute_uv=False), 0.0, 1.0)
+    return CanonicalAngles(sines, cosines)
+
+
+@dataclass(frozen=True)
+class CoarseCorrection:
+    """The coarse-grid correction of a pair on A, held through the pair.
+
+    Pi = P (R*AP)^{-1} R*A is never formed. Built by coarse_correction, which
+    rejects a singular coarse operator the way build_pi does.
+    """
+
+    A: np.ndarray
+    pair: object
+    # (factor, angles) of the last measurement, so that the three measures of
+    # one case share one kernel call
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def angles(self, factor):
+        """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G."""
+        if not (self._last and self._last[0] is factor):
+            X = factor.apply(self.pair.P)
+            Y = factor.solve_adj(self.A.T @ self.pair.R)
+            self._last[:] = [factor, canonical_angles(X, Y)]
+        return self._last[1]
+
+
+def coarse_correction(A, pair):
+    """The pair's coarse-grid correction on A, after the guard on K = R*AP.
+
+    A singular K raises the same SingularMatrixError as build_pi.
+    """
+    A = as_matrix(A, "A")
+    if A.shape[0] != pair.n:
+        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
+    K = pair.R.T @ A @ pair.P
+    try:
+        require_nonsingular(K, "coarse operator R*AP")
+    except SingularMatrixError as e:
+        raise SingularMatrixError(
+            f"R and P incompatible with A on this splitting: {e}"
+        ) from e
+    return CoarseCorrection(A, pair)
+
+
+def _angles(pi, M):
+    """Canonical angles that measure the projection pi in the norm M.
+
+    pi is a CoarseCorrection or a dense projection; M is a NormFactor or a
+    dense SPD matrix. A dense projection of rank zero has no angles.
+    """
+    factor = as_norm_factor(M)
+    if isinstance(pi, CoarseCorrection):
+        return pi.angles(factor)
+    pi = as_matrix(pi, "pi")
+    U, s, Vt = np.linalg.svd(pi, full_matrices=False)
+    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return canonical_angles(factor.apply(U[:, :rank]), factor.solve_adj(Vt[:rank].T))
+
+
 def pi_m_norm(pi, M):
     """Induced M-norm of the projection; equals the norm of its complement."""
-    return operator_m_norm(pi, M)
+    return _angles(pi, M).pi_norm
 
 
 def nonorth_measure(pi, M):
     """Amplification of the projection over the M-orthogonal complement of its range.
 
-    Builds an M-orthonormal basis for range(pi)^{perp_M} = M^{-1} range(pi)^perp
-    and returns the largest value of ||pi x||_M / ||x||_M over that subspace.
-    Zero exactly when the projection is M-orthogonal.
+    The largest value of ||pi x||_M / ||x||_M over range(pi)^{perp_M}, which is
+    tan(theta_max). Zero exactly when the projection is M-orthogonal.
     """
-    pi = as_matrix(pi, "pi")
-    M = as_matrix(M, "M")
-    if not spd_check(M):
-        raise ValueError("M must be SPD")
-    Ms, _ = spd_sqrt_pair(M)
-    U, s, _ = np.linalg.svd(pi)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    comp = U[:, rank:]
-    if comp.shape[1] == 0:
-        return 0.0
-    X = scipy.linalg.solve(M, comp, assume_a="pos")
-    Xhat = m_orthonormal_basis(X, M)
-    return float(np.linalg.norm(Ms @ pi @ Xhat, 2))
+    return _angles(pi, M).nonorth_sup
 
 
 def min_canonical_angle(pi, M):
@@ -99,20 +238,7 @@ def min_canonical_angle(pi, M):
     The projection's M-norm equals 1/sin of this angle; an M-orthogonal
     projection gives pi/2.
     """
-    pi = as_matrix(pi, "pi")
-    M = as_matrix(M, "M")
-    if not spd_check(M):
-        raise ValueError("M must be SPD")
-    Ms, _ = spd_sqrt_pair(M)
-    Rb = orth_basis(pi)
-    Nb = null_basis(pi)
-    if Rb.shape[1] == 0 or Nb.shape[1] == 0:
-        return math.pi / 2.0
-    Rq = orth_basis(Ms @ Rb)
-    Nq = orth_basis(Ms @ Nb)
-    c = np.linalg.svd(Rq.T @ Nq, compute_uv=False)
-    cos_max = min(float(c[0]), 1.0) if c.size else 0.0
-    return float(np.arccos(cos_max))
+    return _angles(pi, M).min_angle
 
 
 @dataclass(frozen=True)
@@ -147,19 +273,21 @@ class OrthogonalityChecks:
 
 
 def orthogonality_checks(pi, M, tol=1e-8):
-    """Evaluate the four equivalent M-orthogonality conditions on a projection."""
+    """Evaluate the four equivalent M-orthogonality conditions on a projection.
+
+    M is a dense SPD matrix or a NormFactor; it is validated once, and a
+    factor is used as given. Each condition is checked on the dense
+    projection, independently of the canonical-angle kernel.
+    """
     pi = as_matrix(pi, "pi")
-    M = as_matrix(M, "M")
-    if not spd_check(M):
-        raise ValueError("M must be SPD")
-    n = pi.shape[0]
+    G = as_norm_factor(M)
     tiny = np.finfo(float).tiny
 
-    MP = M @ pi
+    MP = G.gram(pi)
     scale = max(float(np.linalg.norm(MP)), tiny)
     herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
 
-    adj = m_adjoint(pi, M)
+    adj = G.gram_solve(MP.T)  # M^{-1} Pi* M, with Pi* M = (M Pi)*
     pscale = max(float(np.linalg.norm(pi)), tiny)
     adj_ok = float(np.linalg.norm(pi - adj)) <= tol * pscale
 
@@ -172,18 +300,15 @@ def orthogonality_checks(pi, M, tol=1e-8):
         and numerical_rank(np.hstack([U1, U2])) == rank
     )
 
-    rng = np.random.default_rng(PROBE_SEED)
-    Ms, _ = spd_sqrt_pair(M)
-    worst = 0.0
-    for _ in range(PROBE_COUNT):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        u = pi @ x
-        v = y - pi @ y
-        num = abs(u @ (M @ v))
-        den = float(np.linalg.norm(Ms @ u) * np.linalg.norm(Ms @ v))
-        if den > tiny:
-            worst = max(worst, num / den)
+    # probe pairs x_k, y_k drawn in the order x_0, y_0, x_1, y_1, ...
+    probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, pi.shape[0]))
+    X, Y = probes[:, 0].T, probes[:, 1].T
+    GU = G.apply(pi @ X)
+    GV = G.apply(Y - pi @ Y)
+    num = np.abs(np.sum(GU * GV, axis=0))
+    den = np.linalg.norm(GU, axis=0) * np.linalg.norm(GV, axis=0)
+    live = den > tiny
+    worst = float(np.max(num[live] / den[live])) if np.any(live) else 0.0
     probes_ok = worst <= tol
 
     return OrthogonalityChecks(herm, adj_ok, range_ok, probes_ok)
@@ -194,57 +319,29 @@ def verify_compat_equation(A, M, pair):
 
     True iff the concatenation [M P | A* R] has numerical rank n_c, which is
     invariant to the coarse scalings and equivalent to M-orthogonality of the
-    coarse-grid correction built from the pair.
+    coarse-grid correction built from the pair. M is a dense matrix or a
+    NormFactor.
     """
     A = as_matrix(A, "A")
-    M = as_matrix(M, "M")
-    T = np.hstack([M @ pair.P, A.T @ pair.R])
+    MP = M.gram(pair.P) if isinstance(M, NormFactor) else as_matrix(M, "M") @ pair.P
+    T = np.hstack([MP, A.T @ pair.R])
     return numerical_rank(T) == pair.nc
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Everything measured about one coarse-grid correction in one norm."""
+def projection_report(A, pair, M, tol=1e-8):
+    """Everything measured about one pair's coarse-grid correction in the norm M.
 
-    pi: np.ndarray
-    m_norm: float
-    nonorth_sup: float
-    min_angle: float
-    is_m_orthogonal: bool
-    symmetry_residual: float
-    norm_tag: str = "Custom"
-    provenance: str = ""
-
-    def as_dict(self):
-        """Scalar fields plus identifying tags; the dense projection is omitted."""
-        return {
-            "norm": self.norm_tag,
-            "provenance": self.provenance,
-            "pi_norm": float(self.m_norm),
-            "nonorth_sup": float(self.nonorth_sup),
-            "min_angle": float(self.min_angle),
-            "is_m_orthogonal": bool(self.is_m_orthogonal),
-            "symmetry_residual": float(self.symmetry_residual),
-        }
-
-    def to_json(self):
-        return json.dumps(self.as_dict())
-
-
-def projection_report(A, pair, M, norm_tag="Custom", provenance="", tol=1e-8):
-    """Build the projection for a pair and measure it in the norm induced by M."""
+    M is a NormFactor or a dense SPD matrix. Returns the measurement fields of
+    a verify-pairs record: pi_norm, nonorth_sup, min_angle, compat_eq and the
+    four orthogonality_checks. A singular R*AP raises SingularMatrixError.
+    """
+    factor = as_norm_factor(M)
     pi, _ = build_pi(A, pair)
-    MP = M @ pi
-    scale = float(np.linalg.norm(MP))
-    symres = float(np.linalg.norm(MP - MP.T)) / scale if scale > 0 else 0.0
-    checks = orthogonality_checks(pi, M, tol)
-    return ProjectionReport(
-        pi=pi,
-        m_norm=pi_m_norm(pi, M),
-        nonorth_sup=nonorth_measure(pi, M),
-        min_angle=min_canonical_angle(pi, M),
-        is_m_orthogonal=checks.all_true,
-        symmetry_residual=symres,
-        norm_tag=norm_tag,
-        provenance=provenance,
-    )
+    corr = CoarseCorrection(as_matrix(A, "A"), pair)  # build_pi has guarded R*AP
+    return {
+        "pi_norm": float(pi_m_norm(corr, factor)),
+        "nonorth_sup": float(nonorth_measure(corr, factor)),
+        "min_angle": float(min_canonical_angle(corr, factor)),
+        "compat_eq": bool(verify_compat_equation(A, factor, pair)),
+        "orthogonality_checks": orthogonality_checks(pi, factor, tol).as_dict(),
+    }

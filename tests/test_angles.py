@@ -1,0 +1,158 @@
+"""Tests for the canonical-angle kernel and the factored norms that feed it."""
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import compatamg as cm
+from compatamg.linalg import cond2
+from conftest import random_spd
+
+NORM_TAGS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
+RTOL = 1e-9
+
+
+def _spec(tag, rng, n):
+    return cm.NormSpec(tag, random_spd(rng, n, shift=0.5)) if tag == "Custom" else tag
+
+
+def _problem(rng, n, tag):
+    """Well-conditioned A; symmetric when the norm tag needs A itself SPD."""
+    A = random_spd(rng, n, shift=1.0)
+    if tag != "A":
+        K = rng.standard_normal((n, n))
+        A = A + (K - K.T) / 2.0
+    return A
+
+
+def test_canonical_angles_of_two_lines():
+    for theta in (0.0, 1e-9, 0.3, np.pi / 4, 1.2, 1.5):
+        X = np.array([[1.0], [0.0], [0.0]])
+        Y = np.array([[np.cos(theta)], [np.sin(theta)], [0.0]])
+        ang = cm.canonical_angles(X, 5.0 * Y)
+        assert ang.sin_max == pytest.approx(np.sin(theta), rel=1e-14, abs=1e-16)
+        assert ang.cos_max == pytest.approx(np.cos(theta), rel=1e-12, abs=1e-16)
+        assert ang.min_angle == pytest.approx(np.pi / 2 - theta, rel=1e-12)
+        assert ang.pi_norm == pytest.approx(1.0 / np.cos(theta), rel=1e-12)
+
+
+def test_canonical_angles_equal_subspaces_read_exactly_one():
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((30, 7))
+    ang = cm.canonical_angles(X, X @ rng.standard_normal((7, 7)))
+    assert ang.pi_norm == 1.0
+    assert ang.nonorth_sup <= 1e-14
+    with pytest.raises(ValueError, match="same shape"):
+        cm.canonical_angles(X, X[:, :3])
+
+
+@pytest.mark.parametrize("tag", NORM_TAGS)
+def test_factor_reproduces_the_dense_norm(tag):
+    rng = np.random.default_rng(3)
+    n = 9
+    A = _problem(rng, n, tag)
+    spec = _spec(tag, rng, n)
+    M = cm.realize_norm(spec, A)
+    G = cm.realize_norm(spec, A, factored=True)
+    X = rng.standard_normal((n, 4))
+    scale = np.linalg.norm(M, 2)
+    np.testing.assert_allclose(G.gram(X), M @ X, atol=1e-12 * scale)
+    np.testing.assert_allclose(G.gram_solve(M @ X), X, atol=1e-10)
+    np.testing.assert_allclose(G.solve(G.apply(X)), X, atol=1e-12)
+    np.testing.assert_allclose(G.solve_adj(G.apply_adj(X)), X, atol=1e-12)
+    Y = rng.standard_normal((n, 3))
+    np.testing.assert_allclose(G.apply(X).T @ Y, X.T @ G.apply_adj(Y), atol=1e-12 * scale)
+
+
+def test_factor_keeps_the_dense_preconditions():
+    nonsym = np.array([[2.0, 1.0], [0.0, 2.0]])
+    indefinite = np.diag([1.0, -1.0])
+    for tag, A in (("A", nonsym), ("Asym", indefinite), ("AstarAsymInvA", indefinite)):
+        with pytest.raises(ValueError) as dense:
+            cm.realize_norm(tag, A)
+        with pytest.raises(ValueError) as factored:
+            cm.realize_norm(tag, A, factored=True)
+        assert str(dense.value) == str(factored.value)
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    for tag in ("AstarA", "SqrtAstarA"):
+        with pytest.raises(cm.SingularMatrixError):
+            cm.realize_norm(tag, singular, factored=True)
+
+
+def test_shared_lu_factor_is_thread_safe():
+    rng = np.random.default_rng(5)
+    A = _problem(rng, 60, "AstarA")
+    G = cm.realize_norm("AstarA", A, factored=True)
+    blocks = [rng.standard_normal((60, 8)) for _ in range(64)]
+    serial = [G.solve_adj(B) for B in blocks]
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        parallel = list(ex.map(G.solve_adj, blocks))
+    for a, b in zip(serial, parallel):
+        np.testing.assert_array_equal(a, b)
+
+
+def _case(seed, n, tag, compatible):
+    rng = np.random.default_rng(seed)
+    A = _problem(rng, n, tag)
+    part = cm.default_splitting(n, "alternate")
+    spec = _spec(tag, rng, n)
+    if compatible:
+        try:
+            pair = cm.ideal_pair(A, part, spec, "A", anchor="P")
+        except (ValueError, cm.SingularMatrixError):
+            assume(False)
+    else:
+        Z = rng.standard_normal((part.nf, part.nc))
+        W = rng.standard_normal((part.nf, part.nc))
+        pair = cm.make_pair(part, Z, W)
+    assume(cond2(pair.R.T @ A @ pair.P) < 1e6)
+    return A, pair, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    tag=st.sampled_from(NORM_TAGS),
+    compatible=st.booleans(),
+)
+def test_kernel_matches_the_dense_oracle(seed, n, tag, compatible):
+    A, pair, spec = _case(seed, n, tag, compatible)
+    M = cm.realize_norm(spec, A)
+    G = cm.realize_norm(spec, A, factored=True)
+    pi, _ = cm.build_pi(A, pair)
+    oracle = cm.operator_m_norm(pi, M)
+    assume(oracle < 1e4)
+
+    corr = cm.coarse_correction(A, pair)
+    nrm = cm.pi_m_norm(corr, G)
+    sup = cm.nonorth_measure(corr, G)
+    ang = cm.min_canonical_angle(corr, G)
+
+    assert abs(nrm - oracle) <= RTOL * oracle
+    assert abs(nrm * np.sin(ang) - 1.0) <= RTOL
+    assert abs(sup**2 - (nrm**2 - 1.0)) <= RTOL * nrm**2
+    complement = cm.operator_m_norm(np.eye(n) - pi, M)
+    assert abs(nrm - complement) <= RTOL * nrm
+    if compatible:
+        assert abs(nrm - 1.0) <= 1e-12
+
+    # the dense-projection path, with the dense M, agrees with the pair path
+    assert abs(cm.pi_m_norm(pi, M) - nrm) <= RTOL * nrm
+    assert abs(cm.nonorth_measure(pi, M) - sup) <= RTOL * nrm
+    assert abs(cm.min_canonical_angle(pi, M) - ang) <= RTOL
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_astara_factor_verifies_the_ill_conditioned_laplacian(n):
+    # cond(A) is 1.5e5 at n = 600; forming M = A*A would square it past the
+    # SPD check, while the factor G = A measures the exact pair at 1
+    A = cm.generate(cm.ProblemSpec("laplacian1d", n=n))
+    part = cm.default_splitting(n, "alternate")
+    pair, tag = cm.single_operator_pair(A, part, "single3")
+    assert tag == "AstarA"
+    G = cm.realize_norm(tag, A, factored=True)
+    assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), G) - 1.0) <= 1e-10

@@ -111,13 +111,43 @@ def test_verify_pairs_bad_norm_is_config_error(capsys):
 
 
 def test_verify_pairs_tight_tolerance_fails(tmp_path):
-    # an impossible tolerance turns the same verified case into exit code 1
+    # a tolerance below the case's distance from 1 turns a verified case into
+    # exit code 1. The pair is the identity-orthogonal single1 pair with its
+    # interpolation block perturbed by 1e-7, so ||Pi|| - 1 is about 1e-14: an
+    # exactly compatible pair measures ||Pi|| = 1 with no round-off to fail on.
+    A = cm.generate(cm.ProblemSpec("random", n=40, seed=1))
+    part = cm.default_splitting(40, "alternate")
+    zp, wp = tmp_path / "z.json", tmp_path / "w.mtx"
+    cm.save_matrix_json(zp, cm.ideal_z(cm.partition(A, part)))
+    cm.save_matrix_market(wp, 1e-7 * np.random.default_rng(3).standard_normal((part.nf, part.nc)))
+    args = ["verify-pairs", "--problem", "random", "--n", "40", "--seed", "1",
+            "--pair", f"zw:{zp},{wp}", "--expect-orthogonal"]
+    code, report = _run_json(tmp_path, args, "default.json")
+    assert code == 0 and 1e-16 < report["results"][0]["pi_norm"] - 1.0 <= 1e-8
+    code, report = _run_json(tmp_path, args + ["--tol", "1e-18"])
+    assert code == 1 and not report["passed"]
+
+
+@pytest.mark.parametrize("n", ["600", "1000"])
+def test_verify_pairs_exact_pair_on_ill_conditioned_laplacian(tmp_path, n):
+    # cond(A) reaches 4e5 at n = 1000; the A*A norm is applied through its
+    # factor A, so the exact pair verifies under the default tolerance
     code, report = _run_json(
         tmp_path,
-        ["verify-pairs", "--problem", "random", "--n", "40", "--seed", "1",
-         "--pair", "single2", "--tol", "1e-18"],
+        ["verify-pairs", "--problem", "laplacian1d", "--n", n, "--pair", "single3"],
     )
-    assert code == 1 and not report["passed"]
+    assert code == 0 and report["passed"]
+    (rec,) = report["results"]
+    assert rec["norm"] == "AstarA" and rec["pass"] and rec["compat_eq"]
+    assert abs(rec["pi_norm"] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_pairs_bad_tolerance_is_config_error(tol, capsys):
+    code = main(["verify-pairs", "--problem", "advection1d", "--n", "8",
+                 "--pair", "single1", "--tol", tol])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_figure1_on_nonsymmetric(tmp_path):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 import compatamg as cm
 from compatamg.linalg import (
     SingularMatrixError,
-    m_orthonormal_basis,
-    numerical_rank,
     spd_sqrt_pair,
 )
 from conftest import random_spd, random_stable
@@ -249,11 +247,3 @@ def test_spd_sqrt_pair():
     with pytest.raises(ValueError):
         spd_sqrt_pair(np.diag([1.0, -1.0]))
 
-
-def test_m_orthonormal_basis():
-    rng = np.random.default_rng(15)
-    M = random_spd(rng, 8)
-    X = rng.standard_normal((8, 3))
-    B = m_orthonormal_basis(X, M)
-    np.testing.assert_allclose(B.T @ M @ B, np.eye(3), atol=1e-10)
-    assert numerical_rank(np.hstack([B, X])) == 3  # same span

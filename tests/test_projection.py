@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import compatamg as cm
-from compatamg.linalg import SingularMatrixError, m_orthonormal_basis
+from compatamg.linalg import SingularMatrixError, orth_basis
 from conftest import random_pair_case, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -189,6 +190,13 @@ def test_adjoint_norm_invariant():
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
+def _m_orthonormal_basis(X, M):
+    """Basis of range(X) whose columns are orthonormal in the M-inner product."""
+    B = orth_basis(X)
+    L = np.linalg.cholesky(B.T @ M @ B)
+    return scipy.linalg.solve_triangular(L, B.T, lower=True).T
+
+
 def test_m_orthonormal_representation():
     # with M-orthonormal bases V for the range and U for the range of the
     # M-adjoint, the projection is V (U*MV)^{-1} U*M and its M-norm is
@@ -197,8 +205,8 @@ def test_m_orthonormal_representation():
     for _ in range(10):
         A, M, pair = random_pair_case(rng)
         pi, _ = cm.build_pi(A, pair)
-        V = m_orthonormal_basis(pi, M)
-        U = m_orthonormal_basis(cm.m_adjoint(pi, M), M)
+        V = _m_orthonormal_basis(pi, M)
+        U = _m_orthonormal_basis(cm.m_adjoint(pi, M), M)
         Kc = U.T @ M @ V
         nrm = cm.pi_m_norm(pi, M)
         assert abs(np.linalg.norm(np.linalg.inv(Kc), 2) - nrm) <= 1e-8 * max(1, nrm)
@@ -209,28 +217,23 @@ def test_m_orthonormal_representation():
 def test_projection_report_serialization():
     rng = np.random.default_rng(18)
     A, M, pair = random_pair_case(rng)
-    report = cm.projection_report(A, pair, M, norm_tag="Custom", provenance="random pair")
-    d = report.as_dict()
-    assert set(d) == {
-        "norm",
-        "provenance",
+    report = cm.projection_report(A, pair, M)
+    assert set(report) == {
         "pi_norm",
         "nonorth_sup",
         "min_angle",
-        "is_m_orthogonal",
-        "symmetry_residual",
+        "compat_eq",
+        "orthogonality_checks",
     }
-    loaded = json.loads(report.to_json())
-    assert loaded["norm"] == "Custom"
-    assert loaded["pi_norm"] == pytest.approx(report.m_norm)
-    assert report.m_norm >= 1.0 - 1e-12
-    assert not report.is_m_orthogonal
+    loaded = json.loads(json.dumps(report))
+    assert loaded == report
+    assert report["pi_norm"] >= 1.0 - 1e-12
+    assert not report["compat_eq"]
+    assert not any(report["orthogonality_checks"].values())
 
     Ao = cm.generate(cm.ProblemSpec("advection1d", n=10))
     po = _split(10)
     pair_o, tag = cm.single_operator_pair(Ao, po, 1)
-    rep_o = cm.projection_report(
-        Ao, pair_o, cm.realize_norm(tag, Ao), norm_tag=tag, provenance="single1"
-    )
-    assert rep_o.is_m_orthogonal
-    assert rep_o.symmetry_residual <= 1e-10
+    rep_o = cm.projection_report(Ao, pair_o, cm.realize_norm(tag, Ao, factored=True))
+    assert rep_o["compat_eq"] and all(rep_o["orthogonality_checks"].values())
+    assert rep_o["pi_norm"] == 1.0 and rep_o["nonorth_sup"] <= 1e-14
