@@ -296,10 +296,12 @@ def cmd_converge(cfg):
         E = two_grid_propagator(A, spec)
         rho = conv_factor(E)
         history = iterate(A, spec, b, x0, cfg.iters)
+        rate = float(observed_rate(history))
         return {
             "pair": name,
             "rho": float(rho),
-            "observed_rate": float(observed_rate(history)),
+            # JSON has no NaN: a rate that cannot be measured is null
+            "observed_rate": rate if math.isfinite(rate) else None,
             "divergent": bool(rho > 1.0),
             "history": [float(r) for r in history],
         }
@@ -438,11 +440,14 @@ def _report_csv(report):
 
 def _write_report(report, cfg):
     if cfg.fmt == "json":
-        text = json.dumps(report, indent=2, default=_json_default) + "\n"
+        text = json.dumps(report, indent=2, default=_json_default, allow_nan=False) + "\n"
     else:
         text = _report_csv(report)
     if cfg.output:
-        Path(cfg.output).write_text(text)
+        try:
+            Path(cfg.output).write_text(text)
+        except OSError as e:
+            raise ConfigError(f"--output: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -465,7 +470,11 @@ def main(argv=None):
         "passed": passed,
         "results": results,
     }
-    _write_report(report, cfg)
+    try:
+        _write_report(report, cfg)
+    except ConfigError as e:
+        print(f"compatamg: config error: {e}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -6,6 +6,15 @@ Everything works on plain numpy arrays in double precision and targets desk
 scale (n up to a couple thousand). Constructed objects hold read-only copies
 of their arrays, and all operations are pure functions, so values are safe to
 share between threads.
+
+Every matrix the package inverts first passes one singularity guard. The
+guard factors the matrix once by LU with partial pivoting and reads the
+LAPACK reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988)
+off that factor, so no SVD is spent on it. COND_LIMIT is defined on that
+estimate of the 1-norm condition number, not on the 2-norm condition
+number; the two condition numbers differ by at most a factor n. lu_solver
+hands the guard's factor on as a solve closure, so a matrix used for many
+solves is factored once.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "COND_LIMIT",
@@ -37,11 +47,13 @@ __all__ = [
     "orth_basis",
     "numerical_rank",
     "require_nonsingular",
+    "lu_solver",
     "solve_checked",
     "inv_checked",
 ]
 
-# A matrix whose 2-norm condition number exceeds this is treated as singular.
+# A matrix whose 1-norm condition estimate (LAPACK dgecon on its LU factor)
+# exceeds this is treated as singular.
 COND_LIMIT = 1e12
 
 # Default relative tolerance for symmetry / positive-definiteness checks.
@@ -79,17 +91,59 @@ def cond2(A):
     return float(s[0] / s[-1])
 
 
-def require_nonsingular(A, what="matrix"):
-    c = cond2(A)
+def _guarded_lu(A, what):
+    """LU factor (lu, piv) of A, after rejecting A as numerically singular.
+
+    The 1-norm condition number is estimated from the factor by dgecon; an
+    exactly zero pivot reads as infinite. The factorization calls dgetrf
+    directly, so an exactly singular A raises without a LinAlgWarning.
+    """
+    A = as_matrix(A, what)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {A.shape}")
+    c = np.inf
+    if A.size:
+        lu, piv, info = lapack.dgetrf(A)
+        if info == 0:
+            rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1))
+            if rcond > 0.0:
+                c = 1.0 / rcond
     if not np.isfinite(c) or c > COND_LIMIT:
         raise SingularMatrixError(
-            f"{what} is numerically singular (condition number ~{c:.3e} "
+            f"{what} is numerically singular (1-norm condition estimate ~{c:.3e} "
             f"exceeds {COND_LIMIT:.0e})"
         )
+    return lu, piv
+
+
+def require_nonsingular(A, what="matrix"):
+    """Raise SingularMatrixError when A's 1-norm condition estimate exceeds COND_LIMIT."""
+    _guarded_lu(A, what)
+
+
+def lu_solver(A, what="matrix"):
+    """Guard A as require_nonsingular does and return a solve against its LU factor.
+
+    The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1,
+    by two triangular solves. It is safe to share between threads: scipy's
+    getrs wrapper shifts the pivot indices in place during each call, so
+    every solve gets its own copy of them.
+    """
+    lu, piv = _guarded_lu(A, what)
+
+    def solve(X, trans=0):
+        return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)
+
+    return solve
 
 
 def solve_checked(A, B, what="matrix"):
-    """Solve A X = B after rejecting numerically singular A."""
+    """Solve A X = B after rejecting numerically singular A.
+
+    The solve itself is scipy.linalg.solve, which detects structure in A
+    (diagonal, tridiagonal, triangular, symmetric) that a general LU would
+    ignore, so it is kept for one-shot solves.
+    """
     require_nonsingular(A, what)
     return scipy.linalg.solve(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
 
@@ -345,24 +399,11 @@ def _cholesky_factor(tag, S):
     )
 
 
-def _lu_solver(A):
-    """Solves with A or A* against one LU factorization of A, safe to share between threads.
-
-    scipy's getrs wrapper shifts the pivot indices in place during each call,
-    so every solve gets its own copy of them.
-    """
-    lu, piv = scipy.linalg.lu_factor(A)
-
-    def solve(X, trans=0):
-        return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)
-
-    return solve
-
-
-def _factored_norm(tag, A, S):
+def _factored_norm(tag, A, S, lu_solve):
     """The factor G of the norm selected by tag, preconditions already checked.
 
     S is the SPD matrix the tag's check accepted: A, Asym or the payload.
+    lu_solve solves with A against the LU factor of the guard on A.
     """
     if tag == "identity":
         return _identity_factor()
@@ -370,7 +411,6 @@ def _factored_norm(tag, A, S):
         return _cholesky_factor(tag, S)
     if tag == "AstarA":
         # G = A
-        lu_solve = _lu_solver(A)
         return NormFactor(
             tag,
             lambda X: A @ X,
@@ -393,7 +433,6 @@ def _factored_norm(tag, A, S):
         # G = L^{-1} A with Asym = L L*; C is the factor L* of Asym, so that
         # L^{-1} = C.solve_adj and L = C.apply_adj
         C = _cholesky_factor(tag, S)
-        lu_solve = _lu_solver(A)
         return NormFactor(
             tag,
             lambda X: C.solve_adj(A @ X),
@@ -428,19 +467,19 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False):
         M = (A + A.T) / 2.0
         if not spd_check(M, tol):
             raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
-        if tag == "AstarAsymInvA":
-            require_nonsingular(A, "A")
-    elif tag in ("AstarA", "SqrtAstarA"):
-        require_nonsingular(A, "A")
     elif tag == "Custom":
         M = np.array(spec.payload, dtype=float)
         if M.shape != (n, n):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
         if not spd_check(M, tol):
             raise ValueError("custom norm matrix is not SPD")
+    # the guard on A, whose LU factor the factored norms solve with
+    lu_solve = None
+    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
+        lu_solve = lu_solver(A, "A")
 
     if factored:
-        return _factored_norm(tag, A, M)
+        return _factored_norm(tag, A, M, lu_solve)
     if tag == "identity":
         return np.eye(n)
     if tag == "AstarA":

@@ -7,13 +7,11 @@ Q is reserved for the companion matrices of transfer-operator construction.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, solve_checked
+from .linalg import as_matrix, lu_solver, solve_checked
 from .projection import build_pi
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "air_cpoint_residual",
     "iterate",
     "observed_rate",
-    "write_history_csv",
-    "history_to_json",
     "RELAX_KINDS",
 ]
 
@@ -96,6 +92,11 @@ def _n_inverse(A, spec, part):
     return Ninv
 
 
+def _is_identity(spec):
+    """True when the relaxation leaves the error unchanged."""
+    return spec.kind == "none" or spec.sweeps == 0
+
+
 def relax_propagator(A, spec, part=None):
     """Error propagator (I - N^{-1} A)^sweeps of a relaxation scheme.
 
@@ -103,25 +104,36 @@ def relax_propagator(A, spec, part=None):
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
-    if spec.kind == "none" or spec.sweeps == 0:
+    if _is_identity(spec):
         return np.eye(n)
     E1 = np.eye(n) - _n_inverse(A, spec, part) @ A
     return np.linalg.matrix_power(E1, spec.sweeps)
 
 
 def two_grid_propagator(A, spec):
-    """Full two-grid error propagator E_post (I - Pi) E_pre."""
+    """Full two-grid error propagator E_post (I - Pi) E_pre.
+
+    Factors that are the identity (no pair, or a relaxation of kind none or
+    with zero sweeps) are left out of the product; the others are multiplied
+    left to right.
+    """
     A = as_matrix(A, "A")
     n = A.shape[0]
     part = spec.pair.part if spec.pair is not None else None
+    factors = []
+    if not _is_identity(spec.post):
+        factors.append(relax_propagator(A, spec.post, part))
     if spec.pair is not None:
         pi, _ = build_pi(A, spec.pair)
-        cgc = np.eye(n) - pi
-    else:
-        cgc = np.eye(n)
-    Epre = relax_propagator(A, spec.pre, part)
-    Epost = relax_propagator(A, spec.post, part)
-    return Epost @ cgc @ Epre
+        factors.append(np.eye(n) - pi)
+    if not _is_identity(spec.pre):
+        factors.append(relax_propagator(A, spec.pre, part))
+    if not factors:
+        return np.eye(n)
+    E = factors[0]
+    for F in factors[1:]:
+        E = E @ F
+    return E
 
 
 def conv_factor(E):
@@ -151,6 +163,11 @@ def iterate(A, spec, b, x0, iters):
     History entry k is ||b - A x_k||_2, with entry 0 the initial residual.
     Relaxation sweeps apply x <- x + N^{-1}(b - A x); coarse-grid correction
     applies x <- x + P (R* A P)^{-1} R* (b - A x).
+
+    Every matrix is guarded and factored once per call: N^{-1} is formed
+    once (once in all when pre- and post-relaxation coincide) and K = R*AP
+    is LU-factored once, so an iteration costs products and the two
+    triangular solves of the coarse correction.
     """
     A = as_matrix(A, "A")
     b = np.asarray(b, dtype=float).ravel()
@@ -158,11 +175,17 @@ def iterate(A, spec, b, x0, iters):
     if iters < 0:
         raise ValueError("iters must be >= 0")
     part = spec.pair.part if spec.pair is not None else None
-    pre = _n_inverse(A, spec.pre, part) if spec.pre.kind != "none" else None
-    post = _n_inverse(A, spec.post, part) if spec.post.kind != "none" else None
+    pre = None if _is_identity(spec.pre) else _n_inverse(A, spec.pre, part)
+    if _is_identity(spec.post):
+        post = None
+    elif pre is not None and (spec.post.kind, spec.post.omega) == (spec.pre.kind, spec.pre.omega):
+        post = pre
+    else:
+        post = _n_inverse(A, spec.post, part)
     if spec.pair is not None:
-        K = spec.pair.R.T @ A @ spec.pair.P
-        coarse = lambda r: spec.pair.P @ solve_checked(K, spec.pair.R.T @ r, "coarse operator R*AP")
+        R, P = spec.pair.R, spec.pair.P
+        solve_k = lu_solver(R.T @ A @ P, "coarse operator R*AP")
+        coarse = lambda r: P @ solve_k(R.T @ r)
     else:
         coarse = None
 
@@ -199,15 +222,3 @@ def observed_rate(history, window=RATE_WINDOW):
     if h[hi] == 0.0:
         return 0.0
     return float((h[hi] / h[lo]) ** (1.0 / (hi - lo)))
-
-
-def write_history_csv(fh, history):
-    """Write a residual history as (iter, residual) rows."""
-    w = csv.writer(fh)
-    w.writerow(["iter", "residual"])
-    for k, r in enumerate(np.asarray(history, dtype=float)):
-        w.writerow([k, f"{r:.17g}"])
-
-
-def history_to_json(history):
-    return json.dumps([float(r) for r in np.asarray(history, dtype=float)])

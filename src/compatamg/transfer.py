@@ -18,6 +18,7 @@ from .linalg import (
     CFPartition,
     NormSpec,
     SingularMatrixError,
+    _frozen,
     as_matrix,
     inv_checked,
     numerical_rank,
@@ -50,12 +51,6 @@ __all__ = [
 ]
 
 
-def _frozen(a):
-    B = np.array(a, dtype=float)
-    B.setflags(write=False)
-    return B
-
-
 @dataclass(frozen=True)
 class TransferPair:
     """Restriction R and interpolation P, each n x n_c, over one CF partition.
@@ -63,7 +58,8 @@ class TransferPair:
     Without cblocks, the C-point rows of both operators are identity matrices
     (classical CF-AMG form). With cblocks = (Y, V), the C-point rows of R and
     P are Y and V instead; the induced coarse-grid projection is unchanged by
-    any nonsingular right-scaling, so this is a change of basis only.
+    any nonsingular right-scaling, so this is a change of basis only. Y and V
+    must be n_c x n_c and equal the C-point rows of R and P exactly.
     """
 
     R: np.ndarray
@@ -93,7 +89,16 @@ class TransferPair:
                     "C-point rows of R and P must be identity when cblocks is None"
                 )
         else:
-            Y, V = self.cblocks
+            Y, V = (as_matrix(B, name) for B, name in zip(self.cblocks, "YV"))
+            if Y.shape != (nc, nc) or V.shape != (nc, nc):
+                raise ValueError(
+                    f"cblocks Y and V must be {nc}x{nc}, got Y {Y.shape} and V {V.shape}"
+                )
+            if not (
+                np.array_equal(self.part.c_rows(R), Y)
+                and np.array_equal(self.part.c_rows(P), V)
+            ):
+                raise ValueError("cblocks Y and V must equal the C-point rows of R and P")
             object.__setattr__(self, "cblocks", (_frozen(Y), _frozen(V)))
         object.__setattr__(self, "R", _frozen(R))
         object.__setattr__(self, "P", _frozen(P))

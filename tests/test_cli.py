@@ -247,6 +247,31 @@ def test_converge_csv_history(tmp_path):
     assert len(rows) == 1 + 4  # header + iters+1 residuals
 
 
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_converge_zero_iterations_is_strict_json(tmp_path):
+    out = tmp_path / "out.json"
+    code = main(
+        ["converge", "--problem", "advection1d", "--n", "16", "--pair", "single1",
+         "--iters", "0", "--output", str(out)]
+    )
+    assert code == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    (rec,) = report["results"]
+    assert rec["observed_rate"] is None and len(rec["history"]) == 1
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    code = main(["figure1", "--problem", "laplacian1d", "--n", "8", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compatamg: config error: --output:")
+    assert not out.exists()
+
+
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     args = ["tables", "--problem", "random", "--n", "16", "--seed", "5"]
     _, a = _run_json(tmp_path, args, "a.json")

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 
 import compatamg as cm
 from compatamg.linalg import (
+    COND_LIMIT,
     SingularMatrixError,
+    lu_solver,
+    require_nonsingular,
     spd_sqrt_pair,
 )
 from conftest import random_spd, random_stable
@@ -105,6 +110,34 @@ def test_schur_singular_block_raises():
         cm.schur_c(Ap)
     with pytest.raises(SingularMatrixError):
         cm.schur_f(Ap)
+
+
+@pytest.mark.parametrize(
+    "A", [np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-13])], ids=["exact", "near"]
+)
+def test_guard_rejects_singular_matrices_by_name(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="the test matrix") as exc:
+            require_nonsingular(A, "the test matrix")
+        with pytest.raises(SingularMatrixError, match="the test matrix"):
+            lu_solver(A, "the test matrix")
+    assert f"{COND_LIMIT:.0e}" in str(exc.value)
+
+
+def test_guard_accepts_ill_conditioned_but_nonsingular():
+    A = np.diag([1.0, 1e-9])
+    require_nonsingular(A)
+    np.testing.assert_allclose(lu_solver(A)(np.ones(2)), [1.0, 1e9], rtol=1e-15)
+
+
+def test_lu_solver_solves_with_a_and_its_transpose():
+    rng = np.random.default_rng(11)
+    A = random_stable(rng, 9)
+    B = rng.standard_normal((9, 3))
+    solve = lu_solver(A)
+    np.testing.assert_allclose(A @ solve(B), B, atol=1e-12)
+    np.testing.assert_allclose(A.T @ solve(B, trans=1), B, atol=1e-12)
 
 
 def test_schur_inverse_identity():

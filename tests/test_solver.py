@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import compatamg as cm
+import compatamg.linalg
 from conftest import random_pair_case
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -200,6 +202,76 @@ def test_iterate_matches_propagator():
         assert abs(hist[k] - rk) <= 1e-10 * max(1.0, rk)
 
 
+RELAX_CHOICES = {
+    "none": cm.RelaxSpec("none"),
+    "fexact": cm.RelaxSpec("fexact"),
+    "jacobi": cm.RelaxSpec("jacobi", omega=0.6, sweeps=2),
+}
+
+
+@pytest.mark.parametrize("pre", sorted(RELAX_CHOICES))
+@pytest.mark.parametrize("post", sorted(RELAX_CHOICES))
+def test_two_grid_propagator_equals_the_naive_product(pre, post):
+    rng = np.random.default_rng(12)
+    A, _, pair = random_pair_case(rng, n=14)
+    spec = cm.TwoGridSpec(pair=pair, pre=RELAX_CHOICES[pre], post=RELAX_CHOICES[post])
+    Epre = cm.relax_propagator(A, spec.pre, pair.part)
+    Epost = cm.relax_propagator(A, spec.post, pair.part)
+    cgc = np.eye(14) - cm.build_pi(A, pair)[0]
+    np.testing.assert_array_equal(cm.two_grid_propagator(A, spec), Epost @ cgc @ Epre)
+
+
+def _reference_history(A, spec, b, x0, iters):
+    """iterate as a loop that solves with R*AP afresh on every iteration."""
+    part = spec.pair.part
+    Epre = cm.relax_propagator(A, spec.pre, part)
+    Epost = cm.relax_propagator(A, spec.post, part)
+    R, P = spec.pair.R, spec.pair.P
+    K = R.T @ A @ P
+    x_star = np.linalg.solve(A, b)
+    x = np.array(x0, dtype=float)
+    history = [np.linalg.norm(b - A @ x)]
+    for _ in range(iters):
+        # relaxation acts on the error; the coarse correction on the residual
+        x = x_star - Epre @ (x_star - x)
+        x = x + P @ scipy.linalg.solve(K, R.T @ (b - A @ x))
+        x = x_star - Epost @ (x_star - x)
+        history.append(np.linalg.norm(b - A @ x))
+    return np.array(history)
+
+
+@pytest.mark.parametrize("pre,post", [("none", "fexact"), ("jacobi", "fexact"), ("fexact", "fexact")])
+def test_iterate_matches_a_solve_per_iteration(pre, post):
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=80, epsilon=0.05))
+    part = _split(80)
+    pair, _ = cm.single_operator_pair(A, part, "single3")
+    spec = cm.TwoGridSpec(pair=pair, pre=RELAX_CHOICES[pre], post=RELAX_CHOICES[post])
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal(80)
+    hist = cm.iterate(A, spec, b, np.zeros(80), 12)
+    ref = _reference_history(A, spec, b, np.zeros(80), 12)
+    assert np.max(np.abs(hist - ref)) <= 1e-10 * hist[0]
+
+
+def test_iterate_factors_once_per_call(monkeypatch):
+    guard = compatamg.linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    part = _split(40)
+    pair, _ = cm.single_operator_pair(A, part, "single1")
+    spec = cm.TwoGridSpec(pair=pair, pre=cm.RelaxSpec("fexact"), post=cm.RelaxSpec("fexact"))
+    b = np.ones(40)
+    calls = []
+    for iters in (1, 30):
+        counts.clear()
+        cm.iterate(A, spec, b, np.zeros(40), iters)
+        calls.append(sorted(counts))
+    assert calls[0] == calls[1] == ["A_ff", "coarse operator R*AP"]
+
+
 def test_iterate_rate_matches_conv_factor():
     A = cm.generate(cm.ProblemSpec("laplacian1d", n=32))
     part = _split(32)
@@ -247,19 +319,3 @@ def test_observed_rate_handles_short_and_zero_histories():
     assert np.isnan(cm.observed_rate([1.0]))
     assert cm.observed_rate([1.0, 0.5, 0.25, 0.125], window=(0, 3)) == pytest.approx(0.5)
     assert cm.observed_rate([1.0, 0.0, 0.0], window=(0, 2)) == 0.0
-
-
-def test_history_serialization(tmp_path):
-    import csv
-    import json
-
-    from compatamg.solver import history_to_json, write_history_csv
-
-    hist = [1.0, 0.5, 0.25]
-    p = tmp_path / "hist.csv"
-    with open(p, "w", newline="") as fh:
-        write_history_csv(fh, hist)
-    rows = list(csv.reader(p.read_text().splitlines()))
-    assert rows[0] == ["iter", "residual"]
-    assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
-    assert json.loads(history_to_json(hist)) == hist

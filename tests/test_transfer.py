@@ -337,6 +337,22 @@ def test_transfer_pair_validation():
         cm.TransferPair(noid, R, part)
     # same matrices are fine once declared as a change of basis
     cm.TransferPair(noid, R, part, cblocks=(2.0 * np.eye(2), np.eye(2)))
+    # ... but only with the C-point blocks they actually carry
+    with pytest.raises(ValueError, match="C-point rows"):
+        cm.TransferPair(noid, R, part, cblocks=(3.0 * np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match="C-point rows"):
+        cm.TransferPair(noid, R, part, cblocks=(2.0 * np.eye(2), 2.0 * np.eye(2)))
+    with pytest.raises(ValueError, match="2x2"):
+        cm.TransferPair(noid, R, part, cblocks=(2.0 * np.eye(3), np.eye(2)))
+
+
+def test_change_of_basis_pair_declares_its_cblocks():
+    A = cm.generate(cm.ProblemSpec("advection1d", n=12))
+    part = _split(12)
+    pair = cm.change_of_basis_pair(A, part)
+    Y, V = pair.cblocks
+    np.testing.assert_array_equal(part.c_rows(pair.R), Y)
+    np.testing.assert_array_equal(part.c_rows(pair.P), V)
 
 
 def test_single_operator_pair_lookup():
