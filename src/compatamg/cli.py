@@ -296,12 +296,10 @@ def cmd_converge(cfg):
         E = two_grid_propagator(A, spec)
         rho = conv_factor(E)
         history = iterate(A, spec, b, x0, cfg.iters)
-        rate = float(observed_rate(history))
         return {
             "pair": name,
             "rho": float(rho),
-            # JSON has no NaN: a rate that cannot be measured is null
-            "observed_rate": rate if math.isfinite(rate) else None,
+            "observed_rate": float(observed_rate(history)),
             "divergent": bool(rho > 1.0),
             "history": [float(r) for r in history],
         }
@@ -395,6 +393,17 @@ def _config_from_args(args):
     )
 
 
+def _finite_or_null(obj):
+    """The report with every NaN and infinity replaced by None, since JSON has neither."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -440,7 +449,9 @@ def _report_csv(report):
 
 def _write_report(report, cfg):
     if cfg.fmt == "json":
-        text = json.dumps(report, indent=2, default=_json_default, allow_nan=False) + "\n"
+        text = json.dumps(
+            _finite_or_null(report), indent=2, default=_json_default, allow_nan=False
+        ) + "\n"
     else:
         text = _report_csv(report)
     if cfg.output:

@@ -121,15 +121,32 @@ def require_nonsingular(A, what="matrix"):
     _guarded_lu(A, what)
 
 
-def lu_solver(A, what="matrix"):
+def _is_tridiagonal(A):
+    return A.shape[0] >= 3 and not (np.triu(A, 2).any() or np.tril(A, -2).any())
+
+
+def lu_solver(A, what="matrix", structured=False):
     """Guard A as require_nonsingular does and return a solve against its LU factor.
 
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1,
     by two triangular solves. It is safe to share between threads: scipy's
     getrs wrapper shifts the pivot indices in place during each call, so
     every solve gets its own copy of them.
+
+    With structured=True a tridiagonal A is factored instead by tridiagonal
+    elimination with partial pivoting (dgttrf), the elimination that
+    scipy.linalg.solve runs on a tridiagonal matrix, so each solve gives the
+    same bits as solve_checked.
     """
     lu, piv = _guarded_lu(A, what)
+    A = np.asarray(A, dtype=float)
+    if structured and _is_tridiagonal(A):
+        dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.diag(A, -1), np.diag(A), np.diag(A, 1))
+
+        def solve(X, trans=0):
+            return lapack.dgttrs(dl, d, du, du2, ipiv, X, trans="NT"[trans])[0]
+
+        return solve
 
     def solve(X, trans=0):
         return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)

@@ -113,26 +113,17 @@ def relax_propagator(A, spec, part=None):
 def two_grid_propagator(A, spec):
     """Full two-grid error propagator E_post (I - Pi) E_pre.
 
-    Factors that are the identity (no pair, or a relaxation of kind none or
-    with zero sweeps) are left out of the product; the others are multiplied
-    left to right.
+    A relaxation that is the identity (kind none or zero sweeps) is left out
+    of the product; the others associate as (E_post (I - Pi)) E_pre.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
     part = spec.pair.part if spec.pair is not None else None
-    factors = []
+    E = np.eye(n) - build_pi(A, spec.pair)[0] if spec.pair is not None else np.eye(n)
     if not _is_identity(spec.post):
-        factors.append(relax_propagator(A, spec.post, part))
-    if spec.pair is not None:
-        pi, _ = build_pi(A, spec.pair)
-        factors.append(np.eye(n) - pi)
+        E = relax_propagator(A, spec.post, part) @ E
     if not _is_identity(spec.pre):
-        factors.append(relax_propagator(A, spec.pre, part))
-    if not factors:
-        return np.eye(n)
-    E = factors[0]
-    for F in factors[1:]:
-        E = E @ F
+        E = E @ relax_propagator(A, spec.pre, part)
     return E
 
 
@@ -164,10 +155,11 @@ def iterate(A, spec, b, x0, iters):
     Relaxation sweeps apply x <- x + N^{-1}(b - A x); coarse-grid correction
     applies x <- x + P (R* A P)^{-1} R* (b - A x).
 
-    Every matrix is guarded and factored once per call: N^{-1} is formed
-    once (once in all when pre- and post-relaxation coincide) and K = R*AP
-    is LU-factored once, so an iteration costs products and the two
-    triangular solves of the coarse correction.
+    Every matrix is guarded and factored once per call: each N^{-1} is
+    formed once and K = R*AP is factored once, so an iteration costs
+    products and the two triangular solves of the coarse correction. A
+    tridiagonal K is factored by tridiagonal elimination, which gives the
+    same bits as solving with scipy.linalg.solve on every iteration.
     """
     A = as_matrix(A, "A")
     b = np.asarray(b, dtype=float).ravel()
@@ -176,15 +168,10 @@ def iterate(A, spec, b, x0, iters):
         raise ValueError("iters must be >= 0")
     part = spec.pair.part if spec.pair is not None else None
     pre = None if _is_identity(spec.pre) else _n_inverse(A, spec.pre, part)
-    if _is_identity(spec.post):
-        post = None
-    elif pre is not None and (spec.post.kind, spec.post.omega) == (spec.pre.kind, spec.pre.omega):
-        post = pre
-    else:
-        post = _n_inverse(A, spec.post, part)
+    post = None if _is_identity(spec.post) else _n_inverse(A, spec.post, part)
     if spec.pair is not None:
         R, P = spec.pair.R, spec.pair.P
-        solve_k = lu_solver(R.T @ A @ P, "coarse operator R*AP")
+        solve_k = lu_solver(R.T @ A @ P, "coarse operator R*AP", structured=True)
         coarse = lambda r: P @ solve_k(R.T @ r)
     else:
         coarse = None

@@ -263,6 +263,21 @@ def test_converge_zero_iterations_is_strict_json(tmp_path):
     assert rec["observed_rate"] is None and len(rec["history"]) == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_converge_overflowing_history_is_strict_json(tmp_path):
+    # Jacobi with omega 1.9 diverges here (rho ~ 8); 400 iterations overflow
+    out = tmp_path / "out.json"
+    code = main(
+        ["converge", "--problem", "random", "--n", "16", "--pair", "none",
+         "--pre", "jacobi:1.9", "--iters", "400", "--output", str(out)]
+    )
+    assert code == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    (rec,) = report["results"]
+    assert rec["divergent"] and len(rec["history"]) == 401
+    assert rec["history"][1] is not None and rec["history"][-1] is None
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "out.json"
     code = main(["figure1", "--problem", "laplacian1d", "--n", "8", "--output", str(out)])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,19 @@ def test_lu_solver_solves_with_a_and_its_transpose():
     solve = lu_solver(A)
     np.testing.assert_allclose(A @ solve(B), B, atol=1e-12)
     np.testing.assert_allclose(A.T @ solve(B, trans=1), B, atol=1e-12)
+
+
+def test_structured_lu_solver_matches_scipy_solve_on_tridiagonal():
+    rng = np.random.default_rng(12)
+    n = 30
+    A = np.diag(rng.uniform(0.1, 1.0, n)) + np.diag(rng.standard_normal(n - 1), 1)
+    A += np.diag(rng.standard_normal(n - 1), -1)
+    b = rng.standard_normal(n)
+    solve = lu_solver(A, structured=True)
+    np.testing.assert_array_equal(solve(b), scipy.linalg.solve(A, b))
+    np.testing.assert_allclose(A.T @ solve(b, trans=1), b, atol=1e-12)
+    B = rng.standard_normal((n, 3))
+    np.testing.assert_allclose(A @ solve(B), B, atol=1e-12)
 
 
 def test_schur_inverse_identity():
