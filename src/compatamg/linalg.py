@@ -283,16 +283,6 @@ class PartitionedMatrix:
         c = list(self.part.cpoints)
         return self.base[np.ix_(c, c)]
 
-    def reassemble(self):
-        """Rebuild the base matrix from its four blocks (exact)."""
-        out = np.empty_like(self.base)
-        f, c = list(self.part.fpoints), list(self.part.cpoints)
-        out[np.ix_(f, f)] = self.ff
-        out[np.ix_(f, c)] = self.fc
-        out[np.ix_(c, f)] = self.cf
-        out[np.ix_(c, c)] = self.cc
-        return out
-
 
 def partition(A, part):
     """View square matrix A through a CFPartition."""
@@ -391,10 +381,6 @@ class NormFactor:
     def gram(self, X):
         """M X = G*(G X)."""
         return self.apply_adj(self.apply(X))
-
-    def gram_solve(self, X):
-        """M^{-1} X = G^{-1}(G^{-*} X)."""
-        return self.solve(self.solve_adj(X))
 
 
 def _identity_factor():

@@ -5,7 +5,6 @@ symmetric part is SPD by construction. Plus default CF splittings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -49,20 +48,6 @@ class ProblemSpec:
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {"kind", "n", "nx", "ny", "epsilon", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown problem fields: {sorted(extra)}")
-        if "kind" not in d:
-            raise ValueError("problem spec needs a 'kind' field")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self):
         return asdict(self)

@@ -249,7 +249,7 @@ class OrthogonalityChecks:
     """
 
     m_pi_hermitian: bool      # M Pi = (M Pi)*
-    matches_m_adjoint: bool   # Pi = M^{-1} Pi* M
+    matches_m_adjoint: bool   # Pi = M^{-1} Pi* M, tested as G Pi G^{-1} symmetric
     range_match: bool         # range(M Pi) = range(Pi*)
     probes_orthogonal: bool   # <Pi x, (I - Pi) y>_M ~ 0 on random probes
 
@@ -283,13 +283,17 @@ def orthogonality_checks(pi, M, tol=1e-8):
     G = as_norm_factor(M)
     tiny = np.finfo(float).tiny
 
-    MP = G.gram(pi)
+    GP = G.apply(pi)
+    MP = G.apply_adj(GP)
     scale = max(float(np.linalg.norm(MP)), tiny)
     herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
 
-    adj = G.gram_solve(MP.T)  # M^{-1} Pi* M, with Pi* M = (M Pi)*
-    pscale = max(float(np.linalg.norm(pi)), tiny)
-    adj_ok = float(np.linalg.norm(pi - adj)) <= tol * pscale
+    # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} is symmetric; forming X
+    # costs one cond(G) in round-off where M^{-1} would cost cond(M) = cond(G)^2
+    X = G.solve_adj(GP.T).T
+    xscale = max(float(np.linalg.norm(X)), tiny)
+    adj_ok = float(np.linalg.norm(X - X.T)) <= tol * xscale
+    del GP, X  # two n x n arrays the SVDs of the range test need no longer
 
     rank = numerical_rank(pi)
     U1 = orth_basis(MP)

@@ -307,13 +307,27 @@ def compatible_w_from_z_general(A, Z, M):
     return W
 
 
-def _companion(A, M, Qm, anchor):
-    """Companion matrix whose ideal operator completes an anchored pair."""
+def _norm_row(A, M, anchor):
+    """What every companion of one norm M shares, computed once per norm.
+
+    anchor="P" gives the Cholesky factor of M (the factor scipy.linalg.solve
+    takes for assume_a="pos"), anchor="R" gives A^{-*} M.
+    """
+    if anchor == "P":
+        return scipy.linalg.cho_factor(M)
+    return solve_checked(A.T, M, "A")
+
+
+def _companion(A, row, Qm, anchor):
+    """Companion matrix whose ideal operator completes an anchored pair.
+
+    row is _norm_row(A, M, anchor) for the norm M.
+    """
     if anchor == "P":
         # pair P_ideal(Q) with R_ideal(A M^{-1} Q*)
-        return A @ scipy.linalg.solve(M, Qm.T, assume_a="pos")
+        return A @ scipy.linalg.cho_solve(row, Qm.T)
     # pair R_ideal(Q) with P_ideal(Q* A^{-*} M)
-    return Qm.T @ solve_checked(A.T, M, "A")
+    return Qm.T @ row
 
 
 def _anchor_tag(anchor):
@@ -323,6 +337,30 @@ def _anchor_tag(anchor):
     if a in ("R", "RFROMQ", "R_FROM_Q"):
         return "R"
     raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
+
+
+def _ideal_cell(A, part, row, q, anchor):
+    """(pair, companion) of one anchored norm/companion cell.
+
+    A is guarded and row is _norm_row(A, M, anchor) for the cell's norm M.
+    """
+    Qm = realize_q(q, A)
+    Qp = partition(Qm, part)
+    comp = _companion(A, row, Qm, anchor)
+    Cp = partition(comp, part)
+    try:
+        if anchor == "P":
+            # W before Z: when both ff-blocks are singular, the skip reason
+            # names the companion Q's
+            W = ideal_w(Qp)
+            pair = make_pair(part, ideal_z(Cp), W)
+        else:
+            pair = make_pair(part, ideal_z(Qp), ideal_w(Cp))
+    except SingularMatrixError as e:
+        raise SingularMatrixError(
+            f"ideal companion undefined for this splitting: {e}"
+        ) from e
+    return pair, comp
 
 
 def ideal_pair(A, part, norm, q, anchor="P"):
@@ -335,22 +373,8 @@ def ideal_pair(A, part, norm, q, anchor="P"):
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
     anchor = _anchor_tag(anchor)
-    M = realize_norm(norm, A)
-    Qm = realize_q(q, A)
-    Qp = partition(Qm, part)
-    comp = partition(_companion(A, M, Qm, anchor), part)
-    try:
-        if anchor == "P":
-            W = ideal_w(Qp)
-            Zc = ideal_z(comp)
-            return make_pair(part, Zc, W)
-        Zq = ideal_z(Qp)
-        Wc = ideal_w(comp)
-        return make_pair(part, Zq, Wc)
-    except SingularMatrixError as e:
-        raise SingularMatrixError(
-            f"ideal companion undefined for this splitting: {e}"
-        ) from e
+    row = _norm_row(A, realize_norm(norm, A), anchor)
+    return _ideal_cell(A, part, row, q, anchor)[0]
 
 
 # Norm rows and companion columns of the two catalog tables, in row-major order.
@@ -466,6 +490,10 @@ def catalog_pairs(A, part):
     records with the failure reason rather than raising, so a sweep completes
     on any nonsingular input. Output order is fixed: table 1 then table 2,
     row-major in (norm, q).
+
+    Each norm is realized, and factored for its row's companions, once per
+    table row; each companion is realized and built once per cell. Nothing
+    n x n outlives its row except the companions the entries hold.
     """
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
@@ -475,40 +503,29 @@ def catalog_pairs(A, part):
         (2, "R", _T2_EXPR, _T2_SINGLE),
     ):
         for norm in CATALOG_NORMS:
+            try:
+                row, row_reason = _norm_row(A, realize_norm(norm, A), anchor), None
+            except (ValueError, SingularMatrixError) as e:
+                row, row_reason = None, str(e)
             for q in CATALOG_QS:
-                label = "single" if (norm, q) in singles else None
-                expr = exprs[(norm, q)]
-                try:
-                    M = realize_norm(norm, A)
-                    Qm = realize_q(q, A)
-                    comp = _companion(A, M, Qm, anchor)
-                    pair = ideal_pair(A, part, norm, q, anchor)
-                except (ValueError, SingularMatrixError) as e:
-                    entries.append(
-                        CatalogEntry(
-                            table=table,
-                            norm=norm,
-                            q=q,
-                            anchor=anchor,
-                            companion_expr=expr,
-                            label=label,
-                            skipped=True,
-                            reason=str(e),
-                        )
-                    )
-                    continue
-                entries.append(
-                    CatalogEntry(
-                        table=table,
-                        norm=norm,
-                        q=q,
-                        anchor=anchor,
-                        companion_expr=expr,
-                        label=label,
-                        pair=pair,
-                        companion=comp,
-                    )
-                )
+                cell = {
+                    "table": table,
+                    "norm": norm,
+                    "q": q,
+                    "anchor": anchor,
+                    "companion_expr": exprs[(norm, q)],
+                    "label": "single" if (norm, q) in singles else None,
+                }
+                reason = row_reason
+                if reason is None:
+                    try:
+                        pair, comp = _ideal_cell(A, part, row, q, anchor)
+                    except (ValueError, SingularMatrixError) as e:
+                        reason = str(e)
+                if reason is None:
+                    entries.append(CatalogEntry(**cell, pair=pair, companion=comp))
+                else:
+                    entries.append(CatalogEntry(**cell, skipped=True, reason=reason))
     return entries
 
 

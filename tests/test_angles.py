@@ -60,7 +60,7 @@ def test_factor_reproduces_the_dense_norm(tag):
     X = rng.standard_normal((n, 4))
     scale = np.linalg.norm(M, 2)
     np.testing.assert_allclose(G.gram(X), M @ X, atol=1e-12 * scale)
-    np.testing.assert_allclose(G.gram_solve(M @ X), X, atol=1e-10)
+    np.testing.assert_allclose(G.solve(G.solve_adj(M @ X)), X, atol=1e-10)
     np.testing.assert_allclose(G.solve(G.apply(X)), X, atol=1e-12)
     np.testing.assert_allclose(G.solve_adj(G.apply_adj(X)), X, atol=1e-12)
     Y = rng.standard_normal((n, 3))
@@ -156,3 +156,15 @@ def test_astara_factor_verifies_the_ill_conditioned_laplacian(n):
     assert tag == "AstarA"
     G = cm.realize_norm(tag, A, factored=True)
     assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), G) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_orthogonality_checks_agree_on_the_ill_conditioned_laplacian(n):
+    # matches_m_adjoint tests G Pi G^{-1} for symmetry, which costs one cond(A)
+    # in round-off; comparing Pi with M^{-1} Pi* M would cost cond(A)^2
+    A = cm.generate(cm.ProblemSpec("laplacian1d", n=n))
+    part = cm.default_splitting(n, "alternate")
+    pair, tag = cm.single_operator_pair(A, part, "single3")
+    pi, _ = cm.build_pi(A, pair)
+    checks = cm.orthogonality_checks(pi, cm.realize_norm(tag, A, factored=True))
+    assert checks.all_true and checks.agree

@@ -228,7 +228,7 @@ def test_converge_flags_divergent_pair(tmp_path):
     code, report = _run_json(
         tmp_path,
         ["converge", "--problem", "random", "--n", "30", "--seed", "7",
-         "--pair", "random:42", "--iters", "8"],
+         "--pair", "random:42", "--pre", "jacobi:1.9", "--iters", "8"],
     )
     assert code == 0
     assert report["results"][0]["divergent"]
@@ -301,12 +301,17 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
 
 
 def test_threads_env_var_preserves_output(tmp_path, monkeypatch):
-    args = ["tables", "--problem", "random", "--n", "16", "--seed", "5"]
-    _, serial = _run_json(tmp_path, args, "serial.json")
-    monkeypatch.setenv("COMPATAMG_THREADS", "4")
-    _, parallel = _run_json(tmp_path, args, "parallel.json")
-    serial.pop("timestamp"), parallel.pop("timestamp")
-    assert serial == parallel
+    # tables and figure1 share norm factors and ideal blocks between cases
+    for command in ("tables", "figure1"):
+        args = [command, "--problem", "random", "--n", "16", "--seed", "5"]
+        monkeypatch.setenv("COMPATAMG_THREADS", "1")
+        _, serial = _run_json(tmp_path, args, "serial.json")
+        serial.pop("timestamp")
+        for threads in ("2", "4"):
+            monkeypatch.setenv("COMPATAMG_THREADS", threads)
+            _, parallel = _run_json(tmp_path, args, "parallel.json")
+            parallel.pop("timestamp")
+            assert serial == parallel, (command, threads)
 
 
 def test_argparse_rejects_unknown_flags():

@@ -70,7 +70,11 @@ def test_reassembly_exact(n, seed):
     idx = rng.permutation(n)
     part = cm.CFPartition(n, tuple(idx[:k]), tuple(idx[k:]))
     Ap = cm.partition(A, part)
-    np.testing.assert_array_equal(Ap.reassemble(), A)
+    f, c = list(part.fpoints), list(part.cpoints)
+    B = np.empty_like(A)
+    B[np.ix_(f, f)], B[np.ix_(f, c)] = Ap.ff, Ap.fc
+    B[np.ix_(c, f)], B[np.ix_(c, c)] = Ap.cf, Ap.cc
+    np.testing.assert_array_equal(B, A)
     np.testing.assert_array_equal(part.from_ffirst(part.to_ffirst(A)), A)
 
 

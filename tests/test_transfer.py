@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 import compatamg as cm
 from compatamg.linalg import SingularMatrixError, numerical_rank
-from compatamg.transfer import _companion
+from compatamg.transfer import _companion, _norm_row
 from conftest import random_nonsingular, random_partition, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -171,7 +171,7 @@ def test_ideal_pair_asyminv_companion():
     rng = np.random.default_rng(20)
     A = random_stable(rng, 12)
     M = cm.realize_norm("AstarAsymInvA", A)
-    comp = _companion(A, M, cm.realize_q("A", A), "P")
+    comp = _companion(A, _norm_row(A, M, "P"), cm.realize_q("A", A), "P")
     np.testing.assert_allclose(comp, (A + A.T) / 2.0, rtol=1e-9, atol=1e-11)
     part = _split(12)
     pair = cm.ideal_pair(A, part, "AstarAsymInvA", "A", anchor="P")
@@ -277,6 +277,59 @@ def test_catalog_expressions_match_companions(spd):
             atol=1e-11,
             err_msg=f"table {e.table} ({e.norm}, {e.q}): {e.companion_expr}",
         )
+
+
+@pytest.mark.parametrize("spd", [False, True])
+def test_catalog_cells_match_per_cell_construction(spd):
+    # the row-scoped sweep gives the bits of building every cell on its own,
+    # with the companion formed by a dense solve against M
+    rng = np.random.default_rng(33)
+    A = random_spd(rng, 12, shift=0.5) if spd else random_stable(rng, 12)
+    part = _split(12)
+    for e in cm.catalog_pairs(A, part):
+        if e.skipped:
+            with pytest.raises((ValueError, SingularMatrixError)):
+                cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
+            continue
+        M, Qm = cm.realize_norm(e.norm, A), cm.realize_q(e.q, A)
+        if e.anchor == "P":
+            comp = A @ sla.solve(M, Qm.T, assume_a="pos")
+            ref = cm.make_pair(
+                part, cm.ideal_z(cm.partition(comp, part)), cm.ideal_w(cm.partition(Qm, part))
+            )
+        else:
+            comp = Qm.T @ sla.solve(A.T, M)
+            ref = cm.make_pair(
+                part, cm.ideal_z(cm.partition(Qm, part)), cm.ideal_w(cm.partition(comp, part))
+            )
+        pair = cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
+        np.testing.assert_array_equal(e.companion, comp)
+        for other in (ref, pair):
+            np.testing.assert_array_equal(e.pair.R, other.R)
+            np.testing.assert_array_equal(e.pair.P, other.P)
+
+
+def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
+    import compatamg.transfer as transfer
+
+    calls = {"realize_norm": 0, "_companion": 0}
+
+    def counted(name):
+        inner = getattr(transfer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(transfer, name, counted(name))
+    rng = np.random.default_rng(34)
+    A = random_stable(rng, 12)
+    entries = cm.catalog_pairs(A, _split(12))
+    assert calls["realize_norm"] <= 10
+    assert calls["_companion"] == sum(not e.skipped for e in entries) == 40
 
 
 def test_catalog_order_is_row_major():
