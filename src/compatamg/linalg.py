@@ -1,6 +1,6 @@
 """Dense linear-algebra substrate: CF-partitioned blocks, Schur complements,
-SPD norm matrices and their factors G with M = G*G, M-inner products,
-M-adjoints, and induced operator norms.
+SPD norm matrices and their factors G with M = G*G, induced operator norms,
+and orthonormal bases and numerical ranks.
 
 Everything works on plain numpy arrays in double precision and targets desk
 scale (n up to a couple thousand). Constructed objects hold read-only copies
@@ -42,7 +42,6 @@ __all__ = [
     "as_norm_factor",
     "spd_check",
     "spd_sqrt_pair",
-    "m_adjoint",
     "operator_m_norm",
     "orth_basis",
     "numerical_rank",
@@ -83,12 +82,9 @@ def _frozen(a):
     return B
 
 
-def cond2(A):
-    """2-norm condition number; inf when the matrix is exactly singular."""
-    s = np.linalg.svd(as_matrix(A), compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
+def _tag_key(tag):
+    """Lookup key of a tag alias: lower case, with '-', '_' and ' ' removed."""
+    return str(tag).replace("-", "").replace("_", "").replace(" ", "").lower()
 
 
 def _guarded_lu(A, what):
@@ -308,9 +304,7 @@ _NORM_ALIASES = {
     "asym": "Asym",
     "astara": "AstarA",
     "sqrtastara": "SqrtAstarA",
-    "sqrt_astara": "SqrtAstarA",
     "astarasyminva": "AstarAsymInvA",
-    "astar_asyminv_a": "AstarAsymInvA",
     "custom": "Custom",
 }
 
@@ -328,7 +322,7 @@ class NormSpec:
     payload: np.ndarray | None = None
 
     def __post_init__(self):
-        key = str(self.tag).replace("-", "").replace(" ", "").lower()
+        key = _tag_key(self.tag)
         if key not in _NORM_ALIASES:
             raise ValueError(f"unknown norm tag {self.tag!r}; expected one of {_NORM_TAGS}")
         object.__setattr__(self, "tag", _NORM_ALIASES[key])
@@ -517,20 +511,6 @@ def spd_sqrt_pair(M, tol=SPD_TOL):
     return (V * r) @ V.T, (V / r) @ V.T
 
 
-def m_adjoint(T, M):
-    """Adjoint of T in the M-inner product: M^{-1} T* M.
-
-    Satisfies <T x, y>_M = <x, m_adjoint(T, M) y>_M for all x, y.
-    """
-    T = as_matrix(T, "T")
-    M = as_matrix(M, "M")
-    if not spd_check(M):
-        raise ValueError("M must be SPD")
-    if T.shape != M.shape:
-        raise ValueError(f"shapes disagree: T {T.shape}, M {M.shape}")
-    return scipy.linalg.solve(M, T.T @ M, assume_a="pos")
-
-
 def operator_m_norm(T, M):
     """Induced operator norm sup_{x != 0} ||T x||_M / ||x||_M.
 
@@ -542,14 +522,18 @@ def operator_m_norm(T, M):
 
 
 def orth_basis(X, rtol=RANK_RTOL):
-    """Orthonormal basis for range(X); rank cut at rtol * leading singular value."""
+    """Orthonormal basis for range(X) from a column-pivoted QR, X P = Q R.
+
+    Pivoting makes |R_jj| nonincreasing (Businger & Golub, Numer. Math. 7,
+    1965), so the basis is the leading columns of Q up to the first j with
+    |R_jj| <= rtol * |R_11|. No SVD is made.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
         return np.zeros((X.shape[0], 0))
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((X.shape[0], 0))
-    return U[:, s > rtol * s[0]]
+    Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    small = np.abs(np.diag(R)) <= rtol * abs(R[0, 0])
+    return Q[:, : int(np.argmax(small)) if small.any() else small.size]
 
 
 def numerical_rank(X, rtol=RANK_RTOL):

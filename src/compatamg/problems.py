@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import CFPartition
+from .linalg import CFPartition, _tag_key
 
 __all__ = ["ProblemSpec", "generate", "default_splitting", "PROBLEM_KINDS"]
 
@@ -42,7 +42,7 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        key = str(self.kind).replace("-", "").replace("_", "").lower()
+        key = _tag_key(self.kind)
         if key not in _KIND_ALIASES:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
@@ -99,7 +99,7 @@ def default_splitting(n, policy="alternate", seed=0, cfrac=0.5):
     """Standard CF splittings: even/odd, first-half-F, or seeded random."""
     if n < 2:
         raise ValueError("need n >= 2 to split")
-    key = str(policy).replace("-", "").replace("_", "").lower()
+    key = _tag_key(policy)
     if key == "alternate":
         f = tuple(range(0, n, 2))
         c = tuple(range(1, n, 2))

@@ -272,6 +272,24 @@ class OrthogonalityChecks:
         }
 
 
+def _one_range(U1, U2):
+    """Whether orthonormal n x r bases U1, U2 span one range: rank [U1 U2] = r.
+
+    The stack's singular values are sqrt(1 + cos t_i) and sqrt(1 - cos t_i) =
+    sin t_i / sqrt(1 + cos t_i) over the canonical angles t_i between the
+    ranges, so its numerical rank is r exactly when the largest trailing
+    value, at the largest angle, is at most RANK_RTOL times the leading one,
+    sqrt(1 + cos t_min). Sines and cosines are computed here, apart from
+    canonical_angles, from one r x r and one n x r matrix.
+    """
+    if U1.shape[1] == 0:
+        return True
+    C = U2.T @ U1
+    cosines = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
+    sin_max = float(np.linalg.svd(U1 - U2 @ C, compute_uv=False)[0])
+    return sin_max / math.sqrt(1.0 + cosines[-1]) <= RANK_RTOL * math.sqrt(1.0 + cosines[0])
+
+
 def orthogonality_checks(pi, M, tol=1e-8):
     """Evaluate the four equivalent M-orthogonality conditions on a projection.
 
@@ -293,16 +311,15 @@ def orthogonality_checks(pi, M, tol=1e-8):
     X = G.solve_adj(GP.T).T
     xscale = max(float(np.linalg.norm(X)), tiny)
     adj_ok = float(np.linalg.norm(X - X.T)) <= tol * xscale
-    del GP, X  # two n x n arrays the SVDs of the range test need no longer
+    del GP, X  # two n x n arrays the range test needs no longer
 
-    rank = numerical_rank(pi)
-    U1 = orth_basis(MP)
+    # range(M Pi) = range(Pi*) on thin bases from pivoted QR. Pi and Pi* have
+    # the same singular values, so U2's column count is the rank of Pi; the
+    # rows of Pi lie in range(U2), so M Pi = (M Pi U2) U2* and U1 is a basis
+    # of the n x r matrix M Pi U2
     U2 = orth_basis(pi.T)
-    range_ok = (
-        U1.shape[1] == rank
-        and U2.shape[1] == rank
-        and numerical_rank(np.hstack([U1, U2])) == rank
-    )
+    U1 = orth_basis(MP @ U2)
+    range_ok = U1.shape[1] == U2.shape[1] and _one_range(U1, U2)
 
     # probe pairs x_k, y_k drawn in the order x_0, y_0, x_1, y_1, ...
     probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, pi.shape[0]))

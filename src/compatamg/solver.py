@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, lu_solver, solve_checked
+from .linalg import _tag_key, as_matrix, lu_solver, solve_checked
 from .projection import build_pi
 
 __all__ = [
@@ -43,7 +43,7 @@ class RelaxSpec:
     sweeps: int = 1
 
     def __post_init__(self):
-        key = str(self.kind).replace("-", "").replace("_", "").lower()
+        key = _tag_key(self.kind)
         if key not in RELAX_KINDS:
             raise ValueError(f"unknown relaxation kind {self.kind!r}; expected one of {RELAX_KINDS}")
         object.__setattr__(self, "kind", key)

@@ -19,6 +19,7 @@ from .linalg import (
     NormSpec,
     SingularMatrixError,
     _frozen,
+    _tag_key,
     as_matrix,
     inv_checked,
     numerical_rank,
@@ -157,7 +158,7 @@ class QChoice:
     payload: np.ndarray | None = None
 
     def __post_init__(self):
-        key = str(self.tag).replace("-", "").replace(" ", "").lower()
+        key = _tag_key(self.tag)
         if key not in _Q_ALIASES:
             raise ValueError(f"unknown Q tag {self.tag!r}; expected one of {_Q_TAGS}")
         object.__setattr__(self, "tag", _Q_ALIASES[key])

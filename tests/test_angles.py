@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import compatamg as cm
-from compatamg.linalg import cond2
+from compatamg.linalg import RANK_RTOL
 from conftest import random_spd
 
 NORM_TAGS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
@@ -108,7 +108,7 @@ def _case(seed, n, tag, compatible):
         Z = rng.standard_normal((part.nf, part.nc))
         W = rng.standard_normal((part.nf, part.nc))
         pair = cm.make_pair(part, Z, W)
-    assume(cond2(pair.R.T @ A @ pair.P) < 1e6)
+    assume(np.linalg.cond(pair.R.T @ A @ pair.P) < 1e6)
     return A, pair, spec
 
 
@@ -166,5 +166,100 @@ def test_orthogonality_checks_agree_on_the_ill_conditioned_laplacian(n):
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single3")
     pi, _ = cm.build_pi(A, pair)
-    checks = cm.orthogonality_checks(pi, cm.realize_norm(tag, A, factored=True))
+    G = cm.realize_norm(tag, A, factored=True)
+    checks = cm.orthogonality_checks(pi, G)
     assert checks.all_true and checks.agree
+    assert checks.range_match == _four_svd_range_match(pi, G)
+
+
+def _svd_rank(X):
+    if X.size == 0:
+        return 0
+    s = np.linalg.svd(X, compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
+def _svd_basis(X):
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((X.shape[0], 0))
+    return U[:, s > RANK_RTOL * s[0]]
+
+
+def _four_svd_range_match(pi, G):
+    """range(M Pi) = range(Pi*) by four SVDs: rank of Pi, bases of both ranges,
+    and the rank of the bases stacked side by side."""
+    rank = _svd_rank(pi)
+    U1 = _svd_basis(G.apply_adj(G.apply(pi)))
+    U2 = _svd_basis(pi.T)
+    return U1.shape[1] == rank and U2.shape[1] == rank \
+        and _svd_rank(np.hstack([U1, U2])) == rank
+
+
+def _range_test_pairs(A, part, rng):
+    """single1..4, every computable catalog cell, random pairs, and a
+    compatible pair perturbed by 1e-7."""
+    pairs = []
+    for k in (1, 2, 3, 4):
+        try:
+            pairs.append(cm.single_operator_pair(A, part, k)[0])
+        except (ValueError, cm.SingularMatrixError):
+            pass
+    pairs += [e.pair for e in cm.catalog_pairs(A, part) if not e.skipped]
+    for seed in (0, 1):
+        g = np.random.default_rng(seed)
+        pairs.append(cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
+                                  g.standard_normal((part.nf, part.nc))))
+    exact = pairs[0]
+    bump = np.zeros_like(exact.P)
+    bump[list(part.fpoints)] = 1e-7 * rng.standard_normal((part.nf, part.nc))
+    pairs.append(cm.TransferPair(exact.R, exact.P + bump, part))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["random", "advection1d", "laplacian1d"])
+def test_range_match_follows_the_four_svd_rule(kind):
+    n = 24
+    rng = np.random.default_rng(5)
+    A = cm.generate(cm.ProblemSpec(kind, n=n, seed=3))
+    part = cm.default_splitting(n, "alternate")
+    factors = []
+    for tag in NORM_TAGS:
+        try:
+            factors.append(cm.realize_norm(_spec(tag, rng, n), A, factored=True))
+        except ValueError:
+            pass
+    decisions = []
+    for pair in _range_test_pairs(A, part, rng):
+        try:
+            pi, _ = cm.build_pi(A, pair)
+        except cm.SingularMatrixError:
+            continue
+        for G in factors:
+            got = cm.orthogonality_checks(pi, G).range_match
+            assert got == _four_svd_range_match(pi, G), (G.tag, pair)
+            decisions.append(got)
+    assert any(decisions) and not all(decisions)
+
+
+def test_orthogonality_checks_make_no_square_svd(monkeypatch):
+    # the range test works on n x r bases: no SVD of an n x n (or larger)
+    # matrix, through np.linalg.svd or numpy's norm(X, 2)
+    n = 60
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=1))
+    part = cm.default_splitting(n, "alternate")
+    pair, tag = cm.single_operator_pair(A, part, "single1")
+    pi, _ = cm.build_pi(A, pair)
+    G = cm.realize_norm(tag, A, factored=True)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
+    assert cm.orthogonality_checks(pi, G).all_true
+    assert shapes
+    assert all(min(s[-2:]) < n for s in shapes), shapes

@@ -12,7 +12,9 @@ import compatamg as cm
 from compatamg.linalg import (
     COND_LIMIT,
     SingularMatrixError,
+    RANK_RTOL,
     lu_solver,
+    orth_basis,
     require_nonsingular,
     spd_sqrt_pair,
 )
@@ -221,6 +223,26 @@ def test_norm_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "parse,spelling,canonical",
+    [
+        (lambda t: cm.NormSpec(t).tag, "sqrt_astara", "SqrtAstarA"),
+        (lambda t: cm.NormSpec(t).tag, "Astar-AsymInv A", "AstarAsymInvA"),
+        (lambda t: cm.NormSpec(t).tag, "a_sym", "Asym"),
+        (lambda t: cm.QChoice(t).tag, "A-inv star", "AinvStar"),
+        (lambda t: cm.QChoice(t).tag, "a_a_star", "AAstar"),
+        (lambda t: cm.ProblemSpec(t, n=4).kind, "Advection-Diffusion_1d", "advdiff1d"),
+        (lambda t: cm.ProblemSpec(t, n=4).kind, "laplacian 1d", "laplacian1d"),
+        (lambda t: cm.RelaxSpec(t).kind, "F-Jacobi", "fjacobi"),
+        (lambda t: cm.RelaxSpec(t).kind, "f exact", "fexact"),
+        (lambda t: cm.default_splitting(4, t).fpoints, "First-Half_F", (0, 1)),
+        (lambda t: cm.default_splitting(4, t).fpoints, "first half", (0, 1)),
+    ],
+)
+def test_tag_aliases_ignore_case_and_separators(parse, spelling, canonical):
+    assert parse(spelling) == canonical
+
+
+@pytest.mark.parametrize(
     "M,expected",
     [
         (np.eye(3), True),
@@ -237,37 +259,6 @@ def test_spd_check_scaling():
     rng = np.random.default_rng(1)
     M = random_spd(rng, 6)
     assert cm.spd_check(M) and cm.spd_check(1e6 * M) and cm.spd_check(1e-6 * M)
-
-
-def test_m_adjoint_examples():
-    T = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(cm.m_adjoint(T, np.eye(2)), T.T, atol=1e-15)
-    S = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    np.testing.assert_allclose(cm.m_adjoint(S, np.eye(2)), S, atol=1e-15)
-    T = np.array([[0.0, 1.0], [0.0, 1.0]])
-    M = np.diag([1.0, 4.0])
-    np.testing.assert_allclose(
-        cm.m_adjoint(T, M), [[0.0, 0.0], [0.25, 1.0]], atol=1e-14
-    )
-
-
-def test_m_adjoint_inner_product_identity():
-    # <T x, y>_M == <x, adj(T) y>_M on random draws
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        n = int(rng.integers(2, 10))
-        T = rng.standard_normal((n, n))
-        M = random_spd(rng, n)
-        adj = cm.m_adjoint(T, M)
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        lhs = (T @ x) @ (M @ y)
-        rhs = x @ (M @ (adj @ y))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
-
-
-def test_m_adjoint_requires_spd():
-    with pytest.raises(ValueError):
-        cm.m_adjoint(np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_operator_m_norm_examples():
@@ -298,3 +289,50 @@ def test_spd_sqrt_pair():
     with pytest.raises(ValueError):
         spd_sqrt_pair(np.diag([1.0, -1.0]))
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    rank_frac=st.floats(0.0, 1.0),
+)
+def test_orth_basis_matches_the_svd_range(seed, n, m, rank_frac):
+    # X = U diag(s) V* of rank r with s in [1e-3, 1] scaled by a random power
+    # of ten, so the numerical rank is r
+    rng = np.random.default_rng(seed)
+    r = round(rank_frac * min(n, m))
+    U, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    s = 10.0 ** rng.uniform(-3.0, 0.0, r) * 10.0 ** rng.uniform(-6.0, 6.0)
+    X = (U * s) @ V.T
+    B = orth_basis(X)
+
+    sv = np.linalg.svd(X, compute_uv=False)
+    svd_rank = 0 if sv[0] == 0.0 else int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    assert B.shape == (n, svd_rank) == (n, r)
+    np.testing.assert_allclose(B.T @ B, np.eye(r), rtol=0, atol=1e-12)
+    if r:
+        # largest principal-angle sine between range(B) and the SVD range
+        Usvd = np.linalg.svd(X, full_matrices=False)[0][:, :r]
+        assert np.linalg.norm(Usvd - B @ (B.T @ Usvd), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (5, 0), (0, 3)])
+def test_orth_basis_of_an_empty_matrix(shape):
+    B = orth_basis(np.zeros(shape))
+    assert B.shape == (shape[0], 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 4), (4, 6)])
+def test_orth_basis_of_a_zero_matrix(shape):
+    B = orth_basis(np.zeros(shape))
+    assert B.shape == (shape[0], 0)
+
+
+def test_orth_basis_examples():
+    B = orth_basis(np.array([[3.0, 6.0], [0.0, 0.0], [4.0, 8.0]]))
+    assert B.shape == (3, 1)
+    np.testing.assert_allclose(np.abs(B[:, 0]), [0.6, 0.0, 0.8], atol=1e-15)
+    np.testing.assert_allclose(np.abs(orth_basis(np.eye(3))), np.eye(3), atol=0)

@@ -53,7 +53,7 @@ def test_ideal_annihilation():
         part = random_partition(rng, n)
         Q = random_nonsingular(rng, n)
         Qp = cm.partition(Q, part)
-        if cm.linalg.cond2(Qp.ff) > 1e3:
+        if np.linalg.cond(Qp.ff) > 1e3:
             continue
         drawn += 1
         P = cm.p_ideal(Qp)
