@@ -39,11 +39,10 @@ from .projection import (
 )
 from .solver import (
     RelaxSpec,
-    TwoGridSpec,
-    conv_factor,
+    PreparedTwoGrid,
     iterate,
     observed_rate,
-    two_grid_propagator,
+    two_grid_conv_factor,
 )
 from .transfer import (
     SINGLE_OPERATOR_PAIRS,
@@ -322,9 +321,9 @@ def cmd_converge(cfg):
 
     def run(item):
         name, pair, _ = item
-        spec = TwoGridSpec(pair=pair, pre=cfg.pre, post=cfg.post)
-        E = two_grid_propagator(A, spec)
-        rho = conv_factor(E)
+        # one binding, so rho and the iteration share their guards and factors
+        spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=A)
+        rho = two_grid_conv_factor(A, spec)
         history = iterate(A, spec, b, x0, cfg.iters)
         return {
             "pair": name,

@@ -61,6 +61,9 @@ __all__ = [
     "projection_report",
 ]
 
+# Message prefix of a pair whose coarse operator R*AP the guard rejects.
+INCOMPATIBLE = "R and P incompatible with A on this splitting"
+
 # Bilinear-form orthogonality is probed on a fixed pseudorandom sample so
 # results are reproducible across runs and platforms.
 PROBE_COUNT = 64
@@ -79,9 +82,7 @@ def build_pi(A, pair):
     try:
         Pi = pair.P @ solve_checked(K, pair.R.T @ A, "coarse operator R*AP")
     except SingularMatrixError as e:
-        raise SingularMatrixError(
-            f"R and P incompatible with A on this splitting: {e}"
-        ) from e
+        raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
     return Pi, K
 
 
@@ -197,9 +198,7 @@ def coarse_correction(A, pair):
     try:
         require_nonsingular(K, "coarse operator R*AP")
     except SingularMatrixError as e:
-        raise SingularMatrixError(
-            f"R and P incompatible with A on this splitting: {e}"
-        ) from e
+        raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
     return CoarseCorrection(A, pair)
 
 

@@ -76,16 +76,18 @@ class TransferPair:
             raise ValueError(
                 f"R and P must be {n}x{nc}, got R {R.shape} and P {P.shape}"
             )
-        if numerical_rank(R) < nc:
-            raise ValueError("R must have full column rank")
-        if numerical_rank(P) < nc:
-            raise ValueError("P must have full column rank")
+        eye = np.eye(nc)
+        classical = self.cblocks is None and (
+            np.array_equal(self.part.c_rows(R), eye) and np.array_equal(self.part.c_rows(P), eye)
+        )
+        # [Z; I] has sigma_min >= 1, so a classical pair has full rank by structure
+        if not classical:
+            if numerical_rank(R) < nc:
+                raise ValueError("R must have full column rank")
+            if numerical_rank(P) < nc:
+                raise ValueError("P must have full column rank")
         if self.cblocks is None:
-            eye = np.eye(nc)
-            if not (
-                np.array_equal(self.part.c_rows(R), eye)
-                and np.array_equal(self.part.c_rows(P), eye)
-            ):
+            if not classical:
                 raise ValueError(
                     "C-point rows of R and P must be identity when cblocks is None"
                 )

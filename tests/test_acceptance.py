@@ -197,6 +197,14 @@ def test_criterion_06_cpoint_exactness():
         spec = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact"))
         rho = cm.conv_factor(cm.two_grid_propagator(A, spec))
         assert rho <= 1e-10
+        # every single-operator pair has an ideal operator on A on one side,
+        # so each is direct with a post F-solve, also at n = 1000
+        A = cm.generate(cm.ProblemSpec("advdiff1d", n=1000, epsilon=0.01))
+        part = cm.default_splitting(1000, "alternate")
+        for item in range(1, 5):
+            pair, _ = cm.single_operator_pair(A, part, item)
+            spec = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact"))
+            assert cm.two_grid_conv_factor(A, spec) <= 1e-10
 
 
 def test_criterion_07_norm_equals_complement_norm():

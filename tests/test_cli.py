@@ -60,6 +60,29 @@ def test_verify_pairs_random_pair_fails_when_expected(tmp_path):
     assert rec["pi_norm"] > 1.001 and rec["pass"] is False
 
 
+def test_large_classical_z_is_full_rank_by_structure(tmp_path):
+    # [Z; I] has sigma_min >= 1 however large Z is; an A*A-compatible pair
+    # with one Z entry of 2e8 is built and verifies
+    n = 16
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    part = cm.default_splitting(n, "alternate")
+    Z = np.zeros((part.nf, part.nc))
+    Z[0, 0] = 2e8
+    W = cm.compatible_w_from_z(cm.partition(A, part), Z, "AstarA")
+    pair = cm.make_pair(part, Z, W)
+    np.testing.assert_array_equal(pair.Z, Z)
+    zp, wp = tmp_path / "z.json", tmp_path / "w.json"
+    cm.save_matrix_json(zp, Z)
+    cm.save_matrix_json(wp, W)
+    code, report = _run_json(
+        tmp_path,
+        ["verify-pairs", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", str(n),
+         "--pair", f"zw:{zp},{wp}", "--norm", "AstarA", "--expect-orthogonal"],
+    )
+    assert code == 0
+    assert report["results"][0]["pass"] is True
+
+
 def test_verify_pairs_explicit_zw_files(tmp_path):
     A = cm.generate(cm.ProblemSpec("advection1d", n=16))
     part = cm.default_splitting(16, "alternate")
@@ -209,6 +232,24 @@ def test_converge_direct_method(tmp_path):
     (rec,) = report["results"]
     assert rec["rho"] <= 1e-10 and not rec["divergent"]
     assert rec["history"][1] <= 1e-12 * rec["history"][0]
+
+
+def test_converge_guards_each_matrix_once_per_pair(tmp_path, monkeypatch):
+    import compatamg.linalg
+
+    guard = compatamg.linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", "60",
+         "--pair", "single1", "--pair", "single3", "--post", "fexact", "--iters", "4"],
+    )
+    assert code == 0 and len(report["results"]) == 2
+    assert counts.count("coarse operator R*AP") == 2
+    assert counts.count("A_ff") <= 2
 
 
 def test_converge_jacobi_only_matches_eigen_oracle(tmp_path):

@@ -337,3 +337,117 @@ def test_observed_rate_handles_short_and_zero_histories():
     assert np.isnan(cm.observed_rate([1.0]))
     assert cm.observed_rate([1.0, 0.5, 0.25, 0.125], window=(0, 3)) == pytest.approx(0.5)
     assert cm.observed_rate([1.0, 0.0, 0.0], window=(0, 2)) == 0.0
+
+
+REDUCED_SIDES = [("none", "fexact"), ("fexact", "none"), ("fexact", "fexact")]
+
+
+def _dense_rho(A, spec):
+    return cm.conv_factor(cm.two_grid_propagator(A, spec))
+
+
+def _random_recipe_pair(A, seed):
+    """The pair of the CLI recipe random:<seed> on the alternate splitting."""
+    part = _split(A.shape[0])
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((part.nf, part.nc))
+    W = rng.standard_normal((part.nf, part.nc))
+    return cm.make_pair(part, Z, W)
+
+
+@pytest.mark.parametrize("pre,post", REDUCED_SIDES)
+def test_reduced_conv_factor_matches_the_dense_propagator(pre, post):
+    rng = np.random.default_rng(15)
+    cases = [random_pair_case(rng, n=n)[::2] for n in (12, 20, 40)]
+    for n, seed in ((30, 1), (60, 2)):
+        A = cm.generate(cm.ProblemSpec("random", n=n, seed=seed))
+        cases.append((A, _random_recipe_pair(A, seed)))
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
+    cases.append((A, _random_recipe_pair(A, 3)))
+    for A, pair in cases:
+        spec = cm.TwoGridSpec(pair=pair, pre=cm.RelaxSpec(pre), post=cm.RelaxSpec(post))
+        dense = _dense_rho(A, spec)
+        assert dense > 1e-3
+        assert abs(cm.two_grid_conv_factor(A, spec) - dense) <= 1e-10 * dense
+
+
+def test_reduced_conv_factor_ignores_the_sweep_count():
+    rng = np.random.default_rng(16)
+    A, _, pair = random_pair_case(rng, n=16)
+    once = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact"))
+    thrice = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact", sweeps=3))
+    assert cm.two_grid_conv_factor(A, thrice) == cm.two_grid_conv_factor(A, once)
+    assert abs(_dense_rho(A, thrice) - _dense_rho(A, once)) <= 1e-10 * _dense_rho(A, once)
+
+
+FALLBACK_SIDES = [
+    ("none", "none"),
+    ("jacobi", "none"),
+    ("none", "fjacobi"),
+    ("jacobi", "fexact"),
+    ("fexact", "fjacobi"),
+]
+
+
+@pytest.mark.parametrize("pre,post", FALLBACK_SIDES)
+def test_conv_factor_falls_back_to_the_dense_propagator(pre, post):
+    relax = {
+        "none": cm.RelaxSpec("none"),
+        "jacobi": cm.RelaxSpec("jacobi", omega=0.6),
+        "fjacobi": cm.RelaxSpec("fjacobi", omega=0.7, sweeps=2),
+        "fexact": cm.RelaxSpec("fexact"),
+    }
+    rng = np.random.default_rng(17)
+    A, _, pair = random_pair_case(rng, n=14)
+    spec = cm.TwoGridSpec(pair=pair, pre=relax[pre], post=relax[post])
+    assert cm.two_grid_conv_factor(A, spec) == _dense_rho(A, spec)
+
+
+@pytest.mark.parametrize("post", ["jacobi", "fexact"])
+def test_conv_factor_falls_back_without_a_classical_pair(post):
+    A = cm.generate(cm.ProblemSpec("advection1d", n=16))
+    part = _split(16)
+    relax = cm.RelaxSpec(post, omega=0.6)
+    for pair in (None, cm.change_of_basis_pair(A, part)):
+        if pair is None and post == "fexact":
+            continue  # F-relaxation needs the pair's partition
+        spec = cm.TwoGridSpec(pair=pair, post=relax)
+        assert cm.two_grid_conv_factor(A, spec) == _dense_rho(A, spec)
+
+
+def test_reduced_conv_factor_keeps_the_guard_messages():
+    part = cm.CFPartition(4, (0, 1), (2, 3))
+    pair = cm.make_pair(part, np.eye(2), -np.eye(2))  # R*P = 0 with A = I
+    spec = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact"))
+    with pytest.raises(compatamg.linalg.SingularMatrixError, match="incompatible.*R\\*AP"):
+        cm.two_grid_conv_factor(np.eye(4), spec)
+    A = np.eye(4)
+    A[0, 0] = 0.0  # singular A_ff, nonsingular K
+    good = cm.make_pair(part, np.zeros((2, 2)), np.zeros((2, 2)))
+    spec = cm.TwoGridSpec(pair=good, pre=cm.RelaxSpec("fexact"))
+    with pytest.raises(compatamg.linalg.SingularMatrixError, match="A_ff"):
+        cm.two_grid_conv_factor(A, spec)
+
+
+def test_prepared_method_shares_its_guards(monkeypatch):
+    guard = compatamg.linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    pair, _ = cm.single_operator_pair(A, _split(40), "single2")
+    spec = cm.TwoGridSpec(pair=pair, pre=cm.RelaxSpec("fexact"), post=cm.RelaxSpec("fexact"))
+    b = np.ones(40)
+    plain = cm.iterate(A, spec, b, np.zeros(40), 6)
+    counts.clear()
+    bound = cm.PreparedTwoGrid(pair, spec.pre, spec.post, A=A)
+    rho = cm.two_grid_conv_factor(A, bound)
+    hist = cm.iterate(A, bound, b, np.zeros(40), 6)
+    assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
+    assert rho == cm.two_grid_conv_factor(A, spec)
+    np.testing.assert_array_equal(hist, plain)
+    # a binding to another matrix is not reused
+    counts.clear()
+    cm.iterate(A.copy(), bound, b, np.zeros(40), 1)
+    assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
