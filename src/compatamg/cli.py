@@ -8,9 +8,10 @@ variable caps how many independent cases run in parallel (default 1); output
 ordering is configuration order regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
-from its pair by the canonical-angle kernel of compatamg.projection, so the
-measurement forms neither M nor Pi; verify-pairs forms the dense Pi only for
-the four orthogonality conditions.
+from its pair's coarse correction (compatamg.projection.coarse_correction):
+the canonical-angle kernel, the compatibility equation and, in verify-pairs,
+the four orthogonality conditions all work on the pair's thin factors, so no
+command forms M or Pi or decomposes an n x n matrix to measure a case.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def cmd_tables(cfg):
         M = factors[entry.norm]
         corr = coarse_correction(A, entry.pair)
         rec["pi_norm"] = float(pi_m_norm(corr, M))
-        rec["compat_eq"] = bool(verify_compat_equation(A, M, entry.pair))
+        rec["compat_eq"] = verify_compat_equation(A, M, corr)
         rec["pass"] = rec["compat_eq"] and abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
 

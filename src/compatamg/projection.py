@@ -24,25 +24,31 @@ A pair reaches the kernel as a CoarseCorrection, with bases G P and
 G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
 A dense projection reaches it through one SVD, which gives range(Pi) and
 range(Pi*), and a dense SPD M through its Cholesky factor.
+
+The rest of a case is measured from the same correction. The four
+orthogonality conditions are checked on the thin factors Pi = P B, with
+B = (R*AP)^{-1} R*A, apart from the kernel. The compatibility equation
+M P = A* R B is decided in G-space: range(M P) = range(A* R) exactly when
+range(G P) = range(G^{-*} A* R), tested against one thin QR, so no
+condition costs cond(M) = cond(G)^2 in round-off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import (
     RANK_RTOL,
-    NormFactor,
     SingularMatrixError,
     as_matrix,
     as_norm_factor,
-    numerical_rank,
+    lu_solver,
     orth_basis,
-    require_nonsingular,
     solve_checked,
 )
 
@@ -73,7 +79,9 @@ def build_pi(A, pair):
     """Materialize the coarse-grid correction projection and coarse operator.
 
     Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A. Pi is idempotent
-    up to round-off whenever K is well conditioned.
+    up to round-off whenever K is well conditioned. The measurements take a
+    CoarseCorrection instead and never form Pi; the dense projection serves
+    the dense two-grid propagator and, as an oracle, the tests.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != pair.n:
@@ -163,27 +171,45 @@ def canonical_angles(X, Y):
     return CanonicalAngles(sines, cosines)
 
 
+def _blocks(A, pair, factor):
+    """The kernel's bases G P and G^{-*} A* R of a pair, for the factor G."""
+    return factor.apply(pair.P), factor.solve_adj(A.T @ pair.R)
+
+
 @dataclass(frozen=True)
 class CoarseCorrection:
     """The coarse-grid correction of a pair on A, held through the pair.
 
     Pi = P (R*AP)^{-1} R*A is never formed. Built by coarse_correction, which
-    rejects a singular coarse operator the way build_pi does.
+    rejects a singular coarse operator the way build_pi does and keeps the
+    guard's LU factor of K = R*AP as solve.
     """
 
     A: np.ndarray
     pair: object
-    # (factor, angles) of the last measurement, so that the three measures of
-    # one case share one kernel call
+    RA: np.ndarray = field(repr=False, compare=False)     # R* A, n_c x n
+    solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
+    # (factor, (G P, G^{-*} A* R), angles) of the last factor, so that every
+    # measure of one case shares one set of blocks and one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @cached_property
+    def B(self):
+        """(R*AP)^{-1} R*A, so that Pi = P B."""
+        return self.solve(self.RA)
+
+    def blocks(self, factor):
+        """(G P, G^{-*} A* R) for the factor G, formed once per factor."""
+        if not (self._last and self._last[0] is factor):
+            self._last[:] = [factor, _blocks(self.A, self.pair, factor), None]
+        return self._last[1]
 
     def angles(self, factor):
         """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G."""
-        if not (self._last and self._last[0] is factor):
-            X = factor.apply(self.pair.P)
-            Y = factor.solve_adj(self.A.T @ self.pair.R)
-            self._last[:] = [factor, canonical_angles(X, Y)]
-        return self._last[1]
+        blocks = self.blocks(factor)
+        if self._last[2] is None:
+            self._last[2] = canonical_angles(*blocks)
+        return self._last[2]
 
 
 def coarse_correction(A, pair):
@@ -194,12 +220,12 @@ def coarse_correction(A, pair):
     A = as_matrix(A, "A")
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    K = pair.R.T @ A @ pair.P
+    RA = pair.R.T @ A
     try:
-        require_nonsingular(K, "coarse operator R*AP")
+        solve = lu_solver(RA @ pair.P, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    return CoarseCorrection(A, pair)
+    return CoarseCorrection(A, pair, RA, solve)
 
 
 def _angles(pi, M):
@@ -292,39 +318,56 @@ def _one_range(U1, U2):
 def orthogonality_checks(pi, M, tol=1e-8):
     """Evaluate the four equivalent M-orthogonality conditions on a projection.
 
-    M is a dense SPD matrix or a NormFactor; it is validated once, and a
-    factor is used as given. Each condition is checked on the dense
-    projection, independently of the canonical-angle kernel.
+    pi is a CoarseCorrection or a dense projection; M is a dense SPD matrix or
+    a NormFactor, validated once, and a factor is used as given. Each
+    condition is checked on thin factors Pi = L B, L n x r and B r x n,
+    independently of the canonical-angle kernel. A correction gives L = P and
+    B = (R*AP)^{-1} R*A, and lends its block G P; a dense projection gives
+    L = orth_basis(pi) and B = L* pi. No n x n matrix is decomposed for a
+    correction.
     """
-    pi = as_matrix(pi, "pi")
     G = as_norm_factor(M)
     tiny = np.finfo(float).tiny
+    if isinstance(pi, CoarseCorrection):
+        L, B = pi.pair.P, pi.B
+        GL, GAR = pi.blocks(G)
+        # G^{-*} B* = (G^{-*} A* R) K^{-*}, an n_c x n_c solve
+        GBt = pi.solve(GAR.T).T
+    else:
+        pi = as_matrix(pi, "pi")
+        L = orth_basis(pi)
+        B = L.T @ pi
+        GL = G.apply(L)
+        GBt = G.solve_adj(B.T)
 
-    GP = G.apply(pi)
-    MP = G.apply_adj(GP)
-    scale = max(float(np.linalg.norm(MP)), tiny)
-    herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
-
-    # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} is symmetric; forming X
-    # costs one cond(G) in round-off where M^{-1} would cost cond(M) = cond(G)^2
-    X = G.solve_adj(GP.T).T
+    # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} = (G L)(G^{-*} B*)* is
+    # symmetric; forming X costs one cond(G) in round-off where M^{-1} would
+    # cost cond(M) = cond(G)^2
+    X = GL @ GBt.T
+    del GBt
     xscale = max(float(np.linalg.norm(X)), tiny)
     adj_ok = float(np.linalg.norm(X - X.T)) <= tol * xscale
-    del GP, X  # two n x n arrays the range test needs no longer
+    del X  # so that only one n x n product, with its asymmetry, is live at a time
 
-    # range(M Pi) = range(Pi*) on thin bases from pivoted QR. Pi and Pi* have
-    # the same singular values, so U2's column count is the rank of Pi; the
-    # rows of Pi lie in range(U2), so M Pi = (M Pi U2) U2* and U1 is a basis
-    # of the n x r matrix M Pi U2
-    U2 = orth_basis(pi.T)
-    U1 = orth_basis(MP @ U2)
+    ML = G.apply_adj(GL)
+    MP = ML @ B
+    scale = max(float(np.linalg.norm(MP)), tiny)
+    herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
+    del MP
+
+    # range(M Pi) = range(Pi*) on thin bases from pivoted QR. range(Pi*) =
+    # range(B*), so U2's column count is the rank r of Pi; the rows of Pi lie
+    # in range(U2), so M Pi = (M L)(B U2) U2* and U1 is a basis of the n x r
+    # matrix (M L)(B U2)
+    U2 = orth_basis(B.T)
+    U1 = orth_basis(ML @ (B @ U2))
     range_ok = U1.shape[1] == U2.shape[1] and _one_range(U1, U2)
 
     # probe pairs x_k, y_k drawn in the order x_0, y_0, x_1, y_1, ...
-    probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, pi.shape[0]))
+    probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, B.shape[1]))
     X, Y = probes[:, 0].T, probes[:, 1].T
-    GU = G.apply(pi @ X)
-    GV = G.apply(Y - pi @ Y)
+    GU = G.apply(L @ (B @ X))
+    GV = G.apply(Y - L @ (B @ Y))
     num = np.abs(np.sum(GU * GV, axis=0))
     den = np.linalg.norm(GU, axis=0) * np.linalg.norm(GV, axis=0)
     live = den > tiny
@@ -337,15 +380,24 @@ def orthogonality_checks(pi, M, tol=1e-8):
 def verify_compat_equation(A, M, pair):
     """Range form of the compatibility condition: range(M P) = range(A* R).
 
-    True iff the concatenation [M P | A* R] has numerical rank n_c, which is
-    invariant to the coarse scalings and equivalent to M-orthogonality of the
-    coarse-grid correction built from the pair. M is a dense matrix or a
-    NormFactor.
+    This is the paper's compatibility equation M P = A* R B, equivalent to
+    M-orthogonality of the coarse-grid correction built from the pair. With
+    M = G*G it holds exactly when range(G P) = range(G^{-*} A* R), and it is
+    decided there: true iff every column of G P lies in the range of
+    G^{-*} A* R to relative residual RANK_RTOL, measured against one thin QR
+    kept apart from canonical_angles. The test is invariant to column scalings
+    of P and to any nonsingular right-scaling of R. M is a dense SPD matrix or
+    a NormFactor; pair is a TransferPair, or its CoarseCorrection on A, whose
+    blocks are then reused.
     """
-    A = as_matrix(A, "A")
-    MP = M.gram(pair.P) if isinstance(M, NormFactor) else as_matrix(M, "M") @ pair.P
-    T = np.hstack([MP, A.T @ pair.R])
-    return numerical_rank(T) == pair.nc
+    factor = as_norm_factor(M)
+    if isinstance(pair, CoarseCorrection):
+        GP, GAR = pair.blocks(factor)
+    else:
+        GP, GAR = _blocks(as_matrix(A, "A"), pair, factor)
+    Q, _ = scipy.linalg.qr(GAR, mode="economic")
+    residual = np.linalg.norm(GP - Q @ (Q.T @ GP), axis=0)
+    return bool(np.all(residual <= RANK_RTOL * np.linalg.norm(GP, axis=0)))
 
 
 def projection_report(A, pair, M, tol=1e-8):
@@ -353,15 +405,15 @@ def projection_report(A, pair, M, tol=1e-8):
 
     M is a NormFactor or a dense SPD matrix. Returns the measurement fields of
     a verify-pairs record: pi_norm, nonorth_sup, min_angle, compat_eq and the
-    four orthogonality_checks. A singular R*AP raises SingularMatrixError.
+    four orthogonality_checks, all from one CoarseCorrection, so Pi is never
+    formed. A singular R*AP raises SingularMatrixError.
     """
     factor = as_norm_factor(M)
-    pi, _ = build_pi(A, pair)
-    corr = CoarseCorrection(as_matrix(A, "A"), pair)  # build_pi has guarded R*AP
+    corr = coarse_correction(A, pair)
     return {
         "pi_norm": float(pi_m_norm(corr, factor)),
         "nonorth_sup": float(nonorth_measure(corr, factor)),
         "min_angle": float(min_canonical_angle(corr, factor)),
-        "compat_eq": bool(verify_compat_equation(A, factor, pair)),
-        "orthogonality_checks": orthogonality_checks(pi, factor, tol).as_dict(),
+        "compat_eq": verify_compat_equation(A, factor, corr),
+        "orthogonality_checks": orthogonality_checks(corr, factor, tol).as_dict(),
     }

@@ -342,23 +342,33 @@ def _anchor_tag(anchor):
     raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
 
 
-def _ideal_cell(A, part, row, q, anchor):
+def _ideal_cell(A, part, row, q, anchor, anchored):
     """(pair, companion) of one anchored norm/companion cell.
 
     A is guarded and row is _norm_row(A, M, anchor) for the cell's norm M.
+    The anchored operator's ideal block (W of Q for anchor P, Z of Q for
+    anchor R) depends on q alone. anchored maps q to that block or its skip
+    reason and is filled here, so a table builds each once for all its rows.
     """
     Qm = realize_q(q, A)
-    Qp = partition(Qm, part)
     comp = _companion(A, row, Qm, anchor)
     Cp = partition(comp, part)
+    if q not in anchored:
+        try:
+            Qp = partition(Qm, part)
+            anchored[q] = (ideal_w(Qp) if anchor == "P" else ideal_z(Qp)), None
+        except SingularMatrixError as e:
+            anchored[q] = None, str(e)
+    block, reason = anchored[q]
     try:
+        # the anchored block first: when both ff-blocks are singular, the
+        # skip reason names the companion Q's
+        if reason is not None:
+            raise SingularMatrixError(reason)
         if anchor == "P":
-            # W before Z: when both ff-blocks are singular, the skip reason
-            # names the companion Q's
-            W = ideal_w(Qp)
-            pair = make_pair(part, ideal_z(Cp), W)
+            pair = make_pair(part, ideal_z(Cp), block)
         else:
-            pair = make_pair(part, ideal_z(Qp), ideal_w(Cp))
+            pair = make_pair(part, block, ideal_w(Cp))
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"ideal companion undefined for this splitting: {e}"
@@ -377,7 +387,7 @@ def ideal_pair(A, part, norm, q, anchor="P"):
     require_nonsingular(A, "A")
     anchor = _anchor_tag(anchor)
     row = _norm_row(A, realize_norm(norm, A), anchor)
-    return _ideal_cell(A, part, row, q, anchor)[0]
+    return _ideal_cell(A, part, row, q, anchor, {})[0]
 
 
 # Norm rows and companion columns of the two catalog tables, in row-major order.
@@ -495,8 +505,9 @@ def catalog_pairs(A, part):
     row-major in (norm, q).
 
     Each norm is realized, and factored for its row's companions, once per
-    table row; each companion is realized and built once per cell. Nothing
-    n x n outlives its row except the companions the entries hold.
+    table row; each companion is realized and built once per cell, and the
+    anchored ideal block of each companion Q once per table. Nothing n x n
+    outlives its row except the companions the entries hold.
     """
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
@@ -505,6 +516,7 @@ def catalog_pairs(A, part):
         (1, "P", _T1_EXPR, _T1_SINGLE),
         (2, "R", _T2_EXPR, _T2_SINGLE),
     ):
+        anchored = {}
         for norm in CATALOG_NORMS:
             try:
                 row, row_reason = _norm_row(A, realize_norm(norm, A), anchor), None
@@ -522,7 +534,7 @@ def catalog_pairs(A, part):
                 reason = row_reason
                 if reason is None:
                     try:
-                        pair, comp = _ideal_cell(A, part, row, q, anchor)
+                        pair, comp = _ideal_cell(A, part, row, q, anchor, anchored)
                     except (ValueError, SingularMatrixError) as e:
                         reason = str(e)
                 if reason is None:

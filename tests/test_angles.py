@@ -4,10 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import compatamg as cm
+import compatamg.projection as projection
 from compatamg.linalg import RANK_RTOL
 from conftest import random_spd
 
@@ -261,5 +263,97 @@ def test_orthogonality_checks_make_no_square_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
     assert cm.orthogonality_checks(pi, G).all_true
+    assert shapes
+    assert all(min(s[-2:]) < n for s in shapes), shapes
+
+
+def _stack_rank_compat(A, G, pair):
+    """The former compat_eq rule: [M P | A* R] has numerical rank n_c, by one
+    SVD of the n x 2n_c stack."""
+    return _svd_rank(np.hstack([G.gram(pair.P), A.T @ pair.R])) == pair.nc
+
+
+@pytest.mark.parametrize("kind", ["random", "advection1d", "laplacian1d", "advdiff1d"])
+def test_compat_eq_and_checks_keep_the_dense_decisions(kind):
+    # compat_eq, decided in G-space by one thin QR, follows the stack-rank
+    # rule, and the checks read off the correction's thin factors equal the
+    # checks of the dense projection
+    n = 24
+    rng = np.random.default_rng(5)
+    A = cm.generate(cm.ProblemSpec(kind, n=n, seed=3))
+    part = cm.default_splitting(n, "alternate")
+    factors = []
+    for tag in NORM_TAGS:
+        try:
+            factors.append(cm.realize_norm(_spec(tag, rng, n), A, factored=True))
+        except ValueError:
+            pass
+    decisions = []
+    for pair in _range_test_pairs(A, part, rng):
+        try:
+            corr = cm.coarse_correction(A, pair)
+        except cm.SingularMatrixError:
+            continue
+        pi, _ = cm.build_pi(A, pair)
+        for G in factors:
+            got = cm.verify_compat_equation(A, G, corr)
+            assert got == _stack_rank_compat(A, G, pair), (G.tag, pair)
+            assert got == cm.verify_compat_equation(A, G, pair)
+            assert cm.orthogonality_checks(corr, G) == cm.orthogonality_checks(pi, G), \
+                (G.tag, pair)
+            decisions.append(got)
+    assert any(decisions) and not all(decisions)
+
+
+def test_compat_eq_reads_exact_pairs_with_a_large_z_entry():
+    # one Z entry of 2e8 against a 1e-8 cut: the stack-rank rule saw the
+    # column scale and rejected most of these exact A*A-compatible pairs
+    oracle = []
+    for kind in ("random", "advection1d", "laplacian1d", "advdiff1d"):
+        for n in (16, 24):
+            A = cm.generate(cm.ProblemSpec(kind, n=n, seed=1))
+            part = cm.default_splitting(n, "alternate")
+            Z = np.random.default_rng(1).standard_normal((part.nf, part.nc))
+            Z[0, 0] = 2e8
+            W = cm.compatible_w_from_z(cm.partition(A, part), Z, "AstarA")
+            pair = cm.make_pair(part, Z, W)
+            G = cm.realize_norm("AstarA", A, factored=True)
+            report = cm.projection_report(A, pair, G)
+            assert report["compat_eq"], (kind, n)
+            assert all(report["orthogonality_checks"].values()), (kind, n)
+            assert abs(report["pi_norm"] - 1.0) <= 1e-12
+            oracle.append(_stack_rank_compat(A, G, pair))
+    assert not all(oracle)
+
+
+def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monkeypatch):
+    # every case is measured from the pair's thin factors: build_pi is never
+    # called, and no SVD or QR has both dimensions >= n
+    n = 60
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=1))
+    part = cm.default_splitting(n, "alternate")
+    cases = [cm.single_operator_pair(A, part, k) for k in (1, 2, 3, 4)]
+    g = np.random.default_rng(2)
+    cases.append((cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
+                               g.standard_normal((part.nf, part.nc))), "SqrtAstarA"))
+    cases = [(pair, cm.realize_norm(tag, A, factored=True)) for pair, tag in cases]
+    shapes = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    def no_build_pi(*args, **kwargs):
+        raise AssertionError("projection_report formed the dense Pi")
+
+    monkeypatch.setattr(projection, "build_pi", no_build_pi)
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+    reports = [cm.projection_report(A, pair, G) for pair, G in cases]
+    assert all(r["compat_eq"] for r in reports[:4]) and not reports[4]["compat_eq"]
     assert shapes
     assert all(min(s[-2:]) < n for s in shapes), shapes

@@ -312,7 +312,7 @@ def test_catalog_cells_match_per_cell_construction(spd):
 def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
     import compatamg.transfer as transfer
 
-    calls = {"realize_norm": 0, "_companion": 0}
+    calls = {"realize_norm": 0, "_companion": 0, "ideal_w": 0, "ideal_z": 0}
 
     def counted(name):
         inner = getattr(transfer, name)
@@ -330,6 +330,9 @@ def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
     entries = cm.catalog_pairs(A, _split(12))
     assert calls["realize_norm"] <= 10
     assert calls["_companion"] == sum(not e.skipped for e in entries) == 40
+    # the anchored ideal block once per table and companion (W of Q in table
+    # 1, Z of Q in table 2), the companion side's once per cell
+    assert calls["ideal_w"] == calls["ideal_z"] == 5 + 20
 
 
 def test_catalog_order_is_row_major():
