@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,17 +123,28 @@ class ExperimentConfig:
 
 
 def _map_cases(fn, items):
-    items = list(items)
+    """[fn(x) for x in items], in order, with COMPATAMG_THREADS workers.
+
+    items may be a generator: it is consumed in this thread as the cases
+    run, at most two cases per worker ahead of the oldest unfinished one, and
+    no case is held after its result is in.
+    """
     try:
         threads = int(os.environ.get("COMPATAMG_THREADS", "1") or "1")
     except ValueError:
         threads = 1
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if threads <= 1:
+        return list(map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        for x in items:
+            pending.append(ex.submit(fn, x))
+            if len(pending) >= 2 * threads:
+                results.append(pending.popleft().result())
+        results.extend(f.result() for f in pending)
+    return results
 
 
 def _canon_norm(tag):
@@ -280,12 +292,16 @@ def cmd_figure1(cfg):
 
 def cmd_tables(cfg):
     A, part = _problem_setup(cfg)
-    entries = catalog_pairs(A, part)
-    # one factor per norm row, shared read-only by the row's cells
+    # one factor per norm, shared read-only by its cells in both tables
     factors = {}
-    for entry in entries:
-        if not entry.skipped and entry.norm not in factors:
-            factors[entry.norm] = realize_norm(entry.norm, A, factored=True)
+
+    def cells():
+        # each cell is built as the sweep reaches it, and its pair is dropped
+        # once it is measured
+        for entry in catalog_pairs(A, part):
+            if not entry.skipped and entry.norm not in factors:
+                factors[entry.norm] = realize_norm(entry.norm, A, factored=True)
+            yield entry
 
     def run(entry):
         rec = {
@@ -307,7 +323,7 @@ def cmd_tables(cfg):
         rec["pass"] = rec["compat_eq"] and abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
 
-    results = _map_cases(run, entries)
+    results = _map_cases(run, cells())
     failed = [r for r in results if r.get("pass") is False]
     return (1 if failed else 0), results, not failed
 

@@ -86,12 +86,21 @@ def generate(spec):
         if n is None or n < 2:
             raise ValueError(f"random needs n >= 2, got {n}")
         rng = np.random.default_rng(spec.seed)
+        # S = G G*/n + 0.1 I, SPD with smallest eigenvalue >= 0.1, and
+        # K = (K0 - K0*)/2, built in place so that at most three n x n
+        # arrays are live; every entry gets the bits of the plain formula
         G = rng.standard_normal((n, n))
-        S = G @ G.T / n + 0.1 * np.eye(n)    # SPD, smallest eigenvalue >= 0.1
+        S = G @ G.T
+        del G
+        S /= n
+        S[np.diag_indices(n)] += 0.1
         K0 = rng.standard_normal((n, n))
-        K = (K0 - K0.T) / 2.0
+        K = K0 - K0.T
+        del K0
+        K /= 2.0
         # S SPD keeps x*(S + K)x > 0 for every x != 0, so A stays nonsingular.
-        return S + K
+        S += K
+        return S
     raise AssertionError(f"unhandled kind {kind!r}")
 
 

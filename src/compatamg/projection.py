@@ -29,8 +29,11 @@ The rest of a case is measured from the same correction. The four
 orthogonality conditions are checked on the thin factors Pi = P B, with
 B = (R*AP)^{-1} R*A, apart from the kernel. The compatibility equation
 M P = A* R B is decided in G-space: range(M P) = range(A* R) exactly when
-range(G P) = range(G^{-*} A* R), tested against one thin QR, so no
-condition costs cond(M) = cond(G)^2 in round-off.
+range(G P) = range(G^{-*} A* R), so no condition costs cond(M) = cond(G)^2
+in round-off. It is tested against the kernel's own thin QR basis Qv of
+G^{-*} A* R, which the correction keeps until the test reads it, so one
+case makes two thin QRs in all. The kernel's cosines are an SVD of their
+own, made only when read: theta_max below pi/4 is decided by the sines.
 """
 
 from __future__ import annotations
@@ -98,14 +101,20 @@ def build_pi(A, pair):
 class CanonicalAngles:
     """Canonical angles between two subspaces of equal dimension.
 
-    sines and cosines are the singular values of Qv - Qu (Qu* Qv) and of
-    Qu* Qv, sorted descending. The largest angle theta_max is read from its
-    sine below pi/4 and from its cosine above, so it is accurate in both
-    regimes.
+    sines are the singular values of Qv - Qu (Qu* Qv), sorted descending, and
+    inner is Qu* Qv. cosines, the singular values of inner, are computed on
+    first read. The largest angle theta_max is read from its sine below pi/4
+    and from its cosine above, so it is accurate in both regimes, and the
+    cosines are read only above.
     """
 
     sines: np.ndarray
-    cosines: np.ndarray
+    inner: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def cosines(self):
+        """Singular values of Qu* Qv, sorted descending."""
+        return np.clip(np.linalg.svd(self.inner, compute_uv=False), 0.0, 1.0)
 
     @property
     def _extreme(self):
@@ -151,24 +160,29 @@ class CanonicalAngles:
         return math.atan2(self.cos_max, self.sin_max)
 
 
-def canonical_angles(X, Y):
-    """Canonical angles between range(X) and range(Y), both of full column rank k.
-
-    Two thin QRs give orthonormal bases Qu and Qv; the cosines are the
-    singular values of Qu* Qv and the sines those of Qv - Qu (Qu* Qv).
-    """
+def _kernel(X, Y):
+    """(canonical_angles(X, Y), Qv), Qv the thin QR basis of range(Y) it made."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape:
         raise ValueError(f"bases must have the same shape, got {X.shape} and {Y.shape}")
     if X.shape[1] == 0:
-        return CanonicalAngles(np.zeros(0), np.zeros(0))
+        return CanonicalAngles(np.zeros(0), np.zeros((0, 0))), Y
     Qu, _ = scipy.linalg.qr(X, mode="economic")
     Qv, _ = scipy.linalg.qr(Y, mode="economic")
     C = Qu.T @ Qv
-    cosines = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
     sines = np.clip(np.linalg.svd(Qv - Qu @ C, compute_uv=False), 0.0, 1.0)
-    return CanonicalAngles(sines, cosines)
+    return CanonicalAngles(sines, C), Qv
+
+
+def canonical_angles(X, Y):
+    """Canonical angles between range(X) and range(Y), both of full column rank k.
+
+    Two thin QRs give orthonormal bases Qu and Qv; the sines are the singular
+    values of Qv - Qu (Qu* Qv), and the cosines, those of Qu* Qv, are left to
+    the first read.
+    """
+    return _kernel(X, Y)[0]
 
 
 def _blocks(A, pair, factor):
@@ -189,8 +203,8 @@ class CoarseCorrection:
     pair: object
     RA: np.ndarray = field(repr=False, compare=False)     # R* A, n_c x n
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
-    # (factor, (G P, G^{-*} A* R), angles) of the last factor, so that every
-    # measure of one case shares one set of blocks and one kernel call
+    # [factor, (G P, G^{-*} A* R), angles, Qv] of the last factor, so that
+    # every measure of one case shares one set of blocks and one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
@@ -201,15 +215,26 @@ class CoarseCorrection:
     def blocks(self, factor):
         """(G P, G^{-*} A* R) for the factor G, formed once per factor."""
         if not (self._last and self._last[0] is factor):
-            self._last[:] = [factor, _blocks(self.A, self.pair, factor), None]
+            self._last[:] = [factor, _blocks(self.A, self.pair, factor), None, None]
         return self._last[1]
 
     def angles(self, factor):
         """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G."""
         blocks = self.blocks(factor)
         if self._last[2] is None:
-            self._last[2] = canonical_angles(*blocks)
+            self._last[2], self._last[3] = _kernel(*blocks)
         return self._last[2]
+
+    def range_basis(self, factor):
+        """Orthonormal basis of range(G^{-*} A* R) for the factor G.
+
+        The kernel's Qv when it has run for this factor, handed over once and
+        then dropped, so it is not held for the rest of the case; otherwise a
+        thin QR of its own.
+        """
+        GAR = self.blocks(factor)[1]
+        Qv, self._last[3] = self._last[3], None
+        return Qv if Qv is not None else scipy.linalg.qr(GAR, mode="economic")[0]
 
 
 def coarse_correction(A, pair):
@@ -384,18 +409,21 @@ def verify_compat_equation(A, M, pair):
     M-orthogonality of the coarse-grid correction built from the pair. With
     M = G*G it holds exactly when range(G P) = range(G^{-*} A* R), and it is
     decided there: true iff every column of G P lies in the range of
-    G^{-*} A* R to relative residual RANK_RTOL, measured against one thin QR
-    kept apart from canonical_angles. The test is invariant to column scalings
-    of P and to any nonsingular right-scaling of R. M is a dense SPD matrix or
-    a NormFactor; pair is a TransferPair, or its CoarseCorrection on A, whose
-    blocks are then reused.
+    G^{-*} A* R to relative residual RANK_RTOL, measured against an
+    orthonormal basis Qv of G^{-*} A* R. The test is invariant to column
+    scalings of P and to any nonsingular right-scaling of R. M is a dense SPD
+    matrix or a NormFactor; pair is a TransferPair, or its CoarseCorrection
+    on A, whose blocks are then reused, and whose kernel's Qv is the basis
+    when the kernel has run for M (CoarseCorrection.range_basis). Otherwise
+    Qv comes from one thin QR.
     """
     factor = as_norm_factor(M)
     if isinstance(pair, CoarseCorrection):
-        GP, GAR = pair.blocks(factor)
+        GP = pair.blocks(factor)[0]
+        Q = pair.range_basis(factor)
     else:
         GP, GAR = _blocks(as_matrix(A, "A"), pair, factor)
-    Q, _ = scipy.linalg.qr(GAR, mode="economic")
+        Q = scipy.linalg.qr(GAR, mode="economic")[0]
     residual = np.linalg.norm(GP - Q @ (Q.T @ GP), axis=0)
     return bool(np.all(residual <= RANK_RTOL * np.linalg.norm(GP, axis=0)))
 

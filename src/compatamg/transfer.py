@@ -201,22 +201,31 @@ def realize_q(choice, A):
     raise AssertionError(f"unhandled Q tag {tag!r}")
 
 
+def _w_of(ff, fc):
+    return -solve_checked(ff, fc, "ff-block of companion")
+
+
+def _z_of(ff, cf):
+    return -solve_checked(ff.T, cf.T, "ff-block of companion")
+
+
 def ideal_w(Q):
     """Ideal interpolation F-block of a partitioned companion: -Q_ff^{-1} Q_fc.
 
     The F-point rows of Q [W; I] vanish and the C-point rows equal the Schur
-    complement of Q onto the C-block.
+    complement of Q onto the C-block. Only Q's F rows are read.
     """
-    return -solve_checked(Q.ff, Q.fc, "ff-block of companion")
+    return _w_of(Q.ff, Q.fc)
 
 
 def ideal_z(Q):
     """Ideal restriction F-block of a partitioned companion.
 
     Returns Z with Z* = -Q_cf Q_ff^{-1}, so [Z; I]* Q has vanishing F-point
-    columns and C-point columns equal to the Schur complement of Q.
+    columns and C-point columns equal to the Schur complement of Q. Only Q's
+    F columns are read.
     """
-    return -solve_checked(Q.ff.T, Q.cf.T, "ff-block of companion")
+    return _z_of(Q.ff, Q.cf)
 
 
 def p_ideal(Q):
@@ -282,13 +291,14 @@ def compatible_z_from_w(A, W, norm="identity"):
 
 
 def compatible_w_from_z_general(A, Z, M):
-    """Experimental: W from Z for an arbitrary SPD norm matrix M.
+    """W from Z for an arbitrary SPD norm matrix M.
 
     Solves the rank-compatibility condition M [W; I] = A* [Z; I] B_R for W and
     the free coarse scaling B_R jointly (one square linear system per coarse
-    column, with the interpolation-side scaling pinned to the identity).
-    Whether a solution exists for every (Z, M) admitting one is not settled;
-    prefer the closed forms or ideal_pair when they apply.
+    column, with the interpolation-side scaling pinned to the identity). A
+    singular system or coarse scaling raises SingularMatrixError. From the Z
+    and M of every computable catalog cell it gives the cell's W back, with
+    an M-orthogonal correction (tested on four problem kinds).
     """
     Z = as_matrix(Z, "Z")
     part = A.part
@@ -321,16 +331,39 @@ def _norm_row(A, M, anchor):
     return solve_checked(A.T, M, "A")
 
 
-def _companion(A, row, Qm, anchor):
-    """Companion matrix whose ideal operator completes an anchored pair.
+def _anchored_column(A, part, q, anchor):
+    """What every cell of companion q shares in one table, computed once per table.
 
-    row is _norm_row(A, M, anchor) for the norm M.
+    Returns (qf, block, reason). Q is realized in full, so it keeps its bits,
+    and only the n_f x n slice its companion reads is kept: qf = Q[F, :] for
+    anchor P and Q[:, F]* for anchor R (see _companion). block is the
+    anchored operator's ideal block, W of Q for anchor P and Z of Q for
+    anchor R; when Q's ff-block is singular, block and qf are None and
+    reason says why.
+    """
+    Qm = realize_q(q, A)
+    try:
+        Qp = partition(Qm, part)
+        block = ideal_w(Qp) if anchor == "P" else ideal_z(Qp)
+    except SingularMatrixError as e:
+        return None, None, str(e)
+    f = list(part.fpoints)
+    return (Qm[f] if anchor == "P" else Qm[:, f].T), block, None
+
+
+def _companion(A, row, qf, anchor):
+    """The slice of a cell's companion matrix that its ideal block reads.
+
+    row is _norm_row(A, M, anchor) for the norm M and qf is the slice of Q
+    from _anchored_column. Anchor P pairs P_ideal(Q) with R_ideal(A M^{-1} Q*),
+    and ideal_z reads only the F columns of its companion, which are
+    A M^{-1} Q[F, :]*, n x n_f. Anchor R pairs R_ideal(Q) with
+    P_ideal(Q* A^{-*} M), and ideal_w reads only the F rows, which are
+    Q[:, F]* A^{-*} M, n_f x n.
     """
     if anchor == "P":
-        # pair P_ideal(Q) with R_ideal(A M^{-1} Q*)
-        return A @ scipy.linalg.cho_solve(row, Qm.T)
-    # pair R_ideal(Q) with P_ideal(Q* A^{-*} M)
-    return Qm.T @ row
+        return A @ scipy.linalg.cho_solve(row, qf.T)
+    return qf @ row
 
 
 def _anchor_tag(anchor):
@@ -343,32 +376,27 @@ def _anchor_tag(anchor):
 
 
 def _ideal_cell(A, part, row, q, anchor, anchored):
-    """(pair, companion) of one anchored norm/companion cell.
+    """(pair, companion slice) of one anchored norm/companion cell.
 
     A is guarded and row is _norm_row(A, M, anchor) for the cell's norm M.
-    The anchored operator's ideal block (W of Q for anchor P, Z of Q for
-    anchor R) depends on q alone. anchored maps q to that block or its skip
-    reason and is filled here, so a table builds each once for all its rows.
+    anchored maps q to its _anchored_column and is filled here, so a table
+    realizes each Q once for all its rows. The companion slice is what
+    _companion returns; no n x n companion is formed.
     """
-    Qm = realize_q(q, A)
-    comp = _companion(A, row, Qm, anchor)
-    Cp = partition(comp, part)
     if q not in anchored:
-        try:
-            Qp = partition(Qm, part)
-            anchored[q] = (ideal_w(Qp) if anchor == "P" else ideal_z(Qp)), None
-        except SingularMatrixError as e:
-            anchored[q] = None, str(e)
-    block, reason = anchored[q]
+        anchored[q] = _anchored_column(A, part, q, anchor)
+    qf, block, reason = anchored[q]
     try:
         # the anchored block first: when both ff-blocks are singular, the
         # skip reason names the companion Q's
         if reason is not None:
             raise SingularMatrixError(reason)
+        comp = _companion(A, row, qf, anchor)
+        f, c = list(part.fpoints), list(part.cpoints)
         if anchor == "P":
-            pair = make_pair(part, ideal_z(Cp), block)
+            pair = make_pair(part, _z_of(comp[f], comp[c]), block)
         else:
-            pair = make_pair(part, block, ideal_w(Cp))
+            pair = make_pair(part, block, _w_of(comp[:, f], comp[:, c]))
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"ideal companion undefined for this splitting: {e}"
@@ -381,7 +409,8 @@ def ideal_pair(A, part, norm, q, anchor="P"):
 
     anchor="P" fixes P = P_ideal(Q) and derives the unique compatible
     restriction R = R_ideal(A M^{-1} Q*); anchor="R" fixes R = R_ideal(Q) and
-    derives P = P_ideal(Q* A^{-*} M). Companions are formed densely.
+    derives P = P_ideal(Q* A^{-*} M). Q is formed densely, the derived
+    companion only on the slice its ideal block reads.
     """
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
@@ -490,28 +519,33 @@ class CatalogEntry:
     companion_expr: str
     label: str | None = None
     pair: TransferPair | None = None
-    companion: np.ndarray | None = None
     skipped: bool = False
     reason: str | None = None
 
 
 def catalog_pairs(A, part):
-    """Enumerate every catalog cell that is computable densely.
+    """Generate every catalog cell that is computable densely, one at a time.
 
     Cells whose prerequisites fail (for example an SPD requirement on A or on
-    its symmetric part, or a singular companion ff-block) are emitted as skip
+    its symmetric part, or a singular companion ff-block) are yielded as skip
     records with the failure reason rather than raising, so a sweep completes
     on any nonsingular input. Output order is fixed: table 1 then table 2,
-    row-major in (norm, q).
+    row-major in (norm, q). A is guarded before the first cell.
 
     Each norm is realized, and factored for its row's companions, once per
-    table row; each companion is realized and built once per cell, and the
-    anchored ideal block of each companion Q once per table. Nothing n x n
-    outlives its row except the companions the entries hold.
+    table row. Each companion Q is realized once per table, where its
+    anchored ideal block is built and the n_f x n slice its cells read is
+    kept; each cell's companion is formed only on the slice its ideal block
+    reads. A consumer that drops each entry before taking the next holds one
+    pair at a time; what outlives a row is only the table's slices of Q and
+    their anchored blocks.
     """
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
-    entries = []
+    return _catalog_cells(A, part)
+
+
+def _catalog_cells(A, part):
     for table, anchor, exprs, singles in (
         (1, "P", _T1_EXPR, _T1_SINGLE),
         (2, "R", _T2_EXPR, _T2_SINGLE),
@@ -534,14 +568,14 @@ def catalog_pairs(A, part):
                 reason = row_reason
                 if reason is None:
                     try:
-                        pair, comp = _ideal_cell(A, part, row, q, anchor, anchored)
+                        pair = _ideal_cell(A, part, row, q, anchor, anchored)[0]
                     except (ValueError, SingularMatrixError) as e:
                         reason = str(e)
                 if reason is None:
-                    entries.append(CatalogEntry(**cell, pair=pair, companion=comp))
+                    yield CatalogEntry(**cell, pair=pair)
+                    del pair  # not held while the next cell is built
                 else:
-                    entries.append(CatalogEntry(**cell, skipped=True, reason=reason))
-    return entries
+                    yield CatalogEntry(**cell, skipped=True, reason=reason)
 
 
 def change_of_basis_pair(A, part):

@@ -122,7 +122,7 @@ def test_criterion_03_catalog_sweep():
     with _report(3, "catalog sweep"):
         A = cm.generate(cm.ProblemSpec("random", n=24, seed=0))
         part = cm.default_splitting(24, "alternate")
-        entries = cm.catalog_pairs(A, part)
+        entries = list(cm.catalog_pairs(A, part))
         assert len(entries) == 50
         passing = 0
         for entry in entries:

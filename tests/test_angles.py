@@ -1,5 +1,6 @@
 """Tests for the canonical-angle kernel and the factored norms that feed it."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import compatamg as cm
 import compatamg.projection as projection
+from compatamg.cli import main
 from compatamg.linalg import RANK_RTOL
 from conftest import random_spd
 
@@ -326,9 +328,24 @@ def test_compat_eq_reads_exact_pairs_with_a_large_z_entry():
     assert not all(oracle)
 
 
-def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monkeypatch):
+def _record_decompositions(monkeypatch, shapes):
+    """Record the shape of every SVD and QR made from now on, by family."""
+    def recording(fn, family):
+        def wrapper(a, *args, **kwargs):
+            shapes[family].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd, "svd"))
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd, "svd"))
+    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd, "svd"))
+    monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr, "qr"))
+
+
+def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monkeypatch, tmp_path):
     # every case is measured from the pair's thin factors: build_pi is never
-    # called, and no SVD or QR has both dimensions >= n
+    # called, and no SVD or QR has both dimensions >= n, in projection_report
+    # and in the tables and figure1 sweeps
     n = 60
     A = cm.generate(cm.ProblemSpec("random", n=n, seed=1))
     part = cm.default_splitting(n, "alternate")
@@ -337,23 +354,68 @@ def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monke
     cases.append((cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
                                g.standard_normal((part.nf, part.nc))), "SqrtAstarA"))
     cases = [(pair, cm.realize_norm(tag, A, factored=True)) for pair, tag in cases]
-    shapes = []
-
-    def recording(fn):
-        def wrapper(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapper
+    shapes = {"svd": [], "qr": []}
 
     def no_build_pi(*args, **kwargs):
         raise AssertionError("projection_report formed the dense Pi")
 
     monkeypatch.setattr(projection, "build_pi", no_build_pi)
-    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
-    monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd))
-    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
-    monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+    _record_decompositions(monkeypatch, shapes)
     reports = [cm.projection_report(A, pair, G) for pair, G in cases]
     assert all(r["compat_eq"] for r in reports[:4]) and not reports[4]["compat_eq"]
-    assert shapes
-    assert all(min(s[-2:]) < n for s in shapes), shapes
+    made = shapes["svd"] + shapes["qr"]
+    assert made
+    assert all(min(s[-2:]) < n for s in made), made
+
+    n = 24
+    for command in ("tables", "figure1"):
+        shapes["svd"].clear(), shapes["qr"].clear()
+        out = tmp_path / f"{command}.json"
+        main([command, "--problem", "random", "--n", str(n), "--output", str(out)])
+        assert json.loads(out.read_text())["results"]
+        made = shapes["svd"] + shapes["qr"]
+        assert made
+        assert all(min(s[-2:]) < n for s in made), (command, made)
+
+
+def test_tables_cell_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
+    # the kernel's QR basis of G^{-*} A* R decides compat_eq too, and every
+    # angle of a compatible cell is below pi/4, so its cosines are not read
+    n = 24
+    shapes = {"svd": [], "qr": []}
+    _record_decompositions(monkeypatch, shapes)
+    out = tmp_path / "tables.json"
+    assert main(["tables", "--problem", "random", "--n", str(n), "--output", str(out)]) == 0
+    measured = [r for r in json.loads(out.read_text())["results"] if not r.get("skipped")]
+    assert len(measured) == 40 and all(r["compat_eq"] and r["pass"] for r in measured)
+    assert shapes["qr"] == [(n, n // 2)] * (2 * len(measured))
+    assert shapes["svd"] == [(n, n // 2)] * len(measured)
+
+
+@pytest.mark.parametrize("theta_max", [0.3, 1.2])
+def test_cosines_are_read_lazily_with_the_eager_bits(monkeypatch, theta_max):
+    # subspaces at the angles 0.05 .. theta_max, below and above pi/4
+    rng = np.random.default_rng(11)
+    n, k = 30, 5
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 2 * k)))
+    theta = np.linspace(0.05, theta_max, k)
+    X = Q[:, :k] @ rng.standard_normal((k, k))
+    Y = (Q[:, :k] * np.cos(theta) + Q[:, k:] * np.sin(theta)) @ rng.standard_normal((k, k))
+    ang = cm.canonical_angles(X, Y)
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert ang.sin_max == pytest.approx(np.sin(theta_max), rel=1e-12)
+    assert ang.pi_norm == pytest.approx(1.0 / np.cos(theta_max), rel=1e-12)
+    ang.nonorth_sup, ang.min_angle
+    assert len(svds) == (0 if theta_max < np.pi / 4 else 1)
+    Qu, _ = scipy.linalg.qr(X, mode="economic")
+    Qv, _ = scipy.linalg.qr(Y, mode="economic")
+    eager = np.clip(svd(Qu.T @ Qv, compute_uv=False), 0.0, 1.0)
+    np.testing.assert_array_equal(ang.cosines, eager)
+    assert len(svds) == 1

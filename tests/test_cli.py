@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -353,6 +354,63 @@ def test_threads_env_var_preserves_output(tmp_path, monkeypatch):
             _, parallel = _run_json(tmp_path, args, "parallel.json")
             parallel.pop("timestamp")
             assert serial == parallel, (command, threads)
+
+
+@pytest.mark.parametrize("problem", [["--problem", "random", "--seed", "8101"],
+                                     ["--problem", "advdiff1d", "--epsilon", "0.01"]])
+def test_streamed_sweep_threaded_equals_serial(tmp_path, monkeypatch, problem):
+    # tables measures its cells while the sweep is still building later ones
+    for command in ("tables", "figure1"):
+        args = [command, "--n", "24"] + problem
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COMPATAMG_THREADS", threads)
+            code, report = _run_json(tmp_path, args, f"{threads}.json")
+            report.pop("timestamp")
+            reports.append((code, report))
+        assert reports[0] == reports[1], command
+
+
+def test_streamed_sweep_under_thread_switching_stress(tmp_path, monkeypatch):
+    # the sweep fills the norm factors while workers read them; more workers
+    # than cores and a short switch interval must not change a bit
+    args = ["tables", "--problem", "random", "--n", "16", "--seed", "3"]
+    monkeypatch.setenv("COMPATAMG_THREADS", "1")
+    _, serial = _run_json(tmp_path, args, "serial.json")
+    serial.pop("timestamp")
+    monkeypatch.setenv("COMPATAMG_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            _, parallel = _run_json(tmp_path, args, f"parallel{k}.json")
+            parallel.pop("timestamp")
+            assert parallel == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_map_cases_streams_its_items_in_order(monkeypatch, threads):
+    # a generator is drawn at most two cases per worker ahead of the oldest
+    # unfinished case, and results keep the item order
+    from compatamg.cli import _map_cases
+
+    monkeypatch.setenv("COMPATAMG_THREADS", threads)
+    drawn, done = [], []
+
+    def items():
+        for k in range(20):
+            drawn.append(k)
+            assert len(drawn) - len(done) <= 2 * int(threads)
+            yield k
+
+    def fn(k):
+        done.append(k)
+        return k * k
+
+    assert _map_cases(fn, items()) == [k * k for k in range(20)]
+    assert len(drawn) == 20
 
 
 def test_argparse_rejects_unknown_flags():

@@ -1,5 +1,7 @@
 """Tests for problem generators and CF splittings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,32 @@ def test_random_symmetric_part_spd(seed):
 def test_random_deterministic(seed):
     spec = cm.ProblemSpec("random", n=12, seed=seed)
     np.testing.assert_array_equal(cm.generate(spec), cm.generate(spec))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 300])
+@pytest.mark.parametrize("seed", [0, 5, 8101])
+def test_random_keeps_the_bits_of_the_plain_formula(n, seed):
+    # built in place, A has the bits of S + K with S = G G*/n + 0.1 I and
+    # K = (K0 - K0*)/2 formed out of place
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    S = G @ G.T / n + 0.1 * np.eye(n)
+    K0 = rng.standard_normal((n, n))
+    ref = S + (K0 - K0.T) / 2.0
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=seed))
+    assert A.dtype == ref.dtype and A.shape == ref.shape
+    assert A.tobytes() == ref.tobytes()
+
+
+def test_random_holds_at_most_three_matrices():
+    n = 400
+    tracemalloc.start()
+    try:
+        cm.generate(cm.ProblemSpec("random", n=n, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 8 * n * n
 
 
 def test_degenerate_sizes():

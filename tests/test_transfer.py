@@ -1,12 +1,16 @@
 """Tests for transfer-operator construction."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import compatamg as cm
 from compatamg.linalg import SingularMatrixError, numerical_rank
-from compatamg.transfer import _companion, _norm_row
+from compatamg.transfer import _companion, _ideal_cell, _norm_row
 from conftest import random_nonsingular, random_partition, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -216,25 +220,44 @@ def test_svd_route():
     assert abs(cm.pi_m_norm(pi, M) - 1.0) <= 1e-8
 
 
+def _cell_companion(A, part, e):
+    """The companion slice the sweep forms for entry e: F columns for table 1, F rows for table 2."""
+    row = _norm_row(A, cm.realize_norm(e.norm, A), e.anchor)
+    return _ideal_cell(A, part, row, e.q, e.anchor, {})[1]
+
+
+def _companion_slice(C, part, anchor):
+    f = list(part.fpoints)
+    return C[:, f] if anchor == "P" else C[f]
+
+
 def test_catalog_shape_and_examples():
     rng = np.random.default_rng(28)
     A = random_stable(rng, 14)
     part = _split(14)
-    entries = cm.catalog_pairs(A, part)
+    entries = list(cm.catalog_pairs(A, part))
     assert len(entries) == 50
     by_key = {(e.table, e.norm, e.q): e for e in entries}
 
     e = by_key[(1, "identity", "A")]
     assert e.companion_expr == "A A*" and not e.skipped
-    np.testing.assert_allclose(e.companion, A @ A.T, rtol=1e-12)
+    np.testing.assert_allclose(
+        _cell_companion(A, part, e), _companion_slice(A @ A.T, part, "P"), rtol=1e-12
+    )
 
     e = by_key[(2, "AstarA", "identity")]
     assert e.companion_expr == "A" and e.label == "single" and not e.skipped
-    np.testing.assert_allclose(e.companion, A, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(
+        _cell_companion(A, part, e), _companion_slice(A, part, "R"), rtol=1e-9, atol=1e-11
+    )
 
     e = by_key[(1, "Asym", "A")]
     Asym = (A + A.T) / 2.0
-    np.testing.assert_allclose(e.companion, A @ np.linalg.solve(Asym, A.T), rtol=1e-9)
+    np.testing.assert_allclose(
+        _cell_companion(A, part, e),
+        _companion_slice(A @ np.linalg.solve(Asym, A.T), part, "P"),
+        rtol=1e-9,
+    )
 
     # A-norm rows are skipped on a nonsymmetric matrix, with recorded reasons
     skipped = [e for e in entries if e.skipped]
@@ -263,7 +286,8 @@ def _eval_companion_expr(expr, A):
 @pytest.mark.parametrize("spd", [False, True])
 def test_catalog_expressions_match_companions(spd):
     # every printed companion expression reduces to the anchored formula,
-    # A M^{-1} Q* for table 1 and Q* A^{-*} M for table 2
+    # A M^{-1} Q* for table 1 and Q* A^{-*} M for table 2, on the slice the
+    # sweep forms: the F columns for table 1, the F rows for table 2
     rng = np.random.default_rng(31)
     A = random_spd(rng, 10, shift=0.5) if spd else random_stable(rng, 10)
     part = _split(10)
@@ -271,8 +295,8 @@ def test_catalog_expressions_match_companions(spd):
         if e.skipped:
             continue
         np.testing.assert_allclose(
-            _eval_companion_expr(e.companion_expr, A),
-            e.companion,
+            _companion_slice(_eval_companion_expr(e.companion_expr, A), part, e.anchor),
+            _cell_companion(A, part, e),
             rtol=1e-9,
             atol=1e-11,
             err_msg=f"table {e.table} ({e.norm}, {e.q}): {e.companion_expr}",
@@ -282,28 +306,38 @@ def test_catalog_expressions_match_companions(spd):
 @pytest.mark.parametrize("spd", [False, True])
 def test_catalog_cells_match_per_cell_construction(spd):
     # the row-scoped sweep gives the bits of building every cell on its own,
-    # with the companion formed by a dense solve against M
+    # with the companion slice formed by a dense solve against M and the
+    # derived ideal block read off a matrix that holds only that slice
     rng = np.random.default_rng(33)
-    A = random_spd(rng, 12, shift=0.5) if spd else random_stable(rng, 12)
-    part = _split(12)
+    n = 12
+    A = random_spd(rng, n, shift=0.5) if spd else random_stable(rng, n)
+    part = _split(n)
+    f = list(part.fpoints)
     for e in cm.catalog_pairs(A, part):
         if e.skipped:
             with pytest.raises((ValueError, SingularMatrixError)):
                 cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
             continue
         M, Qm = cm.realize_norm(e.norm, A), cm.realize_q(e.q, A)
+        only_slice = np.zeros((n, n))
         if e.anchor == "P":
-            comp = A @ sla.solve(M, Qm.T, assume_a="pos")
+            comp = A @ sla.solve(M, Qm[f].T, assume_a="pos")
+            only_slice[:, f] = comp
             ref = cm.make_pair(
-                part, cm.ideal_z(cm.partition(comp, part)), cm.ideal_w(cm.partition(Qm, part))
+                part,
+                cm.ideal_z(cm.partition(only_slice, part)),
+                cm.ideal_w(cm.partition(Qm, part)),
             )
         else:
-            comp = Qm.T @ sla.solve(A.T, M)
+            comp = Qm[:, f].T @ sla.solve(A.T, M)
+            only_slice[f] = comp
             ref = cm.make_pair(
-                part, cm.ideal_z(cm.partition(Qm, part)), cm.ideal_w(cm.partition(comp, part))
+                part,
+                cm.ideal_z(cm.partition(Qm, part)),
+                cm.ideal_w(cm.partition(only_slice, part)),
             )
         pair = cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
-        np.testing.assert_array_equal(e.companion, comp)
+        np.testing.assert_array_equal(_cell_companion(A, part, e), comp)
         for other in (ref, pair):
             np.testing.assert_array_equal(e.pair.R, other.R)
             np.testing.assert_array_equal(e.pair.P, other.P)
@@ -312,7 +346,7 @@ def test_catalog_cells_match_per_cell_construction(spd):
 def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
     import compatamg.transfer as transfer
 
-    calls = {"realize_norm": 0, "_companion": 0, "ideal_w": 0, "ideal_z": 0}
+    calls = {"realize_norm": 0, "realize_q": 0, "_companion": 0, "_w_of": 0, "_z_of": 0}
 
     def counted(name):
         inner = getattr(transfer, name)
@@ -327,12 +361,28 @@ def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
         monkeypatch.setattr(transfer, name, counted(name))
     rng = np.random.default_rng(34)
     A = random_stable(rng, 12)
-    entries = cm.catalog_pairs(A, _split(12))
+    entries = list(cm.catalog_pairs(A, _split(12)))
     assert calls["realize_norm"] <= 10
+    # each companion Q once per table, each cell's companion slice once
+    assert calls["realize_q"] == 10
     assert calls["_companion"] == sum(not e.skipped for e in entries) == 40
     # the anchored ideal block once per table and companion (W of Q in table
     # 1, Z of Q in table 2), the companion side's once per cell
-    assert calls["ideal_w"] == calls["ideal_z"] == 5 + 20
+    assert calls["_w_of"] == calls["_z_of"] == 5 + 20
+
+
+def test_catalog_is_a_generator_guarded_at_the_call():
+    # entries are built as they are taken, and none carries a companion
+    rng = np.random.default_rng(35)
+    A = random_stable(rng, 8)
+    sweep = cm.catalog_pairs(A, _split(8))
+    assert not isinstance(sweep, (list, tuple))
+    first = next(sweep)
+    assert (first.table, first.norm, first.q) == (1, "identity", "identity")
+    assert not hasattr(first, "companion")
+    assert sum(1 for _ in sweep) == 49
+    with pytest.raises(SingularMatrixError):
+        cm.catalog_pairs(np.zeros((8, 8)), _split(8))
 
 
 def test_catalog_order_is_row_major():
@@ -458,6 +508,36 @@ def test_general_w_from_z_agrees_with_closed_form():
     pair = cm.make_pair(part, Z, Wm)
     pi, _ = cm.build_pi(A, pair)
     assert abs(cm.pi_m_norm(pi, M) - 1.0) <= 1e-8
+
+
+@lru_cache(maxsize=None)
+def _catalog_of(kind, n):
+    eps = 0.01 if kind == "advdiff1d" else 0.0
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=eps))
+    part = _split(n)
+    return A, part, tuple(cm.catalog_pairs(A, part))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(("random", "advection1d", "laplacian1d", "advdiff1d")),
+    n=st.sampled_from((24, 40)),
+    cell=st.integers(0, 49),
+)
+def test_general_w_from_z_reproduces_every_catalog_cell(kind, n, cell):
+    # from a computable cell's Z and its norm M, the general solve gives the
+    # cell's W back, and the pair it makes is M-orthogonal. W is compared
+    # relative to the cell's P = [W; I]: several cells have W = 0 up to
+    # round-off
+    A, part, entries = _catalog_of(kind, n)
+    e = entries[cell]
+    assume(not e.skipped)
+    M = cm.realize_norm(e.norm, A)
+    W = cm.compatible_w_from_z_general(cm.partition(A, part), e.pair.Z, M)
+    assert np.linalg.norm(W - e.pair.W) <= 1e-8 * np.linalg.norm(e.pair.P)
+    G = cm.realize_norm(e.norm, A, factored=True)
+    corr = cm.coarse_correction(A, cm.make_pair(part, e.pair.Z, W))
+    assert abs(cm.pi_m_norm(corr, G) - 1.0) <= 1e-8
 
 
 def test_realize_q_tags():
