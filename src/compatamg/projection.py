@@ -25,15 +25,19 @@ G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
 A dense projection reaches it through one SVD, which gives range(Pi) and
 range(Pi*), and a dense SPD M through its Cholesky factor.
 
-The rest of a case is measured from the same correction. The four
-orthogonality conditions are checked on the thin factors Pi = P B, with
-B = (R*AP)^{-1} R*A, apart from the kernel. The compatibility equation
-M P = A* R B is decided in G-space: range(M P) = range(A* R) exactly when
-range(G P) = range(G^{-*} A* R), so no condition costs cond(M) = cond(G)^2
-in round-off. It is tested against the kernel's own thin QR basis Qv of
-G^{-*} A* R, which the correction keeps until the test reads it, so one
-case makes two thin QRs in all. The kernel's cosines are an SVD of their
-own, made only when read: theta_max below pi/4 is decided by the sines.
+The rest of a case is measured from the same correction. The compatibility
+equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
+range(G P) = range(G^{-*} A* R), and it is tested against the kernel's own
+thin QR basis Qv of G^{-*} A* R, which the correction keeps until the test
+reads it. Of the four orthogonality conditions, range(M Pi) = range(Pi*) is
+that same G-space condition, so it is read off the kernel's canonical angles;
+neither decision costs cond(M) = cond(G)^2 in round-off. The other three are
+checked on the thin factors Pi = P B, with B = (R*AP)^{-1} R*A, and decompose
+nothing. One case thus makes two thin QRs and one SVD in all; the kernel's
+cosines are an SVD of their own, made only when read: theta_max below pi/4 is
+decided by the sines. A dense projection is checked in the original space, on
+pivoted-QR bases of range(M Pi) and range(Pi*); it is the reference the tests
+compare the correction against.
 """
 
 from __future__ import annotations
@@ -170,9 +174,14 @@ def _kernel(X, Y):
         return CanonicalAngles(np.zeros(0), np.zeros((0, 0))), Y
     Qu, _ = scipy.linalg.qr(X, mode="economic")
     Qv, _ = scipy.linalg.qr(Y, mode="economic")
+    return _orthonormal_angles(Qu, Qv), Qv
+
+
+def _orthonormal_angles(Qu, Qv):
+    """Canonical angles between the ranges of orthonormal bases Qu and Qv."""
     C = Qu.T @ Qv
     sines = np.clip(np.linalg.svd(Qv - Qu @ C, compute_uv=False), 0.0, 1.0)
-    return CanonicalAngles(sines, C), Qv
+    return CanonicalAngles(sines, C)
 
 
 def canonical_angles(X, Y):
@@ -300,7 +309,7 @@ class OrthogonalityChecks:
 
     m_pi_hermitian: bool      # M Pi = (M Pi)*
     matches_m_adjoint: bool   # Pi = M^{-1} Pi* M, tested as G Pi G^{-1} symmetric
-    range_match: bool         # range(M Pi) = range(Pi*)
+    range_match: bool         # range(M Pi) = range(Pi*), for a correction in G-space
     probes_orthogonal: bool   # <Pi x, (I - Pi) y>_M ~ 0 on random probes
 
     @property
@@ -322,34 +331,37 @@ class OrthogonalityChecks:
         }
 
 
-def _one_range(U1, U2):
-    """Whether orthonormal n x r bases U1, U2 span one range: rank [U1 U2] = r.
+def _one_range(angles):
+    """Whether two r-dimensional subspaces at these canonical angles are one.
 
-    The stack's singular values are sqrt(1 + cos t_i) and sqrt(1 - cos t_i) =
-    sin t_i / sqrt(1 + cos t_i) over the canonical angles t_i between the
-    ranges, so its numerical rank is r exactly when the largest trailing
-    value, at the largest angle, is at most RANK_RTOL times the leading one,
-    sqrt(1 + cos t_min). Sines and cosines are computed here, apart from
-    canonical_angles, from one r x r and one n x r matrix.
+    That is rank [Qu Qv] = r for orthonormal bases Qu, Qv of the two. The
+    stack's singular values are sqrt(1 + cos t_i) and sqrt(1 - cos t_i) =
+    sin t_i / sqrt(1 + cos t_i) over the angles t_i, so its numerical rank is
+    r exactly when the largest trailing value, at the largest angle, is at
+    most RANK_RTOL times the leading one, sqrt(1 + cos t_min). cos t_min is
+    read off the smallest sine and theta_max as the kernel reads it, so the
+    cosines are computed only when theta_max >= pi/4.
     """
-    if U1.shape[1] == 0:
+    if angles.sines.size == 0:
         return True
-    C = U2.T @ U1
-    cosines = np.clip(np.linalg.svd(C, compute_uv=False), 0.0, 1.0)
-    sin_max = float(np.linalg.svd(U1 - U2 @ C, compute_uv=False)[0])
-    return sin_max / math.sqrt(1.0 + cosines[-1]) <= RANK_RTOL * math.sqrt(1.0 + cosines[0])
+    s = float(angles.sines[-1])
+    cos_min = math.sqrt((1.0 - s) * (1.0 + s))
+    return angles.sin_max / math.sqrt(1.0 + angles.cos_max) \
+        <= RANK_RTOL * math.sqrt(1.0 + cos_min)
 
 
 def orthogonality_checks(pi, M, tol=1e-8):
     """Evaluate the four equivalent M-orthogonality conditions on a projection.
 
     pi is a CoarseCorrection or a dense projection; M is a dense SPD matrix or
-    a NormFactor, validated once, and a factor is used as given. Each
-    condition is checked on thin factors Pi = L B, L n x r and B r x n,
-    independently of the canonical-angle kernel. A correction gives L = P and
-    B = (R*AP)^{-1} R*A, and lends its block G P; a dense projection gives
-    L = orth_basis(pi) and B = L* pi. No n x n matrix is decomposed for a
-    correction.
+    a NormFactor, validated once, and a factor is used as given. Three
+    conditions are checked on thin factors Pi = L B, L n x r and B r x n. A
+    correction gives L = P and B = (R*AP)^{-1} R*A, lends its block G P, and
+    decides range_match in G-space from the kernel's canonical angles, which
+    pi_m_norm has already computed for the case: no QR or SVD is made here
+    once the kernel has run. A dense projection gives L = orth_basis(pi) and
+    B = L* pi, and decides range_match in the original space, from the angles
+    between pivoted-QR bases of range(M Pi) and range(Pi*).
     """
     G = as_norm_factor(M)
     tiny = np.finfo(float).tiny
@@ -380,13 +392,19 @@ def orthogonality_checks(pi, M, tol=1e-8):
     herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
     del MP
 
-    # range(M Pi) = range(Pi*) on thin bases from pivoted QR. range(Pi*) =
-    # range(B*), so U2's column count is the rank r of Pi; the rows of Pi lie
-    # in range(U2), so M Pi = (M L)(B U2) U2* and U1 is a basis of the n x r
-    # matrix (M L)(B U2)
-    U2 = orth_basis(B.T)
-    U1 = orth_basis(ML @ (B @ U2))
-    range_ok = U1.shape[1] == U2.shape[1] and _one_range(U1, U2)
+    if isinstance(pi, CoarseCorrection):
+        # range(M Pi) = range(M P) and range(Pi*) = range(A* R), which are one
+        # exactly when range(G P) = range(G^{-*} A* R): the kernel's subspaces
+        range_ok = _one_range(pi.angles(G))
+    else:
+        # pivoted-QR bases: range(Pi*) = range(B*), so U2's column count is
+        # the rank r of Pi; the rows of Pi lie in range(U2), so
+        # M Pi = (M L)(B U2) U2* and U1 is a basis of the n x r matrix
+        # (M L)(B U2). They are orthonormal already and go to the rule as they
+        # are.
+        U2 = orth_basis(B.T)
+        U1 = orth_basis(ML @ (B @ U2))
+        range_ok = U1.shape[1] == U2.shape[1] and _one_range(_orthonormal_angles(U2, U1))
 
     # probe pairs x_k, y_k drawn in the order x_0, y_0, x_1, y_1, ...
     probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, B.shape[1]))

@@ -221,7 +221,7 @@ def _range_test_pairs(A, part, rng):
     return pairs
 
 
-@pytest.mark.parametrize("kind", ["random", "advection1d", "laplacian1d"])
+@pytest.mark.parametrize("kind", ["random", "advection1d", "laplacian1d", "advdiff1d"])
 def test_range_match_follows_the_four_svd_rule(kind):
     n = 24
     rng = np.random.default_rng(5)
@@ -390,6 +390,70 @@ def test_tables_cell_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
     assert len(measured) == 40 and all(r["compat_eq"] and r["pass"] for r in measured)
     assert shapes["qr"] == [(n, n // 2)] * (2 * len(measured))
     assert shapes["svd"] == [(n, n // 2)] * len(measured)
+
+
+def test_verify_pairs_case_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
+    # range_match is read off the kernel's angles, so a case makes the kernel's
+    # two thin QRs and its SVD of the sines and nothing more; the
+    # non-orthogonal random:7 case, at theta_max >= pi/4, also reads the
+    # cosines, one n_c x n_c SVD
+    n = 24
+    shapes = {"svd": [], "qr": []}
+    _record_decompositions(monkeypatch, shapes)
+    out = tmp_path / "verify.json"
+    argv = ["verify-pairs", "--problem", "random", "--n", str(n), "--output", str(out)]
+    for name in ("single1", "single2", "single3", "single4", "random:7"):
+        argv += ["--pair", name]
+    assert main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    assert all(r["compat_eq"] and all(r["orthogonality_checks"].values())
+               for r in results[:4])
+    control = results[4]
+    assert control["min_angle"] < np.pi / 4
+    assert not control["compat_eq"] and not any(control["orthogonality_checks"].values())
+    assert shapes["qr"] == [(n, n // 2)] * (2 * len(results))
+    assert shapes["svd"] == [(n, n // 2)] * len(results) + [(n // 2, n // 2)]
+
+    # once the kernel has run for the case, the checks decompose nothing
+    A = cm.generate(cm.ProblemSpec("random", n=n))
+    part = cm.default_splitting(n, "alternate")
+    pair, tag = cm.single_operator_pair(A, part, "single3")
+    G = cm.realize_norm(tag, A, factored=True)
+    corr = cm.coarse_correction(A, pair)
+    cm.pi_m_norm(corr, G)
+    shapes["svd"].clear(), shapes["qr"].clear()
+    assert cm.orthogonality_checks(corr, G).all_true
+    assert shapes == {"svd": [], "qr": []}
+
+
+@pytest.mark.parametrize("kind, n, epsilon, cells", [("laplacian1d", 300, 0.0, 50),
+                                                     ("advdiff1d", 200, 0.01, 40)])
+def test_catalog_cells_keep_the_equivalence_chain(kind, n, epsilon, cells):
+    # the four orthogonality conditions and the compatibility equation are
+    # equivalent, so on the production path they agree on every computable
+    # cell, the exact A*A cells whose original-space range test read
+    # cond(A)^2 round-off among them. The pi_norm verdict is left out of the
+    # chain: it is quadratic in the angle, and the identity-norm AinvStar/Ainv
+    # pairs (t2:identity:AinvStar on laplacian1d at n = 600) carry a real
+    # angle of about 1.6e-7 from construction round-off, which three of the
+    # four checks see and |pi_norm - 1| <= tol does not
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=epsilon))
+    part = cm.default_splitting(n, "alternate")
+    factors = {}
+    measured = 0
+    for entry in cm.catalog_pairs(A, part):
+        if entry.skipped:
+            continue
+        if entry.norm not in factors:
+            factors[entry.norm] = cm.realize_norm(entry.norm, A, factored=True)
+        G = factors[entry.norm]
+        corr = cm.coarse_correction(A, entry.pair)
+        chain = list(cm.orthogonality_checks(corr, G).as_dict().values())
+        chain.append(cm.verify_compat_equation(A, G, corr))
+        assert all(chain) or not any(chain), (entry.table, entry.norm, entry.q, chain)
+        measured += 1
+    # SPD A makes the norm-A row computable too
+    assert measured == cells
 
 
 @pytest.mark.parametrize("theta_max", [0.3, 1.2])
