@@ -297,10 +297,11 @@ def cmd_tables(cfg):
 
     def cells():
         # each cell is built as the sweep reaches it, and its pair is dropped
-        # once it is measured
+        # once it is measured. The sweep has checked the norm of a computable
+        # cell on A, so its factor is realized without a second check.
         for entry in catalog_pairs(A, part):
             if not entry.skipped and entry.norm not in factors:
-                factors[entry.norm] = realize_norm(entry.norm, A, factored=True)
+                factors[entry.norm] = realize_norm(entry.norm, A, factored=True, checked=True)
             yield entry
 
     def run(entry):

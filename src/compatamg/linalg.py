@@ -14,7 +14,8 @@ off that factor, so no SVD is spent on it. COND_LIMIT is defined on that
 estimate of the 1-norm condition number, not on the 2-norm condition
 number; the two condition numbers differ by at most a factor n. lu_solver
 hands the guard's factor on as a solve closure, so a matrix used for many
-solves is factored once.
+solves is factored once, and solve_checked and inv_checked solve with it
+wherever scipy would factor the same matrix by its general LU.
 """
 
 from __future__ import annotations
@@ -150,20 +151,55 @@ def lu_solver(A, what="matrix", structured=False):
     return solve
 
 
+def _general_lu_path(A):
+    """Whether scipy.linalg.solve and inv factor A by their general LU.
+
+    Their structure detection sends a diagonal, triangular, tridiagonal or
+    exactly symmetric A to a dedicated solver instead, so A takes the general
+    path only when it has nonzeros on both sides of the tridiagonal band's
+    diagonal, one of them outside the band, and is not symmetric. Two
+    unequal nonzero corners decide that at once, as for any dense A.
+    """
+    c, d = A[-1, 0], A[0, -1]
+    if A.shape[0] >= 3 and c != 0 and d != 0 and c != d:
+        return True
+    nz = A != 0
+    return bool(
+        (np.tril(nz, -2).any() or np.triu(nz, 2).any())
+        and np.tril(nz, -1).any() and np.triu(nz, 1).any()
+        and not np.array_equal(A, A.T)
+    )
+
+
 def solve_checked(A, B, what="matrix"):
     """Solve A X = B after rejecting numerically singular A.
 
-    The solve itself is scipy.linalg.solve, which detects structure in A
-    (diagonal, tridiagonal, triangular, symmetric) that a general LU would
-    ignore, so it is kept for one-shot solves.
+    Gives the bits of scipy.linalg.solve. Where its structure detection would
+    take the general LU path, the solve is dgetrs against the guard's own
+    dgetrf factor, so A is factored once; a diagonal, triangular, tridiagonal
+    or symmetric A keeps scipy's dedicated solver.
     """
-    require_nonsingular(A, what)
-    return scipy.linalg.solve(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    lu, piv = _guarded_lu(A, what)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if B.size and _general_lu_path(A):
+        return lapack.dgetrs(lu, piv, B)[0]
+    del lu, piv  # not held while scipy factors A again
+    return scipy.linalg.solve(A, B)
 
 
 def inv_checked(A, what="matrix"):
-    require_nonsingular(A, what)
-    return scipy.linalg.inv(np.asarray(A, dtype=float))
+    """A^{-1} after rejecting numerically singular A, with the bits of scipy.linalg.inv.
+
+    Where scipy would take its general LU path, the inverse is dgetri on the
+    guard's dgetrf factor, with the optimal workspace scipy uses.
+    """
+    lu, piv = _guarded_lu(A, what)
+    A = np.asarray(A, dtype=float)
+    if _general_lu_path(A):
+        lwork = int(lapack.dgetri_lwork(A.shape[0])[0])
+        return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=1)[0]
+    del lu, piv
+    return scipy.linalg.inv(A)
 
 
 @dataclass(frozen=True)
@@ -440,12 +476,14 @@ def _factored_norm(tag, A, S, lu_solve):
     raise AssertionError(f"unhandled norm tag {tag!r}")
 
 
-def realize_norm(spec, A, tol=SPD_TOL, factored=False):
+def realize_norm(spec, A, tol=SPD_TOL, factored=False, checked=False):
     """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
 
     With factored=True, return the NormFactor G with M = G* G instead, without
     forming M. Both forms check the same preconditions and raise the same
-    errors.
+    errors. checked=True takes them as read, for a caller that has already
+    realized the same spec on the same A: no SPD check is made, and the dense
+    form does not guard A, whose LU factor only the factored form uses.
     """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
@@ -457,22 +495,22 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False):
     tag = spec.tag
     M = None
     if tag == "A":
-        if not spd_check(A, tol):
+        if not checked and not spd_check(A, tol):
             raise ValueError("norm tag 'A' requires A to be SPD")
         M = A.copy()
     elif tag in ("Asym", "AstarAsymInvA"):
         M = (A + A.T) / 2.0
-        if not spd_check(M, tol):
+        if not checked and not spd_check(M, tol):
             raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
     elif tag == "Custom":
         M = np.array(spec.payload, dtype=float)
         if M.shape != (n, n):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
-        if not spd_check(M, tol):
+        if not checked and not spd_check(M, tol):
             raise ValueError("custom norm matrix is not SPD")
     # the guard on A, whose LU factor the factored norms solve with
     lu_solve = None
-    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
+    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") and (factored or not checked):
         lu_solve = lu_solver(A, "A")
 
     if factored:

@@ -8,10 +8,13 @@ complement of V = range(G^{-*} A* R), so ||Pi||_M = 1 / cos(theta_max), where
 theta_max is the largest canonical angle between U and V (Szyld, Numer.
 Algorithms 42, 2006). The non-orthogonality sup is tan(theta_max) and the
 minimal canonical angle between range(Pi) and null(Pi) is pi/2 - theta_max.
-One kernel, canonical_angles, takes bases of U and V, makes two thin QRs and
-reads the sines of the angles directly as singular values (Bjorck & Golub,
-Math. Comp. 27, 1973), so a correction close to M-orthogonal is measured
-without cancellation. G comes from realize_norm(..., factored=True):
+One kernel, canonical_angles, takes bases of U and V. It makes a thin QR
+Qu of the first and a Householder QR of the second, kept as its reflectors
+H, and reflects Qu into that frame: the rows of H* Qu below the first
+dim V lie outside V, and the sines of the angles are their singular values
+(Bjorck & Golub, Math. Comp. 27, 1973), so a correction close to
+M-orthogonal is measured without cancellation. G comes from
+realize_norm(..., factored=True):
 
     identity        I
     AstarA          A, through one LU
@@ -27,17 +30,18 @@ range(Pi*), and a dense SPD M through its Cholesky factor.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
-range(G P) = range(G^{-*} A* R), and it is tested against the kernel's own
-thin QR basis Qv of G^{-*} A* R, which the correction keeps until the test
-reads it. Of the four orthogonality conditions, range(M Pi) = range(Pi*) is
-that same G-space condition, so it is read off the kernel's canonical angles;
-neither decision costs cond(M) = cond(G)^2 in round-off. The other three are
-checked on the thin factors Pi = P B, with B = (R*AP)^{-1} R*A, and decompose
-nothing. One case thus makes two thin QRs and one SVD in all; the kernel's
-cosines are an SVD of their own, made only when read: theta_max below pi/4 is
-decided by the sines. A dense projection is checked in the original space, on
-pivoted-QR bases of range(M Pi) and range(Pi*); it is the reference the tests
-compare the correction against.
+range(G P) = range(G^{-*} A* R), and it is read off the kernel's reflection:
+the part of G P outside range(G^{-*} A* R) is those same rows times the R
+factor of G P, an n_c x n_c product. Of the four orthogonality conditions,
+range(M Pi) = range(Pi*) is that same G-space condition, so it is read off
+the kernel's canonical angles; neither decision costs cond(M) = cond(G)^2 in
+round-off. The other three are checked on the thin factors Pi = P B, with
+B = (R*AP)^{-1} R*A, and decompose nothing. One case thus makes one thin QR,
+one Householder QR, one application of its reflectors and one n_c x n_c SVD
+in all; the kernel's cosines are an SVD of their own, made only when read:
+theta_max below pi/4 is decided by the sines. A dense projection is checked
+in the original space, on pivoted-QR bases of range(M Pi) and range(Pi*); it
+is the reference the tests compare the correction against.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .linalg import (
     RANK_RTOL,
@@ -105,11 +110,12 @@ def build_pi(A, pair):
 class CanonicalAngles:
     """Canonical angles between two subspaces of equal dimension.
 
-    sines are the singular values of Qv - Qu (Qu* Qv), sorted descending, and
-    inner is Qu* Qv. cosines, the singular values of inner, are computed on
-    first read. The largest angle theta_max is read from its sine below pi/4
-    and from its cosine above, so it is accurate in both regimes, and the
-    cosines are read only above.
+    For orthonormal bases Qu and Qv, sines are the singular values of the
+    part of Qu outside range(Qv), sorted descending, and inner is Qu* Qv.
+    cosines, the singular values of inner, are computed on first read. The
+    largest angle theta_max is read from its sine below pi/4 and from its
+    cosine above, so it is accurate in both regimes, and the cosines are read
+    only above.
     """
 
     sines: np.ndarray
@@ -164,17 +170,46 @@ class CanonicalAngles:
         return math.atan2(self.cos_max, self.sin_max)
 
 
+def _reflect(h, tau, C):
+    """H* C for the Householder reflectors (h, tau) of a raw QR, by LAPACK dormqr.
+
+    C is overwritten when it is Fortran-ordered, as scipy's thin Q is.
+    """
+    lwork = int(lapack.dormqr("L", "T", h, tau, C, -1, overwrite_c=1)[1][0])
+    return lapack.dormqr("L", "T", h, tau, C, max(lwork, 1), overwrite_c=1)[0]
+
+
 def _kernel(X, Y):
-    """(canonical_angles(X, Y), Qv), Qv the thin QR basis of range(Y) it made."""
+    """(canonical_angles(X, Y), E, Ru) on the Householder frame H of range(Y).
+
+    Qu Ru is the thin QR of X and Y = H [Rv; 0] the Householder QR of Y, kept
+    as its reflectors, so Qv, the first k columns of H, is never formed. In
+    Z = H* Qu the top k rows are Qv* Qu, so inner = Qu* Qv is their
+    transpose, and E = Z[k:] holds the coordinates of Qu outside range(Y):
+    the sines are its singular values (Bjorck & Golub, Math. Comp. 27, 1973)
+    and the part of X outside range(Y) is H [0; E Ru]. When k > n/2, E has
+    only n - k rows, and the other 2k - n sines are zero.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape:
         raise ValueError(f"bases must have the same shape, got {X.shape} and {Y.shape}")
-    if X.shape[1] == 0:
-        return CanonicalAngles(np.zeros(0), np.zeros((0, 0))), Y
-    Qu, _ = scipy.linalg.qr(X, mode="economic")
-    Qv, _ = scipy.linalg.qr(Y, mode="economic")
-    return _orthonormal_angles(Qu, Qv), Qv
+    k = X.shape[1]
+    if k == 0:
+        return CanonicalAngles(np.zeros(0), np.zeros((0, 0))), X, np.zeros((0, 0))
+    # the one array the angles keep is made before the n x k temporaries, so
+    # that it does not hold the heap above them once they are freed
+    inner = np.empty((k, k))
+    Qu, Ru = scipy.linalg.qr(X, mode="economic")
+    (h, tau), _ = scipy.linalg.qr(Y, mode="raw")
+    Z = _reflect(h, tau, Qu)  # overwrites Qu
+    del h
+    E = Z[k:]
+    sines = np.zeros(k)
+    s = np.linalg.svd(E, compute_uv=False)
+    sines[: s.size] = np.clip(s, 0.0, 1.0)
+    inner[...] = Z[:k].T
+    return CanonicalAngles(sines, inner), E, Ru
 
 
 def _orthonormal_angles(Qu, Qv):
@@ -187,16 +222,26 @@ def _orthonormal_angles(Qu, Qv):
 def canonical_angles(X, Y):
     """Canonical angles between range(X) and range(Y), both of full column rank k.
 
-    Two thin QRs give orthonormal bases Qu and Qv; the sines are the singular
-    values of Qv - Qu (Qu* Qv), and the cosines, those of Qu* Qv, are left to
-    the first read.
+    A thin QR Qu of X is reflected into the Householder frame of Y's QR; the
+    sines are the singular values of the rows that fall outside range(Y),
+    and the cosines, those of Qu* Qv, are left to the first read.
     """
     return _kernel(X, Y)[0]
 
 
-def _blocks(A, pair, factor):
-    """The kernel's bases G P and G^{-*} A* R of a pair, for the factor G."""
-    return factor.apply(pair.P), factor.solve_adj(A.T @ pair.R)
+def _within(outside, whole):
+    """Whether each column of outside is at most RANK_RTOL times that of whole, in 2-norm.
+
+    outside is the part of a block that lies outside a subspace and whole the
+    block itself, or any matrix with the same column norms.
+    """
+    return bool(np.all(np.linalg.norm(outside, axis=0)
+                       <= RANK_RTOL * np.linalg.norm(whole, axis=0)))
+
+
+def _blocks(factor, P, AstarR):
+    """The kernel's bases G P and G^{-*} A* R for the factor G."""
+    return factor.apply(P), factor.solve_adj(AstarR)
 
 
 @dataclass(frozen=True)
@@ -212,8 +257,9 @@ class CoarseCorrection:
     pair: object
     RA: np.ndarray = field(repr=False, compare=False)     # R* A, n_c x n
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
-    # [factor, (G P, G^{-*} A* R), angles, Qv] of the last factor, so that
-    # every measure of one case shares one set of blocks and one kernel call
+    # [factor, (G P, G^{-*} A* R), angles, compat_eq] of the last factor, so
+    # that every measure of one case shares one set of blocks and one kernel
+    # call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
@@ -222,28 +268,33 @@ class CoarseCorrection:
         return self.solve(self.RA)
 
     def blocks(self, factor):
-        """(G P, G^{-*} A* R) for the factor G, formed once per factor."""
+        """(G P, G^{-*} A* R) for the factor G, formed once per factor.
+
+        A* R is read as the transpose of the R* A the correction holds.
+        """
         if not (self._last and self._last[0] is factor):
-            self._last[:] = [factor, _blocks(self.A, self.pair, factor), None, None]
+            self._last[:] = [factor, _blocks(factor, self.pair.P, self.RA.T), None, None]
         return self._last[1]
 
     def angles(self, factor):
-        """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G."""
+        """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G.
+
+        The kernel's reflection of G P also decides compat_eq, which is kept.
+        """
         blocks = self.blocks(factor)
         if self._last[2] is None:
-            self._last[2], self._last[3] = _kernel(*blocks)
+            angles, E, Ru = _kernel(*blocks)
+            # G P = Qu Ru, whose part outside range(G^{-*} A* R) is H [0; E Ru]
+            self._last[2:] = [angles, _within(E @ Ru, Ru)]
         return self._last[2]
 
-    def range_basis(self, factor):
-        """Orthonormal basis of range(G^{-*} A* R) for the factor G.
+    def compat_eq(self, factor):
+        """Whether range(G P) lies in range(G^{-*} A* R), by verify_compat_equation's rule.
 
-        The kernel's Qv when it has run for this factor, handed over once and
-        then dropped, so it is not held for the rest of the case; otherwise a
-        thin QR of its own.
+        Read off the kernel, which runs here unless it has run for this factor.
         """
-        GAR = self.blocks(factor)[1]
-        Qv, self._last[3] = self._last[3], None
-        return Qv if Qv is not None else scipy.linalg.qr(GAR, mode="economic")[0]
+        self.angles(factor)
+        return self._last[3]
 
 
 def coarse_correction(A, pair):
@@ -427,23 +478,20 @@ def verify_compat_equation(A, M, pair):
     M-orthogonality of the coarse-grid correction built from the pair. With
     M = G*G it holds exactly when range(G P) = range(G^{-*} A* R), and it is
     decided there: true iff every column of G P lies in the range of
-    G^{-*} A* R to relative residual RANK_RTOL, measured against an
-    orthonormal basis Qv of G^{-*} A* R. The test is invariant to column
-    scalings of P and to any nonsingular right-scaling of R. M is a dense SPD
-    matrix or a NormFactor; pair is a TransferPair, or its CoarseCorrection
-    on A, whose blocks are then reused, and whose kernel's Qv is the basis
-    when the kernel has run for M (CoarseCorrection.range_basis). Otherwise
-    Qv comes from one thin QR.
+    G^{-*} A* R to relative residual RANK_RTOL. The test is invariant to
+    column scalings of P and to any nonsingular right-scaling of R. M is a
+    dense SPD matrix or a NormFactor; pair is a TransferPair, or its
+    CoarseCorrection on A, whose blocks are then reused. On a correction the
+    residual is the kernel's E Ru, an n_c x n_c product, so once the kernel
+    has run for M no further decomposition is made. On a pair it is taken
+    against an orthonormal basis of G^{-*} A* R from one thin QR.
     """
     factor = as_norm_factor(M)
     if isinstance(pair, CoarseCorrection):
-        GP = pair.blocks(factor)[0]
-        Q = pair.range_basis(factor)
-    else:
-        GP, GAR = _blocks(as_matrix(A, "A"), pair, factor)
-        Q = scipy.linalg.qr(GAR, mode="economic")[0]
-    residual = np.linalg.norm(GP - Q @ (Q.T @ GP), axis=0)
-    return bool(np.all(residual <= RANK_RTOL * np.linalg.norm(GP, axis=0)))
+        return pair.compat_eq(factor)
+    GP, GAR = _blocks(factor, pair.P, as_matrix(A, "A").T @ pair.R)
+    Q = scipy.linalg.qr(GAR, mode="economic")[0]
+    return _within(GP - Q @ (Q.T @ GP), GP)
 
 
 def projection_report(A, pair, M, tol=1e-8):

@@ -533,12 +533,13 @@ def catalog_pairs(A, part):
     row-major in (norm, q). A is guarded before the first cell.
 
     Each norm is realized, and factored for its row's companions, once per
-    table row. Each companion Q is realized once per table, where its
-    anchored ideal block is built and the n_f x n slice its cells read is
-    kept; each cell's companion is formed only on the slice its ideal block
-    reads. A consumer that drops each entry before taking the next holds one
-    pair at a time; what outlives a row is only the table's slices of Q and
-    their anchored blocks.
+    table row; its preconditions on A are checked once, in table 1, so a
+    computable cell certifies that its norm is well posed on A. Each
+    companion Q is realized once per table, where its anchored ideal block is
+    built and the n_f x n slice its cells read is kept; each cell's companion
+    is formed only on the slice its ideal block reads. A consumer that drops
+    each entry before taking the next holds one pair at a time; what outlives
+    a row is only the table's slices of Q and their anchored blocks.
     """
     A = as_matrix(A, "A")
     require_nonsingular(A, "A")
@@ -546,16 +547,24 @@ def catalog_pairs(A, part):
 
 
 def _catalog_cells(A, part):
+    # per norm, the reason its table-1 row failed, or None: realize_norm
+    # checks each norm's preconditions on A in table 1 only, and table 2
+    # takes them as read or skips the row for the same reason
+    norm_reason = {}
     for table, anchor, exprs, singles in (
         (1, "P", _T1_EXPR, _T1_SINGLE),
         (2, "R", _T2_EXPR, _T2_SINGLE),
     ):
         anchored = {}
         for norm in CATALOG_NORMS:
-            try:
-                row, row_reason = _norm_row(A, realize_norm(norm, A), anchor), None
-            except (ValueError, SingularMatrixError) as e:
-                row, row_reason = None, str(e)
+            row, row_reason = None, norm_reason.get(norm)
+            if row_reason is None:
+                try:
+                    checked = norm in norm_reason
+                    row = _norm_row(A, realize_norm(norm, A, checked=checked), anchor)
+                except (ValueError, SingularMatrixError) as e:
+                    row_reason = str(e)
+                norm_reason.setdefault(norm, row_reason)
             for q in CATALOG_QS:
                 cell = {
                     "table": table,

@@ -13,6 +13,7 @@ import compatamg as cm
 import compatamg.projection as projection
 from compatamg.cli import main
 from compatamg.linalg import RANK_RTOL
+from compatamg.transfer import CATALOG_QS
 from conftest import random_spd
 
 NORM_TAGS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
@@ -41,6 +42,19 @@ def test_canonical_angles_of_two_lines():
         assert ang.cos_max == pytest.approx(np.cos(theta), rel=1e-12, abs=1e-16)
         assert ang.min_angle == pytest.approx(np.pi / 2 - theta, rel=1e-12)
         assert ang.pi_norm == pytest.approx(1.0 / np.cos(theta), rel=1e-12)
+
+
+def test_canonical_angles_of_two_planes_in_three_space():
+    # k = 2 > n/2: one row of the reflected basis lies outside the other
+    # plane, so one sine is read and the other is zero
+    theta = 0.4
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    Y = np.array([[1.0, 0.0], [0.0, np.cos(theta)], [0.0, np.sin(theta)]])
+    Y = Y @ [[2.0, 1.0], [0.0, 3.0]]
+    ang = cm.canonical_angles(X, Y)
+    np.testing.assert_allclose(ang.sines, [np.sin(theta), 0.0], rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(ang.cosines, [1.0, np.cos(theta)], rtol=1e-14)
+    assert ang.pi_norm == pytest.approx(1.0 / np.cos(theta), rel=1e-14)
 
 
 def test_canonical_angles_equal_subspaces_read_exactly_one():
@@ -329,17 +343,33 @@ def test_compat_eq_reads_exact_pairs_with_a_large_z_entry():
 
 
 def _record_decompositions(monkeypatch, shapes):
-    """Record the shape of every SVD and QR made from now on, by family."""
+    """Record the shape of every SVD and QR made from now on, by family.
+
+    A QR counts under "qr" in the default or economic mode and under
+    "qr <mode>" otherwise; a Householder application (LAPACK dormqr) counts
+    under "dormqr" with the shape of its reflector matrix, and its workspace
+    query (lwork = -1) does not count.
+    """
     def recording(fn, family):
         def wrapper(a, *args, **kwargs):
-            shapes[family].append(np.shape(a))
+            key = family
+            if family == "qr" and kwargs.get("mode", "economic") != "economic":
+                key = f"qr {kwargs['mode']}"
+            shapes.setdefault(key, []).append(np.shape(a))
             return fn(a, *args, **kwargs)
         return wrapper
 
+    def recording_dormqr(side, trans, a, tau, c, lwork, **kwargs):
+        if lwork != -1:
+            shapes.setdefault("dormqr", []).append(np.shape(a))
+        return dormqr(side, trans, a, tau, c, lwork, **kwargs)
+
+    dormqr = scipy.linalg.lapack.dormqr
     monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd, "svd"))
     monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd, "svd"))
     monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd, "svd"))
     monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr, "qr"))
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", recording_dormqr)
 
 
 def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monkeypatch, tmp_path):
@@ -354,7 +384,7 @@ def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monke
     cases.append((cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
                                g.standard_normal((part.nf, part.nc))), "SqrtAstarA"))
     cases = [(pair, cm.realize_norm(tag, A, factored=True)) for pair, tag in cases]
-    shapes = {"svd": [], "qr": []}
+    shapes = {}
 
     def no_build_pi(*args, **kwargs):
         raise AssertionError("projection_report formed the dense Pi")
@@ -363,42 +393,49 @@ def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monke
     _record_decompositions(monkeypatch, shapes)
     reports = [cm.projection_report(A, pair, G) for pair, G in cases]
     assert all(r["compat_eq"] for r in reports[:4]) and not reports[4]["compat_eq"]
-    made = shapes["svd"] + shapes["qr"]
+    made = sum(shapes.values(), [])
     assert made
     assert all(min(s[-2:]) < n for s in made), made
 
     n = 24
     for command in ("tables", "figure1"):
-        shapes["svd"].clear(), shapes["qr"].clear()
+        shapes.clear()
         out = tmp_path / f"{command}.json"
         main([command, "--problem", "random", "--n", str(n), "--output", str(out)])
         assert json.loads(out.read_text())["results"]
-        made = shapes["svd"] + shapes["qr"]
+        made = sum(shapes.values(), [])
         assert made
         assert all(min(s[-2:]) < n for s in made), (command, made)
 
 
+def _kernel_calls(n, cases):
+    """The decompositions of the given number of cases of n x n/2 pairs: per
+    case the kernel's economic QR of G P, raw QR of G^{-*} A* R, dormqr with
+    those reflectors, and SVD of the n/2 x n/2 block outside range(G^{-*} A* R)."""
+    return {"qr": [(n, n // 2)] * cases, "qr raw": [(n, n // 2)] * cases,
+            "dormqr": [(n, n // 2)] * cases, "svd": [(n // 2, n // 2)] * cases}
+
+
 def test_tables_cell_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
-    # the kernel's QR basis of G^{-*} A* R decides compat_eq too, and every
-    # angle of a compatible cell is below pi/4, so its cosines are not read
+    # the kernel's reflection of G P decides compat_eq too, and every angle of
+    # a compatible cell is below pi/4, so its cosines are not read
     n = 24
-    shapes = {"svd": [], "qr": []}
+    shapes = {}
     _record_decompositions(monkeypatch, shapes)
     out = tmp_path / "tables.json"
     assert main(["tables", "--problem", "random", "--n", str(n), "--output", str(out)]) == 0
     measured = [r for r in json.loads(out.read_text())["results"] if not r.get("skipped")]
     assert len(measured) == 40 and all(r["compat_eq"] and r["pass"] for r in measured)
-    assert shapes["qr"] == [(n, n // 2)] * (2 * len(measured))
-    assert shapes["svd"] == [(n, n // 2)] * len(measured)
+    assert shapes == _kernel_calls(n, len(measured))
 
 
 def test_verify_pairs_case_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
-    # range_match is read off the kernel's angles, so a case makes the kernel's
-    # two thin QRs and its SVD of the sines and nothing more; the
-    # non-orthogonal random:7 case, at theta_max >= pi/4, also reads the
-    # cosines, one n_c x n_c SVD
+    # range_match and compat_eq are read off the kernel, so a case makes the
+    # kernel's two QRs, its reflection and its SVD of the sines and nothing
+    # more; the non-orthogonal random:7 case, at theta_max >= pi/4, also reads
+    # the cosines, one n_c x n_c SVD
     n = 24
-    shapes = {"svd": [], "qr": []}
+    shapes = {}
     _record_decompositions(monkeypatch, shapes)
     out = tmp_path / "verify.json"
     argv = ["verify-pairs", "--problem", "random", "--n", str(n), "--output", str(out)]
@@ -411,19 +448,22 @@ def test_verify_pairs_case_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path)
     control = results[4]
     assert control["min_angle"] < np.pi / 4
     assert not control["compat_eq"] and not any(control["orthogonality_checks"].values())
-    assert shapes["qr"] == [(n, n // 2)] * (2 * len(results))
-    assert shapes["svd"] == [(n, n // 2)] * len(results) + [(n // 2, n // 2)]
+    expected = _kernel_calls(n, len(results))
+    expected["svd"].append((n // 2, n // 2))
+    assert shapes == expected
 
-    # once the kernel has run for the case, the checks decompose nothing
+    # once the kernel has run for the case, the checks and compat_eq
+    # decompose nothing
     A = cm.generate(cm.ProblemSpec("random", n=n))
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single3")
     G = cm.realize_norm(tag, A, factored=True)
     corr = cm.coarse_correction(A, pair)
     cm.pi_m_norm(corr, G)
-    shapes["svd"].clear(), shapes["qr"].clear()
+    shapes.clear()
     assert cm.orthogonality_checks(corr, G).all_true
-    assert shapes == {"svd": [], "qr": []}
+    assert cm.verify_compat_equation(A, G, corr)
+    assert shapes == {}
 
 
 @pytest.mark.parametrize("kind, n, epsilon, cells", [("laplacian1d", 300, 0.0, 50),
@@ -456,6 +496,75 @@ def test_catalog_cells_keep_the_equivalence_chain(kind, n, epsilon, cells):
     assert measured == cells
 
 
+@pytest.mark.parametrize("kind, n, epsilon", [("random", 100, 0.0), ("laplacian1d", 300, 0.0),
+                                               ("advdiff1d", 200, 0.01)])
+def test_reflector_sines_and_compat_eq_match_the_explicit_basis(kind, n, epsilon):
+    # the kernel reads the sines off the rows of G P's basis that its
+    # Householder reflection puts outside range(G^{-*} A* R), and compat_eq
+    # off the same rows; both match the explicit-basis formulas. SqrtAstarA is
+    # not a catalog norm, so its cells are built on the catalog companions.
+    # Every sine of an exact cell is round-off: the two formulas agree to
+    # 8 eps absolute, and on the catalog cells compat_eq follows the
+    # stack-rank oracle. The explicit residual Qv - Qu (Qu* Qv) cancels down
+    # to a floor near 4 eps (its smallest sines read 1e-15 on laplacian1d,
+    # where the reflection reads 5e-17), so the two differ by 4 eps there.
+    # A random pair and an exact pair perturbed by 1e-7 read compat_eq
+    # false, as on the pair path; the oracle misses the perturbation on
+    # advdiff1d.
+    eps = np.finfo(float).eps
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=epsilon))
+    part = cm.default_splitting(n, "alternate")
+    # (norm, pair, exact, catalog cell)
+    cases = [(e.norm, e.pair, True, True) for e in cm.catalog_pairs(A, part) if not e.skipped]
+    for anchor in ("P", "R"):
+        for q in CATALOG_QS:
+            try:
+                cases.append(("SqrtAstarA", cm.ideal_pair(A, part, "SqrtAstarA", q, anchor),
+                              True, False))
+            except (ValueError, cm.SingularMatrixError):
+                pass
+    base = cases[0][1]
+    bump = np.zeros_like(base.P)
+    rng = np.random.default_rng(5)
+    bump[list(part.fpoints)] = 1e-7 * rng.standard_normal((part.nf, part.nc))
+    g = np.random.default_rng(0)
+    for pair in (cm.TransferPair(base.R, base.P + bump, part),
+                 cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
+                              g.standard_normal((part.nf, part.nc)))):
+        cases.append((cases[0][0], pair, False, False))
+    factors = {}
+    decisions = []
+    for norm, pair, exact, oracle in cases:
+        if norm not in factors:
+            factors[norm] = cm.realize_norm(norm, A, factored=True)
+        G = factors[norm]
+        corr = cm.coarse_correction(A, pair)
+        sines = corr.angles(G).sines
+        GP, GAR = corr.blocks(G)
+        Qu, _ = scipy.linalg.qr(GP, mode="economic")
+        Qv, _ = scipy.linalg.qr(GAR, mode="economic")
+        explicit = np.clip(np.linalg.svd(Qv - Qu @ (Qu.T @ Qv), compute_uv=False), 0.0, 1.0)
+        if exact:
+            assert np.max(np.abs(sines - explicit)) <= 8 * eps, (norm, pair)
+        else:
+            np.testing.assert_allclose(sines, explicit, rtol=1e-12, atol=8 * eps)
+        got = cm.verify_compat_equation(A, G, corr)
+        if oracle:
+            assert got == _stack_rank_compat(A, G, pair), (norm, pair)
+        assert got == cm.verify_compat_equation(A, G, pair), (norm, pair)
+        decisions.append(got)
+    assert not any(decisions[-2:]) and all(decisions[:-2])
+
+
+def _reflected(X, Y):
+    """Z = H* Qu: the thin QR basis Qu of X in the Householder frame H of Y's QR."""
+    Qu, _ = scipy.linalg.qr(X, mode="economic")
+    (h, tau), _ = scipy.linalg.qr(Y, mode="raw")
+    dormqr = scipy.linalg.lapack.dormqr
+    lwork = int(dormqr("L", "T", h, tau, Qu, -1)[1][0])
+    return dormqr("L", "T", h, tau, Qu, lwork)[0]
+
+
 @pytest.mark.parametrize("theta_max", [0.3, 1.2])
 def test_cosines_are_read_lazily_with_the_eager_bits(monkeypatch, theta_max):
     # subspaces at the angles 0.05 .. theta_max, below and above pi/4
@@ -478,8 +587,8 @@ def test_cosines_are_read_lazily_with_the_eager_bits(monkeypatch, theta_max):
     assert ang.pi_norm == pytest.approx(1.0 / np.cos(theta_max), rel=1e-12)
     ang.nonorth_sup, ang.min_angle
     assert len(svds) == (0 if theta_max < np.pi / 4 else 1)
-    Qu, _ = scipy.linalg.qr(X, mode="economic")
-    Qv, _ = scipy.linalg.qr(Y, mode="economic")
-    eager = np.clip(svd(Qu.T @ Qv, compute_uv=False), 0.0, 1.0)
+    Z = _reflected(X, Y)
+    eager = np.clip(svd(Z[:k].T, compute_uv=False), 0.0, 1.0)
     np.testing.assert_array_equal(ang.cosines, eager)
     assert len(svds) == 1
+

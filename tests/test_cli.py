@@ -424,3 +424,28 @@ def test_stdout_output(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "figure1"
+
+
+@pytest.mark.parametrize("problem, computable", [("random", 40), ("laplacian1d", 50)])
+def test_tables_checks_each_spd_norm_once(monkeypatch, tmp_path, problem, computable):
+    # the SPD norms A, Asym and AstarAsymInvA are checked once each for the
+    # whole command: table 1 checks them, and table 2 and the factors the
+    # cells are measured in take the check as read. A random A is not
+    # symmetric, so its norm-A rows are skipped with the check's reason.
+    import compatamg.linalg as linalg
+
+    checked = []
+    spd_check = linalg.spd_check
+
+    def recording(M, *args, **kwargs):
+        checked.append(M.shape)
+        return spd_check(M, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "spd_check", recording)
+    code, report = _run_json(tmp_path, ["tables", "--problem", problem, "--n", "24"])
+    assert code == 0
+    assert len(checked) == 3
+    measured = [r for r in report["results"] if not r.get("skipped")]
+    assert len(measured) == computable
+    skipped = {r["reason"] for r in report["results"] if r.get("skipped")}
+    assert skipped <= {"norm tag 'A' requires A to be SPD"}

@@ -13,9 +13,11 @@ from compatamg.linalg import (
     COND_LIMIT,
     SingularMatrixError,
     RANK_RTOL,
+    inv_checked,
     lu_solver,
     orth_basis,
     require_nonsingular,
+    solve_checked,
     spd_sqrt_pair,
 )
 from conftest import random_spd, random_stable
@@ -336,3 +338,58 @@ def test_orth_basis_examples():
     assert B.shape == (3, 1)
     np.testing.assert_allclose(np.abs(B[:, 0]), [0.6, 0.0, 0.8], atol=1e-15)
     np.testing.assert_allclose(np.abs(orth_basis(np.eye(3))), np.eye(3), atol=0)
+
+
+def _structure_kinds(rng, n):
+    """One matrix of each structure scipy.linalg.solve tells apart, and three
+    general ones: banded wider than tridiagonal, Hessenberg and symmetric up
+    to one ulp-sized entry."""
+    D = rng.standard_normal((n, n)) + n * np.eye(n)
+    S = D + D.T
+    near = S.copy()
+    near[0, -1] += 1e-14
+    return {
+        "diagonal": (np.diag(np.diag(D)), False),
+        "upper": (np.triu(D), False),
+        "lower": (np.tril(D), False),
+        "bidiagonal": (np.tril(np.triu(D), 1), False),
+        "tridiagonal": (np.triu(np.tril(D, 1), -1), False),
+        "symmetric": (S, False),
+        "spd": (D @ D.T + np.eye(n), False),
+        "dense": (D, True),
+        "pentadiagonal": (np.triu(np.tril(D, 2), -2), True),
+        "hessenberg": (np.triu(D, -1), True),
+        "near_symmetric": (near, True),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 5, 150])
+def test_checked_solve_and_inverse_keep_scipys_bits(monkeypatch, n):
+    # a general matrix is solved and inverted on the guard's own LU factor,
+    # without a second factorization by scipy; a structured one keeps scipy's
+    # dedicated solver. Either way the bits are scipy's.
+    rng = np.random.default_rng(8)
+    called = []
+    solve, inv = scipy.linalg.solve, scipy.linalg.inv
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            called.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, (A, general) in _structure_kinds(rng, n).items():
+        for B in (rng.standard_normal((n, 3)), rng.standard_normal(n)):
+            expected = solve(A, B)
+            monkeypatch.setattr(scipy.linalg, "solve", recording(solve))
+            got = solve_checked(A, B)
+            monkeypatch.undo()
+            assert got.shape == expected.shape and np.array_equal(got, expected), name
+        expected = inv(A)
+        monkeypatch.setattr(scipy.linalg, "inv", recording(inv))
+        got = inv_checked(A)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected), name
+        # a 2 x 2 matrix is tridiagonal, so it always goes to scipy
+        assert called == ([] if general and n > 2 else ["solve", "solve", "inv"]), name
+        called.clear()
