@@ -128,12 +128,17 @@ class CanonicalAngles:
 
     @property
     def _extreme(self):
-        """(sin, cos) of theta_max: read from the sine below pi/4, the cosine above."""
+        """(sin, cos) of theta_max: read from the sine below pi/4, the cosine above.
+
+        Below pi/4 the cosine is sqrt(1 - s*s), which rounds to exactly 1 for
+        every s <= 2^-27, so an exact pair reads pi_norm 1.0; the factored
+        form (1 - s)(1 + s) puts such pairs at 1 +- 1 ulp.
+        """
         if self.sines.size == 0:
             return 0.0, 1.0
         s = float(self.sines[0])
         if s * s <= 0.5:
-            return s, math.sqrt((1.0 - s) * (1.0 + s))
+            return s, math.sqrt(1.0 - s * s)
         c = float(self.cosines[-1])
         return math.sqrt((1.0 - c) * (1.0 + c)), c
 

@@ -2,6 +2,7 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,29 @@ def test_canonical_angles_equal_subspaces_read_exactly_one():
     assert ang.nonorth_sup <= 1e-14
     with pytest.raises(ValueError, match="same shape"):
         cm.canonical_angles(X, X[:, :3])
+
+
+def _angles_with_sine(s):
+    """CanonicalAngles of two lines whose sine reads exactly s."""
+    return cm.CanonicalAngles(np.array([s]), np.array([[np.sqrt(1.0 - s * s)]]))
+
+
+def test_small_sines_read_pi_norm_exactly_one():
+    # below 2^-27 the sine is round-off of an exact pair: 1 - s*s rounds to
+    # 1, so pi_norm is 1.0 and not 1 +- 1 ulp
+    rng = np.random.default_rng(4)
+    sines = np.concatenate([[0.0, 2.0**-27, np.nextafter(2.0**-27, 0.0), 1e-14, 7e-9],
+                            10.0 ** rng.uniform(-300.0, np.log10(2.0**-27), 4000)])
+    for s in sines:
+        ang = _angles_with_sine(float(s))
+        assert ang.cos_max == 1.0 and ang.pi_norm == 1.0, s
+    # up to pi/4 the cosine stays within one ulp of sqrt(1 - s^2), decided in
+    # exact rational arithmetic
+    for s in np.concatenate([[1e-8, 1e-4, 0.3, 0.707], rng.uniform(0.0, 0.707, 200)]):
+        c = _angles_with_sine(float(s)).cos_max
+        ulp = Fraction(float(np.spacing(c)))
+        exact = 1 - Fraction(float(s)) ** 2
+        assert (Fraction(c) - ulp) ** 2 <= exact <= (Fraction(c) + ulp) ** 2, s
 
 
 @pytest.mark.parametrize("tag", NORM_TAGS)
