@@ -12,6 +12,11 @@ from its pair's coarse correction (compatamg.projection.coarse_correction):
 the canonical-angle kernel, the compatibility equation and, in verify-pairs,
 the four orthogonality conditions all work on the pair's thin factors, so no
 command forms M or Pi or decomposes an n x n matrix to measure a case.
+
+Each command holds one ProblemStore for its problem matrix A: the guarded LU
+of A, the Cholesky factor of (A + A*)/2, the norm factors and the ideal
+blocks are made there once and shared by every case, also across
+COMPATAMG_THREADS workers, and dropped when the command returns.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import NormSpec, SingularMatrixError, partition, realize_norm
+from .linalg import NormSpec, ProblemStore, SingularMatrixError, realize_norm
 from .matio import load_matrix
 from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, generate
 from .projection import (
@@ -49,11 +54,9 @@ from .solver import (
 from .transfer import (
     SINGLE_OPERATOR_PAIRS,
     catalog_pairs,
+    ideal_blocks_pair,
     ideal_pair,
-    ideal_w,
-    ideal_z,
     make_pair,
-    realize_q,
     single_operator_pair,
 )
 
@@ -162,13 +165,18 @@ def _problem_setup(cfg):
     return A, part
 
 
-def _build_pair(A, part, recipe):
-    """Resolve one --pair recipe to (name, pair_or_None, intrinsic_norm_or_None)."""
+def _build_pair(store, part, recipe):
+    """Resolve one --pair recipe to (name, pair_or_None, intrinsic_norm_or_None).
+
+    The pair is built on store.A, through the factors and ideal blocks of the
+    ProblemStore store.
+    """
+    A = store.A
     r = recipe.strip()
     if r == "none":
         return r, None, None
     if r in _SINGLE_NAMES:
-        pair, tag = single_operator_pair(A, part, r)
+        pair, tag = single_operator_pair(A, part, r, store)
         return r, pair, tag
     if r.startswith(("t1:", "t2:")):
         bits = r.split(":")
@@ -176,7 +184,7 @@ def _build_pair(A, part, recipe):
             raise ConfigError(f"--pair: catalog recipe must be t1:<norm>:<q>, got {recipe!r}")
         anchor = "P" if bits[0] == "t1" else "R"
         try:
-            pair = ideal_pair(A, part, bits[1], bits[2], anchor)
+            pair = ideal_pair(A, part, bits[1], bits[2], anchor, store)
             tag = NormSpec(bits[1]).tag
         except ValueError as e:
             raise ConfigError(f"--pair {recipe!r}: {e}") from e
@@ -206,22 +214,26 @@ def cmd_verify_pairs(cfg):
     A, part = _problem_setup(cfg)
     if not cfg.pairs:
         raise ConfigError("--pair: at least one pair recipe is required")
-    built = [_build_pair(A, part, r) for r in cfg.pairs]
     norms = [_canon_norm(t) for t in cfg.norms]
+    store = ProblemStore(A)
 
-    cases = []
-    for name, pair, intrinsic in built:
-        if pair is None:
-            raise ConfigError(f"--pair: recipe {name!r} builds no pair; not usable here")
-        for tag in norms or [intrinsic or "identity"]:
-            expected = cfg.expect_orthogonal or (intrinsic is not None and tag == intrinsic)
-            cases.append((name, pair, tag, expected))
+    def cases():
+        # each pair is built when its first case is drawn and dropped after
+        # its last, so one pair at a time is held besides the cases in flight
+        for recipe in cfg.pairs:
+            name, pair, intrinsic = _build_pair(store, part, recipe)
+            if pair is None:
+                raise ConfigError(f"--pair: recipe {name!r} builds no pair; not usable here")
+            for tag in norms or [intrinsic or "identity"]:
+                expected = cfg.expect_orthogonal or (intrinsic is not None and tag == intrinsic)
+                yield name, pair, tag, expected
+            del pair
 
     def run(case):
         name, pair, tag, expected = case
         rec = {"pair": name, "norm": tag, "expected_orthogonal": expected}
         try:
-            M = realize_norm(tag, A, factored=True)
+            M = realize_norm(tag, A, factored=True, store=store)
         except ValueError as e:
             rec.update(skipped=True, reason=str(e))
             if expected:
@@ -232,34 +244,16 @@ def cmd_verify_pairs(cfg):
             rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
 
-    results = _map_cases(run, cases)
+    results = _map_cases(run, cases())
     failed = [r for r in results if r.get("pass") is False]
     return (1 if failed else 0), results, not failed
 
 
-def _built(fn, *args, **kwargs):
-    """(fn(*args, **kwargs), None), or (None, reason) when the construction fails."""
-    try:
-        return fn(*args, **kwargs), None
-    except (ValueError, SingularMatrixError) as e:
-        return None, str(e)
-
-
 def cmd_figure1(cfg):
     A, part = _problem_setup(cfg)
-    # the norm factors and ideal blocks that several edges share, each built once
-    factors = {
-        norm: _built(realize_norm, norm, A, factored=True)
-        for norm in dict.fromkeys(e[1] for e in FIGURE_EDGES)
-    }
-    zs = {
-        q: _built(lambda q: ideal_z(partition(realize_q(q, A), part)), q)
-        for q in dict.fromkeys(e[2] for e in FIGURE_EDGES)
-    }
-    ws = {
-        q: _built(lambda q: ideal_w(partition(realize_q(q, A), part)), q)
-        for q in dict.fromkeys(e[3] for e in FIGURE_EDGES)
-    }
+    # the norm factors and ideal blocks that several edges share are each
+    # built once, in the store
+    store = ProblemStore(A)
 
     def run(edge):
         style, norm, r_q, p_q = edge
@@ -270,16 +264,11 @@ def cmd_figure1(cfg):
             "p_q": p_q,
             "norm": norm,
         }
-        built = (factors[norm], zs[r_q], ws[p_q])
-        reason = next((why for _, why in built if why is not None), None)
-        if reason is None:
-            (M, _), (Z, _), (W, _) = built
-            try:
-                corr = coarse_correction(A, make_pair(part, Z, W))
-            except (ValueError, SingularMatrixError) as e:
-                reason = str(e)
-        if reason is not None:
-            rec.update(skipped=True, reason=reason)
+        try:
+            M = realize_norm(norm, A, factored=True, store=store)
+            corr = coarse_correction(A, ideal_blocks_pair(A, part, r_q, p_q, store))
+        except (ValueError, SingularMatrixError) as e:
+            rec.update(skipped=True, reason=str(e))
             return rec
         rec["pi_norm"] = float(pi_m_norm(corr, M))
         rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
@@ -292,17 +281,9 @@ def cmd_figure1(cfg):
 
 def cmd_tables(cfg):
     A, part = _problem_setup(cfg)
-    # one factor per norm, shared read-only by its cells in both tables
-    factors = {}
-
-    def cells():
-        # each cell is built as the sweep reaches it, and its pair is dropped
-        # once it is measured. The sweep has checked the norm of a computable
-        # cell on A, so its factor is realized without a second check.
-        for entry in catalog_pairs(A, part):
-            if not entry.skipped and entry.norm not in factors:
-                factors[entry.norm] = realize_norm(entry.norm, A, factored=True, checked=True)
-            yield entry
+    # one factor per norm, shared read-only by its cells in both tables; the
+    # sweep has decided each norm's preconditions in the same store
+    store = ProblemStore(A)
 
     def run(entry):
         rec = {
@@ -317,14 +298,16 @@ def cmd_tables(cfg):
         if entry.skipped:
             rec.update(skipped=True, reason=entry.reason)
             return rec
-        M = factors[entry.norm]
+        M = realize_norm(entry.norm, A, factored=True, store=store)
         corr = coarse_correction(A, entry.pair)
         rec["pi_norm"] = float(pi_m_norm(corr, M))
         rec["compat_eq"] = verify_compat_equation(A, M, corr)
         rec["pass"] = rec["compat_eq"] and abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
 
-    results = _map_cases(run, cells())
+    # each cell is built as the sweep reaches it, and its pair is dropped
+    # once it is measured
+    results = _map_cases(run, catalog_pairs(A, part, store))
     failed = [r for r in results if r.get("pass") is False]
     return (1 if failed else 0), results, not failed
 
@@ -332,7 +315,10 @@ def cmd_tables(cfg):
 def cmd_converge(cfg):
     A, part = _problem_setup(cfg)
     recipes = cfg.pairs or ["single1"]
-    built = [_build_pair(A, part, r) for r in recipes]
+    store = ProblemStore(A)
+    # each pair is built when its case is drawn, so one pair at a time is
+    # held besides the cases in flight
+    built = (_build_pair(store, part, r) for r in recipes)
     rng = np.random.default_rng(cfg.problem.seed)
     b = rng.standard_normal(A.shape[0])
     x0 = np.zeros(A.shape[0])

@@ -16,12 +16,27 @@ number; the two condition numbers differ by at most a factor n. lu_solver
 hands the guard's factor on as a solve closure, so a matrix used for many
 solves is factored once, and solve_checked and inv_checked solve with it
 wherever scipy would factor the same matrix by its general LU.
+
+A symmetric matrix is accepted as positive definite by its Cholesky factor:
+LAPACK dpotrf must succeed on the symmetric part and the reciprocal condition
+estimate dpocon reads off that factor must exceed SPD_TOL. Like COND_LIMIT,
+SPD_TOL is thus a bound on an estimate of the 1-norm condition number, not
+on the eigenvalue ratio lambda_min / lambda_max; for a symmetric matrix the
+two condition numbers differ by at most a factor n, and the factor that
+decided is the one the norm is applied through, so no eigenvalue problem is
+solved.
+
+One command works on one problem matrix A, and a ProblemStore carries what
+its cases share: the guarded LU of A, the Cholesky factor of (A + A*)/2 and
+the norm factors built from them, each made once for the command and dropped
+with it.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -39,6 +54,7 @@ __all__ = [
     "schur_c",
     "schur_f",
     "NormFactor",
+    "ProblemStore",
     "realize_norm",
     "as_norm_factor",
     "spd_check",
@@ -56,7 +72,9 @@ __all__ = [
 # exceeds this is treated as singular.
 COND_LIMIT = 1e12
 
-# Default relative tolerance for symmetry / positive-definiteness checks.
+# Default relative tolerance for symmetry / positive-definiteness checks: a
+# symmetric matrix is SPD when its Cholesky factor's reciprocal 1-norm
+# condition estimate (LAPACK dpocon) exceeds it.
 SPD_TOL = 1e-10
 
 # Rank decisions keep singular values above RANK_RTOL * (leading singular value).
@@ -122,20 +140,21 @@ def _is_tridiagonal(A):
     return A.shape[0] >= 3 and not (np.triu(A, 2).any() or np.tril(A, -2).any())
 
 
-def lu_solver(A, what="matrix", structured=False):
+def lu_solver(A, what="matrix", structured=False, lu=None):
     """Guard A as require_nonsingular does and return a solve against its LU factor.
 
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1,
     by two triangular solves. It is safe to share between threads: scipy's
     getrs wrapper shifts the pivot indices in place during each call, so
-    every solve gets its own copy of them.
+    every solve gets its own copy of them. lu is the guard's (lu, piv) when
+    the caller already holds it.
 
     With structured=True a tridiagonal A is factored instead by tridiagonal
     elimination with partial pivoting (dgttrf), the elimination that
     scipy.linalg.solve runs on a tridiagonal matrix, so each solve gives the
     same bits as solve_checked.
     """
-    lu, piv = _guarded_lu(A, what)
+    lu, piv = _guarded_lu(A, what) if lu is None else lu
     A = np.asarray(A, dtype=float)
     if structured and _is_tridiagonal(A):
         dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.diag(A, -1), np.diag(A), np.diag(A, 1))
@@ -187,17 +206,19 @@ def solve_checked(A, B, what="matrix"):
     return scipy.linalg.solve(A, B)
 
 
-def inv_checked(A, what="matrix"):
+def inv_checked(A, what="matrix", lu=None):
     """A^{-1} after rejecting numerically singular A, with the bits of scipy.linalg.inv.
 
     Where scipy would take its general LU path, the inverse is dgetri on the
-    guard's dgetrf factor, with the optimal workspace scipy uses.
+    guard's dgetrf factor, with the optimal workspace scipy uses. lu is the
+    guard's (lu, piv) when the caller already holds it; it is left intact.
     """
-    lu, piv = _guarded_lu(A, what)
+    own = lu is None
+    lu, piv = _guarded_lu(A, what) if own else lu
     A = np.asarray(A, dtype=float)
     if _general_lu_path(A):
         lwork = int(lapack.dgetri_lwork(A.shape[0])[0])
-        return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=1)[0]
+        return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=int(own))[0]
     del lu, piv
     return scipy.linalg.inv(A)
 
@@ -370,27 +391,40 @@ class NormSpec:
             raise ValueError(f"norm tag {self.tag!r} does not take a payload")
 
 
-def spd_check(M, tol=SPD_TOL):
-    """True iff M is symmetric positive definite to relative tolerance tol.
+def _symmetric(M, tol):
+    """||M - M*||_F <= tol * ||M||_F, for a nonzero finite square M."""
+    nrm = np.linalg.norm(M)
+    return nrm > 0.0 and np.linalg.norm(M - M.T) <= tol * nrm
 
-    Requires ||M - M*|| <= tol * ||M|| and lambda_min of the symmetric part
-    strictly above tol * lambda_max. Never raises; returns False on any
-    structural failure.
+
+def _spd_cholesky(M, tol=SPD_TOL):
+    """Lower Cholesky factor of (M + M*)/2 when M is SPD to tolerance tol, else None.
+
+    M must be symmetric to relative tolerance tol, dpotrf must succeed on its
+    symmetric part, and the dpocon reciprocal 1-norm condition estimate read
+    off that factor must exceed tol.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        return False
-    if not np.all(np.isfinite(M)):
-        return False
-    nrm = np.linalg.norm(M)
-    if nrm == 0.0:
-        return False
-    if np.linalg.norm(M - M.T) > tol * nrm:
-        return False
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if w[-1] <= 0.0:
-        return False
-    return bool(w[0] > tol * w[-1])
+        return None
+    if not np.all(np.isfinite(M)) or not _symmetric(M, tol):
+        return None
+    S = (M + M.T) / 2.0
+    L, info = lapack.dpotrf(S, lower=1, clean=1)
+    if info != 0:
+        return None
+    rcond, info = lapack.dpocon(L, np.linalg.norm(S, 1), uplo="L")
+    return L if info == 0 and rcond > tol else None
+
+
+def spd_check(M, tol=SPD_TOL):
+    """True iff M is symmetric positive definite to relative tolerance tol.
+
+    Requires ||M - M*|| <= tol * ||M|| and a Cholesky factor of the symmetric
+    part whose reciprocal condition estimate exceeds tol (see the module
+    docstring). Never raises; returns False on any structural failure.
+    """
+    return _spd_cholesky(M, tol) is not None
 
 
 @dataclass(frozen=True)
@@ -400,6 +434,10 @@ class NormFactor:
     Each method applies one of G, G*, G^{-1}, G^{-*} to an n x k block, by
     products with and triangular or LU solves against factors computed once.
     Built by realize_norm(..., factored=True) or as_norm_factor.
+
+    For the norms built on a problem matrix A, A is that matrix, and
+    adj_astar, where the tag gives it by algebra, applies G^{-*} A* without
+    a solve: X for G = A (AstarA) and L* X for G = L^{-1} A (AstarAsymInvA).
     """
 
     tag: str
@@ -407,6 +445,8 @@ class NormFactor:
     apply_adj: Callable    # X -> G* X
     solve: Callable        # X -> G^{-1} X
     solve_adj: Callable    # X -> G^{-*} X
+    A: np.ndarray | None = field(default=None, repr=False, compare=False)
+    adj_astar: Callable | None = field(default=None, repr=False, compare=False)
 
     def gram(self, X):
         """M X = G*(G X)."""
@@ -420,9 +460,8 @@ def _identity_factor():
     return NormFactor("identity", same, same, same, same)
 
 
-def _cholesky_factor(tag, S):
-    """G = L* for S = L L*, S symmetric positive definite."""
-    L = scipy.linalg.cholesky((S + S.T) / 2.0, lower=True)
+def _cholesky_factor(tag, L):
+    """G = L* for M = L L*, from the lower Cholesky factor L."""
     return NormFactor(
         tag,
         lambda X: L.T @ X,
@@ -432,24 +471,27 @@ def _cholesky_factor(tag, S):
     )
 
 
-def _factored_norm(tag, A, S, lu_solve):
+def _factored_norm(tag, A, L, lu_solve):
     """The factor G of the norm selected by tag, preconditions already checked.
 
-    S is the SPD matrix the tag's check accepted: A, Asym or the payload.
-    lu_solve solves with A against the LU factor of the guard on A.
+    L is the lower Cholesky factor of the SPD matrix the tag's check accepted:
+    (A + A*)/2 or the payload. lu_solve solves with A against the LU factor of
+    the guard on A.
     """
     if tag == "identity":
         return _identity_factor()
     if tag in ("A", "Asym", "Custom"):
-        return _cholesky_factor(tag, S)
+        return _cholesky_factor(tag, L)
     if tag == "AstarA":
-        # G = A
+        # G = A, so G^{-*} A* = I
         return NormFactor(
             tag,
             lambda X: A @ X,
             lambda X: A.T @ X,
             lu_solve,
             lambda X: lu_solve(X, trans=1),
+            A=A,
+            adj_astar=lambda X: np.asarray(X, dtype=float),
         )
     if tag == "SqrtAstarA":
         # G = Sigma^{1/2} V* from the SVD A = U Sigma V*
@@ -464,59 +506,132 @@ def _factored_norm(tag, A, S, lu_solve):
         )
     if tag == "AstarAsymInvA":
         # G = L^{-1} A with Asym = L L*; C is the factor L* of Asym, so that
-        # L^{-1} = C.solve_adj and L = C.apply_adj
-        C = _cholesky_factor(tag, S)
+        # L^{-1} = C.solve_adj and L = C.apply_adj, and G^{-*} A* = L* = C.apply
+        C = _cholesky_factor(tag, L)
         return NormFactor(
             tag,
             lambda X: C.solve_adj(A @ X),
             lambda X: A.T @ C.solve(X),
             lambda X: lu_solve(C.apply_adj(X)),
             lambda X: C.apply(lu_solve(X, trans=1)),
+            A=A,
+            adj_astar=C.apply,
         )
     raise AssertionError(f"unhandled norm tag {tag!r}")
 
 
-def realize_norm(spec, A, tol=SPD_TOL, factored=False, checked=False):
+class ProblemStore:
+    """The factorizations of one problem matrix A that its cases share.
+
+    Each entry is built on first use and then kept: the guarded LU of A, the
+    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
+    factors realized from them and, through compatamg.transfer, the ideal
+    blocks of the companion matrices. A store serves one command and is
+    dropped with it, so nothing outlives the problem. Entries are built
+    under one lock, since case threads share the store; a construction that
+    fails is kept as its error and raised again to every later caller.
+    """
+
+    def __init__(self, A):
+        self.A = as_matrix(A, "A")
+        self._lock = threading.RLock()
+        self._built = {}
+
+    def get(self, key, build):
+        """The entry under key, made by build() on first use."""
+        with self._lock:
+            if key not in self._built:
+                try:
+                    self._built[key] = (build(), None)
+                except (ValueError, SingularMatrixError) as e:
+                    self._built[key] = (None, e)
+            value, error = self._built[key]
+        if error is not None:
+            raise type(error)(str(error))
+        return value
+
+    def lu(self):
+        """The guard's LU factor (lu, piv) of A, read-only."""
+        def build():
+            lu, piv = _guarded_lu(self.A, "A")
+            lu.setflags(write=False)
+            piv.setflags(write=False)
+            return lu, piv
+
+        return self.get("lu", build)
+
+    def lu_solve(self):
+        """lu_solver(A, "A") on the stored factor."""
+        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.lu()))
+
+    def asym_cholesky(self, tol=SPD_TOL):
+        """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD to tol."""
+        A = self.A
+        return self.get(("asym", tol), lambda: _spd_cholesky((A + A.T) / 2.0, tol))
+
+
+def _norm_cholesky(tag, store, M, tol):
+    """The lower Cholesky factor of a Cholesky-factored tag's SPD matrix.
+
+    Raises the tag's precondition error when the matrix is not SPD. The A
+    tag's matrix is A itself, whose symmetric part is (A + A*)/2, so once A
+    is symmetric its Cholesky factor is the stored one.
+    """
+    if tag == "Custom":
+        L = _spd_cholesky(M, tol)
+        if L is None:
+            raise ValueError("custom norm matrix is not SPD")
+        return L
+    if tag == "A":
+        L = store.asym_cholesky(tol) if _symmetric(store.A, tol) else None
+        if L is None:
+            raise ValueError("norm tag 'A' requires A to be SPD")
+        return L
+    L = store.asym_cholesky(tol)
+    if L is None:
+        raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
+    return L
+
+
+def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
     """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
 
     With factored=True, return the NormFactor G with M = G* G instead, without
     forming M. Both forms check the same preconditions and raise the same
-    errors. checked=True takes them as read, for a caller that has already
-    realized the same spec on the same A: no SPD check is made, and the dense
-    form does not guard A, whose LU factor only the factored form uses.
+    errors. store is the ProblemStore of A, whose LU and Cholesky factors are
+    used and whose factor for the tag is returned once built; without one,
+    the factors are made for this call.
     """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
-    A = as_matrix(A, "A")
+    if store is None:
+        store = ProblemStore(A)
+    A = store.A
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
 
     tag = spec.tag
     M = None
-    if tag == "A":
-        if not checked and not spd_check(A, tol):
-            raise ValueError("norm tag 'A' requires A to be SPD")
-        M = A.copy()
-    elif tag in ("Asym", "AstarAsymInvA"):
-        M = (A + A.T) / 2.0
-        if not checked and not spd_check(M, tol):
-            raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
-    elif tag == "Custom":
+    if tag == "Custom":
         M = np.array(spec.payload, dtype=float)
         if M.shape != (n, n):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
-        if not checked and not spd_check(M, tol):
-            raise ValueError("custom norm matrix is not SPD")
-    # the guard on A, whose LU factor the factored norms solve with
-    lu_solve = None
-    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") and (factored or not checked):
-        lu_solve = lu_solver(A, "A")
-
     if factored:
-        return _factored_norm(tag, A, M, lu_solve)
+        if tag == "Custom":
+            return _factored_norm(tag, A, _norm_cholesky(tag, store, M, tol), None)
+        return store.get(("factor", tag, tol), lambda: _realized_factor(tag, store, tol))
+
+    if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
+        _norm_cholesky(tag, store, M, tol)
+    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
+        store.lu()  # the guard on A
     if tag == "identity":
         return np.eye(n)
+    if tag == "A":
+        return A.copy()
+    if tag == "Asym":
+        return (A + A.T) / 2.0
     if tag == "AstarA":
         return A.T @ A
     if tag == "SqrtAstarA":
@@ -524,18 +639,25 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, checked=False):
         _, s, Vt = np.linalg.svd(A)
         return (Vt.T * s) @ Vt
     if tag == "AstarAsymInvA":
-        return A.T @ scipy.linalg.solve(M, A, assume_a="pos")
+        return A.T @ scipy.linalg.solve((A + A.T) / 2.0, A, assume_a="pos")
     return M
 
 
+def _realized_factor(tag, store, tol):
+    """The factor G of a non-Custom tag on the store's A, preconditions checked."""
+    L = _norm_cholesky(tag, store, None, tol) if tag in ("A", "Asym", "AstarAsymInvA") else None
+    lu_solve = store.lu_solve() if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") else None
+    return _factored_norm(tag, store.A, L, lu_solve)
+
+
 def as_norm_factor(M, tol=SPD_TOL):
-    """NormFactor of a dense SPD matrix (Cholesky after spd_check); factors pass through."""
+    """NormFactor of a dense SPD matrix (its Cholesky factor); factors pass through."""
     if isinstance(M, NormFactor):
         return M
-    M = as_matrix(M, "M")
-    if not spd_check(M, tol):
+    L = _spd_cholesky(as_matrix(M, "M"), tol)
+    if L is None:
         raise ValueError("M must be SPD")
-    return _cholesky_factor("Custom", M)
+    return _cholesky_factor("Custom", L)
 
 
 def spd_sqrt_pair(M, tol=SPD_TOL):

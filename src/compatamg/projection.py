@@ -25,23 +25,38 @@ realize_norm(..., factored=True):
 
 A pair reaches the kernel as a CoarseCorrection, with bases G P and
 G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
-A dense projection reaches it through one SVD, which gives range(Pi) and
-range(Pi*), and a dense SPD M through its Cholesky factor.
+For G = A the second basis is R itself and for G = L^{-1} A it is L* R;
+the other norms solve with G* against A* R. A dense projection reaches the
+kernel through one SVD, which gives range(Pi) and range(Pi*), and a dense
+SPD M through its Cholesky factor.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
 range(G P) = range(G^{-*} A* R), and it is read off the kernel's reflection:
 the part of G P outside range(G^{-*} A* R) is those same rows times the R
-factor of G P, an n_c x n_c product. Of the four orthogonality conditions,
+factor of G P, a product with an n_c x n_c matrix. Of the four orthogonality conditions,
 range(M Pi) = range(Pi*) is that same G-space condition, so it is read off
 the kernel's canonical angles; neither decision costs cond(M) = cond(G)^2 in
-round-off. The other three are checked on the thin factors Pi = P B, with
-B = (R*AP)^{-1} R*A, and decompose nothing. One case thus makes one thin QR,
-one Householder QR, one application of its reflectors and one n_c x n_c SVD
-in all; the kernel's cosines are an SVD of their own, made only when read:
-theta_max below pi/4 is decided by the sines. A dense projection is checked
-in the original space, on pivoted-QR bases of range(M Pi) and range(Pi*); it
-is the reference the tests compare the correction against.
+round-off. M Pi = Pi* M is read in the kernel's frame too, and the other
+two conditions are checked on the thin factors Pi = P B, with
+B = (R*AP)^{-1} R*A. One verify-pairs case, with k = n_c, thus makes:
+
+    R*A and K = R*AP     for a classical pair [Z; I], [W; I] from Z and W
+                         only, and one guarded LU of K
+    G P, G^{-*} A* R     products, or triangular or LU solves (see above)
+    the kernel           one thin QR of G P, one Householder QR of
+                         G^{-*} A* R and one application of its reflectors
+    sin(theta_max)       the eigenvalues of one k x k Gram matrix
+    compat_eq            one product with the k x k R factor of G P
+    range_match          read off the angles
+    matches_m_adjoint    one k x k solve with K, products of k columns
+    m_pi_hermitian       B = K^{-1} R*A and the n x n product (M P) B
+    probes_orthogonal    products with an n x 64 block
+
+The cosines are a k x k SVD of their own, made only when theta_max reaches
+pi/4, and the full sines an SVD made only when read. A dense projection is
+checked in the original space, on pivoted-QR bases of range(M Pi) and
+range(Pi*); it is the reference the tests compare the correction against.
 """
 
 from __future__ import annotations
@@ -108,23 +123,49 @@ def build_pi(A, pair):
 
 @dataclass(frozen=True)
 class CanonicalAngles:
-    """Canonical angles between two subspaces of equal dimension.
+    """Canonical angles between two subspaces of equal dimension k.
 
-    For orthonormal bases Qu and Qv, sines are the singular values of the
-    part of Qu outside range(Qv), sorted descending, and inner is Qu* Qv.
-    cosines, the singular values of inner, are computed on first read. The
-    largest angle theta_max is read from its sine below pi/4 and from its
-    cosine above, so it is accurate in both regimes, and the cosines are read
-    only above.
+    For orthonormal bases Qu and Qv, outside holds the coordinates of the
+    part of Qu outside range(Qv) in an orthonormal frame, and inner is
+    Qu* Qv. The sines are the singular values of outside and the cosines
+    those of inner, each sorted descending and computed only when read. The
+    largest and smallest sines come from the eigenvalues of the k x k Gram
+    matrix outside* outside; the largest keeps its relative accuracy there,
+    while the smallest loses sines far below the largest one, and serves
+    only the range rule's cos(theta_min). The largest angle theta_max is
+    read from its sine below pi/4 and from its cosine above, so it is
+    accurate in both regimes, and the cosines are read only above.
     """
 
-    sines: np.ndarray
+    outside: np.ndarray = field(repr=False, compare=False)
     inner: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def k(self):
+        return self.inner.shape[0]
+
+    @cached_property
+    def sines(self):
+        """Singular values of outside, sorted descending; zero past its row count."""
+        sines = np.zeros(self.k)
+        s = np.linalg.svd(self.outside, compute_uv=False)
+        sines[: s.size] = np.clip(s, 0.0, 1.0)
+        return sines
 
     @cached_property
     def cosines(self):
         """Singular values of Qu* Qv, sorted descending."""
         return np.clip(np.linalg.svd(self.inner, compute_uv=False), 0.0, 1.0)
+
+    @cached_property
+    def sine_range(self):
+        """(sin theta_max, sin theta_min), from the Gram matrix's eigenvalues."""
+        if self.k == 0:
+            return 0.0, 0.0
+        E = self.outside
+        w = np.linalg.eigvalsh(E.T @ E)
+        lo = 0.0 if E.shape[0] < self.k else max(float(w[0]), 0.0)
+        return min(math.sqrt(max(float(w[-1]), 0.0)), 1.0), min(math.sqrt(lo), 1.0)
 
     @property
     def _extreme(self):
@@ -134,9 +175,9 @@ class CanonicalAngles:
         every s <= 2^-27, so an exact pair reads pi_norm 1.0; the factored
         form (1 - s)(1 + s) puts such pairs at 1 +- 1 ulp.
         """
-        if self.sines.size == 0:
+        if self.k == 0:
             return 0.0, 1.0
-        s = float(self.sines[0])
+        s = self.sine_range[0]
         if s * s <= 0.5:
             return s, math.sqrt(1.0 - s * s)
         c = float(self.cosines[-1])
@@ -158,7 +199,7 @@ class CanonicalAngles:
 
         Zero when the subspaces are {0}: the projection itself is zero.
         """
-        if self.sines.size == 0:
+        if self.k == 0:
             return 0.0
         c = self.cos_max
         return math.inf if c == 0.0 else 1.0 / c
@@ -185,15 +226,16 @@ def _reflect(h, tau, C):
 
 
 def _kernel(X, Y):
-    """(canonical_angles(X, Y), E, Ru) on the Householder frame H of range(Y).
+    """(canonical_angles(X, Y), Ru, Rv) on the Householder frame H of range(Y).
 
     Qu Ru is the thin QR of X and Y = H [Rv; 0] the Householder QR of Y, kept
     as its reflectors, so Qv, the first k columns of H, is never formed. In
     Z = H* Qu the top k rows are Qv* Qu, so inner = Qu* Qv is their
-    transpose, and E = Z[k:] holds the coordinates of Qu outside range(Y):
-    the sines are its singular values (Bjorck & Golub, Math. Comp. 27, 1973)
-    and the part of X outside range(Y) is H [0; E Ru]. When k > n/2, E has
-    only n - k rows, and the other 2k - n sines are zero.
+    transpose, and E = Z[k:], the angles' outside block, holds the
+    coordinates of Qu outside range(Y): the sines are its singular values
+    (Bjorck & Golub, Math. Comp. 27, 1973) and the part of X outside range(Y)
+    is H [0; E Ru]. When k > n/2, E has only n - k rows, and the other
+    2k - n sines are zero.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -201,27 +243,19 @@ def _kernel(X, Y):
         raise ValueError(f"bases must have the same shape, got {X.shape} and {Y.shape}")
     k = X.shape[1]
     if k == 0:
-        return CanonicalAngles(np.zeros(0), np.zeros((0, 0))), X, np.zeros((0, 0))
-    # the one array the angles keep is made before the n x k temporaries, so
-    # that it does not hold the heap above them once they are freed
-    inner = np.empty((k, k))
+        empty = np.zeros((0, 0))
+        return CanonicalAngles(X, empty), empty, empty
     Qu, Ru = scipy.linalg.qr(X, mode="economic")
-    (h, tau), _ = scipy.linalg.qr(Y, mode="raw")
+    (h, tau), Rv = scipy.linalg.qr(Y, mode="raw")
     Z = _reflect(h, tau, Qu)  # overwrites Qu
     del h
-    E = Z[k:]
-    sines = np.zeros(k)
-    s = np.linalg.svd(E, compute_uv=False)
-    sines[: s.size] = np.clip(s, 0.0, 1.0)
-    inner[...] = Z[:k].T
-    return CanonicalAngles(sines, inner), E, Ru
+    return CanonicalAngles(Z[k:], Z[:k].T), Ru, Rv
 
 
 def _orthonormal_angles(Qu, Qv):
     """Canonical angles between the ranges of orthonormal bases Qu and Qv."""
     C = Qu.T @ Qv
-    sines = np.clip(np.linalg.svd(Qv - Qu @ C, compute_uv=False), 0.0, 1.0)
-    return CanonicalAngles(sines, C)
+    return CanonicalAngles(Qv - Qu @ C, C)
 
 
 def canonical_angles(X, Y):
@@ -244,9 +278,33 @@ def _within(outside, whole):
                        <= RANK_RTOL * np.linalg.norm(whole, axis=0)))
 
 
-def _blocks(factor, P, AstarR):
-    """The kernel's bases G P and G^{-*} A* R for the factor G."""
-    return factor.apply(P), factor.solve_adj(AstarR)
+def _blocks(factor, A, pair, RA=None):
+    """The kernel's bases G P and G^{-*} A* R for the factor G.
+
+    G^{-*} A* R is taken by the factor's algebra when it was realized on
+    this A: R itself for G = A, L* R for G = L^{-1} A. Otherwise it is a
+    solve with G* against A* R, read as the transpose of R* A when given.
+    """
+    GP = factor.apply(pair.P)
+    if factor.adj_astar is not None and factor.A is A:
+        return GP, factor.adj_astar(pair.R)
+    return GP, factor.solve_adj(A.T @ pair.R if RA is None else RA.T)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The kernel's output for one correction and one factor G.
+
+    GP = G P = Qu Ru and G^{-*} A* R = H [Rv; 0]; the angles hold
+    Z = H* Qu as inner = Z[:k]* and outside = Z[k:], and compat_eq is
+    decided from the part of G P outside range(G^{-*} A* R), H [0; E Ru].
+    """
+
+    GP: np.ndarray
+    angles: CanonicalAngles
+    Ru: np.ndarray
+    Rv: np.ndarray
+    compat_eq: bool
 
 
 @dataclass(frozen=True)
@@ -262,9 +320,8 @@ class CoarseCorrection:
     pair: object
     RA: np.ndarray = field(repr=False, compare=False)     # R* A, n_c x n
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
-    # [factor, (G P, G^{-*} A* R), angles, compat_eq] of the last factor, so
-    # that every measure of one case shares one set of blocks and one kernel
-    # call
+    # [factor, _Frame] of the last factor, so that every measure of one case
+    # shares one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
@@ -273,33 +330,61 @@ class CoarseCorrection:
         return self.solve(self.RA)
 
     def blocks(self, factor):
-        """(G P, G^{-*} A* R) for the factor G, formed once per factor.
+        """(G P, G^{-*} A* R) for the factor G: the bases the kernel measures."""
+        return _blocks(factor, self.A, self.pair, self.RA)
 
-        A* R is read as the transpose of the R* A the correction holds.
-        """
+    def frame(self, factor):
+        """The kernel's _Frame for the factor G, computed once per factor."""
         if not (self._last and self._last[0] is factor):
-            self._last[:] = [factor, _blocks(factor, self.pair.P, self.RA.T), None, None]
+            self._last.clear()
+            GP, GAR = self.blocks(factor)
+            angles, Ru, Rv = _kernel(GP, GAR)
+            del GAR
+            compat = _within(angles.outside @ Ru, Ru)
+            self._last[:] = [factor, _Frame(GP, angles, Ru, Rv, compat)]
         return self._last[1]
 
     def angles(self, factor):
-        """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G.
-
-        The kernel's reflection of G P also decides compat_eq, which is kept.
-        """
-        blocks = self.blocks(factor)
-        if self._last[2] is None:
-            angles, E, Ru = _kernel(*blocks)
-            # G P = Qu Ru, whose part outside range(G^{-*} A* R) is H [0; E Ru]
-            self._last[2:] = [angles, _within(E @ Ru, Ru)]
-        return self._last[2]
+        """Canonical angles between range(G P) and range(G^{-*} A* R) for the factor G."""
+        return self.frame(factor).angles
 
     def compat_eq(self, factor):
         """Whether range(G P) lies in range(G^{-*} A* R), by verify_compat_equation's rule.
 
         Read off the kernel, which runs here unless it has run for this factor.
         """
-        self.angles(factor)
-        return self._last[3]
+        return self.frame(factor).compat_eq
+
+    def adjoint_defect(self, factor):
+        """(||X - X*||_F, ||X||_F) for X = G Pi G^{-1}, from the kernel's frame.
+
+        X = Qu S Qv* with S = Ru K^{-1} Rv*, one k x k solve with K. In the
+        frame H of range(G^{-*} A* R), H* X H = [Z1 S, 0; E S, 0], so
+        ||X - X*||^2 = ||Z1 S - (Z1 S)*||^2 + 2 ||E S||^2 and
+        ||X||^2 = ||Z1 S||^2 + ||E S||^2; no n x n matrix is formed.
+        """
+        f = self.frame(factor)
+        S = f.Ru @ self.solve(f.Rv.T)
+        T = f.angles.inner.T @ S
+        es = float(np.linalg.norm(f.angles.outside @ S))
+        asym = math.hypot(float(np.linalg.norm(T - T.T)), math.sqrt(2.0) * es)
+        return asym, math.hypot(float(np.linalg.norm(T)), es)
+
+
+def _galerkin(A, pair):
+    """(R* A, K = R* A P) for a pair on A.
+
+    A classical pair R = [Z; I], P = [W; I] skips the products with its
+    identity blocks: R* A = Z* A[F, :] + A[C, :] and
+    K = (R* A)[:, F] W + (R* A)[:, C].
+    """
+    if pair.cblocks is not None:
+        RA = pair.R.T @ A
+        return RA, RA @ pair.P
+    f, c = list(pair.part.fpoints), list(pair.part.cpoints)
+    RA = pair.Z.T @ A[f]
+    RA += A[c]
+    return RA, RA[:, f] @ pair.W + RA[:, c]
 
 
 def coarse_correction(A, pair):
@@ -310,9 +395,9 @@ def coarse_correction(A, pair):
     A = as_matrix(A, "A")
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    RA = pair.R.T @ A
+    RA, K = _galerkin(A, pair)
     try:
-        solve = lu_solver(RA @ pair.P, "coarse operator R*AP")
+        solve = lu_solver(K, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
     return CoarseCorrection(A, pair, RA, solve)
@@ -398,9 +483,9 @@ def _one_range(angles):
     read off the smallest sine and theta_max as the kernel reads it, so the
     cosines are computed only when theta_max >= pi/4.
     """
-    if angles.sines.size == 0:
+    if angles.k == 0:
         return True
-    s = float(angles.sines[-1])
+    s = angles.sine_range[1]
     cos_min = math.sqrt((1.0 - s) * (1.0 + s))
     return angles.sin_max / math.sqrt(1.0 + angles.cos_max) \
         <= RANK_RTOL * math.sqrt(1.0 + cos_min)
@@ -414,33 +499,30 @@ def orthogonality_checks(pi, M, tol=1e-8):
     conditions are checked on thin factors Pi = L B, L n x r and B r x n. A
     correction gives L = P and B = (R*AP)^{-1} R*A, lends its block G P, and
     decides range_match in G-space from the kernel's canonical angles, which
-    pi_m_norm has already computed for the case: no QR or SVD is made here
-    once the kernel has run. A dense projection gives L = orth_basis(pi) and
-    B = L* pi, and decides range_match in the original space, from the angles
-    between pivoted-QR bases of range(M Pi) and range(Pi*).
+    pi_m_norm has already computed for the case, and matches_m_adjoint in
+    the kernel's frame (CoarseCorrection.adjoint_defect): no QR or SVD is
+    made here once the kernel has run. A dense projection gives
+    L = orth_basis(pi) and B = L* pi, forms X = G Pi G^{-1}, and decides
+    range_match in the original space, from the angles between pivoted-QR
+    bases of range(M Pi) and range(Pi*).
     """
     G = as_norm_factor(M)
     tiny = np.finfo(float).tiny
+    # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} is symmetric; X costs
+    # one cond(G) in round-off where M^{-1} would cost cond(M) = cond(G)^2
     if isinstance(pi, CoarseCorrection):
-        L, B = pi.pair.P, pi.B
-        GL, GAR = pi.blocks(G)
-        # G^{-*} B* = (G^{-*} A* R) K^{-*}, an n_c x n_c solve
-        GBt = pi.solve(GAR.T).T
+        L, B, GL = pi.pair.P, pi.B, pi.frame(G).GP
+        asym, xnorm = pi.adjoint_defect(G)
     else:
         pi = as_matrix(pi, "pi")
         L = orth_basis(pi)
         B = L.T @ pi
         GL = G.apply(L)
-        GBt = G.solve_adj(B.T)
-
-    # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} = (G L)(G^{-*} B*)* is
-    # symmetric; forming X costs one cond(G) in round-off where M^{-1} would
-    # cost cond(M) = cond(G)^2
-    X = GL @ GBt.T
-    del GBt
-    xscale = max(float(np.linalg.norm(X)), tiny)
-    adj_ok = float(np.linalg.norm(X - X.T)) <= tol * xscale
-    del X  # so that only one n x n product, with its asymmetry, is live at a time
+        # X = (G L)(G^{-*} B*)*
+        X = GL @ G.solve_adj(B.T).T
+        asym, xnorm = float(np.linalg.norm(X - X.T)), float(np.linalg.norm(X))
+        del X  # so that only one n x n product, with its asymmetry, is live at a time
+    adj_ok = asym <= tol * max(xnorm, tiny)
 
     ML = G.apply_adj(GL)
     MP = ML @ B
@@ -487,14 +569,15 @@ def verify_compat_equation(A, M, pair):
     column scalings of P and to any nonsingular right-scaling of R. M is a
     dense SPD matrix or a NormFactor; pair is a TransferPair, or its
     CoarseCorrection on A, whose blocks are then reused. On a correction the
-    residual is the kernel's E Ru, an n_c x n_c product, so once the kernel
-    has run for M no further decomposition is made. On a pair it is taken
-    against an orthonormal basis of G^{-*} A* R from one thin QR.
+    residual is the kernel's E Ru, a product with an n_c x n_c matrix, so
+    once the kernel has run for M no further decomposition is made. On a
+    pair it is taken against an orthonormal basis of G^{-*} A* R from one
+    thin QR.
     """
     factor = as_norm_factor(M)
     if isinstance(pair, CoarseCorrection):
         return pair.compat_eq(factor)
-    GP, GAR = _blocks(factor, pair.P, as_matrix(A, "A").T @ pair.R)
+    GP, GAR = _blocks(factor, as_matrix(A, "A"), pair)
     Q = scipy.linalg.qr(GAR, mode="economic")[0]
     return _within(GP - Q @ (Q.T @ GP), GP)
 

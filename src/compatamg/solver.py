@@ -20,8 +20,13 @@ and F-Jacobi relaxations, relaxation-only methods and pairs with C-point
 blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
 which also serves as the oracle for the reduced one.
 
-PreparedTwoGrid binds a method to its matrix, so that two_grid_conv_factor
-and iterate on it guard and factor K and guard A_ff once between them.
+PreparedTwoGrid binds a method to its matrix, so that two_grid_conv_factor,
+two_grid_propagator and iterate on it guard and factor K and guard A_ff
+once between them. The dense path forms Pi = P K^{-1} R*A with the prepared
+solve, which gives the bits of scipy.linalg.solve for a general or a
+tridiagonal K. scipy solves an exactly symmetric, triangular or diagonal K
+by a dedicated solver instead, so there rho may differ from build_pi's
+propagator in the last bits.
 """
 
 from __future__ import annotations
@@ -185,7 +190,12 @@ def relax_propagator(A, spec, part=None):
     n = A.shape[0]
     if _is_identity(spec):
         return np.eye(n)
-    E1 = np.eye(n) - _n_inverse(A, spec, part) @ A
+    return _sweeps(A, spec, part)
+
+
+def _sweeps(A, spec, part, solve_ff=None):
+    """(I - N^{-1} A)^sweeps, with solve_ff serving an exact F-solve."""
+    E1 = np.eye(A.shape[0]) - _n_inverse(A, spec, part, solve_ff) @ A
     return np.linalg.matrix_power(E1, spec.sweeps)
 
 
@@ -193,16 +203,24 @@ def two_grid_propagator(A, spec):
     """Full two-grid error propagator E_post (I - Pi) E_pre.
 
     A relaxation that is the identity (kind none or zero sweeps) is left out
-    of the product; the others associate as (E_post (I - Pi)) E_pre.
+    of the product; the others associate as (E_post (I - Pi)) E_pre. Pi and
+    an exact F-solve are formed with the guards and factors of a
+    PreparedTwoGrid bound to A, made here when spec is not one.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
+    if spec.pair is not None and A.shape[0] != spec.pair.n:
+        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={spec.pair.n}")
+    method = _prepared(A, spec)
     part = spec.pair.part if spec.pair is not None else None
-    E = np.eye(n) - build_pi(A, spec.pair)[0] if spec.pair is not None else np.eye(n)
+    E = np.eye(n)
+    if spec.pair is not None:
+        RA, solve_k = method.coarse
+        E -= spec.pair.P @ solve_k(RA)
     if not _is_identity(spec.post):
-        E = relax_propagator(A, spec.post, part) @ E
+        E = _sweeps(A, spec.post, part, method.solve_ff) @ E
     if not _is_identity(spec.pre):
-        E = E @ relax_propagator(A, spec.pre, part)
+        E = E @ _sweeps(A, spec.pre, part, method.solve_ff)
     return E
 
 

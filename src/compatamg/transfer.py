@@ -17,6 +17,7 @@ import scipy.linalg
 from .linalg import (
     CFPartition,
     NormSpec,
+    ProblemStore,
     SingularMatrixError,
     _frozen,
     _tag_key,
@@ -42,6 +43,7 @@ __all__ = [
     "compatible_z_from_w",
     "compatible_w_from_z_general",
     "ideal_pair",
+    "ideal_blocks_pair",
     "CatalogEntry",
     "catalog_pairs",
     "change_of_basis_pair",
@@ -172,8 +174,12 @@ class QChoice:
             raise ValueError(f"Q tag {self.tag!r} does not take a payload")
 
 
-def realize_q(choice, A):
-    """Build the companion matrix selected by a QChoice (or bare tag) for A."""
+def realize_q(choice, A, store=None):
+    """Build the companion matrix selected by a QChoice (or bare tag) for A.
+
+    store is A's ProblemStore, whose LU factor of A the inverse companions
+    take instead of a new one.
+    """
     if not isinstance(choice, QChoice):
         choice = QChoice(choice)
     A = as_matrix(A, "A")
@@ -189,10 +195,9 @@ def realize_q(choice, A):
         return A.T @ A
     if tag == "AAstar":
         return A @ A.T
-    if tag == "AinvStar":
-        return inv_checked(A, "A").T
-    if tag == "Ainv":
-        return inv_checked(A, "A")
+    if tag in ("AinvStar", "Ainv"):
+        Ainv = inv_checked(A, "A", lu=None if store is None else store.lu())
+        return Ainv.T if tag == "AinvStar" else Ainv
     if tag == "Custom":
         Q = np.array(choice.payload, dtype=float)
         if Q.shape != (n, n):
@@ -331,7 +336,7 @@ def _norm_row(A, M, anchor):
     return solve_checked(A.T, M, "A")
 
 
-def _anchored_column(A, part, q, anchor):
+def _anchored_column(A, part, q, anchor, store=None):
     """What every cell of companion q shares in one table, computed once per table.
 
     Returns (qf, block, reason). Q is realized in full, so it keeps its bits,
@@ -341,7 +346,7 @@ def _anchored_column(A, part, q, anchor):
     anchor R; when Q's ff-block is singular, block and qf are None and
     reason says why.
     """
-    Qm = realize_q(q, A)
+    Qm = realize_q(q, A, store)
     try:
         Qp = partition(Qm, part)
         block = ideal_w(Qp) if anchor == "P" else ideal_z(Qp)
@@ -375,16 +380,17 @@ def _anchor_tag(anchor):
     raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
 
 
-def _ideal_cell(A, part, row, q, anchor, anchored):
+def _ideal_cell(A, part, row, q, anchor, anchored, store=None):
     """(pair, companion slice) of one anchored norm/companion cell.
 
-    A is guarded and row is _norm_row(A, M, anchor) for the cell's norm M.
+    A is guarded, store is its ProblemStore, and row is
+    _norm_row(A, M, anchor) for the cell's norm M.
     anchored maps q to its _anchored_column and is filled here, so a table
     realizes each Q once for all its rows. The companion slice is what
     _companion returns; no n x n companion is formed.
     """
     if q not in anchored:
-        anchored[q] = _anchored_column(A, part, q, anchor)
+        anchored[q] = _anchored_column(A, part, q, anchor, store)
     qf, block, reason = anchored[q]
     try:
         # the anchored block first: when both ff-blocks are singular, the
@@ -404,19 +410,21 @@ def _ideal_cell(A, part, row, q, anchor, anchored):
     return pair, comp
 
 
-def ideal_pair(A, part, norm, q, anchor="P"):
+def ideal_pair(A, part, norm, q, anchor="P", store=None):
     """Build a pair whose coarse-grid correction is orthogonal in the chosen norm.
 
     anchor="P" fixes P = P_ideal(Q) and derives the unique compatible
     restriction R = R_ideal(A M^{-1} Q*); anchor="R" fixes R = R_ideal(Q) and
     derives P = P_ideal(Q* A^{-*} M). Q is formed densely, the derived
-    companion only on the slice its ideal block reads.
+    companion only on the slice its ideal block reads. store is A's
+    ProblemStore, whose guard and factors of A are used.
     """
-    A = as_matrix(A, "A")
-    require_nonsingular(A, "A")
+    store = ProblemStore(A) if store is None else store
+    A = store.A
+    store.lu()  # the guard on A
     anchor = _anchor_tag(anchor)
-    row = _norm_row(A, realize_norm(norm, A), anchor)
-    return _ideal_cell(A, part, row, q, anchor, {})[0]
+    row = _norm_row(A, realize_norm(norm, A, store=store), anchor)
+    return _ideal_cell(A, part, row, q, anchor, {}, store)[0]
 
 
 # Norm rows and companion columns of the two catalog tables, in row-major order.
@@ -523,7 +531,7 @@ class CatalogEntry:
     reason: str | None = None
 
 
-def catalog_pairs(A, part):
+def catalog_pairs(A, part, store=None):
     """Generate every catalog cell that is computable densely, one at a time.
 
     Cells whose prerequisites fail (for example an SPD requirement on A or on
@@ -533,38 +541,34 @@ def catalog_pairs(A, part):
     row-major in (norm, q). A is guarded before the first cell.
 
     Each norm is realized, and factored for its row's companions, once per
-    table row; its preconditions on A are checked once, in table 1, so a
-    computable cell certifies that its norm is well posed on A. Each
-    companion Q is realized once per table, where its anchored ideal block is
-    built and the n_f x n slice its cells read is kept; each cell's companion
-    is formed only on the slice its ideal block reads. A consumer that drops
-    each entry before taking the next holds one pair at a time; what outlives
-    a row is only the table's slices of Q and their anchored blocks.
+    table row. Its preconditions on A are decided once, in store, A's
+    ProblemStore (a new one by default), so a computable cell certifies that
+    its norm is well posed on A, and a row whose norm fails is skipped with
+    the same reason in both tables. Each companion Q is realized once per
+    table, where its anchored ideal block is built and the n_f x n slice its
+    cells read is kept; each cell's companion is formed only on the slice its
+    ideal block reads. A consumer that drops each entry before taking the
+    next holds one pair at a time; what outlives a row is only the table's
+    slices of Q and their anchored blocks.
     """
-    A = as_matrix(A, "A")
-    require_nonsingular(A, "A")
-    return _catalog_cells(A, part)
+    store = ProblemStore(A) if store is None else store
+    store.lu()  # the guard on A
+    return _catalog_cells(store, part)
 
 
-def _catalog_cells(A, part):
-    # per norm, the reason its table-1 row failed, or None: realize_norm
-    # checks each norm's preconditions on A in table 1 only, and table 2
-    # takes them as read or skips the row for the same reason
-    norm_reason = {}
+def _catalog_cells(store, part):
+    A = store.A
     for table, anchor, exprs, singles in (
         (1, "P", _T1_EXPR, _T1_SINGLE),
         (2, "R", _T2_EXPR, _T2_SINGLE),
     ):
         anchored = {}
         for norm in CATALOG_NORMS:
-            row, row_reason = None, norm_reason.get(norm)
-            if row_reason is None:
-                try:
-                    checked = norm in norm_reason
-                    row = _norm_row(A, realize_norm(norm, A, checked=checked), anchor)
-                except (ValueError, SingularMatrixError) as e:
-                    row_reason = str(e)
-                norm_reason.setdefault(norm, row_reason)
+            row, row_reason = None, None
+            try:
+                row = _norm_row(A, realize_norm(norm, A, store=store), anchor)
+            except (ValueError, SingularMatrixError) as e:
+                row_reason = str(e)
             for q in CATALOG_QS:
                 cell = {
                     "table": table,
@@ -577,7 +581,7 @@ def _catalog_cells(A, part):
                 reason = row_reason
                 if reason is None:
                     try:
-                        pair = _ideal_cell(A, part, row, q, anchor, anchored)[0]
+                        pair = _ideal_cell(A, part, row, q, anchor, anchored, store)[0]
                     except (ValueError, SingularMatrixError) as e:
                         reason = str(e)
                 if reason is None:
@@ -613,8 +617,38 @@ SINGLE_OPERATOR_PAIRS = (
 )
 
 
-def single_operator_pair(A, part, item):
-    """Build single-operator pair 1..4 (or by name); returns (pair, norm_tag)."""
+def ideal_blocks_pair(A, part, r_q, p_q, store=None):
+    """The classical pair R = R_ideal(Q_r), P = P_ideal(Q_p) on the companions r_q, p_q.
+
+    Through A's ProblemStore store each ideal block is built once for all
+    the pairs that share it; a block that cannot be built raises its error
+    again to each of them.
+    """
+    store = ProblemStore(A) if store is None else store
+    Z = _ideal_block(store, part, r_q, "Z")
+    W = _ideal_block(store, part, p_q, "W")
+    return make_pair(part, Z, W)
+
+
+def _ideal_block(store, part, q, side):
+    """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part."""
+    def build():
+        Q = partition(realize_q(q, store.A, store), part)
+        block = ideal_z(Q) if side == "Z" else ideal_w(Q)
+        block.setflags(write=False)
+        return block
+
+    choice = q if isinstance(q, QChoice) else QChoice(q)
+    if choice.tag == "Custom":
+        return build()
+    return store.get(("ideal", side, choice.tag, part), build)
+
+
+def single_operator_pair(A, part, item, store=None):
+    """Build single-operator pair 1..4 (or by name); returns (pair, norm_tag).
+
+    store is A's ProblemStore, which builds each ideal block once.
+    """
     if isinstance(item, int):
         if not 1 <= item <= len(SINGLE_OPERATOR_PAIRS):
             raise ValueError(f"single-operator pair index must be 1..4, got {item}")
@@ -624,7 +658,4 @@ def single_operator_pair(A, part, item):
         if not matches:
             raise ValueError(f"unknown single-operator pair {item!r}")
         rec = matches[0]
-    A = as_matrix(A, "A")
-    Z = ideal_z(partition(realize_q(rec["r_q"], A), part))
-    W = ideal_w(partition(realize_q(rec["p_q"], A), part))
-    return make_pair(part, Z, W), rec["norm"]
+    return ideal_blocks_pair(A, part, rec["r_q"], rec["p_q"], store), rec["norm"]

@@ -69,8 +69,8 @@ def test_canonical_angles_equal_subspaces_read_exactly_one():
 
 
 def _angles_with_sine(s):
-    """CanonicalAngles of two lines whose sine reads exactly s."""
-    return cm.CanonicalAngles(np.array([s]), np.array([[np.sqrt(1.0 - s * s)]]))
+    """CanonicalAngles of two lines at the sine s."""
+    return cm.CanonicalAngles(np.array([[s]]), np.array([[np.sqrt(1.0 - s * s)]]))
 
 
 def test_small_sines_read_pi_norm_exactly_one():
@@ -85,9 +85,10 @@ def test_small_sines_read_pi_norm_exactly_one():
     # up to pi/4 the cosine stays within one ulp of sqrt(1 - s^2), decided in
     # exact rational arithmetic
     for s in np.concatenate([[1e-8, 1e-4, 0.3, 0.707], rng.uniform(0.0, 0.707, 200)]):
-        c = _angles_with_sine(float(s)).cos_max
+        ang = _angles_with_sine(float(s))
+        c = ang.cos_max
         ulp = Fraction(float(np.spacing(c)))
-        exact = 1 - Fraction(float(s)) ** 2
+        exact = 1 - Fraction(ang.sin_max) ** 2
         assert (Fraction(c) - ulp) ** 2 <= exact <= (Fraction(c) + ulp) ** 2, s
 
 
@@ -285,8 +286,9 @@ def test_range_match_follows_the_four_svd_rule(kind):
 
 
 def test_orthogonality_checks_make_no_square_svd(monkeypatch):
-    # the range test works on n x r bases: no SVD of an n x n (or larger)
-    # matrix, through np.linalg.svd or numpy's norm(X, 2)
+    # the range test works on n x r bases: no SVD or eigenvalue problem of
+    # an n x n (or larger) matrix, through np.linalg.svd, numpy's norm(X, 2)
+    # or the Gram matrix of the sines
     n = 60
     A = cm.generate(cm.ProblemSpec("random", n=n, seed=1))
     part = cm.default_splitting(n, "alternate")
@@ -294,14 +296,16 @@ def test_orthogonality_checks_make_no_square_svd(monkeypatch):
     pi, _ = cm.build_pi(A, pair)
     G = cm.realize_norm(tag, A, factored=True)
     shapes = []
-    svd = np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg._linalg, name, recording(getattr(np.linalg._linalg, name)))
     assert cm.orthogonality_checks(pi, G).all_true
     assert shapes
     assert all(min(s[-2:]) < n for s in shapes), shapes
@@ -367,7 +371,8 @@ def test_compat_eq_reads_exact_pairs_with_a_large_z_entry():
 
 
 def _record_decompositions(monkeypatch, shapes):
-    """Record the shape of every SVD and QR made from now on, by family.
+    """Record the shape of every SVD, QR and symmetric eigenvalue problem
+    made from now on, by family.
 
     A QR counts under "qr" in the default or economic mode and under
     "qr <mode>" otherwise; a Householder application (LAPACK dormqr) counts
@@ -392,6 +397,9 @@ def _record_decompositions(monkeypatch, shapes):
     monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd, "svd"))
     monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd, "svd"))
     monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd, "svd"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(np.linalg._linalg, "eigvalsh",
+                        recording(np.linalg._linalg.eigvalsh, "eigvalsh"))
     monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr, "qr"))
     monkeypatch.setattr(scipy.linalg.lapack, "dormqr", recording_dormqr)
 
@@ -435,12 +443,13 @@ def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monke
 def _kernel_calls(n, cases):
     """The decompositions of the given number of cases of n x n/2 pairs: per
     case the kernel's economic QR of G P, raw QR of G^{-*} A* R, dormqr with
-    those reflectors, and SVD of the n/2 x n/2 block outside range(G^{-*} A* R)."""
+    those reflectors, and the eigenvalues of the n/2 x n/2 Gram matrix of the
+    block outside range(G^{-*} A* R), which give sin(theta_max)."""
     return {"qr": [(n, n // 2)] * cases, "qr raw": [(n, n // 2)] * cases,
-            "dormqr": [(n, n // 2)] * cases, "svd": [(n // 2, n // 2)] * cases}
+            "dormqr": [(n, n // 2)] * cases, "eigvalsh": [(n // 2, n // 2)] * cases}
 
 
-def test_tables_cell_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
+def test_tables_cell_makes_two_thin_qrs_and_one_small_eigensolve(monkeypatch, tmp_path):
     # the kernel's reflection of G P decides compat_eq too, and every angle of
     # a compatible cell is below pi/4, so its cosines are not read
     n = 24
@@ -453,11 +462,11 @@ def test_tables_cell_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
     assert shapes == _kernel_calls(n, len(measured))
 
 
-def test_verify_pairs_case_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path):
-    # range_match and compat_eq are read off the kernel, so a case makes the
-    # kernel's two QRs, its reflection and its SVD of the sines and nothing
-    # more; the non-orthogonal random:7 case, at theta_max >= pi/4, also reads
-    # the cosines, one n_c x n_c SVD
+def test_verify_pairs_case_makes_two_thin_qrs_and_one_small_eigensolve(monkeypatch, tmp_path):
+    # range_match, matches_m_adjoint and compat_eq are read off the kernel,
+    # so a case makes the kernel's two QRs, its reflection and the Gram
+    # eigenvalues of its sines and nothing more; the non-orthogonal random:7
+    # case, at theta_max >= pi/4, also reads the cosines, one n_c x n_c SVD
     n = 24
     shapes = {}
     _record_decompositions(monkeypatch, shapes)
@@ -473,7 +482,7 @@ def test_verify_pairs_case_makes_two_thin_qrs_and_one_svd(monkeypatch, tmp_path)
     assert control["min_angle"] < np.pi / 4
     assert not control["compat_eq"] and not any(control["orthogonality_checks"].values())
     expected = _kernel_calls(n, len(results))
-    expected["svd"].append((n // 2, n // 2))
+    expected["svd"] = [(n // 2, n // 2)]
     assert shapes == expected
 
     # once the kernel has run for the case, the checks and compat_eq
@@ -616,3 +625,81 @@ def test_cosines_are_read_lazily_with_the_eager_bits(monkeypatch, theta_max):
     np.testing.assert_array_equal(ang.cosines, eager)
     assert len(svds) == 1
 
+
+
+def _dense_adjoint_ratio(A, pair, G):
+    """||X - X*||_F / ||X||_F for the formed X = G Pi G^{-1} = (G P)(G^{-*} B*)*."""
+    B = scipy.linalg.solve(pair.R.T @ A @ pair.P, pair.R.T @ A)
+    X = G.apply(pair.P) @ G.solve_adj(B.T).T
+    return np.linalg.norm(X - X.T) / np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("kind, n, epsilon", [("random", 120, 0.0), ("laplacian1d", 300, 0.0),
+                                               ("advdiff1d", 200, 0.01)])
+def test_frame_adjoint_ratio_matches_the_formed_x(kind, n, epsilon):
+    # matches_m_adjoint reads ||X - X*|| / ||X|| in the kernel's frame, from
+    # one n_c x n_c solve with K: it equals the ratio of the formed n x n X,
+    # and on exact pairs both are round-off far below the 1e-8 tolerance. The
+    # formed X carries cond(A) round-off for the A*A norm (5e-11 on random),
+    # the frame reads at most 1.1e-13
+    rng = np.random.default_rng(8)
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=epsilon))
+    part = cm.default_splitting(n, "alternate")
+    pairs = [cm.single_operator_pair(A, part, k)[0] for k in (1, 2, 3, 4)]
+    pairs.append(cm.make_pair(part, rng.standard_normal((part.nf, part.nc)),
+                              rng.standard_normal((part.nf, part.nc))))
+    checked = 0
+    for tag in NORM_TAGS:
+        try:
+            G = cm.realize_norm(_spec(tag, rng, n), A, factored=True)
+        except ValueError:
+            continue
+        for pair in pairs:
+            corr = cm.coarse_correction(A, pair)
+            asym, xnorm = corr.adjoint_defect(G)
+            frame, dense = asym / xnorm, _dense_adjoint_ratio(A, pair, G)
+            if dense > 1e-6:
+                assert frame == pytest.approx(dense, rel=1e-6), (tag, frame, dense)
+            else:
+                assert frame <= 1e-12 and dense <= 1e-9, (tag, frame, dense)
+            checked += 1
+    assert checked >= 5 * 6
+
+
+def _extended_sin_max(E):
+    """sin(theta_max) = ||E||_2 as a Rayleigh quotient in long double, taken at
+    the top eigenvector of E* E; the vector's error enters squared."""
+    v = np.linalg.eigh(E.T @ E)[1][:, -1].astype(np.longdouble)
+    Ev = E.astype(np.longdouble) @ v
+    return np.sqrt((Ev @ Ev) / (v @ v))
+
+
+@pytest.mark.parametrize("kind, n", [("random", 60), ("laplacian1d", 300), ("advdiff1d", 200)])
+def test_gram_sin_max_matches_the_svd(kind, n):
+    # sin(theta_max) from the top eigenvalue of E* E keeps the relative
+    # accuracy of the largest singular value of E, on exact pairs (sines of
+    # round-off), on oblique pairs and on subspaces at prescribed angles. It
+    # is within 4 eps, relative, of a long-double value, where the SVD's is
+    # off by up to 4.7 eps here, so the two differ by up to 6 eps.
+    eps = np.finfo(float).eps
+    extended = np.finfo(np.longdouble).eps < eps / 100
+    rng = np.random.default_rng(12)
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.01))
+    part = cm.default_splitting(n, "alternate")
+    angles = []
+    for entry in cm.catalog_pairs(A, part):
+        if not entry.skipped:
+            G = cm.realize_norm(entry.norm, A, factored=True)
+            angles.append(cm.coarse_correction(A, entry.pair).angles(G))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 2 * 5)))
+    for theta_max in (1e-12, 1e-6, 0.3, 1.2, 1.5):
+        theta = np.linspace(theta_max / 7, theta_max, 5)
+        X = Q[:, :5] @ rng.standard_normal((5, 5))
+        Y = (Q[:, :5] * np.cos(theta) + Q[:, 5:] * np.sin(theta)) @ rng.standard_normal((5, 5))
+        angles.append(cm.canonical_angles(X, Y))
+    for ang in angles:
+        gram, svd = ang.sine_range[0], ang.sines[0]
+        assert abs(gram - svd) <= 8 * eps * svd, (gram, svd)
+        if extended:
+            ref = _extended_sin_max(ang.outside)
+            assert abs(gram - ref) <= 4 * eps * ref, (gram, float(ref))

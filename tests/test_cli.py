@@ -253,6 +253,29 @@ def test_converge_guards_each_matrix_once_per_pair(tmp_path, monkeypatch):
     assert counts.count("A_ff") <= 2
 
 
+@pytest.mark.parametrize("post", ["none", "fexact"])
+def test_converge_dense_path_guards_k_once_per_pair(tmp_path, monkeypatch, post):
+    # with Jacobi before the correction rho comes from the dense propagator,
+    # which forms Pi and any exact F-solve from the guards the iteration
+    # uses: K and A_ff are each guarded once per pair
+    import compatamg.linalg
+
+    guard = compatamg.linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", "60",
+         "--pair", "single1", "--pair", "single3", "--pre", "jacobi", "--post", post,
+         "--iters", "4"],
+    )
+    assert code == 0 and len(report["results"]) == 2
+    assert counts.count("coarse operator R*AP") == 2
+    assert counts.count("A_ff") == (2 if post == "fexact" else 0)
+
+
 def test_converge_jacobi_only_matches_eigen_oracle(tmp_path):
     n, omega = 32, 0.5
     code, report = _run_json(
@@ -390,6 +413,54 @@ def test_streamed_sweep_under_thread_switching_stress(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_verify_pairs_and_tables_threaded_equal_serial(tmp_path, monkeypatch):
+    # the cases share one store of factors and ideal blocks, filled under
+    # its lock by whichever worker needs an entry first
+    single = ["--pair", "single1", "--pair", "single2", "--pair", "single3", "--pair", "single4"]
+    for args in (["verify-pairs"] + single + ["--pair", "random:7"], ["tables"]):
+        args = args + ["--problem", "random", "--n", "24"]
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COMPATAMG_THREADS", threads)
+            code, report = _run_json(tmp_path, args, f"{threads}.json")
+            report.pop("timestamp")
+            reports.append((code, report))
+        assert reports[0] == reports[1], args[0]
+
+
+def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):
+    # single1-4 share their problem's factors: one guarded LU of A (the
+    # AstarA and AstarAsymInvA norms), one Cholesky factor of (A + A*)/2
+    # (Asym and AstarAsymInvA), and each of the six ideal blocks is built
+    # once although single1 and single2 share Z_ideal(A) and single3 and
+    # single4 share W_ideal(A)
+    import compatamg.linalg as linalg
+    import compatamg.transfer as transfer
+
+    made = []
+
+    def recording(module, name, label=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            made.append(label(*args) if label else name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(linalg, "_guarded_lu", lambda A, what: f"lu {what}")
+    recording(linalg, "_spd_cholesky")
+    recording(transfer, "_z_of")
+    recording(transfer, "_w_of")
+    monkeypatch.setattr(linalg.scipy.linalg, "cholesky", None)
+    single = ["--pair", "single1", "--pair", "single2", "--pair", "single3", "--pair", "single4"]
+    code, report = _run_json(tmp_path, ["verify-pairs", "--problem", "random", "--n", "24"] + single)
+    assert code == 0 and len(report["results"]) == 4
+    assert made.count("lu A") == 1
+    assert made.count("_spd_cholesky") == 1
+    assert made.count("_z_of") == made.count("_w_of") == 3
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_map_cases_streams_its_items_in_order(monkeypatch, threads):
     # a generator is drawn at most two cases per worker ahead of the oldest
@@ -428,23 +499,24 @@ def test_stdout_output(capsys):
 
 @pytest.mark.parametrize("problem, computable", [("random", 40), ("laplacian1d", 50)])
 def test_tables_checks_each_spd_norm_once(monkeypatch, tmp_path, problem, computable):
-    # the SPD norms A, Asym and AstarAsymInvA are checked once each for the
-    # whole command: table 1 checks them, and table 2 and the factors the
-    # cells are measured in take the check as read. A random A is not
-    # symmetric, so its norm-A rows are skipped with the check's reason.
+    # the SPD norms A, Asym and AstarAsymInvA all rest on one Cholesky
+    # factor of (A + A*)/2, which decides positive definiteness once for the
+    # whole command: both tables and the factors the cells are measured in
+    # read it from the command's store. Norm A also needs A symmetric; a
+    # random A is not, so its norm-A rows are skipped with the check's reason.
     import compatamg.linalg as linalg
 
     checked = []
-    spd_check = linalg.spd_check
+    spd_cholesky = linalg._spd_cholesky
 
     def recording(M, *args, **kwargs):
         checked.append(M.shape)
-        return spd_check(M, *args, **kwargs)
+        return spd_cholesky(M, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "spd_check", recording)
+    monkeypatch.setattr(linalg, "_spd_cholesky", recording)
     code, report = _run_json(tmp_path, ["tables", "--problem", problem, "--n", "24"])
     assert code == 0
-    assert len(checked) == 3
+    assert checked == [(24, 24)]
     measured = [r for r in report["results"] if not r.get("skipped")]
     assert len(measured) == computable
     skipped = {r["reason"] for r in report["results"] if r.get("skipped")}
