@@ -13,10 +13,11 @@ the canonical-angle kernel, the compatibility equation and, in verify-pairs,
 the four orthogonality conditions all work on the pair's thin factors, so no
 command forms M or Pi or decomposes an n x n matrix to measure a case.
 
-Each command holds one ProblemStore for its problem matrix A: the guarded LU
-of A, the Cholesky factor of (A + A*)/2, the norm factors and the ideal
-blocks are made there once and shared by every case, also across
-COMPATAMG_THREADS workers, and dropped when the command returns.
+verify-pairs, tables and figure1 each hold one ProblemStore for their
+problem matrix A: the guarded LU of A, the Cholesky factor of (A + A*)/2,
+the norm factors and the ideal blocks are made there once and shared by
+every case, also across COMPATAMG_THREADS workers, and dropped when the
+command returns. converge builds each pair through a store of its own.
 """
 
 from __future__ import annotations
@@ -315,10 +316,11 @@ def cmd_tables(cfg):
 def cmd_converge(cfg):
     A, part = _problem_setup(cfg)
     recipes = cfg.pairs or ["single1"]
-    store = ProblemStore(A)
     # each pair is built when its case is drawn, so one pair at a time is
-    # held besides the cases in flight
-    built = (_build_pair(store, part, r) for r in recipes)
+    # held besides the cases in flight. Each pair gets a store of its own:
+    # the two-grid methods use none of A's factors, and the ideal blocks a
+    # shared store would keep would outlive their pairs.
+    built = (_build_pair(ProblemStore(A), part, r) for r in recipes)
     rng = np.random.default_rng(cfg.problem.seed)
     b = rng.standard_normal(A.shape[0])
     x0 = np.zeros(A.shape[0])

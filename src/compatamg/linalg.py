@@ -562,7 +562,7 @@ class ProblemStore:
 
     def lu_solve(self):
         """lu_solver(A, "A") on the stored factor."""
-        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.lu()))
+        return lu_solver(self.A, "A", lu=self.lu())
 
     def asym_cholesky(self, tol=SPD_TOL):
         """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD to tol."""

@@ -33,8 +33,8 @@ SPD M through its Cholesky factor.
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
 range(G P) = range(G^{-*} A* R), and it is read off the kernel's reflection:
-the part of G P outside range(G^{-*} A* R) is those same rows times the R
-factor of G P, a product with an n_c x n_c matrix. Of the four orthogonality conditions,
+the part of G P outside range(G^{-*} A* R) is those same rows times the
+n_c x n_c R factor of G P. Of the four orthogonality conditions,
 range(M Pi) = range(Pi*) is that same G-space condition, so it is read off
 the kernel's canonical angles; neither decision costs cond(M) = cond(G)^2 in
 round-off. M Pi = Pi* M is read in the kernel's frame too, and the other
@@ -336,7 +336,7 @@ class CoarseCorrection:
     def frame(self, factor):
         """The kernel's _Frame for the factor G, computed once per factor."""
         if not (self._last and self._last[0] is factor):
-            self._last.clear()
+            self._last.clear()  # not held while the next frame is built
             GP, GAR = self.blocks(factor)
             angles, Ru, Rv = _kernel(GP, GAR)
             del GAR
