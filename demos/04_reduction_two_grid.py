@@ -28,8 +28,10 @@ for delta in (1e-8, 1e-4, 1e-2):
     res = cm.air_cpoint_residual(A, perturbed, e)
     print(f"  delta = {delta:8.0e}: max C-point error = {res:.3e}")
 
-# With an exact F-solve, rho is read from one n_c x n_c matrix,
-# T = K^{-1} (R*A)_F (W_ideal - W); the n x n propagator is never formed.
+# With an exact F-solve, rho is read from one n_c x n_c matrix, the two-sided
+# T = K^{-1} (Z - Z_ideal)* A_ff (W_ideal - W); the n x n propagator is never
+# formed. Here Z = Z_ideal exactly, so T = 0 and rho is 0.0 without an
+# eigensolve: a pair with either operator ideal is a direct method.
 spec = cm.TwoGridSpec(pair=pair, post=cm.RelaxSpec("fexact"))
 rho = cm.two_grid_conv_factor(A, spec)
 print(f"\ntwo-grid spectral radius with post F-solve: {rho:.2e} (direct method)")

@@ -2,10 +2,11 @@
 orthogonality claims, sweep the norm/companion catalog, check the pairing
 symmetry diagram, and run convergence studies, emitting JSON or CSV reports.
 
-Exit codes: 0 all verifications passed, 1 a verification failed, 2 malformed
-configuration or a construction failure. The COMPATAMG_THREADS environment
-variable caps how many independent cases run in parallel (default 1); output
-ordering is configuration order regardless.
+Exit codes: 0 all verifications passed, 1 a verification failed or a
+converge pair was skipped, 2 malformed configuration or a construction
+failure. The COMPATAMG_THREADS environment variable caps how many
+independent cases run in parallel (default 1); output ordering is
+configuration order regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -17,7 +18,11 @@ verify-pairs, tables and figure1 each hold one ProblemStore for their
 problem matrix A: the guarded LU of A, the Cholesky factor of (A + A*)/2,
 the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
-command returns. converge builds each pair through a store of its own.
+command returns. converge builds each pair through a store of its own, and
+the pair's two-grid method binds to that store: A_ff is factored there once
+for the pair's ideal blocks, its exact F-relaxation and rho. A pair whose
+construction or coarse-operator guard fails is reported as skipped, with
+its reason, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -316,21 +321,24 @@ def cmd_tables(cfg):
 def cmd_converge(cfg):
     A, part = _problem_setup(cfg)
     recipes = cfg.pairs or ["single1"]
-    # each pair is built when its case is drawn, so one pair at a time is
-    # held besides the cases in flight. Each pair gets a store of its own:
-    # the two-grid methods use none of A's factors, and the ideal blocks a
-    # shared store would keep would outlive their pairs.
-    built = (_build_pair(ProblemStore(A), part, r) for r in recipes)
     rng = np.random.default_rng(cfg.problem.seed)
     b = rng.standard_normal(A.shape[0])
     x0 = np.zeros(A.shape[0])
 
-    def run(item):
-        name, pair, _ = item
-        # one binding, so rho and the iteration share their guards and factors
-        spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=A)
-        rho = two_grid_conv_factor(A, spec)
-        history = iterate(A, spec, b, x0, cfg.iters)
+    def run(recipe):
+        # each pair is built when its case runs, through a store of its own
+        # that its method binds to, so A_ff is factored once per pair and no
+        # ideal block outlives its pair
+        store = ProblemStore(A)
+        try:
+            name, pair, _ = _build_pair(store, part, recipe)
+            spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=store.A, store=store)
+        except ConfigError:
+            raise
+        except (SingularMatrixError, ValueError) as e:
+            return {"pair": recipe.strip(), "skipped": True, "reason": str(e)}
+        rho = two_grid_conv_factor(spec.A, spec)
+        history = iterate(spec.A, spec, b, x0, cfg.iters)
         return {
             "pair": name,
             "rho": float(rho),
@@ -339,8 +347,9 @@ def cmd_converge(cfg):
             "history": [float(r) for r in history],
         }
 
-    results = _map_cases(run, built)
-    return 0, results, True
+    results = _map_cases(run, recipes)
+    skipped = [r for r in results if r.get("skipped")]
+    return (1 if skipped else 0), results, not skipped
 
 
 _COMMANDS = {
@@ -466,7 +475,7 @@ def _report_csv(report):
         w = csv.writer(out)
         w.writerow(["pair", "iter", "residual"])
         for rec in report["results"]:
-            for k, r in enumerate(rec["history"]):
+            for k, r in enumerate(rec.get("history", [])):
                 w.writerow([rec["pair"], k, f"{r:.17g}"])
         return out.getvalue()
     rows = [_flatten(rec) for rec in report["results"]]

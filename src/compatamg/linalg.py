@@ -27,9 +27,9 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: the guarded LU of A, the Cholesky factor of (A + A*)/2 and
-the norm factors built from them, each made once for the command and dropped
-with it.
+its cases share: the guarded LU of A and of its ff-block A_ff, the Cholesky
+factor of (A + A*)/2 and the norm factors built from them, each made once
+for the command and dropped with it.
 """
 
 from __future__ import annotations
@@ -524,9 +524,10 @@ class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
     Each entry is built on first use and then kept: the guarded LU of A, the
-    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
-    factors realized from them and, through compatamg.transfer, the ideal
-    blocks of the companion matrices. A store serves one command and is
+    guarded LU of its ff-block per partition, the Cholesky factor of
+    (A + A*)/2 that decides whether it is SPD, the norm factors realized from
+    them and, through compatamg.transfer, the ideal blocks of the companion
+    matrices. A store serves one command, or in converge one pair, and is
     dropped with it, so nothing outlives the problem. Entries are built
     under one lock, since case threads share the store; a construction that
     fails is kept as its error and raised again to every later caller.
@@ -563,6 +564,15 @@ class ProblemStore:
     def lu_solve(self):
         """lu_solver(A, "A") on the stored factor."""
         return lu_solver(self.A, "A", lu=self.lu())
+
+    def ff_solve(self, part):
+        """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
+
+        The ideal blocks of A and an exact F-relaxation solve with it, W_ideal
+        by a solve and Z_ideal by the transposed solve.
+        """
+        f = list(part.fpoints)
+        return self.get(("A_ff", part), lambda: lu_solver(self.A[np.ix_(f, f)], "A_ff"))
 
     def asym_cholesky(self, tol=SPD_TOL):
         """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD to tol."""

@@ -105,17 +105,18 @@ PROBE_SEED = 1729
 def build_pi(A, pair):
     """Materialize the coarse-grid correction projection and coarse operator.
 
-    Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A. Pi is idempotent
-    up to round-off whenever K is well conditioned. The measurements take a
-    CoarseCorrection instead and never form Pi; the dense projection serves
-    the dense two-grid propagator and, as an oracle, the tests.
+    Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A, where R* A and K
+    are formed as _galerkin forms them. Pi is idempotent up to round-off
+    whenever K is well conditioned. The measurements take a CoarseCorrection
+    instead and never form Pi; the dense projection serves
+    air_cpoint_residual and, as an oracle, the tests.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    K = pair.R.T @ A @ pair.P
+    RA, K = _galerkin(A, pair)
     try:
-        Pi = pair.P @ solve_checked(K, pair.R.T @ A, "coarse operator R*AP")
+        Pi = pair.P @ solve_checked(K, RA, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
     return Pi, K

@@ -10,23 +10,30 @@ P_ideal = [W_ideal; I] and W_ideal = -A_ff^{-1} A_fc, so with a classical
 pair R = [Z; I], P = [W; I] and S before, after or on both sides of the
 correction, E has the nonzero spectrum of one n_c x n_c matrix,
 
-    T = K^{-1} (R*A)_F (W_ideal - W),    K = R*AP,
+    T = K^{-1} (R*A)_F (W_ideal - W) = K^{-1} (Z - Z_ideal)* A_ff (W_ideal - W),
 
-where (R*A)_F are the F-point columns of R*A (Manteuffel, Ruge & Southworth,
-SISC 40, 2018; Manteuffel, Muenzenmaier, Ruge & Southworth, SISC 41, 2019).
-T is formed in that difference form from n x n_c and n_c x n_c products;
-neither Pi nor E is formed, and there is no I - (~I) cancellation. Jacobi
-and F-Jacobi relaxations, relaxation-only methods and pairs with C-point
-blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
+with K = R*AP and (R*A)_F the F-point columns of R*A, which equal
+(Z - Z_ideal)* A_ff since Z_ideal* = -A_cf A_ff^{-1} (Manteuffel, Ruge &
+Southworth, SISC 40, 2018; Manteuffel, Muenzenmaier, Ruge & Southworth,
+SISC 41, 2019). T is formed in that two-sided form from n_f x n_c and
+n_c x n_c products; neither Pi nor E is formed, and there is no I - (~I)
+cancellation. T vanishes when either operator is ideal for A: then the
+method is a direct one, and rho = 0 is returned without an eigensolve.
+Jacobi and F-Jacobi relaxations, relaxation-only methods and pairs with
+C-point blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
 which also serves as the oracle for the reduced one.
 
-PreparedTwoGrid binds a method to its matrix, so that two_grid_conv_factor,
-two_grid_propagator and iterate on it guard and factor K and guard A_ff
-once between them. The dense path forms Pi = P K^{-1} R*A with the prepared
-solve, which gives the bits of scipy.linalg.solve for a general or a
-tridiagonal K. scipy solves an exactly symmetric, triangular or diagonal K
-by a dedicated solver instead, so there rho may differ from build_pi's
-propagator in the last bits.
+PreparedTwoGrid binds a method to its matrix and to A's ProblemStore, so
+that two_grid_conv_factor, two_grid_propagator and iterate on it guard and
+factor K and A_ff once between them. A_ff is factored once per store: the
+ideal blocks of A, the exact F-relaxation and its dense oracle all solve
+with the store's A_ff solver. iterate applies each relaxation to the
+residual as an operator, a diagonal scaling or an F-block solve, and forms
+no N^{-1}. The dense path forms Pi = P K^{-1} R*A with the prepared solve,
+which gives the bits of build_pi for a general or a tridiagonal K. scipy
+solves an exactly symmetric, triangular or diagonal K by a dedicated solver
+instead, so there rho may differ from build_pi's propagator in the last
+bits.
 """
 
 from __future__ import annotations
@@ -35,17 +42,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import (
-    SingularMatrixError,
-    _tag_key,
-    as_matrix,
-    lu_solver,
-    require_nonsingular,
-    solve_checked,
-)
-from .projection import INCOMPATIBLE, build_pi
+from .linalg import ProblemStore, SingularMatrixError, _tag_key, as_matrix, lu_solver
+from .projection import INCOMPATIBLE, _galerkin, build_pi
+from .transfer import _ideal_block
 
 __all__ = [
     "RelaxSpec",
@@ -104,75 +104,100 @@ class TwoGridSpec:
 class PreparedTwoGrid(TwoGridSpec):
     """A TwoGridSpec bound to one matrix A, with the guards it needs made once.
 
-    Building PreparedTwoGrid(pair, pre, post, A=A) guards and factors
-    K = R*AP (as in build_pi, a singular K raises SingularMatrixError naming
-    the pair incompatible) and then, when a relaxation is an exact F-solve,
-    guards A_ff. two_grid_conv_factor and iterate on it share both.
+    Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A,
+    forms R*A and K = R*AP as build_pi does (projection._galerkin), guards
+    and factors K (as in build_pi, a singular K raises SingularMatrixError
+    naming the pair incompatible) and then, when a relaxation is an exact
+    F-solve, takes the store's A_ff solver, guarded as "A_ff". store is A's
+    ProblemStore, one of its own by default; two_grid_conv_factor reads the
+    ideal blocks of A from it. two_grid_conv_factor, two_grid_propagator and
+    iterate on a binding to the very same A share all of this and skip the
+    finiteness scan of A, which was made here.
 
     coarse is (R*A, solve with K), or None without a pair. K is factored as
     iterate has always factored it, so residual histories keep their bits.
-    solve_ff(B) gives A_ff^{-1} B as solve_checked does, or is None.
+    solve_ff(B) gives A_ff^{-1} B against the store's LU factor, or is None.
     """
 
     A: np.ndarray = field(kw_only=True)
+    store: ProblemStore | None = field(default=None, kw_only=True, repr=False)
     coarse: tuple | None = field(init=False, repr=False)
     solve_ff: Callable | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        object.__setattr__(self, "A", A)
+        if self.store is None:
+            store = ProblemStore(self.A)
+            A = store.A
+        else:
+            store, A = self.store, as_matrix(self.A, "A")
+            if store.A is not A:
+                raise ValueError("store must be the ProblemStore of this very A")
         coarse = solve_ff = None
         if self.pair is not None:
-            RA = self.pair.R.T @ A
+            if A.shape[0] != self.pair.n:
+                raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={self.pair.n}")
+            RA, K = _galerkin(A, self.pair)
             try:
-                coarse = RA, lu_solver(RA @ self.pair.P, "coarse operator R*AP", structured=True)
+                coarse = RA, lu_solver(K, "coarse operator R*AP", structured=True)
             except SingularMatrixError as e:
                 raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
             if any(s.kind == "fexact" and not _is_identity(s) for s in (self.pre, self.post)):
-                f = list(self.pair.part.fpoints)
-                Aff = A[np.ix_(f, f)]
-                require_nonsingular(Aff, "A_ff")
-                solve_ff = lambda B: scipy.linalg.solve(Aff, np.asarray(B, dtype=float))
+                solve_ff = store.ff_solve(self.pair.part)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "store", store)
         object.__setattr__(self, "coarse", coarse)
         object.__setattr__(self, "solve_ff", solve_ff)
 
 
-def _prepared(A, spec):
-    """spec itself when it is already bound to A, else a fresh binding."""
+def _bind(A, spec):
+    """(A, method) for spec on A: spec itself when it is bound to this very A,
+    which it scanned at binding, else a fresh binding, which validates A."""
     if isinstance(spec, PreparedTwoGrid) and spec.A is A:
-        return spec
-    return PreparedTwoGrid(spec.pair, spec.pre, spec.post, A=A)
+        return A, spec
+    method = PreparedTwoGrid(spec.pair, spec.pre, spec.post, A=A)
+    return method.A, method
 
 
-def _n_inverse(A, spec, part, solve_ff=None):
-    """Approximate inverse N^{-1} applied by one sweep of the relaxation.
+def _relaxation(A, spec, part, solve_ff=None):
+    """One sweep of a relaxation as (rows, apply): N^{-1} r is apply(r[rows])
+    on the rows, and zero elsewhere.
 
-    solve_ff(B) = A_ff^{-1} B serves the exact F-solve; by default A_ff is
-    guarded and solved with solve_checked.
+    rows are all points for Jacobi and the F-points otherwise. apply scales
+    by omega / diag(A), or solves with A_ff for the exact F-solve: by
+    solve_ff, by default on a guard of A_ff of its own.
     """
-    A = as_matrix(A, "A")
-    n = A.shape[0]
-    if spec.kind == "none":
-        return np.zeros((n, n))
     if spec.kind == "jacobi":
         d = np.diag(A)
         if np.any(d == 0.0):
             raise ValueError("Jacobi relaxation needs a zero-free diagonal")
-        return np.diag(spec.omega / d)
+        w = spec.omega / d
+        return np.arange(A.shape[0]), lambda r: w * r
     if part is None:
         raise ValueError(f"relaxation kind {spec.kind!r} needs a CF partition")
     f = list(part.fpoints)
-    Ninv = np.zeros((n, n))
     if spec.kind == "fjacobi":
         d = np.diag(A)[f]
         if np.any(d == 0.0):
             raise ValueError("F-Jacobi relaxation needs a zero-free F-point diagonal")
-        Ninv[f, f] = spec.omega / d
-        return Ninv
-    # fexact: solve on the F-block exactly, identity on C-points
+        w = spec.omega / d
+        return f, lambda r: w * r
     if solve_ff is None:
-        solve_ff = lambda B: solve_checked(A[np.ix_(f, f)], B, "A_ff")
-    Ninv[np.ix_(f, f)] = solve_ff(np.eye(len(f)))
+        solve_ff = ProblemStore(A).ff_solve(part)
+    return f, solve_ff
+
+
+def _n_inverse(A, spec, part, solve_ff=None):
+    """Approximate inverse N^{-1} applied by one sweep of the relaxation, as an
+    n x n matrix; only the dense propagator forms it.
+
+    solve_ff(B) = A_ff^{-1} B serves the exact F-solve, as in _relaxation.
+    """
+    n = A.shape[0]
+    if spec.kind == "none":
+        return np.zeros((n, n))
+    rows, apply = _relaxation(A, spec, part, solve_ff)
+    Ninv = np.zeros((n, n))
+    Ninv[np.ix_(rows, rows)] = apply(np.eye(len(rows)))
     return Ninv
 
 
@@ -184,7 +209,8 @@ def _is_identity(spec):
 def relax_propagator(A, spec, part=None):
     """Error propagator (I - N^{-1} A)^sweeps of a relaxation scheme.
 
-    part is required for the F-point kinds and ignored otherwise.
+    part is required for the F-point kinds and ignored otherwise. An exact
+    F-solve solves with the LU factor of A_ff, as a PreparedTwoGrid does.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
@@ -207,11 +233,8 @@ def two_grid_propagator(A, spec):
     an exact F-solve are formed with the guards and factors of a
     PreparedTwoGrid bound to A, made here when spec is not one.
     """
-    A = as_matrix(A, "A")
+    A, method = _bind(A, spec)
     n = A.shape[0]
-    if spec.pair is not None and A.shape[0] != spec.pair.n:
-        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={spec.pair.n}")
-    method = _prepared(A, spec)
     part = spec.pair.part if spec.pair is not None else None
     E = np.eye(n)
     if spec.pair is not None:
@@ -253,25 +276,30 @@ def two_grid_conv_factor(A, spec):
 
     With a classical pair and exact F-relaxation on one side or both (and no
     relaxation on the other) rho is read from the n_c x n_c matrix
-    T = K^{-1} (R*A)_F (W_ideal - W) (see the module docstring). S is a
+    T = K^{-1} (Z - Z_ideal)* A_ff (W_ideal - W) (see the module docstring),
+    with Z_ideal and W_ideal of A from the binding's ProblemStore. When
+    Z = Z_ideal or W = W_ideal exactly, as for an ideal block of A built
+    through a store, rho is 0.0 and no eigensolve is made. S is a
     projection, so its sweep count does not matter. Every other method gives
     exactly conv_factor(two_grid_propagator(A, spec)).
 
     A singular K raises SingularMatrixError as build_pi does, before A_ff is
     guarded.
     """
-    A = as_matrix(A, "A")
+    A, method = _bind(A, spec)
     if not _reduces(spec):
-        return conv_factor(two_grid_propagator(A, spec))
+        return _spectral_radius(two_grid_propagator(A, method))
     pair = spec.pair
-    if A.shape[0] != pair.n:
-        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    method = _prepared(A, spec)
-    RA, solve_k = method.coarse
-    f, c = list(pair.part.fpoints), list(pair.part.cpoints)
-    # W_ideal - W, with W_ideal formed as transfer.ideal_w forms it
-    D = -method.solve_ff(A[np.ix_(f, c)]) - pair.W
-    return _spectral_radius(solve_k(RA[:, f] @ D))
+    part = pair.part
+    dZ = pair.Z - _ideal_block(method.store, part, "A", "Z")
+    if not dZ.any():
+        return 0.0
+    dW = _ideal_block(method.store, part, "A", "W") - pair.W
+    if not dW.any():
+        return 0.0
+    f = list(part.fpoints)
+    _, solve_k = method.coarse
+    return _spectral_radius(solve_k(dZ.T @ (A[np.ix_(f, f)] @ dW)))
 
 
 def air_cpoint_residual(A, pair, e):
@@ -294,41 +322,43 @@ def iterate(A, spec, b, x0, iters):
     Relaxation sweeps apply x <- x + N^{-1}(b - A x); coarse-grid correction
     applies x <- x + P (R* A P)^{-1} R* (b - A x).
 
-    Every matrix is guarded and factored once per call: each N^{-1} is
-    formed once and K = R*AP is factored once, so an iteration costs
-    products and the two triangular solves of the coarse correction. A
-    tridiagonal K is factored by tridiagonal elimination, which gives the
-    same bits as solving with scipy.linalg.solve on every iteration. A
-    PreparedTwoGrid bound to A already holds the guards and the factor of
-    K, and they are used instead of new ones.
+    Every matrix is guarded and factored once per call, or taken from a
+    PreparedTwoGrid bound to A. N^{-1} is never formed: a sweep scales the
+    residual by omega / diag(A) (Jacobi, or its F-point rows for F-Jacobi)
+    or solves with A_ff against its LU factor on the F-points. K = R*AP is
+    factored once, so the coarse correction costs products and two
+    triangular solves; a tridiagonal K is factored by tridiagonal
+    elimination, which gives the same bits as solving with
+    scipy.linalg.solve on every iteration. The residual of each update
+    serves the next update and the history, so an iteration makes one
+    product with A per update.
     """
-    A = as_matrix(A, "A")
+    A, method = _bind(A, spec)
     b = np.asarray(b, dtype=float).ravel()
     x = np.array(x0, dtype=float).ravel()
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    method = _prepared(A, spec)
     part = spec.pair.part if spec.pair is not None else None
-    pre = None if _is_identity(spec.pre) else _n_inverse(A, spec.pre, part, method.solve_ff)
-    post = None if _is_identity(spec.post) else _n_inverse(A, spec.post, part, method.solve_ff)
+    steps = []  # (rows, apply): x[rows] += apply(r[rows]), or x += apply(r) for rows None
+    if not _is_identity(spec.pre):
+        steps += [_relaxation(A, spec.pre, part, method.solve_ff)] * spec.pre.sweeps
     if spec.pair is not None:
         R, P = spec.pair.R, spec.pair.P
         _, solve_k = method.coarse
-        coarse = lambda r: P @ solve_k(R.T @ r)
-    else:
-        coarse = None
+        steps.append((None, lambda r: P @ solve_k(R.T @ r)))
+    if not _is_identity(spec.post):
+        steps += [_relaxation(A, spec.post, part, method.solve_ff)] * spec.post.sweeps
 
-    history = [float(np.linalg.norm(b - A @ x))]
+    r = b - A @ x
+    history = [float(np.linalg.norm(r))]
     for _ in range(iters):
-        if pre is not None:
-            for _ in range(spec.pre.sweeps):
-                x = x + pre @ (b - A @ x)
-        if coarse is not None:
-            x = x + coarse(b - A @ x)
-        if post is not None:
-            for _ in range(spec.post.sweeps):
-                x = x + post @ (b - A @ x)
-        history.append(float(np.linalg.norm(b - A @ x)))
+        for rows, apply in steps:
+            if rows is None:
+                x = x + apply(r)
+            else:
+                x[rows] += apply(r[rows])
+            r = b - A @ x
+        history.append(float(np.linalg.norm(r)))
     return np.array(history)
 
 

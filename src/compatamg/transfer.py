@@ -23,6 +23,7 @@ from .linalg import (
     _tag_key,
     as_matrix,
     inv_checked,
+    lu_solver,
     numerical_rank,
     partition,
     realize_norm,
@@ -206,12 +207,19 @@ def realize_q(choice, A, store=None):
     raise AssertionError(f"unhandled Q tag {tag!r}")
 
 
-def _w_of(ff, fc):
-    return -solve_checked(ff, fc, "ff-block of companion")
+def _ff_solver(ff):
+    """Solve against one guarded LU of a companion's ff-block."""
+    return lu_solver(ff, "ff-block of companion")
 
 
-def _z_of(ff, cf):
-    return -solve_checked(ff.T, cf.T, "ff-block of companion")
+def _w_of(solve_ff, fc):
+    """-Q_ff^{-1} Q_fc, by a solve with the ff-block's LU."""
+    return -solve_ff(fc)
+
+
+def _z_of(solve_ff, cf):
+    """Z with Z* = -Q_cf Q_ff^{-1}, by the transposed solve with the ff-block's LU."""
+    return -solve_ff(cf.T, trans=1)
 
 
 def ideal_w(Q):
@@ -220,7 +228,7 @@ def ideal_w(Q):
     The F-point rows of Q [W; I] vanish and the C-point rows equal the Schur
     complement of Q onto the C-block. Only Q's F rows are read.
     """
-    return _w_of(Q.ff, Q.fc)
+    return _w_of(_ff_solver(Q.ff), Q.fc)
 
 
 def ideal_z(Q):
@@ -228,9 +236,9 @@ def ideal_z(Q):
 
     Returns Z with Z* = -Q_cf Q_ff^{-1}, so [Z; I]* Q has vanishing F-point
     columns and C-point columns equal to the Schur complement of Q. Only Q's
-    F columns are read.
+    F columns are read, and Q_ff is factored as for ideal_w.
     """
-    return _z_of(Q.ff, Q.cf)
+    return _z_of(_ff_solver(Q.ff), Q.cf)
 
 
 def p_ideal(Q):
@@ -400,9 +408,9 @@ def _ideal_cell(A, part, row, q, anchor, anchored, store=None):
         comp = _companion(A, row, qf, anchor)
         f, c = list(part.fpoints), list(part.cpoints)
         if anchor == "P":
-            pair = make_pair(part, _z_of(comp[f], comp[c]), block)
+            pair = make_pair(part, _z_of(_ff_solver(comp[f]), comp[c]), block)
         else:
-            pair = make_pair(part, block, _w_of(comp[:, f], comp[:, c]))
+            pair = make_pair(part, block, _w_of(_ff_solver(comp[:, f]), comp[:, c]))
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"ideal companion undefined for this splitting: {e}"
@@ -631,10 +639,22 @@ def ideal_blocks_pair(A, part, r_q, p_q, store=None):
 
 
 def _ideal_block(store, part, q, side):
-    """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part."""
+    """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part.
+
+    The blocks of A itself are read off A's F/C slices and solved with the
+    store's A_ff solver, and those of the identity are zero, so neither
+    companion is realized. Any other companion is realized and partitioned.
+    """
     def build():
-        Q = partition(realize_q(q, store.A, store), part)
-        block = ideal_z(Q) if side == "Z" else ideal_w(Q)
+        if choice.tag == "identity":
+            block = np.zeros((part.nf, part.nc))
+        elif choice.tag == "A":
+            A, f, c = store.A, list(part.fpoints), list(part.cpoints)
+            solve = store.ff_solve(part)
+            block = _z_of(solve, A[np.ix_(c, f)]) if side == "Z" else _w_of(solve, A[np.ix_(f, c)])
+        else:
+            Q = partition(realize_q(choice, store.A, store), part)
+            block = ideal_z(Q) if side == "Z" else ideal_w(Q)
         block.setflags(write=False)
         return block
 

@@ -249,15 +249,18 @@ def test_converge_guards_each_matrix_once_per_pair(tmp_path, monkeypatch):
          "--pair", "single1", "--pair", "single3", "--post", "fexact", "--iters", "4"],
     )
     assert code == 0 and len(report["results"]) == 2
+    # one guard each per pair: A_ff serves the ideal block, the F-relaxation
+    # and rho
     assert counts.count("coarse operator R*AP") == 2
-    assert counts.count("A_ff") <= 2
+    assert counts.count("A_ff") == 2
 
 
 @pytest.mark.parametrize("post", ["none", "fexact"])
 def test_converge_dense_path_guards_k_once_per_pair(tmp_path, monkeypatch, post):
     # with Jacobi before the correction rho comes from the dense propagator,
     # which forms Pi and any exact F-solve from the guards the iteration
-    # uses: K and A_ff are each guarded once per pair
+    # uses: K and A_ff are each guarded once per pair, A_ff also without an
+    # F-relaxation, for the pair's ideal block of A
     import compatamg.linalg
 
     guard = compatamg.linalg._guarded_lu
@@ -273,7 +276,7 @@ def test_converge_dense_path_guards_k_once_per_pair(tmp_path, monkeypatch, post)
     )
     assert code == 0 and len(report["results"]) == 2
     assert counts.count("coarse operator R*AP") == 2
-    assert counts.count("A_ff") == (2 if post == "fexact" else 0)
+    assert counts.count("A_ff") == 2
 
 
 def test_converge_jacobi_only_matches_eigen_oracle(tmp_path):
@@ -310,6 +313,72 @@ def test_converge_csv_history(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["pair", "iter", "residual"]
     assert len(rows) == 1 + 4  # header + iters+1 residuals
+
+
+def _singular_zw_recipe(tmp_path):
+    # on advection1d with n = 8, Z = 0 and W = I give R*AP = A_cf + A_cc = 0
+    zp, wp = tmp_path / "Z.json", tmp_path / "W.json"
+    cm.save_matrix_json(zp, np.zeros((4, 4)))
+    cm.save_matrix_json(wp, np.eye(4))
+    return f"zw:{zp},{wp}"
+
+
+def test_converge_skips_a_pair_that_cannot_be_bound(tmp_path):
+    recipe = _singular_zw_recipe(tmp_path)
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advection1d", "--n", "8", "--pair", "single1",
+         "--pair", recipe, "--pair", "single3", "--post", "fexact", "--iters", "3"],
+    )
+    assert code == 1 and report["passed"] is False
+    first, bad, last = report["results"]
+    assert first["pair"] == "single1" and len(first["history"]) == 4
+    assert last["pair"] == "single3" and len(last["history"]) == 4
+    assert bad == {"pair": recipe, "skipped": True, "reason": bad["reason"]}
+    assert "incompatible" in bad["reason"] and "R*AP" in bad["reason"]
+
+
+def test_converge_csv_has_no_rows_for_a_skipped_pair(tmp_path):
+    recipe = _singular_zw_recipe(tmp_path)
+    out = tmp_path / "hist.csv"
+    code = main(
+        ["converge", "--problem", "advection1d", "--n", "8", "--pair", recipe,
+         "--pair", "single1", "--post", "fexact", "--iters", "3", "--format", "csv",
+         "--output", str(out)]
+    )
+    assert code == 1
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["pair", "iter", "residual"]
+    assert [r[0] for r in rows[1:]] == ["single1"] * 4
+
+
+def test_converge_makes_no_dense_relaxation_or_a_ff_solve(tmp_path, monkeypatch):
+    # the benchmark case's methods: A_ff is solved only against the store's
+    # LU factor, N^{-1} is never formed and rho takes no eigensolve
+    import scipy.linalg
+
+    import compatamg.solver as solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    code, ref = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.01", "--n", "60",
+         "--pair", "single1", "--pair", "single3", "--post", "fexact", "--iters", "30"],
+    )
+    monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+    monkeypatch.setattr(solver, "_n_inverse", forbidden)
+    monkeypatch.setattr(solver, "_spectral_radius", forbidden)
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.01", "--n", "60",
+         "--pair", "single1", "--pair", "single3", "--post", "fexact", "--iters", "30"],
+        "again.json",
+    )
+    assert code == 0
+    assert [r["rho"] for r in report["results"]] == [0.0, 0.0]
+    assert report["results"] == ref["results"]
 
 
 def _reject_constant(token):
@@ -431,9 +500,10 @@ def test_verify_pairs_and_tables_threaded_equal_serial(tmp_path, monkeypatch):
 def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):
     # single1-4 share their problem's factors: one guarded LU of A (the
     # AstarA and AstarAsymInvA norms), one Cholesky factor of (A + A*)/2
-    # (Asym and AstarAsymInvA), and each of the six ideal blocks is built
-    # once although single1 and single2 share Z_ideal(A) and single3 and
-    # single4 share W_ideal(A)
+    # (Asym and AstarAsymInvA), one guarded LU of A_ff (Z_ideal(A) and
+    # W_ideal(A)), and each of the four ideal blocks that takes a solve is
+    # built once although single1 and single2 share Z_ideal(A) and single3
+    # and single4 share W_ideal(A); the identity's ideal blocks are zero
     import compatamg.linalg as linalg
     import compatamg.transfer as transfer
 
@@ -457,8 +527,9 @@ def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):
     code, report = _run_json(tmp_path, ["verify-pairs", "--problem", "random", "--n", "24"] + single)
     assert code == 0 and len(report["results"]) == 4
     assert made.count("lu A") == 1
+    assert made.count("lu A_ff") == 1
     assert made.count("_spd_cholesky") == 1
-    assert made.count("_z_of") == made.count("_w_of") == 3
+    assert made.count("_z_of") == made.count("_w_of") == 2
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])

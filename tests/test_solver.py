@@ -6,6 +6,7 @@ import scipy.linalg
 
 import compatamg as cm
 import compatamg.linalg
+import compatamg.projection
 from conftest import random_pair_case
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -275,16 +276,18 @@ def test_iterate_factors_once_per_call(monkeypatch):
 
 @pytest.mark.parametrize("name", ["single1", "single3"])
 def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
-    # K = R*AP is tridiagonal here, which scipy.linalg.solve solves by
-    # tridiagonal elimination; the factored solve must give the same bits
+    # K = R*AP, formed as every layer forms it, is tridiagonal here, which
+    # scipy.linalg.solve solves by tridiagonal elimination; the factored
+    # solve must give the same bits
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
+    K = compatamg.projection._galerkin(A, pair)[1]
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
     ref = [np.linalg.norm(b - A @ x)]
     for _ in range(5):
-        x = x + P @ scipy.linalg.solve(R.T @ A @ P, R.T @ (b - A @ x))
+        x = x + P @ scipy.linalg.solve(K, R.T @ (b - A @ x))
         ref.append(np.linalg.norm(b - A @ x))
     hist = cm.iterate(A, cm.TwoGridSpec(pair=pair), b, np.zeros(60), 5)
     np.testing.assert_array_equal(hist, ref)
@@ -451,3 +454,89 @@ def test_prepared_method_shares_its_guards(monkeypatch):
     counts.clear()
     cm.iterate(A.copy(), bound, b, np.zeros(40), 1)
     assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
+
+
+@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d"])
+@pytest.mark.parametrize("name", ["single1", "single3"])
+@pytest.mark.parametrize("pre,post", REDUCED_SIDES)
+def test_conv_factor_is_exactly_zero_for_a_one_sided_ideal_pair(monkeypatch, kind, name, pre, post):
+    # Z = Z_ideal(A) (single1) or W = W_ideal(A) (single3) makes the two-sided
+    # T vanish exactly: rho is 0.0 with no eigensolve, where the one-sided
+    # form read round-off (2.9e-12 for single1 at n = 1000). The dense
+    # propagator is nilpotent, E^2 = 0 to round-off; its computed eigenvalues
+    # scatter to sqrt(eps) ||E|| instead, so they are no oracle here
+    A = cm.generate(cm.ProblemSpec(kind, n=200, epsilon=0.01))
+    pair, _ = cm.single_operator_pair(A, _split(200), name)
+    spec = cm.TwoGridSpec(pair=pair, pre=cm.RelaxSpec(pre), post=cm.RelaxSpec(post))
+    E = cm.two_grid_propagator(A, spec)
+    assert np.linalg.norm(E @ E, 2) <= 1e-12 * max(1.0, np.linalg.norm(E, 2)) ** 2
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+    assert cm.two_grid_conv_factor(A, spec) == 0.0
+
+
+RELAX_OPERATORS = {
+    "jacobi": cm.RelaxSpec("jacobi", omega=0.6, sweeps=2),
+    "fjacobi": cm.RelaxSpec("fjacobi", omega=0.7, sweeps=2),
+    "fexact": cm.RelaxSpec("fexact"),
+    "none": cm.RelaxSpec("none"),
+}
+
+
+@pytest.mark.parametrize("pre,post", [("jacobi", "fexact"), ("fjacobi", "none"),
+                                      ("fexact", "fjacobi"), ("none", "jacobi")])
+def test_iterate_applies_each_relaxation_without_forming_n_inverse(monkeypatch, pre, post):
+    import compatamg.solver as solver
+
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=80, epsilon=0.05))
+    pair, _ = cm.single_operator_pair(A, _split(80), "single2")
+    spec = cm.TwoGridSpec(pair=pair, pre=RELAX_OPERATORS[pre], post=RELAX_OPERATORS[post])
+    b = np.random.default_rng(18).standard_normal(80)
+    ref = _reference_history(A, spec, b, np.zeros(80), 12)
+
+    def no_n_inverse(*args, **kwargs):
+        raise AssertionError("iterate formed N^{-1}")
+
+    monkeypatch.setattr(solver, "_n_inverse", no_n_inverse)
+    hist = cm.iterate(A, spec, b, np.zeros(80), 12)
+    assert np.max(np.abs(hist - ref)) <= 1e-10 * hist[0]
+
+
+def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
+    # A is scanned once, at binding; the calls on the same A object skip it
+    import compatamg.solver as solver
+
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    pair, _ = cm.single_operator_pair(A, _split(40), "single3")
+    bound = cm.PreparedTwoGrid(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"), A=A)
+    scans = []
+    for module in (solver, compatamg.linalg):
+        real = module.as_matrix
+        monkeypatch.setattr(
+            module, "as_matrix",
+            lambda a, name="matrix", real=real: (scans.append(np.shape(a)), real(a, name))[1],
+        )
+    cm.two_grid_conv_factor(A, bound)
+    cm.two_grid_propagator(A, bound)
+    cm.iterate(A, bound, np.ones(40), np.zeros(40), 3)
+    assert (40, 40) not in scans
+    cm.iterate(A.copy(), bound, np.ones(40), np.zeros(40), 1)
+    assert (40, 40) in scans
+
+
+def test_prepared_method_binds_to_the_store_of_its_pair(monkeypatch):
+    guard = compatamg.linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    store = cm.ProblemStore(A)
+    pair, _ = cm.single_operator_pair(A, _split(40), "single1", store)
+    assert counts == ["A_ff"]
+    bound = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A, store=store)
+    assert cm.two_grid_conv_factor(A, bound) == 0.0
+    cm.iterate(A, bound, np.ones(40), np.zeros(40), 3)
+    # the F-relaxation and rho reuse the A_ff factor the pair was built with
+    assert counts == ["A_ff", "coarse operator R*AP"]
+    with pytest.raises(ValueError, match="store"):
+        cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A.copy(), store=store)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import compatamg as cm
 from compatamg.linalg import SingularMatrixError, numerical_rank
-from compatamg.transfer import _companion, _ideal_cell, _norm_row
+from compatamg.transfer import _companion, _ideal_block, _ideal_cell, _norm_row
 from conftest import random_nonsingular, random_partition, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -552,3 +552,40 @@ def test_realize_q_tags():
     np.testing.assert_allclose(cm.realize_q("Ainv", A) @ A, np.eye(6), atol=1e-10)
     with pytest.raises(ValueError):
         cm.QChoice("unknown")
+
+
+@pytest.mark.parametrize("kind", ["random", "advdiff1d", "laplacian1d"])
+def test_store_blocks_of_a_keep_the_bits_of_the_partitioned_companion(kind):
+    # the store reads Z_ideal(A) and W_ideal(A) off A's F/C slices and its
+    # A_ff solver; they must be the blocks ideal_z and ideal_w give on the
+    # partitioned A, bit for bit, on every splitting
+    A = cm.generate(cm.ProblemSpec(kind, n=40, epsilon=0.01, seed=3))
+    rng = np.random.default_rng(41)
+    for part in (cm.default_splitting(40, "alternate"), random_partition(rng, 40)):
+        store = cm.ProblemStore(A)
+        Q = cm.partition(A, part)
+        z = _ideal_block(store, part, "A", "Z")
+        w = _ideal_block(store, part, "A", "W")
+        assert z.tobytes() == cm.ideal_z(Q).tobytes()
+        assert w.tobytes() == cm.ideal_w(Q).tobytes()
+        zero = np.zeros((part.nf, part.nc))
+        np.testing.assert_array_equal(_ideal_block(store, part, "identity", "Z"), zero)
+        np.testing.assert_array_equal(_ideal_block(store, part, "identity", "W"), zero)
+
+
+def test_store_blocks_of_a_share_one_guarded_lu_of_a_ff(monkeypatch):
+    import compatamg.linalg as linalg
+
+    guard = linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+    )
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=30, epsilon=0.05))
+    part = cm.default_splitting(30, "alternate")
+    store = cm.ProblemStore(A)
+    for name in ("single1", "single2", "single3", "single4"):
+        cm.single_operator_pair(A, part, name, store)
+    # Z_ideal(A) and W_ideal(A) through the store's one "A_ff" guard, the
+    # Asym blocks through one guard each, the identity's without any
+    assert sorted(counts) == ["A_ff", "ff-block of companion", "ff-block of companion"]
