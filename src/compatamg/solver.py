@@ -162,9 +162,10 @@ def _relaxation(A, spec, part, solve_ff=None):
     """One sweep of a relaxation as (rows, apply): N^{-1} r is apply(r[rows])
     on the rows, and zero elsewhere.
 
-    rows are all points for Jacobi and the F-points otherwise. apply scales
-    by omega / diag(A), or solves with A_ff for the exact F-solve: by
-    solve_ff, by default on a guard of A_ff of its own.
+    spec is not the identity (see _is_identity). rows are all points for
+    Jacobi and the F-points otherwise. apply scales by omega / diag(A), or
+    solves with A_ff for the exact F-solve: by solve_ff, by default on a
+    guard of A_ff of its own.
     """
     if spec.kind == "jacobi":
         d = np.diag(A)
@@ -192,11 +193,8 @@ def _n_inverse(A, spec, part, solve_ff=None):
 
     solve_ff(B) = A_ff^{-1} B serves the exact F-solve, as in _relaxation.
     """
-    n = A.shape[0]
-    if spec.kind == "none":
-        return np.zeros((n, n))
     rows, apply = _relaxation(A, spec, part, solve_ff)
-    Ninv = np.zeros((n, n))
+    Ninv = np.zeros(A.shape)
     Ninv[np.ix_(rows, rows)] = apply(np.eye(len(rows)))
     return Ninv
 
