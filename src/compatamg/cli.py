@@ -2,11 +2,12 @@
 orthogonality claims, sweep the norm/companion catalog, check the pairing
 symmetry diagram, and run convergence studies, emitting JSON or CSV reports.
 
-Exit codes: 0 all verifications passed, 1 a verification failed or a
-converge pair was skipped, 2 malformed configuration or a construction
-failure. The COMPATAMG_THREADS environment variable caps how many
-independent cases run in parallel (default 1); output ordering is
-configuration order regardless.
+Exit codes: 0 all verifications passed, 1 a verification failed, a
+converge pair was skipped or a verify-pairs case was skipped for a singular
+coarse operator R*AP, 2 malformed configuration or a construction failure.
+The COMPATAMG_THREADS environment variable caps how many independent cases
+run in parallel (default 1); output ordering is configuration order
+regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -45,6 +46,7 @@ from .linalg import NormSpec, ProblemStore, SingularMatrixError, realize_norm
 from .matio import load_matrix
 from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, generate
 from .projection import (
+    INCOMPATIBLE,
     coarse_correction,
     pi_m_norm,
     projection_report,
@@ -240,18 +242,23 @@ def cmd_verify_pairs(cfg):
         rec = {"pair": name, "norm": tag, "expected_orthogonal": expected}
         try:
             M = realize_norm(tag, A, factored=True, store=store)
+            rec.update(projection_report(A, pair, M, cfg.tol))
         except ValueError as e:
+            # a norm not defined on A, or a singular R*AP (SingularMatrixError
+            # is a ValueError), skips this case only, not the batch
             rec.update(skipped=True, reason=str(e))
             if expected:
                 rec["pass"] = False
             return rec
-        rec.update(projection_report(A, pair, M, cfg.tol))
         if expected:
             rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
 
     results = _map_cases(run, cases())
-    failed = [r for r in results if r.get("pass") is False]
+    failed = [
+        r for r in results
+        if r.get("pass") is False or r.get("reason", "").startswith(INCOMPATIBLE)
+    ]
     return (1 if failed else 0), results, not failed
 
 

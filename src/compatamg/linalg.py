@@ -12,10 +12,13 @@ guard factors the matrix once by LU with partial pivoting and reads the
 LAPACK reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988)
 off that factor, so no SVD is spent on it. COND_LIMIT is defined on that
 estimate of the 1-norm condition number, not on the 2-norm condition
-number; the two condition numbers differ by at most a factor n. lu_solver
-hands the guard's factor on as a solve closure, so a matrix used for many
-solves is factored once, and solve_checked and inv_checked solve with it
-wherever scipy would factor the same matrix by its general LU.
+number; the two condition numbers differ by at most a factor n. Every
+guarded solve and inverse then runs on one path: lu_solver hands the
+guard's factor on as a solve closure, so a matrix used for many solves is
+factored once, solve_checked is one call of that closure and inv_checked
+inverts the guard's factor in place (dgetri). A tridiagonal matrix, a
+diagonal one included, is solved by tridiagonal elimination with partial
+pivoting instead (dgttrf/dgttrs), in O(n) per right-hand side.
 
 A symmetric matrix is accepted as positive definite by its Cholesky factor:
 LAPACK dpotrf must succeed on the symmetric part and the reciprocal condition
@@ -137,26 +140,29 @@ def require_nonsingular(A, what="matrix"):
 
 
 def _is_tridiagonal(A):
-    return A.shape[0] >= 3 and not (np.triu(A, 2).any() or np.tril(A, -2).any())
+    # a tridiagonal matrix has at most 3n - 2 nonzeros, which rejects a dense
+    # one without an n x n temporary
+    n = A.shape[0]
+    return (n >= 3 and np.count_nonzero(A) <= 3 * n - 2
+            and not (np.triu(A, 2).any() or np.tril(A, -2).any()))
 
 
-def lu_solver(A, what="matrix", structured=False, lu=None):
-    """Guard A as require_nonsingular does and return a solve against its LU factor.
+def lu_solver(A, what="matrix", lu=None):
+    """Guard A as require_nonsingular does and return a solve against its factor.
 
-    The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1,
-    by two triangular solves. It is safe to share between threads: scipy's
-    getrs wrapper shifts the pivot indices in place during each call, so
-    every solve gets its own copy of them. lu is the guard's (lu, piv) when
-    the caller already holds it.
-
-    With structured=True a tridiagonal A is factored instead by tridiagonal
-    elimination with partial pivoting (dgttrf), the elimination that
-    scipy.linalg.solve runs on a tridiagonal matrix, so each solve gives the
-    same bits as solve_checked.
+    The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
+    A tridiagonal A, a diagonal one included, is factored by tridiagonal
+    elimination with partial pivoting (dgttrf) and the guard's LU is
+    dropped; any other A is solved against the guard's LU by two triangular
+    solves. The solve is safe to share between threads: scipy's getrs
+    wrapper shifts the pivot indices in place during each call, so every
+    solve gets its own copy of them. lu is the guard's (lu, piv) when the
+    caller already holds it.
     """
     lu, piv = _guarded_lu(A, what) if lu is None else lu
     A = np.asarray(A, dtype=float)
-    if structured and _is_tridiagonal(A):
+    if _is_tridiagonal(A):
+        del lu, piv  # not held by the solve
         dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.diag(A, -1), np.diag(A), np.diag(A, 1))
 
         def solve(X, trans=0):
@@ -170,57 +176,21 @@ def lu_solver(A, what="matrix", structured=False, lu=None):
     return solve
 
 
-def _general_lu_path(A):
-    """Whether scipy.linalg.solve and inv factor A by their general LU.
-
-    Their structure detection sends a diagonal, triangular, tridiagonal or
-    exactly symmetric A to a dedicated solver instead, so A takes the general
-    path only when it has nonzeros on both sides of the tridiagonal band's
-    diagonal, one of them outside the band, and is not symmetric. Two
-    unequal nonzero corners decide that at once, as for any dense A.
-    """
-    c, d = A[-1, 0], A[0, -1]
-    if A.shape[0] >= 3 and c != 0 and d != 0 and c != d:
-        return True
-    nz = A != 0
-    return bool(
-        (np.tril(nz, -2).any() or np.triu(nz, 2).any())
-        and np.tril(nz, -1).any() and np.triu(nz, 1).any()
-        and not np.array_equal(A, A.T)
-    )
-
-
 def solve_checked(A, B, what="matrix"):
-    """Solve A X = B after rejecting numerically singular A.
-
-    Gives the bits of scipy.linalg.solve. Where its structure detection would
-    take the general LU path, the solve is dgetrs against the guard's own
-    dgetrf factor, so A is factored once; a diagonal, triangular, tridiagonal
-    or symmetric A keeps scipy's dedicated solver.
-    """
-    lu, piv = _guarded_lu(A, what)
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    if B.size and _general_lu_path(A):
-        return lapack.dgetrs(lu, piv, B)[0]
-    del lu, piv  # not held while scipy factors A again
-    return scipy.linalg.solve(A, B)
+    """Solve A X = B after rejecting numerically singular A: lu_solver(A, what)(B)."""
+    return lu_solver(A, what)(np.asarray(B, dtype=float))
 
 
 def inv_checked(A, what="matrix", lu=None):
-    """A^{-1} after rejecting numerically singular A, with the bits of scipy.linalg.inv.
+    """A^{-1} after rejecting numerically singular A, by dgetri on the guard's LU.
 
-    Where scipy would take its general LU path, the inverse is dgetri on the
-    guard's dgetrf factor, with the optimal workspace scipy uses. lu is the
-    guard's (lu, piv) when the caller already holds it; it is left intact.
+    lu is the guard's (lu, piv) when the caller already holds it; it is left
+    intact.
     """
     own = lu is None
     lu, piv = _guarded_lu(A, what) if own else lu
-    A = np.asarray(A, dtype=float)
-    if _general_lu_path(A):
-        lwork = int(lapack.dgetri_lwork(A.shape[0])[0])
-        return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=int(own))[0]
-    del lu, piv
-    return scipy.linalg.inv(A)
+    lwork = int(lapack.dgetri_lwork(lu.shape[0])[0])
+    return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=int(own))[0]
 
 
 @dataclass(frozen=True)
@@ -435,9 +405,12 @@ class NormFactor:
     products with and triangular or LU solves against factors computed once.
     Built by realize_norm(..., factored=True) or as_norm_factor.
 
-    For the norms built on a problem matrix A, A is that matrix, and
-    adj_astar, where the tag gives it by algebra, applies G^{-*} A* without
-    a solve: X for G = A (AstarA) and L* X for G = L^{-1} A (AstarAsymInvA).
+    For the norms built on a problem matrix A, A is that matrix, and H,
+    where the tag gives it by algebra, is the factor with G^{-*} A* = H: the
+    identity for G = A (AstarA) and L* for G = L^{-1} A with
+    (A + A*)/2 = L L* (AstarAsymInvA). Then A G^{-1} = H* and
+    G A^{-1} = H^{-*}, so products of G with A or A^{-1} cancel without a
+    solve with A.
     """
 
     tag: str
@@ -446,7 +419,7 @@ class NormFactor:
     solve: Callable        # X -> G^{-1} X
     solve_adj: Callable    # X -> G^{-*} X
     A: np.ndarray | None = field(default=None, repr=False, compare=False)
-    adj_astar: Callable | None = field(default=None, repr=False, compare=False)
+    H: NormFactor | None = field(default=None, repr=False, compare=False)
 
     def gram(self, X):
         """M X = G*(G X)."""
@@ -491,7 +464,7 @@ def _factored_norm(tag, A, L, lu_solve):
             lu_solve,
             lambda X: lu_solve(X, trans=1),
             A=A,
-            adj_astar=lambda X: np.asarray(X, dtype=float),
+            H=_identity_factor(),
         )
     if tag == "SqrtAstarA":
         # G = Sigma^{1/2} V* from the SVD A = U Sigma V*
@@ -506,8 +479,8 @@ def _factored_norm(tag, A, L, lu_solve):
         )
     if tag == "AstarAsymInvA":
         # G = L^{-1} A with Asym = L L*; C is the factor L* of Asym, so that
-        # L^{-1} = C.solve_adj and L = C.apply_adj, and G^{-*} A* = L* = C.apply
-        C = _cholesky_factor(tag, L)
+        # L^{-1} = C.solve_adj and L = C.apply_adj, and G^{-*} A* = L* = C
+        C = _cholesky_factor("Asym", L)
         return NormFactor(
             tag,
             lambda X: C.solve_adj(A @ X),
@@ -515,7 +488,7 @@ def _factored_norm(tag, A, L, lu_solve):
             lambda X: lu_solve(C.apply_adj(X)),
             lambda X: C.apply(lu_solve(X, trans=1)),
             A=A,
-            adj_astar=C.apply,
+            H=C,
         )
     raise AssertionError(f"unhandled norm tag {tag!r}")
 
@@ -530,7 +503,8 @@ class ProblemStore:
     matrices. A store serves one command, or in converge one pair, and is
     dropped with it, so nothing outlives the problem. Entries are built
     under one lock, since case threads share the store; a construction that
-    fails is kept as its error and raised again to every later caller.
+    fails is kept as its error's type and message and raised again to every
+    later caller.
     """
 
     def __init__(self, A):
@@ -545,10 +519,12 @@ class ProblemStore:
                 try:
                     self._built[key] = (build(), None)
                 except (ValueError, SingularMatrixError) as e:
-                    self._built[key] = (None, e)
+                    # the type and message only: the error's traceback holds
+                    # this frame, and so the store, in a reference cycle
+                    self._built[key] = (None, (type(e), str(e)))
             value, error = self._built[key]
         if error is not None:
-            raise type(error)(str(error))
+            raise error[0](error[1])
         return value
 
     def lu(self):
@@ -562,8 +538,8 @@ class ProblemStore:
         return self.get("lu", build)
 
     def lu_solve(self):
-        """lu_solver(A, "A") on the stored factor."""
-        return lu_solver(self.A, "A", lu=self.lu())
+        """lu_solver(A, "A") on the stored factor, made once."""
+        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.lu()))
 
     def ff_solve(self, part):
         """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
@@ -632,8 +608,9 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
             return _factored_norm(tag, A, _norm_cholesky(tag, store, M, tol), None)
         return store.get(("factor", tag, tol), lambda: _realized_factor(tag, store, tol))
 
+    L = None
     if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
-        _norm_cholesky(tag, store, M, tol)
+        L = _norm_cholesky(tag, store, M, tol)
     if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
         store.lu()  # the guard on A
     if tag == "identity":
@@ -649,7 +626,9 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
         _, s, Vt = np.linalg.svd(A)
         return (Vt.T * s) @ Vt
     if tag == "AstarAsymInvA":
-        return A.T @ scipy.linalg.solve((A + A.T) / 2.0, A, assume_a="pos")
+        # M = G* G with G = L^{-1} A
+        G = scipy.linalg.solve_triangular(L, A, lower=True)
+        return G.T @ G
     return M
 
 

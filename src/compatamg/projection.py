@@ -25,7 +25,8 @@ realize_norm(..., factored=True):
 
 A pair reaches the kernel as a CoarseCorrection, with bases G P and
 G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
-For G = A the second basis is R itself and for G = L^{-1} A it is L* R;
+For G = A and G = L^{-1} A the factor holds H = G^{-*} A* by algebra, I
+and L* respectively, so the second basis is H R without a solve with A;
 the other norms solve with G* against A* R. A dense projection reaches the
 kernel through one SVD, which gives range(Pi) and range(Pi*), and a dense
 SPD M through its Cholesky factor.
@@ -282,13 +283,14 @@ def _within(outside, whole):
 def _blocks(factor, A, pair, RA=None):
     """The kernel's bases G P and G^{-*} A* R for the factor G.
 
-    G^{-*} A* R is taken by the factor's algebra when it was realized on
-    this A: R itself for G = A, L* R for G = L^{-1} A. Otherwise it is a
-    solve with G* against A* R, read as the transpose of R* A when given.
+    G^{-*} A* R is H R, with the factor's H = G^{-*} A*, when it was
+    realized on this A: R itself for G = A, L* R for G = L^{-1} A. Otherwise
+    it is a solve with G* against A* R, read as the transpose of R* A when
+    given.
     """
     GP = factor.apply(pair.P)
-    if factor.adj_astar is not None and factor.A is A:
-        return GP, factor.adj_astar(pair.R)
+    if factor.H is not None and factor.A is A:
+        return GP, factor.H.apply(pair.R)
     return GP, factor.solve_adj(A.T @ pair.R if RA is None else RA.T)
 
 

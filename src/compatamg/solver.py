@@ -30,10 +30,8 @@ ideal blocks of A, the exact F-relaxation and its dense oracle all solve
 with the store's A_ff solver. iterate applies each relaxation to the
 residual as an operator, a diagonal scaling or an F-block solve, and forms
 no N^{-1}. The dense path forms Pi = P K^{-1} R*A with the prepared solve,
-which gives the bits of build_pi for a general or a tridiagonal K. scipy
-solves an exactly symmetric, triangular or diagonal K by a dedicated solver
-instead, so there rho may differ from build_pi's propagator in the last
-bits.
+which is the solve build_pi makes, so it gives the bits of build_pi for
+every K.
 """
 
 from __future__ import annotations
@@ -114,9 +112,9 @@ class PreparedTwoGrid(TwoGridSpec):
     iterate on a binding to the very same A share all of this and skip the
     finiteness scan of A, which was made here.
 
-    coarse is (R*A, solve with K), or None without a pair. K is factored as
-    iterate has always factored it, so residual histories keep their bits.
-    solve_ff(B) gives A_ff^{-1} B against the store's LU factor, or is None.
+    coarse is (R*A, solve with K), or None without a pair, with K factored
+    by lu_solver as build_pi factors it.
+    solve_ff(B) gives A_ff^{-1} B against the store's factor of A_ff, or is None.
     """
 
     A: np.ndarray = field(kw_only=True)
@@ -138,7 +136,7 @@ class PreparedTwoGrid(TwoGridSpec):
                 raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={self.pair.n}")
             RA, K = _galerkin(A, self.pair)
             try:
-                coarse = RA, lu_solver(K, "coarse operator R*AP", structured=True)
+                coarse = RA, lu_solver(K, "coarse operator R*AP")
             except SingularMatrixError as e:
                 raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
             if any(s.kind == "fexact" and not _is_identity(s) for s in (self.pre, self.post)):
@@ -208,7 +206,7 @@ def relax_propagator(A, spec, part=None):
     """Error propagator (I - N^{-1} A)^sweeps of a relaxation scheme.
 
     part is required for the F-point kinds and ignored otherwise. An exact
-    F-solve solves with the LU factor of A_ff, as a PreparedTwoGrid does.
+    F-solve solves with the factor of A_ff, as a PreparedTwoGrid does.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
@@ -323,12 +321,10 @@ def iterate(A, spec, b, x0, iters):
     Every matrix is guarded and factored once per call, or taken from a
     PreparedTwoGrid bound to A. N^{-1} is never formed: a sweep scales the
     residual by omega / diag(A) (Jacobi, or its F-point rows for F-Jacobi)
-    or solves with A_ff against its LU factor on the F-points. K = R*AP is
-    factored once, so the coarse correction costs products and two
-    triangular solves; a tridiagonal K is factored by tridiagonal
-    elimination, which gives the same bits as solving with
-    scipy.linalg.solve on every iteration. The residual of each update
-    serves the next update and the history, so an iteration makes one
+    or solves with A_ff against its factor on the F-points. K = R*AP is
+    factored once by lu_solver, so the coarse correction costs products and
+    two triangular solves, or one tridiagonal solve. The residual of each
+    update serves the next update and the history, so an iteration makes one
     product with A per update.
     """
     A, method = _bind(A, spec)

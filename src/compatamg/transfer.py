@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     CFPartition,
@@ -333,23 +332,12 @@ def compatible_w_from_z_general(A, Z, M):
     return W
 
 
-def _norm_row(A, M, anchor):
-    """What every companion of one norm M shares, computed once per norm.
-
-    anchor="P" gives the Cholesky factor of M (the factor scipy.linalg.solve
-    takes for assume_a="pos"), anchor="R" gives A^{-*} M.
-    """
-    if anchor == "P":
-        return scipy.linalg.cho_factor(M)
-    return solve_checked(A.T, M, "A")
-
-
 def _anchored_column(A, part, q, anchor, store=None):
     """What every cell of companion q shares in one table, computed once per table.
 
     Returns (qf, block, reason). Q is realized in full, so it keeps its bits,
     and only the n_f x n slice its companion reads is kept: qf = Q[F, :] for
-    anchor P and Q[:, F]* for anchor R (see _companion). block is the
+    anchor P and Q[:, F] for anchor R (see _companion). block is the
     anchored operator's ideal block, W of Q for anchor P and Z of Q for
     anchor R; when Q's ff-block is singular, block and qf are None and
     reason says why.
@@ -361,22 +349,27 @@ def _anchored_column(A, part, q, anchor, store=None):
     except SingularMatrixError as e:
         return None, None, str(e)
     f = list(part.fpoints)
-    return (Qm[f] if anchor == "P" else Qm[:, f].T), block, None
+    return (Qm[f] if anchor == "P" else Qm[:, f]), block, None
 
 
-def _companion(A, row, qf, anchor):
+def _companion(store, G, qf, anchor):
     """The slice of a cell's companion matrix that its ideal block reads.
 
-    row is _norm_row(A, M, anchor) for the norm M and qf is the slice of Q
-    from _anchored_column. Anchor P pairs P_ideal(Q) with R_ideal(A M^{-1} Q*),
-    and ideal_z reads only the F columns of its companion, which are
-    A M^{-1} Q[F, :]*, n x n_f. Anchor R pairs R_ideal(Q) with
-    P_ideal(Q* A^{-*} M), and ideal_w reads only the F rows, which are
-    Q[:, F]* A^{-*} M, n_f x n.
+    G is the factor, realized on store.A, of the cell's norm M = G* G and qf
+    is the slice of Q from _anchored_column. Anchor P pairs P_ideal(Q) with
+    R_ideal(A M^{-1} Q*), and ideal_z reads only the F columns of its
+    companion, A G^{-1} G^{-*} Q[F, :]*, n x n_f. Anchor R pairs R_ideal(Q)
+    with P_ideal(Q* A^{-*} M), and ideal_w reads only the F rows,
+    (G* G A^{-1} Q[:, F])*, n_f x n. Where G holds H = G^{-*} A*, A G^{-1}
+    is H* and G A^{-1} is H^{-*}, so A A^{-1} cancels; otherwise A G^{-1}
+    is a product with A and A^{-1} a solve against the store's factor of A.
     """
+    H = G.H
     if anchor == "P":
-        return A @ scipy.linalg.cho_solve(row, qf.T)
-    return qf @ row
+        X = G.solve_adj(qf.T)
+        return store.A @ G.solve(X) if H is None else H.apply_adj(X)
+    X = G.apply(store.lu_solve()(qf)) if H is None else H.solve_adj(qf)
+    return G.apply_adj(X).T
 
 
 def _anchor_tag(anchor):
@@ -388,24 +381,24 @@ def _anchor_tag(anchor):
     raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
 
 
-def _ideal_cell(A, part, row, q, anchor, anchored, store=None):
+def _ideal_cell(store, part, G, q, anchor, anchored):
     """(pair, companion slice) of one anchored norm/companion cell.
 
-    A is guarded, store is its ProblemStore, and row is
-    _norm_row(A, M, anchor) for the cell's norm M.
-    anchored maps q to its _anchored_column and is filled here, so a table
-    realizes each Q once for all its rows. The companion slice is what
-    _companion returns; no n x n companion is formed.
+    store is the ProblemStore of a guarded A, and G the factor of the
+    cell's norm, realized in store. anchored maps q to its _anchored_column
+    and is filled here, so a table realizes each Q once for all its rows.
+    The companion slice is what _companion returns; no n x n companion is
+    formed.
     """
     if q not in anchored:
-        anchored[q] = _anchored_column(A, part, q, anchor, store)
+        anchored[q] = _anchored_column(store.A, part, q, anchor, store)
     qf, block, reason = anchored[q]
     try:
         # the anchored block first: when both ff-blocks are singular, the
         # skip reason names the companion Q's
         if reason is not None:
             raise SingularMatrixError(reason)
-        comp = _companion(A, row, qf, anchor)
+        comp = _companion(store, G, qf, anchor)
         f, c = list(part.fpoints), list(part.cpoints)
         if anchor == "P":
             pair = make_pair(part, _z_of(_ff_solver(comp[f]), comp[c]), block)
@@ -424,15 +417,15 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
     anchor="P" fixes P = P_ideal(Q) and derives the unique compatible
     restriction R = R_ideal(A M^{-1} Q*); anchor="R" fixes R = R_ideal(Q) and
     derives P = P_ideal(Q* A^{-*} M). Q is formed densely, the derived
-    companion only on the slice its ideal block reads. store is A's
+    companion only on the slice its ideal block reads, through the factor G
+    of M = G* G (see _companion); M is not formed. store is A's
     ProblemStore, whose guard and factors of A are used.
     """
     store = ProblemStore(A) if store is None else store
-    A = store.A
     store.lu()  # the guard on A
     anchor = _anchor_tag(anchor)
-    row = _norm_row(A, realize_norm(norm, A, store=store), anchor)
-    return _ideal_cell(A, part, row, q, anchor, {}, store)[0]
+    G = realize_norm(norm, store.A, factored=True, store=store)
+    return _ideal_cell(store, part, G, q, anchor, {})[0]
 
 
 # Norm rows and companion columns of the two catalog tables, in row-major order.
@@ -440,7 +433,8 @@ CATALOG_NORMS = ("identity", "A", "Asym", "AstarA", "AstarAsymInvA")
 CATALOG_QS = ("identity", "A", "Asym", "AstarA", "AAstar")
 
 # Reduced algebraic expressions for the companion A M^{-1} Q* (interpolation
-# anchored) and Q* A^{-*} M (restriction anchored), keyed by (norm, q).
+# anchored) and Q* A^{-*} M (restriction anchored), keyed by (norm, q). They
+# label the cells; the companions themselves are built through G.
 _T1_EXPR = {
     ("identity", "identity"): "A",
     ("identity", "A"): "A A*",
@@ -548,16 +542,19 @@ def catalog_pairs(A, part, store=None):
     on any nonsingular input. Output order is fixed: table 1 then table 2,
     row-major in (norm, q). A is guarded before the first cell.
 
-    Each norm is realized, and factored for its row's companions, once per
-    table row. Its preconditions on A are decided once, in store, A's
-    ProblemStore (a new one by default), so a computable cell certifies that
-    its norm is well posed on A, and a row whose norm fails is skipped with
-    the same reason in both tables. Each companion Q is realized once per
-    table, where its anchored ideal block is built and the n_f x n slice its
-    cells read is kept; each cell's companion is formed only on the slice its
-    ideal block reads. A consumer that drops each entry before taking the
-    next holds one pair at a time; what outlives a row is only the table's
-    slices of Q and their anchored blocks.
+    Each norm is taken as its factor G, with M = G* G, from store, A's
+    ProblemStore (a new one by default), so its preconditions on A are
+    decided once and no norm matrix M is formed. A computable cell thus
+    certifies that its norm is well posed on A, and a row whose norm fails
+    is skipped with the same reason in both tables. Each cell's companion
+    is built through G, so the companions of the A*A and A* Asym^{-1} A
+    rows cancel A against A^{-1} by algebra (see _companion). Each
+    companion Q is realized once per table, where its anchored ideal block
+    is built and the n_f x n slice its cells read is kept; each cell's
+    companion is formed only on the slice its ideal block reads. A consumer
+    that drops each entry before taking the next holds one pair at a time;
+    what outlives a row is only the table's slices of Q and their anchored
+    blocks.
     """
     store = ProblemStore(A) if store is None else store
     store.lu()  # the guard on A
@@ -565,16 +562,15 @@ def catalog_pairs(A, part, store=None):
 
 
 def _catalog_cells(store, part):
-    A = store.A
     for table, anchor, exprs, singles in (
         (1, "P", _T1_EXPR, _T1_SINGLE),
         (2, "R", _T2_EXPR, _T2_SINGLE),
     ):
         anchored = {}
         for norm in CATALOG_NORMS:
-            row, row_reason = None, None
+            G, row_reason = None, None
             try:
-                row = _norm_row(A, realize_norm(norm, A, store=store), anchor)
+                G = realize_norm(norm, store.A, factored=True, store=store)
             except (ValueError, SingularMatrixError) as e:
                 row_reason = str(e)
             for q in CATALOG_QS:
@@ -589,7 +585,7 @@ def _catalog_cells(store, part):
                 reason = row_reason
                 if reason is None:
                     try:
-                        pair = _ideal_cell(A, part, row, q, anchor, anchored, store)[0]
+                        pair = _ideal_cell(store, part, G, q, anchor, anchored)[0]
                     except (ValueError, SingularMatrixError) as e:
                         reason = str(e)
                 if reason is None:

@@ -352,6 +352,24 @@ def test_converge_csv_has_no_rows_for_a_skipped_pair(tmp_path):
     assert [r[0] for r in rows[1:]] == ["single1"] * 4
 
 
+def test_verify_pairs_skips_a_pair_with_a_singular_coarse_operator(tmp_path):
+    # a singular R*AP skips its case with the guard's reason; the batch
+    # still reports single1 and exits 1
+    recipe = _singular_zw_recipe(tmp_path)
+    args = ["verify-pairs", "--problem", "advection1d", "--n", "8", "--pair", "single1",
+            "--pair", recipe]
+    code, report = _run_json(tmp_path, args)
+    assert code == 1 and report["passed"] is False
+    first, bad = report["results"]
+    assert first["pair"] == "single1" and first["pass"]
+    assert bad == {"pair": recipe, "norm": "identity", "expected_orthogonal": False,
+                   "skipped": True, "reason": bad["reason"]}
+    assert "incompatible" in bad["reason"] and "R*AP" in bad["reason"]
+    code, report = _run_json(tmp_path, args + ["--expect-orthogonal"], "expected.json")
+    assert code == 1 and report["results"][0]["pass"]
+    assert report["results"][1]["skipped"] and report["results"][1]["pass"] is False
+
+
 def test_converge_makes_no_dense_relaxation_or_a_ff_solve(tmp_path, monkeypatch):
     # the benchmark case's methods: A_ff is solved only against the store's
     # LU factor, N^{-1} is never formed and rho takes no eigensolve
@@ -592,3 +610,33 @@ def test_tables_checks_each_spd_norm_once(monkeypatch, tmp_path, problem, comput
     assert len(measured) == computable
     skipped = {r["reason"] for r in report["results"] if r.get("skipped")}
     assert skipped <= {"norm tag 'A' requires A to be SPD"}
+
+
+@pytest.mark.parametrize("problem", ["advection1d", "random"])
+def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
+    # every norm is applied through its factor G, and every guarded solve
+    # runs on the guard's own factor: no command realizes a dense M,
+    # Cholesky-factors one or calls scipy's solve or inv
+    import scipy.linalg
+
+    import compatamg.linalg as linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense norm or second factorization")
+
+    realize_norm = linalg.realize_norm
+
+    def factored_only(*args, factored=False, **kwargs):
+        if not factored:
+            raise AssertionError("dense realize_norm")
+        return realize_norm(*args, factored=True, **kwargs)
+
+    for name in ("cho_factor", "solve", "inv"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("compatamg") and getattr(module, "realize_norm", None) is realize_norm:
+            monkeypatch.setattr(module, "realize_norm", factored_only)
+    pairs = ["--pair", "t1:AstarA:A", "--pair", "t2:Asym:identity"]
+    for args in (["tables"], ["figure1"], ["verify-pairs"] + pairs):
+        code, _ = _run_json(tmp_path, args + ["--problem", problem, "--n", "24"])
+        assert code == 0, args[0]

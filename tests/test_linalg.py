@@ -155,7 +155,7 @@ def test_structured_lu_solver_matches_scipy_solve_on_tridiagonal():
     A = np.diag(rng.uniform(0.1, 1.0, n)) + np.diag(rng.standard_normal(n - 1), 1)
     A += np.diag(rng.standard_normal(n - 1), -1)
     b = rng.standard_normal(n)
-    solve = lu_solver(A, structured=True)
+    solve = lu_solver(A)
     np.testing.assert_array_equal(solve(b), scipy.linalg.solve(A, b))
     np.testing.assert_allclose(A.T @ solve(b, trans=1), b, atol=1e-12)
     B = rng.standard_normal((n, 3))
@@ -349,47 +349,66 @@ def _structure_kinds(rng, n):
     near = S.copy()
     near[0, -1] += 1e-14
     return {
-        "diagonal": (np.diag(np.diag(D)), False),
-        "upper": (np.triu(D), False),
-        "lower": (np.tril(D), False),
-        "bidiagonal": (np.tril(np.triu(D), 1), False),
-        "tridiagonal": (np.triu(np.tril(D, 1), -1), False),
-        "symmetric": (S, False),
-        "spd": (D @ D.T + np.eye(n), False),
-        "dense": (D, True),
-        "pentadiagonal": (np.triu(np.tril(D, 2), -2), True),
-        "hessenberg": (np.triu(D, -1), True),
-        "near_symmetric": (near, True),
+        "diagonal": np.diag(np.diag(D)),
+        "upper": np.triu(D),
+        "lower": np.tril(D),
+        "bidiagonal": np.tril(np.triu(D), 1),
+        "tridiagonal": np.triu(np.tril(D, 1), -1),
+        "symmetric": S,
+        "spd": D @ D.T + np.eye(n),
+        "dense": D,
+        "pentadiagonal": np.triu(np.tril(D, 2), -2),
+        "hessenberg": np.triu(D, -1),
+        "near_symmetric": near,
     }
 
 
 @pytest.mark.parametrize("n", [2, 5, 150])
-def test_checked_solve_and_inverse_keep_scipys_bits(monkeypatch, n):
-    # a general matrix is solved and inverted on the guard's own LU factor,
-    # without a second factorization by scipy; a structured one keeps scipy's
-    # dedicated solver. Either way the bits are scipy's.
+def test_checked_solve_and_inverse_run_on_the_guards_factor(monkeypatch, n):
+    # every structure is solved and inverted on the guard's own factor (or
+    # its tridiagonal elimination), never by a second factorization in
+    # scipy.linalg.solve or scipy.linalg.inv, to a relative residual of 1e-12
     rng = np.random.default_rng(8)
-    called = []
-    solve, inv = scipy.linalg.solve, scipy.linalg.inv
 
-    def recording(fn):
-        def wrapper(*args, **kwargs):
-            called.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.solve or scipy.linalg.inv was called")
 
-    for name, (A, general) in _structure_kinds(rng, n).items():
+    monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+    monkeypatch.setattr(scipy.linalg, "inv", forbidden)
+    for name, A in _structure_kinds(rng, n).items():
         for B in (rng.standard_normal((n, 3)), rng.standard_normal(n)):
-            expected = solve(A, B)
-            monkeypatch.setattr(scipy.linalg, "solve", recording(solve))
-            got = solve_checked(A, B)
-            monkeypatch.undo()
-            assert got.shape == expected.shape and np.array_equal(got, expected), name
-        expected = inv(A)
-        monkeypatch.setattr(scipy.linalg, "inv", recording(inv))
-        got = inv_checked(A)
-        monkeypatch.undo()
-        assert np.array_equal(got, expected), name
-        # a 2 x 2 matrix is tridiagonal, so it always goes to scipy
-        assert called == ([] if general and n > 2 else ["solve", "solve", "inv"]), name
-        called.clear()
+            X = solve_checked(A, B)
+            assert X.shape == B.shape, name
+            assert np.linalg.norm(A @ X - B) <= 1e-12 * np.linalg.norm(B), name
+        X = inv_checked(A)
+        assert np.linalg.norm(A @ X - np.eye(n)) <= 1e-12 * np.sqrt(n), name
+
+
+@pytest.mark.parametrize("tag", ["AstarA", "AstarAsymInvA"])
+def test_norm_factor_h_is_g_inverse_adjoint_times_a_adjoint(tag):
+    # the factor's H is G^{-*} A*, so A G^{-1} = H* and G A^{-1} = H^{-*}
+    rng = np.random.default_rng(41)
+    n = 12
+    A = random_stable(rng, n)
+    G = cm.realize_norm(tag, A, factored=True)
+    eye = np.eye(n)
+    Gd = G.apply(eye)
+    close = dict(rtol=1e-12, atol=1e-12 * np.linalg.norm(A))
+    np.testing.assert_allclose(np.linalg.solve(Gd.T, A.T), G.H.apply(eye), **close)
+    np.testing.assert_allclose(A @ np.linalg.inv(Gd), G.H.apply_adj(eye), **close)
+    np.testing.assert_allclose(Gd @ np.linalg.inv(A), G.H.solve_adj(eye), **close)
+
+
+def test_store_keeps_a_failed_entry_without_a_reference_cycle():
+    # the error of a failed entry is raised again to every caller, and the
+    # store is freed by reference counting, not left to the cycle collector
+    import weakref
+
+    A = random_stable(np.random.default_rng(43), 8)
+    store = cm.ProblemStore(A)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires A to be SPD"):
+            cm.realize_norm("A", A, factored=True, store=store)
+    ref = weakref.ref(store)
+    del store
+    assert ref() is None
