@@ -16,7 +16,7 @@ the four orthogonality conditions all work on the pair's thin factors, so no
 command forms M or Pi or decomposes an n x n matrix to measure a case.
 
 verify-pairs, tables and figure1 each hold one ProblemStore for their
-problem matrix A: the guarded LU of A, the Cholesky factor of (A + A*)/2,
+problem matrix A: the guard's factor of A, the Cholesky factor of (A + A*)/2,
 the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
 command returns. converge builds each pair through a store of its own, and

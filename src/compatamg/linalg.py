@@ -10,15 +10,20 @@ share between threads.
 Every matrix the package inverts first passes one singularity guard. The
 guard factors the matrix once by LU with partial pivoting and reads the
 LAPACK reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988)
-off that factor, so no SVD is spent on it. COND_LIMIT is defined on that
-estimate of the 1-norm condition number, not on the 2-norm condition
-number; the two condition numbers differ by at most a factor n. Every
-guarded solve and inverse then runs on one path: lu_solver hands the
-guard's factor on as a solve closure, so a matrix used for many solves is
-factored once, solve_checked is one call of that closure and inv_checked
-inverts the guard's factor in place (dgetri). A tridiagonal matrix, a
-diagonal one included, is solved by tridiagonal elimination with partial
-pivoting instead (dgttrf/dgttrs), in O(n) per right-hand side.
+off that factor, so no SVD is spent on it. A tridiagonal matrix, a
+diagonal one included, is factored by tridiagonal elimination with partial
+pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
+is read as tridiagonal from its nonzero count, so it stays a dense array.
+COND_LIMIT is defined on that estimate of the 1-norm condition number, not
+on the 2-norm condition number; the two condition numbers differ by at
+most a factor n. Every guarded solve and inverse then runs on one path:
+lu_solver hands the guard's factor on as a solve closure (dgttrs on a
+tridiagonal factor, in O(n) per right-hand side), so a matrix used for
+many solves is factored once, solve_checked is one call of that closure
+and inv_checked inverts the dense LU in place (dgetri). A tridiagonal
+matrix gets a dense LU only where it is used, by inv_checked and
+ProblemStore.lu. Products with a tridiagonal matrix are taken on its
+three diagonals (_tridiagonal_product).
 
 A symmetric matrix is accepted as positive definite by its Cholesky factor:
 LAPACK dpotrf must succeed on the symmetric part and the reciprocal condition
@@ -30,9 +35,9 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: the guarded LU of A and of its ff-block A_ff, the Cholesky
-factor of (A + A*)/2 and the norm factors built from them, each made once
-for the command and dropped with it.
+its cases share: the guard's factor of A and of its ff-block A_ff, the
+Cholesky factor of (A + A*)/2 and the norm factors built from them, each
+made once for the command and dropped with it.
 """
 
 from __future__ import annotations
@@ -109,19 +114,68 @@ def _tag_key(tag):
     return str(tag).replace("-", "").replace("_", "").replace(" ", "").lower()
 
 
-def _guarded_lu(A, what):
-    """LU factor (lu, piv) of A, after rejecting A as numerically singular.
+def _tridiagonal(A):
+    """The diagonals (dl, d, du) of a square A of order n >= 3 whose nonzeros
+    all lie on its three central diagonals, else None.
 
-    The 1-norm condition number is estimated from the factor by dgecon; an
-    exactly zero pivot reads as infinite. The factorization calls dgetrf
-    directly, so an exactly singular A raises without a LinAlgWarning.
+    A diagonal matrix is tridiagonal. The test compares nonzero counts, so
+    it makes no n x n temporary. Smaller orders take the dense path, since
+    scipy's dgttrf wrapper rejects n = 2.
+    """
+    n = A.shape[0]
+    if n < 3 or A.shape[1] != n:
+        return None
+    diags = np.diag(A, -1), np.diag(A), np.diag(A, 1)
+    if np.count_nonzero(A) != sum(np.count_nonzero(v) for v in diags):
+        return None
+    return diags
+
+
+def _tridiagonal_product(diags, X, trans=0):
+    """A X, or A* X with trans=1, for the tridiagonal A with diagonals diags.
+
+    X is a vector or an n x k block; the product costs O(nk).
+    """
+    dl, d, du = diags
+    if trans:
+        dl, du = du, dl
+    X = np.asarray(X, dtype=float)
+    shape = (-1,) + (1,) * (X.ndim - 1)
+    Y = d.reshape(shape) * X
+    Y[:-1] += du.reshape(shape) * X[1:]
+    Y[1:] += dl.reshape(shape) * X[:-1]
+    return Y
+
+
+def _guarded_lu(A, what):
+    """The factor of A, after rejecting A as numerically singular.
+
+    A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
+    by tridiagonal elimination with partial pivoting (dgttrf) into
+    (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
+    from that factor by dgtcon, in O(n). Any other A is factored by dgetrf
+    into (lu, piv) and estimated by dgecon. An exactly zero pivot reads as
+    an infinite estimate. Both factorizations call LAPACK directly, so an
+    exactly singular A raises without a LinAlgWarning.
     """
     A = as_matrix(A, what)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     c = np.inf
-    if A.size:
+    factor = None
+    diags = _tridiagonal(A)
+    if diags is not None:
+        *factor, info = lapack.dgttrf(*diags)
+        if info == 0:
+            dl, cols, du = (np.abs(v) for v in diags)  # cols: column sums of |A|
+            cols[:-1] += dl
+            cols[1:] += du
+            rcond, _ = lapack.dgtcon(*factor, cols.max())
+            if rcond > 0.0:
+                c = 1.0 / rcond
+    elif A.size:
         lu, piv, info = lapack.dgetrf(A)
+        factor = lu, piv
         if info == 0:
             rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1))
             if rcond > 0.0:
@@ -131,6 +185,16 @@ def _guarded_lu(A, what):
             f"{what} is numerically singular (1-norm condition estimate ~{c:.3e} "
             f"exceeds {COND_LIMIT:.0e})"
         )
+    return tuple(factor)
+
+
+def _dense_lu(A, factor):
+    """The dense LU (lu, piv) of A, whose guard gave factor: the guard's own
+    when it made one, else dgetrf on the tridiagonal A, which passed the
+    guard. Only a caller that uses the dense LU itself makes it."""
+    if len(factor) == 2:
+        return factor
+    lu, piv, _ = lapack.dgetrf(np.asarray(A, dtype=float))
     return lu, piv
 
 
@@ -139,36 +203,25 @@ def require_nonsingular(A, what="matrix"):
     _guarded_lu(A, what)
 
 
-def _is_tridiagonal(A):
-    # a tridiagonal matrix has at most 3n - 2 nonzeros, which rejects a dense
-    # one without an n x n temporary
-    n = A.shape[0]
-    return (n >= 3 and np.count_nonzero(A) <= 3 * n - 2
-            and not (np.triu(A, 2).any() or np.tril(A, -2).any()))
-
-
 def lu_solver(A, what="matrix", lu=None):
     """Guard A as require_nonsingular does and return a solve against its factor.
 
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
-    A tridiagonal A, a diagonal one included, is factored by tridiagonal
-    elimination with partial pivoting (dgttrf) and the guard's LU is
-    dropped; any other A is solved against the guard's LU by two triangular
-    solves. The solve is safe to share between threads: scipy's getrs
-    wrapper shifts the pivot indices in place during each call, so every
-    solve gets its own copy of them. lu is the guard's (lu, piv) when the
-    caller already holds it.
+    A tridiagonal A, a diagonal one included, is solved against the guard's
+    dgttrf factor (dgttrs) in O(n) per right-hand side; any other A against
+    the guard's LU by two triangular solves. The solve is safe to share
+    between threads: scipy's getrs wrapper shifts the pivot indices in place
+    during each call, so every solve gets its own copy of them. lu is the
+    guard's factor when the caller already holds it.
     """
-    lu, piv = _guarded_lu(A, what) if lu is None else lu
-    A = np.asarray(A, dtype=float)
-    if _is_tridiagonal(A):
-        del lu, piv  # not held by the solve
-        dl, d, du, du2, ipiv, _ = lapack.dgttrf(np.diag(A, -1), np.diag(A), np.diag(A, 1))
-
+    factor = _guarded_lu(A, what) if lu is None else lu
+    if len(factor) == 5:
         def solve(X, trans=0):
-            return lapack.dgttrs(dl, d, du, du2, ipiv, X, trans="NT"[trans])[0]
+            return lapack.dgttrs(*factor, X, trans="NT"[trans])[0]
 
         return solve
+
+    lu, piv = factor
 
     def solve(X, trans=0):
         return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)
@@ -182,13 +235,14 @@ def solve_checked(A, B, what="matrix"):
 
 
 def inv_checked(A, what="matrix", lu=None):
-    """A^{-1} after rejecting numerically singular A, by dgetri on the guard's LU.
+    """A^{-1} after rejecting numerically singular A, by dgetri on the dense LU.
 
-    lu is the guard's (lu, piv) when the caller already holds it; it is left
-    intact.
+    lu is the dense (lu, piv) of the guarded A when the caller already holds
+    it; it is left intact. Otherwise A is guarded here and the dense LU is
+    the guard's, or made after a guard by dgttrf (see _dense_lu).
     """
     own = lu is None
-    lu, piv = _guarded_lu(A, what) if own else lu
+    lu, piv = _dense_lu(A, _guarded_lu(A, what)) if own else lu
     lwork = int(lapack.dgetri_lwork(lu.shape[0])[0])
     return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=int(own))[0]
 
@@ -496,15 +550,15 @@ def _factored_norm(tag, A, L, lu_solve):
 class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
-    Each entry is built on first use and then kept: the guarded LU of A, the
-    guarded LU of its ff-block per partition, the Cholesky factor of
-    (A + A*)/2 that decides whether it is SPD, the norm factors realized from
-    them and, through compatamg.transfer, the ideal blocks of the companion
-    matrices. A store serves one command, or in converge one pair, and is
-    dropped with it, so nothing outlives the problem. Entries are built
-    under one lock, since case threads share the store; a construction that
-    fails is kept as its error's type and message and raised again to every
-    later caller.
+    Each entry is built on first use and then kept: the guard's factor of A
+    and, when read, its dense LU, the guard's factor of its ff-block per
+    partition, the Cholesky factor of (A + A*)/2 that decides whether it is
+    SPD, the norm factors realized from them and, through
+    compatamg.transfer, the ideal blocks of the companion matrices. A store
+    serves one command, or in converge one pair, and is dropped with it, so
+    nothing outlives the problem. Entries are built under one lock, since
+    case threads share the store; a construction that fails is kept as its
+    error's type and message and raised again to every later caller.
     """
 
     def __init__(self, A):
@@ -527,19 +581,33 @@ class ProblemStore:
             raise error[0](error[1])
         return value
 
-    def lu(self):
-        """The guard's LU factor (lu, piv) of A, read-only."""
+    def guard(self):
+        """The guard's factor of A (see _guarded_lu), read-only."""
         def build():
-            lu, piv = _guarded_lu(self.A, "A")
-            lu.setflags(write=False)
-            piv.setflags(write=False)
-            return lu, piv
+            factor = _guarded_lu(self.A, "A")
+            for v in factor:
+                v.setflags(write=False)
+            return factor
+
+        return self.get("guard", build)
+
+    def lu(self):
+        """The dense LU factor (lu, piv) of A after its guard, read-only.
+
+        It is the guard's own unless A is tridiagonal, and is made only for a
+        caller that uses it (inv_checked).
+        """
+        def build():
+            factor = _dense_lu(self.A, self.guard())
+            for v in factor:
+                v.setflags(write=False)
+            return factor
 
         return self.get("lu", build)
 
     def lu_solve(self):
-        """lu_solver(A, "A") on the stored factor, made once."""
-        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.lu()))
+        """lu_solver(A, "A") on the guard's factor, made once."""
+        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.guard()))
 
     def ff_solve(self, part):
         """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
@@ -612,7 +680,7 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
     if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
         L = _norm_cholesky(tag, store, M, tol)
     if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
-        store.lu()  # the guard on A
+        store.guard()
     if tag == "identity":
         return np.eye(n)
     if tag == "A":

@@ -43,7 +43,7 @@ two conditions are checked on the thin factors Pi = P B, with
 B = (R*AP)^{-1} R*A. One verify-pairs case, with k = n_c, thus makes:
 
     R*A and K = R*AP     for a classical pair [Z; I], [W; I] from Z and W
-                         only, and one guarded LU of K
+                         only, and one guarded factor of K
     G P, G^{-*} A* R     products, or triangular or LU solves (see above)
     the kernel           one thin QR of G P, one Householder QR of
                          G^{-*} A* R and one application of its reflectors
@@ -73,6 +73,8 @@ from scipy.linalg import lapack
 from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
+    _tridiagonal,
+    _tridiagonal_product,
     as_matrix,
     as_norm_factor,
     lu_solver,
@@ -374,19 +376,34 @@ class CoarseCorrection:
         return asym, math.hypot(float(np.linalg.norm(T)), es)
 
 
+def _zero_block(op, nc):
+    """True when a classical pair's operator op = [B; I] has B exactly zero:
+    its only nonzeros are the nc ones of I. No block is copied."""
+    return np.count_nonzero(op) == nc
+
+
 def _galerkin(A, pair):
     """(R* A, K = R* A P) for a pair on A.
 
     A classical pair R = [Z; I], P = [W; I] skips the products with its
-    identity blocks: R* A = Z* A[F, :] + A[C, :] and
-    K = (R* A)[:, F] W + (R* A)[:, C].
+    identity blocks, and with a block that is exactly zero, which would add
+    only exact zeros: R* A = Z* A[F, :] + A[C, :] and
+    K = (R* A)[:, F] W + (R* A)[:, C]. For a tridiagonal A, R* A is
+    (A* R)* from A's three diagonals, in O(n n_c).
     """
     if pair.cblocks is not None:
         RA = pair.R.T @ A
         return RA, RA @ pair.P
     f, c = list(pair.part.fpoints), list(pair.part.cpoints)
-    RA = pair.Z.T @ A[f]
-    RA += A[c]
+    if _zero_block(pair.R, pair.nc):
+        RA = A[c]
+    elif (diags := _tridiagonal(A)) is not None:
+        RA = _tridiagonal_product(diags, pair.R, trans=1).T
+    else:
+        RA = pair.Z.T @ A[f]
+        RA += A[c]
+    if _zero_block(pair.P, pair.nc):
+        return RA, RA[:, c]
     return RA, RA[:, f] @ pair.W + RA[:, c]
 
 

@@ -29,9 +29,11 @@ factor K and A_ff once between them. A_ff is factored once per store: the
 ideal blocks of A, the exact F-relaxation and its dense oracle all solve
 with the store's A_ff solver. iterate applies each relaxation to the
 residual as an operator, a diagonal scaling or an F-block solve, and forms
-no N^{-1}. The dense path forms Pi = P K^{-1} R*A with the prepared solve,
-which is the solve build_pi makes, so it gives the bits of build_pi for
-every K.
+no N^{-1}; a classical pair's coarse step works on Z and W, and the
+residual of a tridiagonal A is a product on its three diagonals, so on the
+1D problems an iteration costs O(n) plus the products with Z and W. The
+dense path forms Pi = P K^{-1} R*A with the prepared solve, which is the
+solve build_pi makes, so it gives the bits of build_pi for every K.
 """
 
 from __future__ import annotations
@@ -41,8 +43,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ProblemStore, SingularMatrixError, _tag_key, as_matrix, lu_solver
-from .projection import INCOMPATIBLE, _galerkin, build_pi
+from .linalg import (
+    ProblemStore,
+    SingularMatrixError,
+    _tag_key,
+    _tridiagonal,
+    _tridiagonal_product,
+    as_matrix,
+    lu_solver,
+)
+from .projection import INCOMPATIBLE, _galerkin, _zero_block, build_pi
 from .transfer import _ideal_block
 
 __all__ = [
@@ -323,9 +333,12 @@ def iterate(A, spec, b, x0, iters):
     residual by omega / diag(A) (Jacobi, or its F-point rows for F-Jacobi)
     or solves with A_ff against its factor on the F-points. K = R*AP is
     factored once by lu_solver, so the coarse correction costs products and
-    two triangular solves, or one tridiagonal solve. The residual of each
+    two triangular solves, or one tridiagonal solve. The products of a
+    classical pair are Z* r[F] and W y, each skipped when its block is
+    exactly zero; a pair with C-blocks applies R and P. The residual of each
     update serves the next update and the history, so an iteration makes one
-    product with A per update.
+    product with A per update: O(n) on A's three diagonals for a tridiagonal
+    A, else a dense O(n^2) product.
     """
     A, method = _bind(A, spec)
     b = np.asarray(b, dtype=float).ravel()
@@ -337,13 +350,16 @@ def iterate(A, spec, b, x0, iters):
     if not _is_identity(spec.pre):
         steps += [_relaxation(A, spec.pre, part, method.solve_ff)] * spec.pre.sweeps
     if spec.pair is not None:
-        R, P = spec.pair.R, spec.pair.P
-        _, solve_k = method.coarse
-        steps.append((None, lambda r: P @ solve_k(R.T @ r)))
+        steps.append((None, _coarse_step(spec.pair, method.coarse[1])))
     if not _is_identity(spec.post):
         steps += [_relaxation(A, spec.post, part, method.solve_ff)] * spec.post.sweeps
 
-    r = b - A @ x
+    diags = _tridiagonal(A)
+
+    def residual(x):
+        return b - (A @ x if diags is None else _tridiagonal_product(diags, x))
+
+    r = residual(x)
     history = [float(np.linalg.norm(r))]
     for _ in range(iters):
         for rows, apply in steps:
@@ -351,9 +367,34 @@ def iterate(A, spec, b, x0, iters):
                 x = x + apply(r)
             else:
                 x[rows] += apply(r[rows])
-            r = b - A @ x
+            r = residual(x)
         history.append(float(np.linalg.norm(r)))
     return np.array(history)
+
+
+def _coarse_step(pair, solve_k):
+    """The coarse correction r -> P K^{-1} R* r of a pair, with K solved by solve_k.
+
+    A classical pair works on its blocks, R* r = Z* r[F] + r[C] and
+    P y = [W y; y], and skips a block that is exactly zero; a pair with
+    C-blocks applies R and P.
+    """
+    if pair.cblocks is not None:
+        R, P = pair.R, pair.P
+        return lambda r: P @ solve_k(R.T @ r)
+    f, c = list(pair.part.fpoints), list(pair.part.cpoints)
+    Z = None if _zero_block(pair.R, pair.nc) else pair.Z
+    W = None if _zero_block(pair.P, pair.nc) else pair.W
+
+    def apply(r):
+        y = solve_k(r[c] if Z is None else Z.T @ r[f] + r[c])
+        e = np.zeros(pair.n)
+        e[c] = y
+        if W is not None:
+            e[f] = W @ y
+        return e
+
+    return apply
 
 
 def observed_rate(history, window=RATE_WINDOW):

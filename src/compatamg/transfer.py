@@ -128,11 +128,27 @@ class TransferPair:
 
 
 def make_pair(part, Z, W):
-    """Assemble the classical pair R = [Z; I], P = [W; I] in natural ordering."""
-    eye = np.eye(part.nc)
-    R = part.assemble_rows(Z, eye)
-    P = part.assemble_rows(W, eye)
-    return TransferPair(R, P, part)
+    """Assemble the classical pair R = [Z; I], P = [W; I] in natural ordering.
+
+    Z and W are n_f x n_c. R and P are written once into read-only arrays of
+    the pair's own, with identity C rows by construction, so the pair skips
+    the checks and copies that TransferPair makes on arrays passed in.
+    """
+    f, c, k = list(part.fpoints), list(part.cpoints), np.arange(part.nc)
+    ops = []
+    for B, name in ((Z, "Z"), (W, "W")):
+        B = as_matrix(np.atleast_2d(np.asarray(B, dtype=float)), name)
+        if B.shape != (part.nf, part.nc):
+            raise ValueError(f"{name} must be {part.nf}x{part.nc}, got {B.shape}")
+        op = np.zeros((part.n, part.nc))
+        op[f] = B
+        op[c, k] = 1.0
+        op.setflags(write=False)
+        ops.append(op)
+    pair = object.__new__(TransferPair)
+    for name, value in zip(("R", "P", "part", "cblocks"), (*ops, part, None)):
+        object.__setattr__(pair, name, value)
+    return pair
 
 
 _Q_TAGS = ("identity", "A", "Asym", "AstarA", "AAstar", "AinvStar", "Ainv", "Custom")
@@ -207,7 +223,7 @@ def realize_q(choice, A, store=None):
 
 
 def _ff_solver(ff):
-    """Solve against one guarded LU of a companion's ff-block."""
+    """Solve against one guarded factor of a companion's ff-block."""
     return lu_solver(ff, "ff-block of companion")
 
 
@@ -422,7 +438,7 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
     ProblemStore, whose guard and factors of A are used.
     """
     store = ProblemStore(A) if store is None else store
-    store.lu()  # the guard on A
+    store.guard()
     anchor = _anchor_tag(anchor)
     G = realize_norm(norm, store.A, factored=True, store=store)
     return _ideal_cell(store, part, G, q, anchor, {})[0]
@@ -557,7 +573,7 @@ def catalog_pairs(A, part, store=None):
     blocks.
     """
     store = ProblemStore(A) if store is None else store
-    store.lu()  # the guard on A
+    store.guard()
     return _catalog_cells(store, part)
 
 

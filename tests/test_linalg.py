@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compatamg as cm
+import compatamg.linalg as linalg
 from compatamg.linalg import (
     COND_LIMIT,
     SingularMatrixError,
@@ -412,3 +413,124 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     ref = weakref.ref(store)
     del store
     assert ref() is None
+
+
+def _count_dgetrf(monkeypatch):
+    """Record the order of every dgetrf the package makes."""
+    real = linalg.lapack.dgetrf
+    orders = []
+    monkeypatch.setattr(
+        linalg.lapack, "dgetrf", lambda a, *args, **kw: (orders.append(len(a)), real(a, *args, **kw))[1]
+    )
+    return orders
+
+
+def _dense_estimate(A):
+    lu, _, info = scipy.linalg.lapack.dgetrf(A)
+    assert info == 0
+    return 1.0 / scipy.linalg.lapack.dgecon(lu, np.linalg.norm(A, 1))[0]
+
+
+@pytest.mark.parametrize("n", [60, 600, 2000])
+@pytest.mark.parametrize("kind", ["laplacian1d", "advection1d", "advdiff1d"])
+def test_tridiagonal_guard_matches_the_dense_estimate_without_dgetrf(monkeypatch, kind, n):
+    # the guard on a tridiagonal A and on its diagonal A_ff reads the dgtcon
+    # estimate off the dgttrf factor: the dgecon estimate to 1e-10, and no
+    # dense LU is made
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.01 if kind == "advdiff1d" else 0.0))
+    f = list(cm.default_splitting(n, "alternate").fpoints)
+    Aff = A[np.ix_(f, f)]
+    real = linalg.lapack.dgtcon
+    rconds = []
+
+    def dgtcon(*args, **kwargs):
+        out = real(*args, **kwargs)
+        rconds.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg.lapack, "dgtcon", dgtcon)
+    orders = _count_dgetrf(monkeypatch)
+    for M in (A, Aff):
+        require_nonsingular(M)
+    solve = lu_solver(A)
+    assert orders == [] and len(rconds) == 3
+    monkeypatch.undo()
+    for rcond, M in zip(rconds, (A, Aff)):
+        np.testing.assert_allclose(1.0 / rcond, _dense_estimate(M), rtol=1e-10)
+    b = np.ones(n)
+    assert np.linalg.norm(A @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_tridiagonal_guard_rejects_exactly_singular_matrices_without_warning(monkeypatch, n):
+    # a zero column, and a zero on the diagonal of a diagonal matrix
+    A = np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    A[:, 1] = 0.0
+    D = np.diag(np.arange(n, dtype=float))
+    orders = _count_dgetrf(monkeypatch)
+    for M in (A, D):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="the test matrix"):
+                lu_solver(M, "the test matrix")
+    assert orders == []
+
+
+def test_diagonal_and_order_two_matrices_are_guarded_and_solved():
+    # a diagonal matrix takes the tridiagonal path; order two takes the
+    # dense one, since scipy's dgttrf wrapper rejects n = 2
+    D = np.diag([1.0, -3.0, 1e-9, 4.0])
+    assert len(linalg._guarded_lu(D, "D")) == 5
+    np.testing.assert_allclose(lu_solver(D)(np.ones(4)), [1.0, -1 / 3, 1e9, 0.25], rtol=1e-15)
+    np.testing.assert_allclose(lu_solver(D)(np.ones(4), trans=1), [1.0, -1 / 3, 1e9, 0.25], rtol=1e-15)
+    with pytest.raises(SingularMatrixError):
+        require_nonsingular(np.diag([1.0, 1e-13, 1.0]))
+    A = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    assert linalg._tridiagonal(A) is None and len(linalg._guarded_lu(A, "A")) == 2
+    np.testing.assert_allclose(A @ lu_solver(A)(np.ones(2)), np.ones(2), rtol=1e-15)
+
+
+def test_dense_lu_of_a_tridiagonal_matrix_is_made_only_when_used(monkeypatch):
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=50, epsilon=0.05))
+    store = cm.ProblemStore(A)
+    orders = _count_dgetrf(monkeypatch)
+    store.guard()
+    store.lu_solve()
+    assert orders == []
+    lu, piv = store.lu()
+    assert orders == [50]
+    ref_lu, ref_piv = scipy.linalg.lu_factor(A)
+    np.testing.assert_array_equal(lu, ref_lu)
+    np.testing.assert_array_equal(piv, ref_piv)
+    X = inv_checked(A)
+    assert orders == [50, 50]
+    assert np.linalg.norm(A @ X - np.eye(50)) <= 1e-12 * np.sqrt(50)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_tridiagonal_product_matches_the_dense_product(diagonal):
+    # A X and A* X from the three diagonals, for a vector and a block, to a
+    # few ulps of |A| |X|
+    rng = np.random.default_rng(44)
+    n = 37
+    A = np.diag(rng.standard_normal(n))
+    if not diagonal:
+        A += np.diag(rng.standard_normal(n - 1), 1) + np.diag(rng.standard_normal(n - 1), -1)
+    diags = linalg._tridiagonal(A)
+    assert diags is not None
+    for X in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        for trans, M in ((0, A), (1, A.T)):
+            Y = linalg._tridiagonal_product(diags, X, trans=trans)
+            assert Y.shape == X.shape
+            bound = 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(X))
+            assert np.all(np.abs(Y - M @ X) <= bound)
+
+
+def test_tridiagonal_detection_rejects_any_entry_off_the_band():
+    A = cm.generate(cm.ProblemSpec("laplacian1d", n=12))
+    assert linalg._tridiagonal(A) is not None
+    for i, j in ((0, 2), (11, 0), (5, 9)):
+        B = A.copy()
+        B[i, j] = 1e-300
+        assert linalg._tridiagonal(B) is None
+    assert linalg._tridiagonal(np.zeros((4, 3))) is None

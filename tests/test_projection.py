@@ -242,3 +242,44 @@ def test_projection_report_serialization():
     rep_o = cm.projection_report(Ao, pair_o, cm.realize_norm(tag, Ao, factored=True))
     assert rep_o["compat_eq"] and all(rep_o["orthogonality_checks"].values())
     assert rep_o["pi_norm"] == 1.0 and rep_o["nonorth_sup"] <= 1e-14
+
+
+@pytest.mark.parametrize("zero", ["Z", "W", None])
+def test_galerkin_skips_zero_blocks_with_the_same_bits(zero):
+    # a dense A keeps the block products Z* A[F, :] + A[C, :] and
+    # (R*A)[:, F] W + (R*A)[:, C]; an exactly zero block adds exact zeros,
+    # so skipping it keeps every bit
+    from compatamg.projection import _galerkin
+
+    rng = np.random.default_rng(46)
+    A = random_stable(rng, 30)
+    part = _split(30)
+    f, c = list(part.fpoints), list(part.cpoints)
+    blocks = {k: rng.standard_normal((part.nf, part.nc)) for k in "ZW"}
+    if zero:
+        blocks[zero][:] = 0.0
+    pair = cm.make_pair(part, blocks["Z"], blocks["W"])
+    RA, K = _galerkin(A, pair)
+    RA_ref = blocks["Z"].T @ A[f]
+    RA_ref += A[c]
+    K_ref = RA_ref[:, f] @ blocks["W"] + RA_ref[:, c]
+    assert RA.tobytes() == RA_ref.tobytes()
+    assert K.tobytes() == K_ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d"])
+def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
+    # R*A is (A*R)* from A's three diagonals, to round-off of the dense GEMM
+    from compatamg.projection import _galerkin
+
+    rng = np.random.default_rng(47)
+    A = cm.generate(cm.ProblemSpec(kind, n=40, epsilon=0.05))
+    part = _split(40)
+    Z = rng.standard_normal((part.nf, part.nc))
+    W = rng.standard_normal((part.nf, part.nc))
+    pair = cm.make_pair(part, Z, W)
+    RA, K = _galerkin(A, pair)
+    eps = np.finfo(float).eps
+    R, P = pair.R, pair.P
+    assert np.all(np.abs(RA - R.T @ A) <= 4 * eps * (np.abs(R.T) @ np.abs(A)))
+    np.testing.assert_allclose(K, R.T @ A @ P, rtol=0, atol=1e-13 * np.abs(R.T @ A @ P).max())

@@ -277,20 +277,29 @@ def test_iterate_factors_once_per_call(monkeypatch):
 @pytest.mark.parametrize("name", ["single1", "single3"])
 def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     # K = R*AP, formed as every layer forms it, is tridiagonal here, which
-    # scipy.linalg.solve solves by tridiagonal elimination; the factored
-    # solve must give the same bits
+    # scipy.linalg.solve solves by tridiagonal elimination; the prepared
+    # solve must give the same bits. The residuals b - A x are products on
+    # A's three diagonals, and the coarse step works on Z and W, so the
+    # history follows the dense loop to round-off
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
     K = compatamg.projection._galerkin(A, pair)[1]
+    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse[1]
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
     ref = [np.linalg.norm(b - A @ x)]
     for _ in range(5):
-        x = x + P @ scipy.linalg.solve(K, R.T @ (b - A @ x))
+        rhs = R.T @ (b - A @ x)
+        y = scipy.linalg.solve(K, rhs)
+        assert solve_k(rhs).tobytes() == y.tobytes()
+        x = x + P @ y
         ref.append(np.linalg.norm(b - A @ x))
+    ref = np.array(ref)
     hist = cm.iterate(A, cm.TwoGridSpec(pair=pair), b, np.zeros(60), 5)
-    np.testing.assert_array_equal(hist, ref)
+    above = ref > 1e-10 * ref[0]
+    assert above.all()
+    np.testing.assert_allclose(hist[above], ref[above], rtol=1e-13, atol=0.0)
 
 
 def test_iterate_rate_matches_conv_factor():
@@ -540,3 +549,26 @@ def test_prepared_method_binds_to_the_store_of_its_pair(monkeypatch):
     assert counts == ["A_ff", "coarse operator R*AP"]
     with pytest.raises(ValueError, match="store"):
         cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A.copy(), store=store)
+
+
+@pytest.mark.parametrize("name", ["single1", "single3", "random", "cblocks"])
+def test_coarse_step_on_blocks_matches_r_and_p(name):
+    # a classical pair applies R* r as Z* r[F] + r[C] and P y as [W y; y],
+    # skipping a zero block; a pair with C-blocks applies R and P
+    from compatamg.solver import _coarse_step
+
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    part = _split(40)
+    rng = np.random.default_rng(48)
+    if name == "cblocks":
+        pair = cm.change_of_basis_pair(A, part)
+    elif name == "random":
+        pair = cm.make_pair(part, rng.standard_normal((part.nf, part.nc)),
+                            rng.standard_normal((part.nf, part.nc)))
+    else:
+        pair, _ = cm.single_operator_pair(A, part, name)
+    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse[1]
+    r = rng.standard_normal(40)
+    ref = pair.P @ solve_k(pair.R.T @ r)
+    got = _coarse_step(pair, solve_k)(r)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())

@@ -615,3 +615,28 @@ def test_store_blocks_of_a_share_one_guarded_lu_of_a_ff(monkeypatch):
     # Z_ideal(A) and W_ideal(A) through the store's one "A_ff" guard, the
     # Asym blocks through one guard each, the identity's without any
     assert sorted(counts) == ["A_ff", "ff-block of companion", "ff-block of companion"]
+
+
+def test_make_pair_writes_the_pair_transfer_pair_would_check():
+    # R and P are written once, read-only, and equal what TransferPair
+    # builds and checks from the assembled arrays
+    rng = np.random.default_rng(45)
+    part = random_partition(rng, 11)
+    Z = rng.standard_normal((part.nf, part.nc))
+    W = rng.standard_normal((part.nf, part.nc))
+    pair = cm.make_pair(part, Z, W)
+    eye = np.eye(part.nc)
+    ref = cm.TransferPair(part.assemble_rows(Z, eye), part.assemble_rows(W, eye), part)
+    for got, want in ((pair.R, ref.R), (pair.P, ref.P)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert pair.cblocks is None and pair.part is part
+    assert pair.Z.tobytes() == Z.tobytes() and pair.W.tobytes() == W.tobytes()
+    with pytest.raises(ValueError, match="Z must be"):
+        cm.make_pair(part, Z[:-1], W)
+    with pytest.raises(ValueError, match="W must be"):
+        cm.make_pair(part, Z, W[:, :-1])
+    bad = W.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        cm.make_pair(part, Z, bad)
