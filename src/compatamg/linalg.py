@@ -1,29 +1,26 @@
 """Dense linear-algebra substrate: CF-partitioned blocks, Schur complements,
-SPD norm matrices and their factors G with M = G*G, induced operator norms,
-and orthonormal bases and numerical ranks.
+SPD norm matrices and their factors G with M = G*G, induced operator norms
+and orthonormal bases.
 
 Everything works on plain numpy arrays in double precision and targets desk
 scale (n up to a couple thousand). Constructed objects hold read-only copies
 of their arrays, and all operations are pure functions, so values are safe to
 share between threads.
 
-Every matrix the package inverts first passes one singularity guard. The
-guard factors the matrix once by LU with partial pivoting and reads the
-LAPACK reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988)
-off that factor, so no SVD is spent on it. A tridiagonal matrix, a
+Every matrix the package solves with first passes one singularity guard,
+which factors it once by LU with partial pivoting and reads the LAPACK
+reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988) off that
+factor, so no SVD is spent on it. A tridiagonal matrix, a
 diagonal one included, is factored by tridiagonal elimination with partial
 pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
 is read as tridiagonal from its nonzero count, so it stays a dense array.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
-on the 2-norm condition number; the two condition numbers differ by at
-most a factor n. Every guarded solve and inverse then runs on one path:
-lu_solver hands the guard's factor on as a solve closure (dgttrs on a
-tridiagonal factor, in O(n) per right-hand side), so a matrix used for
-many solves is factored once, solve_checked is one call of that closure
-and inv_checked inverts the dense LU in place (dgetri). A tridiagonal
-matrix gets a dense LU only where it is used, by inv_checked and
-ProblemStore.lu. Products with a tridiagonal matrix are taken on its
-three diagonals (_tridiagonal_product).
+on the 2-norm condition number; the two differ by at most a factor n. Every
+guarded solve runs on the guard's factor, which lu_solver hands on as a
+solve closure (dgttrs on a tridiagonal factor, O(n) per right-hand side).
+That factor is the only factor of every matrix: nothing is inverted
+densely (no dgetri), and a tridiagonal matrix never gets a dense LU.
+Products with a tridiagonal matrix are taken on its three diagonals.
 
 A symmetric matrix is accepted as positive definite by its Cholesky factor:
 LAPACK dpotrf must succeed on the symmetric part and the reciprocal condition
@@ -35,8 +32,8 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: the guard's factor of A and of its ff-block A_ff, the
-Cholesky factor of (A + A*)/2 and the norm factors built from them, each
+its cases share: the guard's factor of A and of its blocks A_ff and A_cc,
+the Cholesky factor of (A + A*)/2 and the norm factors built from them, each
 made once for the command and dropped with it.
 """
 
@@ -69,11 +66,9 @@ __all__ = [
     "spd_sqrt_pair",
     "operator_m_norm",
     "orth_basis",
-    "numerical_rank",
     "require_nonsingular",
     "lu_solver",
     "solve_checked",
-    "inv_checked",
 ]
 
 # A matrix whose 1-norm condition estimate (LAPACK dgecon on its LU factor)
@@ -85,7 +80,7 @@ COND_LIMIT = 1e12
 # condition estimate (LAPACK dpocon) exceeds it.
 SPD_TOL = 1e-10
 
-# Rank decisions keep singular values above RANK_RTOL * (leading singular value).
+# Rank decisions keep singular values, or pivoted-QR pivots, above RANK_RTOL times the leading one.
 RANK_RTOL = 1e-8
 
 
@@ -188,16 +183,6 @@ def _guarded_lu(A, what):
     return tuple(factor)
 
 
-def _dense_lu(A, factor):
-    """The dense LU (lu, piv) of A, whose guard gave factor: the guard's own
-    when it made one, else dgetrf on the tridiagonal A, which passed the
-    guard. Only a caller that uses the dense LU itself makes it."""
-    if len(factor) == 2:
-        return factor
-    lu, piv, _ = lapack.dgetrf(np.asarray(A, dtype=float))
-    return lu, piv
-
-
 def require_nonsingular(A, what="matrix"):
     """Raise SingularMatrixError when A's 1-norm condition estimate exceeds COND_LIMIT."""
     _guarded_lu(A, what)
@@ -232,19 +217,6 @@ def lu_solver(A, what="matrix", lu=None):
 def solve_checked(A, B, what="matrix"):
     """Solve A X = B after rejecting numerically singular A: lu_solver(A, what)(B)."""
     return lu_solver(A, what)(np.asarray(B, dtype=float))
-
-
-def inv_checked(A, what="matrix", lu=None):
-    """A^{-1} after rejecting numerically singular A, by dgetri on the dense LU.
-
-    lu is the dense (lu, piv) of the guarded A when the caller already holds
-    it; it is left intact. Otherwise A is guarded here and the dense LU is
-    the guard's, or made after a guard by dgttrf (see _dense_lu).
-    """
-    own = lu is None
-    lu, piv = _dense_lu(A, _guarded_lu(A, what)) if own else lu
-    lwork = int(lapack.dgetri_lwork(lu.shape[0])[0])
-    return lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=int(own))[0]
 
 
 @dataclass(frozen=True)
@@ -550,10 +522,10 @@ def _factored_norm(tag, A, L, lu_solve):
 class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
-    Each entry is built on first use and then kept: the guard's factor of A
-    and, when read, its dense LU, the guard's factor of its ff-block per
-    partition, the Cholesky factor of (A + A*)/2 that decides whether it is
-    SPD, the norm factors realized from them and, through
+    Each entry is built on first use and then kept: the guard's factor of A,
+    its only one, the guard's factors of A_ff and A_cc per partition, the
+    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
+    factors realized from them and, through
     compatamg.transfer, the ideal blocks of the companion matrices. A store
     serves one command, or in converge one pair, and is dropped with it, so
     nothing outlives the problem. Entries are built under one lock, since
@@ -591,20 +563,6 @@ class ProblemStore:
 
         return self.get("guard", build)
 
-    def lu(self):
-        """The dense LU factor (lu, piv) of A after its guard, read-only.
-
-        It is the guard's own unless A is tridiagonal, and is made only for a
-        caller that uses it (inv_checked).
-        """
-        def build():
-            factor = _dense_lu(self.A, self.guard())
-            for v in factor:
-                v.setflags(write=False)
-            return factor
-
-        return self.get("lu", build)
-
     def lu_solve(self):
         """lu_solver(A, "A") on the guard's factor, made once."""
         return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.guard()))
@@ -617,6 +575,11 @@ class ProblemStore:
         """
         f = list(part.fpoints)
         return self.get(("A_ff", part), lambda: lu_solver(self.A[np.ix_(f, f)], "A_ff"))
+
+    def cc_solve(self, part):
+        """As ff_solve, on A_cc: the ideal blocks of A^{-1} and A^{-*} solve with it."""
+        c = list(part.cpoints)
+        return self.get(("A_cc", part), lambda: lu_solver(self.A[np.ix_(c, c)], "A_cc"))
 
     def asym_cholesky(self, tol=SPD_TOL):
         """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD to tol."""
@@ -752,12 +715,3 @@ def orth_basis(X, rtol=RANK_RTOL):
     small = np.abs(np.diag(R)) <= rtol * abs(R[0, 0])
     return Q[:, : int(np.argmax(small)) if small.any() else small.size]
 
-
-def numerical_rank(X, rtol=RANK_RTOL):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        return 0
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))

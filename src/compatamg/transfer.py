@@ -21,9 +21,8 @@ from .linalg import (
     _frozen,
     _tag_key,
     as_matrix,
-    inv_checked,
     lu_solver,
-    numerical_rank,
+    orth_basis,
     partition,
     realize_norm,
     require_nonsingular,
@@ -82,12 +81,11 @@ class TransferPair:
         classical = self.cblocks is None and (
             np.array_equal(self.part.c_rows(R), eye) and np.array_equal(self.part.c_rows(P), eye)
         )
-        # [Z; I] has sigma_min >= 1, so a classical pair has full rank by structure
-        if not classical:
-            if numerical_rank(R) < nc:
-                raise ValueError("R must have full column rank")
-            if numerical_rank(P) < nc:
-                raise ValueError("P must have full column rank")
+        # [Z; I] has sigma_min >= 1, so a classical pair has full rank by
+        # structure; any other is ranked by its pivoted-QR basis
+        for op, name in ((R, "R"), (P, "P")):
+            if not classical and orth_basis(op).shape[1] < nc:
+                raise ValueError(f"{name} must have full column rank")
         if self.cblocks is None:
             if not classical:
                 raise ValueError(
@@ -190,14 +188,21 @@ class QChoice:
             raise ValueError(f"Q tag {self.tag!r} does not take a payload")
 
 
-def realize_q(choice, A, store=None):
-    """Build the companion matrix selected by a QChoice (or bare tag) for A.
+_INVERSE_TAGS = ("Ainv", "AinvStar")
+_FF = "ff-block of companion"  # guard name of a companion's ff-block
 
-    store is A's ProblemStore, whose LU factor of A the inverse companions
-    take instead of a new one.
+
+def _choice(q):
+    return q if isinstance(q, QChoice) else QChoice(q)
+
+
+def realize_q(choice, A):
+    """Build the companion matrix selected by a QChoice (or bare tag) for A, densely.
+
+    Ainv and AinvStar are one guarded solve of the identity with A, kept as
+    a dense reference: the package reads their ideal blocks off A instead.
     """
-    if not isinstance(choice, QChoice):
-        choice = QChoice(choice)
+    choice = _choice(choice)
     A = as_matrix(A, "A")
     n = A.shape[0]
     tag = choice.tag
@@ -211,20 +216,14 @@ def realize_q(choice, A, store=None):
         return A.T @ A
     if tag == "AAstar":
         return A @ A.T
-    if tag in ("AinvStar", "Ainv"):
-        Ainv = inv_checked(A, "A", lu=None if store is None else store.lu())
-        return Ainv.T if tag == "AinvStar" else Ainv
+    if tag in _INVERSE_TAGS:
+        return lu_solver(A, "A")(np.eye(n), trans=int(tag == "AinvStar"))
     if tag == "Custom":
         Q = np.array(choice.payload, dtype=float)
         if Q.shape != (n, n):
             raise ValueError(f"custom Q has shape {Q.shape}, expected {(n, n)}")
         return Q
     raise AssertionError(f"unhandled Q tag {tag!r}")
-
-
-def _ff_solver(ff):
-    """Solve against one guarded factor of a companion's ff-block."""
-    return lu_solver(ff, "ff-block of companion")
 
 
 def _w_of(solve_ff, fc):
@@ -243,7 +242,7 @@ def ideal_w(Q):
     The F-point rows of Q [W; I] vanish and the C-point rows equal the Schur
     complement of Q onto the C-block. Only Q's F rows are read.
     """
-    return _w_of(_ff_solver(Q.ff), Q.fc)
+    return _w_of(lu_solver(Q.ff, _FF), Q.fc)
 
 
 def ideal_z(Q):
@@ -253,7 +252,7 @@ def ideal_z(Q):
     columns and C-point columns equal to the Schur complement of Q. Only Q's
     F columns are read, and Q_ff is factored as for ideal_w.
     """
-    return _z_of(_ff_solver(Q.ff), Q.cf)
+    return _z_of(lu_solver(Q.ff, _FF), Q.cf)
 
 
 def p_ideal(Q):
@@ -348,18 +347,22 @@ def compatible_w_from_z_general(A, Z, M):
     return W
 
 
-def _anchored_column(A, part, q, anchor, store=None):
+def _anchored_column(store, part, q, anchor):
     """What every cell of companion q shares in one table, computed once per table.
 
-    Returns (qf, block, reason). Q is realized in full, so it keeps its bits,
-    and only the n_f x n slice its companion reads is kept: qf = Q[F, :] for
-    anchor P and Q[:, F] for anchor R (see _companion). block is the
-    anchored operator's ideal block, W of Q for anchor P and Z of Q for
-    anchor R; when Q's ff-block is singular, block and qf are None and
-    reason says why.
+    Returns (qf, block, reason): block is W of Q for anchor P and Z of Q for
+    anchor R; where it is undefined, qf and block are None and reason says
+    why. Q = B^{-1} (B = A or A*) is not realized: qf is B[:, C] for anchor
+    P and B*[:, C] for R. Any other Q is realized in full, so it keeps its
+    bits, and qf is the slice its companion reads, Q[F, :] or Q[:, F].
     """
-    Qm = realize_q(q, A, store)
+    choice = _choice(q)
+    side = "W" if anchor == "P" else "Z"
     try:
+        if choice.tag in _INVERSE_TAGS:
+            block = _ideal_block(store, part, choice, side)
+            return _inverse_columns(store.A, part, choice.tag, side)[0], block, None
+        Qm = realize_q(choice, store.A)
         Qp = partition(Qm, part)
         block = ideal_w(Qp) if anchor == "P" else ideal_z(Qp)
     except SingularMatrixError as e:
@@ -368,24 +371,53 @@ def _anchored_column(A, part, q, anchor, store=None):
     return (Qm[f] if anchor == "P" else Qm[:, f]), block, None
 
 
+def _norm_product(store, G, X, op, adj=False):
+    """A M^{-1} X (op "AM") or M A^{-1} X (op "MA") for M = G* G, or with adj
+    their adjoints M^{-1} A* X and A^{-*} M X. Where G holds H = G^{-*} A*,
+    A G^{-1} = H* and G A^{-1} = H^{-*}, so A A^{-1} cancels; otherwise A^{-1}
+    is a solve against the store's factor of A.
+    """
+    A, H = store.A, G.H
+    if op == "AM":
+        if adj:
+            return G.solve(G.solve_adj(A.T @ X) if H is None else H.apply(X))
+        X = G.solve_adj(X)
+        return A @ G.solve(X) if H is None else H.apply_adj(X)
+    if adj:
+        X = G.apply(X)
+        return store.lu_solve()(G.apply_adj(X), trans=1) if H is None else H.solve(X)
+    X = G.apply(store.lu_solve()(X)) if H is None else H.solve_adj(X)
+    return G.apply_adj(X)
+
+
 def _companion(store, G, qf, anchor):
     """The slice of a cell's companion matrix that its ideal block reads.
 
-    G is the factor, realized on store.A, of the cell's norm M = G* G and qf
-    is the slice of Q from _anchored_column. Anchor P pairs P_ideal(Q) with
-    R_ideal(A M^{-1} Q*), and ideal_z reads only the F columns of its
-    companion, A G^{-1} G^{-*} Q[F, :]*, n x n_f. Anchor R pairs R_ideal(Q)
-    with P_ideal(Q* A^{-*} M), and ideal_w reads only the F rows,
-    (G* G A^{-1} Q[:, F])*, n_f x n. Where G holds H = G^{-*} A*, A G^{-1}
-    is H* and G A^{-1} is H^{-*}, so A A^{-1} cancels; otherwise A G^{-1}
-    is a product with A and A^{-1} a solve against the store's factor of A.
+    G is the factor of the cell's norm M = G* G and qf the slice of Q from
+    _anchored_column. Anchor P pairs P_ideal(Q) with R_ideal(A M^{-1} Q*),
+    whose ideal_z reads only its F columns, A M^{-1} Q[F, :]*; anchor R pairs
+    R_ideal(Q) with P_ideal(Q* A^{-*} M), whose ideal_w reads only its F
+    rows, (M A^{-1} Q[:, F])*.
     """
-    H = G.H
     if anchor == "P":
-        X = G.solve_adj(qf.T)
-        return store.A @ G.solve(X) if H is None else H.apply_adj(X)
-    X = G.apply(store.lu_solve()(qf)) if H is None else H.solve_adj(qf)
-    return G.apply_adj(X).T
+        return _norm_product(store, G, qf.T, "AM")
+    return _norm_product(store, G, qf, "MA").T
+
+
+def _inverse_block(X, part, solve_c, adj=False):
+    """X[F] X[C]^{-1}, by solve_c with X[C], or with X[C]* when adj is set.
+
+    By the block inverse, this is W_ideal(C) for X = S[:, C] and Z_ideal(C)
+    for X = S*[:, C], where S = C^{-1}: one n_c x n_c solve.
+    """
+    return solve_c(part.f_rows(X).T, trans=int(not adj)).T
+
+
+def _inverse_columns(A, part, tag, side):
+    """(X, adj) of _inverse_block for side "W" or "Z" of Q = S^{-1}, S = A or A*."""
+    adj = (tag == "AinvStar") == (side == "W")
+    c = list(part.cpoints)
+    return (A[c].T if adj else A[:, c]), adj
 
 
 def _anchor_tag(anchor):
@@ -403,23 +435,30 @@ def _ideal_cell(store, part, G, q, anchor, anchored):
     store is the ProblemStore of a guarded A, and G the factor of the
     cell's norm, realized in store. anchored maps q to its _anchored_column
     and is filled here, so a table realizes each Q once for all its rows.
-    The companion slice is what _companion returns; no n x n companion is
-    formed.
+    The companion slice is what _companion returns. For Q = B^{-1} the
+    derived companion's inverse S is B* M A^{-1} (anchor P) or M^{-1} A* B*
+    (anchor R), and the slice is the X of _inverse_block, S*[:, C] or S[:, C].
     """
     if q not in anchored:
-        anchored[q] = _anchored_column(store.A, part, q, anchor, store)
+        anchored[q] = _anchored_column(store, part, q, anchor)
     qf, block, reason = anchored[q]
     try:
-        # the anchored block first: when both ff-blocks are singular, the
+        # the anchored block first: when both blocks are undefined, the
         # skip reason names the companion Q's
         if reason is not None:
             raise SingularMatrixError(reason)
-        comp = _companion(store, G, qf, anchor)
-        f, c = list(part.fpoints), list(part.cpoints)
-        if anchor == "P":
-            pair = make_pair(part, _z_of(_ff_solver(comp[f]), comp[c]), block)
+        if _choice(q).tag in _INVERSE_TAGS:
+            comp = _norm_product(store, G, qf, "MA" if anchor == "P" else "AM", adj=True)
+            solve = lu_solver(part.c_rows(comp), "cc-block of companion inverse")
+            derived = _inverse_block(comp, part, solve)
         else:
-            pair = make_pair(part, block, _w_of(_ff_solver(comp[:, f]), comp[:, c]))
+            comp = _companion(store, G, qf, anchor)
+            f, c = list(part.fpoints), list(part.cpoints)
+            if anchor == "P":
+                derived = _z_of(lu_solver(comp[f], _FF), comp[c])
+            else:
+                derived = _w_of(lu_solver(comp[:, f], _FF), comp[:, c])
+        pair = make_pair(part, *((derived, block) if anchor == "P" else (block, derived)))
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"ideal companion undefined for this splitting: {e}"
@@ -434,8 +473,9 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
     restriction R = R_ideal(A M^{-1} Q*); anchor="R" fixes R = R_ideal(Q) and
     derives P = P_ideal(Q* A^{-*} M). Q is formed densely, the derived
     companion only on the slice its ideal block reads, through the factor G
-    of M = G* G (see _companion); M is not formed. store is A's
-    ProblemStore, whose guard and factors of A are used.
+    of M = G* G (see _companion); M is not formed. For Ainv and AinvStar both
+    blocks are read off the companions' inverses (see _ideal_cell). store is
+    A's ProblemStore, whose factors of A are used.
     """
     store = ProblemStore(A) if store is None else store
     store.guard()
@@ -655,7 +695,9 @@ def _ideal_block(store, part, q, side):
 
     The blocks of A itself are read off A's F/C slices and solved with the
     store's A_ff solver, and those of the identity are zero, so neither
-    companion is realized. Any other companion is realized and partitioned.
+    companion is realized. Nor are A^{-1} and A^{-*}: their blocks are
+    A_fc A_cc^{-1} and A_cf* A_cc^{-*}, all four on the store's A_cc solver
+    (see _inverse_block). Any other companion is realized and partitioned.
     """
     def build():
         if choice.tag == "identity":
@@ -664,13 +706,16 @@ def _ideal_block(store, part, q, side):
             A, f, c = store.A, list(part.fpoints), list(part.cpoints)
             solve = store.ff_solve(part)
             block = _z_of(solve, A[np.ix_(c, f)]) if side == "Z" else _w_of(solve, A[np.ix_(f, c)])
+        elif choice.tag in _INVERSE_TAGS:
+            X, adj = _inverse_columns(store.A, part, choice.tag, side)
+            block = _inverse_block(X, part, store.cc_solve(part), adj)
         else:
-            Q = partition(realize_q(choice, store.A, store), part)
+            Q = partition(realize_q(choice, store.A), part)
             block = ideal_z(Q) if side == "Z" else ideal_w(Q)
         block.setflags(write=False)
         return block
 
-    choice = q if isinstance(q, QChoice) else QChoice(q)
+    choice = _choice(q)
     if choice.tag == "Custom":
         return build()
     return store.get(("ideal", side, choice.tag, part), build)

@@ -188,6 +188,21 @@ def test_figure1_on_nonsymmetric(tmp_path):
     assert all(abs(r["pi_norm"] - 1.0) <= 1e-8 for r in verified)
 
 
+def test_figure1_skips_inverse_edges_on_a_singular_a_cc(tmp_path, monkeypatch):
+    # the blocks of A^{-*} are read off A through A_cc, so an edge on A^{-*}
+    # is skipped when A_cc is singular, and its reason names A_cc
+    import compatamg.cli as cli
+
+    A = np.array([[1.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(cli, "generate", lambda spec: A)
+    _, report = _run_json(tmp_path, ["figure1", "--problem", "random", "--n", "8"])
+    # the A-norm edge is skipped first, since this A is not SPD
+    reasons = {r["edge"]: r["reason"] for r in report["results"]
+               if "AinvStar" in (r["r_q"], r["p_q"]) and r["norm"] != "A"}
+    assert sorted(reasons) == ["R(AinvStar)-P(identity)", "R(identity)-P(AinvStar)"]
+    assert all(why.startswith("A_cc is numerically singular") for why in reasons.values())
+
+
 def test_figure1_on_spd(tmp_path):
     code, report = _run_json(
         tmp_path, ["figure1", "--problem", "laplacian1d", "--n", "32"]
@@ -616,7 +631,8 @@ def test_tables_checks_each_spd_norm_once(monkeypatch, tmp_path, problem, comput
 def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
     # every norm is applied through its factor G, and every guarded solve
     # runs on the guard's own factor: no command realizes a dense M,
-    # Cholesky-factors one or calls scipy's solve or inv
+    # Cholesky-factors one, calls scipy's solve or inv or numpy's inv, or
+    # inverts a matrix by dgetri, the inverse companions included
     import scipy.linalg
 
     import compatamg.linalg as linalg
@@ -633,10 +649,13 @@ def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
 
     for name in ("cho_factor", "solve", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetri", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
     for name, module in list(sys.modules.items()):
         if name.startswith("compatamg") and getattr(module, "realize_norm", None) is realize_norm:
             monkeypatch.setattr(module, "realize_norm", factored_only)
-    pairs = ["--pair", "t1:AstarA:A", "--pair", "t2:Asym:identity"]
+    pairs = ["--pair", "t1:AstarA:A", "--pair", "t2:Asym:identity",
+             "--pair", "t1:SqrtAstarA:AinvStar", "--pair", "t2:identity:Ainv"]
     for args in (["tables"], ["figure1"], ["verify-pairs"] + pairs):
         code, _ = _run_json(tmp_path, args + ["--problem", problem, "--n", "24"])
         assert code == 0, args[0]

@@ -14,7 +14,6 @@ from compatamg.linalg import (
     COND_LIMIT,
     SingularMatrixError,
     RANK_RTOL,
-    inv_checked,
     lu_solver,
     orth_basis,
     require_nonsingular,
@@ -366,9 +365,10 @@ def _structure_kinds(rng, n):
 
 @pytest.mark.parametrize("n", [2, 5, 150])
 def test_checked_solve_and_inverse_run_on_the_guards_factor(monkeypatch, n):
-    # every structure is solved and inverted on the guard's own factor (or
-    # its tridiagonal elimination), never by a second factorization in
-    # scipy.linalg.solve or scipy.linalg.inv, to a relative residual of 1e-12
+    # every structure is solved, and inverted by a solve of the identity, on
+    # the guard's own factor (or its tridiagonal elimination), never by a
+    # second factorization in scipy.linalg.solve or scipy.linalg.inv, to a
+    # relative residual of 1e-12
     rng = np.random.default_rng(8)
 
     def forbidden(*args, **kwargs):
@@ -381,7 +381,7 @@ def test_checked_solve_and_inverse_run_on_the_guards_factor(monkeypatch, n):
             X = solve_checked(A, B)
             assert X.shape == B.shape, name
             assert np.linalg.norm(A @ X - B) <= 1e-12 * np.linalg.norm(B), name
-        X = inv_checked(A)
+        X = solve_checked(A, np.eye(n))
         assert np.linalg.norm(A @ X - np.eye(n)) <= 1e-12 * np.sqrt(n), name
 
 
@@ -490,21 +490,40 @@ def test_diagonal_and_order_two_matrices_are_guarded_and_solved():
     np.testing.assert_allclose(A @ lu_solver(A)(np.ones(2)), np.ones(2), rtol=1e-15)
 
 
-def test_dense_lu_of_a_tridiagonal_matrix_is_made_only_when_used(monkeypatch):
+def test_no_dense_lu_of_a_tridiagonal_matrix_is_made(monkeypatch):
+    # the guard's dgttrf factor is the tridiagonal A's only factor: the
+    # store's solve and the dense inverse companions run on it
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=50, epsilon=0.05))
     store = cm.ProblemStore(A)
     orders = _count_dgetrf(monkeypatch)
     store.guard()
     store.lu_solve()
+    X = cm.realize_q("Ainv", A)
+    Xt = cm.realize_q("AinvStar", A)
     assert orders == []
-    lu, piv = store.lu()
-    assert orders == [50]
-    ref_lu, ref_piv = scipy.linalg.lu_factor(A)
-    np.testing.assert_array_equal(lu, ref_lu)
-    np.testing.assert_array_equal(piv, ref_piv)
-    X = inv_checked(A)
-    assert orders == [50, 50]
     assert np.linalg.norm(A @ X - np.eye(50)) <= 1e-12 * np.sqrt(50)
+    assert np.linalg.norm(A.T @ Xt - np.eye(50)) <= 1e-12 * np.sqrt(50)
+
+
+def test_figure1_inverse_blocks_share_one_guard_of_a_cc(monkeypatch):
+    # the ideal blocks of A^{-1} and A^{-*} on every figure1 edge are read off
+    # A through one guard of A_cc, and A itself gets no dense LU
+    from compatamg.cli import FIGURE_EDGES
+
+    guard = linalg._guarded_lu
+    names = []
+    monkeypatch.setattr(
+        linalg, "_guarded_lu", lambda A, what: (names.append(what), guard(A, what))[1]
+    )
+    n = 40
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))
+    part = cm.default_splitting(n, "alternate")
+    store = cm.ProblemStore(A)
+    orders = _count_dgetrf(monkeypatch)
+    for _, _, r_q, p_q in FIGURE_EDGES:
+        cm.ideal_blocks_pair(A, part, r_q, p_q, store)
+    assert names.count("A_cc") == 1 and "A" not in names
+    assert n not in orders
 
 
 @pytest.mark.parametrize("diagonal", [False, True])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import compatamg as cm
-from compatamg.linalg import ProblemStore, SingularMatrixError, numerical_rank
+from compatamg.linalg import RANK_RTOL, ProblemStore, SingularMatrixError
 from compatamg.transfer import _companion, _ideal_block, _ideal_cell
 from conftest import random_nonsingular, random_partition, random_spd, random_stable
 
@@ -215,7 +215,8 @@ def test_svd_route():
     part = _split(12)
     pair = cm.ideal_pair(A, part, "SqrtAstarA", "identity", anchor="P")
     U, s, Vh = np.linalg.svd(A)
-    assert numerical_rank(np.hstack([Vh @ pair.P, U.T @ pair.R])) == part.nc
+    s = np.linalg.svd(np.hstack([Vh @ pair.P, U.T @ pair.R]), compute_uv=False)
+    assert np.count_nonzero(s > RANK_RTOL * s[0]) == part.nc
     M = cm.realize_norm("SqrtAstarA", A)
     pi, _ = cm.build_pi(A, pair)
     assert abs(cm.pi_m_norm(pi, M) - 1.0) <= 1e-8
@@ -456,6 +457,95 @@ def test_change_of_basis_singular_cc():
     A = np.array([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SingularMatrixError):
         cm.change_of_basis_pair(A, P2)
+
+
+def test_inverse_companion_with_a_singular_cc_block_names_it():
+    # det Q_ff = det S_cc / det S for Q = S^{-1}: an inverse companion's
+    # ideal block is undefined exactly when the cc-block of its inverse is
+    # singular, and the error names that block: A_cc for A^{-1} and A^{-*}
+    A = np.array([[1.0, 1.0], [1.0, 0.0]])
+    for q in ("Ainv", "AinvStar"):
+        with pytest.raises(SingularMatrixError, match="A_cc"):
+            cm.ideal_blocks_pair(A, P2, "identity", q)
+        with pytest.raises(SingularMatrixError, match="A_cc"):
+            cm.ideal_pair(A, P2, "identity", q, "P")
+    # here A_cc = 1, but the derived companion A A^{-*} of table 1 has the
+    # inverse S = A* A^{-1}, whose cc-block is 0
+    A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    cm.ideal_blocks_pair(A, P2, "identity", "Ainv")
+    with pytest.raises(SingularMatrixError, match="cc-block of companion inverse"):
+        cm.ideal_pair(A, P2, "identity", "Ainv", "P")
+
+
+_RECIPE_NORMS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA")
+
+
+def _dense_inverse_cell(A, part, norm, q, anchor):
+    """(Z, W) of an inverse-companion cell from the dense companions."""
+    M, Qm = cm.realize_norm(norm, A), cm.realize_q(q, A)
+    if anchor == "P":
+        C = A @ np.linalg.solve(M, Qm.T)
+        return cm.ideal_z(cm.partition(C, part)), cm.ideal_w(cm.partition(Qm, part))
+    C = Qm.T @ np.linalg.solve(A.T, M)
+    return cm.ideal_z(cm.partition(Qm, part)), cm.ideal_w(cm.partition(C, part))
+
+
+@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
+def test_inverse_blocks_match_the_dense_inverse(policy):
+    # the blocks read off A, and the derived blocks read off the derived
+    # companion's inverse, are those of the dense A^{-1} and A^{-*}
+    n = 40
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=5))
+    part = cm.default_splitting(n, policy, seed=5)
+    store = ProblemStore(A)
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+    for q in ("Ainv", "AinvStar"):
+        Q = cm.partition(cm.realize_q(q, A), part)
+        close(_ideal_block(store, part, q, "W"), cm.ideal_w(Q))
+        close(_ideal_block(store, part, q, "Z"), cm.ideal_z(Q))
+        for norm in _RECIPE_NORMS:
+            for anchor in ("P", "R"):
+                try:
+                    pair = cm.ideal_pair(A, part, norm, q, anchor, store)
+                except ValueError:
+                    continue
+                Z, W = _dense_inverse_cell(A, part, norm, q, anchor)
+                close(pair.Z, Z)
+                close(pair.W, W)
+
+
+@pytest.mark.parametrize("kind, epsilon, computable", [
+    ("laplacian1d", 0.0, 24),
+    ("advdiff1d", 0.01, 20),
+])
+def test_inverse_cells_are_exact_to_round_off(kind, epsilon, computable):
+    # no n x n inverse is formed, so the exact pairs on A^{-1} and A^{-*} of
+    # these ill-conditioned problems verify: the compatibility equation and
+    # all four orthogonality checks hold, and sin theta_max <= 1e-12
+    n = 200
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=epsilon))
+    part = _split(n)
+    store = ProblemStore(A)
+    sines = {}
+    for norm in _RECIPE_NORMS:
+        for q in ("Ainv", "AinvStar"):
+            for anchor in ("P", "R"):
+                try:
+                    pair = cm.ideal_pair(A, part, norm, q, anchor, store)
+                except ValueError:
+                    continue
+                G = cm.realize_norm(norm, A, factored=True, store=store)
+                rep = cm.projection_report(A, pair, G, 1e-8)
+                cell = (anchor, norm, q)
+                assert rep["compat_eq"], cell
+                assert all(rep["orthogonality_checks"].values()), cell
+                sines[cell] = cm.coarse_correction(A, pair).angles(G).sin_max
+    assert len(sines) == computable
+    worst = max(sines, key=sines.get)
+    assert sines[worst] <= 1e-12, (worst, sines[worst])
 
 
 def test_transfer_pair_validation():
