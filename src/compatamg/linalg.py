@@ -13,7 +13,8 @@ reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988) off that
 factor, so no SVD is spent on it. A tridiagonal matrix, a
 diagonal one included, is factored by tridiagonal elimination with partial
 pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
-is read as tridiagonal from its nonzero count, so it stays a dense array.
+is read as tridiagonal from its nonzero count, so it stays a dense array,
+and A's count is read once per ProblemStore, which keeps its diagonals.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
@@ -32,9 +33,10 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: the guard's factor of A and of its blocks A_ff and A_cc,
-the Cholesky factor of (A + A*)/2 and the norm factors built from them, each
-made once for the command and dropped with it.
+its cases share: A's diagonals when it is tridiagonal, the guard's factor
+of A and of its blocks A_ff and A_cc, the Cholesky factor of (A + A*)/2 and
+the norm factors built from them, each made once for the command and
+dropped with it.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def as_matrix(a, name="matrix"):
     return A
 
 
-def _frozen(a):
-    B = np.array(a, dtype=float)
+def _frozen(a, dtype=float):
+    B = np.array(a, dtype=dtype)
     B.setflags(write=False)
     return B
 
@@ -110,42 +112,50 @@ def _tag_key(tag):
 
 
 def _tridiagonal(A):
-    """The diagonals (dl, d, du) of a square A of order n >= 3 whose nonzeros
-    all lie on its three central diagonals, else None.
+    """Copies of the diagonals (dl, d, du) of a square A of order n >= 3 whose
+    nonzeros all lie on its three central diagonals, else None.
 
     A diagonal matrix is tridiagonal. The test compares nonzero counts, so
     it makes no n x n temporary. Smaller orders take the dense path, since
-    scipy's dgttrf wrapper rejects n = 2.
+    scipy's dgttrf wrapper rejects n = 2. The copies do not keep A alive.
     """
     n = A.shape[0]
     if n < 3 or A.shape[1] != n:
         return None
-    diags = np.diag(A, -1), np.diag(A), np.diag(A, 1)
+    diags = tuple(np.diag(A, k).copy() for k in (-1, 0, 1))
     if np.count_nonzero(A) != sum(np.count_nonzero(v) for v in diags):
         return None
     return diags
 
 
-def _tridiagonal_product(diags, X, trans=0):
+def _tridiagonal_product(diags, X, trans=0, rows=None):
     """A X, or A* X with trans=1, for the tridiagonal A with diagonals diags.
 
-    X is a vector or an n x k block; the product costs O(nk).
+    X is a vector or an n x k block; the product costs O(nk). Given an index
+    array rows, only those rows of the product are formed, from gathers of X.
     """
     dl, d, du = diags
     if trans:
         dl, du = du, dl
     X = np.asarray(X, dtype=float)
     shape = (-1,) + (1,) * (X.ndim - 1)
+    if rows is not None:
+        up, down = np.minimum(rows + 1, d.size - 1), np.maximum(rows - 1, 0)
+        Y = d[rows].reshape(shape) * X[rows]
+        Y += np.append(du, 0.0)[rows].reshape(shape) * X[up]
+        Y += np.append(0.0, dl)[rows].reshape(shape) * X[down]
+        return Y
     Y = d.reshape(shape) * X
     Y[:-1] += du.reshape(shape) * X[1:]
     Y[1:] += dl.reshape(shape) * X[:-1]
     return Y
 
 
-def _guarded_lu(A, what):
+def _guarded_lu(A, what, diags=_tridiagonal):
     """The factor of A, after rejecting A as numerically singular.
 
-    A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
+    diags is _tridiagonal(A) when the caller has decided it, and is decided
+    here by default. A tridiagonal A, a diagonal one included, is factored
     by tridiagonal elimination with partial pivoting (dgttrf) into
     (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
     from that factor by dgtcon, in O(n). Any other A is factored by dgetrf
@@ -158,7 +168,8 @@ def _guarded_lu(A, what):
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     c = np.inf
     factor = None
-    diags = _tridiagonal(A)
+    if callable(diags):
+        diags = diags(A)
     if diags is not None:
         *factor, info = lapack.dgttrf(*diags)
         if info == 0:
@@ -224,13 +235,16 @@ class CFPartition:
     """Ordered split of n degrees of freedom into F-points followed by C-points.
 
     fpoints and cpoints are disjoint index tuples whose union is 0..n-1; both
-    must be nonempty. Block operations permute to F-first ordering internally
-    and permute back, so callers never see reordered matrices.
+    must be nonempty. Gathers and scatters index with fidx and cidx, their
+    read-only intp arrays, which take no part in equality or hashing. Block
+    operations permute to F-first ordering internally and permute back.
     """
 
     n: int
     fpoints: tuple
     cpoints: tuple
+    fidx: np.ndarray = field(init=False, repr=False, compare=False)
+    cidx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = tuple(int(i) for i in self.fpoints)
@@ -245,6 +259,8 @@ class CFPartition:
             raise ValueError("F-points and C-points overlap")
         if len(f) + len(c) != self.n or set(f) | set(c) != set(range(self.n)):
             raise ValueError("F-points and C-points must partition 0..n-1")
+        object.__setattr__(self, "fidx", _frozen(f, np.intp))
+        object.__setattr__(self, "cidx", _frozen(c, np.intp))
 
     @property
     def nf(self):
@@ -257,7 +273,7 @@ class CFPartition:
     @property
     def perm(self):
         """Permutation taking natural ordering to F-first ordering."""
-        return np.array(self.fpoints + self.cpoints, dtype=int)
+        return np.concatenate((self.fidx, self.cidx))
 
     def to_ffirst(self, A):
         """Symmetrically permute a square matrix to F-first ordering."""
@@ -274,10 +290,10 @@ class CFPartition:
         return A
 
     def f_rows(self, X):
-        return np.asarray(X, dtype=float)[list(self.fpoints)]
+        return np.asarray(X, dtype=float)[self.fidx]
 
     def c_rows(self, X):
-        return np.asarray(X, dtype=float)[list(self.cpoints)]
+        return np.asarray(X, dtype=float)[self.cidx]
 
     def assemble_rows(self, fblock, cblock):
         """Scatter an F-row block and a C-row block into natural row order."""
@@ -288,8 +304,8 @@ class CFPartition:
         if fb.shape[1] != cb.shape[1]:
             raise ValueError("F and C blocks must have the same column count")
         out = np.empty((self.n, fb.shape[1]))
-        out[list(self.fpoints), :] = fb
-        out[list(self.cpoints), :] = cb
+        out[self.fidx] = fb
+        out[self.cidx] = cb
         return out
 
 
@@ -316,21 +332,19 @@ class PartitionedMatrix:
 
     @property
     def ff(self):
-        f = list(self.part.fpoints)
-        return self.base[np.ix_(f, f)]
+        return self.base[np.ix_(self.part.fidx, self.part.fidx)]
 
     @property
     def fc(self):
-        return self.base[np.ix_(list(self.part.fpoints), list(self.part.cpoints))]
+        return self.base[np.ix_(self.part.fidx, self.part.cidx)]
 
     @property
     def cf(self):
-        return self.base[np.ix_(list(self.part.cpoints), list(self.part.fpoints))]
+        return self.base[np.ix_(self.part.cidx, self.part.fidx)]
 
     @property
     def cc(self):
-        c = list(self.part.cpoints)
-        return self.base[np.ix_(c, c)]
+        return self.base[np.ix_(self.part.cidx, self.part.cidx)]
 
 
 def partition(A, part):
@@ -522,10 +536,11 @@ def _factored_norm(tag, A, L, lu_solve):
 class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
-    Each entry is built on first use and then kept: the guard's factor of A,
-    its only one, the guard's factors of A_ff and A_cc per partition, the
-    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
-    factors realized from them and, through
+    Each entry is built on first use and then kept: whether A is tridiagonal,
+    decided by one nonzero count and held as copies of its three diagonals,
+    the guard's factor of A, its only one, the guard's factors of A_ff and
+    A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
+    whether it is SPD, the norm factors realized from them and, through
     compatamg.transfer, the ideal blocks of the companion matrices. A store
     serves one command, or in converge one pair, and is dropped with it, so
     nothing outlives the problem. Entries are built under one lock, since
@@ -553,10 +568,14 @@ class ProblemStore:
             raise error[0](error[1])
         return value
 
+    def tridiagonal(self):
+        """_tridiagonal(A): A's three diagonals when it is tridiagonal, else None."""
+        return self.get("tridiagonal", lambda: _tridiagonal(self.A))
+
     def guard(self):
         """The guard's factor of A (see _guarded_lu), read-only."""
         def build():
-            factor = _guarded_lu(self.A, "A")
+            factor = _guarded_lu(self.A, "A", self.tridiagonal())
             for v in factor:
                 v.setflags(write=False)
             return factor
@@ -573,12 +592,12 @@ class ProblemStore:
         The ideal blocks of A and an exact F-relaxation solve with it, W_ideal
         by a solve and Z_ideal by the transposed solve.
         """
-        f = list(part.fpoints)
+        f = part.fidx
         return self.get(("A_ff", part), lambda: lu_solver(self.A[np.ix_(f, f)], "A_ff"))
 
     def cc_solve(self, part):
         """As ff_solve, on A_cc: the ideal blocks of A^{-1} and A^{-*} solve with it."""
-        c = list(part.cpoints)
+        c = part.cidx
         return self.get(("A_cc", part), lambda: lu_solver(self.A[np.ix_(c, c)], "A_cc"))
 
     def asym_cholesky(self, tol=SPD_TOL):

@@ -53,17 +53,25 @@ class ProblemSpec:
         return asdict(self)
 
 
+def _tridiagonal_matrix(n, dl, d, du):
+    """The n x n matrix with constant diagonals dl, d, du, written into zeros."""
+    A = np.zeros((n, n))
+    A.flat[n :: n + 1], A.flat[:: n + 1], A.flat[1 :: n + 1] = dl, d, du
+    return A
+
+
 def _advection1d(n):
     # First-order upwind with inflow folded into row 0: unit diagonal, -1 subdiagonal.
-    return np.eye(n) - np.eye(n, k=-1)
-
-
-def _laplacian1d(n):
-    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    return _tridiagonal_matrix(n, -1.0, 1.0, 0.0)
 
 
 def generate(spec):
-    """Build the dense test matrix described by a ProblemSpec."""
+    """Build the dense test matrix described by a ProblemSpec.
+
+    The 1D kinds are written onto their three diagonals, each entry with the
+    bits of its sum of identity-matrix terms: advdiff1d is advection1d plus
+    (epsilon / h^2) laplacian1d, h = 1 / (n + 1), entry by entry.
+    """
     kind = spec.kind
     if kind in ("advection1d", "advdiff1d", "laplacian1d"):
         n = spec.n
@@ -72,9 +80,9 @@ def generate(spec):
         if kind == "advection1d":
             return _advection1d(n)
         if kind == "laplacian1d":
-            return _laplacian1d(n)
-        h = 1.0 / (n + 1)
-        return _advection1d(n) + (spec.epsilon / h**2) * _laplacian1d(n)
+            return _tridiagonal_matrix(n, -1.0, 2.0, -1.0)
+        s = spec.epsilon / (1.0 / (n + 1)) ** 2
+        return _tridiagonal_matrix(n, -1.0 + s * -1.0, 1.0 + s * 2.0, 0.0 + s * -1.0)
     if kind == "advection2d":
         nx, ny = spec.nx, spec.ny
         if nx is None or ny is None or nx < 2 or ny < 2:

@@ -376,33 +376,33 @@ class CoarseCorrection:
         return asym, math.hypot(float(np.linalg.norm(T)), es)
 
 
-def _zero_block(op, nc):
-    """True when a classical pair's operator op = [B; I] has B exactly zero:
-    its only nonzeros are the nc ones of I. No block is copied."""
-    return np.count_nonzero(op) == nc
-
-
-def _galerkin(A, pair):
+def _galerkin(A, pair, diags=_tridiagonal):
     """(R* A, K = R* A P) for a pair on A.
 
     A classical pair R = [Z; I], P = [W; I] skips the products with its
-    identity blocks, and with a block that is exactly zero, which would add
-    only exact zeros: R* A = Z* A[F, :] + A[C, :] and
+    identity blocks, and with a block its zero_blocks finds exactly zero,
+    which would add only exact zeros: R* A = Z* A[F, :] + A[C, :] and
     K = (R* A)[:, F] W + (R* A)[:, C]. For a tridiagonal A, R* A is
-    (A* R)* from A's three diagonals, in O(n n_c).
+    (A* R)* and, with Z = 0, K the C rows of A P, from A's three diagonals
+    in O(n n_c). diags is _tridiagonal(A), decided here by default.
     """
     if pair.cblocks is not None:
         RA = pair.R.T @ A
         return RA, RA @ pair.P
-    f, c = list(pair.part.fpoints), list(pair.part.cpoints)
-    if _zero_block(pair.R, pair.nc):
+    f, c = pair.part.fidx, pair.part.cidx
+    zero_z, zero_w = pair.zero_blocks
+    if callable(diags):
+        diags = None if zero_z and zero_w else diags(A)
+    if zero_z:
         RA = A[c]
-    elif (diags := _tridiagonal(A)) is not None:
+        if diags is not None and not zero_w:
+            return RA, _tridiagonal_product(diags, pair.P, rows=c)
+    elif diags is not None:
         RA = _tridiagonal_product(diags, pair.R, trans=1).T
     else:
         RA = pair.Z.T @ A[f]
         RA += A[c]
-    if _zero_block(pair.P, pair.nc):
+    if zero_w:
         return RA, RA[:, c]
     return RA, RA[:, f] @ pair.W + RA[:, c]
 

@@ -29,9 +29,10 @@ factor K and A_ff once between them. A_ff is factored once per store: the
 ideal blocks of A, the exact F-relaxation and its dense oracle all solve
 with the store's A_ff solver. iterate applies each relaxation to the
 residual as an operator, a diagonal scaling or an F-block solve, and forms
-no N^{-1}; a classical pair's coarse step works on Z and W, and the
-residual of a tridiagonal A is a product on its three diagonals, so on the
-1D problems an iteration costs O(n) plus the products with Z and W. The
+no N^{-1}; a classical pair's coarse step works on Z and W, skipping a
+block its zero_blocks finds zero, and the residual of a tridiagonal A is a
+product on the three diagonals the store decided once, so on the 1D
+problems an iteration costs O(n) plus the products with Z and W. The
 dense path forms Pi = P K^{-1} R*A with the prepared solve, which is the
 solve build_pi makes, so it gives the bits of build_pi for every K.
 """
@@ -47,12 +48,11 @@ from .linalg import (
     ProblemStore,
     SingularMatrixError,
     _tag_key,
-    _tridiagonal,
     _tridiagonal_product,
     as_matrix,
     lu_solver,
 )
-from .projection import INCOMPATIBLE, _galerkin, _zero_block, build_pi
+from .projection import INCOMPATIBLE, _galerkin, build_pi
 from .transfer import _ideal_block
 
 __all__ = [
@@ -113,9 +113,11 @@ class PreparedTwoGrid(TwoGridSpec):
     """A TwoGridSpec bound to one matrix A, with the guards it needs made once.
 
     Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A,
-    forms R*A and K = R*AP as build_pi does (projection._galerkin), guards
-    and factors K (as in build_pi, a singular K raises SingularMatrixError
-    naming the pair incompatible) and then, when a relaxation is an exact
+    unless it is store.A, which the store validated, forms R*A and
+    K = R*AP as build_pi does (projection._galerkin, on the store's
+    decision whether A is tridiagonal), guards and factors K (as in
+    build_pi, a singular K raises SingularMatrixError naming the pair
+    incompatible) and then, when a relaxation is an exact
     F-solve, takes the store's A_ff solver, guarded as "A_ff". store is A's
     ProblemStore, one of its own by default; two_grid_conv_factor reads the
     ideal blocks of A from it. two_grid_conv_factor, two_grid_propagator and
@@ -137,14 +139,15 @@ class PreparedTwoGrid(TwoGridSpec):
             store = ProblemStore(self.A)
             A = store.A
         else:
-            store, A = self.store, as_matrix(self.A, "A")
+            store = self.store
+            A = store.A if self.A is store.A else as_matrix(self.A, "A")
             if store.A is not A:
                 raise ValueError("store must be the ProblemStore of this very A")
         coarse = solve_ff = None
         if self.pair is not None:
             if A.shape[0] != self.pair.n:
                 raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={self.pair.n}")
-            RA, K = _galerkin(A, self.pair)
+            RA, K = _galerkin(A, self.pair, store.tridiagonal())
             try:
                 coarse = RA, lu_solver(K, "coarse operator R*AP")
             except SingularMatrixError as e:
@@ -183,7 +186,7 @@ def _relaxation(A, spec, part, solve_ff=None):
         return np.arange(A.shape[0]), lambda r: w * r
     if part is None:
         raise ValueError(f"relaxation kind {spec.kind!r} needs a CF partition")
-    f = list(part.fpoints)
+    f = part.fidx
     if spec.kind == "fjacobi":
         d = np.diag(A)[f]
         if np.any(d == 0.0):
@@ -303,7 +306,7 @@ def two_grid_conv_factor(A, spec):
     dW = _ideal_block(method.store, part, "A", "W") - pair.W
     if not dW.any():
         return 0.0
-    f = list(part.fpoints)
+    f = part.fidx
     _, solve_k = method.coarse
     return _spectral_radius(solve_k(dZ.T @ (A[np.ix_(f, f)] @ dW)))
 
@@ -318,7 +321,7 @@ def air_cpoint_residual(A, pair, e):
     e = np.asarray(e, dtype=float).ravel()
     pi, _ = build_pi(A, pair)
     v = e - pi @ e
-    return float(np.max(np.abs(v[list(pair.part.cpoints)])))
+    return float(np.max(np.abs(v[pair.part.cidx])))
 
 
 def iterate(A, spec, b, x0, iters):
@@ -354,7 +357,7 @@ def iterate(A, spec, b, x0, iters):
     if not _is_identity(spec.post):
         steps += [_relaxation(A, spec.post, part, method.solve_ff)] * spec.post.sweeps
 
-    diags = _tridiagonal(A)
+    diags = method.store.tridiagonal()
 
     def residual(x):
         return b - (A @ x if diags is None else _tridiagonal_product(diags, x))
@@ -382,9 +385,10 @@ def _coarse_step(pair, solve_k):
     if pair.cblocks is not None:
         R, P = pair.R, pair.P
         return lambda r: P @ solve_k(R.T @ r)
-    f, c = list(pair.part.fpoints), list(pair.part.cpoints)
-    Z = None if _zero_block(pair.R, pair.nc) else pair.Z
-    W = None if _zero_block(pair.P, pair.nc) else pair.W
+    f, c = pair.part.fidx, pair.part.cidx
+    zero_z, zero_w = pair.zero_blocks
+    Z = None if zero_z else pair.Z
+    W = None if zero_w else pair.W
 
     def apply(r):
         y = solve_k(r[c] if Z is None else Z.T @ r[f] + r[c])

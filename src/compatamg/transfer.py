@@ -9,7 +9,7 @@ standard norm/companion combinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,13 +61,15 @@ class TransferPair:
     (classical CF-AMG form). With cblocks = (Y, V), the C-point rows of R and
     P are Y and V instead; the induced coarse-grid projection is unchanged by
     any nonsingular right-scaling, so this is a change of basis only. Y and V
-    must be n_c x n_c and equal the C-point rows of R and P exactly.
+    must be n_c x n_c and equal the C-point rows of R and P exactly. Made
+    once per pair, zero_blocks says whether the F rows of R, P are all zero.
     """
 
     R: np.ndarray
     P: np.ndarray
     part: CFPartition
     cblocks: tuple | None = None
+    zero_blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = as_matrix(self.R, "R")
@@ -105,6 +107,8 @@ class TransferPair:
             object.__setattr__(self, "cblocks", (_frozen(Y), _frozen(V)))
         object.__setattr__(self, "R", _frozen(R))
         object.__setattr__(self, "P", _frozen(P))
+        f = self.part.fidx
+        object.__setattr__(self, "zero_blocks", (not R[f].any(), not P[f].any()))
 
     @property
     def n(self):
@@ -130,10 +134,11 @@ def make_pair(part, Z, W):
 
     Z and W are n_f x n_c. R and P are written once into read-only arrays of
     the pair's own, with identity C rows by construction, so the pair skips
-    the checks and copies that TransferPair makes on arrays passed in.
+    the checks and copies that TransferPair makes on arrays passed in, and
+    its zero_blocks are read off Z and W.
     """
-    f, c, k = list(part.fpoints), list(part.cpoints), np.arange(part.nc)
-    ops = []
+    f, c, k = part.fidx, part.cidx, np.arange(part.nc)
+    ops, zero = [], []
     for B, name in ((Z, "Z"), (W, "W")):
         B = as_matrix(np.atleast_2d(np.asarray(B, dtype=float)), name)
         if B.shape != (part.nf, part.nc):
@@ -143,8 +148,10 @@ def make_pair(part, Z, W):
         op[c, k] = 1.0
         op.setflags(write=False)
         ops.append(op)
+        zero.append(not B.any())
     pair = object.__new__(TransferPair)
-    for name, value in zip(("R", "P", "part", "cblocks"), (*ops, part, None)):
+    fields = ("R", "P", "part", "cblocks", "zero_blocks")
+    for name, value in zip(fields, (*ops, part, None, tuple(zero))):
         object.__setattr__(pair, name, value)
     return pair
 
@@ -367,7 +374,7 @@ def _anchored_column(store, part, q, anchor):
         block = ideal_w(Qp) if anchor == "P" else ideal_z(Qp)
     except SingularMatrixError as e:
         return None, None, str(e)
-    f = list(part.fpoints)
+    f = part.fidx
     return (Qm[f] if anchor == "P" else Qm[:, f]), block, None
 
 
@@ -416,7 +423,7 @@ def _inverse_block(X, part, solve_c, adj=False):
 def _inverse_columns(A, part, tag, side):
     """(X, adj) of _inverse_block for side "W" or "Z" of Q = S^{-1}, S = A or A*."""
     adj = (tag == "AinvStar") == (side == "W")
-    c = list(part.cpoints)
+    c = part.cidx
     return (A[c].T if adj else A[:, c]), adj
 
 
@@ -433,27 +440,29 @@ def _ideal_cell(store, part, G, q, anchor, anchored):
     """(pair, companion slice) of one anchored norm/companion cell.
 
     store is the ProblemStore of a guarded A, and G the factor of the
-    cell's norm, realized in store. anchored maps q to its _anchored_column
-    and is filled here, so a table realizes each Q once for all its rows.
+    cell's norm, realized in store. anchored maps q's tag to its
+    _anchored_column and is filled here, so a table realizes each Q once for
+    all its rows; a Custom Q, which its tag does not name, is realized anew.
     The companion slice is what _companion returns. For Q = B^{-1} the
     derived companion's inverse S is B* M A^{-1} (anchor P) or M^{-1} A* B*
     (anchor R), and the slice is the X of _inverse_block, S*[:, C] or S[:, C].
     """
-    if q not in anchored:
-        anchored[q] = _anchored_column(store, part, q, anchor)
-    qf, block, reason = anchored[q]
+    tag = _choice(q).tag
+    if tag == "Custom" or tag not in anchored:
+        anchored[tag] = _anchored_column(store, part, q, anchor)
+    qf, block, reason = anchored[tag]
     try:
         # the anchored block first: when both blocks are undefined, the
         # skip reason names the companion Q's
         if reason is not None:
             raise SingularMatrixError(reason)
-        if _choice(q).tag in _INVERSE_TAGS:
+        if tag in _INVERSE_TAGS:
             comp = _norm_product(store, G, qf, "MA" if anchor == "P" else "AM", adj=True)
             solve = lu_solver(part.c_rows(comp), "cc-block of companion inverse")
             derived = _inverse_block(comp, part, solve)
         else:
             comp = _companion(store, G, qf, anchor)
-            f, c = list(part.fpoints), list(part.cpoints)
+            f, c = part.fidx, part.cidx
             if anchor == "P":
                 derived = _z_of(lu_solver(comp[f], _FF), comp[c])
             else:
@@ -703,7 +712,7 @@ def _ideal_block(store, part, q, side):
         if choice.tag == "identity":
             block = np.zeros((part.nf, part.nc))
         elif choice.tag == "A":
-            A, f, c = store.A, list(part.fpoints), list(part.cpoints)
+            A, f, c = store.A, part.fidx, part.cidx
             solve = store.ff_solve(part)
             block = _z_of(solve, A[np.ix_(c, f)]) if side == "Z" else _w_of(solve, A[np.ix_(f, c)])
         elif choice.tag in _INVERSE_TAGS:

@@ -551,7 +551,7 @@ def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    recording(linalg, "_guarded_lu", lambda A, what: f"lu {what}")
+    recording(linalg, "_guarded_lu", lambda A, what, *_: f"lu {what}")
     recording(linalg, "_spd_cholesky")
     recording(transfer, "_z_of")
     recording(transfer, "_w_of")
@@ -659,3 +659,59 @@ def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
     for args in (["tables"], ["figure1"], ["verify-pairs"] + pairs):
         code, _ = _run_json(tmp_path, args + ["--problem", problem, "--n", "24"])
         assert code == 0, args[0]
+
+
+def test_converge_scans_a_at_most_once_per_store(tmp_path, monkeypatch):
+    # A's nonzero count decides its tridiagonal structure once per store, and
+    # its finiteness is checked once per store: the method bound to the
+    # store's A skips the second check
+    import compatamg.linalg
+
+    n = 64
+    scans = {"count_nonzero": 0, "isfinite": 0}
+    for name in scans:
+        fn = getattr(np, name)
+
+        def wrapper(a, *args, _fn=fn, _name=name, **kwargs):
+            if np.shape(a) == (n, n):
+                scans[_name] += 1
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapper)
+    stores = []
+    init = compatamg.linalg.ProblemStore.__init__
+    monkeypatch.setattr(compatamg.linalg.ProblemStore, "__init__",
+                        lambda self, A: (stores.append(self), init(self, A))[1])
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.01", "--n", str(n),
+         "--pair", "single1", "--pair", "single3", "--pair", "random:2",
+         "--post", "fexact", "--iters", "6"],
+    )
+    assert code == 0 and len(report["results"]) == 3
+    assert len(stores) == 3
+    assert 1 <= scans["count_nonzero"] <= len(stores)
+    assert scans["isfinite"] <= len(stores)
+
+
+def test_converge_threaded_equals_serial(tmp_path, monkeypatch):
+    # every worker reads the partition's index arrays; two workers, then
+    # more workers than cores under a short switch interval, must not change
+    # a bit
+    args = ["converge", "--problem", "advdiff1d", "--epsilon", "0.01", "--n", "64",
+            "--pair", "single1", "--pair", "single2", "--pair", "single3",
+            "--pair", "single4", "--pair", "t1:Asym:A", "--pair", "random:5",
+            "--post", "fexact", "--iters", "20"]
+    reports = []
+    interval = sys.getswitchinterval()
+    try:
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("COMPATAMG_THREADS", threads)
+            if threads == "8":
+                sys.setswitchinterval(1e-6)
+            code, report = _run_json(tmp_path, args, f"{threads}.json")
+            report.pop("timestamp")
+            reports.append((code, report))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]

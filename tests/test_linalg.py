@@ -65,6 +65,32 @@ def test_partition_invalid_splits(f, c):
         cm.CFPartition(2, f, c)
 
 
+def test_partition_index_arrays_are_read_only_copies_of_the_points():
+    part = cm.CFPartition(6, (4, 0, 2), np.array([5, 1, 3]))
+    for idx, points in ((part.fidx, part.fpoints), (part.cidx, part.cpoints)):
+        assert idx.dtype == np.intp and not idx.flags.writeable
+        assert tuple(idx.tolist()) == points
+        with pytest.raises(ValueError):
+            idx[0] = 0
+    np.testing.assert_array_equal(part.perm, [4, 0, 2, 5, 1, 3])
+    X = np.arange(12.0).reshape(6, 2)
+    np.testing.assert_array_equal(part.f_rows(X), X[[4, 0, 2]])
+    np.testing.assert_array_equal(part.c_rows(X), X[[5, 1, 3]])
+
+
+def test_partition_equality_and_hash_read_only_the_points():
+    # a partition keys store entries: the index arrays must not change
+    # which partitions are equal, or make them unhashable
+    a = cm.CFPartition(5, (0, 2, 4), (1, 3))
+    b = cm.CFPartition(5, [np.int64(0), 2, 4], np.array([1, 3]))
+    c = cm.CFPartition(5, (2, 0, 4), (1, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert hash(a) == hash((5, (0, 2, 4), (1, 3)))
+    assert {a: 1}[b] == 1
+    assert repr(a) == "CFPartition(n=5, fpoints=(0, 2, 4), cpoints=(1, 3))"
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 12), seed=st.integers(0, 10_000))
 def test_reassembly_exact(n, seed):

@@ -154,3 +154,27 @@ def test_splitting_errors():
         cm.default_splitting(4, "bogus")
     with pytest.raises(ValueError):
         cm.default_splitting(4, "random", cfrac=0.0)
+
+
+def _plain_1d(kind, n, epsilon):
+    # the identity-matrix formulas the 1D kinds were first written with
+    adv = np.eye(n) - np.eye(n, k=-1)
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if kind == "advection1d":
+        return adv
+    if kind == "laplacian1d":
+        return lap
+    h = 1.0 / (n + 1)
+    return adv + (epsilon / h**2) * lap
+
+
+@pytest.mark.parametrize("kind", ["advection1d", "laplacian1d", "advdiff1d"])
+@pytest.mark.parametrize("n", [2, 3, 7, 1000])
+@pytest.mark.parametrize("epsilon", [0.0, 0.01])
+def test_1d_kinds_keep_the_bits_of_the_identity_formulas(kind, n, epsilon):
+    # written onto three diagonals, every entry (signed zeros included) is
+    # the one the sum of identity-matrix terms gives
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=epsilon))
+    ref = _plain_1d(kind, n, epsilon)
+    assert A.dtype == ref.dtype and A.shape == ref.shape
+    assert A.tobytes() == ref.tobytes()

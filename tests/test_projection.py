@@ -283,3 +283,24 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
     R, P = pair.R, pair.P
     assert np.all(np.abs(RA - R.T @ A) <= 4 * eps * (np.abs(R.T) @ np.abs(A)))
     np.testing.assert_allclose(K, R.T @ A @ P, rtol=0, atol=1e-13 * np.abs(R.T @ A @ P).max())
+
+
+@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d", "advection1d"])
+@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
+def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_product(kind, policy):
+    # with Z = 0, K is the C rows of A P, taken on A's three diagonals: each
+    # entry is a sum of at most three products, a few ulps of |R*| |A| |P|
+    from compatamg.projection import _galerkin
+
+    n = 41
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05))
+    part = cm.default_splitting(n, policy, seed=3)
+    W = np.random.default_rng(50).standard_normal((part.nf, part.nc))
+    pair = cm.make_pair(part, np.zeros((part.nf, part.nc)), W)
+    RA, K = _galerkin(A, pair)
+    R, P = pair.R, pair.P
+    assert RA.tobytes() == A[list(part.cpoints)].tobytes()
+    bound = 4 * np.finfo(float).eps * (np.abs(R.T) @ np.abs(A) @ np.abs(P))
+    assert np.all(np.abs(K - R.T @ A @ P) <= bound)
+    # the store's decision gives the same K as the one made here
+    assert _galerkin(A, pair, cm.ProblemStore(A).tridiagonal())[1].tobytes() == K.tobytes()

@@ -730,3 +730,55 @@ def test_make_pair_writes_the_pair_transfer_pair_would_check():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         cm.make_pair(part, Z, bad)
+
+
+def _counted_zero_blocks(pair):
+    f = pair.part.fidx
+    return np.count_nonzero(pair.R[f]) == 0, np.count_nonzero(pair.P[f]) == 0
+
+
+def test_each_pair_decides_its_zero_blocks_once_as_count_nonzero_does():
+    n = 24
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))
+    part = _split(n)
+    store = ProblemStore(A)
+    pairs = [cm.single_operator_pair(A, part, k, store)[0] for k in range(1, 5)]
+    rng = np.random.default_rng(48)
+    blocks = [rng.standard_normal((part.nf, part.nc)) for _ in range(2)]
+    zero = np.zeros((part.nf, part.nc))
+    for Z, W in ((zero, zero), (zero, blocks[1]), (blocks[0], zero), blocks):
+        pairs.append(cm.make_pair(part, Z, W))
+        pairs.append(cm.TransferPair(pairs[-1].R, pairs[-1].P, part))
+    pairs.append(cm.change_of_basis_pair(A, part))
+    seen = set()
+    for pair in pairs:
+        assert pair.zero_blocks == _counted_zero_blocks(pair)
+        seen.add(pair.zero_blocks)
+        if pair.cblocks is None:
+            # a classical pair [B; I] has B = 0 exactly when its only
+            # nonzeros are the n_c ones of I
+            assert pair.zero_blocks == tuple(
+                np.count_nonzero(op) == part.nc for op in (pair.R, pair.P)
+            )
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("anchor", ["P", "R"])
+@pytest.mark.parametrize("custom_norm", [False, True])
+def test_ideal_pair_takes_a_custom_companion(anchor, custom_norm):
+    # a Custom Q holds an array, so it keys no memo: the pair is built, and
+    # its correction is orthogonal in the norm M it was built for
+    rng = np.random.default_rng(49)
+    n = 8
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=3))
+    part = _split(n)
+    Q = random_spd(rng, n)
+    norm = cm.NormSpec("Custom", random_spd(rng, n)) if custom_norm else "identity"
+    pair = cm.ideal_pair(A, part, norm, cm.QChoice("Custom", Q), anchor)
+    Qp = cm.partition(Q, part)
+    anchored = (pair.W, cm.ideal_w(Qp)) if anchor == "P" else (pair.Z, cm.ideal_z(Qp))
+    np.testing.assert_allclose(*anchored, rtol=1e-12, atol=1e-12)
+    G = cm.realize_norm(norm, A, factored=True)
+    report = cm.projection_report(A, pair, G)
+    assert report["compat_eq"] and all(report["orthogonality_checks"].values())
+    assert abs(report["pi_norm"] - 1.0) <= 1e-10
