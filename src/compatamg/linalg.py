@@ -14,7 +14,8 @@ factor, so no SVD is spent on it. A tridiagonal matrix, a
 diagonal one included, is factored by tridiagonal elimination with partial
 pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
 is read as tridiagonal from its nonzero count, so it stays a dense array,
-and A's count is read once per ProblemStore, which keeps its diagonals.
+and A's count is read once per ProblemStore, which keeps its diagonals
+for R*AP and the iteration.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
@@ -112,8 +113,8 @@ def _tag_key(tag):
 
 
 def _tridiagonal(A):
-    """Copies of the diagonals (dl, d, du) of a square A of order n >= 3 whose
-    nonzeros all lie on its three central diagonals, else None.
+    """Read-only copies of the diagonals (dl, d, du) of a square A of order
+    n >= 3 whose nonzeros all lie on its three central diagonals, else None.
 
     A diagonal matrix is tridiagonal. The test compares nonzero counts, so
     it makes no n x n temporary. Smaller orders take the dense path, since
@@ -122,40 +123,32 @@ def _tridiagonal(A):
     n = A.shape[0]
     if n < 3 or A.shape[1] != n:
         return None
-    diags = tuple(np.diag(A, k).copy() for k in (-1, 0, 1))
+    diags = tuple(_frozen(np.diag(A, k)) for k in (-1, 0, 1))
     if np.count_nonzero(A) != sum(np.count_nonzero(v) for v in diags):
         return None
     return diags
 
 
-def _tridiagonal_product(diags, X, trans=0, rows=None):
+def _tridiagonal_product(diags, X, trans=0):
     """A X, or A* X with trans=1, for the tridiagonal A with diagonals diags.
 
-    X is a vector or an n x k block; the product costs O(nk). Given an index
-    array rows, only those rows of the product are formed, from gathers of X.
+    X is a vector or an n x k block; the product costs O(nk).
     """
     dl, d, du = diags
     if trans:
         dl, du = du, dl
     X = np.asarray(X, dtype=float)
     shape = (-1,) + (1,) * (X.ndim - 1)
-    if rows is not None:
-        up, down = np.minimum(rows + 1, d.size - 1), np.maximum(rows - 1, 0)
-        Y = d[rows].reshape(shape) * X[rows]
-        Y += np.append(du, 0.0)[rows].reshape(shape) * X[up]
-        Y += np.append(0.0, dl)[rows].reshape(shape) * X[down]
-        return Y
     Y = d.reshape(shape) * X
     Y[:-1] += du.reshape(shape) * X[1:]
     Y[1:] += dl.reshape(shape) * X[:-1]
     return Y
 
 
-def _guarded_lu(A, what, diags=_tridiagonal):
+def _guarded_lu(A, what):
     """The factor of A, after rejecting A as numerically singular.
 
-    diags is _tridiagonal(A) when the caller has decided it, and is decided
-    here by default. A tridiagonal A, a diagonal one included, is factored
+    A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
     by tridiagonal elimination with partial pivoting (dgttrf) into
     (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
     from that factor by dgtcon, in O(n). Any other A is factored by dgetrf
@@ -168,8 +161,7 @@ def _guarded_lu(A, what, diags=_tridiagonal):
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     c = np.inf
     factor = None
-    if callable(diags):
-        diags = diags(A)
+    diags = _tridiagonal(A)
     if diags is not None:
         *factor, info = lapack.dgttrf(*diags)
         if info == 0:
@@ -537,9 +529,9 @@ class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
     Each entry is built on first use and then kept: whether A is tridiagonal,
-    decided by one nonzero count and held as copies of its three diagonals,
-    the guard's factor of A, its only one, the guard's factors of A_ff and
-    A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
+    decided by one nonzero count and held as read-only copies of its three
+    diagonals, the guard's factor of A, its only one, the guard's factors of
+    A_ff and A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
     whether it is SPD, the norm factors realized from them and, through
     compatamg.transfer, the ideal blocks of the companion matrices. A store
     serves one command, or in converge one pair, and is dropped with it, so
@@ -575,7 +567,7 @@ class ProblemStore:
     def guard(self):
         """The guard's factor of A (see _guarded_lu), read-only."""
         def build():
-            factor = _guarded_lu(self.A, "A", self.tridiagonal())
+            factor = _guarded_lu(self.A, "A")
             for v in factor:
                 v.setflags(write=False)
             return factor

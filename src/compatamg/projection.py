@@ -396,7 +396,7 @@ def _galerkin(A, pair, diags=_tridiagonal):
     if zero_z:
         RA = A[c]
         if diags is not None and not zero_w:
-            return RA, _tridiagonal_product(diags, pair.P, rows=c)
+            return RA, _tridiagonal_product(diags, pair.P)[c]
     elif diags is not None:
         RA = _tridiagonal_product(diags, pair.R, trans=1).T
     else:

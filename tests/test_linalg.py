@@ -579,3 +579,17 @@ def test_tridiagonal_detection_rejects_any_entry_off_the_band():
         B[i, j] = 1e-300
         assert linalg._tridiagonal(B) is None
     assert linalg._tridiagonal(np.zeros((4, 3))) is None
+
+
+def test_store_diagonals_of_a_are_read_only_copies():
+    # every case thread of a command reads the one entry: writing to it must
+    # fail, and it must not be a view that keeps A alive
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=9, epsilon=0.01))
+    store = linalg.ProblemStore(A)
+    diags = store.tridiagonal()
+    assert store.tridiagonal() is diags
+    for k, v in zip((-1, 0, 1), diags):
+        assert not v.flags.writeable and v.base is None
+        np.testing.assert_array_equal(v, np.diag(A, k))
+        with pytest.raises(ValueError):
+            v[0] = 0.0
