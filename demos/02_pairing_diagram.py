@@ -24,8 +24,8 @@ def run(label, A, part):
             continue
         Z = cm.ideal_z(partition(cm.realize_q(r_q, A), part))
         W = cm.ideal_w(partition(cm.realize_q(p_q, A), part))
-        pi, _ = cm.build_pi(A, cm.make_pair(part, Z, W))
-        err = abs(cm.pi_m_norm(pi, M) - 1.0)
+        corr = cm.coarse_correction(A, cm.make_pair(part, Z, W))
+        err = abs(cm.pi_m_norm(corr, M) - 1.0)
         print(f"  {style:8s} R_ideal({r_q:8s}) P_ideal({p_q:8s})  {norm:10s} {err:18.3e}")
 
 

@@ -20,8 +20,8 @@ for entry in cm.catalog_pairs(A, part):
         print(f"{head} SKIP ({entry.reason})")
         continue
     M = cm.realize_norm(entry.norm, A)
-    pi, _ = cm.build_pi(A, entry.pair)
-    err = abs(cm.pi_m_norm(pi, M) - 1.0)
+    corr = cm.coarse_correction(A, entry.pair)
+    err = abs(cm.pi_m_norm(corr, M) - 1.0)
     ranged = cm.verify_compat_equation(A, M, entry.pair)
     tag = " single-operator" if entry.label == "single" else ""
     print(f"{head} |norm-1| = {err:8.1e}  range-match = {ranged}{tag}")

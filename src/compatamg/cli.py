@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import NormSpec, ProblemStore, SingularMatrixError, realize_norm
+from .linalg import NormSpec, ProblemStore, realize_norm
 from .matio import load_matrix
 from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, generate
 from .projection import (
@@ -280,7 +280,7 @@ def cmd_figure1(cfg):
         try:
             M = realize_norm(norm, A, factored=True, store=store)
             corr = coarse_correction(A, ideal_blocks_pair(A, part, r_q, p_q, store))
-        except (ValueError, SingularMatrixError) as e:
+        except ValueError as e:  # a SingularMatrixError is a ValueError
             rec.update(skipped=True, reason=str(e))
             return rec
         rec["pi_norm"] = float(pi_m_norm(corr, M))
@@ -342,7 +342,7 @@ def cmd_converge(cfg):
             spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=store.A, store=store)
         except ConfigError:
             raise
-        except (SingularMatrixError, ValueError) as e:
+        except ValueError as e:
             return {"pair": recipe.strip(), "skipped": True, "reason": str(e)}
         rho = two_grid_conv_factor(spec.A, spec)
         history = iterate(spec.A, spec, b, x0, cfg.iters)
@@ -522,7 +522,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"compatamg: config error: {e}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"compatamg: construction error: {e}", file=sys.stderr)
         return 2
     report = {

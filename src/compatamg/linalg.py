@@ -551,7 +551,7 @@ class ProblemStore:
             if key not in self._built:
                 try:
                     self._built[key] = (build(), None)
-                except (ValueError, SingularMatrixError) as e:
+                except ValueError as e:  # a SingularMatrixError is a ValueError
                     # the type and message only: the error's traceback holds
                     # this frame, and so the store, in a reference cycle
                     self._built[key] = (None, (type(e), str(e)))

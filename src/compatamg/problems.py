@@ -5,6 +5,7 @@ symmetric part is SPD by construction. Plus default CF splittings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -46,8 +47,8 @@ class ProblemSpec:
         if key not in _KIND_ALIASES:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
     def to_dict(self):
         return asdict(self)

@@ -23,13 +23,15 @@ realize_norm(..., factored=True):
     SqrtAstarA      Sigma^{1/2} V* from the SVD A = U Sigma V*
     Custom          L* from the Cholesky factor of the payload
 
-A pair reaches the kernel as a CoarseCorrection, with bases G P and
-G^{-*} A* R: neither Pi nor M is formed and no n x n matrix is decomposed.
-For G = A and G = L^{-1} A the factor holds H = G^{-*} A* by algebra, I
-and L* respectively, so the second basis is H R without a solve with A;
-the other norms solve with G* against A* R. A dense projection reaches the
-kernel through one SVD, which gives range(Pi) and range(Pi*), and a dense
-SPD M through its Cholesky factor.
+Every measure takes the pair's CoarseCorrection (coarse_correction), which
+reaches the kernel with bases G P and G^{-*} A* R: neither Pi nor M is
+formed and no n x n matrix is decomposed. For G = A and G = L^{-1} A the
+factor holds H = G^{-*} A* by algebra, I and L* respectively, so the second
+basis is H R without a solve with A; the other norms solve with G* against
+A* R. A dense SPD M is taken through its Cholesky factor. Any other input
+than a correction raises TypeError. R*A and K = R*AP are formed, and K is
+guarded, in one place, _coarse, which build_pi, coarse_correction and the
+solver's PreparedTwoGrid share.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
@@ -55,9 +57,9 @@ B = (R*AP)^{-1} R*A. One verify-pairs case, with k = n_c, thus makes:
     probes_orthogonal    products with an n x 64 block
 
 The cosines are a k x k SVD of their own, made only when theta_max reaches
-pi/4, and the full sines an SVD made only when read. A dense projection is
-checked in the original space, on pivoted-QR bases of range(M Pi) and
-range(Pi*); it is the reference the tests compare the correction against.
+pi/4, and the full sines an SVD made only when read. build_pi forms the
+dense Pi, which no function of the package reads; it serves the tests as
+an oracle.
 """
 
 from __future__ import annotations
@@ -78,8 +80,6 @@ from .linalg import (
     as_matrix,
     as_norm_factor,
     lu_solver,
-    orth_basis,
-    solve_checked,
 )
 
 __all__ = [
@@ -104,26 +104,6 @@ INCOMPATIBLE = "R and P incompatible with A on this splitting"
 # results are reproducible across runs and platforms.
 PROBE_COUNT = 64
 PROBE_SEED = 1729
-
-def build_pi(A, pair):
-    """Materialize the coarse-grid correction projection and coarse operator.
-
-    Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A, where R* A and K
-    are formed as _galerkin forms them. Pi is idempotent up to round-off
-    whenever K is well conditioned. The measurements take a CoarseCorrection
-    instead and never form Pi; the dense projection serves
-    air_cpoint_residual and, as an oracle, the tests.
-    """
-    A = as_matrix(A, "A")
-    if A.shape[0] != pair.n:
-        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    RA, K = _galerkin(A, pair)
-    try:
-        Pi = pair.P @ solve_checked(K, RA, "coarse operator R*AP")
-    except SingularMatrixError as e:
-        raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    return Pi, K
-
 
 @dataclass(frozen=True)
 class CanonicalAngles:
@@ -256,12 +236,6 @@ def _kernel(X, Y):
     return CanonicalAngles(Z[k:], Z[:k].T), Ru, Rv
 
 
-def _orthonormal_angles(Qu, Qv):
-    """Canonical angles between the ranges of orthonormal bases Qu and Qv."""
-    C = Qu.T @ Qv
-    return CanonicalAngles(Qv - Qu @ C, C)
-
-
 def canonical_angles(X, Y):
     """Canonical angles between range(X) and range(Y), both of full column rank k.
 
@@ -312,13 +286,21 @@ class _Frame:
     compat_eq: bool
 
 
+def _frame(factor, A, pair, RA=None):
+    """The kernel's _Frame for the pair on A and the factor G; RA as in _blocks."""
+    GP, GAR = _blocks(factor, A, pair, RA)
+    angles, Ru, Rv = _kernel(GP, GAR)
+    del GAR
+    return _Frame(GP, angles, Ru, Rv, _within(angles.outside @ Ru, Ru))
+
+
 @dataclass(frozen=True)
 class CoarseCorrection:
     """The coarse-grid correction of a pair on A, held through the pair.
 
-    Pi = P (R*AP)^{-1} R*A is never formed. Built by coarse_correction, which
-    rejects a singular coarse operator the way build_pi does and keeps the
-    guard's LU factor of K = R*AP as solve.
+    Pi = P (R*AP)^{-1} R*A is never formed. Built by _coarse, which rejects a
+    singular coarse operator and keeps the guard's factor of K = R*AP as
+    solve.
     """
 
     A: np.ndarray
@@ -334,19 +316,11 @@ class CoarseCorrection:
         """(R*AP)^{-1} R*A, so that Pi = P B."""
         return self.solve(self.RA)
 
-    def blocks(self, factor):
-        """(G P, G^{-*} A* R) for the factor G: the bases the kernel measures."""
-        return _blocks(factor, self.A, self.pair, self.RA)
-
     def frame(self, factor):
         """The kernel's _Frame for the factor G, computed once per factor."""
         if not (self._last and self._last[0] is factor):
             self._last.clear()  # not held while the next frame is built
-            GP, GAR = self.blocks(factor)
-            angles, Ru, Rv = _kernel(GP, GAR)
-            del GAR
-            compat = _within(angles.outside @ Ru, Ru)
-            self._last[:] = [factor, _Frame(GP, angles, Ru, Rv, compat)]
+            self._last[:] = [factor, _frame(factor, self.A, self.pair, self.RA)]
         return self._last[1]
 
     def angles(self, factor):
@@ -407,53 +381,73 @@ def _galerkin(A, pair, diags=_tridiagonal):
     return RA, RA[:, f] @ pair.W + RA[:, c]
 
 
-def coarse_correction(A, pair):
-    """The pair's coarse-grid correction on A, after the guard on K = R*AP.
+def _coarse(A, pair, diags=_tridiagonal):
+    """(CoarseCorrection, K) of a pair on a validated A: the one guard of K = R*AP.
 
-    A singular K raises the same SingularMatrixError as build_pi.
+    R*A and K are formed by _galerkin, with diags as there, and K is guarded
+    and factored by lu_solver. A singular K raises SingularMatrixError, its
+    message prefixed with INCOMPATIBLE.
     """
-    A = as_matrix(A, "A")
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    RA, K = _galerkin(A, pair)
+    RA, K = _galerkin(A, pair, diags)
     try:
         solve = lu_solver(K, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    return CoarseCorrection(A, pair, RA, solve)
+    return CoarseCorrection(A, pair, RA, solve), K
+
+
+def coarse_correction(A, pair):
+    """The pair's coarse-grid correction on A, after the guard on K = R*AP.
+
+    A singular K raises SingularMatrixError naming the pair incompatible.
+    """
+    return _coarse(as_matrix(A, "A"), pair)[0]
+
+
+def build_pi(A, pair):
+    """Materialize the coarse-grid correction projection and coarse operator.
+
+    Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A, from the
+    correction coarse_correction(A, pair) holds. Pi is idempotent up to
+    round-off whenever K is well conditioned. No function of the package
+    forms Pi; the dense projection serves the tests as an oracle.
+    """
+    corr, K = _coarse(as_matrix(A, "A"), pair)
+    return pair.P @ corr.B, K
 
 
 def _angles(pi, M):
-    """Canonical angles that measure the projection pi in the norm M.
+    """The kernel's canonical angles of the correction pi in the norm M.
 
-    pi is a CoarseCorrection or a dense projection; M is a NormFactor or a
-    dense SPD matrix. A dense projection of rank zero has no angles.
+    M is a NormFactor or a dense SPD matrix. Any pi other than a
+    CoarseCorrection raises TypeError.
     """
-    factor = as_norm_factor(M)
-    if isinstance(pi, CoarseCorrection):
-        return pi.angles(factor)
-    pi = as_matrix(pi, "pi")
-    U, s, Vt = np.linalg.svd(pi, full_matrices=False)
-    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    return canonical_angles(factor.apply(U[:, :rank]), factor.solve_adj(Vt[:rank].T))
+    if not isinstance(pi, CoarseCorrection):
+        raise TypeError(
+            f"expected a CoarseCorrection, got {type(pi).__name__}: "
+            "measure coarse_correction(A, pair)"
+        )
+    return pi.angles(as_norm_factor(M))
 
 
 def pi_m_norm(pi, M):
-    """Induced M-norm of the projection; equals the norm of its complement."""
+    """Induced M-norm of the correction; equals the norm of its complement."""
     return _angles(pi, M).pi_norm
 
 
 def nonorth_measure(pi, M):
-    """Amplification of the projection over the M-orthogonal complement of its range.
+    """Amplification of the correction over the M-orthogonal complement of its range.
 
-    The largest value of ||pi x||_M / ||x||_M over range(pi)^{perp_M}, which is
+    The largest value of ||Pi x||_M / ||x||_M over range(Pi)^{perp_M}, which is
     tan(theta_max). Zero exactly when the projection is M-orthogonal.
     """
     return _angles(pi, M).nonorth_sup
 
 
 def min_canonical_angle(pi, M):
-    """Minimal canonical angle between range(pi) and null(pi) in the M-inner product.
+    """Minimal canonical angle between range(Pi) and null(Pi) in the M-inner product.
 
     The projection's M-norm equals 1/sin of this angle; an M-orthogonal
     projection gives pi/2.
@@ -512,63 +506,39 @@ def _one_range(angles):
 
 
 def orthogonality_checks(pi, M, tol=1e-8):
-    """Evaluate the four equivalent M-orthogonality conditions on a projection.
+    """Evaluate the four equivalent M-orthogonality conditions on a correction.
 
-    pi is a CoarseCorrection or a dense projection; M is a dense SPD matrix or
-    a NormFactor, validated once, and a factor is used as given. Three
-    conditions are checked on thin factors Pi = L B, L n x r and B r x n. A
-    correction gives L = P and B = (R*AP)^{-1} R*A, lends its block G P, and
-    decides range_match in G-space from the kernel's canonical angles, which
-    pi_m_norm has already computed for the case, and matches_m_adjoint in
-    the kernel's frame (CoarseCorrection.adjoint_defect): no QR or SVD is
-    made here once the kernel has run. A dense projection gives
-    L = orth_basis(pi) and B = L* pi, forms X = G Pi G^{-1}, and decides
-    range_match in the original space, from the angles between pivoted-QR
-    bases of range(M Pi) and range(Pi*).
+    pi is a CoarseCorrection; M is a dense SPD matrix or a NormFactor,
+    validated once, and a factor is used as given. Three conditions are
+    checked on the thin factors Pi = P B, with B = (R*AP)^{-1} R*A and the
+    kernel's block G P. range_match is decided in G-space from the kernel's
+    canonical angles, which pi_m_norm has already computed for the case, and
+    matches_m_adjoint in the kernel's frame (CoarseCorrection.adjoint_defect):
+    no QR or SVD is made here once the kernel has run.
     """
     G = as_norm_factor(M)
+    angles = _angles(pi, G)
     tiny = np.finfo(float).tiny
+    P, B, GP = pi.pair.P, pi.B, pi.frame(G).GP
     # Pi = M^{-1} Pi* M exactly when X = G Pi G^{-1} is symmetric; X costs
     # one cond(G) in round-off where M^{-1} would cost cond(M) = cond(G)^2
-    if isinstance(pi, CoarseCorrection):
-        L, B, GL = pi.pair.P, pi.B, pi.frame(G).GP
-        asym, xnorm = pi.adjoint_defect(G)
-    else:
-        pi = as_matrix(pi, "pi")
-        L = orth_basis(pi)
-        B = L.T @ pi
-        GL = G.apply(L)
-        # X = (G L)(G^{-*} B*)*
-        X = GL @ G.solve_adj(B.T).T
-        asym, xnorm = float(np.linalg.norm(X - X.T)), float(np.linalg.norm(X))
-        del X  # so that only one n x n product, with its asymmetry, is live at a time
+    asym, xnorm = pi.adjoint_defect(G)
     adj_ok = asym <= tol * max(xnorm, tiny)
 
-    ML = G.apply_adj(GL)
-    MP = ML @ B
+    MP = G.apply_adj(GP) @ B
     scale = max(float(np.linalg.norm(MP)), tiny)
     herm = float(np.linalg.norm(MP - MP.T)) <= tol * scale
     del MP
 
-    if isinstance(pi, CoarseCorrection):
-        # range(M Pi) = range(M P) and range(Pi*) = range(A* R), which are one
-        # exactly when range(G P) = range(G^{-*} A* R): the kernel's subspaces
-        range_ok = _one_range(pi.angles(G))
-    else:
-        # pivoted-QR bases: range(Pi*) = range(B*), so U2's column count is
-        # the rank r of Pi; the rows of Pi lie in range(U2), so
-        # M Pi = (M L)(B U2) U2* and U1 is a basis of the n x r matrix
-        # (M L)(B U2). They are orthonormal already and go to the rule as they
-        # are.
-        U2 = orth_basis(B.T)
-        U1 = orth_basis(ML @ (B @ U2))
-        range_ok = U1.shape[1] == U2.shape[1] and _one_range(_orthonormal_angles(U2, U1))
+    # range(M Pi) = range(M P) and range(Pi*) = range(A* R), which are one
+    # exactly when range(G P) = range(G^{-*} A* R): the kernel's subspaces
+    range_ok = _one_range(angles)
 
     # probe pairs x_k, y_k drawn in the order x_0, y_0, x_1, y_1, ...
     probes = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, 2, B.shape[1]))
     X, Y = probes[:, 0].T, probes[:, 1].T
-    GU = G.apply(L @ (B @ X))
-    GV = G.apply(Y - L @ (B @ Y))
+    GU = G.apply(P @ (B @ X))
+    GV = G.apply(Y - P @ (B @ Y))
     num = np.abs(np.sum(GU * GV, axis=0))
     den = np.linalg.norm(GU, axis=0) * np.linalg.norm(GV, axis=0)
     live = den > tiny
@@ -585,21 +555,18 @@ def verify_compat_equation(A, M, pair):
     M-orthogonality of the coarse-grid correction built from the pair. With
     M = G*G it holds exactly when range(G P) = range(G^{-*} A* R), and it is
     decided there: true iff every column of G P lies in the range of
-    G^{-*} A* R to relative residual RANK_RTOL. The test is invariant to
-    column scalings of P and to any nonsingular right-scaling of R. M is a
-    dense SPD matrix or a NormFactor; pair is a TransferPair, or its
-    CoarseCorrection on A, whose blocks are then reused. On a correction the
-    residual is the kernel's E Ru, a product with an n_c x n_c matrix, so
-    once the kernel has run for M no further decomposition is made. On a
-    pair it is taken against an orthonormal basis of G^{-*} A* R from one
-    thin QR.
+    G^{-*} A* R to relative residual RANK_RTOL, read off the kernel as the
+    part E Ru of G P outside that range. The test is invariant to column
+    scalings of P and to any nonsingular right-scaling of R. M is a dense SPD
+    matrix or a NormFactor; pair is a TransferPair, or its CoarseCorrection
+    on A, whose kernel is then reused, so once the kernel has run for M no
+    further decomposition is made. A pair is not guarded, so a pair whose
+    R*AP is singular still gets a verdict.
     """
     factor = as_norm_factor(M)
     if isinstance(pair, CoarseCorrection):
         return pair.compat_eq(factor)
-    GP, GAR = _blocks(factor, as_matrix(A, "A"), pair)
-    Q = scipy.linalg.qr(GAR, mode="economic")[0]
-    return _within(GP - Q @ (Q.T @ GP), GP)
+    return _frame(factor, as_matrix(A, "A"), pair).compat_eq
 
 
 def projection_report(A, pair, M, tol=1e-8):

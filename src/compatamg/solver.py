@@ -33,8 +33,10 @@ no N^{-1}; a classical pair's coarse step works on Z and W, skipping a
 block its zero_blocks finds zero, and the residual of a tridiagonal A is a
 product on the three diagonals the store decided once, so on the 1D
 problems an iteration costs O(n) plus the products with Z and W. The
-dense path forms Pi = P K^{-1} R*A with the prepared solve, which is the
-solve build_pi makes, so it gives the bits of build_pi for every K.
+binding's coarse is the pair's CoarseCorrection, made by the guard of K
+that build_pi and coarse_correction share (projection._coarse), so the
+dense propagator's Pi = P K^{-1} R*A has the bits of build_pi for every K.
+air_cpoint_residual applies the correction to one vector and forms no Pi.
 """
 
 from __future__ import annotations
@@ -44,15 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    ProblemStore,
-    SingularMatrixError,
-    _tag_key,
-    _tridiagonal_product,
-    as_matrix,
-    lu_solver,
-)
-from .projection import INCOMPATIBLE, _galerkin, build_pi
+from .linalg import ProblemStore, _tag_key, _tridiagonal_product, as_matrix
+from .projection import CoarseCorrection, _coarse, coarse_correction
 from .transfer import _ideal_block
 
 __all__ = [
@@ -113,25 +108,24 @@ class PreparedTwoGrid(TwoGridSpec):
     """A TwoGridSpec bound to one matrix A, with the guards it needs made once.
 
     Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A,
-    unless it is store.A, which the store validated, forms R*A and
-    K = R*AP as build_pi does (projection._galerkin, on the store's
-    decision whether A is tridiagonal), guards and factors K (as in
-    build_pi, a singular K raises SingularMatrixError naming the pair
-    incompatible) and then, when a relaxation is an exact
-    F-solve, takes the store's A_ff solver, guarded as "A_ff". store is A's
-    ProblemStore, one of its own by default; two_grid_conv_factor reads the
-    ideal blocks of A from it. two_grid_conv_factor, two_grid_propagator and
-    iterate on a binding to the very same A share all of this and skip the
-    finiteness scan of A, which was made here.
+    unless it is store.A, which the store validated, and makes the pair's
+    CoarseCorrection by the one guard of K = R*AP (projection._coarse, on
+    the store's decision whether A is tridiagonal): a singular K raises
+    SingularMatrixError naming the pair incompatible. Then, when a
+    relaxation is an exact F-solve, it takes the store's A_ff solver,
+    guarded as "A_ff". store is A's ProblemStore, one of its own by default;
+    two_grid_conv_factor reads the ideal blocks of A from it.
+    two_grid_conv_factor, two_grid_propagator and iterate on a binding to
+    the very same A share all of this and skip the finiteness scan of A,
+    which was made here.
 
-    coarse is (R*A, solve with K), or None without a pair, with K factored
-    by lu_solver as build_pi factors it.
+    coarse is the pair's CoarseCorrection, or None without a pair.
     solve_ff(B) gives A_ff^{-1} B against the store's factor of A_ff, or is None.
     """
 
     A: np.ndarray = field(kw_only=True)
     store: ProblemStore | None = field(default=None, kw_only=True, repr=False)
-    coarse: tuple | None = field(init=False, repr=False)
+    coarse: CoarseCorrection | None = field(init=False, repr=False)
     solve_ff: Callable | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -145,13 +139,7 @@ class PreparedTwoGrid(TwoGridSpec):
                 raise ValueError("store must be the ProblemStore of this very A")
         coarse = solve_ff = None
         if self.pair is not None:
-            if A.shape[0] != self.pair.n:
-                raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={self.pair.n}")
-            RA, K = _galerkin(A, self.pair, store.tridiagonal())
-            try:
-                coarse = RA, lu_solver(K, "coarse operator R*AP")
-            except SingularMatrixError as e:
-                raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
+            coarse = _coarse(A, self.pair, store.tridiagonal())[0]
             if any(s.kind == "fexact" and not _is_identity(s) for s in (self.pre, self.post)):
                 solve_ff = store.ff_solve(self.pair.part)
         object.__setattr__(self, "A", A)
@@ -247,8 +235,8 @@ def two_grid_propagator(A, spec):
     part = spec.pair.part if spec.pair is not None else None
     E = np.eye(n)
     if spec.pair is not None:
-        RA, solve_k = method.coarse
-        E -= spec.pair.P @ solve_k(RA)
+        # B = K^{-1} R*A afresh, not the cached coarse.B, so the binding does not keep it
+        E -= spec.pair.P @ method.coarse.solve(method.coarse.RA)
     if not _is_identity(spec.post):
         E = _sweeps(A, spec.post, part, method.solve_ff) @ E
     if not _is_identity(spec.pre):
@@ -292,8 +280,8 @@ def two_grid_conv_factor(A, spec):
     projection, so its sweep count does not matter. Every other method gives
     exactly conv_factor(two_grid_propagator(A, spec)).
 
-    A singular K raises SingularMatrixError as build_pi does, before A_ff is
-    guarded.
+    A singular K raises SingularMatrixError as coarse_correction does,
+    before A_ff is guarded.
     """
     A, method = _bind(A, spec)
     if not _reduces(spec):
@@ -307,20 +295,19 @@ def two_grid_conv_factor(A, spec):
     if not dW.any():
         return 0.0
     f = part.fidx
-    _, solve_k = method.coarse
-    return _spectral_radius(solve_k(dZ.T @ (A[np.ix_(f, f)] @ dW)))
+    return _spectral_radius(method.coarse.solve(dZ.T @ (A[np.ix_(f, f)] @ dW)))
 
 
 def air_cpoint_residual(A, pair, e):
     """Largest C-point entry of the corrected error (I - Pi) e.
 
-    With ideal restriction on A this vanishes to round-off for every e: the
-    correction leaves error only on F-points.
+    Pi e is applied as P K^{-1} (R*A e) on the pair's CoarseCorrection, so no
+    n x n Pi is formed. With ideal restriction on A this vanishes to
+    round-off for every e: the correction leaves error only on F-points.
     """
-    A = as_matrix(A, "A")
+    corr = coarse_correction(A, pair)
     e = np.asarray(e, dtype=float).ravel()
-    pi, _ = build_pi(A, pair)
-    v = e - pi @ e
+    v = e - pair.P @ corr.solve(corr.RA @ e)
     return float(np.max(np.abs(v[pair.part.cidx])))
 
 
@@ -353,7 +340,7 @@ def iterate(A, spec, b, x0, iters):
     if not _is_identity(spec.pre):
         steps += [_relaxation(A, spec.pre, part, method.solve_ff)] * spec.pre.sweeps
     if spec.pair is not None:
-        steps.append((None, _coarse_step(spec.pair, method.coarse[1])))
+        steps.append((None, _coarse_step(spec.pair, method.coarse.solve)))
     if not _is_identity(spec.post):
         steps += [_relaxation(A, spec.post, part, method.solve_ff)] * spec.post.sweeps
 

@@ -555,27 +555,9 @@ _T2_EXPR = {
     ("AstarAsymInvA", "AAstar"): "A A* Asym^-1 A",
 }
 
-# Cells where both operators come from a single companion matrix.
-_T1_SINGLE = {
-    ("identity", "identity"),
-    ("A", "identity"),
-    ("A", "A"),
-    ("A", "Asym"),
-    ("Asym", "Asym"),
-    ("AstarA", "A"),
-    ("AstarA", "AstarA"),
-    ("AstarAsymInvA", "A"),
-}
-_T2_SINGLE = {
-    ("identity", "A"),
-    ("identity", "AAstar"),
-    ("A", "identity"),
-    ("A", "A"),
-    ("A", "Asym"),
-    ("Asym", "A"),
-    ("AstarA", "identity"),
-    ("AstarAsymInvA", "Asym"),
-}
+# A cell is "single" when both operators come from one companion matrix:
+# when its companion expression reduces to one of these.
+_SINGLE_EXPRS = ("I", "A", "Asym")
 
 
 @dataclass(frozen=True)
@@ -627,31 +609,29 @@ def catalog_pairs(A, part, store=None):
 
 
 def _catalog_cells(store, part):
-    for table, anchor, exprs, singles in (
-        (1, "P", _T1_EXPR, _T1_SINGLE),
-        (2, "R", _T2_EXPR, _T2_SINGLE),
-    ):
+    for table, anchor, exprs in ((1, "P", _T1_EXPR), (2, "R", _T2_EXPR)):
         anchored = {}
         for norm in CATALOG_NORMS:
             G, row_reason = None, None
             try:
                 G = realize_norm(norm, store.A, factored=True, store=store)
-            except (ValueError, SingularMatrixError) as e:
+            except ValueError as e:  # a SingularMatrixError is a ValueError
                 row_reason = str(e)
             for q in CATALOG_QS:
+                expr = exprs[(norm, q)]
                 cell = {
                     "table": table,
                     "norm": norm,
                     "q": q,
                     "anchor": anchor,
-                    "companion_expr": exprs[(norm, q)],
-                    "label": "single" if (norm, q) in singles else None,
+                    "companion_expr": expr,
+                    "label": "single" if expr in _SINGLE_EXPRS else None,
                 }
                 reason = row_reason
                 if reason is None:
                     try:
                         pair = _ideal_cell(store, part, G, q, anchor, anchored)[0]
-                    except (ValueError, SingularMatrixError) as e:
+                    except ValueError as e:
                         reason = str(e)
                 if reason is None:
                     yield CatalogEntry(**cell, pair=pair)

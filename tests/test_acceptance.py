@@ -32,8 +32,9 @@ class _report:
         return False
 
 
-def _log_norm_identity(pi, M):
-    a = cm.pi_m_norm(pi, M)
+def _log_norm_identity(corr, M):
+    a = cm.pi_m_norm(corr, M)
+    pi, _ = cm.build_pi(corr.A, corr.pair)
     b = cm.operator_m_norm(np.eye(pi.shape[0]) - pi, M)
     _norm_identity_log.append(abs(a - b) / max(1.0, a))
 
@@ -69,10 +70,10 @@ def test_criterion_01_single_operator_pairs():
         t0 = time.perf_counter()
         count = 0
         for kind, item, A, part, pair, M in _red_list_cases():
-            pi, _ = cm.build_pi(A, pair)
-            err = abs(cm.pi_m_norm(pi, M) - 1.0)
+            corr = cm.coarse_correction(A, pair)
+            err = abs(cm.pi_m_norm(corr, M) - 1.0)
             assert err <= NORM_TOL, f"{kind} item {item}: |pi_norm - 1| = {err:.3e}"
-            _log_norm_identity(pi, M)
+            _log_norm_identity(corr, M)
             count += 1
         assert count == 24
         assert time.perf_counter() - t0 < 10.0
@@ -95,8 +96,7 @@ def test_criterion_02_pairing_diagram():
                 Z = cm.ideal_z(cm.partition(cm.realize_q(r_q, A), part))
                 W = cm.ideal_w(cm.partition(cm.realize_q(p_q, A), part))
                 pair = cm.make_pair(part, Z, W)
-                pi, _ = cm.build_pi(A, pair)
-                verified[(style, r_q, p_q)] = (pi, M)
+                verified[(style, r_q, p_q)] = (cm.coarse_correction(A, pair), M)
             return verified, skipped
 
         A = cm.generate(cm.ProblemSpec("random", n=30, seed=0))
@@ -110,9 +110,9 @@ def test_criterion_02_pairing_diagram():
         lverified, lskipped = run_edges(L, lpart)
         assert len(lverified) == 10 and not lskipped
 
-        for pi, M in list(verified.values()) + list(lverified.values()):
-            assert abs(cm.pi_m_norm(pi, M) - 1.0) <= NORM_TOL
-            _log_norm_identity(pi, M)
+        for corr, M in list(verified.values()) + list(lverified.values()):
+            assert abs(cm.pi_m_norm(corr, M) - 1.0) <= NORM_TOL
+            _log_norm_identity(corr, M)
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -130,15 +130,15 @@ def test_criterion_03_catalog_sweep():
                 assert entry.reason
                 continue
             M = cm.realize_norm(entry.norm, A)
-            pi, _ = cm.build_pi(A, entry.pair)
+            corr = cm.coarse_correction(A, entry.pair)
             assert cm.verify_compat_equation(A, M, entry.pair), (
                 f"range test failed at table {entry.table} ({entry.norm}, {entry.q})"
             )
-            err = abs(cm.pi_m_norm(pi, M) - 1.0)
+            err = abs(cm.pi_m_norm(corr, M) - 1.0)
             assert err <= NORM_TOL, (
                 f"norm test failed at table {entry.table} ({entry.norm}, {entry.q}): {err:.3e}"
             )
-            _log_norm_identity(pi, M)
+            _log_norm_identity(corr, M)
             passing += 1
         assert passing >= 15
 
@@ -148,13 +148,13 @@ def test_criterion_04_norm_decomposition_laws():
     # and the norm is the reciprocal of the minimal-angle sine
     with _report(4, "norm decomposition laws"):
         for A, M, pair in _hundred_cases():
-            pi, _ = cm.build_pi(A, pair)
-            nrm = cm.pi_m_norm(pi, M)
-            sup = cm.nonorth_measure(pi, M)
-            ang = cm.min_canonical_angle(pi, M)
+            corr = cm.coarse_correction(A, pair)
+            nrm = cm.pi_m_norm(corr, M)
+            sup = cm.nonorth_measure(corr, M)
+            ang = cm.min_canonical_angle(corr, M)
             assert abs(nrm**2 - (1.0 + sup**2)) <= 1e-7 * max(1.0, nrm**2)
             assert abs(nrm * np.sin(ang) - 1.0) <= 1e-7
-            _log_norm_identity(pi, M)
+            _log_norm_identity(corr, M)
 
 
 def test_criterion_05_equivalence_chain():
@@ -164,10 +164,10 @@ def test_criterion_05_equivalence_chain():
         discordant = []
 
         def check(A, M, pair, label):
-            pi, _ = cm.build_pi(A, pair)
-            flags = list(cm.orthogonality_checks(pi, M, NORM_TOL).as_dict().values())
+            corr = cm.coarse_correction(A, pair)
+            flags = list(cm.orthogonality_checks(corr, M, NORM_TOL).as_dict().values())
             flags.append(cm.verify_compat_equation(A, M, pair))
-            flags.append(abs(cm.pi_m_norm(pi, M) - 1.0) <= NORM_TOL)
+            flags.append(abs(cm.pi_m_norm(corr, M) - 1.0) <= NORM_TOL)
             if any(flags) != all(flags):
                 discordant.append((label, flags))
 
@@ -213,8 +213,7 @@ def test_criterion_07_norm_equals_complement_norm():
     with _report(7, "norm equals complement norm"):
         if not _norm_identity_log:
             for _, _, A, part, pair, M in _red_list_cases():
-                pi, _ = cm.build_pi(A, pair)
-                _log_norm_identity(pi, M)
+                _log_norm_identity(cm.coarse_correction(A, pair), M)
         assert len(_norm_identity_log) > 0
         assert max(_norm_identity_log) <= 1e-10
 
@@ -228,14 +227,14 @@ def test_criterion_08_block_diagonal_norm_family():
         pair = cm.make_pair(
             part, cm.ideal_z(cm.partition(A, part)), np.zeros((part.nf, part.nc))
         )
-        pi, _ = cm.build_pi(A, pair)
+        corr = cm.coarse_correction(A, pair)
         rng = np.random.default_rng(8)
         for _ in range(5):
             Mf = np.zeros((20, 20))
             Mf[: part.nf, : part.nf] = random_spd(rng, part.nf)
             Mf[part.nf :, part.nf :] = random_spd(rng, part.nc)
             M = part.from_ffirst(Mf)
-            assert cm.orthogonality_checks(pi, M, NORM_TOL).all_true
+            assert cm.orthogonality_checks(corr, M, NORM_TOL).all_true
             assert cm.verify_compat_equation(A, M, pair)
 
 
@@ -267,7 +266,7 @@ def test_criterion_10_negative_control():
             rng.standard_normal((part.nf, part.nc)),
             rng.standard_normal((part.nf, part.nc)),
         )
-        pi, _ = cm.build_pi(A, pair)
-        assert cm.pi_m_norm(pi, np.eye(30)) >= 1.0 + 1e-3
-        checks = cm.orthogonality_checks(pi, np.eye(30), NORM_TOL)
+        corr = cm.coarse_correction(A, pair)
+        assert cm.pi_m_norm(corr, np.eye(30)) >= 1.0 + 1e-3
+        checks = cm.orthogonality_checks(corr, np.eye(30), NORM_TOL)
         assert not any(checks.as_dict().values())

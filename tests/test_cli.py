@@ -125,6 +125,13 @@ def test_verify_pairs_requires_a_pair(capsys):
     assert "--pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_converge_non_finite_epsilon_is_a_problem_config_error(epsilon, capsys):
+    code = main(["converge", "--problem", "advdiff1d", "--n", "8", "--epsilon", epsilon])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("compatamg: config error: --problem:")
+
+
 def test_verify_pairs_bad_norm_is_config_error(capsys):
     code = main(
         ["verify-pairs", "--problem", "advection1d", "--n", "8",

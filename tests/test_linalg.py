@@ -138,6 +138,10 @@ def test_schur_f(A, f, expected):
     np.testing.assert_allclose(S, expected, atol=1e-14)
 
 
+def test_singular_matrix_error_is_a_value_error():
+    assert issubclass(SingularMatrixError, ValueError)
+
+
 def test_schur_singular_block_raises():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     Ap = cm.partition(A, cm.CFPartition(2, (0,), (1,)))

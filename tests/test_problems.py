@@ -118,8 +118,10 @@ def test_problem_spec_parsing():
     # spec kind names from other tooling are accepted as aliases
     assert cm.ProblemSpec("RandomStableNonsym", n=4).kind == "random"
     assert cm.ProblemSpec("AdvectionDiffusion1D", n=4).kind == "advdiff1d"
-    with pytest.raises(ValueError):
-        cm.ProblemSpec("advection1d", n=4, epsilon=-1.0)
+    # NaN fails every comparison and infinity passes epsilon >= 0
+    for epsilon in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            cm.ProblemSpec("advection1d", n=4, epsilon=epsilon)
     with pytest.raises(ValueError):
         cm.ProblemSpec("not-a-kind", n=4)
     assert cm.ProblemSpec("advection1d", n=4).to_dict()["kind"] == "advection1d"

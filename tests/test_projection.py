@@ -12,7 +12,10 @@ from conftest import random_pair_case, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
 P2 = cm.CFPartition(2, (0,), (1,))
-PI_OBLIQUE = np.array([[0.0, 1.0], [0.0, 1.0]])  # rank-1 oblique projection
+I2 = np.eye(2)
+# on A = I: Pi = [[0, 1], [0, 1]], a rank-1 oblique projection, and Pi = diag(0, 1)
+PI_OBLIQUE = cm.coarse_correction(I2, cm.make_pair(P2, [[0.0]], [[1.0]]))
+PI_ORTHO = cm.coarse_correction(I2, cm.make_pair(P2, [[0.0]], [[0.0]]))
 
 
 def _split(n):
@@ -49,7 +52,7 @@ def test_build_pi_galerkin_spd():
     pi, _ = cm.build_pi(A, pair)
     AP = A @ pi
     assert np.linalg.norm(AP - AP.T) <= 1e-12 * np.linalg.norm(AP)
-    assert abs(cm.pi_m_norm(pi, A) - 1.0) <= 1e-10
+    assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), A) - 1.0) <= 1e-10
 
 
 def test_build_pi_singular_coarse_operator():
@@ -59,9 +62,23 @@ def test_build_pi_singular_coarse_operator():
         cm.build_pi(np.eye(4), pair)
 
 
+def test_hand_made_corrections_are_the_2x2_projections():
+    for corr, dense in ((PI_OBLIQUE, [[0.0, 1.0], [0.0, 1.0]]), (PI_ORTHO, np.diag([0.0, 1.0]))):
+        np.testing.assert_array_equal(cm.build_pi(I2, corr.pair)[0], dense)
+
+
 def test_pi_m_norm_examples():
-    assert cm.pi_m_norm(np.diag([0.0, 1.0]), np.eye(2)) == pytest.approx(1.0)
+    assert cm.pi_m_norm(PI_ORTHO, np.eye(2)) == pytest.approx(1.0)
     assert cm.pi_m_norm(PI_OBLIQUE, np.eye(2)) == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [cm.pi_m_norm, cm.nonorth_measure, cm.min_canonical_angle, cm.orthogonality_checks],
+)
+def test_measures_reject_a_dense_projection(measure):
+    with pytest.raises(TypeError, match="coarse_correction"):
+        measure(np.diag([0.0, 1.0]), np.eye(2))
 
 
 def test_norm_equals_complement_norm():
@@ -69,15 +86,14 @@ def test_norm_equals_complement_norm():
     for _ in range(20):
         A, M, pair = random_pair_case(rng)
         pi, _ = cm.build_pi(A, pair)
-        a = cm.pi_m_norm(pi, M)
+        a = cm.pi_m_norm(cm.coarse_correction(A, pair), M)
         b = cm.operator_m_norm(np.eye(pi.shape[0]) - pi, M)
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
 def test_nonorth_measure_examples():
     pair = cm.make_pair(P2, np.array([[1.0]]), np.array([[0.0]]))
-    pi, _ = cm.build_pi(A2, pair)
-    assert cm.nonorth_measure(pi, np.eye(2)) <= 1e-10
+    assert cm.nonorth_measure(cm.coarse_correction(A2, pair), np.eye(2)) <= 1e-10
     assert cm.nonorth_measure(PI_OBLIQUE, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -86,16 +102,16 @@ def test_nonorth_measure_consistency():
     rng = np.random.default_rng(4)
     for _ in range(50):
         A, M, pair = random_pair_case(rng)
-        pi, _ = cm.build_pi(A, pair)
-        nrm = cm.pi_m_norm(pi, M)
-        sup = cm.nonorth_measure(pi, M)
+        corr = cm.coarse_correction(A, pair)
+        nrm = cm.pi_m_norm(corr, M)
+        sup = cm.nonorth_measure(corr, M)
         assert abs(np.sqrt(nrm**2 - 1.0) - sup) <= 1e-8 * max(1.0, sup)
 
 
 def test_min_canonical_angle_examples():
     pair = cm.make_pair(P2, np.array([[1.0]]), np.array([[0.0]]))
-    pi, _ = cm.build_pi(A2, pair)
-    assert cm.min_canonical_angle(pi, np.eye(2)) == pytest.approx(np.pi / 2)
+    corr = cm.coarse_correction(A2, pair)
+    assert cm.min_canonical_angle(corr, np.eye(2)) == pytest.approx(np.pi / 2)
     assert cm.min_canonical_angle(PI_OBLIQUE, np.eye(2)) == pytest.approx(np.pi / 4)
 
 
@@ -103,15 +119,15 @@ def test_angle_norm_identities():
     rng = np.random.default_rng(6)
     for _ in range(30):
         A, M, pair = random_pair_case(rng)
-        pi, _ = cm.build_pi(A, pair)
-        nrm = cm.pi_m_norm(pi, M)
-        th = cm.min_canonical_angle(pi, M)
+        corr = cm.coarse_correction(A, pair)
+        nrm = cm.pi_m_norm(corr, M)
+        th = cm.min_canonical_angle(corr, M)
         assert abs(nrm * np.sin(th) - 1.0) <= 1e-8
         assert abs(nrm**2 - (1.0 + 1.0 / np.tan(th) ** 2)) <= 1e-7 * max(1, nrm**2)
 
 
 def test_orthogonality_checks_examples():
-    all_true = cm.orthogonality_checks(np.diag([0.0, 1.0]), np.eye(2))
+    all_true = cm.orthogonality_checks(PI_ORTHO, np.eye(2))
     assert all_true.all_true and all_true.agree
     all_false = cm.orthogonality_checks(PI_OBLIQUE, np.eye(2))
     assert not any(all_false.as_dict().values())
@@ -133,16 +149,14 @@ def test_checks_agree_on_random_and_catalog():
     rng = np.random.default_rng(8)
     for _ in range(25):
         A, M, pair = random_pair_case(rng)
-        pi, _ = cm.build_pi(A, pair)
-        assert cm.orthogonality_checks(pi, M).agree
+        assert cm.orthogonality_checks(cm.coarse_correction(A, pair), M).agree
     A = random_stable(np.random.default_rng(9), 12)
     part = _split(12)
     for entry in cm.catalog_pairs(A, part):
         if entry.skipped:
             continue
         M = cm.realize_norm(entry.norm, A)
-        pi, _ = cm.build_pi(A, entry.pair)
-        checks = cm.orthogonality_checks(pi, M)
+        checks = cm.orthogonality_checks(cm.coarse_correction(A, entry.pair), M)
         assert checks.agree and checks.all_true
 
 
@@ -159,6 +173,18 @@ def test_verify_compat_equation_examples():
     assert not cm.verify_compat_equation(Ar, np.eye(12), zero)
 
 
+def test_verify_compat_equation_decides_a_pair_with_a_singular_coarse_operator():
+    # R*P = 0 with A = I: the guard rejects K, yet range(P) and range(R) are
+    # orthogonal subspaces and the equation gets its verdict
+    part = cm.CFPartition(4, (0, 1), (2, 3))
+    pair = cm.make_pair(part, np.eye(2), -np.eye(2))
+    with pytest.raises(SingularMatrixError):
+        cm.coarse_correction(np.eye(4), pair)
+    assert not cm.verify_compat_equation(np.eye(4), np.eye(4), pair)
+    same = cm.make_pair(part, np.eye(2), np.eye(2))
+    assert cm.verify_compat_equation(np.eye(4), np.eye(4), same)
+
+
 def test_uniqueness_block_diagonal_family():
     # restriction ideal on A with zero interpolation block stays orthogonal in
     # every norm whose matrix is block diagonal over the splitting
@@ -168,7 +194,7 @@ def test_uniqueness_block_diagonal_family():
     pair = cm.make_pair(
         part, cm.ideal_z(cm.partition(A, part)), np.zeros((part.nf, part.nc))
     )
-    pi, _ = cm.build_pi(A, pair)
+    corr = cm.coarse_correction(A, pair)
     for _ in range(5):
         Mff = random_spd(rng, part.nf)
         Mcc = random_spd(rng, part.nc)
@@ -177,7 +203,7 @@ def test_uniqueness_block_diagonal_family():
         Mf[part.nf :, part.nf :] = Mcc
         M = part.from_ffirst(Mf)
         assert cm.verify_compat_equation(A, M, pair)
-        assert cm.orthogonality_checks(pi, M).all_true
+        assert cm.orthogonality_checks(corr, M).all_true
 
 
 def m_adjoint(T, M):
@@ -186,12 +212,13 @@ def m_adjoint(T, M):
 
 
 def test_adjoint_norm_invariant():
+    # the M-adjoint M^{-1} Pi* M has the norm of Pi
     rng = np.random.default_rng(14)
     for _ in range(15):
         A, M, pair = random_pair_case(rng)
         pi, _ = cm.build_pi(A, pair)
-        a = cm.pi_m_norm(pi, M)
-        b = cm.pi_m_norm(m_adjoint(pi, M), M)
+        a = cm.pi_m_norm(cm.coarse_correction(A, pair), M)
+        b = cm.operator_m_norm(m_adjoint(pi, M), M)
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
 
@@ -213,7 +240,7 @@ def test_m_orthonormal_representation():
         V = _m_orthonormal_basis(pi, M)
         U = _m_orthonormal_basis(m_adjoint(pi, M), M)
         Kc = U.T @ M @ V
-        nrm = cm.pi_m_norm(pi, M)
+        nrm = cm.pi_m_norm(cm.coarse_correction(A, pair), M)
         assert abs(np.linalg.norm(np.linalg.inv(Kc), 2) - nrm) <= 1e-8 * max(1, nrm)
         rebuilt = V @ np.linalg.solve(Kc, U.T @ M)
         assert np.linalg.norm(rebuilt - pi) <= 1e-8 * max(1, np.linalg.norm(pi))

@@ -74,7 +74,8 @@ def test_two_grid_no_relaxation():
     E = cm.two_grid_propagator(A, cm.TwoGridSpec(pair=pair))
     pi, _ = cm.build_pi(A, pair)
     np.testing.assert_allclose(E, np.eye(A.shape[0]) - pi, atol=1e-13)
-    assert abs(cm.operator_m_norm(E, M) - cm.pi_m_norm(pi, M)) <= 1e-10 * cm.pi_m_norm(pi, M)
+    nrm = cm.pi_m_norm(cm.coarse_correction(A, pair), M)
+    assert abs(cm.operator_m_norm(E, M) - nrm) <= 1e-10 * nrm
 
 
 def test_two_grid_exact_direct_method():
@@ -141,6 +142,24 @@ def test_air_cpoint_residual_grows_with_perturbation():
     assert res[0] <= 1e-12 * np.linalg.norm(e)
     assert res[1] < res[2] < res[3]
     assert res[1] <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["advection1d", "random"])
+def test_air_cpoint_residual_of_a_non_ideal_pair_matches_the_dense_pi(kind):
+    # the correction is applied to e as P K^{-1} (R*A e); it reads the C rows
+    # of (I - Pi) e with Pi formed by build_pi, to round-off
+    A = cm.generate(cm.ProblemSpec(kind, n=32, seed=2))
+    part = _split(32)
+    rng = np.random.default_rng(49)
+    pair = cm.make_pair(part, rng.standard_normal((part.nf, part.nc)),
+                        rng.standard_normal((part.nf, part.nc)))
+    pi, _ = cm.build_pi(A, pair)
+    for _ in range(5):
+        e = rng.standard_normal(32)
+        ref = float(np.max(np.abs((e - pi @ e)[list(part.cpoints)])))
+        assert ref > 1e-3
+        got = cm.air_cpoint_residual(A, pair, e)
+        assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_air_c_supported_error_is_annihilated():
@@ -285,7 +304,7 @@ def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
     K = compatamg.projection._galerkin(A, pair)[1]
-    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse[1]
+    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse.solve
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
     ref = [np.linalg.norm(b - A @ x)]
@@ -339,7 +358,7 @@ def test_divergence_exhibit():
         rng.standard_normal((part.nf, part.nc)),
     )
     pi, _ = cm.build_pi(A, pair)
-    assert cm.pi_m_norm(pi, np.eye(30)) > 1.0 + 1e-3
+    assert cm.pi_m_norm(cm.coarse_correction(A, pair), np.eye(30)) > 1.0 + 1e-3
     E = np.eye(30) - pi
     for tag in ("identity", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA"):
         assert cm.operator_m_norm(E, cm.realize_norm(tag, A)) > 1.0
@@ -567,7 +586,7 @@ def test_coarse_step_on_blocks_matches_r_and_p(name):
                             rng.standard_normal((part.nf, part.nc)))
     else:
         pair, _ = cm.single_operator_pair(A, part, name)
-    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse[1]
+    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse.solve
     r = rng.standard_normal(40)
     ref = pair.P @ solve_k(pair.R.T @ r)
     got = _coarse_step(pair, solve_k)(r)
