@@ -417,6 +417,12 @@ def _build_parser():
 def _config_from_args(args):
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol: must be a finite number >= 0, got {args.tol!r}")
+    # checked for every --split, before any problem is built
+    if not 0.0 < args.cfrac < 1.0:
+        raise ConfigError(f"--cfrac: must lie strictly between 0 and 1, got {args.cfrac!r}")
+    iters = getattr(args, "iters", 30)
+    if iters < 0:
+        raise ConfigError(f"--iters: must be >= 0, got {iters}")
     kwargs = {"kind": args.problem, "epsilon": args.epsilon, "seed": args.seed}
     if args.problem == "advection2d":
         kwargs["nx"] = args.nx if args.nx is not None else args.n
@@ -436,7 +442,7 @@ def _config_from_args(args):
         pairs=list(args.pair),
         pre=_relax_from_recipe(getattr(args, "pre", "none"), "--pre"),
         post=_relax_from_recipe(getattr(args, "post", "none"), "--post"),
-        iters=getattr(args, "iters", 30),
+        iters=iters,
         tol=args.tol,
         expect_orthogonal=getattr(args, "expect_orthogonal", False),
         output=args.output,

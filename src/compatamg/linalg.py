@@ -145,6 +145,53 @@ def _tridiagonal_product(diags, X, trans=0):
     return Y
 
 
+# Rows of the operator that _tridiagonal_rows gathers at a time, so that
+# beside its result it holds a block of at most this many rows.
+_ROWS_PER_PASS = 64
+
+
+def _tridiagonal_rows(diags, part, B, rows, trans=0):
+    """(A X)[rows], or (A* X)[rows] with trans=1, for the classical operator
+    X = [B; I] over the CFPartition part and the tridiagonal A with
+    diagonals diags, without forming X.
+
+    Row i is d_i x_i + du_i x_{i+1} + dl_{i-1} x_{i-1}, each product taken
+    and added in _tridiagonal_product's order, so its bits are those of row
+    i of the full product. The rows of X are gathered _ROWS_PER_PASS at a
+    time, so no n x n_c block is made.
+    """
+    dl, d, du = diags
+    if trans:
+        dl, du = du, dl
+    n, nc = part.n, part.nc
+    pos = np.empty(n, np.intp)  # row of each point in its own block of X
+    pos[part.fidx] = np.arange(part.nf)
+    pos[part.cidx] = np.arange(nc)
+    is_c = np.zeros(n, bool)
+    is_c[part.cidx] = True
+
+    def gather(out, idx):
+        c = is_c[idx]
+        out[~c] = B[pos[idx[~c]]]
+        out[c] = 0.0
+        out[np.flatnonzero(c), pos[idx[c]]] = 1.0
+
+    rows = np.asarray(rows, np.intp)
+    Y = np.empty((rows.size, nc))
+    T = np.empty((min(rows.size, _ROWS_PER_PASS), nc))
+    for lo in range(0, rows.size, _ROWS_PER_PASS):
+        i = rows[lo:lo + _ROWS_PER_PASS]
+        y, t = Y[lo:lo + i.size], T[:i.size]
+        gather(y, i)
+        y *= d[i, None]
+        # neighbour j = i + 1 with coefficient du_i, then j = i - 1 with dl_{i-1}
+        for coef, j, k in ((du, i + 1, i), (dl, i - 1, i - 1)):
+            gather(t, np.clip(j, 0, n - 1))
+            t *= coef[np.clip(k, 0, n - 2), None]
+            np.add(y, t, out=y, where=((j >= 0) & (j < n))[:, None])
+    return Y
+
+
 def _guarded_lu(A, what):
     """The factor of A, after rejecting A as numerically singular.
 
@@ -559,6 +606,11 @@ class ProblemStore:
         if error is not None:
             raise error[0](error[1])
         return value
+
+    def peek(self, key):
+        """The entry under key if it was built without error, else None; builds nothing."""
+        with self._lock:
+            return self._built.get(key, (None, None))[0]
 
     def tridiagonal(self):
         """_tridiagonal(A): A's three diagonals when it is tridiagonal, else None."""

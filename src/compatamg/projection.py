@@ -29,9 +29,11 @@ formed and no n x n matrix is decomposed. For G = A and G = L^{-1} A the
 factor holds H = G^{-*} A* by algebra, I and L* respectively, so the second
 basis is H R without a solve with A; the other norms solve with G* against
 A* R. A dense SPD M is taken through its Cholesky factor. Any other input
-than a correction raises TypeError. R*A and K = R*AP are formed, and K is
-guarded, in one place, _coarse, which build_pi, coarse_correction and the
-solver's PreparedTwoGrid share.
+than a correction raises TypeError. K = R*AP is formed and guarded in one
+place, _coarse, which build_pi, coarse_correction and the solver's
+PreparedTwoGrid share; R*A is formed there only where K is made from it,
+and otherwise when the correction first reads it, so the two-grid
+iteration, which reads neither, forms no n x n_c array on a tridiagonal A.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
@@ -44,8 +46,9 @@ round-off. M Pi = Pi* M is read in the kernel's frame too, and the other
 two conditions are checked on the thin factors Pi = P B, with
 B = (R*AP)^{-1} R*A. One verify-pairs case, with k = n_c, thus makes:
 
-    R*A and K = R*AP     for a classical pair [Z; I], [W; I] from Z and W
+    K = R*AP             for a classical pair [Z; I], [W; I] from Z and W
                          only, and one guarded factor of K
+    R*A                  when first read, unless K was made from it
     G P, G^{-*} A* R     products, or triangular or LU solves (see above)
     the kernel           one thin QR of G P, one Householder QR of
                          G^{-*} A* R and one application of its reflectors
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -76,7 +79,7 @@ from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
     _tridiagonal,
-    _tridiagonal_product,
+    _tridiagonal_rows,
     as_matrix,
     as_norm_factor,
     lu_solver,
@@ -256,18 +259,18 @@ def _within(outside, whole):
                        <= RANK_RTOL * np.linalg.norm(whole, axis=0)))
 
 
-def _blocks(factor, A, pair, RA=None):
+def _blocks(factor, A, pair, corr=None):
     """The kernel's bases G P and G^{-*} A* R for the factor G.
 
     G^{-*} A* R is H R, with the factor's H = G^{-*} A*, when it was
     realized on this A: R itself for G = A, L* R for G = L^{-1} A. Otherwise
-    it is a solve with G* against A* R, read as the transpose of R* A when
-    given.
+    it is a solve with G* against A* R, read as the transpose of the R* A
+    of the pair's CoarseCorrection corr when given.
     """
     GP = factor.apply(pair.P)
     if factor.H is not None and factor.A is A:
         return GP, factor.H.apply(pair.R)
-    return GP, factor.solve_adj(A.T @ pair.R if RA is None else RA.T)
+    return GP, factor.solve_adj(A.T @ pair.R if corr is None else corr.RA.T)
 
 
 @dataclass(frozen=True)
@@ -286,9 +289,9 @@ class _Frame:
     compat_eq: bool
 
 
-def _frame(factor, A, pair, RA=None):
-    """The kernel's _Frame for the pair on A and the factor G; RA as in _blocks."""
-    GP, GAR = _blocks(factor, A, pair, RA)
+def _frame(factor, A, pair, corr=None):
+    """The kernel's _Frame for the pair on A and the factor G; corr as in _blocks."""
+    GP, GAR = _blocks(factor, A, pair, corr)
     angles, Ru, Rv = _kernel(GP, GAR)
     del GAR
     return _Frame(GP, angles, Ru, Rv, _within(angles.outside @ Ru, Ru))
@@ -300,16 +303,23 @@ class CoarseCorrection:
 
     Pi = P (R*AP)^{-1} R*A is never formed. Built by _coarse, which rejects a
     singular coarse operator and keeps the guard's factor of K = R*AP as
-    solve.
+    solve. R*A is formed on first read (see _galerkin), so a consumer that
+    reads only solve and the pair's blocks, as the two-grid iteration does,
+    never forms it.
     """
 
     A: np.ndarray
     pair: object
-    RA: np.ndarray = field(repr=False, compare=False)     # R* A, n_c x n
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
+    form_ra: object = field(repr=False, compare=False)    # () -> R* A
     # [factor, _Frame] of the last factor, so that every measure of one case
     # shares one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @cached_property
+    def RA(self):
+        """R* A, n_c x n, made by form_ra on first read."""
+        return self.form_ra()
 
     @cached_property
     def B(self):
@@ -320,7 +330,7 @@ class CoarseCorrection:
         """The kernel's _Frame for the factor G, computed once per factor."""
         if not (self._last and self._last[0] is factor):
             self._last.clear()  # not held while the next frame is built
-            self._last[:] = [factor, _frame(factor, self.A, self.pair, self.RA)]
+            self._last[:] = [factor, _frame(factor, self.A, self.pair, self)]
         return self._last[1]
 
     def angles(self, factor):
@@ -350,52 +360,78 @@ class CoarseCorrection:
         return asym, math.hypot(float(np.linalg.norm(T)), es)
 
 
-def _galerkin(A, pair, diags=_tridiagonal):
-    """(R* A, K = R* A P) for a pair on A.
+def _galerkin(A, pair, diags):
+    """(R* A or None, K = R* A P) for a pair on A, with diags = _tridiagonal(A).
 
-    A classical pair R = [Z; I], P = [W; I] skips the products with its
-    identity blocks, and with a block its zero_blocks finds exactly zero,
-    which would add only exact zeros: R* A = Z* A[F, :] + A[C, :] and
-    K = (R* A)[:, F] W + (R* A)[:, C]. For a tridiagonal A, R* A is
-    (A* R)* and, with Z = 0, K the C rows of A P, from A's three diagonals
-    in O(n n_c). diags is _tridiagonal(A), decided here by default.
+    R* A is returned where K is formed from it, and None where K is formed
+    without it; _ra then forms it on demand with the same bits. A classical
+    pair R = [Z; I], P = [W; I] skips the products with its identity blocks,
+    and with a block its zero_blocks finds exactly zero, which would add only
+    exact zeros. With Z = 0, K is the C rows of A P, A[C, F] W + A[C, C];
+    for a tridiagonal A with Z != 0, R* A is (A* R)*, so K is read off the
+    F and C rows of A* R. Those rows, and the C rows of A P, come from A's
+    three diagonals and the block in O(n n_c) (_tridiagonal_rows), so on a
+    tridiagonal A no n x n_c array is formed. A dense A with Z != 0 forms
+    R* A = Z* A[F, :] + A[C, :] and K = (R* A)[:, F] W + (R* A)[:, C]. Each
+    operand has the values and memory order that the full R* A gave, so K
+    keeps its bits.
     """
     if pair.cblocks is not None:
         RA = pair.R.T @ A
         return RA, RA @ pair.P
-    f, c = pair.part.fidx, pair.part.cidx
+    part = pair.part
+    f, c = part.fidx, part.cidx
     zero_z, zero_w = pair.zero_blocks
-    if callable(diags):
-        diags = None if zero_z and zero_w else diags(A)
     if zero_z:
-        RA = A[c]
-        if diags is not None and not zero_w:
-            return RA, _tridiagonal_product(diags, pair.P)[c]
-    elif diags is not None:
-        RA = _tridiagonal_product(diags, pair.R, trans=1).T
-    else:
-        RA = pair.Z.T @ A[f]
-        RA += A[c]
+        if zero_w:
+            return None, A[np.ix_(c, c)]
+        if diags is not None:
+            return None, _tridiagonal_rows(diags, part, pair.W, c)
+        # A[C, F] gathered in Fortran order, the order of (R*A)[:, F] below,
+        # so the GEMM sums alike
+        return None, A.T[np.ix_(f, c)].T @ pair.W + A[np.ix_(c, c)]
+    if diags is not None:
+        # (A* R)[C]* and (A* R)[F]* are the C and F columns of R* A, in its order
+        ARc = _tridiagonal_rows(diags, part, pair.Z, c, trans=1).T
+        if zero_w:
+            return None, ARc
+        return None, _tridiagonal_rows(diags, part, pair.Z, f, trans=1).T @ pair.W + ARc
+    RA = pair.Z.T @ A[f]
+    RA += A[c]
     if zero_w:
         return RA, RA[:, c]
     return RA, RA[:, f] @ pair.W + RA[:, c]
 
 
+def _ra(A, pair, diags):
+    """R* A where _galerkin left it unformed: A[C, :] for Z = 0, else (A* R)*
+    on A's diagonals and Z, with R itself left unassembled."""
+    part = pair.part
+    if pair.zero_blocks[0]:
+        return A[part.cidx]
+    return _tridiagonal_rows(diags, part, pair.Z, np.arange(part.n), trans=1).T
+
+
 def _coarse(A, pair, diags=_tridiagonal):
     """(CoarseCorrection, K) of a pair on a validated A: the one guard of K = R*AP.
 
-    R*A and K are formed by _galerkin, with diags as there, and K is guarded
-    and factored by lu_solver. A singular K raises SingularMatrixError, its
-    message prefixed with INCOMPATIBLE.
+    K is formed by _galerkin, on diags, A's three diagonals or None, decided
+    here by default (a pair with C-blocks, or with Z = W = 0, needs none), and
+    guarded and factored by lu_solver. R*A is left to the correction's first
+    read unless K was formed from it. A singular K raises
+    SingularMatrixError, its message prefixed with INCOMPATIBLE.
     """
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
+    if callable(diags):
+        diags = None if pair.cblocks is not None or all(pair.zero_blocks) else diags(A)
     RA, K = _galerkin(A, pair, diags)
     try:
         solve = lu_solver(K, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    return CoarseCorrection(A, pair, RA, solve), K
+    form_ra = partial(_ra, A, pair, diags) if RA is None else (lambda: RA)
+    return CoarseCorrection(A, pair, solve, form_ra), K
 
 
 def coarse_correction(A, pair):

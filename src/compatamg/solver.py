@@ -18,7 +18,9 @@ Southworth, SISC 40, 2018; Manteuffel, Muenzenmaier, Ruge & Southworth,
 SISC 41, 2019). T is formed in that two-sided form from n_f x n_c and
 n_c x n_c products; neither Pi nor E is formed, and there is no I - (~I)
 cancellation. T vanishes when either operator is ideal for A: then the
-method is a direct one, and rho = 0 is returned without an eigensolve.
+method is a direct one, and rho = 0 is returned without an eigensolve; a
+block that is the very ideal block of A the store holds decides this
+without the other ideal block being built.
 Jacobi and F-Jacobi relaxations, relaxation-only methods and pairs with
 C-point blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
 which also serves as the oracle for the reduced one.
@@ -36,6 +38,8 @@ problems an iteration costs O(n) plus the products with Z and W. The
 binding's coarse is the pair's CoarseCorrection, made by the guard of K
 that build_pi and coarse_correction share (projection._coarse), so the
 dense propagator's Pi = P K^{-1} R*A has the bits of build_pi for every K.
+The reduced path reads only K's factor and the pair's blocks: on a
+tridiagonal A it forms no R, P, R*A or other n x n_c array.
 air_cpoint_residual applies the correction to one vector and forms no Pi.
 """
 
@@ -48,7 +52,7 @@ import numpy as np
 
 from .linalg import ProblemStore, _tag_key, _tridiagonal_product, as_matrix
 from .projection import CoarseCorrection, _coarse, coarse_correction
-from .transfer import _ideal_block
+from .transfer import _held_ideal_block, _ideal_block
 
 __all__ = [
     "RelaxSpec",
@@ -275,8 +279,10 @@ def two_grid_conv_factor(A, spec):
     relaxation on the other) rho is read from the n_c x n_c matrix
     T = K^{-1} (Z - Z_ideal)* A_ff (W_ideal - W) (see the module docstring),
     with Z_ideal and W_ideal of A from the binding's ProblemStore. When
-    Z = Z_ideal or W = W_ideal exactly, as for an ideal block of A built
-    through a store, rho is 0.0 and no eigensolve is made. S is a
+    Z = Z_ideal or W = W_ideal exactly, rho is 0.0 and no eigensolve is
+    made; when the block is the very array the store holds, as for an
+    ideal block of A built through that store, the other ideal block is not
+    built either. S is a
     projection, so its sweep count does not matter. Every other method gives
     exactly conv_factor(two_grid_propagator(A, spec)).
 
@@ -286,12 +292,18 @@ def two_grid_conv_factor(A, spec):
     A, method = _bind(A, spec)
     if not _reduces(spec):
         return _spectral_radius(two_grid_propagator(A, method))
-    pair = spec.pair
+    pair, store = spec.pair, method.store
     part = pair.part
-    dZ = pair.Z - _ideal_block(method.store, part, "A", "Z")
+    Z, W = pair.Z, pair.W
+    # a block that is the ideal block of A the store holds makes T = 0,
+    # without building the other ideal block
+    if Z is _held_ideal_block(store, part, "A", "Z") or \
+            W is _held_ideal_block(store, part, "A", "W"):
+        return 0.0
+    dZ = Z - _ideal_block(store, part, "A", "Z")
     if not dZ.any():
         return 0.0
-    dW = _ideal_block(method.store, part, "A", "W") - pair.W
+    dW = _ideal_block(store, part, "A", "W") - W
     if not dW.any():
         return 0.0
     f = part.fidx

@@ -9,6 +9,7 @@ standard norm/companion combinations.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TransferPair:
     """Restriction R and interpolation P, each n x n_c, over one CF partition.
 
@@ -63,52 +64,97 @@ class TransferPair:
     any nonsingular right-scaling, so this is a change of basis only. Y and V
     must be n_c x n_c and equal the C-point rows of R and P exactly. Made
     once per pair, zero_blocks says whether the F rows of R, P are all zero.
+
+    TransferPair(R, P, part, cblocks) holds the operators it is given, and Z
+    and W are gathered from them. A classical pair from make_pair holds its
+    F blocks Z and W instead, and R = [Z; I] and P = [W; I] are assembled
+    on first read, under the pair's lock, and kept read-only in place of
+    their block; what reads only Z and W, as the converge path does, never
+    forms an n x n_c operator.
     """
 
-    R: np.ndarray
-    P: np.ndarray
     part: CFPartition
-    cblocks: tuple | None = None
-    zero_blocks: tuple = field(init=False, repr=False, compare=False)
+    cblocks: tuple | None
+    zero_blocks: tuple = field(repr=False)
 
-    def __post_init__(self):
-        R = as_matrix(self.R, "R")
-        P = as_matrix(self.P, "P")
-        n, nc = self.part.n, self.part.nc
+    def __init__(self, R, P, part, cblocks=None):
+        R = as_matrix(R, "R")
+        P = as_matrix(P, "P")
+        n, nc = part.n, part.nc
         if R.shape != (n, nc) or P.shape != (n, nc):
             raise ValueError(
                 f"R and P must be {n}x{nc}, got R {R.shape} and P {P.shape}"
             )
         eye = np.eye(nc)
-        classical = self.cblocks is None and (
-            np.array_equal(self.part.c_rows(R), eye) and np.array_equal(self.part.c_rows(P), eye)
+        classical = cblocks is None and (
+            np.array_equal(part.c_rows(R), eye) and np.array_equal(part.c_rows(P), eye)
         )
         # [Z; I] has sigma_min >= 1, so a classical pair has full rank by
         # structure; any other is ranked by its pivoted-QR basis
         for op, name in ((R, "R"), (P, "P")):
             if not classical and orth_basis(op).shape[1] < nc:
                 raise ValueError(f"{name} must have full column rank")
-        if self.cblocks is None:
+        if cblocks is None:
             if not classical:
                 raise ValueError(
                     "C-point rows of R and P must be identity when cblocks is None"
                 )
         else:
-            Y, V = (as_matrix(B, name) for B, name in zip(self.cblocks, "YV"))
+            Y, V = (as_matrix(B, name) for B, name in zip(cblocks, "YV"))
             if Y.shape != (nc, nc) or V.shape != (nc, nc):
                 raise ValueError(
                     f"cblocks Y and V must be {nc}x{nc}, got Y {Y.shape} and V {V.shape}"
                 )
-            if not (
-                np.array_equal(self.part.c_rows(R), Y)
-                and np.array_equal(self.part.c_rows(P), V)
-            ):
+            if not (np.array_equal(part.c_rows(R), Y) and np.array_equal(part.c_rows(P), V)):
                 raise ValueError("cblocks Y and V must equal the C-point rows of R and P")
-            object.__setattr__(self, "cblocks", (_frozen(Y), _frozen(V)))
-        object.__setattr__(self, "R", _frozen(R))
-        object.__setattr__(self, "P", _frozen(P))
-        f = self.part.fidx
-        object.__setattr__(self, "zero_blocks", (not R[f].any(), not P[f].any()))
+            cblocks = (_frozen(Y), _frozen(V))
+        f = part.fidx
+        self._hold(part, cblocks, {"R": _frozen(R), "P": _frozen(P)},
+                   (not R[f].any(), not P[f].any()))
+
+    def _hold(self, part, cblocks, held, zero_blocks):
+        for name, value in (("part", part), ("cblocks", cblocks), ("zero_blocks", zero_blocks),
+                            ("_held", held), ("_lock", threading.Lock())):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_blocks(cls, part, Z, W):
+        """The classical pair [Z; I], [W; I] on its read-only, C-ordered blocks, taken as given."""
+        pair = object.__new__(cls)
+        pair._hold(part, None, {"Z": Z, "W": W}, (not Z.any(), not W.any()))
+        return pair
+
+    def _operator(self, name):
+        """R or P: held, or assembled from its block, which it then replaces."""
+        op = self._held.get(name)
+        if op is None:
+            with self._lock:
+                op = self._held.get(name)
+                if op is None:
+                    block, part = _BLOCK_OF[name], self.part
+                    op = np.zeros((part.n, part.nc))
+                    op[part.fidx] = self._held[block]
+                    op[part.cidx, np.arange(part.nc)] = 1.0
+                    op.setflags(write=False)
+                    self._held[name] = op
+                    del self._held[block]
+        return op
+
+    def _block(self, name):
+        # the operator is held before its block is dropped, so a block
+        # missing here is gathered from a held operator
+        block = self._held.get(name)
+        return self.part.f_rows(self._operator(_BLOCK_OF[name])) if block is None else block
+
+    @property
+    def R(self):
+        """Restriction operator, n x n_c."""
+        return self._operator("R")
+
+    @property
+    def P(self):
+        """Interpolation operator, n x n_c."""
+        return self._operator("P")
 
     @property
     def n(self):
@@ -121,39 +167,35 @@ class TransferPair:
     @property
     def Z(self):
         """F-point block of R (equals Z Y when a C-block Y is present)."""
-        return self.part.f_rows(self.R)
+        return self._block("Z")
 
     @property
     def W(self):
         """F-point block of P (equals W V when a C-block V is present)."""
-        return self.part.f_rows(self.P)
+        return self._block("W")
+
+
+_BLOCK_OF = {"R": "Z", "P": "W", "Z": "R", "W": "P"}
 
 
 def make_pair(part, Z, W):
-    """Assemble the classical pair R = [Z; I], P = [W; I] in natural ordering.
+    """The classical pair R = [Z; I], P = [W; I] in natural ordering.
 
-    Z and W are n_f x n_c. R and P are written once into read-only arrays of
-    the pair's own, with identity C rows by construction, so the pair skips
-    the checks and copies that TransferPair makes on arrays passed in, and
-    its zero_blocks are read off Z and W.
+    Z and W are n_f x n_c. Each is checked for shape and finiteness and
+    copied once into a read-only, C-ordered block of the pair's own, so the
+    pair skips the checks and copies that TransferPair makes on operators
+    passed in, and its zero_blocks are read off Z and W. R and P are
+    assembled only when read (see TransferPair).
     """
-    f, c, k = part.fidx, part.cidx, np.arange(part.nc)
-    ops, zero = [], []
+    blocks = []
     for B, name in ((Z, "Z"), (W, "W")):
         B = as_matrix(np.atleast_2d(np.asarray(B, dtype=float)), name)
         if B.shape != (part.nf, part.nc):
             raise ValueError(f"{name} must be {part.nf}x{part.nc}, got {B.shape}")
-        op = np.zeros((part.n, part.nc))
-        op[f] = B
-        op[c, k] = 1.0
-        op.setflags(write=False)
-        ops.append(op)
-        zero.append(not B.any())
-    pair = object.__new__(TransferPair)
-    fields = ("R", "P", "part", "cblocks", "zero_blocks")
-    for name, value in zip(fields, (*ops, part, None, tuple(zero))):
-        object.__setattr__(pair, name, value)
-    return pair
+        B = np.array(B, order="C")
+        B.setflags(write=False)
+        blocks.append(B)
+    return TransferPair._of_blocks(part, *blocks)
 
 
 _Q_TAGS = ("identity", "A", "Asym", "AstarA", "AAstar", "AinvStar", "Ainv", "Custom")
@@ -234,13 +276,18 @@ def realize_q(choice, A):
 
 
 def _w_of(solve_ff, fc):
-    """-Q_ff^{-1} Q_fc, by a solve with the ff-block's LU."""
-    return -solve_ff(fc)
+    """-Q_ff^{-1} Q_fc, by a solve with the ff-block's LU, C-ordered.
+
+    The solves return Fortran order; a pair's blocks are C-ordered, as the
+    rows gathered from an assembled operator are, so that the products with
+    them keep one summation order.
+    """
+    return np.negative(solve_ff(fc), order="C")
 
 
 def _z_of(solve_ff, cf):
-    """Z with Z* = -Q_cf Q_ff^{-1}, by the transposed solve with the ff-block's LU."""
-    return -solve_ff(cf.T, trans=1)
+    """Z with Z* = -Q_cf Q_ff^{-1}, by the transposed solve with the ff-block's LU, C-ordered."""
+    return np.negative(solve_ff(cf.T, trans=1), order="C")
 
 
 def ideal_w(Q):
@@ -671,12 +718,14 @@ def ideal_blocks_pair(A, part, r_q, p_q, store=None):
 
     Through A's ProblemStore store each ideal block is built once for all
     the pairs that share it; a block that cannot be built raises its error
-    again to each of them.
+    again to each of them. The pair holds the store's read-only blocks
+    themselves, made from the validated A, so they are neither scanned nor
+    copied again.
     """
     store = ProblemStore(A) if store is None else store
     Z = _ideal_block(store, part, r_q, "Z")
     W = _ideal_block(store, part, p_q, "W")
-    return make_pair(part, Z, W)
+    return TransferPair._of_blocks(part, Z, W)
 
 
 def _ideal_block(store, part, q, side):
@@ -708,6 +757,11 @@ def _ideal_block(store, part, q, side):
     if choice.tag == "Custom":
         return build()
     return store.get(("ideal", side, choice.tag, part), build)
+
+
+def _held_ideal_block(store, part, q, side):
+    """The ideal block _ideal_block keeps in store for q and side, if built; else None."""
+    return store.peek(("ideal", side, _choice(q).tag, part))
 
 
 def single_operator_pair(A, part, item, store=None):

@@ -571,7 +571,7 @@ def test_reflector_sines_and_compat_eq_match_the_explicit_basis(kind, n, epsilon
         G = factors[norm]
         corr = cm.coarse_correction(A, pair)
         sines = corr.angles(G).sines
-        GP, GAR = projection._blocks(G, A, pair, corr.RA)
+        GP, GAR = projection._blocks(G, A, pair, corr)
         Qu, _ = scipy.linalg.qr(GP, mode="economic")
         Qv, _ = scipy.linalg.qr(GAR, mode="economic")
         explicit = np.clip(np.linalg.svd(Qv - Qu @ (Qu.T @ Qv), compute_uv=False), 0.0, 1.0)

@@ -132,6 +132,54 @@ def test_converge_non_finite_epsilon_is_a_problem_config_error(epsilon, capsys):
     assert capsys.readouterr().err.startswith("compatamg: config error: --problem:")
 
 
+@pytest.mark.parametrize("split", ["alternate", "firsthalf", "random"])
+@pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--cfrac", "1.5"),
+                                         ("--cfrac", "0"), ("--cfrac", "nan")])
+def test_bad_iters_and_cfrac_are_config_errors_before_any_work(flag, value, split, capsys,
+                                                              monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a problem was generated for a malformed configuration")
+
+    monkeypatch.setattr("compatamg.cli.generate", no_work)
+    code = main(["converge", "--problem", "advdiff1d", "--n", "16", "--split", split,
+                 "--pair", "single1", "--post", "fexact", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"compatamg: config error: {flag}:")
+
+
+def test_zw_and_random_recipes_validate_their_blocks(tmp_path, monkeypatch):
+    # only the store's own ideal blocks skip make_pair's shape and
+    # finiteness checks; blocks read from files or drawn are checked
+    import compatamg.transfer as transfer
+    from compatamg.cli import _build_pair
+
+    n = 16
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    part = cm.default_splitting(n, "alternate")
+    zp, wp = tmp_path / "z.json", tmp_path / "w.mtx"
+    cm.save_matrix_json(zp, np.ones((part.nf, part.nc)))
+    cm.save_matrix_market(wp, np.zeros((part.nf, part.nc)))
+    checked = []
+    real = transfer.as_matrix
+
+    def spy(a, name="matrix"):
+        checked.append(name)
+        return real(a, name)
+
+    monkeypatch.setattr(transfer, "as_matrix", spy)
+    for recipe in (f"zw:{zp},{wp}", "random:3"):
+        checked.clear()
+        _build_pair(cm.ProblemStore(A), part, recipe)
+        assert checked == ["Z", "W"], recipe
+    checked.clear()
+    _build_pair(cm.ProblemStore(A), part, "single1")
+    assert checked == []
+    cm.save_matrix_json(zp, np.zeros((part.nf + 1, part.nc)))
+    code = main(["verify-pairs", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", str(n),
+                 "--pair", f"zw:{zp},{wp}"])
+    assert code == 2
+
+
 def test_verify_pairs_bad_norm_is_config_error(capsys):
     code = main(
         ["verify-pairs", "--problem", "advection1d", "--n", "8",
@@ -535,6 +583,29 @@ def test_verify_pairs_and_tables_threaded_equal_serial(tmp_path, monkeypatch):
             report.pop("timestamp")
             reports.append((code, report))
         assert reports[0] == reports[1], args[0]
+
+
+def test_verify_pairs_threads_share_each_pair_and_its_lazily_assembled_operators(
+        tmp_path, monkeypatch):
+    # the three norm cases of a pair run on one pair, whose R and P are
+    # assembled by whichever worker reads them first; more workers than
+    # cores and a short switch interval must not change a bit
+    args = ["verify-pairs", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", "40",
+            "--pair", "single1", "--pair", "random:7",
+            "--norm", "identity", "--norm", "AstarA", "--norm", "Asym"]
+    monkeypatch.setenv("COMPATAMG_THREADS", "1")
+    serial = _run_json(tmp_path, args, "serial.json")
+    serial[1].pop("timestamp")
+    monkeypatch.setenv("COMPATAMG_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            parallel = _run_json(tmp_path, args, f"parallel{k}.json")
+            parallel[1].pop("timestamp")
+            assert parallel == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):

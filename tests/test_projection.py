@@ -275,7 +275,8 @@ def test_projection_report_serialization():
 def test_galerkin_skips_zero_blocks_with_the_same_bits(zero):
     # a dense A keeps the block products Z* A[F, :] + A[C, :] and
     # (R*A)[:, F] W + (R*A)[:, C]; an exactly zero block adds exact zeros,
-    # so skipping it keeps every bit
+    # so skipping it keeps every bit. With Z = 0, K is A[C, F] W + A[C, C]
+    # and R*A = A[C, :] is left to the correction's first read
     from compatamg.projection import _galerkin
 
     rng = np.random.default_rng(46)
@@ -286,17 +287,23 @@ def test_galerkin_skips_zero_blocks_with_the_same_bits(zero):
     if zero:
         blocks[zero][:] = 0.0
     pair = cm.make_pair(part, blocks["Z"], blocks["W"])
-    RA, K = _galerkin(A, pair)
+    RA, K = _galerkin(A, pair, None)
     RA_ref = blocks["Z"].T @ A[f]
     RA_ref += A[c]
     K_ref = RA_ref[:, f] @ blocks["W"] + RA_ref[:, c]
-    assert RA.tobytes() == RA_ref.tobytes()
+    assert (RA is None) == (zero == "Z")
+    if RA is not None:
+        assert RA.tobytes() == RA_ref.tobytes()
     assert K.tobytes() == K_ref.tobytes()
+    assert cm.coarse_correction(A, pair).RA.tobytes() == RA_ref.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d"])
 def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
-    # R*A is (A*R)* from A's three diagonals, to round-off of the dense GEMM
+    # R*A is (A*R)* from A's three diagonals, to round-off of the dense GEMM;
+    # K is read off the F and C rows of A*R alone, with the bits of the
+    # products on the whole of R*A
+    from compatamg.linalg import _tridiagonal, _tridiagonal_product
     from compatamg.projection import _galerkin
 
     rng = np.random.default_rng(47)
@@ -305,7 +312,14 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
     Z = rng.standard_normal((part.nf, part.nc))
     W = rng.standard_normal((part.nf, part.nc))
     pair = cm.make_pair(part, Z, W)
-    RA, K = _galerkin(A, pair)
+    diags = _tridiagonal(A)
+    RA_formed, K = _galerkin(A, pair, diags)
+    assert RA_formed is None
+    RA = cm.coarse_correction(A, pair).RA
+    RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
+    assert RA.tobytes() == RA_ref.tobytes()
+    f, c = part.fidx, part.cidx
+    assert K.tobytes() == (RA_ref[:, f] @ W + RA_ref[:, c]).tobytes()
     eps = np.finfo(float).eps
     R, P = pair.R, pair.P
     assert np.all(np.abs(RA - R.T @ A) <= 4 * eps * (np.abs(R.T) @ np.abs(A)))
@@ -316,7 +330,10 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
 @pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
 def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_product(kind, policy):
     # with Z = 0, K is the C rows of A P, taken on A's three diagonals: each
-    # entry is a sum of at most three products, a few ulps of |R*| |A| |P|
+    # entry is a sum of at most three products, a few ulps of |R*| |A| |P|,
+    # with the bits of those rows of the whole product A P; R*A = A[C, :]
+    # is formed only when the correction reads it
+    from compatamg.linalg import _tridiagonal_product
     from compatamg.projection import _galerkin
 
     n = 41
@@ -324,10 +341,35 @@ def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_produc
     part = cm.default_splitting(n, policy, seed=3)
     W = np.random.default_rng(50).standard_normal((part.nf, part.nc))
     pair = cm.make_pair(part, np.zeros((part.nf, part.nc)), W)
-    RA, K = _galerkin(A, pair)
+    diags = cm.ProblemStore(A).tridiagonal()
+    RA, K = _galerkin(A, pair, diags)
+    assert RA is None
+    RA = cm.coarse_correction(A, pair).RA
+    P_ref = part.assemble_rows(W, np.eye(part.nc))
+    assert K.tobytes() == _tridiagonal_product(diags, P_ref)[part.cidx].tobytes()
     R, P = pair.R, pair.P
     assert RA.tobytes() == A[list(part.cpoints)].tobytes()
     bound = 4 * np.finfo(float).eps * (np.abs(R.T) @ np.abs(A) @ np.abs(P))
     assert np.all(np.abs(K - R.T @ A @ P) <= bound)
-    # the store's decision gives the same K as the one made here
-    assert _galerkin(A, pair, cm.ProblemStore(A).tridiagonal())[1].tobytes() == K.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d", "advection1d"])
+@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
+def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_full_product(kind, policy):
+    # with W = 0, K is the transpose of the C rows of A* R, from A's three
+    # diagonals and Z, with the bits of the C columns of the whole R*A; the
+    # correction forms that R*A, (A* R)*, only when it is read
+    from compatamg.linalg import _tridiagonal_product
+    from compatamg.projection import _galerkin
+
+    n = 41
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05))
+    part = cm.default_splitting(n, policy, seed=3)
+    Z = np.random.default_rng(51).standard_normal((part.nf, part.nc))
+    pair = cm.make_pair(part, Z, np.zeros((part.nf, part.nc)))
+    diags = cm.ProblemStore(A).tridiagonal()
+    RA, K = _galerkin(A, pair, diags)
+    assert RA is None
+    RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
+    assert K.tobytes() == RA_ref[:, part.cidx].tobytes()
+    assert cm.coarse_correction(A, pair).RA.tobytes() == RA_ref.tobytes()

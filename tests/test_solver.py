@@ -1,5 +1,7 @@
 """Tests for relaxation, two-grid propagation, and convergence measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -303,7 +305,7 @@ def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
-    K = compatamg.projection._galerkin(A, pair)[1]
+    K = compatamg.projection._coarse(A, pair)[1]
     solve_k = cm.PreparedTwoGrid(pair, A=A).coarse.solve
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
@@ -591,3 +593,29 @@ def test_coarse_step_on_blocks_matches_r_and_p(name):
     ref = pair.P @ solve_k(pair.R.T @ r)
     got = _coarse_step(pair, solve_k)(r)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["single1", "single3"])
+def test_converge_path_forms_no_n_by_nc_block(name):
+    # single1 has W = 0 and single3 Z = 0: K comes from A's diagonals and
+    # the nonzero block, rho = 0 from the store's own ideal block, and the
+    # iteration works on Z and W, so nothing of n x n_c doubles is allocated
+    # and the pair's R and P are never assembled
+    n = 400
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))
+    part = _split(n)
+    store = cm.ProblemStore(A)
+    pair, _ = cm.single_operator_pair(A, part, name, store)
+    b = np.random.default_rng(15).standard_normal(n)
+    x0 = np.zeros(n)
+    tracemalloc.start()
+    try:
+        method = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=store.A, store=store)
+        rho = cm.two_grid_conv_factor(method.A, method)
+        history = cm.iterate(method.A, method, b, x0, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho == 0.0 and history[-1] < 1e-9 * history[0]
+    assert peak < 8 * n * part.nc
+    assert sorted(pair._held) == ["W", "Z"]

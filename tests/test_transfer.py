@@ -730,6 +730,56 @@ def test_make_pair_writes_the_pair_transfer_pair_would_check():
         cm.make_pair(part, Z, bad)
 
 
+def test_a_classical_pair_holds_its_blocks_and_assembles_r_and_p_once_on_read():
+    rng = np.random.default_rng(52)
+    part = random_partition(rng, 13)
+    Z = np.asfortranarray(rng.standard_normal((part.nf, part.nc)))
+    W = rng.standard_normal((part.nf, part.nc))
+    pair = cm.make_pair(part, Z, W)
+    # the blocks are copies of their own, read-only and C-ordered, as rows
+    # gathered from an assembled operator are
+    for got, given in ((pair.Z, Z), (pair.W, W)):
+        assert got is not given and got.tobytes() == np.ascontiguousarray(given).tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+    assert pair.Z is pair.Z
+    R, P = pair.R, pair.P
+    eye = np.eye(part.nc)
+    assert R.tobytes() == part.assemble_rows(Z, eye).tobytes()
+    assert P.tobytes() == part.assemble_rows(W, eye).tobytes()
+    assert pair.R is R and pair.P is P and not R.flags.writeable
+    # an assembled operator replaces its block, which is then read off it
+    assert sorted(pair._held) == ["P", "R"]
+    assert pair.Z.tobytes() == np.ascontiguousarray(Z).tobytes()
+    assert pair.W.tobytes() == W.tobytes()
+
+
+def test_make_pair_rejects_a_read_only_block_holding_nan():
+    part = _split(6)
+    W = np.zeros((part.nf, part.nc))
+    W[1, 2] = np.nan
+    W.setflags(write=False)
+    with pytest.raises(ValueError, match="W contains non-finite entries"):
+        cm.make_pair(part, np.zeros((part.nf, part.nc)), W)
+
+
+@pytest.mark.parametrize("policy", ["alternate", "random"])
+def test_ideal_blocks_pair_holds_the_store_blocks_themselves(policy):
+    # the store's ideal blocks are read-only and C-ordered, so a pair holds
+    # them as they are, and its zero_blocks still read them
+    n = 20
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    part = cm.default_splitting(n, policy, seed=2)
+    store = ProblemStore(A)
+    tags = ("identity", "A", "Asym", "AstarA", "AAstar", "Ainv", "AinvStar")
+    for r_q in tags:
+        for p_q in tags:
+            pair = cm.ideal_blocks_pair(A, part, r_q, p_q, store)
+            for block, q, side in ((pair.Z, r_q, "Z"), (pair.W, p_q, "W")):
+                assert block is _ideal_block(store, part, q, side)
+                assert block.flags.c_contiguous and not block.flags.writeable
+            assert pair.zero_blocks == (r_q == "identity", p_q == "identity")
+
+
 def _counted_zero_blocks(pair):
     f = pair.part.fidx
     return np.count_nonzero(pair.R[f]) == 0, np.count_nonzero(pair.P[f]) == 0
