@@ -78,7 +78,7 @@ __all__ = [
 # exceeds this is treated as singular.
 COND_LIMIT = 1e12
 
-# Default relative tolerance for symmetry / positive-definiteness checks: a
+# Relative tolerance of every symmetry / positive-definiteness check: a
 # symmetric matrix is SPD when its Cholesky factor's reciprocal 1-norm
 # condition estimate (LAPACK dpocon) exceeds it.
 SPD_TOL = 1e-10
@@ -238,7 +238,7 @@ def require_nonsingular(A, what="matrix"):
     _guarded_lu(A, what)
 
 
-def lu_solver(A, what="matrix", lu=None):
+def lu_solver(A, what="matrix"):
     """Guard A as require_nonsingular does and return a solve against its factor.
 
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
@@ -246,10 +246,9 @@ def lu_solver(A, what="matrix", lu=None):
     dgttrf factor (dgttrs) in O(n) per right-hand side; any other A against
     the guard's LU by two triangular solves. The solve is safe to share
     between threads: scipy's getrs wrapper shifts the pivot indices in place
-    during each call, so every solve gets its own copy of them. lu is the
-    guard's factor when the caller already holds it.
+    during each call, so every solve gets its own copy of them.
     """
-    factor = _guarded_lu(A, what) if lu is None else lu
+    factor = _guarded_lu(A, what)
     if len(factor) == 5:
         def solve(X, trans=0):
             return lapack.dgttrs(*factor, X, trans="NT"[trans])[0]
@@ -416,12 +415,12 @@ _NORM_ALIASES = {
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Choice of the SPD matrix M that induces the measurement norm.
+class _TagChoice:
+    """A tag, read through the subclass's aliases, and a payload matrix that
+    the Custom tag alone takes, and requires; it is held as a read-only copy.
 
-    Tags: identity | A | Asym | AstarA | SqrtAstarA | AstarAsymInvA | Custom.
-    The A tag requires A itself SPD; Asym and AstarAsymInvA require the
-    symmetric part (A + A*)/2 to be SPD; Custom carries its own SPD payload.
+    A subclass sets _WHAT, the family's name in its messages, _TAGS and
+    _ALIASES, which maps each _tag_key to its tag.
     """
 
     tag: str
@@ -429,51 +428,63 @@ class NormSpec:
 
     def __post_init__(self):
         key = _tag_key(self.tag)
-        if key not in _NORM_ALIASES:
-            raise ValueError(f"unknown norm tag {self.tag!r}; expected one of {_NORM_TAGS}")
-        object.__setattr__(self, "tag", _NORM_ALIASES[key])
+        if key not in self._ALIASES:
+            raise ValueError(f"unknown {self._WHAT} tag {self.tag!r}; expected one of {self._TAGS}")
+        object.__setattr__(self, "tag", self._ALIASES[key])
         if self.tag == "Custom":
             if self.payload is None:
-                raise ValueError("Custom norm requires a payload matrix")
+                raise ValueError(f"Custom {self._WHAT} requires a payload matrix")
             object.__setattr__(self, "payload", _frozen(as_matrix(self.payload, "payload")))
         elif self.payload is not None:
-            raise ValueError(f"norm tag {self.tag!r} does not take a payload")
+            raise ValueError(f"{self._WHAT} tag {self.tag!r} does not take a payload")
 
 
-def _symmetric(M, tol):
-    """||M - M*||_F <= tol * ||M||_F, for a nonzero finite square M."""
+class NormSpec(_TagChoice):
+    """Choice of the SPD matrix M that induces the measurement norm.
+
+    Tags: identity | A | Asym | AstarA | SqrtAstarA | AstarAsymInvA | Custom.
+    The A tag requires A itself SPD; Asym and AstarAsymInvA require the
+    symmetric part (A + A*)/2 to be SPD; Custom carries its own SPD payload.
+    """
+
+    _WHAT, _TAGS, _ALIASES = "norm", _NORM_TAGS, _NORM_ALIASES
+
+
+def _symmetric(M):
+    """||M - M*||_F <= SPD_TOL * ||M||_F, for a nonzero finite square M."""
     nrm = np.linalg.norm(M)
-    return nrm > 0.0 and np.linalg.norm(M - M.T) <= tol * nrm
+    return nrm > 0.0 and np.linalg.norm(M - M.T) <= SPD_TOL * nrm
 
 
-def _spd_cholesky(M, tol=SPD_TOL):
-    """Lower Cholesky factor of (M + M*)/2 when M is SPD to tolerance tol, else None.
+def _spd_cholesky(M):
+    """Lower Cholesky factor of (M + M*)/2 when M is SPD to SPD_TOL, else None.
 
-    M must be symmetric to relative tolerance tol, dpotrf must succeed on its
-    symmetric part, and the dpocon reciprocal 1-norm condition estimate read
-    off that factor must exceed tol.
+    M must be symmetric to relative tolerance SPD_TOL, dpotrf must succeed on
+    its symmetric part, and the dpocon reciprocal 1-norm condition estimate
+    read off that factor must exceed SPD_TOL.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         return None
-    if not np.all(np.isfinite(M)) or not _symmetric(M, tol):
+    if not np.all(np.isfinite(M)) or not _symmetric(M):
         return None
     S = (M + M.T) / 2.0
     L, info = lapack.dpotrf(S, lower=1, clean=1)
     if info != 0:
         return None
     rcond, info = lapack.dpocon(L, np.linalg.norm(S, 1), uplo="L")
-    return L if info == 0 and rcond > tol else None
+    return L if info == 0 and rcond > SPD_TOL else None
 
 
-def spd_check(M, tol=SPD_TOL):
-    """True iff M is symmetric positive definite to relative tolerance tol.
+def spd_check(M):
+    """True iff M is symmetric positive definite to relative tolerance SPD_TOL.
 
-    Requires ||M - M*|| <= tol * ||M|| and a Cholesky factor of the symmetric
-    part whose reciprocal condition estimate exceeds tol (see the module
-    docstring). Never raises; returns False on any structural failure.
+    Requires ||M - M*|| <= SPD_TOL * ||M|| and a Cholesky factor of the
+    symmetric part whose reciprocal condition estimate exceeds SPD_TOL (see
+    the module docstring). Never raises; returns False on any structural
+    failure.
     """
-    return _spd_cholesky(M, tol) is not None
+    return _spd_cholesky(M) is not None
 
 
 @dataclass(frozen=True)
@@ -616,19 +627,9 @@ class ProblemStore:
         """_tridiagonal(A): A's three diagonals when it is tridiagonal, else None."""
         return self.get("tridiagonal", lambda: _tridiagonal(self.A))
 
-    def guard(self):
-        """The guard's factor of A (see _guarded_lu), read-only."""
-        def build():
-            factor = _guarded_lu(self.A, "A")
-            for v in factor:
-                v.setflags(write=False)
-            return factor
-
-        return self.get("guard", build)
-
     def lu_solve(self):
-        """lu_solver(A, "A") on the guard's factor, made once."""
-        return self.get("lu_solve", lambda: lu_solver(self.A, "A", lu=self.guard()))
+        """lu_solver(A, "A"), made once: A's guard and its only factor."""
+        return self.get("lu_solve", lambda: lu_solver(self.A, "A"))
 
     def ff_solve(self, part):
         """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
@@ -644,13 +645,22 @@ class ProblemStore:
         c = part.cidx
         return self.get(("A_cc", part), lambda: lu_solver(self.A[np.ix_(c, c)], "A_cc"))
 
-    def asym_cholesky(self, tol=SPD_TOL):
-        """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD to tol."""
+    def asym_cholesky(self):
+        """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD."""
         A = self.A
-        return self.get(("asym", tol), lambda: _spd_cholesky((A + A.T) / 2.0, tol))
+        return self.get("asym", lambda: _spd_cholesky((A + A.T) / 2.0))
 
 
-def _norm_cholesky(tag, store, M, tol):
+def _store_for(A, store):
+    """store, which must be the ProblemStore of this very A; by default a new one."""
+    if store is None:
+        return ProblemStore(A)
+    if A is not store.A:
+        raise ValueError("store must be the ProblemStore of this very A")
+    return store
+
+
+def _norm_cholesky(tag, store, M):
     """The lower Cholesky factor of a Cholesky-factored tag's SPD matrix.
 
     Raises the tag's precondition error when the matrix is not SPD. The A
@@ -658,34 +668,33 @@ def _norm_cholesky(tag, store, M, tol):
     is symmetric its Cholesky factor is the stored one.
     """
     if tag == "Custom":
-        L = _spd_cholesky(M, tol)
+        L = _spd_cholesky(M)
         if L is None:
             raise ValueError("custom norm matrix is not SPD")
         return L
     if tag == "A":
-        L = store.asym_cholesky(tol) if _symmetric(store.A, tol) else None
+        L = store.asym_cholesky() if _symmetric(store.A) else None
         if L is None:
             raise ValueError("norm tag 'A' requires A to be SPD")
         return L
-    L = store.asym_cholesky(tol)
+    L = store.asym_cholesky()
     if L is None:
         raise ValueError(f"norm tag {tag!r} requires (A + A*)/2 to be SPD")
     return L
 
 
-def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
+def realize_norm(spec, A, factored=False, store=None):
     """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
 
     With factored=True, return the NormFactor G with M = G* G instead, without
     forming M. Both forms check the same preconditions and raise the same
-    errors. store is the ProblemStore of A, whose LU and Cholesky factors are
-    used and whose factor for the tag is returned once built; without one,
-    the factors are made for this call.
+    errors. store is the ProblemStore of this very A, whose LU and Cholesky
+    factors are used and whose factor for the tag is returned once built;
+    without one, the factors are made for this call.
     """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
-    if store is None:
-        store = ProblemStore(A)
+    store = _store_for(A, store)
     A = store.A
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -699,14 +708,14 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
     if factored:
         if tag == "Custom":
-            return _factored_norm(tag, A, _norm_cholesky(tag, store, M, tol), None)
-        return store.get(("factor", tag, tol), lambda: _realized_factor(tag, store, tol))
+            return _factored_norm(tag, A, _norm_cholesky(tag, store, M), None)
+        return store.get(("factor", tag), lambda: _realized_factor(tag, store))
 
     L = None
     if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
-        L = _norm_cholesky(tag, store, M, tol)
+        L = _norm_cholesky(tag, store, M)
     if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
-        store.guard()
+        store.lu_solve()
     if tag == "identity":
         return np.eye(n)
     if tag == "A":
@@ -726,29 +735,29 @@ def realize_norm(spec, A, tol=SPD_TOL, factored=False, store=None):
     return M
 
 
-def _realized_factor(tag, store, tol):
+def _realized_factor(tag, store):
     """The factor G of a non-Custom tag on the store's A, preconditions checked."""
-    L = _norm_cholesky(tag, store, None, tol) if tag in ("A", "Asym", "AstarAsymInvA") else None
+    L = _norm_cholesky(tag, store, None) if tag in ("A", "Asym", "AstarAsymInvA") else None
     lu_solve = store.lu_solve() if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") else None
     return _factored_norm(tag, store.A, L, lu_solve)
 
 
-def as_norm_factor(M, tol=SPD_TOL):
+def as_norm_factor(M):
     """NormFactor of a dense SPD matrix (its Cholesky factor); factors pass through."""
     if isinstance(M, NormFactor):
         return M
-    L = _spd_cholesky(as_matrix(M, "M"), tol)
+    L = _spd_cholesky(as_matrix(M, "M"))
     if L is None:
         raise ValueError("M must be SPD")
     return _cholesky_factor("Custom", L)
 
 
-def spd_sqrt_pair(M, tol=SPD_TOL):
+def spd_sqrt_pair(M):
     """Return (M^{1/2}, M^{-1/2}) via symmetric eigendecomposition."""
     M = as_matrix(M, "M")
     S = (M + M.T) / 2.0
     w, V = np.linalg.eigh(S)
-    if w[-1] <= 0.0 or w[0] <= tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= SPD_TOL * w[-1]:
         raise ValueError("matrix is not SPD (nonpositive or negligible eigenvalue)")
     r = np.sqrt(w)
     return (V * r) @ V.T, (V / r) @ V.T
@@ -764,17 +773,17 @@ def operator_m_norm(T, M):
     return float(np.linalg.norm(Ms @ T @ Msi, 2))
 
 
-def orth_basis(X, rtol=RANK_RTOL):
+def orth_basis(X):
     """Orthonormal basis for range(X) from a column-pivoted QR, X P = Q R.
 
     Pivoting makes |R_jj| nonincreasing (Businger & Golub, Numer. Math. 7,
     1965), so the basis is the leading columns of Q up to the first j with
-    |R_jj| <= rtol * |R_11|. No SVD is made.
+    |R_jj| <= RANK_RTOL * |R_11|. No SVD is made.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
         return np.zeros((X.shape[0], 0))
     Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    small = np.abs(np.diag(R)) <= rtol * abs(R[0, 0])
+    small = np.abs(np.diag(R)) <= RANK_RTOL * abs(R[0, 0])
     return Q[:, : int(np.argmax(small)) if small.any() else small.size]
 

@@ -12,7 +12,13 @@ import numpy as np
 
 from .linalg import CFPartition, _tag_key
 
-__all__ = ["ProblemSpec", "generate", "default_splitting", "PROBLEM_KINDS"]
+__all__ = ["ProblemSpec", "generate", "default_splitting", "PROBLEM_KINDS", "MAX_N"]
+
+# The largest order of a generated matrix, n or nx * ny for advection2d. One
+# dense n x n array of doubles takes 128 MiB at this order, and a command
+# holds a few of them besides its factors, so a larger request is refused
+# by ProblemSpec before anything is allocated.
+MAX_N = 4096
 
 PROBLEM_KINDS = ("advection1d", "advection2d", "advdiff1d", "laplacian1d", "random")
 
@@ -32,7 +38,8 @@ class ProblemSpec:
     """Recipe for one test matrix.
 
     n sizes the 1D kinds; nx/ny size the 2D grid; epsilon is the diffusion
-    coefficient for advdiff1d; seed drives the random kind.
+    coefficient for advdiff1d; seed drives the random kind. A matrix order
+    above MAX_N is rejected.
     """
 
     kind: str
@@ -49,6 +56,12 @@ class ProblemSpec:
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        dims = (self.nx, self.ny) if self.kind == "advection2d" else (self.n,)
+        if all(d is not None and d > 0 for d in dims) and math.prod(dims) > MAX_N:
+            raise ValueError(
+                f"{self.kind} of order {math.prod(dims)} exceeds MAX_N = {MAX_N}, "
+                "the largest dense problem this package builds"
+            )
 
     def to_dict(self):
         return asdict(self)

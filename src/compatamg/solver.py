@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ProblemStore, _tag_key, _tridiagonal_product, as_matrix
+from .linalg import ProblemStore, _store_for, _tag_key, _tridiagonal_product, as_matrix
 from .projection import CoarseCorrection, _coarse, coarse_correction
 from .transfer import _held_ideal_block, _ideal_block
 
@@ -111,14 +111,15 @@ class TwoGridSpec:
 class PreparedTwoGrid(TwoGridSpec):
     """A TwoGridSpec bound to one matrix A, with the guards it needs made once.
 
-    Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A,
-    unless it is store.A, which the store validated, and makes the pair's
+    Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A
+    in a ProblemStore of its own, or takes store, which must be the store of
+    this very A and validated it (see linalg._store_for), and makes the pair's
     CoarseCorrection by the one guard of K = R*AP (projection._coarse, on
     the store's decision whether A is tridiagonal): a singular K raises
     SingularMatrixError naming the pair incompatible. Then, when a
     relaxation is an exact F-solve, it takes the store's A_ff solver,
-    guarded as "A_ff". store is A's ProblemStore, one of its own by default;
-    two_grid_conv_factor reads the ideal blocks of A from it.
+    guarded as "A_ff". two_grid_conv_factor reads the ideal blocks of A
+    from the store.
     two_grid_conv_factor, two_grid_propagator and iterate on a binding to
     the very same A share all of this and skip the finiteness scan of A,
     which was made here.
@@ -133,14 +134,8 @@ class PreparedTwoGrid(TwoGridSpec):
     solve_ff: Callable | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.store is None:
-            store = ProblemStore(self.A)
-            A = store.A
-        else:
-            store = self.store
-            A = store.A if self.A is store.A else as_matrix(self.A, "A")
-            if store.A is not A:
-                raise ValueError("store must be the ProblemStore of this very A")
+        store = _store_for(self.A, self.store)
+        A = store.A
         coarse = solve_ff = None
         if self.pair is not None:
             coarse = _coarse(A, self.pair, store.tridiagonal())[0]

@@ -9,18 +9,18 @@ standard norm/companion combinations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     CFPartition,
     NormSpec,
-    ProblemStore,
     SingularMatrixError,
+    _TagChoice,
     _frozen,
-    _tag_key,
+    _store_for,
     as_matrix,
     lu_solver,
     orth_basis,
@@ -65,16 +65,20 @@ class TransferPair:
     must be n_c x n_c and equal the C-point rows of R and P exactly. Made
     once per pair, zero_blocks says whether the F rows of R, P are all zero.
 
-    TransferPair(R, P, part, cblocks) holds the operators it is given, and Z
-    and W are gathered from them. A classical pair from make_pair holds its
-    F blocks Z and W instead, and R = [Z; I] and P = [W; I] are assembled
-    on first read, under the pair's lock, and kept read-only in place of
-    their block; what reads only Z and W, as the converge path does, never
-    forms an n x n_c operator.
+    A pair is its blocks: the F rows Z of R and W of P, read-only and
+    C-ordered (Z equals Z Y when a C-block Y is present, and W equals W V),
+    and its cblocks. TransferPair(R, P, part, cblocks) validates the
+    operators it is given and keeps their F rows; make_pair takes Z and W
+    themselves. R = [Z; Y or I] and P = [W; V or I] are assembled on first
+    read and cached, read-only, beside the blocks, which are never replaced;
+    what reads only Z and W, as the converge path does, never forms an
+    n x n_c operator.
     """
 
     part: CFPartition
     cblocks: tuple | None
+    Z: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
     zero_blocks: tuple = field(repr=False)
 
     def __init__(self, R, P, part, cblocks=None):
@@ -108,53 +112,38 @@ class TransferPair:
             if not (np.array_equal(part.c_rows(R), Y) and np.array_equal(part.c_rows(P), V)):
                 raise ValueError("cblocks Y and V must equal the C-point rows of R and P")
             cblocks = (_frozen(Y), _frozen(V))
-        f = part.fidx
-        self._hold(part, cblocks, {"R": _frozen(R), "P": _frozen(P)},
-                   (not R[f].any(), not P[f].any()))
+        Z, W = part.f_rows(R), part.f_rows(P)  # gathered rows: copies, C-ordered
+        for B in (Z, W):
+            B.setflags(write=False)
+        self._hold(part, cblocks, Z, W)
 
-    def _hold(self, part, cblocks, held, zero_blocks):
-        for name, value in (("part", part), ("cblocks", cblocks), ("zero_blocks", zero_blocks),
-                            ("_held", held), ("_lock", threading.Lock())):
+    def _hold(self, part, cblocks, Z, W):
+        for name, value in (("part", part), ("cblocks", cblocks), ("Z", Z), ("W", W),
+                            ("zero_blocks", (not Z.any(), not W.any()))):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _of_blocks(cls, part, Z, W):
         """The classical pair [Z; I], [W; I] on its read-only, C-ordered blocks, taken as given."""
         pair = object.__new__(cls)
-        pair._hold(part, None, {"Z": Z, "W": W}, (not Z.any(), not W.any()))
+        pair._hold(part, None, Z, W)
         return pair
 
-    def _operator(self, name):
-        """R or P: held, or assembled from its block, which it then replaces."""
-        op = self._held.get(name)
-        if op is None:
-            with self._lock:
-                op = self._held.get(name)
-                if op is None:
-                    block, part = _BLOCK_OF[name], self.part
-                    op = np.zeros((part.n, part.nc))
-                    op[part.fidx] = self._held[block]
-                    op[part.cidx, np.arange(part.nc)] = 1.0
-                    op.setflags(write=False)
-                    self._held[name] = op
-                    del self._held[block]
+    def _assemble(self, block, k):
+        cblock = np.eye(self.part.nc) if self.cblocks is None else self.cblocks[k]
+        op = self.part.assemble_rows(block, cblock)
+        op.setflags(write=False)
         return op
 
-    def _block(self, name):
-        # the operator is held before its block is dropped, so a block
-        # missing here is gathered from a held operator
-        block = self._held.get(name)
-        return self.part.f_rows(self._operator(_BLOCK_OF[name])) if block is None else block
-
-    @property
+    @cached_property
     def R(self):
-        """Restriction operator, n x n_c."""
-        return self._operator("R")
+        """Restriction operator [Z; Y or I], n x n_c."""
+        return self._assemble(self.Z, 0)
 
-    @property
+    @cached_property
     def P(self):
-        """Interpolation operator, n x n_c."""
-        return self._operator("P")
+        """Interpolation operator [W; V or I], n x n_c."""
+        return self._assemble(self.W, 1)
 
     @property
     def n(self):
@@ -164,19 +153,6 @@ class TransferPair:
     def nc(self):
         return self.part.nc
 
-    @property
-    def Z(self):
-        """F-point block of R (equals Z Y when a C-block Y is present)."""
-        return self._block("Z")
-
-    @property
-    def W(self):
-        """F-point block of P (equals W V when a C-block V is present)."""
-        return self._block("W")
-
-
-_BLOCK_OF = {"R": "Z", "P": "W", "Z": "R", "W": "P"}
-
 
 def make_pair(part, Z, W):
     """The classical pair R = [Z; I], P = [W; I] in natural ordering.
@@ -185,7 +161,7 @@ def make_pair(part, Z, W):
     copied once into a read-only, C-ordered block of the pair's own, so the
     pair skips the checks and copies that TransferPair makes on operators
     passed in, and its zero_blocks are read off Z and W. R and P are
-    assembled only when read (see TransferPair).
+    assembled on first read, beside the blocks (see TransferPair).
     """
     blocks = []
     for B, name in ((Z, "Z"), (W, "W")):
@@ -214,27 +190,13 @@ _Q_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class QChoice:
+class QChoice(_TagChoice):
     """Companion-matrix choice for ideal transfer operators.
 
     Tags: identity | A | Asym | AstarA | AAstar | AinvStar | Ainv | Custom.
     """
 
-    tag: str
-    payload: np.ndarray | None = None
-
-    def __post_init__(self):
-        key = _tag_key(self.tag)
-        if key not in _Q_ALIASES:
-            raise ValueError(f"unknown Q tag {self.tag!r}; expected one of {_Q_TAGS}")
-        object.__setattr__(self, "tag", _Q_ALIASES[key])
-        if self.tag == "Custom":
-            if self.payload is None:
-                raise ValueError("Custom Q requires a payload matrix")
-            object.__setattr__(self, "payload", _frozen(as_matrix(self.payload)))
-        elif self.payload is not None:
-            raise ValueError(f"Q tag {self.tag!r} does not take a payload")
+    _WHAT, _TAGS, _ALIASES = "Q", _Q_TAGS, _Q_ALIASES
 
 
 _INVERSE_TAGS = ("Ainv", "AinvStar")
@@ -533,8 +495,8 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
     blocks are read off the companions' inverses (see _ideal_cell). store is
     A's ProblemStore, whose factors of A are used.
     """
-    store = ProblemStore(A) if store is None else store
-    store.guard()
+    store = _store_for(A, store)
+    store.lu_solve()
     anchor = _anchor_tag(anchor)
     G = realize_norm(norm, store.A, factored=True, store=store)
     return _ideal_cell(store, part, G, q, anchor, {})[0]
@@ -650,8 +612,8 @@ def catalog_pairs(A, part, store=None):
     what outlives a row is only the table's slices of Q and their anchored
     blocks.
     """
-    store = ProblemStore(A) if store is None else store
-    store.guard()
+    store = _store_for(A, store)
+    store.lu_solve()
     return _catalog_cells(store, part)
 
 
@@ -722,7 +684,7 @@ def ideal_blocks_pair(A, part, r_q, p_q, store=None):
     themselves, made from the validated A, so they are neither scanned nor
     copied again.
     """
-    store = ProblemStore(A) if store is None else store
+    store = _store_for(A, store)
     Z = _ideal_block(store, part, r_q, "Z")
     W = _ideal_block(store, part, p_q, "W")
     return TransferPair._of_blocks(part, Z, W)

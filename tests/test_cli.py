@@ -132,6 +132,19 @@ def test_converge_non_finite_epsilon_is_a_problem_config_error(epsilon, capsys):
     assert capsys.readouterr().err.startswith("compatamg: config error: --problem:")
 
 
+@pytest.mark.parametrize("args", [["--problem", "advection2d", "--n", "300"],
+                                  ["--problem", "random", "--n", "5000"]])
+def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
+        args, capsys, monkeypatch):
+    import compatamg.cli as cli
+
+    monkeypatch.setattr(cli, "generate", None)  # a call would raise TypeError
+    code = main(["converge"] + args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compatamg: config error: --problem:") and "MAX_N" in err
+
+
 @pytest.mark.parametrize("split", ["alternate", "firsthalf", "random"])
 @pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--cfrac", "1.5"),
                                          ("--cfrac", "0"), ("--cfrac", "nan")])

@@ -526,7 +526,6 @@ def test_no_dense_lu_of_a_tridiagonal_matrix_is_made(monkeypatch):
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=50, epsilon=0.05))
     store = cm.ProblemStore(A)
     orders = _count_dgetrf(monkeypatch)
-    store.guard()
     store.lu_solve()
     X = cm.realize_q("Ainv", A)
     Xt = cm.realize_q("AinvStar", A)

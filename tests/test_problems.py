@@ -114,6 +114,21 @@ def test_degenerate_sizes():
         cm.generate(cm.ProblemSpec("laplacian1d"))
 
 
+def test_the_size_bound_is_checked_on_the_spec():
+    from compatamg.problems import MAX_N
+
+    # a spec is a recipe: it is checked and refused without building A
+    cm.ProblemSpec("random", n=MAX_N)
+    cm.ProblemSpec("advection2d", nx=64, ny=MAX_N // 64)
+    with pytest.raises(ValueError, match=f"random of order {MAX_N + 1} exceeds MAX_N"):
+        cm.ProblemSpec("random", n=MAX_N + 1)
+    with pytest.raises(ValueError, match="advection2d of order 90000 exceeds MAX_N"):
+        cm.ProblemSpec("advection2d", nx=300, ny=300)
+    # a degenerate size keeps its own error, raised by generate
+    with pytest.raises(ValueError, match="nx, ny >= 2"):
+        cm.generate(cm.ProblemSpec("advection2d", nx=-300, ny=-300))
+
+
 def test_problem_spec_parsing():
     # spec kind names from other tooling are accepted as aliases
     assert cm.ProblemSpec("RandomStableNonsym", n=4).kind == "random"

@@ -504,6 +504,19 @@ def test_conv_factor_is_exactly_zero_for_a_one_sided_ideal_pair(monkeypatch, kin
     assert cm.two_grid_conv_factor(A, spec) == 0.0
 
 
+def test_reading_p_keeps_the_ideal_block_that_makes_rho_zero():
+    # single3's W is the store's own W_ideal(A); reading P leaves the pair
+    # that very block, so rho = 0 is read off it and Z_ideal(A) is not built
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
+    part = _split(40)
+    store = cm.ProblemStore(A)
+    pair = cm.ideal_blocks_pair(A, part, "identity", "A", store)
+    assert pair.P.shape == (40, part.nc)
+    method = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A, store=store)
+    assert cm.two_grid_conv_factor(A, method) == 0.0
+    assert store.peek(("ideal", "Z", "A", part)) is None
+
+
 RELAX_OPERATORS = {
     "jacobi": cm.RelaxSpec("jacobi", omega=0.6, sweeps=2),
     "fjacobi": cm.RelaxSpec("fjacobi", omega=0.7, sweeps=2),
@@ -618,4 +631,4 @@ def test_converge_path_forms_no_n_by_nc_block(name):
         tracemalloc.stop()
     assert rho == 0.0 and history[-1] < 1e-9 * history[0]
     assert peak < 8 * n * part.nc
-    assert sorted(pair._held) == ["W", "Z"]
+    assert "R" not in vars(pair) and "P" not in vars(pair)

@@ -742,15 +742,41 @@ def test_a_classical_pair_holds_its_blocks_and_assembles_r_and_p_once_on_read():
         assert got is not given and got.tobytes() == np.ascontiguousarray(given).tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
     assert pair.Z is pair.Z
+    blocks = pair.Z, pair.W
     R, P = pair.R, pair.P
     eye = np.eye(part.nc)
     assert R.tobytes() == part.assemble_rows(Z, eye).tobytes()
     assert P.tobytes() == part.assemble_rows(W, eye).tobytes()
     assert pair.R is R and pair.P is P and not R.flags.writeable
-    # an assembled operator replaces its block, which is then read off it
-    assert sorted(pair._held) == ["P", "R"]
+    # an assembled operator is kept beside its block, which stays the very one
+    assert pair.Z is blocks[0] and pair.W is blocks[1]
     assert pair.Z.tobytes() == np.ascontiguousarray(Z).tobytes()
     assert pair.W.tobytes() == W.tobytes()
+
+
+def test_every_store_taking_entry_point_rejects_the_store_of_another_matrix():
+    # a store answers for the one A it was made on: A2 with A1's store would
+    # give A1's pair, whose correction is not orthogonal on A2
+    n = 12
+    A1 = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    A2 = cm.generate(cm.ProblemSpec("random", n=n, seed=4))
+    part = _split(n)
+    other = ProblemStore(A1)
+    calls = (
+        lambda store: cm.ideal_pair(A2, part, "identity", "A", "P", store=store),
+        lambda store: cm.ideal_blocks_pair(A2, part, "A", "identity", store),
+        lambda store: cm.single_operator_pair(A2, part, "single1", store),
+        lambda store: next(cm.catalog_pairs(A2, part, store)),
+        lambda store: cm.realize_norm("AstarA", A2, factored=True, store=store),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="store must be the ProblemStore of this very A"):
+            call(other)
+        call(ProblemStore(A2))
+        call(None)
+    pair = cm.ideal_pair(A2, part, "identity", "A", "P")
+    M = cm.realize_norm("identity", A2, factored=True)
+    assert abs(cm.pi_m_norm(cm.coarse_correction(A2, pair), M) - 1.0) < 1e-12
 
 
 def test_make_pair_rejects_a_read_only_block_holding_nan():
