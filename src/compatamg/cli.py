@@ -2,12 +2,14 @@
 orthogonality claims, sweep the norm/companion catalog, check the pairing
 symmetry diagram, and run convergence studies, emitting JSON or CSV reports.
 
-Exit codes: 0 all verifications passed, 1 a verification failed, a
-converge pair was skipped or a verify-pairs case was skipped for a singular
-coarse operator R*AP, 2 malformed configuration or a construction failure.
-The COMPATAMG_THREADS environment variable caps how many independent cases
-run in parallel (default 1); output ordering is configuration order
-regardless.
+Every subcommand runs its cases through one runner, _run_cases, which
+skips a case whose measurement raises a ValueError and applies one exit
+rule: 1 when a case's pass is false or it was skipped for an incompatible
+pair, or, in converge, any case was skipped; else 0. Exit 2 is a malformed
+configuration, found before any problem is built, or a verify-pairs pair
+that fails to construct. The COMPATAMG_THREADS environment variable caps
+how many independent cases run in parallel (default 1); output ordering is
+configuration order regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -21,9 +23,7 @@ the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
 command returns. converge builds each pair through a store of its own, and
 the pair's two-grid method binds to that store: A_ff is factored there once
-for the pair's ideal blocks, its exact F-relaxation and rho. A pair whose
-construction or coarse-operator guard fails is reported as skipped, with
-its reason, and the command exits 1.
+for the pair's ideal blocks, its exact F-relaxation and rho.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,7 @@ from .solver import (
 )
 from .transfer import (
     SINGLE_OPERATOR_PAIRS,
+    QChoice,
     catalog_pairs,
     ideal_blocks_pair,
     ideal_pair,
@@ -117,20 +119,10 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def to_dict(self):
-        return {
-            "command": self.command,
-            "problem": self.problem.to_dict(),
-            "split": self.split,
-            "cfrac": self.cfrac,
-            "norms": list(self.norms),
-            "pairs": list(self.pairs),
-            "pre": dict(vars(self.pre)),
-            "post": dict(vars(self.post)),
-            "iters": self.iters,
-            "tol": self.tol,
-            "expect_orthogonal": self.expect_orthogonal,
-            "format": self.fmt,
-        }
+        d = asdict(self)
+        del d["output"]
+        d["format"] = d.pop("fmt")
+        return d
 
 
 def _map_cases(fn, items):
@@ -158,13 +150,6 @@ def _map_cases(fn, items):
     return results
 
 
-def _canon_norm(tag):
-    try:
-        return NormSpec(tag).tag
-    except ValueError as e:
-        raise ConfigError(f"--norm: {e}") from e
-
-
 def _problem_setup(cfg):
     A = generate(cfg.problem)
     part = default_splitting(
@@ -173,30 +158,23 @@ def _problem_setup(cfg):
     return A, part
 
 
-def _build_pair(store, part, recipe):
-    """Resolve one --pair recipe to (name, pair_or_None, intrinsic_norm_or_None).
+def _parse_recipe(recipe):
+    """(name, kind, args) of one --pair recipe; a malformed one is a ConfigError.
 
-    The pair is built on store.A, through the factors and ideal blocks of the
-    ProblemStore store.
+    kind is "none", "single", "t1"/"t2" (args: NormSpec, QChoice), "zw" (args:
+    the two existing paths) or "random" (args: the seed). Nothing is built.
     """
-    A = store.A
     r = recipe.strip()
-    if r == "none":
-        return r, None, None
-    if r in _SINGLE_NAMES:
-        pair, tag = single_operator_pair(A, part, r, store)
-        return r, pair, tag
+    if r == "none" or r in _SINGLE_NAMES:
+        return r, ("none" if r == "none" else "single"), ()
     if r.startswith(("t1:", "t2:")):
         bits = r.split(":")
         if len(bits) != 3:
             raise ConfigError(f"--pair: catalog recipe must be t1:<norm>:<q>, got {recipe!r}")
-        anchor = "P" if bits[0] == "t1" else "R"
         try:
-            pair = ideal_pair(A, part, bits[1], bits[2], anchor, store)
-            tag = NormSpec(bits[1]).tag
+            return r, bits[0], (NormSpec(bits[1]), QChoice(bits[2]))
         except ValueError as e:
             raise ConfigError(f"--pair {recipe!r}: {e}") from e
-        return r, pair, tag
     if r.startswith("zw:"):
         paths = r[3:].split(",")
         if len(paths) != 2:
@@ -204,62 +182,94 @@ def _build_pair(store, part, recipe):
         for p in paths:
             if not Path(p).exists():
                 raise ConfigError(f"--pair: file not found: {p}")
-        Z, W = load_matrix(paths[0]), load_matrix(paths[1])
-        return r, make_pair(part, Z, W), None
+        return r, "zw", tuple(paths)
     if r.startswith("random:"):
         try:
-            seed = int(r.split(":", 1)[1])
+            return r, "random", (int(r.split(":", 1)[1]),)
         except ValueError as e:
             raise ConfigError(f"--pair: random recipe needs an integer seed: {recipe!r}") from e
-        rng = np.random.default_rng(seed)
+    raise ConfigError(f"--pair: unknown recipe {recipe!r}")
+
+
+def _build_pair(store, part, recipe):
+    """(name, pair_or_None, intrinsic_norm_or_None) of a recipe that _config_from_args
+    has checked, built on store.A through the ProblemStore store's factors and
+    ideal blocks; a failure to construct is a ValueError."""
+    name, kind, args = _parse_recipe(recipe)
+    if kind == "none":
+        return name, None, None
+    if kind == "single":
+        return (name,) + single_operator_pair(store.A, part, name, store)
+    if kind in ("t1", "t2"):
+        norm, q = args
+        anchor = "P" if kind == "t1" else "R"
+        return name, ideal_pair(store.A, part, norm, q, anchor, store), norm.tag
+    if kind == "zw":
+        Z, W = (load_matrix(p) for p in args)
+    else:
+        rng = np.random.default_rng(args[0])
         Z = rng.standard_normal((part.nf, part.nc))
         W = rng.standard_normal((part.nf, part.nc))
-        return r, make_pair(part, Z, W), None
-    raise ConfigError(f"--pair: unknown recipe {recipe!r}")
+    return name, make_pair(part, Z, W), None
+
+
+def _run_cases(cases, every_skip_fails=False):
+    """Measure each (record head, expected, measure) case: (exit code, records, passed).
+
+    A record is its head updated with what measure() returns. A ValueError
+    from measure, such as a norm not defined on A or a singular R*AP, skips
+    that case only, with the error text as reason and pass false if it was
+    expected to verify; a ConfigError stops the command. The command fails
+    on a false pass, an incompatible-pair skip and, with every_skip_fails,
+    any skip.
+    """
+    def run(case):
+        head, expected, measure = case
+        rec = dict(head)
+        try:
+            rec.update(measure())
+        except ConfigError:
+            raise
+        except ValueError as e:
+            rec.update(skipped=True, reason=str(e))
+            if expected:
+                rec["pass"] = False
+        return rec
+
+    results = _map_cases(run, cases)
+    failed = [
+        r for r in results
+        if r.get("pass") is False
+        or r.get("reason", "").startswith(INCOMPATIBLE)
+        or (every_skip_fails and r.get("skipped"))
+    ]
+    return (1 if failed else 0), results, not failed
 
 
 def cmd_verify_pairs(cfg):
     A, part = _problem_setup(cfg)
-    if not cfg.pairs:
-        raise ConfigError("--pair: at least one pair recipe is required")
-    norms = [_canon_norm(t) for t in cfg.norms]
+    norms = [NormSpec(t).tag for t in cfg.norms]
     store = ProblemStore(A)
+
+    def measure(pair, tag, expected):
+        M = realize_norm(tag, A, factored=True, store=store)
+        rec = projection_report(A, pair, M, cfg.tol)
+        if expected:
+            rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
+        return rec
 
     def cases():
         # each pair is built when its first case is drawn and dropped after
         # its last, so one pair at a time is held besides the cases in flight
         for recipe in cfg.pairs:
             name, pair, intrinsic = _build_pair(store, part, recipe)
-            if pair is None:
-                raise ConfigError(f"--pair: recipe {name!r} builds no pair; not usable here")
             for tag in norms or [intrinsic or "identity"]:
                 expected = cfg.expect_orthogonal or (intrinsic is not None and tag == intrinsic)
-                yield name, pair, tag, expected
+                head = {"pair": name, "norm": tag, "expected_orthogonal": expected}
+                yield head, expected, partial(measure, pair, tag, expected)
             del pair
 
-    def run(case):
-        name, pair, tag, expected = case
-        rec = {"pair": name, "norm": tag, "expected_orthogonal": expected}
-        try:
-            M = realize_norm(tag, A, factored=True, store=store)
-            rec.update(projection_report(A, pair, M, cfg.tol))
-        except ValueError as e:
-            # a norm not defined on A, or a singular R*AP (SingularMatrixError
-            # is a ValueError), skips this case only, not the batch
-            rec.update(skipped=True, reason=str(e))
-            if expected:
-                rec["pass"] = False
-            return rec
-        if expected:
-            rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
-        return rec
-
-    results = _map_cases(run, cases())
-    failed = [
-        r for r in results
-        if r.get("pass") is False or r.get("reason", "").startswith(INCOMPATIBLE)
-    ]
-    return (1 if failed else 0), results, not failed
+    return _run_cases(cases())
 
 
 def cmd_figure1(cfg):
@@ -268,28 +278,17 @@ def cmd_figure1(cfg):
     # built once, in the store
     store = ProblemStore(A)
 
-    def run(edge):
-        style, norm, r_q, p_q = edge
-        rec = {
-            "edge": f"R({r_q})-P({p_q})",
-            "style": style,
-            "r_q": r_q,
-            "p_q": p_q,
-            "norm": norm,
-        }
-        try:
-            M = realize_norm(norm, A, factored=True, store=store)
-            corr = coarse_correction(A, ideal_blocks_pair(A, part, r_q, p_q, store))
-        except ValueError as e:  # a SingularMatrixError is a ValueError
-            rec.update(skipped=True, reason=str(e))
-            return rec
-        rec["pi_norm"] = float(pi_m_norm(corr, M))
-        rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
-        return rec
+    def measure(norm, r_q, p_q):
+        M = realize_norm(norm, A, factored=True, store=store)
+        corr = coarse_correction(A, ideal_blocks_pair(A, part, r_q, p_q, store))
+        pi_norm = float(pi_m_norm(corr, M))
+        return {"pi_norm": pi_norm, "pass": abs(pi_norm - 1.0) <= cfg.tol}
 
-    results = _map_cases(run, FIGURE_EDGES)
-    failed = [r for r in results if r.get("pass") is False]
-    return (1 if failed else 0), results, not failed
+    return _run_cases(
+        ({"edge": f"R({r_q})-P({p_q})", "style": style, "r_q": r_q, "p_q": p_q, "norm": norm},
+         False, partial(measure, norm, r_q, p_q))
+        for style, norm, r_q, p_q in FIGURE_EDGES
+    )
 
 
 def cmd_tables(cfg):
@@ -298,65 +297,54 @@ def cmd_tables(cfg):
     # sweep has decided each norm's preconditions in the same store
     store = ProblemStore(A)
 
-    def run(entry):
-        rec = {
-            "table": entry.table,
-            "norm": entry.norm,
-            "q": entry.q,
-            "anchor": entry.anchor,
-            "companion_expr": entry.companion_expr,
-        }
-        if entry.label:
-            rec["label"] = entry.label
+    def measure(entry):
         if entry.skipped:
-            rec.update(skipped=True, reason=entry.reason)
-            return rec
+            raise ValueError(entry.reason)
         M = realize_norm(entry.norm, A, factored=True, store=store)
         corr = coarse_correction(A, entry.pair)
-        rec["pi_norm"] = float(pi_m_norm(corr, M))
-        rec["compat_eq"] = verify_compat_equation(A, M, corr)
-        rec["pass"] = rec["compat_eq"] and abs(rec["pi_norm"] - 1.0) <= cfg.tol
+        pi_norm = float(pi_m_norm(corr, M))
+        compat_eq = verify_compat_equation(A, M, corr)
+        return {"pi_norm": pi_norm, "compat_eq": compat_eq,
+                "pass": compat_eq and abs(pi_norm - 1.0) <= cfg.tol}
+
+    def head(entry):
+        rec = {k: getattr(entry, k) for k in ("table", "norm", "q", "anchor", "companion_expr")}
+        if entry.label:
+            rec["label"] = entry.label
         return rec
 
     # each cell is built as the sweep reaches it, and its pair is dropped
     # once it is measured
-    results = _map_cases(run, catalog_pairs(A, part, store))
-    failed = [r for r in results if r.get("pass") is False]
-    return (1 if failed else 0), results, not failed
+    return _run_cases((head(e), False, partial(measure, e))
+                      for e in catalog_pairs(A, part, store))
 
 
 def cmd_converge(cfg):
     A, part = _problem_setup(cfg)
-    recipes = cfg.pairs or ["single1"]
     rng = np.random.default_rng(cfg.problem.seed)
     b = rng.standard_normal(A.shape[0])
     x0 = np.zeros(A.shape[0])
 
-    def run(recipe):
+    def measure(recipe):
         # each pair is built when its case runs, through a store of its own
         # that its method binds to, so A_ff is factored once per pair and no
         # ideal block outlives its pair
         store = ProblemStore(A)
-        try:
-            name, pair, _ = _build_pair(store, part, recipe)
-            spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=store.A, store=store)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            return {"pair": recipe.strip(), "skipped": True, "reason": str(e)}
+        _, pair, _ = _build_pair(store, part, recipe)
+        spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=store.A, store=store)
         rho = two_grid_conv_factor(spec.A, spec)
         history = iterate(spec.A, spec, b, x0, cfg.iters)
         return {
-            "pair": name,
             "rho": float(rho),
             "observed_rate": float(observed_rate(history)),
             "divergent": bool(rho > 1.0 + DIVERGENCE_MARGIN),
             "history": [float(r) for r in history],
         }
 
-    results = _map_cases(run, recipes)
-    skipped = [r for r in results if r.get("skipped")]
-    return (1 if skipped else 0), results, not skipped
+    return _run_cases(
+        (({"pair": r.strip()}, False, partial(measure, r)) for r in cfg.pairs or ["single1"]),
+        every_skip_fails=True,
+    )
 
 
 _COMMANDS = {
@@ -433,7 +421,7 @@ def _config_from_args(args):
         problem = ProblemSpec(**kwargs)
     except ValueError as e:
         raise ConfigError(f"--problem: {e}") from e
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         command=args.command,
         problem=problem,
         split=args.split,
@@ -448,6 +436,21 @@ def _config_from_args(args):
         output=args.output,
         fmt=args.fmt,
     )
+    # the recipes of the commands that read them, checked before any problem is built
+    if cfg.command == "verify-pairs":
+        if not cfg.pairs:
+            raise ConfigError("--pair: at least one pair recipe is required")
+        for tag in cfg.norms:
+            try:
+                NormSpec(tag)
+            except ValueError as e:
+                raise ConfigError(f"--norm: {e}") from e
+    if cfg.command in ("verify-pairs", "converge"):
+        for recipe in cfg.pairs:
+            name, kind, _ = _parse_recipe(recipe)
+            if kind == "none" and cfg.command == "verify-pairs":
+                raise ConfigError(f"--pair: recipe {name!r} builds no pair; not usable here")
+    return cfg
 
 
 def _finite_or_null(obj):
@@ -525,23 +528,19 @@ def main(argv=None):
     try:
         cfg = _config_from_args(args)
         code, results, passed = _COMMANDS[cfg.command](cfg)
+        report = {
+            "command": cfg.command,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "config": cfg.to_dict(),
+            "passed": passed,
+            "results": results,
+        }
+        _write_report(report, cfg)
     except ConfigError as e:
         print(f"compatamg: config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, FileNotFoundError) as e:
         print(f"compatamg: construction error: {e}", file=sys.stderr)
-        return 2
-    report = {
-        "command": cfg.command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": cfg.to_dict(),
-        "passed": passed,
-        "results": results,
-    }
-    try:
-        _write_report(report, cfg)
-    except ConfigError as e:
-        print(f"compatamg: config error: {e}", file=sys.stderr)
         return 2
     return code
 

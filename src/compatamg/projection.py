@@ -52,7 +52,7 @@ B = (R*AP)^{-1} R*A. One verify-pairs case, with k = n_c, thus makes:
     G P, G^{-*} A* R     products, or triangular or LU solves (see above)
     the kernel           one thin QR of G P, one Householder QR of
                          G^{-*} A* R and one application of its reflectors
-    sin(theta_max)       the eigenvalues of one k x k Gram matrix
+    sin(theta_max)       the top eigenpair of one k x k Gram matrix
     compat_eq            one product with the k x k R factor of G P
     range_match          read off the angles
     matches_m_adjoint    one k x k solve with K, products of k columns
@@ -116,12 +116,11 @@ class CanonicalAngles:
     part of Qu outside range(Qv) in an orthonormal frame, and inner is
     Qu* Qv. The sines are the singular values of outside and the cosines
     those of inner, each sorted descending and computed only when read. The
-    largest and smallest sines come from the eigenvalues of the k x k Gram
-    matrix outside* outside; the largest keeps its relative accuracy there,
-    while the smallest loses sines far below the largest one, and serves
-    only the range rule's cos(theta_min). The largest angle theta_max is
-    read from its sine below pi/4 and from its cosine above, so it is
-    accurate in both regimes, and the cosines are read only above.
+    largest sine is ||outside v|| for the top eigenvector v of the k x k
+    Gram matrix outside* outside, which keeps its relative accuracy. The
+    largest angle theta_max is read from its sine below pi/4 and from its
+    cosine above, so it is accurate in both regimes, and the cosines are
+    read only above.
     """
 
     outside: np.ndarray = field(repr=False, compare=False)
@@ -145,14 +144,14 @@ class CanonicalAngles:
         return np.clip(np.linalg.svd(self.inner, compute_uv=False), 0.0, 1.0)
 
     @cached_property
-    def sine_range(self):
-        """(sin theta_max, sin theta_min), from the Gram matrix's eigenvalues."""
-        if self.k == 0:
-            return 0.0, 0.0
+    def sine_top(self):
+        """sin theta_max, as ||E v|| for the top eigenvector v of the Gram matrix E* E."""
+        k = self.k
+        if k == 0:
+            return 0.0
         E = self.outside
-        w = np.linalg.eigvalsh(E.T @ E)
-        lo = 0.0 if E.shape[0] < self.k else max(float(w[0]), 0.0)
-        return min(math.sqrt(max(float(w[-1]), 0.0)), 1.0), min(math.sqrt(lo), 1.0)
+        _, v = scipy.linalg.eigh(E.T @ E, subset_by_index=[k - 1, k - 1])
+        return min(float(np.linalg.norm(E @ v)), 1.0)
 
     @property
     def _extreme(self):
@@ -164,7 +163,7 @@ class CanonicalAngles:
         """
         if self.k == 0:
             return 0.0, 1.0
-        s = self.sine_range[0]
+        s = self.sine_top
         if s * s <= 0.5:
             return s, math.sqrt(1.0 - s * s)
         c = float(self.cosines[-1])
@@ -529,16 +528,14 @@ def _one_range(angles):
     stack's singular values are sqrt(1 + cos t_i) and sqrt(1 - cos t_i) =
     sin t_i / sqrt(1 + cos t_i) over the angles t_i, so its numerical rank is
     r exactly when the largest trailing value, at the largest angle, is at
-    most RANK_RTOL times the leading one, sqrt(1 + cos t_min). cos t_min is
-    read off the smallest sine and theta_max as the kernel reads it, so the
-    cosines are computed only when theta_max >= pi/4.
+    most RANK_RTOL times the leading one, sqrt(1 + cos t_min). That can hold
+    only for theta_max < 2 RANK_RTOL, where cos t_min is within one ulp of 1,
+    so the leading value is taken as sqrt(2). theta_max is read as the kernel
+    reads it, so the cosines are computed only when theta_max >= pi/4.
     """
     if angles.k == 0:
         return True
-    s = angles.sine_range[1]
-    cos_min = math.sqrt((1.0 - s) * (1.0 + s))
-    return angles.sin_max / math.sqrt(1.0 + angles.cos_max) \
-        <= RANK_RTOL * math.sqrt(1.0 + cos_min)
+    return angles.sin_max / math.sqrt(1.0 + angles.cos_max) <= RANK_RTOL * math.sqrt(2.0)
 
 
 def orthogonality_checks(pi, M, tol=1e-8):

@@ -299,9 +299,9 @@ def test_orthogonality_checks_make_no_square_svd(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("svd", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-        monkeypatch.setattr(np.linalg._linalg, name, recording(getattr(np.linalg._linalg, name)))
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
     assert cm.orthogonality_checks(corr, G).all_true
     assert shapes
     assert all(min(s[-2:]) < n for s in shapes), shapes
@@ -395,9 +395,7 @@ def _record_decompositions(monkeypatch, shapes):
     monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd, "svd"))
     monkeypatch.setattr(np.linalg._linalg, "svd", recording(np.linalg._linalg.svd, "svd"))
     monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd, "svd"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, "eigvalsh"))
-    monkeypatch.setattr(np.linalg._linalg, "eigvalsh",
-                        recording(np.linalg._linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh, "eigh"))
     monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr, "qr"))
     monkeypatch.setattr(scipy.linalg.lapack, "dormqr", recording_dormqr)
 
@@ -442,9 +440,9 @@ def _kernel_calls(n, cases):
     """The decompositions of the given number of cases of n x n/2 pairs: per
     case the kernel's economic QR of G P, raw QR of G^{-*} A* R, dormqr with
     those reflectors, and the eigenvalues of the n/2 x n/2 Gram matrix of the
-    block outside range(G^{-*} A* R), which give sin(theta_max)."""
+    block outside range(G^{-*} A* R), whose top eigenvector gives sin(theta_max)."""
     return {"qr": [(n, n // 2)] * cases, "qr raw": [(n, n // 2)] * cases,
-            "dormqr": [(n, n // 2)] * cases, "eigvalsh": [(n // 2, n // 2)] * cases}
+            "dormqr": [(n, n // 2)] * cases, "eigh": [(n // 2, n // 2)] * cases}
 
 
 def test_tables_cell_makes_two_thin_qrs_and_one_small_eigensolve(monkeypatch, tmp_path):
@@ -674,7 +672,7 @@ def _extended_sin_max(E):
 
 @pytest.mark.parametrize("kind, n", [("random", 60), ("laplacian1d", 300), ("advdiff1d", 200)])
 def test_gram_sin_max_matches_the_svd(kind, n):
-    # sin(theta_max) from the top eigenvalue of E* E keeps the relative
+    # sin(theta_max) as ||E v|| at the top eigenvector v of E* E keeps the relative
     # accuracy of the largest singular value of E, on exact pairs (sines of
     # round-off), on oblique pairs and on subspaces at prescribed angles. It
     # is within 4 eps, relative, of a long-double value, where the SVD's is
@@ -696,7 +694,7 @@ def test_gram_sin_max_matches_the_svd(kind, n):
         Y = (Q[:, :5] * np.cos(theta) + Q[:, 5:] * np.sin(theta)) @ rng.standard_normal((5, 5))
         angles.append(cm.canonical_angles(X, Y))
     for ang in angles:
-        gram, svd = ang.sine_range[0], ang.sines[0]
+        gram, svd = ang.sine_top, ang.sines[0]
         assert abs(gram - svd) <= 8 * eps * svd, (gram, svd)
         if extended:
             ref = _extended_sin_max(ang.outside)

@@ -2,13 +2,24 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import compatamg as cm
 from compatamg.cli import main
+from compatamg.problems import PROBLEM_KINDS
+from compatamg.transfer import CATALOG_NORMS, CATALOG_QS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run_json(tmp_path, args, name="out.json"):
@@ -146,18 +157,50 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
 
 
 @pytest.mark.parametrize("split", ["alternate", "firsthalf", "random"])
-@pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--cfrac", "1.5"),
-                                         ("--cfrac", "0"), ("--cfrac", "nan")])
-def test_bad_iters_and_cfrac_are_config_errors_before_any_work(flag, value, split, capsys,
-                                                              monkeypatch):
+@pytest.mark.parametrize("command, args, prefix", [
+    ("converge", ["--pair", "single1", "--post", "fexact", "--iters", "-1"], "--iters:"),
+    ("converge", ["--pair", "single1", "--post", "fexact", "--cfrac", "1.5"], "--cfrac:"),
+    ("converge", ["--pair", "single1", "--post", "fexact", "--cfrac", "0"], "--cfrac:"),
+    ("converge", ["--pair", "single1", "--post", "fexact", "--cfrac", "nan"], "--cfrac:"),
+    ("verify-pairs", ["--pair", "single1", "--norm", "bogus"], "--norm:"),
+    ("verify-pairs", [], "--pair:"),
+    ("verify-pairs", ["--pair", "none"], "--pair:"),
+    ("verify-pairs", ["--pair", "zw:/nope/z.json,/nope/w.json"], "--pair:"),
+    ("converge", ["--pair", "zw:/nope/z.json"], "--pair:"),
+    ("verify-pairs", ["--pair", "single1", "--pair", "bogus"], "--pair:"),
+    ("converge", ["--pair", "single1", "--pair", "bogus"], "--pair:"),
+    ("converge", ["--pair", "random:x"], "--pair:"),
+    ("verify-pairs", ["--pair", "t1:AstarA"], "--pair:"),
+    ("verify-pairs", ["--pair", "t1:bogus:A"], "--pair 't1:bogus:A': unknown norm tag"),
+    ("converge", ["--pair", "t2:AstarA:bogus"], "--pair 't2:AstarA:bogus': unknown Q tag"),
+])
+def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
+                                                                   split, capsys, monkeypatch):
+    # every flag and every --pair recipe is checked before a problem is built
     def no_work(*args, **kwargs):
         raise AssertionError("a problem was generated for a malformed configuration")
 
     monkeypatch.setattr("compatamg.cli.generate", no_work)
-    code = main(["converge", "--problem", "advdiff1d", "--n", "16", "--split", split,
-                 "--pair", "single1", "--post", "fexact", flag, value])
+    code = main([command, "--problem", "advdiff1d", "--n", "16", "--split", split] + args)
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"compatamg: config error: {flag}:")
+    assert capsys.readouterr().err.startswith(f"compatamg: config error: {prefix}")
+
+
+def test_a_pair_that_fails_to_construct_is_no_config_error(tmp_path, capsys):
+    # on advection1d n = 16 the companion ff-block of t1:AstarA:AAstar is
+    # singular: verify-pairs stops with a construction error, and converge
+    # skips the pair as it skips any other it cannot build
+    recipe = "t1:AstarA:AAstar"
+    args = ["--problem", "advection1d", "--n", "16", "--pair", "single1", "--pair", recipe]
+    assert main(["verify-pairs"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compatamg: construction error: ideal companion undefined")
+    code, report = _run_json(tmp_path, ["converge"] + args)
+    assert code == 1 and report["passed"] is False
+    first, bad = report["results"]
+    assert first["pair"] == "single1" and "rho" in first
+    assert bad == {"pair": recipe, "skipped": True, "reason": bad["reason"]}
+    assert "ff-block of companion is numerically singular" in bad["reason"]
 
 
 def test_zw_and_random_recipes_validate_their_blocks(tmp_path, monkeypatch):
@@ -806,3 +849,80 @@ def test_converge_threaded_equals_serial(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert reports[0] == reports[1] == reports[2]
+
+
+def _verdicts(report):
+    """What decides a report: each record's pass, compat_eq, skip, reason and checks."""
+    keys = ("pass", "compat_eq", "skipped", "reason", "orthogonality_checks")
+    return [{k: r.get(k) for k in keys} for r in report["results"]]
+
+
+@pytest.mark.parametrize("problem", [["--problem", "random", "--seed", "3"],
+                                     ["--problem", "advdiff1d", "--epsilon", "0.01"]])
+def test_verdicts_do_not_depend_on_blas_threads(tmp_path, problem):
+    # BLAS may round differently with one thread and with two; no verdict,
+    # skip or exit code may follow those bits
+    commands = [["verify-pairs", "--pair", "single1", "--pair", "single2", "--pair", "single3",
+                 "--pair", "single4", "--pair", "random:5"], ["tables"]]
+    for command in commands:
+        runs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"{command[0]}-{blas}.json"
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=blas,
+                       COMPATAMG_THREADS="1")
+            proc = subprocess.run(
+                [sys.executable, "-m", "compatamg.cli"] + command + problem
+                + ["--n", "24", "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            report = json.loads(out.read_text())
+            runs.append((proc.returncode, report["passed"], _verdicts(report)))
+        assert runs[0] == runs[1], command[0]
+        assert runs[0][2], command[0]
+
+
+_RECIPES = st.one_of(
+    st.sampled_from(["single1", "single2", "single3", "single4", "none", "bogus"]),
+    st.builds("{}:{}:{}".format, st.sampled_from(["t1", "t2"]), st.sampled_from(CATALOG_NORMS),
+              st.sampled_from(CATALOG_QS + ("Ainv", "AinvStar"))),
+    st.integers(0, 99).map("random:{}".format),
+)
+_NORMS = st.sampled_from(["identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA",
+                          "bogus"])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["verify-pairs", "figure1", "tables", "converge"]),
+       kind=st.sampled_from(PROBLEM_KINDS), n=st.integers(4, 24),
+       split=st.sampled_from(["alternate", "firsthalf", "random"]), seed=st.integers(0, 999),
+       recipes=st.lists(_RECIPES, max_size=3), norms=st.lists(_NORMS, max_size=2),
+       expect=st.booleans())
+def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recipes, norms,
+                                            expect):
+    # exit 0, 1 or 2 whatever the input; a report is strict JSON, says
+    # passed exactly on exit 0 and does not depend on COMPATAMG_THREADS;
+    # exit 2 writes nothing
+    size = ["--nx", "2", "--ny", str(n // 2)] if kind == "advection2d" else ["--n", str(n)]
+    args = [command, "--problem", kind, "--split", split, "--seed", str(seed)] + size
+    if expect and command == "verify-pairs":
+        args.append("--expect-orthogonal")
+    for recipe in recipes:
+        args += ["--pair", recipe]
+    for tag in norms:
+        args += ["--norm", tag]
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for threads in ("1", "2"):
+            out = Path(tmp) / f"{threads}.json"
+            with mock.patch.dict(os.environ, {"COMPATAMG_THREADS": threads}):
+                code = main(args + ["--output", str(out)])
+            assert code in (0, 1, 2), args
+            if code == 2:
+                assert not out.exists(), args
+                return
+            report = json.loads(out.read_text(), parse_constant=_reject_constant)
+            assert report["passed"] == (code == 0), args
+            report.pop("timestamp")
+            reports.append((code, report))
+        assert reports[0] == reports[1], args
