@@ -7,9 +7,9 @@ skips a case whose measurement raises a ValueError and applies one exit
 rule: 1 when a case's pass is false or it was skipped for an incompatible
 pair, or, in converge, any case was skipped; else 0. Exit 2 is a malformed
 configuration, found before any problem is built, or a verify-pairs pair
-that fails to construct. The COMPATAMG_THREADS environment variable caps
-how many independent cases run in parallel (default 1); output ordering is
-configuration order regardless.
+that fails to construct, whose message ends with its --pair recipe. The
+COMPATAMG_THREADS environment variable caps how many independent cases run
+in parallel (default 1); output ordering is configuration order regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -162,7 +162,8 @@ def _parse_recipe(recipe):
     """(name, kind, args) of one --pair recipe; a malformed one is a ConfigError.
 
     kind is "none", "single", "t1"/"t2" (args: NormSpec, QChoice), "zw" (args:
-    the two existing paths) or "random" (args: the seed). Nothing is built.
+    the paths of two regular files) or "random" (args: the seed). Nothing is
+    built.
     """
     r = recipe.strip()
     if r == "none" or r in _SINGLE_NAMES:
@@ -182,6 +183,8 @@ def _parse_recipe(recipe):
         for p in paths:
             if not Path(p).exists():
                 raise ConfigError(f"--pair: file not found: {p}")
+            if not Path(p).is_file():
+                raise ConfigError(f"--pair: not a regular file: {p}")
         return r, "zw", tuple(paths)
     if r.startswith("random:"):
         try:
@@ -262,7 +265,10 @@ def cmd_verify_pairs(cfg):
         # each pair is built when its first case is drawn and dropped after
         # its last, so one pair at a time is held besides the cases in flight
         for recipe in cfg.pairs:
-            name, pair, intrinsic = _build_pair(store, part, recipe)
+            try:
+                name, pair, intrinsic = _build_pair(store, part, recipe)
+            except ValueError as e:
+                raise ValueError(f"{e} (--pair {recipe.strip()})") from e
             for tag in norms or [intrinsic or "identity"]:
                 expected = cfg.expect_orthogonal or (intrinsic is not None and tag == intrinsic)
                 head = {"pair": name, "norm": tag, "expected_orthogonal": expected}
@@ -436,7 +442,12 @@ def _config_from_args(args):
         output=args.output,
         fmt=args.fmt,
     )
-    # the recipes of the commands that read them, checked before any problem is built
+    # the recipes of the commands that read them, checked before any problem
+    # is built; a command refuses the tags and recipes it never reads
+    if cfg.norms and cfg.command != "verify-pairs":
+        raise ConfigError(f"--norm: {cfg.command} reads no norm tag")
+    if cfg.pairs and cfg.command not in ("verify-pairs", "converge"):
+        raise ConfigError(f"--pair: {cfg.command} reads no pair recipe")
     if cfg.command == "verify-pairs":
         if not cfg.pairs:
             raise ConfigError("--pair: at least one pair recipe is required")

@@ -3,6 +3,10 @@
 The JSON layout is {"rows": r, "cols": c, "data": [...]} with data in
 row-major order, written with 17 significant digits so doubles survive a
 round trip.
+
+scipy.io is imported by the two MatrixMarket functions, on first use, so a
+program that reads and writes no MatrixMarket file does not load it (nor the
+scipy.sparse it imports).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy import io as spio
 
 from .linalg import as_matrix
 
@@ -40,19 +43,23 @@ def load_matrix_json(path):
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
     except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: expected keys rows/cols/data ({e})") from e
+        raise ValueError(f"expected keys rows/cols/data ({e})") from e
     if len(data) != rows * cols:
-        raise ValueError(f"{path}: data length {len(data)} != rows*cols {rows * cols}")
+        raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
     return np.array(data, dtype=float).reshape(rows, cols)
 
 
 def save_matrix_market(path, A):
+    from scipy import io as spio
+
     spio.mmwrite(str(path), as_matrix(A), precision=17)
 
 
 def load_matrix_market(path):
+    from scipy import io as spio
+
     M = spio.mmread(str(path))
     if hasattr(M, "toarray"):
         M = M.toarray()
@@ -60,10 +67,16 @@ def load_matrix_market(path):
 
 
 def load_matrix(path):
-    """Load a matrix, dispatching on the file suffix (.json vs MatrixMarket)."""
+    """Load a matrix, dispatching on the file suffix (.json vs MatrixMarket).
+
+    A missing file is a FileNotFoundError; any other read or parse failure is
+    a ValueError whose message starts with the path.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"matrix file not found: {path}")
-    if p.suffix.lower() == ".json":
-        return load_matrix_json(p)
-    return load_matrix_market(p)
+    load = load_matrix_json if p.suffix.lower() == ".json" else load_matrix_market
+    try:
+        return load(p)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e

@@ -173,6 +173,13 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
     ("verify-pairs", ["--pair", "t1:AstarA"], "--pair:"),
     ("verify-pairs", ["--pair", "t1:bogus:A"], "--pair 't1:bogus:A': unknown norm tag"),
     ("converge", ["--pair", "t2:AstarA:bogus"], "--pair 't2:AstarA:bogus': unknown Q tag"),
+    ("verify-pairs", ["--pair", "zw:/,/"], "--pair: not a regular file: /"),
+    ("converge", ["--pair", "zw:/,/"], "--pair: not a regular file: /"),
+    ("tables", ["--norm", "identity"], "--norm: tables reads no norm tag"),
+    ("figure1", ["--norm", "A"], "--norm: figure1 reads no norm tag"),
+    ("converge", ["--pair", "single1", "--norm", "Asym"], "--norm: converge reads no norm tag"),
+    ("tables", ["--pair", "single1"], "--pair: tables reads no pair recipe"),
+    ("figure1", ["--pair", "none"], "--pair: figure1 reads no pair recipe"),
 ])
 def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
                                                                    split, capsys, monkeypatch):
@@ -195,12 +202,31 @@ def test_a_pair_that_fails_to_construct_is_no_config_error(tmp_path, capsys):
     assert main(["verify-pairs"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("compatamg: construction error: ideal companion undefined")
+    assert err.endswith(f" (--pair {recipe})\n")
     code, report = _run_json(tmp_path, ["converge"] + args)
     assert code == 1 and report["passed"] is False
     first, bad = report["results"]
     assert first["pair"] == "single1" and "rho" in first
     assert bad == {"pair": recipe, "skipped": True, "reason": bad["reason"]}
     assert "ff-block of companion is numerically singular" in bad["reason"]
+
+
+@pytest.mark.parametrize("name, content", [("z.mtx", b"hello world\n"),
+                                           ("z.json", b'{"rows": 2, "cols'),
+                                           ("z.json", bytes(range(256)))],
+                         ids=["garbage-mtx", "truncated-json", "binary-json"])
+def test_an_unreadable_zw_file_is_named_with_its_recipe(tmp_path, capsys, name, content):
+    zp, wp = tmp_path / name, tmp_path / "w.json"
+    zp.write_bytes(content)
+    cm.save_matrix_json(wp, np.ones((4, 4)))
+    recipe = f"zw:{zp},{wp}"
+    out = tmp_path / "out.json"
+    code = main(["verify-pairs", "--problem", "advection1d", "--n", "8", "--pair", "single1",
+                 "--pair", recipe, "--output", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"compatamg: construction error: {zp}: ")
+    assert err.endswith(f" (--pair {recipe})\n")
 
 
 def test_zw_and_random_recipes_validate_their_blocks(tmp_path, monkeypatch):
@@ -902,15 +928,18 @@ def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recip
                                             expect):
     # exit 0, 1 or 2 whatever the input; a report is strict JSON, says
     # passed exactly on exit 0 and does not depend on COMPATAMG_THREADS;
-    # exit 2 writes nothing
+    # exit 2 writes nothing. Each flag is given only to the commands that
+    # read it: the others refuse it
     size = ["--nx", "2", "--ny", str(n // 2)] if kind == "advection2d" else ["--n", str(n)]
     args = [command, "--problem", kind, "--split", split, "--seed", str(seed)] + size
     if expect and command == "verify-pairs":
         args.append("--expect-orthogonal")
-    for recipe in recipes:
-        args += ["--pair", recipe]
-    for tag in norms:
-        args += ["--norm", tag]
+    if command in ("verify-pairs", "converge"):
+        for recipe in recipes:
+            args += ["--pair", recipe]
+    if command == "verify-pairs":
+        for tag in norms:
+            args += ["--norm", tag]
     with tempfile.TemporaryDirectory() as tmp:
         reports = []
         for threads in ("1", "2"):

@@ -1,11 +1,17 @@
-"""Matrix file round trips."""
+"""Matrix file round trips, load errors and the deferred scipy.io import."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compatamg as cm
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_json_roundtrip(tmp_path):
@@ -51,3 +57,45 @@ def test_load_matrix_dispatch(tmp_path):
     np.testing.assert_allclose(cm.load_matrix(pm), A, rtol=0, atol=1e-16)
     with pytest.raises(FileNotFoundError):
         cm.load_matrix(tmp_path / "missing.mtx")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("garbage.mtx", b"hello world\n"),
+    ("short.mtx", b"%%MatrixMarket matrix array real general\n3 3\n1.0\n2.0\n"),
+    ("truncated.json", b'{"rows": 2, "cols'),
+    ("binary.json", bytes(range(256))),
+    ("binary.mtx", bytes(range(256))),
+    ("shape.json", b'{"rows": 2, "cols": 2, "data": 7}'),
+    ("directory.json", None),
+    ("directory.mtx", None),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_load_errors_name_their_file(tmp_path, name, content):
+    p = tmp_path / name
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        cm.load_matrix(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+def test_scipy_io_loads_only_for_matrix_market_files(tmp_path):
+    # importing the command line loads neither scipy.io nor the scipy.sparse
+    # it imports; the first MatrixMarket write or read loads it
+    script = f"""
+import sys
+import numpy as np
+import compatamg.cli
+from compatamg import matio
+assert not [m for m in sys.modules if m.startswith(("scipy.io", "scipy.sparse"))]
+A = np.arange(6.0).reshape(2, 3) / 7.0
+matio.save_matrix_market({str(tmp_path / "a.mtx")!r}, A)
+assert "scipy.io" in sys.modules
+B = matio.load_matrix({str(tmp_path / "a.mtx")!r})
+assert np.array_equal(A, B), B
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
