@@ -101,6 +101,10 @@ _SINGLE_NAMES = tuple(rec["name"] for rec in SINGLE_OPERATOR_PAIRS)
 # exactly and is computed as 1 + O(eps).
 DIVERGENCE_MARGIN = 1e-8
 
+# verify-pairs, tables and figure1 pass a case when |pi_norm - 1| <= --tol,
+# by default this; converge reads no tolerance, and its reports list this one.
+_DEFAULT_TOL = 1e-8
+
 
 @dataclass
 class ExperimentConfig:
@@ -113,7 +117,7 @@ class ExperimentConfig:
     pre: RelaxSpec = RelaxSpec("none")
     post: RelaxSpec = RelaxSpec("none")
     iters: int = 30
-    tol: float = 1e-8
+    tol: float = _DEFAULT_TOL
     expect_orthogonal: bool = False
     output: str | None = None
     fmt: str = "json"
@@ -396,7 +400,7 @@ def _build_parser():
         p.add_argument("--cfrac", type=float, default=0.5)
         p.add_argument("--norm", action="append", default=[], metavar="TAG")
         p.add_argument("--pair", action="append", default=[], metavar="RECIPE")
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--output", default=None, metavar="PATH")
         p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
         if name == "verify-pairs":
@@ -409,8 +413,11 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ConfigError(f"--tol: must be a finite number >= 0, got {args.tol!r}")
+    if args.tol is not None and args.command == "converge":
+        raise ConfigError("--tol: converge reads no tolerance")
+    tol = _DEFAULT_TOL if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol: must be a finite number >= 0, got {tol!r}")
     # checked for every --split, before any problem is built
     if not 0.0 < args.cfrac < 1.0:
         raise ConfigError(f"--cfrac: must lie strictly between 0 and 1, got {args.cfrac!r}")
@@ -437,7 +444,7 @@ def _config_from_args(args):
         pre=_relax_from_recipe(getattr(args, "pre", "none"), "--pre"),
         post=_relax_from_recipe(getattr(args, "post", "none"), "--post"),
         iters=iters,
-        tol=args.tol,
+        tol=tol,
         expect_orthogonal=getattr(args, "expect_orthogonal", False),
         output=args.output,
         fmt=args.fmt,

@@ -192,7 +192,7 @@ def _tridiagonal_rows(diags, part, B, rows, trans=0):
     return Y
 
 
-def _guarded_lu(A, what):
+def _guarded_lu(A, what, norm=None):
     """The factor of A, after rejecting A as numerically singular.
 
     A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
@@ -201,7 +201,10 @@ def _guarded_lu(A, what):
     from that factor by dgtcon, in O(n). Any other A is factored by dgetrf
     into (lu, piv) and estimated by dgecon. An exactly zero pivot reads as
     an infinite estimate. Both factorizations call LAPACK directly, so an
-    exactly singular A raises without a LinAlgWarning.
+    exactly singular A raises without a LinAlgWarning. With norm given, the
+    estimate is norm * ||A^{-1}||_1 instead of ||A||_1 ||A^{-1}||_1: a block
+    of a matrix X, judged against ||X||_1, is singular when it is round-off
+    relative to X.
     """
     A = as_matrix(A, what)
     if A.shape[0] != A.shape[1]:
@@ -215,14 +218,14 @@ def _guarded_lu(A, what):
             dl, cols, du = (np.abs(v) for v in diags)  # cols: column sums of |A|
             cols[:-1] += dl
             cols[1:] += du
-            rcond, _ = lapack.dgtcon(*factor, cols.max())
+            rcond, _ = lapack.dgtcon(*factor, cols.max() if norm is None else norm)
             if rcond > 0.0:
                 c = 1.0 / rcond
     elif A.size:
         lu, piv, info = lapack.dgetrf(A)
         factor = lu, piv
         if info == 0:
-            rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1))
+            rcond, _ = lapack.dgecon(lu, np.linalg.norm(A, 1) if norm is None else norm)
             if rcond > 0.0:
                 c = 1.0 / rcond
     if not np.isfinite(c) or c > COND_LIMIT:
@@ -238,17 +241,19 @@ def require_nonsingular(A, what="matrix"):
     _guarded_lu(A, what)
 
 
-def lu_solver(A, what="matrix"):
+def lu_solver(A, what="matrix", norm=None):
     """Guard A as require_nonsingular does and return a solve against its factor.
 
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
+    norm, when given, is the 1-norm the condition estimate is taken against
+    in place of ||A||_1 (see _guarded_lu).
     A tridiagonal A, a diagonal one included, is solved against the guard's
     dgttrf factor (dgttrs) in O(n) per right-hand side; any other A against
     the guard's LU by two triangular solves. The solve is safe to share
     between threads: scipy's getrs wrapper shifts the pivot indices in place
     during each call, so every solve gets its own copy of them.
     """
-    factor = _guarded_lu(A, what)
+    factor = _guarded_lu(A, what, norm)
     if len(factor) == 5:
         def solve(X, trans=0):
             return lapack.dgttrs(*factor, X, trans="NT"[trans])[0]

@@ -63,6 +63,8 @@ def load_matrix_market(path):
     M = spio.mmread(str(path))
     if hasattr(M, "toarray"):
         M = M.toarray()
+    if np.iscomplexobj(M):
+        raise ValueError("complex entries: a real matrix is required")
     return np.asarray(M, dtype=float)
 
 

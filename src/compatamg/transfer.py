@@ -2,9 +2,11 @@
 
 Provides ideal F-point blocks W and Z for an arbitrary companion matrix,
 closed-form compatible W-from-Z and Z-from-W solves for the identity and A*A
-norms, an anchored pair constructor that makes the coarse-grid correction
-orthogonal in any chosen SPD norm, and an exhaustive catalog sweep over the
-standard norm/companion combinations.
+norms, and one compatible completion (_complete) that derives the partner
+of a given block in any SPD norm by one n_c x n_c solve. On it rest the
+general W-from-Z solve, the anchored pair constructor that makes the
+coarse-grid correction orthogonal in any chosen SPD norm, and the
+exhaustive catalog sweep over the standard norm/companion combinations.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import numpy as np
 from .linalg import (
     CFPartition,
     NormSpec,
+    ProblemStore,
     SingularMatrixError,
     _TagChoice,
     _frozen,
     _store_for,
     as_matrix,
+    as_norm_factor,
     lu_solver,
     orth_basis,
     partition,
@@ -201,6 +205,7 @@ class QChoice(_TagChoice):
 
 _INVERSE_TAGS = ("Ainv", "AinvStar")
 _FF = "ff-block of companion"  # guard name of a companion's ff-block
+_CC = "C-block of compatible completion"  # guard name of X[C] in _complete
 
 
 def _choice(q):
@@ -334,97 +339,51 @@ def compatible_z_from_w(A, W, norm="identity"):
 
 
 def compatible_w_from_z_general(A, Z, M):
-    """W from Z for an arbitrary SPD norm matrix M.
+    """W from Z for an arbitrary SPD norm matrix M, dense or a NormFactor.
 
-    Solves the rank-compatibility condition M [W; I] = A* [Z; I] B_R for W and
-    the free coarse scaling B_R jointly (one square linear system per coarse
-    column, with the interpolation-side scaling pinned to the identity). A
-    singular system or coarse scaling raises SingularMatrixError. From the Z
-    and M of every computable catalog cell it gives the cell's W back, with
-    an M-orthogonal correction (tested on four problem kinds).
+    The rank-compatibility condition M [W; I] = A* [Z; I] B fixes
+    range([W; I]) as that of M^{-1} A* [Z; I], so W is read off those n_c
+    columns by one guarded n_c x n_c solve (see _complete); no n x n system
+    is formed. A singular completion raises SingularMatrixError. From the Z
+    and norm of every catalog cell it gives the cell's W back, with an
+    M-orthogonal correction.
     """
     Z = as_matrix(Z, "Z")
-    part = A.part
-    nf, nc = part.nf, part.nc
-    Mf = part.to_ffirst(as_matrix(M, "M"))
-    Af = part.to_ffirst(A.base)
-    Rf = np.vstack([Z, np.eye(nc)])
-    G = Af.T @ Rf
-    K = np.hstack([Mf[:, :nf], -G])
     try:
-        X = solve_checked(K, -Mf[:, nf:], "compatibility system")
+        return _complete(ProblemStore(A.base), as_norm_factor(M), A.part, "R", Z)
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{_NO_W}: {e}") from e
-    W, B_R = X[:nf], X[nf:]
-    try:
-        require_nonsingular(B_R, "coarse scaling")
-    except SingularMatrixError as e:
-        raise SingularMatrixError(f"{_NO_W}: {e}") from e
-    return W
 
 
-def _anchored_column(store, part, q, anchor):
-    """What every cell of companion q shares in one table, computed once per table.
+def _complete(store, G, part, anchor, block):
+    """The F-block of the operator compatible with [block; I] in the norm M = G* G.
 
-    Returns (qf, block, reason): block is W of Q for anchor P and Z of Q for
-    anchor R; where it is undefined, qf and block are None and reason says
-    why. Q = B^{-1} (B = A or A*) is not realized: qf is B[:, C] for anchor
-    P and B*[:, C] for R. Any other Q is realized in full, so it keeps its
-    bits, and qf is the slice its companion reads, Q[F, :] or Q[:, F].
+    Anchor "P" takes block as W and returns Z, since R spans A^{-*} M P;
+    anchor "R" takes Z and returns W, since P spans M^{-1} A* R. Where G
+    holds H = G^{-*} A*, A^{-*} G* = H^{-1} and G^{-*} A* = H, so no solve
+    with A is made; otherwise A^{-*} is the store's factor of A. The
+    completion X is n x n_c, and the block is X[F] X[C]^{-1}, C-ordered, by
+    one solve with X[C] (see _inverse_block), guarded against ||X||_1: a
+    C-block that is round-off relative to X is singular. For the ideal block
+    of a companion Q this is the ideal block of the derived companion,
+    A M^{-1} Q* or Q* A^{-*} M, which is never formed.
     """
-    choice = _choice(q)
-    side = "W" if anchor == "P" else "Z"
-    try:
-        if choice.tag in _INVERSE_TAGS:
-            block = _ideal_block(store, part, choice, side)
-            return _inverse_columns(store.A, part, choice.tag, side)[0], block, None
-        Qm = realize_q(choice, store.A)
-        Qp = partition(Qm, part)
-        block = ideal_w(Qp) if anchor == "P" else ideal_z(Qp)
-    except SingularMatrixError as e:
-        return None, None, str(e)
-    f = part.fidx
-    return (Qm[f] if anchor == "P" else Qm[:, f]), block, None
-
-
-def _norm_product(store, G, X, op, adj=False):
-    """A M^{-1} X (op "AM") or M A^{-1} X (op "MA") for M = G* G, or with adj
-    their adjoints M^{-1} A* X and A^{-*} M X. Where G holds H = G^{-*} A*,
-    A G^{-1} = H* and G A^{-1} = H^{-*}, so A A^{-1} cancels; otherwise A^{-1}
-    is a solve against the store's factor of A.
-    """
-    A, H = store.A, G.H
-    if op == "AM":
-        if adj:
-            return G.solve(G.solve_adj(A.T @ X) if H is None else H.apply(X))
-        X = G.solve_adj(X)
-        return A @ G.solve(X) if H is None else H.apply_adj(X)
-    if adj:
-        X = G.apply(X)
-        return store.lu_solve()(G.apply_adj(X), trans=1) if H is None else H.solve(X)
-    X = G.apply(store.lu_solve()(X)) if H is None else H.solve_adj(X)
-    return G.apply_adj(X)
-
-
-def _companion(store, G, qf, anchor):
-    """The slice of a cell's companion matrix that its ideal block reads.
-
-    G is the factor of the cell's norm M = G* G and qf the slice of Q from
-    _anchored_column. Anchor P pairs P_ideal(Q) with R_ideal(A M^{-1} Q*),
-    whose ideal_z reads only its F columns, A M^{-1} Q[F, :]*; anchor R pairs
-    R_ideal(Q) with P_ideal(Q* A^{-*} M), whose ideal_w reads only its F
-    rows, (M A^{-1} Q[:, F])*.
-    """
+    X = part.assemble_rows(block, np.eye(part.nc))
+    H = G.H
     if anchor == "P":
-        return _norm_product(store, G, qf.T, "AM")
-    return _norm_product(store, G, qf, "MA").T
+        X = G.apply(X)
+        X = store.lu_solve()(G.apply_adj(X), trans=1) if H is None else H.solve(X)
+    else:
+        X = G.solve(G.solve_adj(store.A.T @ X) if H is None else H.apply(X))
+    return _inverse_block(X, part, lu_solver(part.c_rows(X), _CC, norm=np.linalg.norm(X, 1)))
 
 
 def _inverse_block(X, part, solve_c, adj=False):
     """X[F] X[C]^{-1}, by solve_c with X[C], or with X[C]* when adj is set.
 
     By the block inverse, this is W_ideal(C) for X = S[:, C] and Z_ideal(C)
-    for X = S*[:, C], where S = C^{-1}: one n_c x n_c solve.
+    for X = S*[:, C], where S = C^{-1}: one n_c x n_c solve. The solves
+    return Fortran order, so the block is C-ordered.
     """
     return solve_c(part.f_rows(X).T, trans=int(not adj)).T
 
@@ -445,43 +404,24 @@ def _anchor_tag(anchor):
     raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
 
 
-def _ideal_cell(store, part, G, q, anchor, anchored):
-    """(pair, companion slice) of one anchored norm/companion cell.
+def _ideal_cell(store, part, G, q, anchor):
+    """The pair of one anchored norm/companion cell.
 
     store is the ProblemStore of a guarded A, and G the factor of the
-    cell's norm, realized in store. anchored maps q's tag to its
-    _anchored_column and is filled here, so a table realizes each Q once for
-    all its rows; a Custom Q, which its tag does not name, is realized anew.
-    The companion slice is what _companion returns. For Q = B^{-1} the
-    derived companion's inverse S is B* M A^{-1} (anchor P) or M^{-1} A* B*
-    (anchor R), and the slice is the X of _inverse_block, S*[:, C] or S[:, C].
+    cell's norm, realized in store. The anchored block, W of q for anchor P
+    and Z of q for anchor R, is the store's (see _ideal_block), and the
+    derived block its completion in the norm (see _complete).
     """
-    tag = _choice(q).tag
-    if tag == "Custom" or tag not in anchored:
-        anchored[tag] = _anchored_column(store, part, q, anchor)
-    qf, block, reason = anchored[tag]
     try:
         # the anchored block first: when both blocks are undefined, the
         # skip reason names the companion Q's
-        if reason is not None:
-            raise SingularMatrixError(reason)
-        if tag in _INVERSE_TAGS:
-            comp = _norm_product(store, G, qf, "MA" if anchor == "P" else "AM", adj=True)
-            solve = lu_solver(part.c_rows(comp), "cc-block of companion inverse")
-            derived = _inverse_block(comp, part, solve)
-        else:
-            comp = _companion(store, G, qf, anchor)
-            f, c = part.fidx, part.cidx
-            if anchor == "P":
-                derived = _z_of(lu_solver(comp[f], _FF), comp[c])
-            else:
-                derived = _w_of(lu_solver(comp[:, f], _FF), comp[:, c])
-        pair = make_pair(part, *((derived, block) if anchor == "P" else (block, derived)))
+        block = _ideal_block(store, part, q, "W" if anchor == "P" else "Z")
+        derived = _complete(store, G, part, anchor, block)
+        return make_pair(part, *((derived, block) if anchor == "P" else (block, derived)))
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"ideal companion undefined for this splitting: {e}"
         ) from e
-    return pair, comp
 
 
 def ideal_pair(A, part, norm, q, anchor="P", store=None):
@@ -489,17 +429,17 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
 
     anchor="P" fixes P = P_ideal(Q) and derives the unique compatible
     restriction R = R_ideal(A M^{-1} Q*); anchor="R" fixes R = R_ideal(Q) and
-    derives P = P_ideal(Q* A^{-*} M). Q is formed densely, the derived
-    companion only on the slice its ideal block reads, through the factor G
-    of M = G* G (see _companion); M is not formed. For Ainv and AinvStar both
-    blocks are read off the companions' inverses (see _ideal_cell). store is
-    A's ProblemStore, whose factors of A are used.
+    derives P = P_ideal(Q* A^{-*} M). The anchored block is the ideal block
+    of Q (see _ideal_block), and the derived one is read off the n_c columns
+    of A^{-*} M P or M^{-1} A* R through the factor G of M = G* G (see
+    _complete): neither M nor the derived companion is formed. store is A's
+    ProblemStore, whose factors of A and ideal blocks are used.
     """
     store = _store_for(A, store)
     store.lu_solve()
     anchor = _anchor_tag(anchor)
     G = realize_norm(norm, store.A, factored=True, store=store)
-    return _ideal_cell(store, part, G, q, anchor, {})[0]
+    return _ideal_cell(store, part, G, q, anchor)
 
 
 # Norm rows and companion columns of the two catalog tables, in row-major order.
@@ -508,7 +448,7 @@ CATALOG_QS = ("identity", "A", "Asym", "AstarA", "AAstar")
 
 # Reduced algebraic expressions for the companion A M^{-1} Q* (interpolation
 # anchored) and Q* A^{-*} M (restriction anchored), keyed by (norm, q). They
-# label the cells; the companions themselves are built through G.
+# label the cells; no companion is formed (see _complete).
 _T1_EXPR = {
     ("identity", "identity"): "A",
     ("identity", "A"): "A A*",
@@ -593,24 +533,24 @@ def catalog_pairs(A, part, store=None):
     """Generate every catalog cell that is computable densely, one at a time.
 
     Cells whose prerequisites fail (for example an SPD requirement on A or on
-    its symmetric part, or a singular companion ff-block) are yielded as skip
-    records with the failure reason rather than raising, so a sweep completes
-    on any nonsingular input. Output order is fixed: table 1 then table 2,
-    row-major in (norm, q). A is guarded before the first cell.
+    its symmetric part, or a singular companion ff-block or completion
+    C-block) are yielded as skip records with the failure reason rather
+    than raising, so a sweep completes on any nonsingular input. Output
+    order is fixed: table 1 then table 2, row-major in (norm, q). A is
+    guarded before the first cell.
 
     Each norm is taken as its factor G, with M = G* G, from store, A's
     ProblemStore (a new one by default), so its preconditions on A are
     decided once and no norm matrix M is formed. A computable cell thus
     certifies that its norm is well posed on A, and a row whose norm fails
-    is skipped with the same reason in both tables. Each cell's companion
-    is built through G, so the companions of the A*A and A* Asym^{-1} A
-    rows cancel A against A^{-1} by algebra (see _companion). Each
-    companion Q is realized once per table, where its anchored ideal block
-    is built and the n_f x n slice its cells read is kept; each cell's
-    companion is formed only on the slice its ideal block reads. A consumer
-    that drops each entry before taking the next holds one pair at a time;
-    what outlives a row is only the table's slices of Q and their anchored
-    blocks.
+    is skipped with the same reason in both tables. A cell is built as
+    ideal_pair builds it: its anchored block is the store's ideal block of
+    Q, built once for every cell, table and pair that reads it, and its
+    derived block is that block's completion through G (see _complete), so
+    the A*A and A* Asym^{-1} A rows cancel A against A^{-1} by algebra and
+    no companion is formed. A consumer that drops each entry before taking
+    the next holds one pair at a time; what outlives it is only the store's
+    n_f x n_c ideal blocks.
     """
     store = _store_for(A, store)
     store.lu_solve()
@@ -619,7 +559,6 @@ def catalog_pairs(A, part, store=None):
 
 def _catalog_cells(store, part):
     for table, anchor, exprs in ((1, "P", _T1_EXPR), (2, "R", _T2_EXPR)):
-        anchored = {}
         for norm in CATALOG_NORMS:
             G, row_reason = None, None
             try:
@@ -639,7 +578,7 @@ def _catalog_cells(store, part):
                 reason = row_reason
                 if reason is None:
                     try:
-                        pair = _ideal_cell(store, part, G, q, anchor, anchored)[0]
+                        pair = _ideal_cell(store, part, G, q, anchor)
                     except ValueError as e:
                         reason = str(e)
                 if reason is None:

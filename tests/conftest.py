@@ -5,6 +5,16 @@ import numpy as np
 
 import compatamg as cm
 
+# numpy.exceptions exists from numpy 1.25; before it, the class is numpy's own
+COMPLEX_WARNING = "numpy.exceptions.ComplexWarning" if hasattr(np, "exceptions") \
+    else "numpy.ComplexWarning"
+
+
+def pytest_configure(config):
+    # a complex value cast to real drops its imaginary part with only a
+    # warning; in the suite that cast is an error
+    config.addinivalue_line("filterwarnings", f"error::{COMPLEX_WARNING}")
+
 
 def random_spd(rng, n, shift=0.1):
     G = rng.standard_normal((n, n))

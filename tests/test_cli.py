@@ -180,6 +180,8 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
     ("converge", ["--pair", "single1", "--norm", "Asym"], "--norm: converge reads no norm tag"),
     ("tables", ["--pair", "single1"], "--pair: tables reads no pair recipe"),
     ("figure1", ["--pair", "none"], "--pair: figure1 reads no pair recipe"),
+    ("converge", ["--pair", "single1", "--tol", "5"], "--tol: converge reads no tolerance"),
+    ("converge", ["--pair", "single1", "--tol", "1e-8"], "--tol: converge reads no tolerance"),
 ])
 def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
                                                                    split, capsys, monkeypatch):
@@ -194,8 +196,8 @@ def test_malformed_configuration_is_a_config_error_before_any_work(command, args
 
 
 def test_a_pair_that_fails_to_construct_is_no_config_error(tmp_path, capsys):
-    # on advection1d n = 16 the companion ff-block of t1:AstarA:AAstar is
-    # singular: verify-pairs stops with a construction error, and converge
+    # on advection1d n = 16 the completion of t1:AstarA:AAstar has a
+    # singular C-block: verify-pairs stops with a construction error, and converge
     # skips the pair as it skips any other it cannot build
     recipe = "t1:AstarA:AAstar"
     args = ["--problem", "advection1d", "--n", "16", "--pair", "single1", "--pair", recipe]
@@ -208,13 +210,18 @@ def test_a_pair_that_fails_to_construct_is_no_config_error(tmp_path, capsys):
     first, bad = report["results"]
     assert first["pair"] == "single1" and "rho" in first
     assert bad == {"pair": recipe, "skipped": True, "reason": bad["reason"]}
-    assert "ff-block of companion is numerically singular" in bad["reason"]
+    assert "C-block of compatible completion is numerically singular" in bad["reason"]
+
+
+_COMPLEX_4X4_MTX = (b"%%MatrixMarket matrix array complex general\n4 4\n"
+                    + b"".join(b"%d %d\n" % (k, 1 - k) for k in range(16)))
 
 
 @pytest.mark.parametrize("name, content", [("z.mtx", b"hello world\n"),
                                            ("z.json", b'{"rows": 2, "cols'),
-                                           ("z.json", bytes(range(256)))],
-                         ids=["garbage-mtx", "truncated-json", "binary-json"])
+                                           ("z.json", bytes(range(256))),
+                                           ("z.mtx", _COMPLEX_4X4_MTX)],
+                         ids=["garbage-mtx", "truncated-json", "binary-json", "complex-mtx"])
 def test_an_unreadable_zw_file_is_named_with_its_recipe(tmp_path, capsys, name, content):
     zp, wp = tmp_path / name, tmp_path / "w.json"
     zp.write_bytes(content)
@@ -311,6 +318,20 @@ def test_verify_pairs_bad_tolerance_is_config_error(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_a_report_lists_the_tolerance_its_command_applies(tmp_path):
+    # without --tol every config reads the default; converge, which reads
+    # no tolerance, refuses the flag and lists the default
+    args = ["--problem", "advection1d", "--n", "8"]
+    for command, extra in (("converge", ["--pair", "single1"]),
+                           ("verify-pairs", ["--pair", "single1"]),
+                           ("tables", [])):
+        code, report = _run_json(tmp_path, [command] + args + extra)
+        assert code in (0, 1) and report["config"]["tol"] == 1e-8, command
+    code, report = _run_json(tmp_path, ["verify-pairs"] + args + ["--pair", "single1",
+                                                                  "--tol", "1e-6"])
+    assert report["config"]["tol"] == 1e-6
+
+
 def test_figure1_on_nonsymmetric(tmp_path):
     code, report = _run_json(
         tmp_path, ["figure1", "--problem", "random", "--n", "30", "--seed", "0"]
@@ -393,7 +414,7 @@ def test_converge_guards_each_matrix_once_per_pair(tmp_path, monkeypatch):
     guard = compatamg.linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        compatamg.linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     code, report = _run_json(
         tmp_path,
@@ -418,7 +439,7 @@ def test_converge_dense_path_guards_k_once_per_pair(tmp_path, monkeypatch, post)
     guard = compatamg.linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        compatamg.linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     code, report = _run_json(
         tmp_path,
@@ -711,7 +732,7 @@ def test_verify_pairs_factors_each_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    recording(linalg, "_guarded_lu", lambda A, what: f"lu {what}")
+    recording(linalg, "_guarded_lu", lambda A, what, *norm: f"lu {what}")
     recording(linalg, "_spd_cholesky")
     recording(transfer, "_z_of")
     recording(transfer, "_w_of")
@@ -923,9 +944,9 @@ _NORMS = st.sampled_from(["identity", "A", "Asym", "AstarA", "SqrtAstarA", "Asta
        kind=st.sampled_from(PROBLEM_KINDS), n=st.integers(4, 24),
        split=st.sampled_from(["alternate", "firsthalf", "random"]), seed=st.integers(0, 999),
        recipes=st.lists(_RECIPES, max_size=3), norms=st.lists(_NORMS, max_size=2),
-       expect=st.booleans())
+       expect=st.booleans(), tol=st.sampled_from([None, "0", "1e-8", "1e-14", "0.5"]))
 def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recipes, norms,
-                                            expect):
+                                            expect, tol):
     # exit 0, 1 or 2 whatever the input; a report is strict JSON, says
     # passed exactly on exit 0 and does not depend on COMPATAMG_THREADS;
     # exit 2 writes nothing. Each flag is given only to the commands that
@@ -940,6 +961,8 @@ def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recip
     if command == "verify-pairs":
         for tag in norms:
             args += ["--norm", tag]
+    if tol is not None and command != "converge":
+        args += ["--tol", tol]
     with tempfile.TemporaryDirectory() as tmp:
         reports = []
         for threads in ("1", "2"):

@@ -542,7 +542,7 @@ def test_figure1_inverse_blocks_share_one_guard_of_a_cc(monkeypatch):
     guard = linalg._guarded_lu
     names = []
     monkeypatch.setattr(
-        linalg, "_guarded_lu", lambda A, what: (names.append(what), guard(A, what))[1]
+        linalg, "_guarded_lu", lambda A, what, *norm: (names.append(what), guard(A, what, *norm))[1]
     )
     n = 40
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))

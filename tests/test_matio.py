@@ -68,6 +68,9 @@ def test_load_matrix_dispatch(tmp_path):
     ("shape.json", b'{"rows": 2, "cols": 2, "data": 7}'),
     ("directory.json", None),
     ("directory.mtx", None),
+    ("complex.mtx", b"%%MatrixMarket matrix array complex general\n2 1\n1 5\n2 -3\n"),
+    ("complex-coordinate.mtx",
+     b"%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1 5\n"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_load_errors_name_their_file(tmp_path, name, content):
     p = tmp_path / name
@@ -78,6 +81,9 @@ def test_load_errors_name_their_file(tmp_path, name, content):
     with pytest.raises(ValueError) as exc:
         cm.load_matrix(p)
     assert str(exc.value).startswith(f"{p}: ")
+    if name.startswith("complex"):
+        # not cast to float: 1+5i and 2-3i would load as [[1], [2]]
+        assert str(exc.value) == f"{p}: complex entries: a real matrix is required"
 
 
 def test_scipy_io_loads_only_for_matrix_market_files(tmp_path):
@@ -99,3 +105,10 @@ assert np.array_equal(A, B), B
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_complex_to_real_cast_is_an_error_in_the_suite():
+    # the suite's warning filter (conftest) turns numpy's ComplexWarning
+    # into an error, so no test passes through a silent complex cast
+    with pytest.raises(Warning, match="imaginary part"):
+        np.asarray(np.array([1 + 5j, 2 - 3j]), dtype=float)

@@ -279,7 +279,7 @@ def test_iterate_factors_once_per_call(monkeypatch):
     guard = compatamg.linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        compatamg.linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     part = _split(40)
@@ -466,7 +466,7 @@ def test_prepared_method_shares_its_guards(monkeypatch):
     guard = compatamg.linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        compatamg.linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(40), "single2")
@@ -570,7 +570,7 @@ def test_prepared_method_binds_to_the_store_of_its_pair(monkeypatch):
     guard = compatamg.linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        compatamg.linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        compatamg.linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     store = cm.ProblemStore(A)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import compatamg as cm
 from compatamg.linalg import RANK_RTOL, ProblemStore, SingularMatrixError
-from compatamg.transfer import _companion, _ideal_block, _ideal_cell
+from compatamg.transfer import _ideal_block
 from conftest import random_nonsingular, random_partition, random_spd, random_stable
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -172,17 +172,16 @@ def test_ideal_pair_astara_norm():
 
 
 def test_ideal_pair_asyminv_companion():
+    # in the norm A* Asym^{-1} A the companion A M^{-1} A* reduces to Asym:
+    # anchored on P_ideal(A), the derived restriction is R_ideal(Asym)
     rng = np.random.default_rng(20)
     A = random_stable(rng, 12)
-    store = ProblemStore(A)
-    G = cm.realize_norm("AstarAsymInvA", A, factored=True, store=store)
-    comp = _companion(store, G, cm.realize_q("A", A), "P")
-    np.testing.assert_allclose(comp, (A + A.T) / 2.0, rtol=1e-9, atol=1e-11)
     part = _split(12)
     pair = cm.ideal_pair(A, part, "AstarAsymInvA", "A", anchor="P")
     np.testing.assert_allclose(
         pair.Z, cm.ideal_z(cm.partition((A + A.T) / 2.0, part)), rtol=1e-8
     )
+    np.testing.assert_array_equal(pair.W, cm.ideal_w(cm.partition(A, part)))
 
 
 def test_ideal_pair_compat_equation_all_norms():
@@ -221,16 +220,28 @@ def test_svd_route():
     assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), M) - 1.0) <= 1e-8
 
 
-def _cell_companion(A, part, e):
-    """The companion slice the sweep forms for entry e: F columns for table 1, F rows for table 2."""
-    store = ProblemStore(A)
-    G = cm.realize_norm(e.norm, A, factored=True, store=store)
-    return _ideal_cell(store, part, G, e.q, e.anchor, {})[1]
+def _dense_cell(A, part, norm, q, anchor, C=None):
+    """(Z, W) of a cell from dense matrices, or the error of its first guard.
+
+    The norm M and the companion Q are realized densely, and the derived
+    companion C, unless given, is A M^{-1} Q* (anchor P) or Q* A^{-*} M
+    (anchor R). The pair is (R_ideal(C), P_ideal(Q)) for anchor P and
+    (R_ideal(Q), P_ideal(C)) for anchor R.
+    """
+    M = cm.realize_norm(norm, A)
+    Qp = cm.partition(cm.realize_q(q, A), part)
+    if anchor == "P":
+        W = cm.ideal_w(Qp)
+        C = A @ np.linalg.solve(M, Qp.base.T) if C is None else C
+        return cm.ideal_z(cm.partition(C, part)), W
+    Z = cm.ideal_z(Qp)
+    C = Qp.base.T @ np.linalg.solve(A.T, M) if C is None else C
+    return Z, cm.ideal_w(cm.partition(C, part))
 
 
-def _companion_slice(C, part, anchor):
-    f = list(part.fpoints)
-    return C[:, f] if anchor == "P" else C[f]
+def _assert_block_close(got, want, rtol, what):
+    err = np.linalg.norm(got - want)
+    assert err <= rtol * max(1.0, np.linalg.norm(want)), (what, err)
 
 
 def test_catalog_shape_and_examples():
@@ -240,26 +251,23 @@ def test_catalog_shape_and_examples():
     entries = list(cm.catalog_pairs(A, part))
     assert len(entries) == 50
     by_key = {(e.table, e.norm, e.q): e for e in entries}
+    Ap = cm.partition(A, part)
 
+    # identity norm, Q = A: the derived companion is A A*
     e = by_key[(1, "identity", "A")]
     assert e.companion_expr == "A A*" and not e.skipped
-    np.testing.assert_allclose(
-        _cell_companion(A, part, e), _companion_slice(A @ A.T, part, "P"), rtol=1e-12
-    )
+    _assert_block_close(e.pair.Z, cm.ideal_z(cm.partition(A @ A.T, part)), 1e-10, e)
+    np.testing.assert_array_equal(e.pair.W, cm.ideal_w(Ap))
 
+    # A*A norm anchored on R_ideal(I) = [0; I]: the derived companion is A
     e = by_key[(2, "AstarA", "identity")]
     assert e.companion_expr == "A" and e.label == "single" and not e.skipped
-    np.testing.assert_allclose(
-        _cell_companion(A, part, e), _companion_slice(A, part, "R"), rtol=1e-9, atol=1e-11
-    )
+    assert not e.pair.Z.any()
+    _assert_block_close(e.pair.W, cm.ideal_w(Ap), 1e-10, e)
 
     e = by_key[(1, "Asym", "A")]
-    Asym = (A + A.T) / 2.0
-    np.testing.assert_allclose(
-        _cell_companion(A, part, e),
-        _companion_slice(A @ np.linalg.solve(Asym, A.T), part, "P"),
-        rtol=1e-9,
-    )
+    C = A @ np.linalg.solve((A + A.T) / 2.0, A.T)
+    _assert_block_close(e.pair.Z, cm.ideal_z(cm.partition(C, part)), 1e-9, e)
 
     # A-norm rows are skipped on a nonsymmetric matrix, with recorded reasons
     skipped = [e for e in entries if e.skipped]
@@ -285,24 +293,45 @@ def _eval_companion_expr(expr, A):
     return out
 
 
-@pytest.mark.parametrize("spd", [False, True])
-def test_catalog_expressions_match_companions(spd):
-    # every printed companion expression reduces to the anchored formula,
-    # A M^{-1} Q* for table 1 and Q* A^{-*} M for table 2, on the slice the
-    # sweep forms: the F columns for table 1, the F rows for table 2
-    rng = np.random.default_rng(31)
-    A = random_spd(rng, 10, shift=0.5) if spd else random_stable(rng, 10)
-    part = _split(10)
-    for e in cm.catalog_pairs(A, part):
-        if e.skipped:
-            continue
-        np.testing.assert_allclose(
-            _companion_slice(_eval_companion_expr(e.companion_expr, A), part, e.anchor),
-            _cell_companion(A, part, e),
-            rtol=1e-9,
-            atol=1e-11,
-            err_msg=f"table {e.table} ({e.norm}, {e.q}): {e.companion_expr}",
-        )
+_ORACLE_KINDS = ("random", "advection1d", "laplacian1d", "advdiff1d")
+
+
+@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
+@pytest.mark.parametrize("kind", _ORACLE_KINDS)
+def test_every_cell_is_the_dense_pair_of_its_companion_expression(kind, policy):
+    # every catalog cell is (R_ideal(C), P_ideal(Q)) in table 1 and
+    # (R_ideal(Q), P_ideal(C)) in table 2, with C evaluated densely from the
+    # cell's printed companion expression; the inverse companions, which
+    # the catalog does not sweep, are checked through ideal_pair against
+    # their dense A M^{-1} Q* and Q* A^{-*} M. A cell is skipped exactly
+    # when the dense construction's guard raises
+    for n in (12, 17, 24):
+        A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05, seed=n))
+        part = cm.default_splitting(n, policy, seed=n)
+        store = ProblemStore(A)
+        cells = [(e, e.pair, e.reason, e.companion_expr)
+                 for e in cm.catalog_pairs(A, part, store)]
+        for norm in _RECIPE_NORMS:
+            for q in ("Ainv", "AinvStar"):
+                for anchor in ("P", "R"):
+                    e = (norm, q, anchor)
+                    try:
+                        pair, reason = cm.ideal_pair(A, part, norm, q, anchor, store), None
+                    except ValueError as err:
+                        pair, reason = None, str(err)
+                    cells.append((e, pair, reason, None))
+        for e, pair, reason, expr in cells:
+            norm, q, anchor = e if expr is None else (e.norm, e.q, e.anchor)
+            what = (kind, n, policy, e)
+            try:
+                C = None if expr is None else _eval_companion_expr(expr, A)
+                Z, W = _dense_cell(A, part, norm, q, anchor, C)
+            except ValueError:
+                assert pair is None and reason, what
+                continue
+            assert reason is None, (what, reason)
+            _assert_block_close(pair.Z, Z, 1e-8, what)
+            _assert_block_close(pair.W, W, 1e-8, what)
 
 
 @pytest.mark.parametrize("kind, epsilon, computable", [
@@ -310,8 +339,8 @@ def test_catalog_expressions_match_companions(spd):
     ("advdiff1d", 0.01, 40),
 ])
 def test_catalog_cells_are_exact_to_round_off(kind, epsilon, computable):
-    # companions are built through the norm factor G, so no cell squares
-    # cond(A) by forming M = A*A: every computable cell of these
+    # derived blocks are completed through the norm factor G, so no cell
+    # squares cond(A) by forming M = A*A: every computable cell of these
     # ill-conditioned problems is M-orthogonal to sin theta_max <= 1e-10
     n = 200
     A = cm.generate(cm.ProblemSpec(kind=kind, n=n, epsilon=epsilon))
@@ -328,73 +357,77 @@ def test_catalog_cells_are_exact_to_round_off(kind, epsilon, computable):
 
 @pytest.mark.parametrize("spd", [False, True])
 def test_catalog_cells_match_per_cell_construction(spd):
-    # the row-scoped sweep gives the bits of building every cell on its own
-    # by ideal_pair, and agrees with the construction from a dense solve
-    # against M, with the derived ideal block read off a matrix that holds
-    # only the companion slice
+    # the sweep gives the bits of building every cell on its own by
+    # ideal_pair, and a skipped cell's ideal_pair raises the same reason
     rng = np.random.default_rng(33)
     n = 12
     A = random_spd(rng, n, shift=0.5) if spd else random_stable(rng, n)
     part = _split(n)
-    f = list(part.fpoints)
     for e in cm.catalog_pairs(A, part):
         if e.skipped:
-            with pytest.raises((ValueError, SingularMatrixError)):
+            with pytest.raises(ValueError) as err:
                 cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
+            assert str(err.value) == e.reason
             continue
-        M, Qm = cm.realize_norm(e.norm, A), cm.realize_q(e.q, A)
-        only_slice = np.zeros((n, n))
-        if e.anchor == "P":
-            comp = A @ sla.solve(M, Qm[f].T, assume_a="pos")
-            only_slice[:, f] = comp
-            ref = cm.make_pair(
-                part,
-                cm.ideal_z(cm.partition(only_slice, part)),
-                cm.ideal_w(cm.partition(Qm, part)),
-            )
-        else:
-            comp = Qm[:, f].T @ sla.solve(A.T, M)
-            only_slice[f] = comp
-            ref = cm.make_pair(
-                part,
-                cm.ideal_z(cm.partition(Qm, part)),
-                cm.ideal_w(cm.partition(only_slice, part)),
-            )
         pair = cm.ideal_pair(A, part, e.norm, e.q, e.anchor)
-        np.testing.assert_array_equal(e.pair.R, pair.R)
-        np.testing.assert_array_equal(e.pair.P, pair.P)
-        close = dict(rtol=1e-9, atol=1e-11, err_msg=f"table {e.table} ({e.norm}, {e.q})")
-        np.testing.assert_allclose(_cell_companion(A, part, e), comp, **close)
-        np.testing.assert_allclose(e.pair.R, ref.R, **close)
-        np.testing.assert_allclose(e.pair.P, ref.P, **close)
+        assert e.pair.Z.tobytes() == pair.Z.tobytes()
+        assert e.pair.W.tobytes() == pair.W.tobytes()
 
 
-def test_catalog_builds_each_norm_per_row_and_each_companion_once(monkeypatch):
+def test_catalog_builds_each_block_once_and_completes_each_cell_once(monkeypatch):
+    import compatamg.linalg as linalg
     import compatamg.transfer as transfer
 
-    calls = {"realize_norm": 0, "realize_q": 0, "_companion": 0, "_w_of": 0, "_z_of": 0}
+    completions, guards, builds, norms = [], [], [], []
+    complete, guard, get = transfer._complete, linalg._guarded_lu, ProblemStore.get
+    realize_norm = transfer.realize_norm
 
-    def counted(name):
-        inner = getattr(transfer, name)
+    def counted_complete(store, G, part, anchor, block):
+        completions.append(anchor)
+        return complete(store, G, part, anchor, block)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
+    def counted_realize_norm(norm, *args, **kwargs):
+        norms.append(norm)
+        return realize_norm(norm, *args, **kwargs)
 
-        return wrapper
+    def counted_get(self, key, build):
+        def counted_build():
+            builds.append(key)
+            return build()
+        return get(self, key, counted_build)
 
-    for name in calls:
-        monkeypatch.setattr(transfer, name, counted(name))
+    monkeypatch.setattr(transfer, "_complete", counted_complete)
+    monkeypatch.setattr(
+        linalg, "_guarded_lu", lambda A, what, *norm: (guards.append((what, A.shape)), guard(A, what, *norm))[1]
+    )
+    monkeypatch.setattr(ProblemStore, "get", counted_get)
+    monkeypatch.setattr(transfer, "realize_norm", counted_realize_norm)
     rng = np.random.default_rng(34)
-    A = random_stable(rng, 12)
-    entries = list(cm.catalog_pairs(A, _split(12)))
-    assert calls["realize_norm"] <= 10
-    # each companion Q once per table, each cell's companion slice once
-    assert calls["realize_q"] == 10
-    assert calls["_companion"] == sum(not e.skipped for e in entries) == 40
-    # the anchored ideal block once per table and companion (W of Q in table
-    # 1, Z of Q in table 2), the companion side's once per cell
-    assert calls["_w_of"] == calls["_z_of"] == 5 + 20
+    n = 12
+    A = random_stable(rng, n)
+    c = (1, 4, 7, 10)  # n_c = 4, n_f = 8
+    part = cm.CFPartition(n, tuple(i for i in range(n) if i not in c), c)
+    entries = list(cm.catalog_pairs(A, part))
+    # each norm once per row, its factor (or its failure) once per store
+    assert norms == list(transfer.CATALOG_NORMS) * 2
+    assert sorted(k for k in builds if k[0] == "factor") == sorted(
+        ("factor", tag) for tag in transfer.CATALOG_NORMS)
+    # each anchored block once per store: W of every Q for table 1, Z for table 2
+    ideal = [k for k in builds if k[0] == "ideal"]
+    assert len(ideal) == len(set(ideal)) == 10
+    assert len(builds) == len(set(builds))
+    # one completion, and one n_c x n_c guard, per computable cell
+    computable = sum(not e.skipped for e in entries)
+    assert computable == 40
+    assert completions == ["P"] * 20 + ["R"] * 20
+    nc = part.nc
+    assert guards.count(("C-block of compatible completion", (nc, nc))) == computable
+    # the only n_f x n_f guards are A's ff-block and the ff-blocks of the
+    # three realized companions, Asym, A*A and A A*, each once per side
+    nf = part.nf
+    ff = sorted(what for what, shape in guards if shape == (nf, nf))
+    assert ff == ["A_ff"] + ["ff-block of companion"] * 6
+    assert len(guards) == computable + len(ff) + 1  # and A's own, once
 
 
 def test_catalog_is_a_generator_guarded_at_the_call():
@@ -468,25 +501,18 @@ def test_inverse_companion_with_a_singular_cc_block_names_it():
             cm.ideal_blocks_pair(A, P2, "identity", q)
         with pytest.raises(SingularMatrixError, match="A_cc"):
             cm.ideal_pair(A, P2, "identity", q, "P")
-    # here A_cc = 1, but the derived companion A A^{-*} of table 1 has the
-    # inverse S = A* A^{-1}, whose cc-block is 0
+    # here A_cc = 1, but the completion A^{-*} P of P = P_ideal(A^{-1}) in
+    # the identity norm, [0; 1], has a zero C-block: the derived companion
+    # A A^{-*} of table 1 has a singular ff-block
     A = np.array([[1.0, 1.0], [-1.0, 1.0]])
     cm.ideal_blocks_pair(A, P2, "identity", "Ainv")
-    with pytest.raises(SingularMatrixError, match="cc-block of companion inverse"):
+    with pytest.raises(SingularMatrixError, match="ff-block of companion"):
+        cm.ideal_z(cm.partition(A @ np.linalg.inv(A).T, P2))
+    with pytest.raises(SingularMatrixError, match="C-block of compatible completion"):
         cm.ideal_pair(A, P2, "identity", "Ainv", "P")
 
 
 _RECIPE_NORMS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA")
-
-
-def _dense_inverse_cell(A, part, norm, q, anchor):
-    """(Z, W) of an inverse-companion cell from the dense companions."""
-    M, Qm = cm.realize_norm(norm, A), cm.realize_q(q, A)
-    if anchor == "P":
-        C = A @ np.linalg.solve(M, Qm.T)
-        return cm.ideal_z(cm.partition(C, part)), cm.ideal_w(cm.partition(Qm, part))
-    C = Qm.T @ np.linalg.solve(A.T, M)
-    return cm.ideal_z(cm.partition(Qm, part)), cm.ideal_w(cm.partition(C, part))
 
 
 @pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
@@ -511,7 +537,7 @@ def test_inverse_blocks_match_the_dense_inverse(policy):
                     pair = cm.ideal_pair(A, part, norm, q, anchor, store)
                 except ValueError:
                     continue
-                Z, W = _dense_inverse_cell(A, part, norm, q, anchor)
+                Z, W = _dense_cell(A, part, norm, q, anchor)
                 close(pair.Z, Z)
                 close(pair.W, W)
 
@@ -654,6 +680,44 @@ def test_general_w_from_z_reproduces_every_catalog_cell(kind, n, cell):
     assert abs(cm.pi_m_norm(corr, G) - 1.0) <= 1e-8
 
 
+_COMPLETION_NORMS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(_ORACLE_KINDS),
+    n=st.integers(8, 24),
+    policy=st.sampled_from(("alternate", "firsthalf", "random")),
+    seed=st.integers(0, 2**16),
+)
+def test_general_completion_is_compatible_in_every_norm(kind, n, policy, seed):
+    # a random Z completed in any norm, passed as its factor, gives a pair
+    # whose correction is orthogonal in that norm to sin theta_max <= 1e-9;
+    # in the identity and A*A norms it is the closed form's W
+    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05, seed=seed))
+    part = cm.default_splitting(n, policy, seed=seed)
+    Ap = cm.partition(A, part)
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((part.nf, part.nc))
+    store = ProblemStore(A)
+    completed = []
+    for tag in _COMPLETION_NORMS:
+        norm = cm.NormSpec("Custom", random_spd(rng, n)) if tag == "Custom" else tag
+        try:
+            G = cm.realize_norm(norm, A, factored=True, store=store)
+        except ValueError:  # the norm's precondition fails on this A
+            continue
+        W = cm.compatible_w_from_z_general(Ap, Z, G)
+        pair = cm.make_pair(part, Z, W)
+        sin_max = cm.coarse_correction(A, pair).angles(G).sin_max
+        assert sin_max <= 1e-9, (tag, sin_max)
+        if tag in ("identity", "AstarA"):
+            Wc = cm.compatible_w_from_z(Ap, Z, tag)
+            assert np.linalg.norm(W - Wc) <= 1e-8 * np.linalg.norm(pair.P), tag
+        completed.append(tag)
+    assert {"identity", "AstarA", "SqrtAstarA", "Custom"} <= set(completed)
+
+
 def test_realize_q_tags():
     rng = np.random.default_rng(40)
     A = random_stable(rng, 6)
@@ -693,7 +757,7 @@ def test_store_blocks_of_a_share_one_guarded_lu_of_a_ff(monkeypatch):
     guard = linalg._guarded_lu
     counts = []
     monkeypatch.setattr(
-        linalg, "_guarded_lu", lambda A, what: (counts.append(what), guard(A, what))[1]
+        linalg, "_guarded_lu", lambda A, what, *norm: (counts.append(what), guard(A, what, *norm))[1]
     )
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=30, epsilon=0.05))
     part = cm.default_splitting(30, "alternate")
