@@ -9,7 +9,9 @@ pair, or, in converge, any case was skipped; else 0. Exit 2 is a malformed
 configuration, found before any problem is built, or a verify-pairs pair
 that fails to construct, whose message ends with its --pair recipe. The
 COMPATAMG_THREADS environment variable caps how many independent cases run
-in parallel (default 1); output ordering is configuration order regardless.
+in parallel (default 1, also when empty; any other value than a positive
+integer is a configuration error); output ordering is configuration order
+regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -21,9 +23,11 @@ verify-pairs, tables and figure1 each hold one ProblemStore for their
 problem matrix A: the guard's factor of A, the Cholesky factor of (A + A*)/2,
 the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
-command returns. converge builds each pair through a store of its own, and
-the pair's two-grid method binds to that store: A_ff is factored there once
-for the pair's ideal blocks, its exact F-relaxation and rho.
+command returns. Each of them passes its store alone wherever the package
+takes A. converge builds each pair through a store of its own and runs the
+pair's two-grid method on that store, which binds it once: K is guarded and
+A_ff factored there once for the pair's ideal blocks, its exact
+F-relaxation and rho.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .projection import (
 )
 from .solver import (
     RelaxSpec,
-    PreparedTwoGrid,
+    TwoGridSpec,
     iterate,
     observed_rate,
     two_grid_conv_factor,
@@ -129,6 +133,23 @@ class ExperimentConfig:
         return d
 
 
+def _case_threads():
+    """COMPATAMG_THREADS, the number of case workers: 1 when unset or empty.
+
+    Any other value than a positive integer is a ConfigError.
+    """
+    text = os.environ.get("COMPATAMG_THREADS", "")
+    if not text:
+        return 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"COMPATAMG_THREADS: must be a positive integer, got {text!r}")
+    return threads
+
+
 def _map_cases(fn, items):
     """[fn(x) for x in items], in order, with COMPATAMG_THREADS workers.
 
@@ -136,11 +157,8 @@ def _map_cases(fn, items):
     run, at most two cases per worker ahead of the oldest unfinished one, and
     no case is held after its result is in.
     """
-    try:
-        threads = int(os.environ.get("COMPATAMG_THREADS", "1") or "1")
-    except ValueError:
-        threads = 1
-    if threads <= 1:
+    threads = _case_threads()
+    if threads == 1:
         return list(map(fn, items))
     from concurrent.futures import ThreadPoolExecutor
 
@@ -192,25 +210,28 @@ def _parse_recipe(recipe):
         return r, "zw", tuple(paths)
     if r.startswith("random:"):
         try:
-            return r, "random", (int(r.split(":", 1)[1]),)
+            seed = int(r.split(":", 1)[1])
         except ValueError as e:
             raise ConfigError(f"--pair: random recipe needs an integer seed: {recipe!r}") from e
+        if seed < 0:
+            raise ConfigError(f"--pair: random recipe needs a seed >= 0: {recipe!r}")
+        return r, "random", (seed,)
     raise ConfigError(f"--pair: unknown recipe {recipe!r}")
 
 
 def _build_pair(store, part, recipe):
     """(name, pair_or_None, intrinsic_norm_or_None) of a recipe that _config_from_args
-    has checked, built on store.A through the ProblemStore store's factors and
+    has checked, built on the ProblemStore store through its factors and
     ideal blocks; a failure to construct is a ValueError."""
     name, kind, args = _parse_recipe(recipe)
     if kind == "none":
         return name, None, None
     if kind == "single":
-        return (name,) + single_operator_pair(store.A, part, name, store)
+        return (name,) + single_operator_pair(store, part, name)
     if kind in ("t1", "t2"):
         norm, q = args
         anchor = "P" if kind == "t1" else "R"
-        return name, ideal_pair(store.A, part, norm, q, anchor, store), norm.tag
+        return name, ideal_pair(store, part, norm, q, anchor), norm.tag
     if kind == "zw":
         Z, W = (load_matrix(p) for p in args)
     else:
@@ -259,7 +280,7 @@ def cmd_verify_pairs(cfg):
     store = ProblemStore(A)
 
     def measure(pair, tag, expected):
-        M = realize_norm(tag, A, factored=True, store=store)
+        M = realize_norm(tag, store, factored=True)
         rec = projection_report(A, pair, M, cfg.tol)
         if expected:
             rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
@@ -289,8 +310,8 @@ def cmd_figure1(cfg):
     store = ProblemStore(A)
 
     def measure(norm, r_q, p_q):
-        M = realize_norm(norm, A, factored=True, store=store)
-        corr = coarse_correction(A, ideal_blocks_pair(A, part, r_q, p_q, store))
+        M = realize_norm(norm, store, factored=True)
+        corr = coarse_correction(A, ideal_blocks_pair(store, part, r_q, p_q))
         pi_norm = float(pi_m_norm(corr, M))
         return {"pi_norm": pi_norm, "pass": abs(pi_norm - 1.0) <= cfg.tol}
 
@@ -310,7 +331,7 @@ def cmd_tables(cfg):
     def measure(entry):
         if entry.skipped:
             raise ValueError(entry.reason)
-        M = realize_norm(entry.norm, A, factored=True, store=store)
+        M = realize_norm(entry.norm, store, factored=True)
         corr = coarse_correction(A, entry.pair)
         pi_norm = float(pi_m_norm(corr, M))
         compat_eq = verify_compat_equation(A, M, corr)
@@ -326,7 +347,7 @@ def cmd_tables(cfg):
     # each cell is built as the sweep reaches it, and its pair is dropped
     # once it is measured
     return _run_cases((head(e), False, partial(measure, e))
-                      for e in catalog_pairs(A, part, store))
+                      for e in catalog_pairs(store, part))
 
 
 def cmd_converge(cfg):
@@ -337,13 +358,13 @@ def cmd_converge(cfg):
 
     def measure(recipe):
         # each pair is built when its case runs, through a store of its own
-        # that its method binds to, so A_ff is factored once per pair and no
-        # ideal block outlives its pair
+        # that its method binds to, so A_ff and K are guarded once per pair
+        # and no ideal block outlives its pair
         store = ProblemStore(A)
         _, pair, _ = _build_pair(store, part, recipe)
-        spec = PreparedTwoGrid(pair=pair, pre=cfg.pre, post=cfg.post, A=store.A, store=store)
-        rho = two_grid_conv_factor(spec.A, spec)
-        history = iterate(spec.A, spec, b, x0, cfg.iters)
+        spec = TwoGridSpec(pair, cfg.pre, cfg.post)
+        rho = two_grid_conv_factor(store, spec)
+        history = iterate(store, spec, b, x0, cfg.iters)
         return {
             "rho": float(rho),
             "observed_rate": float(observed_rate(history)),
@@ -394,7 +415,7 @@ def _build_parser():
         p.add_argument("--n", type=int, default=32)
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--ny", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=0.0)
+        p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--split", default="alternate", choices=("alternate", "firsthalf", "random"))
         p.add_argument("--cfrac", type=float, default=0.5)
@@ -424,7 +445,16 @@ def _config_from_args(args):
     iters = getattr(args, "iters", 30)
     if iters < 0:
         raise ConfigError(f"--iters: must be >= 0, got {iters}")
-    kwargs = {"kind": args.problem, "epsilon": args.epsilon, "seed": args.seed}
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+    _case_threads()
+    # a problem flag that the chosen kind never reads is refused
+    for flag, value, kind in (("--nx", args.nx, "advection2d"), ("--ny", args.ny, "advection2d"),
+                              ("--epsilon", args.epsilon, "advdiff1d")):
+        if value is not None and args.problem != kind:
+            raise ConfigError(f"{flag}: only --problem {kind} reads it, not {args.problem}")
+    kwargs = {"kind": args.problem, "seed": args.seed,
+              "epsilon": 0.0 if args.epsilon is None else args.epsilon}
     if args.problem == "advection2d":
         kwargs["nx"] = args.nx if args.nx is not None else args.n
         kwargs["ny"] = args.ny if args.ny is not None else args.n

@@ -37,7 +37,10 @@ One command works on one problem matrix A, and a ProblemStore carries what
 its cases share: A's diagonals when it is tridiagonal, the guard's factor
 of A and of its blocks A_ff and A_cc, the Cholesky factor of (A + A*)/2 and
 the norm factors built from them, each made once for the command and
-dropped with it.
+dropped with it. The store is the one handle on its problem: realize_norm,
+and the pair constructors and two-grid solvers built on it, take the store
+wherever they take A (_store_for), so no store is ever paired with a
+matrix other than its own.
 """
 
 from __future__ import annotations
@@ -520,6 +523,14 @@ class NormFactor:
         """M X = G*(G X)."""
         return self.apply_adj(self.apply(X))
 
+    def h_on(self, A):
+        """H when this factor was realized on the very matrix A, else None.
+
+        H = G^{-*} A* holds only for the A the factor was built on, so on any
+        other matrix, even an equal copy, the caller solves with A instead.
+        """
+        return self.H if self.A is A else None
+
 
 def _identity_factor():
     def same(X):
@@ -596,7 +607,8 @@ class ProblemStore:
     diagonals, the guard's factor of A, its only one, the guard's factors of
     A_ff and A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
     whether it is SPD, the norm factors realized from them and, through
-    compatamg.transfer, the ideal blocks of the companion matrices. A store
+    compatamg.transfer, the ideal blocks of the companion matrices and,
+    through compatamg.solver, the binding of each two-grid method. A store
     serves one command, or in converge one pair, and is dropped with it, so
     nothing outlives the problem. Entries are built under one lock, since
     case threads share the store; a construction that fails is kept as its
@@ -656,13 +668,9 @@ class ProblemStore:
         return self.get("asym", lambda: _spd_cholesky((A + A.T) / 2.0))
 
 
-def _store_for(A, store):
-    """store, which must be the ProblemStore of this very A; by default a new one."""
-    if store is None:
-        return ProblemStore(A)
-    if A is not store.A:
-        raise ValueError("store must be the ProblemStore of this very A")
-    return store
+def _store_for(A):
+    """A itself when it is a ProblemStore, else a new ProblemStore of the matrix A."""
+    return A if isinstance(A, ProblemStore) else ProblemStore(A)
 
 
 def _norm_cholesky(tag, store, M):
@@ -688,18 +696,18 @@ def _norm_cholesky(tag, store, M):
     return L
 
 
-def realize_norm(spec, A, factored=False, store=None):
+def realize_norm(spec, A, factored=False):
     """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
 
     With factored=True, return the NormFactor G with M = G* G instead, without
     forming M. Both forms check the same preconditions and raise the same
-    errors. store is the ProblemStore of this very A, whose LU and Cholesky
-    factors are used and whose factor for the tag is returned once built;
-    without one, the factors are made for this call.
+    errors. A is the matrix or its ProblemStore: a store's LU and Cholesky
+    factors are used, and its factor for the tag is returned once built;
+    for a bare matrix, the factors are made for this call.
     """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
-    store = _store_for(A, store)
+    store = _store_for(A)
     A = store.A
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:

@@ -31,9 +31,10 @@ basis is H R without a solve with A; the other norms solve with G* against
 A* R. A dense SPD M is taken through its Cholesky factor. Any other input
 than a correction raises TypeError. K = R*AP is formed and guarded in one
 place, _coarse, which build_pi, coarse_correction and the solver's
-PreparedTwoGrid share; R*A is formed there only where K is made from it,
-and otherwise when the correction first reads it, so the two-grid
-iteration, which reads neither, forms no n x n_c array on a tridiagonal A.
+binding of a two-grid method share; R*A is formed there only where K is
+made from it, and otherwise when the correction first reads it, so the
+two-grid iteration, which reads neither, forms no n x n_c array on a
+tridiagonal A.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
@@ -262,13 +263,14 @@ def _blocks(factor, A, pair, corr=None):
     """The kernel's bases G P and G^{-*} A* R for the factor G.
 
     G^{-*} A* R is H R, with the factor's H = G^{-*} A*, when it was
-    realized on this A: R itself for G = A, L* R for G = L^{-1} A. Otherwise
-    it is a solve with G* against A* R, read as the transpose of the R* A
-    of the pair's CoarseCorrection corr when given.
+    realized on this A (NormFactor.h_on): R itself for G = A, L* R for
+    G = L^{-1} A. Otherwise it is a solve with G* against A* R, read as the
+    transpose of the R* A of the pair's CoarseCorrection corr when given.
     """
     GP = factor.apply(pair.P)
-    if factor.H is not None and factor.A is A:
-        return GP, factor.H.apply(pair.R)
+    H = factor.h_on(A)
+    if H is not None:
+        return GP, H.apply(pair.R)
     return GP, factor.solve_adj(A.T @ pair.R if corr is None else corr.RA.T)
 
 

@@ -25,9 +25,10 @@ Jacobi and F-Jacobi relaxations, relaxation-only methods and pairs with
 C-point blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
 which also serves as the oracle for the reduced one.
 
-PreparedTwoGrid binds a method to its matrix and to A's ProblemStore, so
-that two_grid_conv_factor, two_grid_propagator and iterate on it guard and
-factor K and A_ff once between them. A_ff is factored once per store: the
+two_grid_conv_factor, two_grid_propagator and iterate take A or its
+ProblemStore. A method is bound once per store, as the store entry
+("two_grid", spec), so that the three calls on one store guard and factor K
+and A_ff once between them. A_ff is factored once per store: the
 ideal blocks of A, the exact F-relaxation and its dense oracle all solve
 with the store's A_ff solver. iterate applies each relaxation to the
 residual as an operator, a diagonal scaling or an F-block solve, and forms
@@ -45,19 +46,17 @@ air_cpoint_residual applies the correction to one vector and forms no Pi.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import ProblemStore, _store_for, _tag_key, _tridiagonal_product, as_matrix
-from .projection import CoarseCorrection, _coarse, coarse_correction
+from .projection import _coarse, coarse_correction
 from .transfer import _held_ideal_block, _ideal_block
 
 __all__ = [
     "RelaxSpec",
     "TwoGridSpec",
-    "PreparedTwoGrid",
     "relax_propagator",
     "two_grid_propagator",
     "conv_factor",
@@ -107,53 +106,25 @@ class TwoGridSpec:
     post: RelaxSpec = RelaxSpec("none")
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedTwoGrid(TwoGridSpec):
-    """A TwoGridSpec bound to one matrix A, with the guards it needs made once.
+def _bind(store, spec):
+    """(coarse, solve_ff) of spec on the ProblemStore store, made once per spec.
 
-    Building PreparedTwoGrid(pair, pre, post, A=A, store=store) validates A
-    in a ProblemStore of its own, or takes store, which must be the store of
-    this very A and validated it (see linalg._store_for), and makes the pair's
-    CoarseCorrection by the one guard of K = R*AP (projection._coarse, on
-    the store's decision whether A is tridiagonal): a singular K raises
-    SingularMatrixError naming the pair incompatible. Then, when a
-    relaxation is an exact F-solve, it takes the store's A_ff solver,
-    guarded as "A_ff". two_grid_conv_factor reads the ideal blocks of A
-    from the store.
-    two_grid_conv_factor, two_grid_propagator and iterate on a binding to
-    the very same A share all of this and skip the finiteness scan of A,
-    which was made here.
-
-    coarse is the pair's CoarseCorrection, or None without a pair.
-    solve_ff(B) gives A_ff^{-1} B against the store's factor of A_ff, or is None.
+    The store entry ("two_grid", spec) holds them. coarse is the pair's
+    CoarseCorrection, made by the one guard of K = R*AP (projection._coarse,
+    on the store's decision whether A is tridiagonal): a singular K raises
+    SingularMatrixError naming the pair incompatible. solve_ff(B) gives
+    A_ff^{-1} B against the store's factor of A_ff, guarded as "A_ff", when
+    a relaxation is an exact F-solve. Either is None when not needed.
     """
-
-    A: np.ndarray = field(kw_only=True)
-    store: ProblemStore | None = field(default=None, kw_only=True, repr=False)
-    coarse: CoarseCorrection | None = field(init=False, repr=False)
-    solve_ff: Callable | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        store = _store_for(self.A, self.store)
-        A = store.A
+    def build():
         coarse = solve_ff = None
-        if self.pair is not None:
-            coarse = _coarse(A, self.pair, store.tridiagonal())[0]
-            if any(s.kind == "fexact" and not _is_identity(s) for s in (self.pre, self.post)):
-                solve_ff = store.ff_solve(self.pair.part)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "store", store)
-        object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "solve_ff", solve_ff)
+        if spec.pair is not None:
+            coarse = _coarse(store.A, spec.pair, store.tridiagonal())[0]
+            if any(s.kind == "fexact" and not _is_identity(s) for s in (spec.pre, spec.post)):
+                solve_ff = store.ff_solve(spec.pair.part)
+        return coarse, solve_ff
 
-
-def _bind(A, spec):
-    """(A, method) for spec on A: spec itself when it is bound to this very A,
-    which it scanned at binding, else a fresh binding, which validates A."""
-    if isinstance(spec, PreparedTwoGrid) and spec.A is A:
-        return A, spec
-    method = PreparedTwoGrid(spec.pair, spec.pre, spec.post, A=A)
-    return method.A, method
+    return store.get(("two_grid", spec), build)
 
 
 def _relaxation(A, spec, part, solve_ff=None):
@@ -206,7 +177,7 @@ def relax_propagator(A, spec, part=None):
     """Error propagator (I - N^{-1} A)^sweeps of a relaxation scheme.
 
     part is required for the F-point kinds and ignored otherwise. An exact
-    F-solve solves with the factor of A_ff, as a PreparedTwoGrid does.
+    F-solve solves with the factor of A_ff, as a bound two-grid method does.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
@@ -225,21 +196,22 @@ def two_grid_propagator(A, spec):
     """Full two-grid error propagator E_post (I - Pi) E_pre.
 
     A relaxation that is the identity (kind none or zero sweeps) is left out
-    of the product; the others associate as (E_post (I - Pi)) E_pre. Pi and
-    an exact F-solve are formed with the guards and factors of a
-    PreparedTwoGrid bound to A, made here when spec is not one.
+    of the product; the others associate as (E_post (I - Pi)) E_pre. A is
+    the matrix or its ProblemStore, and Pi and an exact F-solve are formed
+    with the guards and factors of spec's binding there (see _bind).
     """
-    A, method = _bind(A, spec)
-    n = A.shape[0]
+    store = _store_for(A)
+    A = store.A
+    coarse, solve_ff = _bind(store, spec)
     part = spec.pair.part if spec.pair is not None else None
-    E = np.eye(n)
+    E = np.eye(A.shape[0])
     if spec.pair is not None:
         # B = K^{-1} R*A afresh, not the cached coarse.B, so the binding does not keep it
-        E -= spec.pair.P @ method.coarse.solve(method.coarse.RA)
+        E -= spec.pair.P @ coarse.solve(coarse.RA)
     if not _is_identity(spec.post):
-        E = _sweeps(A, spec.post, part, method.solve_ff) @ E
+        E = _sweeps(A, spec.post, part, solve_ff) @ E
     if not _is_identity(spec.pre):
-        E = E @ _sweeps(A, spec.pre, part, method.solve_ff)
+        E = E @ _sweeps(A, spec.pre, part, solve_ff)
     return E
 
 
@@ -273,21 +245,22 @@ def two_grid_conv_factor(A, spec):
     With a classical pair and exact F-relaxation on one side or both (and no
     relaxation on the other) rho is read from the n_c x n_c matrix
     T = K^{-1} (Z - Z_ideal)* A_ff (W_ideal - W) (see the module docstring),
-    with Z_ideal and W_ideal of A from the binding's ProblemStore. When
-    Z = Z_ideal or W = W_ideal exactly, rho is 0.0 and no eigensolve is
-    made; when the block is the very array the store holds, as for an
-    ideal block of A built through that store, the other ideal block is not
-    built either. S is a
-    projection, so its sweep count does not matter. Every other method gives
-    exactly conv_factor(two_grid_propagator(A, spec)).
+    with Z_ideal and W_ideal of A from its ProblemStore: A is the matrix or
+    its store. When Z = Z_ideal or W = W_ideal exactly, rho is 0.0 and no
+    eigensolve is made; when the block is the very array the store holds, as
+    for an ideal block of A built through that store, the other ideal block
+    is not built either. S is a projection, so its sweep count does not
+    matter. Every other method gives exactly
+    conv_factor(two_grid_propagator(A, spec)).
 
     A singular K raises SingularMatrixError as coarse_correction does,
     before A_ff is guarded.
     """
-    A, method = _bind(A, spec)
+    store = _store_for(A)
     if not _reduces(spec):
-        return _spectral_radius(two_grid_propagator(A, method))
-    pair, store = spec.pair, method.store
+        return _spectral_radius(two_grid_propagator(store, spec))
+    coarse = _bind(store, spec)[0]
+    pair = spec.pair
     part = pair.part
     Z, W = pair.Z, pair.W
     # a block that is the ideal block of A the store holds makes T = 0,
@@ -302,7 +275,7 @@ def two_grid_conv_factor(A, spec):
     if not dW.any():
         return 0.0
     f = part.fidx
-    return _spectral_radius(method.coarse.solve(dZ.T @ (A[np.ix_(f, f)] @ dW)))
+    return _spectral_radius(coarse.solve(dZ.T @ (store.A[np.ix_(f, f)] @ dW)))
 
 
 def air_cpoint_residual(A, pair, e):
@@ -325,10 +298,11 @@ def iterate(A, spec, b, x0, iters):
     Relaxation sweeps apply x <- x + N^{-1}(b - A x); coarse-grid correction
     applies x <- x + P (R* A P)^{-1} R* (b - A x).
 
-    Every matrix is guarded and factored once per call, or taken from a
-    PreparedTwoGrid bound to A. N^{-1} is never formed: a sweep scales the
-    residual by omega / diag(A) (Jacobi, or its F-point rows for F-Jacobi)
-    or solves with A_ff against its factor on the F-points. K = R*AP is
+    A is the matrix or its ProblemStore, and every matrix is guarded and
+    factored once per spec and store (see _bind). N^{-1} is never formed: a
+    sweep scales the residual by omega / diag(A) (Jacobi, or its F-point
+    rows for F-Jacobi) or solves with A_ff against its factor on the
+    F-points. K = R*AP is
     factored once by lu_solver, so the coarse correction costs products and
     two triangular solves, or one tridiagonal solve. The products of a
     classical pair are Z* r[F] and W y, each skipped when its block is
@@ -337,7 +311,9 @@ def iterate(A, spec, b, x0, iters):
     product with A per update: O(n) on A's three diagonals for a tridiagonal
     A, else a dense O(n^2) product.
     """
-    A, method = _bind(A, spec)
+    store = _store_for(A)
+    A = store.A
+    coarse, solve_ff = _bind(store, spec)
     b = np.asarray(b, dtype=float).ravel()
     x = np.array(x0, dtype=float).ravel()
     if iters < 0:
@@ -345,13 +321,13 @@ def iterate(A, spec, b, x0, iters):
     part = spec.pair.part if spec.pair is not None else None
     steps = []  # (rows, apply): x[rows] += apply(r[rows]), or x += apply(r) for rows None
     if not _is_identity(spec.pre):
-        steps += [_relaxation(A, spec.pre, part, method.solve_ff)] * spec.pre.sweeps
+        steps += [_relaxation(A, spec.pre, part, solve_ff)] * spec.pre.sweeps
     if spec.pair is not None:
-        steps.append((None, _coarse_step(spec.pair, method.coarse.solve)))
+        steps.append((None, _coarse_step(spec.pair, coarse.solve)))
     if not _is_identity(spec.post):
-        steps += [_relaxation(A, spec.post, part, method.solve_ff)] * spec.post.sweeps
+        steps += [_relaxation(A, spec.post, part, solve_ff)] * spec.post.sweeps
 
-    diags = method.store.tridiagonal()
+    diags = store.tridiagonal()
 
     def residual(x):
         return b - (A @ x if diags is None else _tridiagonal_product(diags, x))

@@ -360,16 +360,17 @@ def _complete(store, G, part, anchor, block):
 
     Anchor "P" takes block as W and returns Z, since R spans A^{-*} M P;
     anchor "R" takes Z and returns W, since P spans M^{-1} A* R. Where G
-    holds H = G^{-*} A*, A^{-*} G* = H^{-1} and G^{-*} A* = H, so no solve
-    with A is made; otherwise A^{-*} is the store's factor of A. The
-    completion X is n x n_c, and the block is X[F] X[C]^{-1}, C-ordered, by
-    one solve with X[C] (see _inverse_block), guarded against ||X||_1: a
-    C-block that is round-off relative to X is singular. For the ideal block
-    of a companion Q this is the ideal block of the derived companion,
-    A M^{-1} Q* or Q* A^{-*} M, which is never formed.
+    was realized on store.A and holds H = G^{-*} A*, A^{-*} G* = H^{-1} and
+    G^{-*} A* = H, so no solve with A is made; otherwise A^{-*} is the
+    store's factor of A. The completion X is n x n_c, and the block is
+    X[F] X[C]^{-1}, C-ordered, by one solve with X[C] (see _inverse_block),
+    guarded against ||X||_1: a C-block that is round-off relative to X is
+    singular. For the ideal block of a companion Q this is the ideal block
+    of the derived companion, A M^{-1} Q* or Q* A^{-*} M, which is never
+    formed.
     """
     X = part.assemble_rows(block, np.eye(part.nc))
-    H = G.H
+    H = G.h_on(store.A)
     if anchor == "P":
         X = G.apply(X)
         X = store.lu_solve()(G.apply_adj(X), trans=1) if H is None else H.solve(X)
@@ -424,7 +425,7 @@ def _ideal_cell(store, part, G, q, anchor):
         ) from e
 
 
-def ideal_pair(A, part, norm, q, anchor="P", store=None):
+def ideal_pair(A, part, norm, q, anchor="P"):
     """Build a pair whose coarse-grid correction is orthogonal in the chosen norm.
 
     anchor="P" fixes P = P_ideal(Q) and derives the unique compatible
@@ -432,13 +433,13 @@ def ideal_pair(A, part, norm, q, anchor="P", store=None):
     derives P = P_ideal(Q* A^{-*} M). The anchored block is the ideal block
     of Q (see _ideal_block), and the derived one is read off the n_c columns
     of A^{-*} M P or M^{-1} A* R through the factor G of M = G* G (see
-    _complete): neither M nor the derived companion is formed. store is A's
-    ProblemStore, whose factors of A and ideal blocks are used.
+    _complete): neither M nor the derived companion is formed. A is the
+    matrix or its ProblemStore, whose factors of A and ideal blocks are used.
     """
-    store = _store_for(A, store)
+    store = _store_for(A)
     store.lu_solve()
     anchor = _anchor_tag(anchor)
-    G = realize_norm(norm, store.A, factored=True, store=store)
+    G = realize_norm(norm, store, factored=True)
     return _ideal_cell(store, part, G, q, anchor)
 
 
@@ -529,7 +530,7 @@ class CatalogEntry:
     reason: str | None = None
 
 
-def catalog_pairs(A, part, store=None):
+def catalog_pairs(A, part):
     """Generate every catalog cell that is computable densely, one at a time.
 
     Cells whose prerequisites fail (for example an SPD requirement on A or on
@@ -539,9 +540,9 @@ def catalog_pairs(A, part, store=None):
     order is fixed: table 1 then table 2, row-major in (norm, q). A is
     guarded before the first cell.
 
-    Each norm is taken as its factor G, with M = G* G, from store, A's
-    ProblemStore (a new one by default), so its preconditions on A are
-    decided once and no norm matrix M is formed. A computable cell thus
+    Each norm is taken as its factor G, with M = G* G, from A's
+    ProblemStore (A itself when it is one, else a new one), so its
+    preconditions on A are decided once and no norm matrix M is formed. A computable cell thus
     certifies that its norm is well posed on A, and a row whose norm fails
     is skipped with the same reason in both tables. A cell is built as
     ideal_pair builds it: its anchored block is the store's ideal block of
@@ -552,7 +553,7 @@ def catalog_pairs(A, part, store=None):
     the next holds one pair at a time; what outlives it is only the store's
     n_f x n_c ideal blocks.
     """
-    store = _store_for(A, store)
+    store = _store_for(A)
     store.lu_solve()
     return _catalog_cells(store, part)
 
@@ -562,7 +563,7 @@ def _catalog_cells(store, part):
         for norm in CATALOG_NORMS:
             G, row_reason = None, None
             try:
-                G = realize_norm(norm, store.A, factored=True, store=store)
+                G = realize_norm(norm, store, factored=True)
             except ValueError as e:  # a SingularMatrixError is a ValueError
                 row_reason = str(e)
             for q in CATALOG_QS:
@@ -614,16 +615,16 @@ SINGLE_OPERATOR_PAIRS = (
 )
 
 
-def ideal_blocks_pair(A, part, r_q, p_q, store=None):
+def ideal_blocks_pair(A, part, r_q, p_q):
     """The classical pair R = R_ideal(Q_r), P = P_ideal(Q_p) on the companions r_q, p_q.
 
-    Through A's ProblemStore store each ideal block is built once for all
-    the pairs that share it; a block that cannot be built raises its error
+    A is the matrix or its ProblemStore. Through a store each ideal block is
+    built once for all the pairs that share it; a block that cannot be built raises its error
     again to each of them. The pair holds the store's read-only blocks
     themselves, made from the validated A, so they are neither scanned nor
     copied again.
     """
-    store = _store_for(A, store)
+    store = _store_for(A)
     Z = _ideal_block(store, part, r_q, "Z")
     W = _ideal_block(store, part, p_q, "W")
     return TransferPair._of_blocks(part, Z, W)
@@ -665,10 +666,10 @@ def _held_ideal_block(store, part, q, side):
     return store.peek(("ideal", side, _choice(q).tag, part))
 
 
-def single_operator_pair(A, part, item, store=None):
+def single_operator_pair(A, part, item):
     """Build single-operator pair 1..4 (or by name); returns (pair, norm_tag).
 
-    store is A's ProblemStore, which builds each ideal block once.
+    A is the matrix or its ProblemStore, which builds each ideal block once.
     """
     if isinstance(item, int):
         if not 1 <= item <= len(SINGLE_OPERATOR_PAIRS):
@@ -679,4 +680,4 @@ def single_operator_pair(A, part, item, store=None):
         if not matches:
             raise ValueError(f"unknown single-operator pair {item!r}")
         rec = matches[0]
-    return ideal_blocks_pair(A, part, rec["r_q"], rec["p_q"], store), rec["norm"]
+    return ideal_blocks_pair(A, part, rec["r_q"], rec["p_q"]), rec["norm"]

@@ -182,6 +182,18 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
     ("figure1", ["--pair", "none"], "--pair: figure1 reads no pair recipe"),
     ("converge", ["--pair", "single1", "--tol", "5"], "--tol: converge reads no tolerance"),
     ("converge", ["--pair", "single1", "--tol", "1e-8"], "--tol: converge reads no tolerance"),
+    ("tables", ["--nx", "5"], "--nx: only --problem advection2d reads it"),
+    ("converge", ["--pair", "single1", "--ny", "7"], "--ny: only --problem advection2d reads it"),
+    ("tables", ["--problem", "random", "--n", "8", "--nx", "5", "--ny", "7", "--epsilon", "3"],
+     "--nx: only --problem advection2d reads it"),
+    ("tables", ["--problem", "random", "--n", "8", "--epsilon", "3"],
+     "--epsilon: only --problem advdiff1d reads it"),
+    ("figure1", ["--problem", "advection2d", "--nx", "4", "--ny", "4", "--epsilon", "0"],
+     "--epsilon: only --problem advdiff1d reads it"),
+    ("converge", ["--problem", "advection1d", "--n", "8", "--seed", "-1"], "--seed: must be >= 0"),
+    ("tables", ["--problem", "advection1d", "--n", "8", "--seed", "-1"], "--seed: must be >= 0"),
+    ("converge", ["--pair", "random:-1"], "--pair: random recipe needs a seed >= 0"),
+    ("verify-pairs", ["--pair", "random:-3"], "--pair: random recipe needs a seed >= 0"),
 ])
 def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
                                                                    split, capsys, monkeypatch):
@@ -623,6 +635,28 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
     stripped_a = [l for l in ta if '"timestamp"' not in l]
     stripped_b = [l for l in tb if '"timestamp"' not in l]
     assert stripped_a == stripped_b
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3", "0", "1.5"])
+def test_threads_env_var_that_is_no_positive_integer_is_a_config_error(
+        threads, tmp_path, capsys, monkeypatch):
+    # checked before any problem is built, and no report is written
+    monkeypatch.setattr("compatamg.cli.generate", None)  # a call would raise TypeError
+    monkeypatch.setenv("COMPATAMG_THREADS", threads)
+    out = tmp_path / "r.json"
+    assert main(["figure1", "--problem", "random", "--n", "8", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"compatamg: config error: COMPATAMG_THREADS: must be a positive integer, got {threads!r}")
+    assert not out.exists()
+
+
+def test_threads_env_var_that_is_empty_runs_one_worker(tmp_path, monkeypatch):
+    import compatamg.cli as cli
+
+    monkeypatch.setenv("COMPATAMG_THREADS", "")
+    assert cli._case_threads() == 1
+    code, report = _run_json(tmp_path, ["figure1", "--problem", "random", "--n", "8"])
+    assert code == 0 and report["passed"] is True
 
 
 def test_threads_env_var_preserves_output(tmp_path, monkeypatch):

@@ -439,10 +439,69 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     store = cm.ProblemStore(A)
     for _ in range(2):
         with pytest.raises(ValueError, match="requires A to be SPD"):
-            cm.realize_norm("A", A, factored=True, store=store)
+            cm.realize_norm("A", store, factored=True)
     ref = weakref.ref(store)
     del store
     assert ref() is None
+
+
+def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
+    # every entry point that takes A takes its ProblemStore in its place, with
+    # the same bits, so no public callable takes a store beside A; a two-grid
+    # method is bound once per store, guarding K and A_ff once between the
+    # calls on it
+    import inspect
+
+    for name in cm.__all__:
+        obj = getattr(cm, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert "store" not in inspect.signature(obj).parameters, name
+
+    n = 24
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    part = cm.default_splitting(n, "alternate")
+    b = np.random.default_rng(47).standard_normal(n)
+
+    def bits(x):
+        if isinstance(x, tuple):
+            return tuple(bits(v) for v in x)
+        if isinstance(x, cm.TransferPair):
+            return x.Z.tobytes(), x.W.tobytes()
+        if isinstance(x, cm.NormFactor):
+            return x.apply(np.eye(n)).tobytes(), x.solve_adj(np.eye(n)).tobytes()
+        if isinstance(x, cm.CatalogEntry):
+            return x.reason, None if x.pair is None else bits(x.pair)
+        if isinstance(x, list):
+            return [bits(v) for v in x]
+        return np.asarray(x).tobytes()
+
+    pair, _ = cm.single_operator_pair(A, part, "single2")
+    reduced = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    dense = cm.TwoGridSpec(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"))
+    calls = {
+        "realize_norm": lambda a: (cm.realize_norm("AstarAsymInvA", a),
+                                   cm.realize_norm("AstarA", a, factored=True)),
+        "ideal_pair": lambda a: cm.ideal_pair(a, part, "AstarA", "Asym", "R"),
+        "catalog_pairs": lambda a: list(cm.catalog_pairs(a, part)),
+        "ideal_blocks_pair": lambda a: cm.ideal_blocks_pair(a, part, "Ainv", "Asym"),
+        "single_operator_pair": lambda a: cm.single_operator_pair(a, part, 4),
+        "two_grid_conv_factor": lambda a: (cm.two_grid_conv_factor(a, reduced),
+                                           cm.two_grid_conv_factor(a, dense)),
+        "two_grid_propagator": lambda a: cm.two_grid_propagator(a, dense),
+        "iterate": lambda a: cm.iterate(a, dense, b, np.zeros(n), 8),
+    }
+    for name, call in calls.items():
+        assert bits(call(A)) == bits(call(cm.ProblemStore(A))), name
+
+    guard = linalg._guarded_lu
+    counts = []
+    monkeypatch.setattr(
+        linalg, "_guarded_lu", lambda M, what, *norm: (counts.append(what), guard(M, what, *norm))[1]
+    )
+    store = cm.ProblemStore(A)
+    cm.two_grid_conv_factor(store, reduced)
+    cm.iterate(store, reduced, b, np.zeros(n), 8)
+    assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
 
 
 def _count_dgetrf(monkeypatch):
@@ -550,7 +609,7 @@ def test_figure1_inverse_blocks_share_one_guard_of_a_cc(monkeypatch):
     store = cm.ProblemStore(A)
     orders = _count_dgetrf(monkeypatch)
     for _, _, r_q, p_q in FIGURE_EDGES:
-        cm.ideal_blocks_pair(A, part, r_q, p_q, store)
+        cm.ideal_blocks_pair(store, part, r_q, p_q)
     assert names.count("A_cc") == 1 and "A" not in names
     assert n not in orders
 

@@ -9,6 +9,7 @@ import scipy.linalg
 import compatamg as cm
 import compatamg.linalg
 import compatamg.projection
+from compatamg.solver import _bind
 from conftest import random_pair_case
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -306,7 +307,7 @@ def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
     K = compatamg.projection._coarse(A, pair)[1]
-    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse.solve
+    solve_k = _bind(cm.ProblemStore(A), cm.TwoGridSpec(pair))[0].solve
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
     ref = [np.linalg.norm(b - A @ x)]
@@ -474,15 +475,15 @@ def test_prepared_method_shares_its_guards(monkeypatch):
     b = np.ones(40)
     plain = cm.iterate(A, spec, b, np.zeros(40), 6)
     counts.clear()
-    bound = cm.PreparedTwoGrid(pair, spec.pre, spec.post, A=A)
-    rho = cm.two_grid_conv_factor(A, bound)
-    hist = cm.iterate(A, bound, b, np.zeros(40), 6)
+    store = cm.ProblemStore(A)
+    rho = cm.two_grid_conv_factor(store, spec)
+    hist = cm.iterate(store, cm.TwoGridSpec(pair, spec.pre, spec.post), b, np.zeros(40), 6)
     assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
     assert rho == cm.two_grid_conv_factor(A, spec)
     np.testing.assert_array_equal(hist, plain)
     # a binding to another matrix is not reused
     counts.clear()
-    cm.iterate(A.copy(), bound, b, np.zeros(40), 1)
+    cm.iterate(A.copy(), spec, b, np.zeros(40), 1)
     assert sorted(counts) == ["A_ff", "coarse operator R*AP"]
 
 
@@ -510,10 +511,10 @@ def test_reading_p_keeps_the_ideal_block_that_makes_rho_zero():
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     part = _split(40)
     store = cm.ProblemStore(A)
-    pair = cm.ideal_blocks_pair(A, part, "identity", "A", store)
+    pair = cm.ideal_blocks_pair(store, part, "identity", "A")
     assert pair.P.shape == (40, part.nc)
-    method = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A, store=store)
-    assert cm.two_grid_conv_factor(A, method) == 0.0
+    method = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    assert cm.two_grid_conv_factor(store, method) == 0.0
     assert store.peek(("ideal", "Z", "A", part)) is None
 
 
@@ -545,12 +546,13 @@ def test_iterate_applies_each_relaxation_without_forming_n_inverse(monkeypatch, 
 
 
 def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
-    # A is scanned once, at binding; the calls on the same A object skip it
+    # A is scanned once, when its store is made; the calls on that store skip it
     import compatamg.solver as solver
 
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(40), "single3")
-    bound = cm.PreparedTwoGrid(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"), A=A)
+    store = cm.ProblemStore(A)
+    bound = cm.TwoGridSpec(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"))
     scans = []
     for module in (solver, compatamg.linalg):
         real = module.as_matrix
@@ -558,9 +560,9 @@ def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
             module, "as_matrix",
             lambda a, name="matrix", real=real: (scans.append(np.shape(a)), real(a, name))[1],
         )
-    cm.two_grid_conv_factor(A, bound)
-    cm.two_grid_propagator(A, bound)
-    cm.iterate(A, bound, np.ones(40), np.zeros(40), 3)
+    cm.two_grid_conv_factor(store, bound)
+    cm.two_grid_propagator(store, bound)
+    cm.iterate(store, bound, np.ones(40), np.zeros(40), 3)
     assert (40, 40) not in scans
     cm.iterate(A.copy(), bound, np.ones(40), np.zeros(40), 1)
     assert (40, 40) in scans
@@ -574,15 +576,13 @@ def test_prepared_method_binds_to_the_store_of_its_pair(monkeypatch):
     )
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
     store = cm.ProblemStore(A)
-    pair, _ = cm.single_operator_pair(A, _split(40), "single1", store)
+    pair, _ = cm.single_operator_pair(store, _split(40), "single1")
     assert counts == ["A_ff"]
-    bound = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A, store=store)
-    assert cm.two_grid_conv_factor(A, bound) == 0.0
-    cm.iterate(A, bound, np.ones(40), np.zeros(40), 3)
+    bound = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    assert cm.two_grid_conv_factor(store, bound) == 0.0
+    cm.iterate(store, bound, np.ones(40), np.zeros(40), 3)
     # the F-relaxation and rho reuse the A_ff factor the pair was built with
     assert counts == ["A_ff", "coarse operator R*AP"]
-    with pytest.raises(ValueError, match="store"):
-        cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=A.copy(), store=store)
 
 
 @pytest.mark.parametrize("name", ["single1", "single3", "random", "cblocks"])
@@ -601,7 +601,7 @@ def test_coarse_step_on_blocks_matches_r_and_p(name):
                             rng.standard_normal((part.nf, part.nc)))
     else:
         pair, _ = cm.single_operator_pair(A, part, name)
-    solve_k = cm.PreparedTwoGrid(pair, A=A).coarse.solve
+    solve_k = _bind(cm.ProblemStore(A), cm.TwoGridSpec(pair))[0].solve
     r = rng.standard_normal(40)
     ref = pair.P @ solve_k(pair.R.T @ r)
     got = _coarse_step(pair, solve_k)(r)
@@ -618,14 +618,14 @@ def test_converge_path_forms_no_n_by_nc_block(name):
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))
     part = _split(n)
     store = cm.ProblemStore(A)
-    pair, _ = cm.single_operator_pair(A, part, name, store)
+    pair, _ = cm.single_operator_pair(store, part, name)
     b = np.random.default_rng(15).standard_normal(n)
     x0 = np.zeros(n)
     tracemalloc.start()
     try:
-        method = cm.PreparedTwoGrid(pair, post=cm.RelaxSpec("fexact"), A=store.A, store=store)
-        rho = cm.two_grid_conv_factor(method.A, method)
-        history = cm.iterate(method.A, method, b, x0, 30)
+        method = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+        rho = cm.two_grid_conv_factor(store, method)
+        history = cm.iterate(store, method, b, x0, 30)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -310,13 +310,13 @@ def test_every_cell_is_the_dense_pair_of_its_companion_expression(kind, policy):
         part = cm.default_splitting(n, policy, seed=n)
         store = ProblemStore(A)
         cells = [(e, e.pair, e.reason, e.companion_expr)
-                 for e in cm.catalog_pairs(A, part, store)]
+                 for e in cm.catalog_pairs(store, part)]
         for norm in _RECIPE_NORMS:
             for q in ("Ainv", "AinvStar"):
                 for anchor in ("P", "R"):
                     e = (norm, q, anchor)
                     try:
-                        pair, reason = cm.ideal_pair(A, part, norm, q, anchor, store), None
+                        pair, reason = cm.ideal_pair(store, part, norm, q, anchor), None
                     except ValueError as err:
                         pair, reason = None, str(err)
                     cells.append((e, pair, reason, None))
@@ -346,9 +346,9 @@ def test_catalog_cells_are_exact_to_round_off(kind, epsilon, computable):
     A = cm.generate(cm.ProblemSpec(kind=kind, n=n, epsilon=epsilon))
     store = ProblemStore(A)
     sines = {}
-    for e in cm.catalog_pairs(A, _split(n), store):
+    for e in cm.catalog_pairs(store, _split(n)):
         if not e.skipped:
-            G = cm.realize_norm(e.norm, A, factored=True, store=store)
+            G = cm.realize_norm(e.norm, store, factored=True)
             sines[(e.table, e.norm, e.q)] = cm.coarse_correction(A, e.pair).angles(G).sin_max
     assert len(sines) == computable
     worst = max(sines, key=sines.get)
@@ -534,7 +534,7 @@ def test_inverse_blocks_match_the_dense_inverse(policy):
         for norm in _RECIPE_NORMS:
             for anchor in ("P", "R"):
                 try:
-                    pair = cm.ideal_pair(A, part, norm, q, anchor, store)
+                    pair = cm.ideal_pair(store, part, norm, q, anchor)
                 except ValueError:
                     continue
                 Z, W = _dense_cell(A, part, norm, q, anchor)
@@ -559,10 +559,10 @@ def test_inverse_cells_are_exact_to_round_off(kind, epsilon, computable):
         for q in ("Ainv", "AinvStar"):
             for anchor in ("P", "R"):
                 try:
-                    pair = cm.ideal_pair(A, part, norm, q, anchor, store)
+                    pair = cm.ideal_pair(store, part, norm, q, anchor)
                 except ValueError:
                     continue
-                G = cm.realize_norm(norm, A, factored=True, store=store)
+                G = cm.realize_norm(norm, store, factored=True)
                 rep = cm.projection_report(A, pair, G, 1e-8)
                 cell = (anchor, norm, q)
                 assert rep["compat_eq"], cell
@@ -704,7 +704,7 @@ def test_general_completion_is_compatible_in_every_norm(kind, n, policy, seed):
     for tag in _COMPLETION_NORMS:
         norm = cm.NormSpec("Custom", random_spd(rng, n)) if tag == "Custom" else tag
         try:
-            G = cm.realize_norm(norm, A, factored=True, store=store)
+            G = cm.realize_norm(norm, store, factored=True)
         except ValueError:  # the norm's precondition fails on this A
             continue
         W = cm.compatible_w_from_z_general(Ap, Z, G)
@@ -716,6 +716,27 @@ def test_general_completion_is_compatible_in_every_norm(kind, n, policy, seed):
             assert np.linalg.norm(W - Wc) <= 1e-8 * np.linalg.norm(pair.P), tag
         completed.append(tag)
     assert {"identity", "AstarA", "SqrtAstarA", "Custom"} <= set(completed)
+
+
+@pytest.mark.parametrize("tag", ["AstarA", "AstarAsymInvA"])
+def test_general_completion_through_a_factor_of_another_matrix_matches_its_dense_norm(tag):
+    # H = G^{-*} A* of a factor holds only on the matrix the factor was
+    # realized on: a factor of A2 completes Z on A as the dense M of that
+    # norm does, and the correction is orthogonal in M, whether the factor
+    # belongs to A2 or to A itself
+    n = 40
+    A = cm.generate(cm.ProblemSpec("random", n=n, seed=11))
+    A2 = cm.generate(cm.ProblemSpec("random", n=n, seed=12))
+    part = _split(n)
+    Ap = cm.partition(A, part)
+    Z = np.random.default_rng(13).standard_normal((part.nf, part.nc))
+    for B in (A2, A):
+        M = cm.realize_norm(tag, B)
+        want = cm.compatible_w_from_z_general(Ap, Z, M)
+        W = cm.compatible_w_from_z_general(Ap, Z, cm.realize_norm(tag, B, factored=True))
+        assert np.linalg.norm(W - want) <= 1e-10 * np.linalg.norm(want), tag
+        corr = cm.coarse_correction(A, cm.make_pair(part, Z, W))
+        assert abs(cm.pi_m_norm(corr, M) - 1.0) <= 1e-10, tag
 
 
 def test_realize_q_tags():
@@ -763,7 +784,7 @@ def test_store_blocks_of_a_share_one_guarded_lu_of_a_ff(monkeypatch):
     part = cm.default_splitting(30, "alternate")
     store = cm.ProblemStore(A)
     for name in ("single1", "single2", "single3", "single4"):
-        cm.single_operator_pair(A, part, name, store)
+        cm.single_operator_pair(store, part, name)
     # Z_ideal(A) and W_ideal(A) through the store's one "A_ff" guard, the
     # Asym blocks through one guard each, the identity's without any
     assert sorted(counts) == ["A_ff", "ff-block of companion", "ff-block of companion"]
@@ -818,31 +839,6 @@ def test_a_classical_pair_holds_its_blocks_and_assembles_r_and_p_once_on_read():
     assert pair.W.tobytes() == W.tobytes()
 
 
-def test_every_store_taking_entry_point_rejects_the_store_of_another_matrix():
-    # a store answers for the one A it was made on: A2 with A1's store would
-    # give A1's pair, whose correction is not orthogonal on A2
-    n = 12
-    A1 = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
-    A2 = cm.generate(cm.ProblemSpec("random", n=n, seed=4))
-    part = _split(n)
-    other = ProblemStore(A1)
-    calls = (
-        lambda store: cm.ideal_pair(A2, part, "identity", "A", "P", store=store),
-        lambda store: cm.ideal_blocks_pair(A2, part, "A", "identity", store),
-        lambda store: cm.single_operator_pair(A2, part, "single1", store),
-        lambda store: next(cm.catalog_pairs(A2, part, store)),
-        lambda store: cm.realize_norm("AstarA", A2, factored=True, store=store),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="store must be the ProblemStore of this very A"):
-            call(other)
-        call(ProblemStore(A2))
-        call(None)
-    pair = cm.ideal_pair(A2, part, "identity", "A", "P")
-    M = cm.realize_norm("identity", A2, factored=True)
-    assert abs(cm.pi_m_norm(cm.coarse_correction(A2, pair), M) - 1.0) < 1e-12
-
-
 def test_make_pair_rejects_a_read_only_block_holding_nan():
     part = _split(6)
     W = np.zeros((part.nf, part.nc))
@@ -863,7 +859,7 @@ def test_ideal_blocks_pair_holds_the_store_blocks_themselves(policy):
     tags = ("identity", "A", "Asym", "AstarA", "AAstar", "Ainv", "AinvStar")
     for r_q in tags:
         for p_q in tags:
-            pair = cm.ideal_blocks_pair(A, part, r_q, p_q, store)
+            pair = cm.ideal_blocks_pair(store, part, r_q, p_q)
             for block, q, side in ((pair.Z, r_q, "Z"), (pair.W, p_q, "W")):
                 assert block is _ideal_block(store, part, q, side)
                 assert block.flags.c_contiguous and not block.flags.writeable
@@ -880,7 +876,7 @@ def test_each_pair_decides_its_zero_blocks_once_as_count_nonzero_does():
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.01))
     part = _split(n)
     store = ProblemStore(A)
-    pairs = [cm.single_operator_pair(A, part, k, store)[0] for k in range(1, 5)]
+    pairs = [cm.single_operator_pair(store, part, k)[0] for k in range(1, 5)]
     rng = np.random.default_rng(48)
     blocks = [rng.standard_normal((part.nf, part.nc)) for _ in range(2)]
     zero = np.zeros((part.nf, part.nc))
