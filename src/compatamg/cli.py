@@ -6,12 +6,12 @@ Every subcommand runs its cases through one runner, _run_cases, which
 skips a case whose measurement raises a ValueError and applies one exit
 rule: 1 when a case's pass is false or it was skipped for an incompatible
 pair, or, in converge, any case was skipped; else 0. Exit 2 is a malformed
-configuration, found before any problem is built, or a verify-pairs pair
-that fails to construct, whose message ends with its --pair recipe. The
-COMPATAMG_THREADS environment variable caps how many independent cases run
-in parallel (default 1, also when empty; any other value than a positive
-integer is a configuration error); output ordering is configuration order
-regardless.
+configuration, a flag that nothing reads included, found before any
+problem is built, or a verify-pairs pair that fails to construct, whose
+message ends with its --pair recipe. The COMPATAMG_THREADS environment
+variable caps how many independent cases run in parallel (default 1, also
+when empty; any other value than a positive integer is a configuration
+error); output ordering is configuration order regardless.
 
 Every norm is realized as its factor G (M = G*G) and every case is measured
 from its pair's coarse correction (compatamg.projection.coarse_correction):
@@ -416,9 +416,9 @@ def _build_parser():
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--ny", type=int, default=None)
         p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--split", default="alternate", choices=("alternate", "firsthalf", "random"))
-        p.add_argument("--cfrac", type=float, default=0.5)
+        p.add_argument("--cfrac", type=float, default=None)
         p.add_argument("--norm", action="append", default=[], metavar="TAG")
         p.add_argument("--pair", action="append", default=[], metavar="RECIPE")
         p.add_argument("--tol", type=float, default=None)
@@ -439,21 +439,29 @@ def _config_from_args(args):
     tol = _DEFAULT_TOL if args.tol is None else args.tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"--tol: must be a finite number >= 0, got {tol!r}")
-    # checked for every --split, before any problem is built
-    if not 0.0 < args.cfrac < 1.0:
+    # range checks first, for every --split, before any problem is built
+    if args.cfrac is not None and not 0.0 < args.cfrac < 1.0:
         raise ConfigError(f"--cfrac: must lie strictly between 0 and 1, got {args.cfrac!r}")
     iters = getattr(args, "iters", 30)
     if iters < 0:
         raise ConfigError(f"--iters: must be >= 0, got {iters}")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     _case_threads()
-    # a problem flag that the chosen kind never reads is refused
+    # a flag that nothing reads is refused: the problem flags outside their
+    # kind, --cfrac outside --split random, and --seed where neither the
+    # problem, the splitting nor converge's right-hand side draws from it
     for flag, value, kind in (("--nx", args.nx, "advection2d"), ("--ny", args.ny, "advection2d"),
                               ("--epsilon", args.epsilon, "advdiff1d")):
         if value is not None and args.problem != kind:
             raise ConfigError(f"{flag}: only --problem {kind} reads it, not {args.problem}")
-    kwargs = {"kind": args.problem, "seed": args.seed,
+    if args.cfrac is not None and args.split != "random":
+        raise ConfigError(f"--cfrac: only --split random reads it, not {args.split}")
+    seed_read = args.command == "converge" or "random" in (args.problem, args.split)
+    if args.seed is not None and not seed_read:
+        raise ConfigError(f"--seed: {args.command} reads it only with --problem random "
+                          f"or --split random")
+    kwargs = {"kind": args.problem, "seed": 0 if args.seed is None else args.seed,
               "epsilon": 0.0 if args.epsilon is None else args.epsilon}
     if args.problem == "advection2d":
         kwargs["nx"] = args.nx if args.nx is not None else args.n
@@ -468,7 +476,7 @@ def _config_from_args(args):
         command=args.command,
         problem=problem,
         split=args.split,
-        cfrac=args.cfrac,
+        cfrac=0.5 if args.cfrac is None else args.cfrac,
         norms=list(args.norm),
         pairs=list(args.pair),
         pre=_relax_from_recipe(getattr(args, "pre", "none"), "--pre"),

@@ -19,7 +19,8 @@ for R*AP and the iteration.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
-solve closure (dgttrs on a tridiagonal factor, O(n) per right-hand side).
+solve closure (dgttrs on a tridiagonal factor, O(n) per right-hand side;
+a division by the diagonal of a diagonal one, with dgttrs's values).
 That factor is the only factor of every matrix: nothing is inverted
 densely (no dgetri), and a tridiagonal matrix never gets a dense LU.
 Products with a tridiagonal matrix are taken on its three diagonals.
@@ -250,14 +251,30 @@ def lu_solver(A, what="matrix", norm=None):
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
     norm, when given, is the 1-norm the condition estimate is taken against
     in place of ||A||_1 (see _guarded_lu).
-    A tridiagonal A, a diagonal one included, is solved against the guard's
-    dgttrf factor (dgttrs) in O(n) per right-hand side; any other A against
-    the guard's LU by two triangular solves. The solve is safe to share
-    between threads: scipy's getrs wrapper shifts the pivot indices in place
-    during each call, so every solve gets its own copy of them.
+    A tridiagonal A is solved against the guard's dgttrf factor (dgttrs) in
+    O(n) per right-hand side; any other A against the guard's LU by two
+    triangular solves. A diagonal A, whose dgttrf factor has no row
+    interchange, no multiplier, no superdiagonal and no fill, is solved by
+    dividing by its diagonal: trans has no effect, the values are those of
+    dgttrs and so is the memory order (Fortran for a block), and a
+    right-hand side with other than n rows raises ValueError. The solve is
+    safe to share between threads: scipy's getrs wrapper shifts the pivot
+    indices in place during each call, so every solve gets its own copy of
+    them.
     """
     factor = _guarded_lu(A, what, norm)
     if len(factor) == 5:
+        dl, d, du, du2, ipiv = factor
+        n = d.size
+        if not (dl.any() or du.any() or du2.any()) and np.array_equal(ipiv, np.arange(1, n + 1)):
+            def solve(X, trans=0):
+                X = np.asarray(X, dtype=float)
+                if X.ndim not in (1, 2) or X.shape[0] != n:
+                    raise ValueError(f"right-hand side of shape {X.shape} for {what} of order {n}")
+                return X / d if X.ndim == 1 else np.divide(X, d[:, None], order="F")
+
+            return solve
+
         def solve(X, trans=0):
             return lapack.dgttrs(*factor, X, trans="NT"[trans])[0]
 

@@ -193,6 +193,16 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
     ("converge", ["--problem", "advection1d", "--n", "8", "--seed", "-1"], "--seed: must be >= 0"),
     ("tables", ["--problem", "advection1d", "--n", "8", "--seed", "-1"], "--seed: must be >= 0"),
     ("converge", ["--pair", "random:-1"], "--pair: random recipe needs a seed >= 0"),
+    ("tables", ["--split", "alternate", "--problem", "advection1d", "--n", "8", "--seed", "5",
+                "--cfrac", "0.3"], "--cfrac: only --split random reads it, not alternate"),
+    ("converge", ["--pair", "single1", "--split", "firsthalf", "--cfrac", "0.5"],
+     "--cfrac: only --split random reads it, not firsthalf"),
+    ("tables", ["--split", "alternate", "--problem", "advection1d", "--n", "8", "--seed", "5"],
+     "--seed: tables reads it only with --problem random or --split random"),
+    ("figure1", ["--split", "firsthalf", "--seed", "0"],
+     "--seed: figure1 reads it only with --problem random or --split random"),
+    ("verify-pairs", ["--split", "alternate", "--pair", "single1", "--seed", "3"],
+     "--seed: verify-pairs reads it only with --problem random or --split random"),
     ("verify-pairs", ["--pair", "random:-3"], "--pair: random recipe needs a seed >= 0"),
 ])
 def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
@@ -438,6 +448,29 @@ def test_converge_guards_each_matrix_once_per_pair(tmp_path, monkeypatch):
     # and rho
     assert counts.count("coarse operator R*AP") == 2
     assert counts.count("A_ff") == 2
+
+
+def test_converge_solves_its_diagonal_blocks_without_a_dgttrs_column_sweep(tmp_path, monkeypatch):
+    # on a 1D kind under the alternate splitting A_ff is diagonal: its ideal
+    # block and the exact F-relaxation divide by its diagonal, and dgttrs
+    # only solves K with one right-hand side per call
+    import scipy.linalg.lapack
+
+    real = scipy.linalg.lapack.dgttrs
+    shapes = []
+
+    def dgttrs(dl, d, du, du2, ipiv, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return real(dl, d, du, du2, ipiv, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", dgttrs)
+    code, report = _run_json(
+        tmp_path,
+        ["converge", "--problem", "advdiff1d", "--epsilon", "0.05", "--n", "200",
+         "--pair", "single1", "--pair", "single3", "--post", "fexact", "--iters", "4"],
+    )
+    assert code == 0 and len(report["results"]) == 2
+    assert shapes and all(len(s) == 1 or s[1] <= 1 for s in shapes), shapes
 
 
 @pytest.mark.parametrize("post", ["none", "fexact"])
@@ -986,7 +1019,9 @@ def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recip
     # exit 2 writes nothing. Each flag is given only to the commands that
     # read it: the others refuse it
     size = ["--nx", "2", "--ny", str(n // 2)] if kind == "advection2d" else ["--n", str(n)]
-    args = [command, "--problem", kind, "--split", split, "--seed", str(seed)] + size
+    args = [command, "--problem", kind, "--split", split] + size
+    if command == "converge" or kind == "random" or split == "random":
+        args += ["--seed", str(seed)]
     if expect and command == "verify-pairs":
         args.append("--expect-orthogonal")
     if command in ("verify-pairs", "converge"):

@@ -579,6 +579,55 @@ def test_diagonal_and_order_two_matrices_are_guarded_and_solved():
     np.testing.assert_allclose(A @ lu_solver(A)(np.ones(2)), np.ones(2), rtol=1e-15)
 
 
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("rhs", ["vector", "C", "F"])
+def test_diagonal_solve_divides_with_the_values_and_order_of_dgttrs(rhs, trans):
+    # a diagonal A's factor has no interchange, multiplier or fill: its
+    # solve divides by the diagonal and returns what dgttrs returns, values
+    # (up to the sign of a zero) and memory order alike
+    rng = np.random.default_rng(31)
+    for n in (3, 17, 200):
+        d = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        X = {"vector": rng.standard_normal(n), "C": rng.standard_normal((n, 5)),
+             "F": np.asfortranarray(rng.standard_normal((n, 4)))}[rhs]
+        X[0] = 0.0
+        got = lu_solver(np.diag(d))(X, trans=trans)
+        want = scipy.linalg.lapack.dgttrs(*linalg._guarded_lu(np.diag(d), "D"), X,
+                                          trans="NT"[trans])[0]
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d, estimate", [([1.0, 0.0, 2.0], "inf"), ([3.0, -2.0, 0.0, 5.0], "inf"),
+                                         ([1.0, 1e-13, 1.0], "1.000e+13")])
+def test_a_zero_or_tiny_diagonal_entry_raises_before_any_solve(d, estimate):
+    with pytest.raises(SingularMatrixError) as exc:
+        lu_solver(np.diag(d), "D")
+    assert str(exc.value) == (
+        f"D is numerically singular (1-norm condition estimate ~{estimate} exceeds 1e+12)"
+    )
+
+
+@pytest.mark.parametrize("shape", [(4,), (6,), (1,), (4, 3), (1, 3), (5, 2, 1)])
+def test_diagonal_solve_refuses_a_right_hand_side_of_another_length(shape):
+    # division would broadcast a length-1 right-hand side; dgttrs refuses it
+    solve = lu_solver(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), "D")
+    with pytest.raises(ValueError, match=r"right-hand side of shape .* for D of order 5"):
+        solve(np.ones(shape))
+
+
+def test_a_row_interchange_without_fill_is_no_diagonal_solve():
+    # [[0, 1], [2, 0]] in a tridiagonal A: dgttrf swaps two rows and leaves
+    # no multiplier, superdiagonal or fill, yet A is not diagonal
+    A = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    dl, _, du, du2, ipiv = linalg._guarded_lu(A, "A")
+    assert not (dl.any() or du.any() or du2.any()) and list(ipiv) != [1, 2, 3]
+    b = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(A @ lu_solver(A)(b), b)
+    np.testing.assert_array_equal(A.T @ lu_solver(A)(b, trans=1), b)
+
+
 def test_no_dense_lu_of_a_tridiagonal_matrix_is_made(monkeypatch):
     # the guard's dgttrf factor is the tridiagonal A's only factor: the
     # store's solve and the dense inverse companions run on it
