@@ -281,7 +281,7 @@ def cmd_verify_pairs(cfg):
 
     def measure(pair, tag, expected):
         M = realize_norm(tag, store, factored=True)
-        rec = projection_report(A, pair, M, cfg.tol)
+        rec = projection_report(store, pair, M, cfg.tol)
         if expected:
             rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
@@ -311,7 +311,7 @@ def cmd_figure1(cfg):
 
     def measure(norm, r_q, p_q):
         M = realize_norm(norm, store, factored=True)
-        corr = coarse_correction(A, ideal_blocks_pair(store, part, r_q, p_q))
+        corr = coarse_correction(store, ideal_blocks_pair(store, part, r_q, p_q))
         pi_norm = float(pi_m_norm(corr, M))
         return {"pi_norm": pi_norm, "pass": abs(pi_norm - 1.0) <= cfg.tol}
 
@@ -332,9 +332,9 @@ def cmd_tables(cfg):
         if entry.skipped:
             raise ValueError(entry.reason)
         M = realize_norm(entry.norm, store, factored=True)
-        corr = coarse_correction(A, entry.pair)
+        corr = coarse_correction(store, entry.pair)
         pi_norm = float(pi_m_norm(corr, M))
-        compat_eq = verify_compat_equation(A, M, corr)
+        compat_eq = verify_compat_equation(store, M, corr)
         return {"pi_norm": pi_norm, "compat_eq": compat_eq,
                 "pass": compat_eq and abs(pi_norm - 1.0) <= cfg.tol}
 
@@ -387,15 +387,26 @@ _COMMANDS = {
 
 
 def _relax_from_recipe(text, flag):
-    """Parse 'none' | '<kind>[:omega[:sweeps]]' into a RelaxSpec."""
-    bits = str(text).split(":")
-    kind = bits[0]
+    """Parse '<kind>[:omega[:sweeps]]' into a RelaxSpec; an empty field takes its default.
+
+    A field that the kind never reads is a ConfigError: an omega on none or
+    fexact, a sweep count on none, and any field past the sweeps.
+    """
+    kind, *fields = str(text).split(":")
+    if len(fields) > 2:
+        raise ConfigError(f"{flag}: a relaxation recipe is <kind>[:omega[:sweeps]], got {text!r}")
+    omega, sweeps = fields + [""] * (2 - len(fields))
     try:
-        omega = float(bits[1]) if len(bits) > 1 else 2.0 / 3.0
-        sweeps = int(bits[2]) if len(bits) > 2 else 1
-        return RelaxSpec(kind, omega=omega, sweeps=sweeps)
+        spec = RelaxSpec(kind, omega=float(omega) if omega else 2.0 / 3.0,
+                         sweeps=int(sweeps) if sweeps else 1)
     except ValueError as e:
         raise ConfigError(f"{flag}: {e}") from e
+    unread = {"none": ("omega", "sweeps"), "fexact": ("omega",)}.get(spec.kind, ())
+    for name, value in (("omega", omega), ("sweeps", sweeps)):
+        if value and name in unread:
+            raise ConfigError(f"{flag}: relaxation kind {spec.kind!r} reads no {name}, "
+                              f"got {text!r}")
+    return spec
 
 
 def _build_parser():
@@ -506,6 +517,11 @@ def _config_from_args(args):
             name, kind, _ = _parse_recipe(recipe)
             if kind == "none" and cfg.command == "verify-pairs":
                 raise ConfigError(f"--pair: recipe {name!r} builds no pair; not usable here")
+            for flag, relax in (("--pre", cfg.pre), ("--post", cfg.post)):
+                # a relaxation-only method has no pair to carry F-points
+                if kind == "none" and relax.kind in ("fjacobi", "fexact"):
+                    raise ConfigError(f"--pair none: a relaxation-only method has no F-points "
+                                      f"for {flag} {relax.kind}")
     return cfg
 
 

@@ -38,10 +38,10 @@ One command works on one problem matrix A, and a ProblemStore carries what
 its cases share: A's diagonals when it is tridiagonal, the guard's factor
 of A and of its blocks A_ff and A_cc, the Cholesky factor of (A + A*)/2 and
 the norm factors built from them, each made once for the command and
-dropped with it. The store is the one handle on its problem: realize_norm,
-and the pair constructors and two-grid solvers built on it, take the store
-wherever they take A (_store_for), so no store is ever paired with a
-matrix other than its own.
+dropped with it. The store is the one handle on its problem: every function
+that takes A takes the store in its place (_store_for), so no store is ever
+paired with a matrix other than its own, and A's diagonals and factors
+reach every layer through the store alone.
 """
 
 from __future__ import annotations
@@ -625,7 +625,8 @@ class ProblemStore:
     A_ff and A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
     whether it is SPD, the norm factors realized from them and, through
     compatamg.transfer, the ideal blocks of the companion matrices and,
-    through compatamg.solver, the binding of each two-grid method. A store
+    through compatamg.solver, each two-grid method's coarse correction. No
+    entry refers back to the store, so it is freed by reference counting. A store
     serves one command, or in converge one pair, and is dropped with it, so
     nothing outlives the problem. Entries are built under one lock, since
     case threads share the store; a construction that fails is kept as its

@@ -37,9 +37,10 @@ _KIND_ALIASES = {
 class ProblemSpec:
     """Recipe for one test matrix.
 
-    n sizes the 1D kinds; nx/ny size the 2D grid; epsilon is the diffusion
-    coefficient for advdiff1d; seed drives the random kind. A matrix order
-    above MAX_N is rejected.
+    n sizes the 1D kinds and random; nx/ny size the 2D grid; epsilon is the
+    diffusion coefficient for advdiff1d; seed drives the random kind. Each
+    size must be at least 2, and a matrix order above MAX_N is rejected, so
+    every spec that is made can be generated.
     """
 
     kind: str
@@ -56,8 +57,12 @@ class ProblemSpec:
         object.__setattr__(self, "kind", _KIND_ALIASES[key])
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        dims = (self.nx, self.ny) if self.kind == "advection2d" else (self.n,)
-        if all(d is not None and d > 0 for d in dims) and math.prod(dims) > MAX_N:
+        sizes = {"nx": self.nx, "ny": self.ny} if self.kind == "advection2d" else {"n": self.n}
+        if any(d is None or d < 2 for d in sizes.values()):
+            got = " ".join(f"{k}={v}" for k, v in sizes.items())
+            raise ValueError(f"{self.kind} needs {', '.join(sizes)} >= 2, got {got}")
+        dims = tuple(sizes.values())
+        if math.prod(dims) > MAX_N:
             raise ValueError(
                 f"{self.kind} of order {math.prod(dims)} exceeds MAX_N = {MAX_N}, "
                 "the largest dense problem this package builds"
@@ -89,8 +94,6 @@ def generate(spec):
     kind = spec.kind
     if kind in ("advection1d", "advdiff1d", "laplacian1d"):
         n = spec.n
-        if n is None or n < 2:
-            raise ValueError(f"{kind} needs n >= 2, got {n}")
         if kind == "advection1d":
             return _advection1d(n)
         if kind == "laplacian1d":
@@ -99,14 +102,10 @@ def generate(spec):
         return _tridiagonal_matrix(n, -1.0 + s * -1.0, 1.0 + s * 2.0, 0.0 + s * -1.0)
     if kind == "advection2d":
         nx, ny = spec.nx, spec.ny
-        if nx is None or ny is None or nx < 2 or ny < 2:
-            raise ValueError(f"advection2d needs nx, ny >= 2, got nx={nx} ny={ny}")
         # Dimension-by-dimension upwind, lexicographic ordering (x fastest).
         return np.kron(np.eye(ny), _advection1d(nx)) + np.kron(_advection1d(ny), np.eye(nx))
     if kind == "random":
         n = spec.n
-        if n is None or n < 2:
-            raise ValueError(f"random needs n >= 2, got {n}")
         rng = np.random.default_rng(spec.seed)
         # S = G G*/n + 0.1 I, SPD with smallest eigenvalue >= 0.1, and
         # K = (K0 - K0*)/2, built in place so that at most three n x n

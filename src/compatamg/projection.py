@@ -31,10 +31,11 @@ basis is H R without a solve with A; the other norms solve with G* against
 A* R. A dense SPD M is taken through its Cholesky factor. Any other input
 than a correction raises TypeError. K = R*AP is formed and guarded in one
 place, _coarse, which build_pi, coarse_correction and the solver's
-binding of a two-grid method share; R*A is formed there only where K is
-made from it, and otherwise when the correction first reads it, so the
-two-grid iteration, which reads neither, forms no n x n_c array on a
-tridiagonal A.
+binding of a two-grid method share, on the diagonals that A's ProblemStore
+keeps when A is tridiagonal; every function here takes the store for A.
+R*A is formed there only where K is made from it, and otherwise when the
+correction first reads it, so the two-grid iteration, which reads neither,
+forms no n x n_c array on a tridiagonal A.
 
 The rest of a case is measured from the same correction. The compatibility
 equation M P = A* R B holds exactly when range(M P) = range(A* R), that is
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -79,9 +80,8 @@ from scipy.linalg import lapack
 from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
-    _tridiagonal,
+    _store_for,
     _tridiagonal_rows,
-    as_matrix,
     as_norm_factor,
     lu_solver,
 )
@@ -304,23 +304,32 @@ class CoarseCorrection:
 
     Pi = P (R*AP)^{-1} R*A is never formed. Built by _coarse, which rejects a
     singular coarse operator and keeps the guard's factor of K = R*AP as
-    solve. R*A is formed on first read (see _galerkin), so a consumer that
-    reads only solve and the pair's blocks, as the two-grid iteration does,
-    never forms it.
+    solve, the diagonals of A that K was formed on, if any, and R*A as ra if
+    K was formed from it. It holds no ProblemStore, so a store that keeps it
+    as an entry is still freed by reference counting.
     """
 
     A: np.ndarray
     pair: object
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
-    form_ra: object = field(repr=False, compare=False)    # () -> R* A
+    diags: tuple | None = field(repr=False, compare=False)
+    ra: np.ndarray | None = field(repr=False, compare=False)
     # [factor, _Frame] of the last factor, so that every measure of one case
     # shares one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
     def RA(self):
-        """R* A, n_c x n, made by form_ra on first read."""
-        return self.form_ra()
+        """R* A, n_c x n: ra, else formed on first read, so a consumer that
+        reads only solve and the pair's blocks, as the two-grid iteration
+        does, never forms it. That is A[C, :] for Z = 0, else (A* R)* on A's
+        diagonals and Z, with R itself left unassembled."""
+        if self.ra is not None:
+            return self.ra
+        part = self.pair.part
+        if self.pair.zero_blocks[0]:
+            return self.A[part.cidx]
+        return _tridiagonal_rows(self.diags, part, self.pair.Z, np.arange(part.n), trans=1).T
 
     @cached_property
     def B(self):
@@ -362,10 +371,11 @@ class CoarseCorrection:
 
 
 def _galerkin(A, pair, diags):
-    """(R* A or None, K = R* A P) for a pair on A, with diags = _tridiagonal(A).
+    """(R* A or None, K = R* A P) for a pair on A and A's diagonals diags, or None.
 
     R* A is returned where K is formed from it, and None where K is formed
-    without it; _ra then forms it on demand with the same bits. A classical
+    without it; CoarseCorrection.RA then forms it on demand with the same
+    bits. A classical
     pair R = [Z; I], P = [W; I] skips the products with its identity blocks,
     and with a block its zero_blocks finds exactly zero, which would add only
     exact zeros. With Z = 0, K is the C rows of A P, A[C, F] W + A[C, C];
@@ -404,54 +414,47 @@ def _galerkin(A, pair, diags):
     return RA, RA[:, f] @ pair.W + RA[:, c]
 
 
-def _ra(A, pair, diags):
-    """R* A where _galerkin left it unformed: A[C, :] for Z = 0, else (A* R)*
-    on A's diagonals and Z, with R itself left unassembled."""
-    part = pair.part
-    if pair.zero_blocks[0]:
-        return A[part.cidx]
-    return _tridiagonal_rows(diags, part, pair.Z, np.arange(part.n), trans=1).T
 
+def _coarse(store, pair):
+    """(CoarseCorrection, K) of a pair on the ProblemStore store: the one guard of K = R*AP.
 
-def _coarse(A, pair, diags=_tridiagonal):
-    """(CoarseCorrection, K) of a pair on a validated A: the one guard of K = R*AP.
-
-    K is formed by _galerkin, on diags, A's three diagonals or None, decided
-    here by default (a pair with C-blocks, or with Z = W = 0, needs none), and
+    K is formed by _galerkin on A's three diagonals when the store finds A
+    tridiagonal (a pair with C-blocks, or with Z = W = 0, reads none), and
     guarded and factored by lu_solver. R*A is left to the correction's first
     read unless K was formed from it. A singular K raises
     SingularMatrixError, its message prefixed with INCOMPATIBLE.
     """
+    A = store.A
     if A.shape[0] != pair.n:
         raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
-    if callable(diags):
-        diags = None if pair.cblocks is not None or all(pair.zero_blocks) else diags(A)
+    diags = None if pair.cblocks is not None or all(pair.zero_blocks) else store.tridiagonal()
     RA, K = _galerkin(A, pair, diags)
     try:
         solve = lu_solver(K, "coarse operator R*AP")
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    form_ra = partial(_ra, A, pair, diags) if RA is None else (lambda: RA)
-    return CoarseCorrection(A, pair, solve, form_ra), K
+    return CoarseCorrection(A, pair, solve, diags, RA), K
 
 
 def coarse_correction(A, pair):
     """The pair's coarse-grid correction on A, after the guard on K = R*AP.
 
-    A singular K raises SingularMatrixError naming the pair incompatible.
+    A is the matrix or its ProblemStore. A singular K raises
+    SingularMatrixError naming the pair incompatible.
     """
-    return _coarse(as_matrix(A, "A"), pair)[0]
+    return _coarse(_store_for(A), pair)[0]
 
 
 def build_pi(A, pair):
     """Materialize the coarse-grid correction projection and coarse operator.
 
     Returns (Pi, K) with K = R* A P and Pi = P K^{-1} R* A, from the
-    correction coarse_correction(A, pair) holds. Pi is idempotent up to
-    round-off whenever K is well conditioned. No function of the package
-    forms Pi; the dense projection serves the tests as an oracle.
+    correction coarse_correction(A, pair) holds; A is the matrix or its
+    ProblemStore. Pi is idempotent up to round-off whenever K is well
+    conditioned. No function of the package forms Pi; the dense projection
+    serves the tests as an oracle.
     """
-    corr, K = _coarse(as_matrix(A, "A"), pair)
+    corr, K = _coarse(_store_for(A), pair)
     return pair.P @ corr.B, K
 
 
@@ -592,24 +595,26 @@ def verify_compat_equation(A, M, pair):
     decided there: true iff every column of G P lies in the range of
     G^{-*} A* R to relative residual RANK_RTOL, read off the kernel as the
     part E Ru of G P outside that range. The test is invariant to column
-    scalings of P and to any nonsingular right-scaling of R. M is a dense SPD
-    matrix or a NormFactor; pair is a TransferPair, or its CoarseCorrection
-    on A, whose kernel is then reused, so once the kernel has run for M no
-    further decomposition is made. A pair is not guarded, so a pair whose
-    R*AP is singular still gets a verdict.
+    scalings of P and to any nonsingular right-scaling of R. A is the matrix
+    or its ProblemStore; M is a dense SPD matrix or a NormFactor; pair is a
+    TransferPair, or its CoarseCorrection on A, whose kernel is then reused,
+    so once the kernel has run for M no further decomposition is made. A
+    pair is not guarded, so a pair whose R*AP is singular still gets a
+    verdict.
     """
     factor = as_norm_factor(M)
     if isinstance(pair, CoarseCorrection):
         return pair.compat_eq(factor)
-    return _frame(factor, as_matrix(A, "A"), pair).compat_eq
+    return _frame(factor, _store_for(A).A, pair).compat_eq
 
 
 def projection_report(A, pair, M, tol=1e-8):
     """Everything measured about one pair's coarse-grid correction in the norm M.
 
-    M is a NormFactor or a dense SPD matrix. Returns the measurement fields of
-    a verify-pairs record: pi_norm, nonorth_sup, min_angle, compat_eq and the
-    four orthogonality_checks, all from one CoarseCorrection, so Pi is never
+    A is the matrix or its ProblemStore, and M a NormFactor or a dense SPD
+    matrix. Returns the measurement fields of a verify-pairs record:
+    pi_norm, nonorth_sup, min_angle, compat_eq and the four
+    orthogonality_checks, all from one CoarseCorrection, so Pi is never
     formed. A singular R*AP raises SingularMatrixError.
     """
     factor = as_norm_factor(M)

@@ -25,12 +25,11 @@ Jacobi and F-Jacobi relaxations, relaxation-only methods and pairs with
 C-point blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
 which also serves as the oracle for the reduced one.
 
-two_grid_conv_factor, two_grid_propagator and iterate take A or its
-ProblemStore. A method is bound once per store, as the store entry
-("two_grid", spec), so that the three calls on one store guard and factor K
-and A_ff once between them. A_ff is factored once per store: the
-ideal blocks of A, the exact F-relaxation and its dense oracle all solve
-with the store's A_ff solver. iterate applies each relaxation to the
+Every function here takes A or its ProblemStore. A pair's correction is
+bound once per store, as the store entry ("coarse", pair), so the calls on
+one store guard and factor K once between them. A_ff is factored once per
+store: the ideal blocks of A, the exact F-relaxation and its dense oracle
+all solve with the store's A_ff solver. iterate applies each relaxation to the
 residual as an operator, a diagonal scaling or an F-block solve, and forms
 no N^{-1}; a classical pair's coarse step works on Z and W, skipping a
 block its zero_blocks finds zero, and the residual of a tridiagonal A is a
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ProblemStore, _store_for, _tag_key, _tridiagonal_product, as_matrix
+from .linalg import _store_for, _tag_key, _tridiagonal_product, as_matrix
 from .projection import _coarse, coarse_correction
 from .transfer import _held_ideal_block, _ideal_block
 
@@ -106,64 +105,46 @@ class TwoGridSpec:
     post: RelaxSpec = RelaxSpec("none")
 
 
-def _bind(store, spec):
-    """(coarse, solve_ff) of spec on the ProblemStore store, made once per spec.
+def _bind(store, pair):
+    """The pair's CoarseCorrection on the ProblemStore store, made once per pair.
 
-    The store entry ("two_grid", spec) holds them. coarse is the pair's
-    CoarseCorrection, made by the one guard of K = R*AP (projection._coarse,
-    on the store's decision whether A is tridiagonal): a singular K raises
-    SingularMatrixError naming the pair incompatible. solve_ff(B) gives
-    A_ff^{-1} B against the store's factor of A_ff, guarded as "A_ff", when
-    a relaxation is an exact F-solve. Either is None when not needed.
+    The store entry ("coarse", pair) holds it, made by the one guard of
+    K = R*AP (projection._coarse): a singular K raises SingularMatrixError
+    naming the pair incompatible. None for a relaxation-only method.
     """
-    def build():
-        coarse = solve_ff = None
-        if spec.pair is not None:
-            coarse = _coarse(store.A, spec.pair, store.tridiagonal())[0]
-            if any(s.kind == "fexact" and not _is_identity(s) for s in (spec.pre, spec.post)):
-                solve_ff = store.ff_solve(spec.pair.part)
-        return coarse, solve_ff
-
-    return store.get(("two_grid", spec), build)
+    if pair is None:
+        return None
+    return store.get(("coarse", pair), lambda: _coarse(store, pair)[0])
 
 
-def _relaxation(A, spec, part, solve_ff=None):
-    """One sweep of a relaxation as (rows, apply): N^{-1} r is apply(r[rows])
-    on the rows, and zero elsewhere.
+def _relaxation(store, spec, part):
+    """One sweep of a relaxation on the store's A as (rows, apply): N^{-1} r
+    is apply(r[rows]) on the rows, and zero elsewhere.
 
     spec is not the identity (see _is_identity). rows are all points for
     Jacobi and the F-points otherwise. apply scales by omega / diag(A), or
-    solves with A_ff for the exact F-solve: by solve_ff, by default on a
-    guard of A_ff of its own.
+    solves with A_ff against the store's factor for the exact F-solve.
     """
     if spec.kind == "jacobi":
-        d = np.diag(A)
-        if np.any(d == 0.0):
-            raise ValueError("Jacobi relaxation needs a zero-free diagonal")
-        w = spec.omega / d
-        return np.arange(A.shape[0]), lambda r: w * r
-    if part is None:
+        rows, what = np.arange(store.A.shape[0]), "Jacobi relaxation needs a zero-free diagonal"
+    elif part is None:
         raise ValueError(f"relaxation kind {spec.kind!r} needs a CF partition")
-    f = part.fidx
-    if spec.kind == "fjacobi":
-        d = np.diag(A)[f]
-        if np.any(d == 0.0):
-            raise ValueError("F-Jacobi relaxation needs a zero-free F-point diagonal")
-        w = spec.omega / d
-        return f, lambda r: w * r
-    if solve_ff is None:
-        solve_ff = ProblemStore(A).ff_solve(part)
-    return f, solve_ff
+    elif spec.kind == "fexact":
+        return part.fidx, store.ff_solve(part)
+    else:
+        rows, what = part.fidx, "F-Jacobi relaxation needs a zero-free F-point diagonal"
+    d = np.diag(store.A)[rows]
+    if np.any(d == 0.0):
+        raise ValueError(what)
+    w = spec.omega / d
+    return rows, lambda r: w * r
 
 
-def _n_inverse(A, spec, part, solve_ff=None):
+def _n_inverse(store, spec, part):
     """Approximate inverse N^{-1} applied by one sweep of the relaxation, as an
-    n x n matrix; only the dense propagator forms it.
-
-    solve_ff(B) = A_ff^{-1} B serves the exact F-solve, as in _relaxation.
-    """
-    rows, apply = _relaxation(A, spec, part, solve_ff)
-    Ninv = np.zeros(A.shape)
+    n x n matrix; only the dense propagator forms it."""
+    rows, apply = _relaxation(store, spec, part)
+    Ninv = np.zeros(store.A.shape)
     Ninv[np.ix_(rows, rows)] = apply(np.eye(len(rows)))
     return Ninv
 
@@ -176,20 +157,15 @@ def _is_identity(spec):
 def relax_propagator(A, spec, part=None):
     """Error propagator (I - N^{-1} A)^sweeps of a relaxation scheme.
 
-    part is required for the F-point kinds and ignored otherwise. An exact
-    F-solve solves with the factor of A_ff, as a bound two-grid method does.
+    A is the matrix or its ProblemStore. part is required for the F-point
+    kinds and ignored otherwise. An exact F-solve solves with the store's
+    factor of A_ff, as a bound two-grid method does.
     """
-    A = as_matrix(A, "A")
-    n = A.shape[0]
+    store = _store_for(A)
+    eye = np.eye(store.A.shape[0])
     if _is_identity(spec):
-        return np.eye(n)
-    return _sweeps(A, spec, part)
-
-
-def _sweeps(A, spec, part, solve_ff=None):
-    """(I - N^{-1} A)^sweeps, with solve_ff serving an exact F-solve."""
-    E1 = np.eye(A.shape[0]) - _n_inverse(A, spec, part, solve_ff) @ A
-    return np.linalg.matrix_power(E1, spec.sweeps)
+        return eye
+    return np.linalg.matrix_power(eye - _n_inverse(store, spec, part) @ store.A, spec.sweeps)
 
 
 def two_grid_propagator(A, spec):
@@ -198,20 +174,19 @@ def two_grid_propagator(A, spec):
     A relaxation that is the identity (kind none or zero sweeps) is left out
     of the product; the others associate as (E_post (I - Pi)) E_pre. A is
     the matrix or its ProblemStore, and Pi and an exact F-solve are formed
-    with the guards and factors of spec's binding there (see _bind).
+    with the guards and factors held there (see _bind).
     """
     store = _store_for(A)
-    A = store.A
-    coarse, solve_ff = _bind(store, spec)
+    coarse = _bind(store, spec.pair)
     part = spec.pair.part if spec.pair is not None else None
-    E = np.eye(A.shape[0])
+    E = np.eye(store.A.shape[0])
     if spec.pair is not None:
         # B = K^{-1} R*A afresh, not the cached coarse.B, so the binding does not keep it
         E -= spec.pair.P @ coarse.solve(coarse.RA)
     if not _is_identity(spec.post):
-        E = _sweeps(A, spec.post, part, solve_ff) @ E
+        E = relax_propagator(store, spec.post, part) @ E
     if not _is_identity(spec.pre):
-        E = E @ _sweeps(A, spec.pre, part, solve_ff)
+        E = E @ relax_propagator(store, spec.pre, part)
     return E
 
 
@@ -259,8 +234,8 @@ def two_grid_conv_factor(A, spec):
     store = _store_for(A)
     if not _reduces(spec):
         return _spectral_radius(two_grid_propagator(store, spec))
-    coarse = _bind(store, spec)[0]
     pair = spec.pair
+    coarse = _bind(store, pair)
     part = pair.part
     Z, W = pair.Z, pair.W
     # a block that is the ideal block of A the store holds makes T = 0,
@@ -282,8 +257,9 @@ def air_cpoint_residual(A, pair, e):
     """Largest C-point entry of the corrected error (I - Pi) e.
 
     Pi e is applied as P K^{-1} (R*A e) on the pair's CoarseCorrection, so no
-    n x n Pi is formed. With ideal restriction on A this vanishes to
-    round-off for every e: the correction leaves error only on F-points.
+    n x n Pi is formed; A is the matrix or its ProblemStore. With ideal
+    restriction on A this vanishes to round-off for every e: the correction
+    leaves error only on F-points.
     """
     corr = coarse_correction(A, pair)
     e = np.asarray(e, dtype=float).ravel()
@@ -299,7 +275,7 @@ def iterate(A, spec, b, x0, iters):
     applies x <- x + P (R* A P)^{-1} R* (b - A x).
 
     A is the matrix or its ProblemStore, and every matrix is guarded and
-    factored once per spec and store (see _bind). N^{-1} is never formed: a
+    factored once per store (see _bind). N^{-1} is never formed: a
     sweep scales the residual by omega / diag(A) (Jacobi, or its F-point
     rows for F-Jacobi) or solves with A_ff against its factor on the
     F-points. K = R*AP is
@@ -313,7 +289,7 @@ def iterate(A, spec, b, x0, iters):
     """
     store = _store_for(A)
     A = store.A
-    coarse, solve_ff = _bind(store, spec)
+    coarse = _bind(store, spec.pair)
     b = np.asarray(b, dtype=float).ravel()
     x = np.array(x0, dtype=float).ravel()
     if iters < 0:
@@ -321,11 +297,11 @@ def iterate(A, spec, b, x0, iters):
     part = spec.pair.part if spec.pair is not None else None
     steps = []  # (rows, apply): x[rows] += apply(r[rows]), or x += apply(r) for rows None
     if not _is_identity(spec.pre):
-        steps += [_relaxation(A, spec.pre, part, solve_ff)] * spec.pre.sweeps
+        steps += [_relaxation(store, spec.pre, part)] * spec.pre.sweeps
     if spec.pair is not None:
         steps.append((None, _coarse_step(spec.pair, coarse.solve)))
     if not _is_identity(spec.post):
-        steps += [_relaxation(A, spec.post, part, solve_ff)] * spec.post.sweeps
+        steps += [_relaxation(store, spec.post, part)] * spec.post.sweeps
 
     diags = store.tridiagonal()
 

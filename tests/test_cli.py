@@ -204,6 +204,21 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
     ("verify-pairs", ["--split", "alternate", "--pair", "single1", "--seed", "3"],
      "--seed: verify-pairs reads it only with --problem random or --split random"),
     ("verify-pairs", ["--pair", "random:-3"], "--pair: random recipe needs a seed >= 0"),
+    ("tables", ["--n", "1"], "--problem: advdiff1d needs n >= 2, got n=1"),
+    ("tables", ["--problem", "advection2d", "--nx", "1"],
+     "--problem: advection2d needs nx, ny >= 2, got nx=1 ny=16"),
+    ("converge", ["--pair", "none", "--post", "fexact"],
+     "--pair none: a relaxation-only method has no F-points for --post fexact"),
+    ("converge", ["--pair", "single1", "--pair", "none", "--pre", "fjacobi:0.5:2"],
+     "--pair none: a relaxation-only method has no F-points for --pre fjacobi"),
+    ("converge", ["--pair", "single1", "--post", "fexact:0.9"],
+     "--post: relaxation kind 'fexact' reads no omega"),
+    ("converge", ["--pair", "none", "--post", "none:1.9:4"],
+     "--post: relaxation kind 'none' reads no omega"),
+    ("converge", ["--pair", "single1", "--pre", "none::4"],
+     "--pre: relaxation kind 'none' reads no sweeps"),
+    ("converge", ["--pair", "single1", "--pre", "jacobi:0.5:2:1"],
+     "--pre: a relaxation recipe is <kind>[:omega[:sweeps]]"),
 ])
 def test_malformed_configuration_is_a_config_error_before_any_work(command, args, prefix,
                                                                    split, capsys, monkeypatch):
@@ -215,6 +230,19 @@ def test_malformed_configuration_is_a_config_error_before_any_work(command, args
     code = main([command, "--problem", "advdiff1d", "--n", "16", "--split", split] + args)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"compatamg: config error: {prefix}")
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("fexact::2", cm.RelaxSpec("fexact", sweeps=2)),
+    ("jacobi::3", cm.RelaxSpec("jacobi", sweeps=3)),
+    ("fjacobi:0.5", cm.RelaxSpec("fjacobi", omega=0.5)),
+    ("none", cm.RelaxSpec("none")),
+])
+def test_an_empty_relaxation_field_takes_its_default(text, spec):
+    # an exact F-solve reads no omega, so its sweeps are given after an empty field
+    from compatamg.cli import _relax_from_recipe
+
+    assert _relax_from_recipe(text, "--post") == spec
 
 
 def test_a_pair_that_fails_to_construct_is_no_config_error(tmp_path, capsys):
@@ -940,6 +968,38 @@ def test_converge_scans_a_at_most_once_per_store(tmp_path, monkeypatch):
     assert len(stores) == 3
     assert 1 <= scans["count_nonzero"] <= len(stores)
     assert scans["isfinite"] <= len(stores)
+
+
+@pytest.mark.parametrize("problem", ["advection1d", "random"])
+@pytest.mark.parametrize("args", [
+    ["verify-pairs", "--pair", "single1", "--pair", "single2", "--pair", "single3",
+     "--pair", "single4", "--pair", "random:3"],
+    ["tables"],
+    ["figure1"],
+    ["converge", "--pair", "single2", "--pre", "jacobi", "--post", "fexact"],
+], ids=lambda a: a[0])
+def test_a_command_scans_a_for_its_diagonals_at_most_twice(tmp_path, monkeypatch, args, problem):
+    # A's structure is decided once per store, and the guard on A counts its
+    # own: every correction, measure and relaxation reads the store's
+    # decision, so no other layer scans A for its three diagonals
+    import compatamg.linalg
+
+    monkeypatch.delenv("COMPATAMG_THREADS", raising=False)
+    n = 60
+    scan = compatamg.linalg._tridiagonal.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is scan and np.shape(frame.f_locals["A"]) == (n, n):
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, _ = _run_json(tmp_path, args[:1] + ["--problem", problem, "--n", str(n)] + args[1:])
+    finally:
+        sys.setprofile(None)
+    assert code in (0, 1)
+    assert len(calls) <= 2, calls
 
 
 def test_converge_threaded_equals_serial(tmp_path, monkeypatch):

@@ -432,7 +432,11 @@ def test_norm_factor_h_is_g_inverse_adjoint_times_a_adjoint(tag):
 
 def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     # the error of a failed entry is raised again to every caller, and the
-    # store is freed by reference counting, not left to the cycle collector
+    # store is freed by reference counting, not left to the cycle collector;
+    # so is a store that a two-grid method was bound to, whose entries (the
+    # pair's correction, the A_ff factor, the ideal blocks) never refer back
+    # to it, while the pair built through it lives on
+    import gc
     import weakref
 
     A = random_stable(np.random.default_rng(43), 8)
@@ -443,6 +447,20 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     ref = weakref.ref(store)
     del store
     assert ref() is None
+
+    n = 40
+    store = cm.ProblemStore(cm.generate(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05)))
+    pair, _ = cm.single_operator_pair(store, cm.default_splitting(n, "alternate"), "single2")
+    spec = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    cm.two_grid_conv_factor(store, spec)
+    cm.iterate(store, spec, np.ones(n), np.zeros(n), 3)
+    ref = weakref.ref(store)
+    gc.disable()
+    try:
+        del store
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
@@ -471,6 +489,10 @@ def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
             return x.apply(np.eye(n)).tobytes(), x.solve_adj(np.eye(n)).tobytes()
         if isinstance(x, cm.CatalogEntry):
             return x.reason, None if x.pair is None else bits(x.pair)
+        if isinstance(x, cm.CoarseCorrection):
+            return x.RA.tobytes(), x.B.tobytes()
+        if isinstance(x, dict):
+            return {k: bits(v) for k, v in x.items()}
         if isinstance(x, list):
             return [bits(v) for v in x]
         return np.asarray(x).tobytes()
@@ -489,6 +511,16 @@ def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
                                            cm.two_grid_conv_factor(a, dense)),
         "two_grid_propagator": lambda a: cm.two_grid_propagator(a, dense),
         "iterate": lambda a: cm.iterate(a, dense, b, np.zeros(n), 8),
+        "coarse_correction": lambda a: cm.coarse_correction(a, pair),
+        "build_pi": lambda a: cm.build_pi(a, pair),
+        "projection_report": lambda a: cm.projection_report(
+            a, pair, cm.realize_norm("AstarAsymInvA", a, factored=True)),
+        "verify_compat_equation": lambda a: (
+            cm.verify_compat_equation(a, cm.realize_norm("AstarA", a, factored=True), pair),
+            cm.verify_compat_equation(a, np.eye(n), pair)),
+        "air_cpoint_residual": lambda a: cm.air_cpoint_residual(a, pair, b),
+        "relax_propagator": lambda a: (cm.relax_propagator(a, cm.RelaxSpec("fexact"), part),
+                                       cm.relax_propagator(a, cm.RelaxSpec("fjacobi"), part)),
     }
     for name, call in calls.items():
         assert bits(call(A)) == bits(call(cm.ProblemStore(A))), name

@@ -306,8 +306,8 @@ def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
-    K = compatamg.projection._coarse(A, pair)[1]
-    solve_k = _bind(cm.ProblemStore(A), cm.TwoGridSpec(pair))[0].solve
+    K = compatamg.projection._coarse(cm.ProblemStore(A), pair)[1]
+    solve_k = _bind(cm.ProblemStore(A), pair).solve
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
     ref = [np.linalg.norm(b - A @ x)]
@@ -601,7 +601,7 @@ def test_coarse_step_on_blocks_matches_r_and_p(name):
                             rng.standard_normal((part.nf, part.nc)))
     else:
         pair, _ = cm.single_operator_pair(A, part, name)
-    solve_k = _bind(cm.ProblemStore(A), cm.TwoGridSpec(pair))[0].solve
+    solve_k = _bind(cm.ProblemStore(A), pair).solve
     r = rng.standard_normal(40)
     ref = pair.P @ solve_k(pair.R.T @ r)
     got = _coarse_step(pair, solve_k)(r)
