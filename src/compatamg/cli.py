@@ -24,10 +24,12 @@ problem matrix A: the guard's factor of A, the Cholesky factor of (A + A*)/2,
 the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
 command returns. Each of them passes its store alone wherever the package
-takes A. converge builds each pair through a store of its own and runs the
-pair's two-grid method on that store, which binds it once: K is guarded and
-A_ff factored there once for the pair's ideal blocks, its exact
-F-relaxation and rho.
+takes A. converge builds each pair through a store of its own, made from
+the command's store, and runs the pair's two-grid method on it, which binds
+it once: A is checked and scanned once for the command, A_ff factored once
+for every pair's ideal blocks, exact F-relaxation and rho, and K guarded
+once per pair, while the pair's ideal blocks and binding are dropped with
+its store.
 """
 
 from __future__ import annotations
@@ -356,15 +358,18 @@ def cmd_converge(cfg):
     b = rng.standard_normal(A.shape[0])
     x0 = np.zeros(A.shape[0])
 
+    store = ProblemStore(A)
+
     def measure(recipe):
         # each pair is built when its case runs, through a store of its own
-        # that its method binds to, so A_ff and K are guarded once per pair
-        # and no ideal block outlives its pair
-        store = ProblemStore(A)
-        _, pair, _ = _build_pair(store, part, recipe)
+        # made from the command's: A is checked and scanned once, A_ff
+        # factored once for every pair, and K guarded once per pair, and no
+        # ideal block or binding outlives its pair
+        pair_store = ProblemStore(store)
+        _, pair, _ = _build_pair(pair_store, part, recipe)
         spec = TwoGridSpec(pair, cfg.pre, cfg.post)
-        rho = two_grid_conv_factor(store, spec)
-        history = iterate(store, spec, b, x0, cfg.iters)
+        rho = two_grid_conv_factor(pair_store, spec)
+        history = iterate(pair_store, spec, b, x0, cfg.iters)
         return {
             "rho": float(rho),
             "observed_rate": float(observed_rate(history)),

@@ -15,7 +15,9 @@ diagonal one included, is factored by tridiagonal elimination with partial
 pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
 is read as tridiagonal from its nonzero count, so it stays a dense array,
 and A's count is read once per ProblemStore, which keeps its diagonals
-for R*AP and the iteration.
+for R*AP, the iteration and the blocks of A: A_ff and A_cc are factored on
+diagonals read off A's, and the other blocks are scattered from them, so
+no block of a tridiagonal A is gathered or scanned again.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
@@ -35,13 +37,15 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: A's diagonals when it is tridiagonal, the guard's factor
-of A and of its blocks A_ff and A_cc, the Cholesky factor of (A + A*)/2 and
-the norm factors built from them, each made once for the command and
-dropped with it. The store is the one handle on its problem: every function
-that takes A takes the store in its place (_store_for), so no store is ever
-paired with a matrix other than its own, and A's diagonals and factors
-reach every layer through the store alone.
+its cases share: A, checked for finite entries once, its diagonals when it
+is tridiagonal, the guard's factor of A and of its blocks A_ff and A_cc,
+the Cholesky factor of (A + A*)/2 and the norm factors built from them,
+each made once for the command and dropped with it. A store made from the
+command's store, as converge makes one per pair, shares all of these and
+holds only its pair's own entries. The store is the one handle on its
+problem: every function that takes A takes the store in its place
+(_store_for), so no store is ever paired with a matrix other than its own,
+and A's diagonals and factors reach every layer through the store alone.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -116,8 +121,16 @@ def _tag_key(tag):
     return str(tag).replace("-", "").replace("_", "").replace(" ", "").lower()
 
 
+class _Diagonals(NamedTuple):
+    """The sub-, main and superdiagonal of a tridiagonal matrix."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+
+
 def _tridiagonal(A):
-    """Read-only copies of the diagonals (dl, d, du) of a square A of order
+    """Read-only copies of the _Diagonals (dl, d, du) of a square A of order
     n >= 3 whose nonzeros all lie on its three central diagonals, else None.
 
     A diagonal matrix is tridiagonal. The test compares nonzero counts, so
@@ -127,7 +140,7 @@ def _tridiagonal(A):
     n = A.shape[0]
     if n < 3 or A.shape[1] != n:
         return None
-    diags = tuple(_frozen(np.diag(A, k)) for k in (-1, 0, 1))
+    diags = _Diagonals(*(_frozen(np.diag(A, k)) for k in (-1, 0, 1)))
     if np.count_nonzero(A) != sum(np.count_nonzero(v) for v in diags):
         return None
     return diags
@@ -196,33 +209,81 @@ def _tridiagonal_rows(diags, part, B, rows, trans=0):
     return Y
 
 
+def _tridiagonal_norm1(diags):
+    """||A||_1, the largest column sum of |A|, of the tridiagonal A with diagonals diags."""
+    dl, cols, du = (np.abs(v) for v in diags)  # cols: column sums of |A|
+    cols[:-1] += dl
+    cols[1:] += du
+    return cols.max()
+
+
+def _principal_diagonals(diags, idx):
+    """The diagonals of A[np.ix_(idx, idx)] for the tridiagonal A with
+    diagonals diags and strictly ascending idx, read off A's diagonals.
+
+    Its entry (i, i+1) is A's (idx_i, idx_i + 1) where idx_{i+1} = idx_i + 1
+    and zero otherwise, and likewise (i+1, i); so the block is tridiagonal
+    with these values, and no block is gathered.
+    """
+    dl, d, du = diags
+    lo = idx[:-1]
+    adj = idx[1:] == lo + 1
+    return _Diagonals(np.where(adj, dl[lo], 0.0), d[idx], np.where(adj, du[lo], 0.0))
+
+
+def _tridiagonal_block(diags, rows, cols):
+    """A[np.ix_(rows, cols)], C-ordered, for the tridiagonal A with diagonals
+    diags, scattered from them: row i holds at most A's entries
+    (rows_i, rows_i + k) for k = -1, 0, 1 whose column is in cols.
+    """
+    dl, d, du = diags
+    n = d.size
+    pos = np.full(n, -1, np.intp)  # column of each point in the block, or -1
+    pos[cols] = np.arange(len(cols))
+    B = np.zeros((len(rows), len(cols)))
+    for k, v in ((-1, dl), (0, d), (1, du)):
+        j = rows + k
+        i = np.flatnonzero((j >= 0) & (j < n))
+        i = i[pos[j[i]] >= 0]
+        B[i, pos[j[i]]] = v[np.minimum(rows[i], j[i])]
+    return B
+
+
+def _norm1(X):
+    """||X||_1 by LAPACK dlange, read on X or on X* as ||X*||_inf, whichever
+    is Fortran-ordered, so that a C- or Fortran-ordered X is not copied."""
+    return lapack.dlange("1", X) if X.flags.f_contiguous else lapack.dlange("I", X.T)
+
+
 def _guarded_lu(A, what, norm=None):
     """The factor of A, after rejecting A as numerically singular.
 
     A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
     by tridiagonal elimination with partial pivoting (dgttrf) into
     (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
-    from that factor by dgtcon, in O(n). Any other A is factored by dgetrf
-    into (lu, piv) and estimated by dgecon. An exactly zero pivot reads as
-    an infinite estimate. Both factorizations call LAPACK directly, so an
-    exactly singular A raises without a LinAlgWarning. With norm given, the
-    estimate is norm * ||A^{-1}||_1 instead of ||A||_1 ||A^{-1}||_1: a block
-    of a matrix X, judged against ||X||_1, is singular when it is round-off
-    relative to X.
+    from that factor by dgtcon, in O(n). A may also be given as such a
+    matrix's _Diagonals, taken as they are, so that a block read off a held
+    matrix's diagonals is neither gathered nor scanned. Any
+    other A is factored by dgetrf into (lu, piv) and estimated by dgecon. An
+    exactly zero pivot reads as an infinite estimate. Both factorizations
+    call LAPACK directly, so an exactly singular A raises without a
+    LinAlgWarning. With norm given, the estimate is norm * ||A^{-1}||_1
+    instead of ||A||_1 ||A^{-1}||_1: a block of a matrix X, judged against
+    ||X||_1, is singular when it is round-off relative to X.
     """
-    A = as_matrix(A, what)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {A.shape}")
+    if isinstance(A, _Diagonals):
+        diags = A
+    else:
+        A = as_matrix(A, what)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"{what} must be square, got shape {A.shape}")
+        diags = _tridiagonal(A)
     c = np.inf
     factor = None
-    diags = _tridiagonal(A)
     if diags is not None:
         *factor, info = lapack.dgttrf(*diags)
         if info == 0:
-            dl, cols, du = (np.abs(v) for v in diags)  # cols: column sums of |A|
-            cols[:-1] += dl
-            cols[1:] += du
-            rcond, _ = lapack.dgtcon(*factor, cols.max() if norm is None else norm)
+            rcond, _ = lapack.dgtcon(*factor, _tridiagonal_norm1(diags) if norm is None else norm)
             if rcond > 0.0:
                 c = 1.0 / rcond
     elif A.size:
@@ -251,7 +312,7 @@ def lu_solver(A, what="matrix", norm=None):
     The returned solve(X, trans=0) gives A^{-1} X, or A^{-*} X with trans=1.
     norm, when given, is the 1-norm the condition estimate is taken against
     in place of ||A||_1 (see _guarded_lu).
-    A tridiagonal A is solved against the guard's dgttrf factor (dgttrs) in
+    A tridiagonal A, or its _Diagonals, is solved against the guard's dgttrf factor (dgttrs) in
     O(n) per right-hand side; any other A against the guard's LU by two
     triangular solves. A diagonal A, whose dgttrf factor has no row
     interchange, no multiplier, no superdiagonal and no fill, is solved by
@@ -621,20 +682,33 @@ class ProblemStore:
 
     Each entry is built on first use and then kept: whether A is tridiagonal,
     decided by one nonzero count and held as read-only copies of its three
-    diagonals, the guard's factor of A, its only one, the guard's factors of
-    A_ff and A_cc per partition, the Cholesky factor of (A + A*)/2 that decides
-    whether it is SPD, the norm factors realized from them and, through
-    compatamg.transfer, the ideal blocks of the companion matrices and,
-    through compatamg.solver, each two-grid method's coarse correction. No
-    entry refers back to the store, so it is freed by reference counting. A store
-    serves one command, or in converge one pair, and is dropped with it, so
-    nothing outlives the problem. Entries are built under one lock, since
-    case threads share the store; a construction that fails is kept as its
-    error's type and message and raised again to every later caller.
+    diagonals, ||A||_1, the guard's factor of A, its only one, the guard's
+    factors of A_ff and A_cc per partition, the Cholesky factor of
+    (A + A*)/2 that decides whether it is SPD, the norm factors realized
+    from them and, through compatamg.transfer, the ideal blocks of the
+    companion matrices and, through compatamg.solver, each two-grid method's
+    coarse correction. On a tridiagonal A the blocks of A are read off its
+    diagonals: A_ff and A_cc are factored on their own diagonals, and block
+    gathers the other blocks from the diagonals, so no block is gathered
+    from A or scanned again. No entry refers back to the store, so it is
+    freed by reference counting. A store serves one command and is dropped
+    with it, so nothing outlives the problem.
+
+    ProblemStore(store) makes a store for one part of a command, in
+    converge one pair: it shares the store's A, validated once, and the
+    entries above that are facts of A alone, from its diagonals to its norm
+    factors, but holds its own ideal blocks and coarse corrections, so these
+    are dropped with it. Entries are built under one lock per store that
+    holds them, since case threads share a store; a construction that fails
+    is kept as its error's type and message and raised again to every later
+    caller.
     """
 
     def __init__(self, A):
-        self.A = as_matrix(A, "A")
+        if isinstance(A, ProblemStore):
+            self.A, self._parent = A.A, A._parent or A
+        else:
+            self.A, self._parent = as_matrix(A, "A"), None
         self._lock = threading.RLock()
         self._built = {}
 
@@ -653,6 +727,10 @@ class ProblemStore:
             raise error[0](error[1])
         return value
 
+    def _shared(self, key, build):
+        """get on the store this one was made from, if any: an entry of A alone."""
+        return (self._parent or self).get(key, build)
+
     def peek(self, key):
         """The entry under key if it was built without error, else None; builds nothing."""
         with self._lock:
@@ -660,30 +738,60 @@ class ProblemStore:
 
     def tridiagonal(self):
         """_tridiagonal(A): A's three diagonals when it is tridiagonal, else None."""
-        return self.get("tridiagonal", lambda: _tridiagonal(self.A))
+        return self._shared("tridiagonal", lambda: _tridiagonal(self.A))
+
+    def norm1(self):
+        """||A||_1, on A's diagonals when it is tridiagonal."""
+        def build():
+            diags = self.tridiagonal()
+            return _norm1(self.A) if diags is None else _tridiagonal_norm1(diags)
+
+        return self._shared("norm1", build)
 
     def lu_solve(self):
-        """lu_solver(A, "A"), made once: A's guard and its only factor."""
-        return self.get("lu_solve", lambda: lu_solver(self.A, "A"))
+        """lu_solver(A, "A"), made once: A's guard and its only factor, taken
+        on A's diagonals when it is tridiagonal."""
+        return self._shared("lu_solve", lambda: lu_solver(self.tridiagonal() or self.A, "A"))
+
+    def block(self, rows, cols):
+        """A[np.ix_(rows, cols)], C-ordered; scattered from A's diagonals when
+        A is tridiagonal (_tridiagonal_block), with the same values."""
+        diags = self.tridiagonal()
+        if diags is None:
+            return self.A[np.ix_(rows, cols)]
+        return _tridiagonal_block(diags, rows, cols)
+
+    def _block_solver(self, idx, what):
+        """lu_solver on A[np.ix_(idx, idx)], guarded as what.
+
+        On a tridiagonal A with strictly ascending idx of at least 3 points
+        the block is tridiagonal, and it is factored on the diagonals read
+        off A's (_principal_diagonals), with the values the gathered block
+        would give; otherwise the block is gathered.
+        """
+        diags = self.tridiagonal()
+        if diags is not None and idx.size >= 3 and np.all(idx[1:] > idx[:-1]):
+            return lu_solver(_principal_diagonals(diags, idx), what)
+        return lu_solver(self.A[np.ix_(idx, idx)], what)
 
     def ff_solve(self, part):
         """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
 
         The ideal blocks of A and an exact F-relaxation solve with it, W_ideal
-        by a solve and Z_ideal by the transposed solve.
+        by a solve and Z_ideal by the transposed solve. It is made once and
+        shared with the stores made from this one, and on a tridiagonal A
+        taken on A_ff's diagonals (see _block_solver).
         """
-        f = part.fidx
-        return self.get(("A_ff", part), lambda: lu_solver(self.A[np.ix_(f, f)], "A_ff"))
+        return self._shared(("A_ff", part), lambda: self._block_solver(part.fidx, "A_ff"))
 
     def cc_solve(self, part):
         """As ff_solve, on A_cc: the ideal blocks of A^{-1} and A^{-*} solve with it."""
-        c = part.cidx
-        return self.get(("A_cc", part), lambda: lu_solver(self.A[np.ix_(c, c)], "A_cc"))
+        return self._shared(("A_cc", part), lambda: self._block_solver(part.cidx, "A_cc"))
 
     def asym_cholesky(self):
         """Lower Cholesky factor of (A + A*)/2, or None when it is not SPD."""
         A = self.A
-        return self.get("asym", lambda: _spd_cholesky((A + A.T) / 2.0))
+        return self._shared("asym", lambda: _spd_cholesky((A + A.T) / 2.0))
 
 
 def _store_for(A):
@@ -740,7 +848,7 @@ def realize_norm(spec, A, factored=False):
     if factored:
         if tag == "Custom":
             return _factored_norm(tag, A, _norm_cholesky(tag, store, M), None)
-        return store.get(("factor", tag), lambda: _realized_factor(tag, store))
+        return store._shared(("factor", tag), lambda: _realized_factor(tag, store))
 
     L = None
     if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):

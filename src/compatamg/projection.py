@@ -80,6 +80,7 @@ from scipy.linalg import lapack
 from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
+    _norm1,
     _store_for,
     _tridiagonal_rows,
     as_norm_factor,
@@ -415,14 +416,34 @@ def _galerkin(A, pair, diags):
 
 
 
+def _scale(store, pair):
+    """||R*||_1 ||A||_1 ||P||_1, which bounds ||K||_1 for K = R*AP.
+
+    For a classical pair ||R*||_1 = max(1, ||Z||_inf) and
+    ||P||_1 = 1 + ||W||_1, each 1 for a block its zero_blocks finds zero;
+    ||A||_1 is the store's. Every norm is a LAPACK dlange on the block as it
+    is held, so no temporary of its size is made.
+    """
+    if pair.cblocks is not None:
+        r, p = _norm1(pair.R.T), _norm1(pair.P)
+    else:
+        zero_z, zero_w = pair.zero_blocks
+        r = 1.0 if zero_z else max(1.0, _norm1(pair.Z.T))
+        p = 1.0 if zero_w else 1.0 + _norm1(pair.W)
+    return r * store.norm1() * p
+
+
 def _coarse(store, pair):
     """(CoarseCorrection, K) of a pair on the ProblemStore store: the one guard of K = R*AP.
 
     K is formed by _galerkin on A's three diagonals when the store finds A
     tridiagonal (a pair with C-blocks, or with Z = W = 0, reads none), and
-    guarded and factored by lu_solver. R*A is left to the correction's first
-    read unless K was formed from it. A singular K raises
-    SingularMatrixError, its message prefixed with INCOMPATIBLE.
+    guarded and factored by lu_solver against ||R*||_1 ||A||_1 ||P||_1
+    (_scale), not ||K||_1: a K that is round-off relative to its factors,
+    as when R*AP cancels, is singular however well conditioned it is on its
+    own scale. R*A is left to the correction's first read unless K was
+    formed from it. A singular K raises SingularMatrixError, its message
+    prefixed with INCOMPATIBLE.
     """
     A = store.A
     if A.shape[0] != pair.n:
@@ -430,7 +451,7 @@ def _coarse(store, pair):
     diags = None if pair.cblocks is not None or all(pair.zero_blocks) else store.tridiagonal()
     RA, K = _galerkin(A, pair, diags)
     try:
-        solve = lu_solver(K, "coarse operator R*AP")
+        solve = lu_solver(K, "coarse operator R*AP", norm=_scale(store, pair))
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
     return CoarseCorrection(A, pair, solve, diags, RA), K

@@ -28,13 +28,16 @@ which also serves as the oracle for the reduced one.
 Every function here takes A or its ProblemStore. A pair's correction is
 bound once per store, as the store entry ("coarse", pair), so the calls on
 one store guard and factor K once between them. A_ff is factored once per
-store: the ideal blocks of A, the exact F-relaxation and its dense oracle
-all solve with the store's A_ff solver. iterate applies each relaxation to the
-residual as an operator, a diagonal scaling or an F-block solve, and forms
-no N^{-1}; a classical pair's coarse step works on Z and W, skipping a
-block its zero_blocks finds zero, and the residual of a tridiagonal A is a
-product on the three diagonals the store decided once, so on the 1D
-problems an iteration costs O(n) plus the products with Z and W. The
+store, and once per command for the stores made from the command's store:
+the ideal blocks of A, the exact F-relaxation and its dense oracle all
+solve with the store's A_ff solver, and on a tridiagonal A the nonzero-T
+path reads A_ff off its diagonals (ProblemStore.block). iterate applies
+each relaxation to the residual as an operator, a diagonal scaling or an
+F-block solve, and forms no N^{-1}; a classical pair's coarse step works
+on Z and W, skipping a block its zero_blocks finds zero, and the residual
+of a tridiagonal A is a product on the three diagonals the store decided
+once, so on the 1D problems an iteration costs O(n) plus the products with
+Z and W. The
 binding's coarse is the pair's CoarseCorrection, made by the guard of K
 that build_pi and coarse_correction share (projection._coarse), so the
 dense propagator's Pi = P K^{-1} R*A has the bits of build_pi for every K.
@@ -250,7 +253,7 @@ def two_grid_conv_factor(A, spec):
     if not dW.any():
         return 0.0
     f = part.fidx
-    return _spectral_radius(coarse.solve(dZ.T @ (store.A[np.ix_(f, f)] @ dW)))
+    return _spectral_radius(coarse.solve(dZ.T @ (store.block(f, f) @ dW)))
 
 
 def air_cpoint_residual(A, pair, e):

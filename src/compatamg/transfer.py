@@ -633,8 +633,9 @@ def ideal_blocks_pair(A, part, r_q, p_q):
 def _ideal_block(store, part, q, side):
     """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part.
 
-    The blocks of A itself are read off A's F/C slices and solved with the
-    store's A_ff solver, and those of the identity are zero, so neither
+    The blocks of A itself take A_cf and A_fc from the store (on a
+    tridiagonal A, off its diagonals) and solve with the store's A_ff
+    solver, and those of the identity are zero, so neither
     companion is realized. Nor are A^{-1} and A^{-*}: their blocks are
     A_fc A_cc^{-1} and A_cf* A_cc^{-*}, all four on the store's A_cc solver
     (see _inverse_block). Any other companion is realized and partitioned.
@@ -643,9 +644,9 @@ def _ideal_block(store, part, q, side):
         if choice.tag == "identity":
             block = np.zeros((part.nf, part.nc))
         elif choice.tag == "A":
-            A, f, c = store.A, part.fidx, part.cidx
+            f, c = part.fidx, part.cidx
             solve = store.ff_solve(part)
-            block = _z_of(solve, A[np.ix_(c, f)]) if side == "Z" else _w_of(solve, A[np.ix_(f, c)])
+            block = _z_of(solve, store.block(c, f)) if side == "Z" else _w_of(solve, store.block(f, c))
         elif choice.tag in _INVERSE_TAGS:
             X, adj = _inverse_columns(store.A, part, choice.tag, side)
             block = _inverse_block(X, part, store.cc_solve(part), adj)

@@ -4,6 +4,7 @@ caller so every test is reproducible."""
 import numpy as np
 
 import compatamg as cm
+from compatamg.linalg import lu_solver
 
 # numpy.exceptions exists from numpy 1.25; before it, the class is numpy's own
 COMPLEX_WARNING = "numpy.exceptions.ComplexWarning" if hasattr(np, "exceptions") \
@@ -14,6 +15,41 @@ def pytest_configure(config):
     # a complex value cast to real drops its imaginary part with only a
     # warning; in the suite that cast is an error
     config.addinivalue_line("filterwarnings", f"error::{COMPLEX_WARNING}")
+
+
+# The 1D kinds, whose A is tridiagonal, a diagonally dominant tridiagonal A
+# with random entries, whose diagonals are not constant, and the splittings
+# and orders on which the store's blocks read off A's diagonals are checked
+# against gathered ones.
+TRIDIAGONAL_KINDS = ("advection1d", "laplacian1d", "advdiff1d", "randomtridiagonal")
+SPLITS = ("alternate", "firsthalf", "random")
+ORDERS = (3, 4, 5, 17, 64)
+
+
+def tridiagonal_problem(kind, n):
+    if kind == "randomtridiagonal":
+        rng = np.random.default_rng(n)
+        dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
+        return np.diag(3.0 + rng.random(n)) + np.diag(dl, -1) + np.diag(du, 1)
+    return cm.generate(cm.ProblemSpec(kind, n=n, **({"epsilon": 0.01} if kind == "advdiff1d" else {})))
+
+
+class GatheringStore(cm.ProblemStore):
+    """A ProblemStore that gathers every block of A by np.ix_ and factors the
+    gathered A_ff and A_cc, as a store of a dense A does: the reference for
+    the blocks a store reads off a tridiagonal A's diagonals."""
+
+    def block(self, rows, cols):
+        return self.A[np.ix_(rows, cols)]
+
+    def _block_solver(self, idx, what):
+        return lu_solver(self.A[np.ix_(idx, idx)], what)
+
+
+def assert_same_array(X, Y):
+    """X and Y have the same values, bit for bit, and the same memory order."""
+    assert np.array_equal(X, Y)
+    assert (X.flags.c_contiguous, X.flags.f_contiguous) == (Y.flags.c_contiguous, Y.flags.f_contiguous)
 
 
 def random_spd(rng, n, shift=0.1):

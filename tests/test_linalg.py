@@ -20,7 +20,16 @@ from compatamg.linalg import (
     solve_checked,
     spd_sqrt_pair,
 )
-from conftest import random_spd, random_stable
+from conftest import (
+    ORDERS,
+    SPLITS,
+    TRIDIAGONAL_KINDS,
+    GatheringStore,
+    assert_same_array,
+    random_spd,
+    random_stable,
+    tridiagonal_problem,
+)
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
 
@@ -736,3 +745,91 @@ def test_store_diagonals_of_a_are_read_only_copies():
         np.testing.assert_array_equal(v, np.diag(A, k))
         with pytest.raises(ValueError):
             v[0] = 0.0
+
+
+def _gathers(monkeypatch):
+    """Record every np.ix_ the package makes."""
+    calls = []
+    ix = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *idx: (calls.append(idx), ix(*idx))[1])
+    return calls
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_blocks_read_off_the_diagonals_keep_the_gathered_bits(kind, split, n):
+    # every block of a tridiagonal A, and every solve with A_ff and A_cc,
+    # has the values and memory order of the gathered block's
+    A = tridiagonal_problem(kind, n)
+    part = cm.default_splitting(n, split, seed=n)
+    store, ref = cm.ProblemStore(A), GatheringStore(A)
+    for rows in (part.fidx, part.cidx):
+        for cols in (part.fidx, part.cidx):
+            assert_same_array(store.block(rows, cols), ref.block(rows, cols))
+    X = np.random.default_rng(n).standard_normal((n, 3))
+    for name, idx in (("ff_solve", part.fidx), ("cc_solve", part.cidx)):
+        solve, want = getattr(store, name)(part), getattr(ref, name)(part)
+        for rhs in (X[idx], X[idx, 0]):
+            for trans in (0, 1):
+                assert_same_array(solve(rhs, trans=trans), want(rhs, trans=trans))
+    Y = np.random.default_rng(n + 1).standard_normal((n, 2))
+    for trans in (0, 1):
+        assert_same_array(store.lu_solve()(Y, trans=trans), lu_solver(A, "A")(Y, trans=trans))
+
+
+@pytest.mark.parametrize("case", ["sorted", "unsorted"])
+def test_a_block_is_factored_on_its_diagonals_when_sorted_and_of_order_3(monkeypatch, case):
+    # at n = 5 under the alternate splitting A_ff has order 3 and is read off
+    # A's diagonals, while A_cc, of order 2, is gathered; with its F-points
+    # out of order A_ff is gathered too, with the same solves
+    n = 5
+    A = tridiagonal_problem("advdiff1d", n)
+    part = cm.default_splitting(n, "alternate")
+    if case == "unsorted":
+        part = cm.CFPartition(n, part.fpoints[::-1], part.cpoints)
+    gathers = _gathers(monkeypatch)
+    store, ref = cm.ProblemStore(A), GatheringStore(A)
+    x = np.arange(1.0, part.nf + 1.0)
+    assert_same_array(store.ff_solve(part)(x), ref.ff_solve(part)(x))
+    assert len(gathers) == (1 if case == "sorted" else 2)
+    gathers.clear()
+    y = np.arange(1.0, part.nc + 1.0)
+    assert_same_array(store.cc_solve(part)(y), ref.cc_solve(part)(y))
+    assert len(gathers) == 2
+
+
+@pytest.mark.parametrize("split", ["alternate", "firsthalf"])
+def test_a_zero_on_the_a_ff_diagonal_raises_the_gathered_message(split):
+    # advection1d is lower bidiagonal, so a zero on A_ff's diagonal makes it
+    # singular under either splitting
+    n = 17
+    A = tridiagonal_problem("advection1d", n).copy()
+    part = cm.default_splitting(n, split)
+    f = part.fidx[2]
+    A[f, f] = 0.0
+    messages = []
+    for store in (cm.ProblemStore(A), GatheringStore(A)):
+        with pytest.raises(SingularMatrixError) as err:
+            store.ff_solve(part)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("A_ff is numerically singular")
+
+
+def test_a_pair_store_shares_a_and_its_factors_but_not_its_pair_entries():
+    # ProblemStore(store) takes the store's validated A and its entries of A
+    # alone, but holds its own ideal blocks and bindings
+    n = 17
+    A = tridiagonal_problem("advdiff1d", n)
+    part = cm.default_splitting(n, "alternate")
+    store = cm.ProblemStore(A)
+    first, second = cm.ProblemStore(store), cm.ProblemStore(cm.ProblemStore(store))
+    assert first.A is store.A is second.A
+    assert first.tridiagonal() is store.tridiagonal() is second.tridiagonal()
+    assert first.ff_solve(part) is second.ff_solve(part) is store.ff_solve(part)
+    assert first.norm1() == second.norm1() == pytest.approx(np.linalg.norm(A, 1), rel=1e-15)
+    pair, _ = cm.single_operator_pair(first, part, "single3")
+    assert cm.ideal_blocks_pair(first, part, "identity", "A").W is pair.W
+    assert cm.ideal_blocks_pair(second, part, "identity", "A").W is not pair.W
+    assert store.peek(("ideal", "W", "A", part)) is None

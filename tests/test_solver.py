@@ -10,7 +10,14 @@ import compatamg as cm
 import compatamg.linalg
 import compatamg.projection
 from compatamg.solver import _bind
-from conftest import random_pair_case
+from conftest import (
+    ORDERS,
+    SPLITS,
+    TRIDIAGONAL_KINDS,
+    GatheringStore,
+    random_pair_case,
+    tridiagonal_problem,
+)
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
 P2 = cm.CFPartition(2, (0,), (1,))
@@ -632,3 +639,20 @@ def test_converge_path_forms_no_n_by_nc_block(name):
     assert rho == 0.0 and history[-1] < 1e-9 * history[0]
     assert peak < 8 * n * part.nc
     assert "R" not in vars(pair) and "P" not in vars(pair)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_nonzero_t_rho_keeps_the_gathered_bits(kind, split, n):
+    # rho of a random pair with exact F-relaxation reads A_ff off the
+    # diagonals of a tridiagonal A, with the bits of the gathered A_ff
+    A = tridiagonal_problem(kind, n)
+    part = cm.default_splitting(n, split, seed=n)
+    rng = np.random.default_rng(2)
+    pair = cm.make_pair(part, rng.standard_normal((part.nf, part.nc)),
+                        rng.standard_normal((part.nf, part.nc)))
+    spec = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    rho = cm.two_grid_conv_factor(cm.ProblemStore(A), spec)
+    assert rho > 0.0
+    assert rho == cm.two_grid_conv_factor(GatheringStore(A), spec)

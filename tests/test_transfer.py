@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 import compatamg as cm
 from compatamg.linalg import RANK_RTOL, ProblemStore, SingularMatrixError
 from compatamg.transfer import _ideal_block
-from conftest import random_nonsingular, random_partition, random_spd, random_stable
+from conftest import (
+    ORDERS,
+    SPLITS,
+    TRIDIAGONAL_KINDS,
+    GatheringStore,
+    assert_same_array,
+    random_nonsingular,
+    random_partition,
+    random_spd,
+    random_stable,
+    tridiagonal_problem,
+)
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
 P2 = cm.CFPartition(2, (0,), (1,))
@@ -916,3 +927,18 @@ def test_ideal_pair_takes_a_custom_companion(anchor, custom_norm):
     report = cm.projection_report(A, pair, G)
     assert report["compat_eq"] and all(report["orthogonality_checks"].values())
     assert abs(report["pi_norm"] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_ideal_blocks_read_off_the_diagonals_keep_the_gathered_bits(kind, split, n):
+    # the ideal blocks of A, A^{-1} and A^{-*} on a tridiagonal A take A_cf,
+    # A_fc and the A_ff and A_cc factors off its diagonals, with the values
+    # and memory order of the gathered blocks'
+    A = tridiagonal_problem(kind, n)
+    part = cm.default_splitting(n, split, seed=n)
+    store, ref = ProblemStore(A), GatheringStore(A)
+    for q in ("A", "Ainv", "AinvStar"):
+        for side in ("Z", "W"):
+            assert_same_array(_ideal_block(store, part, q, side), _ideal_block(ref, part, q, side))
