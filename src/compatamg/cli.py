@@ -415,6 +415,22 @@ def _relax_from_recipe(text, flag):
 
 
 def _build_parser():
+    # the flags every subcommand takes are declared once, on a parent parser
+    # without its own help, which each subcommand copies
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--problem", default="advection1d", choices=PROBLEM_KINDS)
+    shared.add_argument("--n", type=int, default=32)
+    shared.add_argument("--nx", type=int, default=None)
+    shared.add_argument("--ny", type=int, default=None)
+    shared.add_argument("--epsilon", type=float, default=None)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--split", default="alternate", choices=("alternate", "firsthalf", "random"))
+    shared.add_argument("--cfrac", type=float, default=None)
+    shared.add_argument("--norm", action="append", default=[], metavar="TAG")
+    shared.add_argument("--pair", action="append", default=[], metavar="RECIPE")
+    shared.add_argument("--tol", type=float, default=None)
+    shared.add_argument("--output", default=None, metavar="PATH")
+    shared.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
     parser = argparse.ArgumentParser(
         prog="compatamg",
         description="Construct, verify, and benchmark compatible transfer-operator pairs.",
@@ -426,20 +442,7 @@ def _build_parser():
         ("tables", "sweep and verify every computable catalog cell"),
         ("converge", "residual histories and convergence factors for two-grid methods"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--problem", default="advection1d", choices=PROBLEM_KINDS)
-        p.add_argument("--n", type=int, default=32)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--split", default="alternate", choices=("alternate", "firsthalf", "random"))
-        p.add_argument("--cfrac", type=float, default=None)
-        p.add_argument("--norm", action="append", default=[], metavar="TAG")
-        p.add_argument("--pair", action="append", default=[], metavar="RECIPE")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--output", default=None, metavar="PATH")
-        p.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
+        p = sub.add_parser(name, help=helptext, parents=[shared])
         if name == "verify-pairs":
             p.add_argument("--expect-orthogonal", action="store_true")
         if name == "converge":
@@ -562,14 +565,24 @@ def _flatten(record):
     return flat
 
 
+# Columns of converge's CSV report: one row per residual of a pair's
+# history, with the pair's rho, observed rate and divergence on each, and
+# one row for a skipped pair, with its reason and no residual.
+_CONVERGE_CSV = ("pair", "iter", "residual", "rho", "observed_rate", "divergent", "skipped", "reason")
+
+
 def _report_csv(report):
     out = io.StringIO()
     if report["command"] == "converge":
         w = csv.writer(out)
-        w.writerow(["pair", "iter", "residual"])
+        w.writerow(_CONVERGE_CSV)
         for rec in report["results"]:
-            for k, r in enumerate(rec.get("history", [])):
-                w.writerow([rec["pair"], k, f"{r:.17g}"])
+            if rec.get("skipped"):
+                w.writerow([rec["pair"], "", "", "", "", "", True, rec["reason"]])
+                continue
+            per_pair = [f"{rec['rho']:.17g}", f"{rec['observed_rate']:.17g}", rec["divergent"], "", ""]
+            for k, r in enumerate(rec["history"]):
+                w.writerow([rec["pair"], k, f"{r:.17g}"] + per_pair)
         return out.getvalue()
     rows = [_flatten(rec) for rec in report["results"]]
     fields = []

@@ -37,8 +37,9 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: A, checked for finite entries once, its diagonals when it
-is tridiagonal, the guard's factor of A and of its blocks A_ff and A_cc,
+its cases share: A, checked for finite entries once (on its diagonals alone
+when its nonzero count finds it tridiagonal), its diagonals when it is
+tridiagonal, the guard's factor of A and of its blocks A_ff and A_cc,
 the Cholesky factor of (A + A*)/2 and the norm factors built from them,
 each made once for the command and dropped with it. A store made from the
 command's store, as converge makes one per pair, shares all of these and
@@ -146,6 +147,24 @@ def _tridiagonal(A):
     return diags
 
 
+def _scanned(a, name="matrix"):
+    """(as_matrix(a, name), _tridiagonal of it), reading a tridiagonal a once.
+
+    The nonzero count that decides the structure comes first. NaN and inf
+    count as nonzeros, so when every nonzero lies on the three central
+    diagonals every other entry is an exact zero, and finiteness is checked
+    on the diagonals alone. Any other a is checked entry by entry, as
+    as_matrix does, after its count: two passes.
+    """
+    A = np.asarray(a, dtype=float)
+    diags = _tridiagonal(A) if A.ndim == 2 else None
+    if diags is None:
+        return as_matrix(A, name), None
+    if not all(np.isfinite(v).all() for v in diags):
+        raise ValueError(f"{name} contains non-finite entries")
+    return A, diags
+
+
 def _tridiagonal_product(diags, X, trans=0):
     """A X, or A* X with trans=1, for the tridiagonal A with diagonals diags.
 
@@ -167,6 +186,14 @@ def _tridiagonal_product(diags, X, trans=0):
 _ROWS_PER_PASS = 64
 
 
+def _span(r):
+    """The ascending row indices r as a slice when they are consecutive, so
+    that their rows are written in place rather than gathered and scattered."""
+    if r.size and r[-1] - r[0] + 1 == r.size:
+        return slice(r[0], r[-1] + 1)
+    return r
+
+
 def _tridiagonal_rows(diags, part, B, rows, trans=0):
     """(A X)[rows], or (A* X)[rows] with trans=1, for the classical operator
     X = [B; I] over the CFPartition part and the tridiagonal A with
@@ -174,8 +201,17 @@ def _tridiagonal_rows(diags, part, B, rows, trans=0):
 
     Row i is d_i x_i + du_i x_{i+1} + dl_{i-1} x_{i-1}, each product taken
     and added in _tridiagonal_product's order, so its bits are those of row
-    i of the full product. The rows of X are gathered _ROWS_PER_PASS at a
-    time, so no n x n_c block is made.
+    i of the full product; a term whose point is off the matrix is left
+    out. The d term is written and the du and dl terms then added, each on
+    the rows where its point is an F point and, apart, where it is a C
+    point. An F-point's row of X is a
+    row of B: only these are gathered, _ROWS_PER_PASS at a time, so no
+    n x n_c block is made, and a run of consecutive rows is written in
+    place. A C-point's row of X is an identity row, whose product with a
+    coefficient v is the signed zero 0 * v but for one entry v: it is
+    written as that fill and the entry, and added as the fill and then the
+    entry, where adding the fill changes a row only when a +0 fill turns
+    its -0 entries into +0.
     """
     dl, d, du = diags
     if trans:
@@ -186,26 +222,32 @@ def _tridiagonal_rows(diags, part, B, rows, trans=0):
     pos[part.cidx] = np.arange(nc)
     is_c = np.zeros(n, bool)
     is_c[part.cidx] = True
-
-    def gather(out, idx):
-        c = is_c[idx]
-        out[~c] = B[pos[idx[~c]]]
-        out[c] = 0.0
-        out[np.flatnonzero(c), pos[idx[c]]] = 1.0
-
     rows = np.asarray(rows, np.intp)
     Y = np.empty((rows.size, nc))
     T = np.empty((min(rows.size, _ROWS_PER_PASS), nc))
-    for lo in range(0, rows.size, _ROWS_PER_PASS):
-        i = rows[lo:lo + _ROWS_PER_PASS]
-        y, t = Y[lo:lo + i.size], T[:i.size]
-        gather(y, i)
-        y *= d[i, None]
-        # neighbour j = i + 1 with coefficient du_i, then j = i - 1 with dl_{i-1}
-        for coef, j, k in ((du, i + 1, i), (dl, i - 1, i - 1)):
-            gather(t, np.clip(j, 0, n - 1))
-            t *= coef[np.clip(k, 0, n - 2), None]
-            np.add(y, t, out=y, where=((j >= 0) & (j < n))[:, None])
+    for added, j, coef in ((False, rows, d), (True, rows + 1, du), (True, rows - 1, dl)):
+        r = np.flatnonzero((j >= 0) & (j < n))  # rows whose point j is in A
+        j = j[r]
+        v = coef[np.minimum(j, rows[r])]  # the term's coefficient on each row
+        c = is_c[j]
+        rc, vc = r[c], v[c]
+        if added:
+            Y[_span(rc[~np.signbit(vc)])] += 0.0
+            Y[rc, pos[j[c]]] += vc
+        else:
+            Y[_span(rc)] = np.copysign(0.0, vc)[:, None]
+            Y[rc, pos[j[c]]] = vc
+        rf, jf, vf = r[~c], pos[j[~c]], v[~c]
+        for lo in range(0, rf.size, _ROWS_PER_PASS):
+            m = min(_ROWS_PER_PASS, rf.size - lo)
+            i = _span(rf[lo:lo + m])
+            in_place = not added and isinstance(i, slice)
+            t = np.take(B, jf[lo:lo + m], axis=0, out=Y[i] if in_place else T[:m], mode="clip")
+            t *= vf[lo:lo + m, None]
+            if added:
+                Y[i] += t
+            elif not in_place:
+                Y[i] = t
     return Y
 
 
@@ -261,11 +303,14 @@ def _guarded_lu(A, what, norm=None):
     A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
     by tridiagonal elimination with partial pivoting (dgttrf) into
     (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
-    from that factor by dgtcon, in O(n). A may also be given as such a
-    matrix's _Diagonals, taken as they are, so that a block read off a held
-    matrix's diagonals is neither gathered nor scanned. Any
-    other A is factored by dgetrf into (lu, piv) and estimated by dgecon. An
-    exactly zero pivot reads as an infinite estimate. Both factorizations
+    from that factor by dgtcon, in O(n). A is read by _scanned: one nonzero
+    count decides its structure, and a tridiagonal A is checked for finite
+    entries on its diagonals alone, so a K formed on A's diagonals is read
+    once. A may also be given as such a matrix's _Diagonals, taken as they
+    are, so that a block read off a held matrix's diagonals is neither
+    gathered nor scanned. Any other A is checked entry by entry, factored
+    by dgetrf into (lu, piv) and estimated by dgecon. An exactly zero pivot
+    reads as an infinite estimate. Both factorizations
     call LAPACK directly, so an exactly singular A raises without a
     LinAlgWarning. With norm given, the estimate is norm * ||A^{-1}||_1
     instead of ||A||_1 ||A^{-1}||_1: a block of a matrix X, judged against
@@ -274,10 +319,9 @@ def _guarded_lu(A, what, norm=None):
     if isinstance(A, _Diagonals):
         diags = A
     else:
-        A = as_matrix(A, what)
+        A, diags = _scanned(A, what)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"{what} must be square, got shape {A.shape}")
-        diags = _tridiagonal(A)
     c = np.inf
     factor = None
     if diags is not None:
@@ -316,25 +360,19 @@ def lu_solver(A, what="matrix", norm=None):
     O(n) per right-hand side; any other A against the guard's LU by two
     triangular solves. A diagonal A, whose dgttrf factor has no row
     interchange, no multiplier, no superdiagonal and no fill, is solved by
-    dividing by its diagonal: trans has no effect, the values are those of
-    dgttrs and so is the memory order (Fortran for a block), and a
-    right-hand side with other than n rows raises ValueError. The solve is
-    safe to share between threads: scipy's getrs wrapper shifts the pivot
-    indices in place during each call, so every solve gets its own copy of
-    them.
+    a _DiagonalSolve, which divides by its diagonal: trans has no effect,
+    the values are those of dgttrs and so is the memory order, Fortran for
+    a block whatever the order of X. Its negated(X) is -A^{-1} X in C
+    order, by one division of X by the negated diagonal, with the bits
+    of the solve's negation. The solve is safe to share between threads:
+    scipy's getrs wrapper shifts the pivot indices in place during each
+    call, so every solve gets its own copy of them.
     """
     factor = _guarded_lu(A, what, norm)
     if len(factor) == 5:
         dl, d, du, du2, ipiv = factor
-        n = d.size
-        if not (dl.any() or du.any() or du2.any()) and np.array_equal(ipiv, np.arange(1, n + 1)):
-            def solve(X, trans=0):
-                X = np.asarray(X, dtype=float)
-                if X.ndim not in (1, 2) or X.shape[0] != n:
-                    raise ValueError(f"right-hand side of shape {X.shape} for {what} of order {n}")
-                return X / d if X.ndim == 1 else np.divide(X, d[:, None], order="F")
-
-            return solve
+        if not (dl.any() or du.any() or du2.any()) and np.array_equal(ipiv, np.arange(1, d.size + 1)):
+            return _DiagonalSolve(d, what)
 
         def solve(X, trans=0):
             return lapack.dgttrs(*factor, X, trans="NT"[trans])[0]
@@ -347,6 +385,32 @@ def lu_solver(A, what="matrix", norm=None):
         return scipy.linalg.lu_solve((lu, piv.copy()), X, trans=trans)
 
     return solve
+
+
+class _DiagonalSolve:
+    """solve(X, trans=0) = A^{-1} X for a diagonal A with diagonal d, the
+    solve lu_solver makes for it. A right-hand side with other than n rows
+    raises ValueError."""
+
+    def __init__(self, d, what):
+        self.d, self.what = d, what
+
+    def _rhs(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[0] != self.d.size:
+            raise ValueError(f"right-hand side of shape {X.shape} for {self.what} of order {self.d.size}")
+        return X
+
+    def __call__(self, X, trans=0):
+        X = self._rhs(X)
+        return X / self.d if X.ndim == 1 else np.divide(X, self.d[:, None], order="F")
+
+    def negated(self, X):
+        """-A^{-1} X, C-ordered: X / (-d), which is -(X / d) bit for bit,
+        since IEEE division is correctly rounded and symmetric in sign."""
+        X = self._rhs(X)
+        d = -self.d
+        return X / d if X.ndim == 1 else np.divide(X, d[:, None], order="C")
 
 
 def solve_checked(A, B, what="matrix"):
@@ -680,9 +744,11 @@ def _factored_norm(tag, A, L, lu_solve):
 class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
-    Each entry is built on first use and then kept: whether A is tridiagonal,
-    decided by one nonzero count and held as read-only copies of its three
-    diagonals, ||A||_1, the guard's factor of A, its only one, the guard's
+    A is read once when the store is made (_scanned): one nonzero count
+    decides whether it is tridiagonal, and then its finiteness is checked on
+    its three diagonals alone, which the store holds as read-only copies;
+    a dense A is checked entry by entry. Each entry is built on first use
+    and then kept: ||A||_1, the guard's factor of A, its only one, the guard's
     factors of A_ff and A_cc per partition, the Cholesky factor of
     (A + A*)/2 that decides whether it is SPD, the norm factors realized
     from them and, through compatamg.transfer, the ideal blocks of the
@@ -706,9 +772,9 @@ class ProblemStore:
 
     def __init__(self, A):
         if isinstance(A, ProblemStore):
-            self.A, self._parent = A.A, A._parent or A
+            self.A, self._diags, self._parent = A.A, A._diags, A._parent or A
         else:
-            self.A, self._parent = as_matrix(A, "A"), None
+            (self.A, self._diags), self._parent = _scanned(A, "A"), None
         self._lock = threading.RLock()
         self._built = {}
 
@@ -737,8 +803,9 @@ class ProblemStore:
             return self._built.get(key, (None, None))[0]
 
     def tridiagonal(self):
-        """_tridiagonal(A): A's three diagonals when it is tridiagonal, else None."""
-        return self._shared("tridiagonal", lambda: _tridiagonal(self.A))
+        """_tridiagonal(A): A's three diagonals when it is tridiagonal, else
+        None, decided with A's finiteness when the first store of A was made."""
+        return self._diags
 
     def norm1(self):
         """||A||_1, on A's diagonals when it is tridiagonal."""
@@ -753,12 +820,16 @@ class ProblemStore:
         on A's diagonals when it is tridiagonal."""
         return self._shared("lu_solve", lambda: lu_solver(self.tridiagonal() or self.A, "A"))
 
-    def block(self, rows, cols):
-        """A[np.ix_(rows, cols)], C-ordered; scattered from A's diagonals when
-        A is tridiagonal (_tridiagonal_block), with the same values."""
+    def block(self, rows, cols, trans=0):
+        """A[np.ix_(rows, cols)], or A*[np.ix_(rows, cols)] with trans=1,
+        C-ordered; scattered from A's diagonals when A is tridiagonal
+        (_tridiagonal_block, on A*'s diagonals (du, d, dl) for trans=1),
+        with the same values."""
         diags = self.tridiagonal()
         if diags is None:
-            return self.A[np.ix_(rows, cols)]
+            return (self.A.T if trans else self.A)[np.ix_(rows, cols)]
+        if trans:
+            diags = _Diagonals(diags.du, diags.d, diags.dl)
         return _tridiagonal_block(diags, rows, cols)
 
     def _block_solver(self, idx, what):

@@ -21,6 +21,7 @@ from .linalg import (
     NormSpec,
     ProblemStore,
     SingularMatrixError,
+    _DiagonalSolve,
     _TagChoice,
     _frozen,
     _store_for,
@@ -242,19 +243,31 @@ def realize_q(choice, A):
     raise AssertionError(f"unhandled Q tag {tag!r}")
 
 
-def _w_of(solve_ff, fc):
-    """-Q_ff^{-1} Q_fc, by a solve with the ff-block's LU, C-ordered.
+def _negated_solve(solve_ff, X, trans):
+    """-Q_ff^{-1} X, or -Q_ff^{-*} X with trans=1, C-ordered, by the solve with the ff-block.
 
-    The solves return Fortran order; a pair's blocks are C-ordered, as the
-    rows gathered from an assembled operator are, so that the products with
-    them keep one summation order.
+    A pair's blocks are C-ordered, as the rows gathered from an assembled
+    operator are, so that the products with them keep one summation order.
+    A diagonal Q_ff (a _DiagonalSolve) divides X by its negated diagonal in
+    C order, one pass; any other solve returns Fortran order, which the
+    negation copies into C order.
     """
-    return np.negative(solve_ff(fc), order="C")
+    if isinstance(solve_ff, _DiagonalSolve):
+        return solve_ff.negated(X)
+    return np.negative(solve_ff(X, trans=trans), order="C")
 
 
-def _z_of(solve_ff, cf):
-    """Z with Z* = -Q_cf Q_ff^{-1}, by the transposed solve with the ff-block's LU, C-ordered."""
-    return np.negative(solve_ff(cf.T, trans=1), order="C")
+def _w_of(solve_ff, fc):
+    """W = -Q_ff^{-1} Q_fc, C-ordered, from Q_fc and the solve with Q_ff."""
+    return _negated_solve(solve_ff, fc, 0)
+
+
+def _z_of(solve_ff, cf_adj):
+    """Z with Z* = -Q_cf Q_ff^{-1}, C-ordered, from Q_cf* (n_f x n_c) and the
+    solve with Q_ff: Z = -Q_ff^{-*} Q_cf*. On a diagonal Q_ff a C-ordered
+    Q_cf* is divided in one pass; the transposed view of a gathered Q_cf is
+    divided in a transposing pass."""
+    return _negated_solve(solve_ff, cf_adj, 1)
 
 
 def ideal_w(Q):
@@ -273,7 +286,7 @@ def ideal_z(Q):
     columns and C-point columns equal to the Schur complement of Q. Only Q's
     F columns are read, and Q_ff is factored as for ideal_w.
     """
-    return _z_of(lu_solver(Q.ff, _FF), Q.cf)
+    return _z_of(lu_solver(Q.ff, _FF), Q.cf.T)
 
 
 def p_ideal(Q):
@@ -630,15 +643,41 @@ def ideal_blocks_pair(A, part, r_q, p_q):
     return TransferPair._of_blocks(part, Z, W)
 
 
+def _companion_blocks(store, part, choice):
+    """(Z, W), the ideal blocks of the dense companion choice of store.A on part.
+
+    The companion is realized and partitioned once, and its ff-block guarded
+    and factored once (lu_solver, guarded as _FF), for both blocks, which
+    are built together and kept as one store entry, whichever side is read
+    first. The n x n realization is dropped once its blocks are gathered,
+    before the solves, and the factor once both blocks are made.
+    """
+    def build():
+        Q = partition(realize_q(choice, store.A), part)
+        solve, fc, cf = lu_solver(Q.ff, _FF), Q.fc, Q.cf
+        del Q
+        blocks = _z_of(solve, cf.T), _w_of(solve, fc)
+        for block in blocks:
+            block.setflags(write=False)
+        return blocks
+
+    return store.get(("ideal", "ZW", choice.tag, part), build)
+
+
 def _ideal_block(store, part, q, side):
     """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part.
 
-    The blocks of A itself take A_cf and A_fc from the store (on a
+    The blocks of A itself take A_fc and A_cf from the store (on a
     tridiagonal A, off its diagonals) and solve with the store's A_ff
     solver, and those of the identity are zero, so neither
-    companion is realized. Nor are A^{-1} and A^{-*}: their blocks are
-    A_fc A_cc^{-1} and A_cf* A_cc^{-*}, all four on the store's A_cc solver
-    (see _inverse_block). Any other companion is realized and partitioned.
+    companion is realized. On a diagonal A_ff each block is one C-ordered
+    division (see _negated_solve): W's numerator is A_fc and Z's is A_cf*,
+    scattered C-ordered off A's transposed diagonals. Nor are A^{-1} and
+    A^{-*} realized: their blocks are A_fc A_cc^{-1} and A_cf* A_cc^{-*},
+    all four on the store's A_cc solver (see _inverse_block). Any other
+    companion is realized and factored once for both sides, which are built
+    together (_companion_blocks); a Custom one, which its tag does not name,
+    is realized for each block asked of it.
     """
     def build():
         if choice.tag == "identity":
@@ -646,13 +685,20 @@ def _ideal_block(store, part, q, side):
         elif choice.tag == "A":
             f, c = part.fidx, part.cidx
             solve = store.ff_solve(part)
-            block = _z_of(solve, store.block(c, f)) if side == "Z" else _w_of(solve, store.block(f, c))
+            if side == "W":
+                block = _w_of(solve, store.block(f, c))
+            elif isinstance(solve, _DiagonalSolve):
+                block = _z_of(solve, store.block(f, c, trans=1))
+            else:  # the transposed view of A_cf, which the solves take as it is
+                block = _z_of(solve, store.block(c, f).T)
         elif choice.tag in _INVERSE_TAGS:
             X, adj = _inverse_columns(store.A, part, choice.tag, side)
             block = _inverse_block(X, part, store.cc_solve(part), adj)
-        else:
+        elif choice.tag == "Custom":
             Q = partition(realize_q(choice, store.A), part)
             block = ideal_z(Q) if side == "Z" else ideal_w(Q)
+        else:
+            block = _companion_blocks(store, part, choice)["ZW".index(side)]
         block.setflags(write=False)
         return block
 

@@ -15,6 +15,10 @@ def pytest_configure(config):
     # a complex value cast to real drops its imaginary part with only a
     # warning; in the suite that cast is an error
     config.addinivalue_line("filterwarnings", f"error::{COMPLEX_WARNING}")
+    # so are a division by zero, an overflow or an invalid operation that
+    # numpy reports only as a warning, and a deprecated call
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 # The 1D kinds, whose A is tridiagonal, a diagonally dominant tridiagonal A
@@ -39,8 +43,8 @@ class GatheringStore(cm.ProblemStore):
     gathered A_ff and A_cc, as a store of a dense A does: the reference for
     the blocks a store reads off a tridiagonal A's diagonals."""
 
-    def block(self, rows, cols):
-        return self.A[np.ix_(rows, cols)]
+    def block(self, rows, cols, trans=0):
+        return (self.A.T if trans else self.A)[np.ix_(rows, cols)]
 
     def _block_solver(self, idx, what):
         return lu_solver(self.A[np.ix_(idx, idx)], what)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import compatamg as cm
 from compatamg.cli import main
 from compatamg.problems import PROBLEM_KINDS
+from compatamg.projection import INCOMPATIBLE
 from compatamg.transfer import CATALOG_NORMS, CATALOG_QS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -583,7 +584,8 @@ def test_converge_csv_history(tmp_path):
     )
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["pair", "iter", "residual"]
+    assert rows[0] == ["pair", "iter", "residual", "rho", "observed_rate", "divergent",
+                       "skipped", "reason"]
     assert len(rows) == 1 + 4  # header + iters+1 residuals
 
 
@@ -610,7 +612,7 @@ def test_converge_skips_a_pair_that_cannot_be_bound(tmp_path):
     assert "incompatible" in bad["reason"] and "R*AP" in bad["reason"]
 
 
-def test_converge_csv_has_no_rows_for_a_skipped_pair(tmp_path):
+def test_converge_csv_keeps_a_row_for_a_skipped_pair(tmp_path):
     recipe = _singular_zw_recipe(tmp_path)
     out = tmp_path / "hist.csv"
     code = main(
@@ -619,9 +621,34 @@ def test_converge_csv_has_no_rows_for_a_skipped_pair(tmp_path):
          "--output", str(out)]
     )
     assert code == 1
-    rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["pair", "iter", "residual"]
-    assert [r[0] for r in rows[1:]] == ["single1"] * 4
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["pair"] for r in rows] == [recipe] + ["single1"] * 4
+    assert rows[0]["skipped"] == "True" and rows[0]["reason"].startswith(INCOMPATIBLE)
+    assert rows[0]["iter"] == rows[0]["residual"] == rows[0]["rho"] == ""
+
+
+def test_converge_csv_carries_each_pair_and_its_fields(tmp_path):
+    # a skipped pair keeps a row with its reason, and every residual row
+    # carries its pair's rho, observed rate and divergence, as JSON has them
+    args = ["converge", "--problem", "advection1d", "--n", "8", "--pair", "t1:A:identity",
+            "--pair", "single1", "--iters", "2"]
+    out = tmp_path / "hist.csv"
+    assert main(args + ["--format", "csv", "--output", str(out)]) == 1
+    code, report = _run_json(tmp_path, args)
+    assert code == 1
+    skipped, single1 = report["results"]
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows[0] == {"pair": "t1:A:identity", "iter": "", "residual": "", "rho": "",
+                       "observed_rate": "", "divergent": "", "skipped": "True",
+                       "reason": skipped["reason"]}
+    assert "SPD" in skipped["reason"]
+    assert [r["iter"] for r in rows[1:]] == ["0", "1", "2"]
+    for row, residual in zip(rows[1:], single1["history"]):
+        assert float(row["residual"]) == residual
+        assert float(row["rho"]) == single1["rho"]
+        assert float(row["observed_rate"]) == single1["observed_rate"]
+        assert row["divergent"] == str(single1["divergent"])
+        assert row["pair"] == "single1" and row["skipped"] == row["reason"] == ""
 
 
 def test_verify_pairs_skips_a_pair_with_a_singular_coarse_operator(tmp_path):
@@ -964,10 +991,11 @@ def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
 
 
 def test_converge_checks_and_scans_a_once_per_command(tmp_path, monkeypatch):
-    # the pairs' stores are made from the command's store, so A's
-    # finiteness is checked and its nonzeros counted once for all three
-    # pairs, and every block of the tridiagonal A is read off its diagonals:
-    # no np.ix_ gather runs
+    # the pairs' stores are made from the command's store, so A's nonzeros
+    # are counted once for all three pairs, and since that count finds A
+    # tridiagonal its finiteness is checked on the diagonals, with no
+    # isfinite over the n x n A; every block of A is read off its
+    # diagonals: no np.ix_ gather runs
     n = 64
     scans = {"count_nonzero": 0, "isfinite": 0}
     for name in scans:
@@ -989,7 +1017,7 @@ def test_converge_checks_and_scans_a_once_per_command(tmp_path, monkeypatch):
          "--post", "fexact", "--iters", "6"],
     )
     assert code == 0 and len(report["results"]) == 3
-    assert scans == {"count_nonzero": 1, "isfinite": 1}
+    assert scans == {"count_nonzero": 1, "isfinite": 0}
     assert gathers == []
 
 
@@ -1130,3 +1158,48 @@ def test_cli_contract_holds_for_every_input(command, kind, n, split, seed, recip
             report.pop("timestamp")
             reports.append((code, report))
         assert reports[0] == reports[1], args
+
+
+HELP_SNAPSHOTS = Path(__file__).parent / "data" / "help"
+
+
+@pytest.mark.parametrize("argv, snapshot", [
+    (["verify-pairs", "--help"], "verify-pairs.txt"),
+    (["figure1", "--help"], "figure1.txt"),
+    (["tables", "--help"], "tables.txt"),
+    (["converge", "--help"], "converge.txt"),
+    (["converge", "--problem", "bogus"], "converge-bad-problem.err"),
+    (["tables", "--iters", "3"], "tables-unread-iters.err"),
+    (["verify-pairs", "--n", "x"], "verify-pairs-bad-n.err"),
+])
+def test_parser_text_matches_its_snapshot(argv, snapshot, capsys, monkeypatch):
+    # the flags the subcommands share are declared once, on a parent
+    # parser; every subcommand's help and usage error keep the text they
+    # had when each subcommand declared its own
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    help_text = snapshot.endswith(".txt")
+    assert stop.value.code == (0 if help_text else 2)
+    out, err = capsys.readouterr()
+    assert (out if help_text else err) == (HELP_SNAPSHOTS / snapshot).read_text()
+
+
+@pytest.mark.parametrize("problem", ["advection1d", "random"])
+def test_tables_realizes_and_factors_each_dense_companion_once(tmp_path, monkeypatch, problem):
+    # both tables read the ideal blocks of Asym, AstarA and AAstar, W in
+    # table 1 and Z in table 2, off one store entry per companion: one
+    # realization and one guarded factor of its ff-block
+    import compatamg.linalg as linalg
+    import compatamg.transfer as transfer
+
+    realized, guarded = [], []
+    realize_q, guard = transfer.realize_q, linalg._guarded_lu
+    monkeypatch.setattr(transfer, "realize_q",
+                        lambda q, A: (realized.append(transfer._choice(q).tag), realize_q(q, A))[1])
+    monkeypatch.setattr(linalg, "_guarded_lu",
+                        lambda A, what, *norm: (guarded.append(what), guard(A, what, *norm))[1])
+    code, report = _run_json(tmp_path, ["tables", "--problem", problem, "--n", "24"])
+    assert code in (0, 1) and len(report["results"]) == 50
+    assert sorted(realized) == sorted(("Asym", "AstarA", "AAstar"))
+    assert guarded.count(transfer._FF) == 3

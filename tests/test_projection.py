@@ -7,8 +7,18 @@ import pytest
 import scipy.linalg
 
 import compatamg as cm
-from compatamg.linalg import SingularMatrixError, orth_basis
-from conftest import random_pair_case, random_spd, random_stable
+from compatamg.linalg import SingularMatrixError, _tridiagonal_product, _tridiagonal_rows, orth_basis
+from compatamg.projection import _galerkin
+from compatamg.transfer import _ideal_block
+from conftest import (
+    ORDERS,
+    SPLITS,
+    TRIDIAGONAL_KINDS,
+    random_pair_case,
+    random_spd,
+    random_stable,
+    tridiagonal_problem,
+)
 
 A2 = np.array([[1.0, 0.0], [-1.0, 1.0]])
 P2 = cm.CFPartition(2, (0,), (1,))
@@ -298,21 +308,31 @@ def test_galerkin_skips_zero_blocks_with_the_same_bits(zero):
     assert cm.coarse_correction(A, pair).RA.tobytes() == RA_ref.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d"])
-def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
+def _tridiagonal_case(kind, split, n, blocks, seed):
+    """(A, part, store, Z, W) on a tridiagonal A: Z and W drawn at random, or
+    the store's ideal blocks of A, whose entries off A's pattern are zeros
+    of either sign."""
+    A = tridiagonal_problem(kind, n)
+    part = cm.default_splitting(n, split, seed=3)
+    store = cm.ProblemStore(A)
+    if blocks == "ideal":
+        Z, W = (_ideal_block(store, part, "A", side) for side in "ZW")
+    else:
+        rng = np.random.default_rng(seed)
+        Z, W = rng.standard_normal((2, part.nf, part.nc))
+    return A, part, store, Z, W
+
+
+@pytest.mark.parametrize("blocks", ["random", "ideal"])
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind, split, blocks):
     # R*A is (A*R)* from A's three diagonals, to round-off of the dense GEMM;
     # K is read off the F and C rows of A*R alone, with the bits of the
     # products on the whole of R*A
-    from compatamg.linalg import _tridiagonal, _tridiagonal_product
-    from compatamg.projection import _galerkin
-
-    rng = np.random.default_rng(47)
-    A = cm.generate(cm.ProblemSpec(kind, n=40, epsilon=0.05))
-    part = _split(40)
-    Z = rng.standard_normal((part.nf, part.nc))
-    W = rng.standard_normal((part.nf, part.nc))
+    A, part, store, Z, W = _tridiagonal_case(kind, split, 40, blocks, 47)
     pair = cm.make_pair(part, Z, W)
-    diags = _tridiagonal(A)
+    diags = store.tridiagonal()
     RA_formed, K = _galerkin(A, pair, diags)
     assert RA_formed is None
     RA = cm.coarse_correction(A, pair).RA
@@ -326,22 +346,18 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind):
     np.testing.assert_allclose(K, R.T @ A @ P, rtol=0, atol=1e-13 * np.abs(R.T @ A @ P).max())
 
 
-@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d", "advection1d"])
-@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
-def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_product(kind, policy):
+@pytest.mark.parametrize("blocks", ["random", "ideal"])
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_product(kind, split, blocks):
     # with Z = 0, K is the C rows of A P, taken on A's three diagonals: each
     # entry is a sum of at most three products, a few ulps of |R*| |A| |P|,
-    # with the bits of those rows of the whole product A P; R*A = A[C, :]
-    # is formed only when the correction reads it
-    from compatamg.linalg import _tridiagonal_product
-    from compatamg.projection import _galerkin
-
+    # with the bits of those rows of the whole product A P, signed zeros
+    # included; R*A = A[C, :] is formed only when the correction reads it
     n = 41
-    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05))
-    part = cm.default_splitting(n, policy, seed=3)
-    W = np.random.default_rng(50).standard_normal((part.nf, part.nc))
+    A, part, store, _, W = _tridiagonal_case(kind, split, n, blocks, 50)
     pair = cm.make_pair(part, np.zeros((part.nf, part.nc)), W)
-    diags = cm.ProblemStore(A).tridiagonal()
+    diags = store.tridiagonal()
     RA, K = _galerkin(A, pair, diags)
     assert RA is None
     RA = cm.coarse_correction(A, pair).RA
@@ -353,23 +369,41 @@ def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_produc
     assert np.all(np.abs(K - R.T @ A @ P) <= bound)
 
 
-@pytest.mark.parametrize("kind", ["advdiff1d", "laplacian1d", "advection1d"])
-@pytest.mark.parametrize("policy", ["alternate", "firsthalf", "random"])
-def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_full_product(kind, policy):
+@pytest.mark.parametrize("blocks", ["random", "ideal"])
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_full_product(kind, split, blocks):
     # with W = 0, K is the transpose of the C rows of A* R, from A's three
     # diagonals and Z, with the bits of the C columns of the whole R*A; the
     # correction forms that R*A, (A* R)*, only when it is read
-    from compatamg.linalg import _tridiagonal_product
-    from compatamg.projection import _galerkin
-
-    n = 41
-    A = cm.generate(cm.ProblemSpec(kind, n=n, epsilon=0.05))
-    part = cm.default_splitting(n, policy, seed=3)
-    Z = np.random.default_rng(51).standard_normal((part.nf, part.nc))
+    A, part, store, Z, _ = _tridiagonal_case(kind, split, 41, blocks, 51)
     pair = cm.make_pair(part, Z, np.zeros((part.nf, part.nc)))
-    diags = cm.ProblemStore(A).tridiagonal()
+    diags = store.tridiagonal()
     RA, K = _galerkin(A, pair, diags)
     assert RA is None
     RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
     assert K.tobytes() == RA_ref[:, part.cidx].tobytes()
     assert cm.coarse_correction(A, pair).RA.tobytes() == RA_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("kind", TRIDIAGONAL_KINDS)
+def test_row_kernel_keeps_the_bits_of_the_full_product(kind, split, n):
+    # every row subset of A X and A* X for X = [B; I], with B holding zeros
+    # of both signs, has the bits of those rows of the product on A's
+    # diagonals; on -A the identity rows' fill is the other signed zero
+    A = tridiagonal_problem(kind, n)
+    part = cm.default_splitting(n, split, seed=n)
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((part.nf, part.nc))
+    B[rng.random(B.shape) < 0.3] = 0.0
+    B[rng.random(B.shape) < 0.3] = -0.0
+    for M in (A, -A):
+        diags = cm.ProblemStore(M).tridiagonal()
+        X = part.assemble_rows(B, np.eye(part.nc))
+        for trans in (0, 1):
+            full = _tridiagonal_product(diags, X, trans=trans)
+            for rows in (part.fidx, part.cidx, np.arange(n), np.arange(n)[::-1]):
+                Y = _tridiagonal_rows(diags, part, B, rows, trans=trans)
+                assert Y.tobytes() == full[rows].tobytes()

@@ -553,7 +553,9 @@ def test_iterate_applies_each_relaxation_without_forming_n_inverse(monkeypatch, 
 
 
 def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
-    # A is scanned once, when its store is made; the calls on that store skip it
+    # A is scanned once, when its store is made, by one nonzero count that
+    # finds it tridiagonal, so no isfinite runs over the n x n A; the calls
+    # on that store skip the scan
     import compatamg.solver as solver
 
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=40, epsilon=0.05))
@@ -561,18 +563,25 @@ def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
     store = cm.ProblemStore(A)
     bound = cm.TwoGridSpec(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"))
     scans = []
+    real = compatamg.linalg._scanned
+    monkeypatch.setattr(compatamg.linalg, "_scanned",
+                        lambda a, name="matrix": (scans.append(np.shape(a)), real(a, name))[1])
     for module in (solver, compatamg.linalg):
-        real = module.as_matrix
+        as_matrix = module.as_matrix
         monkeypatch.setattr(
             module, "as_matrix",
-            lambda a, name="matrix", real=real: (scans.append(np.shape(a)), real(a, name))[1],
+            lambda a, name="matrix", f=as_matrix: (scans.append(("as_matrix", np.shape(a))), f(a, name))[1],
         )
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args, **kwargs: (
+        scans.append(("isfinite", np.shape(a))), isfinite(a, *args, **kwargs))[1])
     cm.two_grid_conv_factor(store, bound)
     cm.two_grid_propagator(store, bound)
     cm.iterate(store, bound, np.ones(40), np.zeros(40), 3)
     assert (40, 40) not in scans
     cm.iterate(A.copy(), bound, np.ones(40), np.zeros(40), 1)
     assert (40, 40) in scans
+    assert ("as_matrix", (40, 40)) not in scans and ("isfinite", (40, 40)) not in scans
 
 
 def test_prepared_method_binds_to_the_store_of_its_pair(monkeypatch):

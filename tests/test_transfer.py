@@ -424,7 +424,7 @@ def test_catalog_builds_each_block_once_and_completes_each_cell_once(monkeypatch
     assert sorted(k for k in builds if k[0] == "factor") == sorted(
         ("factor", tag) for tag in transfer.CATALOG_NORMS)
     # each anchored block once per store: W of every Q for table 1, Z for table 2
-    ideal = [k for k in builds if k[0] == "ideal"]
+    ideal = [k for k in builds if k[0] == "ideal" and k[1] in ("Z", "W")]
     assert len(ideal) == len(set(ideal)) == 10
     assert len(builds) == len(set(builds))
     # one completion, and one n_c x n_c guard, per computable cell
@@ -434,10 +434,12 @@ def test_catalog_builds_each_block_once_and_completes_each_cell_once(monkeypatch
     nc = part.nc
     assert guards.count(("C-block of compatible completion", (nc, nc))) == computable
     # the only n_f x n_f guards are A's ff-block and the ff-blocks of the
-    # three realized companions, Asym, A*A and A A*, each once per side
+    # three realized companions, Asym, A*A and A A*, each once for both
+    # sides, whose blocks are built together as one store entry
     nf = part.nf
     ff = sorted(what for what, shape in guards if shape == (nf, nf))
-    assert ff == ["A_ff"] + ["ff-block of companion"] * 6
+    assert ff == ["A_ff"] + ["ff-block of companion"] * 3
+    assert sorted(k[2] for k in builds if k[:2] == ("ideal", "ZW")) == ["AAstar", "AstarA", "Asym"]
     assert len(guards) == computable + len(ff) + 1  # and A's own, once
 
 
@@ -796,9 +798,10 @@ def test_store_blocks_of_a_share_one_guarded_lu_of_a_ff(monkeypatch):
     store = cm.ProblemStore(A)
     for name in ("single1", "single2", "single3", "single4"):
         cm.single_operator_pair(store, part, name)
-    # Z_ideal(A) and W_ideal(A) through the store's one "A_ff" guard, the
-    # Asym blocks through one guard each, the identity's without any
-    assert sorted(counts) == ["A_ff", "ff-block of companion", "ff-block of companion"]
+    # Z_ideal(A) and W_ideal(A) through the store's one "A_ff" guard, both
+    # Asym blocks through the one guard of its companion entry, the
+    # identity's without any
+    assert sorted(counts) == ["A_ff", "ff-block of companion"]
 
 
 def test_make_pair_writes_the_pair_transfer_pair_would_check():
