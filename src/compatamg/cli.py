@@ -571,20 +571,27 @@ def _flatten(record):
 _CONVERGE_CSV = ("pair", "iter", "residual", "rho", "observed_rate", "divergent", "skipped", "reason")
 
 
+def _g17(x):
+    """A number with 17 significant digits, or an empty field for None."""
+    return "" if x is None else f"{x:.17g}"
+
+
 def _report_csv(report):
     out = io.StringIO()
+    # a NaN or infinity is an empty field, as it is null in JSON
+    results = _finite_or_null(report["results"])
     if report["command"] == "converge":
         w = csv.writer(out)
         w.writerow(_CONVERGE_CSV)
-        for rec in report["results"]:
+        for rec in results:
             if rec.get("skipped"):
                 w.writerow([rec["pair"], "", "", "", "", "", True, rec["reason"]])
                 continue
-            per_pair = [f"{rec['rho']:.17g}", f"{rec['observed_rate']:.17g}", rec["divergent"], "", ""]
+            per_pair = [_g17(rec["rho"]), _g17(rec["observed_rate"]), rec["divergent"], "", ""]
             for k, r in enumerate(rec["history"]):
-                w.writerow([rec["pair"], k, f"{r:.17g}"] + per_pair)
+                w.writerow([rec["pair"], k, _g17(r)] + per_pair)
         return out.getvalue()
-    rows = [_flatten(rec) for rec in report["results"]]
+    rows = [_flatten(rec) for rec in results]
     fields = []
     for row in rows:
         for k in row:

@@ -129,6 +129,16 @@ class _Diagonals(NamedTuple):
     d: np.ndarray
     du: np.ndarray
 
+    def dense(self):
+        """The matrix as an n x n array, with +0 off its three diagonals."""
+        n = self.d.size
+        A = np.zeros((n, n))
+        i = np.arange(n)
+        A[i, i] = self.d
+        A[i[1:], i[:-1]] = self.dl
+        A[i[:-1], i[1:]] = self.du
+        return A
+
 
 def _tridiagonal(A):
     """Read-only copies of the _Diagonals (dl, d, du) of a square A of order
@@ -160,9 +170,14 @@ def _scanned(a, name="matrix"):
     diags = _tridiagonal(A) if A.ndim == 2 else None
     if diags is None:
         return as_matrix(A, name), None
+    return A, _finite(diags, name)
+
+
+def _finite(diags, name):
+    """diags, after checking that the entries on them are finite."""
     if not all(np.isfinite(v).all() for v in diags):
         raise ValueError(f"{name} contains non-finite entries")
-    return A, diags
+    return diags
 
 
 def _tridiagonal_product(diags, X, trans=0):
@@ -291,6 +306,142 @@ def _tridiagonal_block(diags, rows, cols):
     return B
 
 
+class _CompactBlock:
+    """A read-only m x k block, k >= 2, held by its nonzeros: row i is the
+    zero fill[i], of either sign, but at the adjacent columns first[i] and
+    first[i] + 1, whose entries are vals[0, i] and vals[1, i].
+
+    The ideal blocks of a tridiagonal A over a diagonal A_ff and the zero
+    block have this form (_compact_ideal, zero). Products with the block
+    and its adjoint cost O(m). dense() builds the C-ordered array on first
+    read and keeps it, so every reader gets the same read-only array.
+    """
+
+    def __init__(self, first, vals, fill, k):
+        self.first, self.vals, self.fill, self._second = first, vals, fill, first + 1
+        for v in (first, vals, fill, self._second):
+            v.setflags(write=False)
+        self.shape = (first.size, k)
+        self._lock = threading.Lock()
+        self._dense = None
+
+    @classmethod
+    def zero(cls, m, k):
+        """The m x k zero block."""
+        return cls(np.zeros(m, np.intp), np.zeros((2, m)), np.zeros(m), k)
+
+    def any(self):
+        """Whether any entry is nonzero."""
+        return bool(self.vals.any())
+
+    def dense(self):
+        """The block as a read-only, C-ordered m x k array, built once."""
+        with self._lock:
+            if self._dense is None:
+                B = np.empty(self.shape)
+                B[...] = self.fill[:, None]
+                rows = np.arange(self.shape[0])
+                B[rows, self.first] = self.vals[0]
+                B[rows, self._second] = self.vals[1]
+                B.setflags(write=False)
+                self._dense = B
+            return self._dense
+
+    def matvec(self, y):
+        """B y, each row's two products added left to right."""
+        return self.vals[0] * y[self.first] + self.vals[1] * y[self._second]
+
+    def rmatvec(self, r):
+        """B* r, each entry a sum of the products in its column."""
+        k = self.shape[1]
+        return np.bincount(self.first, self.vals[0] * r, k) + np.bincount(self._second, self.vals[1] * r, k)
+
+    def row_norm(self):
+        """||B||_inf, the largest row sum of |B|, with dlange's value."""
+        return float(np.max(np.abs(self.vals[0]) + np.abs(self.vals[1])))
+
+    def column_norm(self):
+        """||B||_1, the largest column sum of |B|, with dlange's value: a
+        column holds at most two nonzeros, whose sum no order changes."""
+        k = self.shape[1]
+        a = np.abs(self.vals)
+        return float(np.max(np.bincount(self.first, a[0], k) + np.bincount(self._second, a[1], k)))
+
+    def window(self, q, r):
+        """The entries of rows q at columns r - 1, r, r + 1, as len(q) x 3; a
+        column off the block reads the row's fill."""
+        off = r[:, None] + np.arange(-1, 2) - self.first[q][:, None]
+        fill = self.fill[q][:, None]
+        return np.where(off == 0, self.vals[0, q][:, None],
+                        np.where(off == 1, self.vals[1, q][:, None], fill))
+
+
+def _compact_ideal(diags, part, d, trans=0):
+    """-A_ff^{-1} A_fc (W), or with trans=1 -A_ff^{-*} A_cf* (Z), as a
+    _CompactBlock, for the tridiagonal A with diagonals diags over the
+    CFPartition part, where A_ff is diagonal with diagonal d and n_c >= 2.
+
+    F row q couples its point f only with the neighbours f - 1 and f + 1
+    that are C points, whose columns are adjacent; each such entry of A
+    (A* for trans=1) is divided by -d_q, and the row's other entries are
+    0 / -d_q. These are the bits of the negated division of the block
+    _tridiagonal_block scatters (_DiagonalSolve.negated).
+    """
+    dl, _, du = diags
+    if trans:
+        dl, du = du, dl
+    n, nc, f = part.n, part.nc, part.fidx
+    col = np.full(n + 2, -1, np.intp)  # column of point i - 1 in the C block, or -1
+    col[part.cidx + 1] = np.arange(nc)
+    left, right = col[f], col[f + 2]
+    first = np.minimum(np.where(left >= 0, left, np.maximum(right, 0)), nc - 2)
+    num = np.zeros((2, f.size))
+    for q, at, v in ((np.flatnonzero(left >= 0), left, dl[f - 1]),
+                     (np.flatnonzero(right >= 0), right, du[np.minimum(f, n - 2)])):
+        num[at[q] - first[q], q] = v[q]
+    neg = -d
+    return _CompactBlock(first, num / neg, np.zeros(f.size) / neg, nc)
+
+
+def _compact_coarse(diags, part, B, trans=0):
+    """The _Diagonals of K = R*AP for a classical pair on the tridiagonal A
+    with diagonals diags whose one nonzero block is the _CompactBlock B:
+    W with Z = 0 (trans=0), where K is the C rows of A [W; I], or Z with
+    W = 0 (trans=1), where K is the transpose of the C rows of A* [Z; I].
+
+    Those rows, Y = _tridiagonal_rows(diags, part, B, part.cidx, trans),
+    are tridiagonal: C point r's row of A reaches only its neighbours, and
+    an F neighbour's row of B is nonzero only in the columns of its own C
+    neighbours, r and r +- 1. Only the columns r - 1, r, r + 1 of each row
+    r are formed, term by term in _tridiagonal_rows' order, so the
+    diagonals keep its bits, signed zeros included, in O(n_c).
+    """
+    dl, d, du = diags
+    if trans:
+        dl, du = du, dl
+    n, nc, c = part.n, part.nc, part.cidx
+    pos = np.empty(n, np.intp)  # row of each point in its own block
+    pos[part.fidx] = np.arange(part.nf)
+    pos[c] = np.arange(nc)
+    is_c = np.zeros(n, bool)
+    is_c[c] = True
+    Y = np.repeat(np.copysign(0.0, d[c])[:, None], 3, axis=1)  # Y[r, t] is entry (r, r - 1 + t)
+    Y[:, 1] = d[c]
+    for step, coef, t in ((1, du, 2), (-1, dl, 0)):
+        j = c + step
+        r = np.flatnonzero((j >= 0) & (j < n))  # rows whose point j is in A
+        j = j[r]
+        v = coef[np.minimum(j, c[r])]
+        at_c = is_c[j]
+        rc, vc = r[at_c], v[at_c]
+        Y[rc[~np.signbit(vc)]] += 0.0
+        Y[rc, t] += vc
+        rf = r[~at_c]
+        Y[rf] += v[~at_c, None] * B.window(pos[j[~at_c]], rf)
+    low, high = Y[1:, 0].copy(), Y[:-1, 2].copy()
+    return _Diagonals(high, Y[:, 1].copy(), low) if trans else _Diagonals(low, Y[:, 1].copy(), high)
+
+
 def _norm1(X):
     """||X||_1 by LAPACK dlange, read on X or on X* as ||X*||_inf, whichever
     is Fortran-ordered, so that a C- or Fortran-ordered X is not copied."""
@@ -306,9 +457,10 @@ def _guarded_lu(A, what, norm=None):
     from that factor by dgtcon, in O(n). A is read by _scanned: one nonzero
     count decides its structure, and a tridiagonal A is checked for finite
     entries on its diagonals alone, so a K formed on A's diagonals is read
-    once. A may also be given as such a matrix's _Diagonals, taken as they
-    are, so that a block read off a held matrix's diagonals is neither
-    gathered nor scanned. Any other A is checked entry by entry, factored
+    once. A may also be given as such a matrix's _Diagonals, checked for
+    finite entries alone, so that a block read off a held matrix's
+    diagonals, or a K formed as its diagonals, is neither gathered nor
+    scanned. Any other A is checked entry by entry, factored
     by dgetrf into (lu, piv) and estimated by dgecon. An exactly zero pivot
     reads as an infinite estimate. Both factorizations
     call LAPACK directly, so an exactly singular A raises without a
@@ -317,7 +469,7 @@ def _guarded_lu(A, what, norm=None):
     ||X||_1, is singular when it is round-off relative to X.
     """
     if isinstance(A, _Diagonals):
-        diags = A
+        diags = _finite(A, what)
     else:
         A, diags = _scanned(A, what)
         if A.shape[0] != A.shape[1]:
@@ -820,16 +972,12 @@ class ProblemStore:
         on A's diagonals when it is tridiagonal."""
         return self._shared("lu_solve", lambda: lu_solver(self.tridiagonal() or self.A, "A"))
 
-    def block(self, rows, cols, trans=0):
-        """A[np.ix_(rows, cols)], or A*[np.ix_(rows, cols)] with trans=1,
-        C-ordered; scattered from A's diagonals when A is tridiagonal
-        (_tridiagonal_block, on A*'s diagonals (du, d, dl) for trans=1),
-        with the same values."""
+    def block(self, rows, cols):
+        """A[np.ix_(rows, cols)], C-ordered; scattered from A's diagonals
+        when A is tridiagonal (_tridiagonal_block), with the same values."""
         diags = self.tridiagonal()
         if diags is None:
-            return (self.A.T if trans else self.A)[np.ix_(rows, cols)]
-        if trans:
-            diags = _Diagonals(diags.du, diags.d, diags.dl)
+            return self.A[np.ix_(rows, cols)]
         return _tridiagonal_block(diags, rows, cols)
 
     def _block_solver(self, idx, what):

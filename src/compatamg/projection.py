@@ -32,7 +32,9 @@ A* R. A dense SPD M is taken through its Cholesky factor. Any other input
 than a correction raises TypeError. K = R*AP is formed and guarded in one
 place, _coarse, which build_pi, coarse_correction and the solver's
 binding of a two-grid method share, on the diagonals that A's ProblemStore
-keeps when A is tridiagonal; every function here takes the store for A.
+keeps when A is tridiagonal, and as its own three diagonals where the
+pair's one nonzero block is compact; every function here takes the store
+for A.
 R*A is formed there only where K is made from it, and otherwise when the
 correction first reads it, so the two-grid iteration, which reads neither,
 forms no n x n_c array on a tridiagonal A.
@@ -80,6 +82,9 @@ from scipy.linalg import lapack
 from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
+    _CompactBlock,
+    _compact_coarse,
+    _Diagonals,
     _norm1,
     _store_for,
     _tridiagonal_rows,
@@ -383,7 +388,10 @@ def _galerkin(A, pair, diags):
     for a tridiagonal A with Z != 0, R* A is (A* R)*, so K is read off the
     F and C rows of A* R. Those rows, and the C rows of A P, come from A's
     three diagonals and the block in O(n n_c) (_tridiagonal_rows), so on a
-    tridiagonal A no n x n_c array is formed. A dense A with Z != 0 forms
+    tridiagonal A no n x n_c array is formed. Where the one nonzero block
+    is a _CompactBlock, K is tridiagonal, and it is formed as its
+    _Diagonals, with the bits of those rows, in O(n) (_compact_coarse).
+    A dense A with Z != 0 forms
     R* A = Z* A[F, :] + A[C, :] and K = (R* A)[:, F] W + (R* A)[:, C]. Each
     operand has the values and memory order that the full R* A gave, so K
     keeps its bits.
@@ -394,6 +402,11 @@ def _galerkin(A, pair, diags):
     part = pair.part
     f, c = part.fidx, part.cidx
     zero_z, zero_w = pair.zero_blocks
+    Z, W = pair.blocks
+    if diags is not None and zero_z != zero_w:
+        B, trans = (W, 0) if zero_z else (Z, 1)
+        if isinstance(B, _CompactBlock):
+            return None, _compact_coarse(diags, part, B, trans)
     if zero_z:
         if zero_w:
             return None, A[np.ix_(c, c)]
@@ -422,14 +435,15 @@ def _scale(store, pair):
     For a classical pair ||R*||_1 = max(1, ||Z||_inf) and
     ||P||_1 = 1 + ||W||_1, each 1 for a block its zero_blocks finds zero;
     ||A||_1 is the store's. Every norm is a LAPACK dlange on the block as it
-    is held, so no temporary of its size is made.
+    is held, so no temporary of its size is made, or, on a _CompactBlock,
+    the sums of its nonzeros, with dlange's values.
     """
     if pair.cblocks is not None:
         r, p = _norm1(pair.R.T), _norm1(pair.P)
     else:
-        zero_z, zero_w = pair.zero_blocks
-        r = 1.0 if zero_z else max(1.0, _norm1(pair.Z.T))
-        p = 1.0 if zero_w else 1.0 + _norm1(pair.W)
+        (zero_z, zero_w), (Z, W) = pair.zero_blocks, pair.blocks
+        r = 1.0 if zero_z else max(1.0, Z.row_norm() if isinstance(Z, _CompactBlock) else _norm1(Z.T))
+        p = 1.0 if zero_w else 1.0 + (W.column_norm() if isinstance(W, _CompactBlock) else _norm1(W))
     return r * store.norm1() * p
 
 
@@ -443,7 +457,8 @@ def _coarse(store, pair):
     as when R*AP cancels, is singular however well conditioned it is on its
     own scale. R*A is left to the correction's first read unless K was
     formed from it. A singular K raises SingularMatrixError, its message
-    prefixed with INCOMPATIBLE.
+    prefixed with INCOMPATIBLE. K is returned as formed: an array, or the
+    _Diagonals of a tridiagonal K.
     """
     A = store.A
     if A.shape[0] != pair.n:
@@ -476,7 +491,7 @@ def build_pi(A, pair):
     serves the tests as an oracle.
     """
     corr, K = _coarse(_store_for(A), pair)
-    return pair.P @ corr.B, K
+    return pair.P @ corr.B, K.dense() if isinstance(K, _Diagonals) else K
 
 
 def _angles(pi, M):

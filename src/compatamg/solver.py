@@ -34,15 +34,19 @@ solve with the store's A_ff solver, and on a tridiagonal A the nonzero-T
 path reads A_ff off its diagonals (ProblemStore.block). iterate applies
 each relaxation to the residual as an operator, a diagonal scaling or an
 F-block solve, and forms no N^{-1}; a classical pair's coarse step works
-on Z and W, skipping a block its zero_blocks finds zero, and the residual
-of a tridiagonal A is a product on the three diagonals the store decided
-once, so on the 1D problems an iteration costs O(n) plus the products with
-Z and W. The
+on its blocks as held, skipping a block its zero_blocks finds zero, and
+the residual of a tridiagonal A is a product on the three diagonals the
+store decided once. The ideal blocks of a tridiagonal A over a diagonal
+A_ff, and the zero blocks of the identity, are held by their nonzeros
+(linalg._CompactBlock), so W y and Z* r[F] are two gathered products per
+entry, not GEMVs, and K is formed and factored as its three diagonals:
+on the 1D problems with F-points apart, an iteration costs O(n). The
 binding's coarse is the pair's CoarseCorrection, made by the guard of K
 that build_pi and coarse_correction share (projection._coarse), so the
 dense propagator's Pi = P K^{-1} R*A has the bits of build_pi for every K.
-The reduced path reads only K's factor and the pair's blocks: on a
-tridiagonal A it forms no R, P, R*A or other n x n_c array.
+The reduced path reads only K's factor and the pair's blocks as held: on
+a tridiagonal A it forms no R, P, R*A or other n x n_c array, and on
+compact blocks no n_f x n_c or n_c x n_c array either.
 air_cpoint_residual applies the correction to one vector and forms no Pi.
 """
 
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _store_for, _tag_key, _tridiagonal_product, as_matrix
+from .linalg import _CompactBlock, _store_for, _tag_key, _tridiagonal_product, as_matrix
 from .projection import _coarse, coarse_correction
 from .transfer import _held_ideal_block, _ideal_block
 
@@ -240,12 +244,13 @@ def two_grid_conv_factor(A, spec):
     pair = spec.pair
     coarse = _bind(store, pair)
     part = pair.part
-    Z, W = pair.Z, pair.W
+    Z, W = pair.blocks
     # a block that is the ideal block of A the store holds makes T = 0,
     # without building the other ideal block
     if Z is _held_ideal_block(store, part, "A", "Z") or \
             W is _held_ideal_block(store, part, "A", "W"):
         return 0.0
+    Z, W = pair.Z, pair.W
     dZ = Z - _ideal_block(store, part, "A", "Z")
     if not dZ.any():
         return 0.0
@@ -265,7 +270,7 @@ def air_cpoint_residual(A, pair, e):
     leaves error only on F-points.
     """
     corr = coarse_correction(A, pair)
-    e = np.asarray(e, dtype=float).ravel()
+    e = _vector(e, pair.n, "e")
     v = e - pair.P @ corr.solve(corr.RA @ e)
     return float(np.max(np.abs(v[pair.part.cidx])))
 
@@ -293,8 +298,9 @@ def iterate(A, spec, b, x0, iters):
     store = _store_for(A)
     A = store.A
     coarse = _bind(store, spec.pair)
-    b = np.asarray(b, dtype=float).ravel()
-    x = np.array(x0, dtype=float).ravel()
+    n = A.shape[0]
+    b = _vector(b, n, "b")
+    x = _vector(np.array(x0, dtype=float), n, "x0")
     if iters < 0:
         raise ValueError("iters must be >= 0")
     part = spec.pair.part if spec.pair is not None else None
@@ -324,27 +330,39 @@ def iterate(A, spec, b, x0, iters):
     return np.array(history)
 
 
+def _vector(v, n, name):
+    """v raveled to a float vector, after checking it has n entries, all finite."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != n:
+        raise ValueError(f"{name} must have {n} entries, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 def _coarse_step(pair, solve_k):
     """The coarse correction r -> P K^{-1} R* r of a pair, with K solved by solve_k.
 
-    A classical pair works on its blocks, R* r = Z* r[F] + r[C] and
-    P y = [W y; y], and skips a block that is exactly zero; a pair with
-    C-blocks applies R and P.
+    A classical pair works on its blocks as held, R* r = Z* r[F] + r[C]
+    and P y = [W y; y], and skips a block that is exactly zero; a
+    _CompactBlock takes its products on its nonzeros, two gathered products
+    per entry, and any other block one GEMV. A pair with C-blocks applies
+    R and P.
     """
     if pair.cblocks is not None:
         R, P = pair.R, pair.P
         return lambda r: P @ solve_k(R.T @ r)
     f, c = pair.part.fidx, pair.part.cidx
-    zero_z, zero_w = pair.zero_blocks
-    Z = None if zero_z else pair.Z
-    W = None if zero_w else pair.W
+    (zero_z, zero_w), (Z, W) = pair.zero_blocks, pair.blocks
+    adj_z = None if zero_z else Z.rmatvec if isinstance(Z, _CompactBlock) else Z.T.__matmul__
+    w = None if zero_w else W.matvec if isinstance(W, _CompactBlock) else W.__matmul__
 
     def apply(r):
-        y = solve_k(r[c] if Z is None else Z.T @ r[f] + r[c])
+        y = solve_k(r[c] if adj_z is None else adj_z(r[f]) + r[c])
         e = np.zeros(pair.n)
         e[c] = y
-        if W is not None:
-            e[f] = W @ y
+        if w is not None:
+            e[f] = w(y)
         return e
 
     return apply

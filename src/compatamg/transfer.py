@@ -7,6 +7,11 @@ of a given block in any SPD norm by one n_c x n_c solve. On it rest the
 general W-from-Z solve, the anchored pair constructor that makes the
 coarse-grid correction orthogonal in any chosen SPD norm, and the
 exhaustive catalog sweep over the standard norm/companion combinations.
+
+On a tridiagonal A over a diagonal A_ff, the ideal blocks of A and those of
+the identity have at most two nonzeros per row, in adjacent columns; the
+store holds them by these (linalg._CompactBlock), and a pair on them reads
+an n_f x n_c array only when its Z or W, or a completion, asks for one.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from .linalg import (
     NormSpec,
     ProblemStore,
     SingularMatrixError,
+    _CompactBlock,
     _DiagonalSolve,
     _TagChoice,
+    _compact_ideal,
     _frozen,
     _store_for,
     as_matrix,
@@ -70,20 +77,24 @@ class TransferPair:
     must be n_c x n_c and equal the C-point rows of R and P exactly. Made
     once per pair, zero_blocks says whether the F rows of R, P are all zero.
 
-    A pair is its blocks: the F rows Z of R and W of P, read-only and
-    C-ordered (Z equals Z Y when a C-block Y is present, and W equals W V),
-    and its cblocks. TransferPair(R, P, part, cblocks) validates the
-    operators it is given and keeps their F rows; make_pair takes Z and W
-    themselves. R = [Z; Y or I] and P = [W; V or I] are assembled on first
-    read and cached, read-only, beside the blocks, which are never replaced;
-    what reads only Z and W, as the converge path does, never forms an
-    n x n_c operator.
+    A pair is its blocks: the F rows Z of R and W of P (Z equals Z Y when a
+    C-block Y is present, and W equals W V), and its cblocks. blocks holds
+    (Z, W) as they were given: read-only, C-ordered arrays, or, for the
+    ideal blocks of a tridiagonal A over a diagonal A_ff and the zero
+    blocks of the identity, the store's linalg._CompactBlock, held by its
+    nonzeros. pair.Z and pair.W read each as a read-only, C-ordered array,
+    which a compact block builds on the first read and keeps.
+    TransferPair(R, P, part, cblocks) validates the operators it is given
+    and keeps their F rows; make_pair takes Z and W themselves. R = [Z; Y
+    or I] and P = [W; V or I] are assembled on first read and cached,
+    read-only, beside the blocks, which are never replaced; what reads only
+    the blocks as held, as the converge path does, never forms an n x n_c
+    or n_f x n_c array.
     """
 
     part: CFPartition
     cblocks: tuple | None
-    Z: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     zero_blocks: tuple = field(repr=False)
 
     def __init__(self, R, P, part, cblocks=None):
@@ -123,13 +134,14 @@ class TransferPair:
         self._hold(part, cblocks, Z, W)
 
     def _hold(self, part, cblocks, Z, W):
-        for name, value in (("part", part), ("cblocks", cblocks), ("Z", Z), ("W", W),
+        for name, value in (("part", part), ("cblocks", cblocks), ("blocks", (Z, W)),
                             ("zero_blocks", (not Z.any(), not W.any()))):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _of_blocks(cls, part, Z, W):
-        """The classical pair [Z; I], [W; I] on its read-only, C-ordered blocks, taken as given."""
+        """The classical pair [Z; I], [W; I] on its read-only blocks, C-ordered
+        arrays or _CompactBlocks, taken as given."""
         pair = object.__new__(cls)
         pair._hold(part, None, Z, W)
         return pair
@@ -139,6 +151,16 @@ class TransferPair:
         op = self.part.assemble_rows(block, cblock)
         op.setflags(write=False)
         return op
+
+    @property
+    def Z(self):
+        """F rows of R, n_f x n_c."""
+        return _dense(self.blocks[0])
+
+    @property
+    def W(self):
+        """F rows of P, n_f x n_c."""
+        return _dense(self.blocks[1])
 
     @cached_property
     def R(self):
@@ -157,6 +179,11 @@ class TransferPair:
     @property
     def nc(self):
         return self.part.nc
+
+
+def _dense(block):
+    """A held block as its read-only, C-ordered array."""
+    return block.dense() if isinstance(block, _CompactBlock) else block
 
 
 def make_pair(part, Z, W):
@@ -634,12 +661,12 @@ def ideal_blocks_pair(A, part, r_q, p_q):
     A is the matrix or its ProblemStore. Through a store each ideal block is
     built once for all the pairs that share it; a block that cannot be built raises its error
     again to each of them. The pair holds the store's read-only blocks
-    themselves, made from the validated A, so they are neither scanned nor
-    copied again.
+    themselves, as the store holds them (see _held_block), made from the
+    validated A, so they are neither scanned nor copied again.
     """
     store = _store_for(A)
-    Z = _ideal_block(store, part, r_q, "Z")
-    W = _ideal_block(store, part, p_q, "W")
+    Z = _held_block(store, part, r_q, "Z")
+    W = _held_block(store, part, p_q, "W")
     return TransferPair._of_blocks(part, Z, W)
 
 
@@ -665,30 +692,44 @@ def _companion_blocks(store, part, choice):
 
 
 def _ideal_block(store, part, q, side):
-    """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part.
+    """ideal_z ("Z") or ideal_w ("W") of the companion q of store.A on part,
+    as a read-only, C-ordered array: the store's block (see _held_block),
+    which a compact one builds on the first read and keeps."""
+    return _dense(_held_block(store, part, q, side))
 
-    The blocks of A itself take A_fc and A_cf from the store (on a
-    tridiagonal A, off its diagonals) and solve with the store's A_ff
-    solver, and those of the identity are zero, so neither
-    companion is realized. On a diagonal A_ff each block is one C-ordered
-    division (see _negated_solve): W's numerator is A_fc and Z's is A_cf*,
-    scattered C-ordered off A's transposed diagonals. Nor are A^{-1} and
-    A^{-*} realized: their blocks are A_fc A_cc^{-1} and A_cf* A_cc^{-*},
-    all four on the store's A_cc solver (see _inverse_block). Any other
-    companion is realized and factored once for both sides, which are built
-    together (_companion_blocks); a Custom one, which its tag does not name,
-    is realized for each block asked of it.
+
+def _held_block(store, part, q, side):
+    """The ideal block of the companion q of store.A on part, for side "Z"
+    or "W", as the store holds it: a read-only array, or a _CompactBlock.
+
+    On a tridiagonal A with n_c >= 3 the blocks of the identity are the
+    zero _CompactBlock, and where A_ff is diagonal (a _DiagonalSolve) so are
+    those of A (_compact_ideal): per F row, A's couplings with the point's
+    C neighbours over -A_ff, in O(n). Otherwise the blocks of A take A_fc
+    and A_cf from the store (on a tridiagonal A, off its diagonals) and
+    solve with the store's A_ff solver, W's numerator A_fc and Z's A_cf*
+    (see _negated_solve), and those of the identity are zero, so neither
+    companion is realized. Nor are A^{-1} and A^{-*} realized: their blocks
+    are A_fc A_cc^{-1} and A_cf* A_cc^{-*}, all four on the store's A_cc
+    solver (see _inverse_block). Any other companion is realized and
+    factored once for both sides, which are built together
+    (_companion_blocks); a Custom one, which its tag does not name, is
+    realized for each block asked of it.
     """
     def build():
+        diags = store.tridiagonal() if part.nc >= 3 else None
         if choice.tag == "identity":
+            if diags is not None:
+                return _CompactBlock.zero(part.nf, part.nc)
             block = np.zeros((part.nf, part.nc))
         elif choice.tag == "A":
             f, c = part.fidx, part.cidx
             solve = store.ff_solve(part)
+            diagonal = isinstance(solve, _DiagonalSolve)
+            if diagonal and diags is not None:
+                return _compact_ideal(diags, part, solve.d, trans=int(side == "Z"))
             if side == "W":
                 block = _w_of(solve, store.block(f, c))
-            elif isinstance(solve, _DiagonalSolve):
-                block = _z_of(solve, store.block(f, c, trans=1))
             else:  # the transposed view of A_cf, which the solves take as it is
                 block = _z_of(solve, store.block(c, f).T)
         elif choice.tag in _INVERSE_TAGS:
@@ -709,7 +750,7 @@ def _ideal_block(store, part, q, side):
 
 
 def _held_ideal_block(store, part, q, side):
-    """The ideal block _ideal_block keeps in store for q and side, if built; else None."""
+    """The block _held_block keeps in store for q and side, if built; else None."""
     return store.peek(("ideal", side, _choice(q).tag, part))
 
 

@@ -43,11 +43,20 @@ class GatheringStore(cm.ProblemStore):
     gathered A_ff and A_cc, as a store of a dense A does: the reference for
     the blocks a store reads off a tridiagonal A's diagonals."""
 
-    def block(self, rows, cols, trans=0):
-        return (self.A.T if trans else self.A)[np.ix_(rows, cols)]
+    def block(self, rows, cols):
+        return self.A[np.ix_(rows, cols)]
 
     def _block_solver(self, idx, what):
         return lu_solver(self.A[np.ix_(idx, idx)], what)
+
+
+class DenseStore(GatheringStore):
+    """A GatheringStore that does not report A as tridiagonal, so it holds
+    every ideal block as an array and forms K densely: the reference for
+    the compact blocks a store holds on a tridiagonal A."""
+
+    def tridiagonal(self):
+        return None
 
 
 def assert_same_array(X, Y):

@@ -589,6 +589,20 @@ def test_converge_csv_history(tmp_path):
     assert len(rows) == 1 + 4  # header + iters+1 residuals
 
 
+def test_converge_csv_writes_a_non_finite_number_as_an_empty_field(tmp_path):
+    # no iteration leaves the observed rate NaN, which JSON writes as null
+    # and CSV as an empty field
+    args = ["converge", "--problem", "advdiff1d", "--n", "8", "--pair", "single1", "--iters", "0"]
+    out = tmp_path / "hist.csv"
+    assert main(args + ["--format", "csv", "--output", str(out)]) == 0
+    code, report = _run_json(tmp_path, args)
+    assert code == 0 and report["results"][0]["observed_rate"] is None
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["observed_rate"] == "" and row["iter"] == "0"
+    assert float(row["residual"]) == report["results"][0]["history"][0]
+    assert float(row["rho"]) == report["results"][0]["rho"]
+
+
 def _singular_zw_recipe(tmp_path):
     # on advection1d with n = 8, Z = 0 and W = I give R*AP = A_cf + A_cc = 0
     zp, wp = tmp_path / "Z.json", tmp_path / "W.json"

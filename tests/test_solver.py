@@ -8,7 +8,6 @@ import scipy.linalg
 
 import compatamg as cm
 import compatamg.linalg
-import compatamg.projection
 from compatamg.solver import _bind
 from conftest import (
     ORDERS,
@@ -136,6 +135,29 @@ def test_air_cpoint_residual_zero_for_ideal_restriction():
     for _ in range(10):
         e = rng.standard_normal(32)
         assert cm.air_cpoint_residual(A, pair, e) <= 1e-12 * np.linalg.norm(e)
+
+
+def test_iterate_and_cpoint_residual_take_n_finite_entries():
+    # a vector of the wrong length or with a NaN or infinity is named, not
+    # broadcast or carried into the history; an (n, 1) column is accepted
+    A = cm.generate(cm.ProblemSpec("advdiff1d", n=8, epsilon=0.05))
+    store = cm.ProblemStore(A)
+    pair, _ = cm.single_operator_pair(store, _split(8), "single1")
+    spec = cm.TwoGridSpec(pair, post=cm.RelaxSpec("fexact"))
+    b, x0 = np.ones(8), np.zeros(8)
+    for args, message in (((np.ones(7), x0), "b must have 8 entries, got 7"),
+                          ((b, np.zeros(9)), "x0 must have 8 entries, got 9"),
+                          ((np.full(8, np.nan), x0), "b contains non-finite entries"),
+                          ((b, np.full(8, np.inf)), "x0 contains non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            cm.iterate(store, spec, *args, 2)
+    column = cm.iterate(store, spec, b[:, None], x0[:, None], 2)
+    assert column.tobytes() == cm.iterate(store, spec, b, x0, 2).tobytes()
+    for e, message in ((np.ones(7), "e must have 8 entries, got 7"),
+                       (np.full(8, np.nan), "e contains non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            cm.air_cpoint_residual(store, pair, e)
+    assert cm.air_cpoint_residual(store, pair, b[:, None]) == cm.air_cpoint_residual(store, pair, b)
 
 
 def test_air_cpoint_residual_grows_with_perturbation():
@@ -305,7 +327,8 @@ def test_iterate_factors_once_per_call(monkeypatch):
 
 @pytest.mark.parametrize("name", ["single1", "single3"])
 def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
-    # K = R*AP, formed as every layer forms it, is tridiagonal here, which
+    # K = R*AP, formed as every layer forms it (here as its diagonals, which
+    # build_pi returns as an array), is tridiagonal, which
     # scipy.linalg.solve solves by tridiagonal elimination; the prepared
     # solve must give the same bits. The residuals b - A x are products on
     # A's three diagonals, and the coarse step works on Z and W, so the
@@ -313,7 +336,7 @@ def test_iterate_keeps_the_bits_of_a_scipy_solve_per_iteration(name):
     A = cm.generate(cm.ProblemSpec("advdiff1d", n=60, epsilon=0.05))
     pair, _ = cm.single_operator_pair(A, _split(60), name)
     R, P = pair.R, pair.P
-    K = compatamg.projection._coarse(cm.ProblemStore(A), pair)[1]
+    K = cm.build_pi(A, pair)[1]
     solve_k = _bind(cm.ProblemStore(A), pair).solve
     b = np.random.default_rng(14).standard_normal(60)
     x = np.zeros(60)
