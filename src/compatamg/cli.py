@@ -19,14 +19,16 @@ the canonical-angle kernel, the compatibility equation and, in verify-pairs,
 the four orthogonality conditions all work on the pair's thin factors, so no
 command forms M or Pi or decomposes an n x n matrix to measure a case.
 
-verify-pairs, tables and figure1 each hold one ProblemStore for their
-problem matrix A: the guard's factor of A, the Cholesky factor of (A + A*)/2,
+Every command holds one ProblemStore for its problem matrix A, made by
+_problem_setup: a 1D problem arrives as its three diagonals, and its dense
+A is built only where a dense product reads it. In verify-pairs, tables
+and figure1 the guard's factor of A, the Cholesky factor of (A + A*)/2,
 the norm factors and the ideal blocks are made there once and shared by
 every case, also across COMPATAMG_THREADS workers, and dropped when the
 command returns. Each of them passes its store alone wherever the package
 takes A. converge builds each pair through a store of its own, made from
 the command's store, and runs the pair's two-grid method on it, which binds
-it once: A is checked and scanned once for the command, A_ff factored once
+it once: A is checked once for the command, A_ff factored once
 for every pair's ideal blocks, exact F-relaxation and rho, and K guarded
 once per pair, while the pair's ideal blocks and binding are dropped with
 its store.
@@ -51,7 +53,7 @@ import numpy as np
 
 from .linalg import NormSpec, ProblemStore, realize_norm
 from .matio import load_matrix
-from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, generate
+from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, problem_store
 from .projection import (
     INCOMPATIBLE,
     coarse_correction,
@@ -175,11 +177,11 @@ def _map_cases(fn, items):
 
 
 def _problem_setup(cfg):
-    A = generate(cfg.problem)
-    part = default_splitting(
-        A.shape[0], cfg.split, seed=cfg.problem.seed, cfrac=cfg.cfrac
-    )
-    return A, part
+    """(store, part): the ProblemStore of the command's problem, a 1D kind
+    held by its three diagonals (problem_store), and its CF splitting."""
+    store = problem_store(cfg.problem)
+    part = default_splitting(store.n, cfg.split, seed=cfg.problem.seed, cfrac=cfg.cfrac)
+    return store, part
 
 
 def _parse_recipe(recipe):
@@ -277,9 +279,8 @@ def _run_cases(cases, every_skip_fails=False):
 
 
 def cmd_verify_pairs(cfg):
-    A, part = _problem_setup(cfg)
+    store, part = _problem_setup(cfg)
     norms = [NormSpec(t).tag for t in cfg.norms]
-    store = ProblemStore(A)
 
     def measure(pair, tag, expected):
         M = realize_norm(tag, store, factored=True)
@@ -306,10 +307,9 @@ def cmd_verify_pairs(cfg):
 
 
 def cmd_figure1(cfg):
-    A, part = _problem_setup(cfg)
     # the norm factors and ideal blocks that several edges share are each
     # built once, in the store
-    store = ProblemStore(A)
+    store, part = _problem_setup(cfg)
 
     def measure(norm, r_q, p_q):
         M = realize_norm(norm, store, factored=True)
@@ -325,10 +325,9 @@ def cmd_figure1(cfg):
 
 
 def cmd_tables(cfg):
-    A, part = _problem_setup(cfg)
     # one factor per norm, shared read-only by its cells in both tables; the
     # sweep has decided each norm's preconditions in the same store
-    store = ProblemStore(A)
+    store, part = _problem_setup(cfg)
 
     def measure(entry):
         if entry.skipped:
@@ -353,16 +352,14 @@ def cmd_tables(cfg):
 
 
 def cmd_converge(cfg):
-    A, part = _problem_setup(cfg)
+    store, part = _problem_setup(cfg)
     rng = np.random.default_rng(cfg.problem.seed)
-    b = rng.standard_normal(A.shape[0])
-    x0 = np.zeros(A.shape[0])
-
-    store = ProblemStore(A)
+    b = rng.standard_normal(store.n)
+    x0 = np.zeros(store.n)
 
     def measure(recipe):
         # each pair is built when its case runs, through a store of its own
-        # made from the command's: A is checked and scanned once, A_ff
+        # made from the command's: A is checked once, A_ff
         # factored once for every pair, and K guarded once per pair, and no
         # ideal block or binding outlives its pair
         pair_store = ProblemStore(store)

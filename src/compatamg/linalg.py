@@ -13,11 +13,12 @@ reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988) off that
 factor, so no SVD is spent on it. A tridiagonal matrix, a
 diagonal one included, is factored by tridiagonal elimination with partial
 pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
-is read as tridiagonal from its nonzero count, so it stays a dense array,
-and A's count is read once per ProblemStore, which keeps its diagonals
-for R*AP, the iteration and the blocks of A: A_ff and A_cc are factored on
-diagonals read off A's, and the other blocks are scattered from them, so
-no block of a tridiagonal A is gathered or scanned again.
+is read as tridiagonal from its nonzero count, so it stays a dense array.
+A ProblemStore is made from A's diagonals or from the array, whose count
+it reads once, and keeps the diagonals for R*AP, the iteration and the
+blocks of A: A_ff and A_cc are factored on diagonals read off A's, and
+the other blocks are scattered from them, so no block of a tridiagonal A
+is gathered or scanned again.
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
@@ -38,7 +39,8 @@ solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
 its cases share: A, checked for finite entries once (on its diagonals alone
-when its nonzero count finds it tridiagonal), its diagonals when it is
+when it is given as them or its nonzero count finds it tridiagonal, and
+then built densely only on its first read), its diagonals when it is
 tridiagonal, the guard's factor of A and of its blocks A_ff and A_cc,
 the Cholesky factor of (A + A*)/2 and the norm factors built from them,
 each made once for the command and dropped with it. A store made from the
@@ -138,6 +140,27 @@ class _Diagonals(NamedTuple):
         A[i[1:], i[:-1]] = self.dl
         A[i[:-1], i[1:]] = self.du
         return A
+
+
+class _DenseA:
+    """A matrix's dense array, given, or built from its _Diagonals by
+    _Diagonals.dense on the first read and then kept.
+
+    Every read returns the same array object, so a norm factor realized on
+    it recognises it (NormFactor.h_on). It holds no ProblemStore, so a store
+    entry that holds it, as a CoarseCorrection does, does not refer back to
+    its store.
+    """
+
+    def __init__(self, A=None, diags=None):
+        self._A, self._diags = A, diags
+        self._lock = threading.Lock()
+
+    def __call__(self):
+        with self._lock:
+            if self._A is None:
+                self._A = self._diags.dense()
+            return self._A
 
 
 def _tridiagonal(A):
@@ -849,7 +872,8 @@ def _factored_norm(tag, A, L, lu_solve):
 
     L is the lower Cholesky factor of the SPD matrix the tag's check accepted:
     (A + A*)/2 or the payload. lu_solve solves with A against the LU factor of
-    the guard on A.
+    the guard on A. A and lu_solve are read only by the tags AstarA,
+    SqrtAstarA and AstarAsymInvA.
     """
     if tag == "identity":
         return _identity_factor()
@@ -896,13 +920,19 @@ def _factored_norm(tag, A, L, lu_solve):
 class ProblemStore:
     """The factorizations of one problem matrix A that its cases share.
 
-    A is read once when the store is made (_scanned): one nonzero count
-    decides whether it is tridiagonal, and then its finiteness is checked on
-    its three diagonals alone, which the store holds as read-only copies;
-    a dense A is checked entry by entry. Each entry is built on first use
-    and then kept: ||A||_1, the guard's factor of A, its only one, the guard's
-    factors of A_ff and A_cc per partition, the Cholesky factor of
-    (A + A*)/2 that decides whether it is SPD, the norm factors realized
+    A is given as an array or, for a tridiagonal A of order n >= 3, as its
+    _Diagonals, which is how compatamg.problems hands on the 1D problems.
+    Diagonals are checked for finite entries and held as read-only copies,
+    and the dense A is built from them only on its first read (_DenseA).
+    An array is read once when the store is made (_scanned): one nonzero
+    count decides whether it is tridiagonal, and then its finiteness is
+    checked on its three diagonals alone, which the store holds as
+    read-only copies; any other A is checked entry by entry. Diagonals of
+    a smaller order take that path as their dense array. Each entry is
+    built on first use and then kept: ||A||_1, the guard's factor of A,
+    its only one, the guard's factors of A_ff and A_cc per partition, the
+    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
+    factors realized
     from them and, through compatamg.transfer, the ideal blocks of the
     companion matrices and, through compatamg.solver, each two-grid method's
     coarse correction. On a tridiagonal A the blocks of A are read off its
@@ -913,7 +943,8 @@ class ProblemStore:
     with it, so nothing outlives the problem.
 
     ProblemStore(store) makes a store for one part of a command, in
-    converge one pair: it shares the store's A, validated once, and the
+    converge one pair: it shares the store's A, validated once and built
+    at most once, and the
     entries above that are facts of A alone, from its diagonals to its norm
     factors, but holds its own ideal blocks and coarse corrections, so these
     are dropped with it. Entries are built under one lock per store that
@@ -924,11 +955,30 @@ class ProblemStore:
 
     def __init__(self, A):
         if isinstance(A, ProblemStore):
-            self.A, self._diags, self._parent = A.A, A._diags, A._parent or A
+            self._dense, self._diags, self.shape = A._dense, A._diags, A.shape
+            self._parent = A._parent or A
         else:
-            (self.A, self._diags), self._parent = _scanned(A, "A"), None
+            if isinstance(A, _Diagonals) and A.d.size >= 3:
+                diags = _finite(_Diagonals(*map(_frozen, A)), "A")
+                self._dense, self._diags = _DenseA(diags=diags), diags
+                self.shape = (diags.d.size,) * 2
+            else:
+                A, self._diags = _scanned(A.dense() if isinstance(A, _Diagonals) else A, "A")
+                self._dense, self.shape = _DenseA(A), A.shape
+            self._parent = None
         self._lock = threading.RLock()
         self._built = {}
+
+    @property
+    def A(self):
+        """The dense A: the array the store was made from, or the one built
+        from its diagonals on the first read, the same for every reader."""
+        return self._dense()
+
+    @property
+    def n(self):
+        """The order of A, read without building it."""
+        return self.shape[0]
 
     def get(self, key, build):
         """The entry under key, made by build() on first use."""
@@ -955,8 +1005,9 @@ class ProblemStore:
             return self._built.get(key, (None, None))[0]
 
     def tridiagonal(self):
-        """_tridiagonal(A): A's three diagonals when it is tridiagonal, else
-        None, decided with A's finiteness when the first store of A was made."""
+        """A's three diagonals when it is tridiagonal, else None: the
+        diagonals the first store of A was made from, or _tridiagonal(A),
+        decided with A's finiteness when that store was made."""
         return self._diags
 
     def norm1(self):
@@ -986,12 +1037,12 @@ class ProblemStore:
         On a tridiagonal A with strictly ascending idx of at least 3 points
         the block is tridiagonal, and it is factored on the diagonals read
         off A's (_principal_diagonals), with the values the gathered block
-        would give; otherwise the block is gathered.
+        would give; otherwise the block is read by block.
         """
         diags = self.tridiagonal()
         if diags is not None and idx.size >= 3 and np.all(idx[1:] > idx[:-1]):
             return lu_solver(_principal_diagonals(diags, idx), what)
-        return lu_solver(self.A[np.ix_(idx, idx)], what)
+        return lu_solver(self.block(idx, idx), what)
 
     def ff_solve(self, part):
         """lu_solver on the ff-block of A over the CFPartition part, guarded as "A_ff".
@@ -1053,9 +1104,8 @@ def realize_norm(spec, A, factored=False):
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
     store = _store_for(A)
-    A = store.A
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    n = store.n
+    if store.shape[1] != n:
         raise ValueError("A must be square")
 
     tag = spec.tag
@@ -1066,9 +1116,10 @@ def realize_norm(spec, A, factored=False):
             raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
     if factored:
         if tag == "Custom":
-            return _factored_norm(tag, A, _norm_cholesky(tag, store, M), None)
+            return _factored_norm(tag, None, _norm_cholesky(tag, store, M), None)
         return store._shared(("factor", tag), lambda: _realized_factor(tag, store))
 
+    A = store.A
     L = None
     if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
         L = _norm_cholesky(tag, store, M)
@@ -1094,10 +1145,11 @@ def realize_norm(spec, A, factored=False):
 
 
 def _realized_factor(tag, store):
-    """The factor G of a non-Custom tag on the store's A, preconditions checked."""
+    """The factor G of a non-Custom tag on the store's A, preconditions
+    checked; the dense A is read only by the tags whose G applies it."""
     L = _norm_cholesky(tag, store, None) if tag in ("A", "Asym", "AstarAsymInvA") else None
     lu_solve = store.lu_solve() if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") else None
-    return _factored_norm(tag, store.A, L, lu_solve)
+    return _factored_norm(tag, None if lu_solve is None else store.A, L, lu_solve)
 
 
 def as_norm_factor(M):

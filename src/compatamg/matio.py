@@ -40,15 +40,32 @@ def save_matrix_json(path, A):
 
 
 def load_matrix_json(path):
+    """Read the JSON layout. rows and cols must be JSON integers >= 0 and
+    data a flat list of rows * cols JSON numbers; anything else, such as a
+    fractional, boolean or quoted size or a quoted or boolean entry, is a
+    ValueError rather than a value coerced into place. The entry types are
+    collected in one pass (set(map(type, data))), not entry by entry."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"expected keys rows/cols/data ({e})") from e
+    for key, v in (("rows", rows), ("cols", cols)):
+        if type(v) is not int or v < 0:  # a bool is no JSON integer
+            raise ValueError(f"{key} must be an integer >= 0, got {v!r}")
+    if type(data) is not list:
+        raise ValueError(f"data must be a list of numbers, got {type(data).__name__}")
+    other = set(map(type, data)) - {int, float}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise ValueError(f"data must be a flat list of numbers, found {names}")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
-    return np.array(data, dtype=float).reshape(rows, cols)
+    try:
+        return np.array(data, dtype=float).reshape(rows, cols)
+    except OverflowError as e:  # an integer beyond the range of a double
+        raise ValueError(f"data: {e}") from e
 
 
 def save_matrix_market(path, A):

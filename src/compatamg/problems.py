@@ -10,9 +10,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import CFPartition, _tag_key
+from .linalg import CFPartition, ProblemStore, _Diagonals, _tag_key
 
-__all__ = ["ProblemSpec", "generate", "default_splitting", "PROBLEM_KINDS", "MAX_N"]
+__all__ = ["ProblemSpec", "generate", "problem_store", "default_splitting", "PROBLEM_KINDS", "MAX_N"]
 
 # The largest order of a generated matrix, n or nx * ny for advection2d. One
 # dense n x n array of doubles takes 128 MiB at this order, and a command
@@ -72,38 +72,63 @@ class ProblemSpec:
         return asdict(self)
 
 
-def _tridiagonal_matrix(n, dl, d, du):
-    """The n x n matrix with constant diagonals dl, d, du, written into zeros."""
-    A = np.zeros((n, n))
-    A.flat[n :: n + 1], A.flat[:: n + 1], A.flat[1 :: n + 1] = dl, d, du
-    return A
+# The constant (sub-, main, super-) diagonals of first-order upwind advection,
+# with inflow folded into row 0, and of the 1D Laplacian.
+_ADVECTION = (-1.0, 1.0, 0.0)
+_LAPLACIAN = (-1.0, 2.0, -1.0)
 
 
-def _advection1d(n):
-    # First-order upwind with inflow folded into row 0: unit diagonal, -1 subdiagonal.
-    return _tridiagonal_matrix(n, -1.0, 1.0, 0.0)
+def _constant_diagonals(n, dl, d, du):
+    """The read-only _Diagonals of the n x n matrix with constant diagonals dl, d, du."""
+    diags = _Diagonals(np.full(n - 1, dl), np.full(n, d), np.full(n - 1, du))
+    for v in diags:
+        v.setflags(write=False)
+    return diags
+
+
+def _diagonals(spec):
+    """The _Diagonals of a 1D kind's matrix, else None.
+
+    Each entry has the bits of its sum of identity-matrix terms: advdiff1d
+    is advection1d plus (epsilon / h^2) laplacian1d, h = 1 / (n + 1), entry
+    by entry.
+    """
+    kind = spec.kind
+    if kind == "advection1d":
+        return _constant_diagonals(spec.n, *_ADVECTION)
+    if kind == "laplacian1d":
+        return _constant_diagonals(spec.n, *_LAPLACIAN)
+    if kind == "advdiff1d":
+        s = spec.epsilon / (1.0 / (spec.n + 1)) ** 2
+        return _constant_diagonals(spec.n, *(a + s * l for a, l in zip(_ADVECTION, _LAPLACIAN)))
+    return None
+
+
+def problem_store(spec):
+    """The ProblemStore of the test matrix described by a ProblemSpec.
+
+    A 1D kind arrives as its three diagonals, so the store builds its dense
+    A only when a dense product first reads it; any other kind as generate
+    builds it.
+    """
+    diags = _diagonals(spec)
+    return ProblemStore(generate(spec) if diags is None else diags)
 
 
 def generate(spec):
     """Build the dense test matrix described by a ProblemSpec.
 
-    The 1D kinds are written onto their three diagonals, each entry with the
-    bits of its sum of identity-matrix terms: advdiff1d is advection1d plus
-    (epsilon / h^2) laplacian1d, h = 1 / (n + 1), entry by entry.
+    A 1D kind is the dense array of its three diagonals (_diagonals).
     """
+    diags = _diagonals(spec)
+    if diags is not None:
+        return diags.dense()
     kind = spec.kind
-    if kind in ("advection1d", "advdiff1d", "laplacian1d"):
-        n = spec.n
-        if kind == "advection1d":
-            return _advection1d(n)
-        if kind == "laplacian1d":
-            return _tridiagonal_matrix(n, -1.0, 2.0, -1.0)
-        s = spec.epsilon / (1.0 / (n + 1)) ** 2
-        return _tridiagonal_matrix(n, -1.0 + s * -1.0, 1.0 + s * 2.0, 0.0 + s * -1.0)
     if kind == "advection2d":
         nx, ny = spec.nx, spec.ny
         # Dimension-by-dimension upwind, lexicographic ordering (x fastest).
-        return np.kron(np.eye(ny), _advection1d(nx)) + np.kron(_advection1d(ny), np.eye(nx))
+        return (np.kron(np.eye(ny), _constant_diagonals(nx, *_ADVECTION).dense())
+                + np.kron(_constant_diagonals(ny, *_ADVECTION).dense(), np.eye(nx)))
     if kind == "random":
         n = spec.n
         rng = np.random.default_rng(spec.seed)

@@ -72,6 +72,7 @@ an oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,6 +88,7 @@ from .linalg import (
     _Diagonals,
     _norm1,
     _store_for,
+    _tridiagonal_block,
     _tridiagonal_rows,
     as_norm_factor,
     lu_solver,
@@ -309,13 +311,14 @@ class CoarseCorrection:
     """The coarse-grid correction of a pair on A, held through the pair.
 
     Pi = P (R*AP)^{-1} R*A is never formed. Built by _coarse, which rejects a
-    singular coarse operator and keeps the guard's factor of K = R*AP as
-    solve, the diagonals of A that K was formed on, if any, and R*A as ra if
-    K was formed from it. It holds no ProblemStore, so a store that keeps it
-    as an entry is still freed by reference counting.
+    singular coarse operator and keeps the store's reader of the dense A as
+    dense_a, the guard's factor of K = R*AP as solve, the diagonals of A
+    that K was formed on, if any, and R*A as ra if K was formed from it. It
+    holds no ProblemStore, so a store that keeps it as an entry is still
+    freed by reference counting.
     """
 
-    A: np.ndarray
+    dense_a: Callable = field(repr=False, compare=False)  # () -> A, the store's array
     pair: object
     solve: object = field(repr=False, compare=False)      # X -> K^{-1} X
     diags: tuple | None = field(repr=False, compare=False)
@@ -324,17 +327,26 @@ class CoarseCorrection:
     # shares one kernel call
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
+    @property
+    def A(self):
+        """The dense A, the store's array: on a tridiagonal A held by its
+        diagonals it is built on the first read, by a measure."""
+        return self.dense_a()
+
     @cached_property
     def RA(self):
         """R* A, n_c x n: ra, else formed on first read, so a consumer that
         reads only solve and the pair's blocks, as the two-grid iteration
-        does, never forms it. That is A[C, :] for Z = 0, else (A* R)* on A's
-        diagonals and Z, with R itself left unassembled."""
+        does, never forms it. That is A[C, :] for Z = 0, scattered from A's
+        diagonals when K was formed on them, else (A* R)* on A's diagonals
+        and Z, with R itself left unassembled."""
         if self.ra is not None:
             return self.ra
         part = self.pair.part
         if self.pair.zero_blocks[0]:
-            return self.A[part.cidx]
+            if self.diags is None:
+                return self.A[part.cidx]
+            return _tridiagonal_block(self.diags, part.cidx, np.arange(part.n))
         return _tridiagonal_rows(self.diags, part, self.pair.Z, np.arange(part.n), trans=1).T
 
     @cached_property
@@ -376,15 +388,17 @@ class CoarseCorrection:
         return asym, math.hypot(float(np.linalg.norm(T)), es)
 
 
-def _galerkin(A, pair, diags):
-    """(R* A or None, K = R* A P) for a pair on A and A's diagonals diags, or None.
+def _galerkin(store, pair, diags):
+    """(R* A or None, K = R* A P) for a pair on the ProblemStore store's A
+    and A's diagonals diags, or None.
 
     R* A is returned where K is formed from it, and None where K is formed
     without it; CoarseCorrection.RA then forms it on demand with the same
     bits. A classical
     pair R = [Z; I], P = [W; I] skips the products with its identity blocks,
     and with a block its zero_blocks finds exactly zero, which would add only
-    exact zeros. With Z = 0, K is the C rows of A P, A[C, F] W + A[C, C];
+    exact zeros. With Z = W = 0, K is A_cc, read by the store's block. With
+    Z = 0, K is the C rows of A P, A[C, F] W + A[C, C];
     for a tridiagonal A with Z != 0, R* A is (A* R)*, so K is read off the
     F and C rows of A* R. Those rows, and the C rows of A P, come from A's
     three diagonals and the block in O(n n_c) (_tridiagonal_rows), so on a
@@ -397,7 +411,7 @@ def _galerkin(A, pair, diags):
     keeps its bits.
     """
     if pair.cblocks is not None:
-        RA = pair.R.T @ A
+        RA = pair.R.T @ store.A
         return RA, RA @ pair.P
     part = pair.part
     f, c = part.fidx, part.cidx
@@ -409,11 +423,12 @@ def _galerkin(A, pair, diags):
             return None, _compact_coarse(diags, part, B, trans)
     if zero_z:
         if zero_w:
-            return None, A[np.ix_(c, c)]
+            return None, store.block(c, c)
         if diags is not None:
             return None, _tridiagonal_rows(diags, part, pair.W, c)
         # A[C, F] gathered in Fortran order, the order of (R*A)[:, F] below,
         # so the GEMM sums alike
+        A = store.A
         return None, A.T[np.ix_(f, c)].T @ pair.W + A[np.ix_(c, c)]
     if diags is not None:
         # (A* R)[C]* and (A* R)[F]* are the C and F columns of R* A, in its order
@@ -421,6 +436,7 @@ def _galerkin(A, pair, diags):
         if zero_w:
             return None, ARc
         return None, _tridiagonal_rows(diags, part, pair.Z, f, trans=1).T @ pair.W + ARc
+    A = store.A
     RA = pair.Z.T @ A[f]
     RA += A[c]
     if zero_w:
@@ -460,16 +476,15 @@ def _coarse(store, pair):
     prefixed with INCOMPATIBLE. K is returned as formed: an array, or the
     _Diagonals of a tridiagonal K.
     """
-    A = store.A
-    if A.shape[0] != pair.n:
-        raise ValueError(f"A is {A.shape[0]}x{A.shape[1]} but pair has n={pair.n}")
+    if store.n != pair.n:
+        raise ValueError(f"A is {store.shape[0]}x{store.shape[1]} but pair has n={pair.n}")
     diags = None if pair.cblocks is not None or all(pair.zero_blocks) else store.tridiagonal()
-    RA, K = _galerkin(A, pair, diags)
+    RA, K = _galerkin(store, pair, diags)
     try:
         solve = lu_solver(K, "coarse operator R*AP", norm=_scale(store, pair))
     except SingularMatrixError as e:
         raise SingularMatrixError(f"{INCOMPATIBLE}: {e}") from e
-    return CoarseCorrection(A, pair, solve, diags, RA), K
+    return CoarseCorrection(store._dense, pair, solve, diags, RA), K
 
 
 def coarse_correction(A, pair):

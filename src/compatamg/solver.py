@@ -23,7 +23,10 @@ block that is the very ideal block of A the store holds decides this
 without the other ideal block being built.
 Jacobi and F-Jacobi relaxations, relaxation-only methods and pairs with
 C-point blocks take the dense path, conv_factor(two_grid_propagator(A, spec)),
-which also serves as the oracle for the reduced one.
+which also serves as the oracle for the reduced one. On a tridiagonal A
+that path reads A's rows and R*A off its diagonals where N^{-1} is
+diagonal on its rows, so only an exact F-solve on a non-diagonal A_ff
+reads the dense A.
 
 Every function here takes A or its ProblemStore. A pair's correction is
 bound once per store, as the store entry ("coarse", pair), so the calls on
@@ -36,8 +39,9 @@ each relaxation to the residual as an operator, a diagonal scaling or an
 F-block solve, and forms no N^{-1}; a classical pair's coarse step works
 on its blocks as held, skipping a block its zero_blocks finds zero, and
 the residual of a tridiagonal A is a product on the three diagonals the
-store decided once. The ideal blocks of a tridiagonal A over a diagonal
-A_ff, and the zero blocks of the identity, are held by their nonzeros
+store decided once; n is the store's, so iterate reads no dense A there.
+The ideal blocks of a tridiagonal A over a diagonal A_ff, and the zero
+blocks of the identity, are held by their nonzeros
 (linalg._CompactBlock), so W y and Z* r[F] are two gathered products per
 entry, not GEMVs, and K is formed and factored as its three diagonals:
 on the 1D problems with F-points apart, an iteration costs O(n). The
@@ -56,7 +60,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _CompactBlock, _store_for, _tag_key, _tridiagonal_product, as_matrix
+from .linalg import (
+    _CompactBlock,
+    _DiagonalSolve,
+    _store_for,
+    _tag_key,
+    _tridiagonal_product,
+    as_matrix,
+)
 from .projection import _coarse, coarse_correction
 from .transfer import _held_ideal_block, _ideal_block
 
@@ -129,29 +140,31 @@ def _relaxation(store, spec, part):
     is apply(r[rows]) on the rows, and zero elsewhere.
 
     spec is not the identity (see _is_identity). rows are all points for
-    Jacobi and the F-points otherwise. apply scales by omega / diag(A), or
-    solves with A_ff against the store's factor for the exact F-solve.
+    Jacobi and the F-points otherwise. apply scales by omega / diag(A),
+    read off the store's diagonals when A is tridiagonal, or solves with
+    A_ff against the store's factor for the exact F-solve.
     """
     if spec.kind == "jacobi":
-        rows, what = np.arange(store.A.shape[0]), "Jacobi relaxation needs a zero-free diagonal"
+        rows, what = np.arange(store.n), "Jacobi relaxation needs a zero-free diagonal"
     elif part is None:
         raise ValueError(f"relaxation kind {spec.kind!r} needs a CF partition")
     elif spec.kind == "fexact":
         return part.fidx, store.ff_solve(part)
     else:
         rows, what = part.fidx, "F-Jacobi relaxation needs a zero-free F-point diagonal"
-    d = np.diag(store.A)[rows]
+    diags = store.tridiagonal()
+    d = (np.diag(store.A) if diags is None else diags.d)[rows]
     if np.any(d == 0.0):
         raise ValueError(what)
     w = spec.omega / d
     return rows, lambda r: w * r
 
 
-def _n_inverse(store, spec, part):
-    """Approximate inverse N^{-1} applied by one sweep of the relaxation, as an
-    n x n matrix; only the dense propagator forms it."""
-    rows, apply = _relaxation(store, spec, part)
-    Ninv = np.zeros(store.A.shape)
+def _n_inverse(store, rows, apply):
+    """Approximate inverse N^{-1} of the relaxation (rows, apply), as an
+    n x n matrix; only the dense propagator of an exact F-solve on a
+    non-diagonal A_ff forms it."""
+    Ninv = np.zeros((store.n, store.n))
     Ninv[np.ix_(rows, rows)] = apply(np.eye(len(rows)))
     return Ninv
 
@@ -166,13 +179,26 @@ def relax_propagator(A, spec, part=None):
 
     A is the matrix or its ProblemStore. part is required for the F-point
     kinds and ignored otherwise. An exact F-solve solves with the store's
-    factor of A_ff, as a bound two-grid method does.
+    factor of A_ff, as a bound two-grid method does. Where N^{-1} is
+    diagonal on its rows w (Jacobi, F-Jacobi, and an exact F-solve on a
+    diagonal A_ff) N^{-1} A scales those rows of A, read by the store's
+    block (off A's diagonals when it is tridiagonal). Each entry is then
+    one product, the one nonzero term of the dense product's sum, so
+    I - N^{-1} A keeps its bits: a zero term's sign is lost in I - 0.
+    Otherwise N^{-1} A is the dense product.
     """
     store = _store_for(A)
-    eye = np.eye(store.A.shape[0])
+    n = store.n
+    E = np.eye(n)
     if _is_identity(spec):
-        return eye
-    return np.linalg.matrix_power(eye - _n_inverse(store, spec, part) @ store.A, spec.sweeps)
+        return E
+    rows, apply = _relaxation(store, spec, part)
+    if spec.kind == "fexact" and not isinstance(apply, _DiagonalSolve):
+        E -= _n_inverse(store, rows, apply) @ store.A
+    else:
+        w = apply(np.ones(rows.size))  # N^{-1} on rows, the diagonal of N^{-1}[rows, rows]
+        E[rows] -= w[:, None] * store.block(rows, np.arange(n))
+    return np.linalg.matrix_power(E, spec.sweeps)
 
 
 def two_grid_propagator(A, spec):
@@ -186,7 +212,7 @@ def two_grid_propagator(A, spec):
     store = _store_for(A)
     coarse = _bind(store, spec.pair)
     part = spec.pair.part if spec.pair is not None else None
-    E = np.eye(store.A.shape[0])
+    E = np.eye(store.n)
     if spec.pair is not None:
         # B = K^{-1} R*A afresh, not the cached coarse.B, so the binding does not keep it
         E -= spec.pair.P @ coarse.solve(coarse.RA)
@@ -296,9 +322,8 @@ def iterate(A, spec, b, x0, iters):
     A, else a dense O(n^2) product.
     """
     store = _store_for(A)
-    A = store.A
     coarse = _bind(store, spec.pair)
-    n = A.shape[0]
+    n = store.n
     b = _vector(b, n, "b")
     x = _vector(np.array(x0, dtype=float), n, "x0")
     if iters < 0:
@@ -313,6 +338,7 @@ def iterate(A, spec, b, x0, iters):
         steps += [_relaxation(store, spec.post, part)] * spec.post.sweeps
 
     diags = store.tridiagonal()
+    A = store.A if diags is None else None
 
     def residual(x):
         return b - (A @ x if diags is None else _tridiagonal_product(diags, x))

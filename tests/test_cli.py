@@ -176,7 +176,7 @@ def test_a_problem_over_the_size_bound_is_a_config_error_before_it_is_built(
         args, capsys, monkeypatch):
     import compatamg.cli as cli
 
-    monkeypatch.setattr(cli, "generate", None)  # a call would raise TypeError
+    monkeypatch.setattr(cli, "problem_store", None)  # a call would raise TypeError
     code = main(["converge"] + args)
     assert code == 2
     err = capsys.readouterr().err
@@ -253,7 +253,7 @@ def test_malformed_configuration_is_a_config_error_before_any_work(command, args
     def no_work(*args, **kwargs):
         raise AssertionError("a problem was generated for a malformed configuration")
 
-    monkeypatch.setattr("compatamg.cli.generate", no_work)
+    monkeypatch.setattr("compatamg.cli.problem_store", no_work)
     code = main([command, "--problem", "advdiff1d", "--n", "16", "--split", split] + args)
     assert code == 2
     assert capsys.readouterr().err.startswith(f"compatamg: config error: {prefix}")
@@ -429,7 +429,7 @@ def test_figure1_skips_inverse_edges_on_a_singular_a_cc(tmp_path, monkeypatch):
     import compatamg.cli as cli
 
     A = np.array([[1.0, 1.0], [1.0, 0.0]])
-    monkeypatch.setattr(cli, "generate", lambda spec: A)
+    monkeypatch.setattr(cli, "problem_store", lambda spec: cm.ProblemStore(A))
     _, report = _run_json(tmp_path, ["figure1", "--problem", "random", "--n", "8"])
     # the A-norm edge is skipped first, since this A is not SPD
     reasons = {r["edge"]: r["reason"] for r in report["results"]
@@ -769,7 +769,7 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
 def test_threads_env_var_that_is_no_positive_integer_is_a_config_error(
         threads, tmp_path, capsys, monkeypatch):
     # checked before any problem is built, and no report is written
-    monkeypatch.setattr("compatamg.cli.generate", None)  # a call would raise TypeError
+    monkeypatch.setattr("compatamg.cli.problem_store", None)  # a call would raise TypeError
     monkeypatch.setenv("COMPATAMG_THREADS", threads)
     out = tmp_path / "r.json"
     assert main(["figure1", "--problem", "random", "--n", "8", "--output", str(out)]) == 2
@@ -1005,11 +1005,10 @@ def test_no_command_forms_a_dense_norm(tmp_path, monkeypatch, problem):
 
 
 def test_converge_checks_and_scans_a_once_per_command(tmp_path, monkeypatch):
-    # the pairs' stores are made from the command's store, so A's nonzeros
-    # are counted once for all three pairs, and since that count finds A
-    # tridiagonal its finiteness is checked on the diagonals, with no
-    # isfinite over the n x n A; every block of A is read off its
-    # diagonals: no np.ix_ gather runs
+    # a 1D problem arrives as its three diagonals, and the pairs' stores are
+    # made from the command's store, so A's finiteness is checked once, on
+    # the diagonals: no count_nonzero or isfinite runs over an n x n A;
+    # every block of A is read off its diagonals: no np.ix_ gather runs
     n = 64
     scans = {"count_nonzero": 0, "isfinite": 0}
     for name in scans:
@@ -1031,8 +1030,82 @@ def test_converge_checks_and_scans_a_once_per_command(tmp_path, monkeypatch):
          "--post", "fexact", "--iters", "6"],
     )
     assert code == 0 and len(report["results"]) == 3
-    assert scans == {"count_nonzero": 1, "isfinite": 0}
+    assert scans == {"count_nonzero": 0, "isfinite": 0}
     assert gathers == []
+
+
+ONE_D_KINDS = (["--problem", "laplacian1d"], ["--problem", "advection1d"],
+               ["--problem", "advdiff1d", "--epsilon", "0.01"])
+
+
+@pytest.mark.parametrize("relax", [["--post", "fexact"], ["--pre", "jacobi"],
+                                   ["--pre", "fjacobi:0.5:2", "--post", "fexact"]],
+                         ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("kind", ONE_D_KINDS, ids=lambda a: a[1])
+def test_converge_on_a_1d_kind_never_builds_a_dense_a(tmp_path, monkeypatch, kind, relax):
+    # the problem arrives as its three diagonals, and every layer that
+    # converge runs (the ideal blocks, K, rho, the relaxations and their
+    # propagators, the iteration, b and x0) reads them and the store's n
+    import compatamg.linalg as linalg
+
+    def forbidden(self):
+        raise AssertionError("a dense A was built")
+
+    monkeypatch.setattr(linalg._Diagonals, "dense", forbidden)
+    code, report = _run_json(
+        tmp_path,
+        ["converge"] + kind + ["--n", "40", "--pair", "single1", "--pair", "single3",
+                               "--pair", "random:2", "--iters", "8"] + relax,
+    )
+    assert code in (0, 1)
+    assert len(report["results"]) == 3
+    assert not any(r.get("skipped") for r in report["results"])
+
+
+@pytest.mark.parametrize("kind", ONE_D_KINDS, ids=lambda a: a[1])
+@pytest.mark.parametrize("command", [
+    ["verify-pairs", "--pair", "single1", "--pair", "single2", "--pair", "single3",
+     "--pair", "single4", "--pair", "random:3", "--pair", "t1:SqrtAstarA:AinvStar",
+     "--norm", "identity", "--norm", "AstarA", "--norm", "AstarAsymInvA"],
+    ["tables"],
+    ["figure1"],
+    ["converge", "--pair", "single1", "--pair", "single2", "--pair", "single3",
+     "--pair", "single4", "--pair", "random:2", "--pair", "t1:Asym:A", "--post", "fexact"],
+    ["converge", "--pair", "single1", "--pair", "single3", "--pair", "random:2",
+     "--pre", "jacobi", "--post", "fjacobi:0.5:2", "--split", "firsthalf"],
+], ids=lambda a: a[0])
+def test_a_store_made_from_diagonals_writes_the_reports_of_a_dense_store(
+        tmp_path, monkeypatch, kind, command):
+    # every command on a 1D kind writes, bit for bit, the report of a run
+    # whose store was made from generate's dense A
+    import compatamg.cli as cli
+
+    args = command[:1] + kind + ["--n", "23"] + command[1:]
+    reports = []
+    for make in (cli.problem_store, lambda spec: cm.ProblemStore(cm.generate(spec))):
+        monkeypatch.setattr(cli, "problem_store", make)
+        code, report = _run_json(tmp_path, args, f"{len(reports)}.json")
+        report.pop("timestamp")
+        reports.append((code, json.dumps(report)))
+    assert reports[0] == reports[1]
+
+
+def test_converge_at_n_2000_holds_no_n_by_n_array(tmp_path):
+    # the benchmark's converge, at the largest order the README times: its
+    # traced peak stays below one n x n array of doubles (32 MB)
+    import tracemalloc
+
+    n = 2000
+    tracemalloc.start()
+    try:
+        code = main(["converge", "--problem", "advdiff1d", "--epsilon", "0.01", "--n", str(n),
+                     "--pair", "single1", "--pair", "single3", "--post", "fexact",
+                     "--iters", "30", "--output", str(tmp_path / "r.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n * 8, peak
 
 
 @pytest.mark.parametrize("problem", ["advection1d", "random"])

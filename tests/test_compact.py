@@ -96,8 +96,8 @@ def test_compact_k_scale_rho_and_guard_keep_the_dense_bits(kind, split, n, sign)
         dense = cm.make_pair(part, pair.Z, pair.W)
         assert pair.zero_blocks == dense.zero_blocks
         assert _scale(store, pair).hex() == _scale(store, dense).hex()
-        _, K = _galerkin(A, pair, diags)
-        _, K_ref = _galerkin(A, dense, diags)
+        _, K = _galerkin(store, pair, diags)
+        _, K_ref = _galerkin(store, dense, diags)
         if isinstance(K, _Diagonals):
             assert all(v.tobytes() == w.tobytes() for v, w in zip(K, _tridiagonal(K_ref)))
         else:

@@ -471,6 +471,112 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     finally:
         gc.enable()
 
+    # so is a store made from A's diagonals, and one made from it, once the
+    # dense A they share was built for a measure and the corrections bound
+    # on them hold its reader
+    store = cm.problem_store(cm.ProblemSpec("advdiff1d", n=n, epsilon=0.05))
+    part = cm.default_splitting(n, "alternate")
+    pair_store = cm.ProblemStore(store)
+    pair, norm = cm.single_operator_pair(pair_store, part, "single3")
+    spec = cm.TwoGridSpec(pair, pre=cm.RelaxSpec("jacobi"), post=cm.RelaxSpec("fexact"))
+    cm.two_grid_conv_factor(pair_store, spec)
+    cm.iterate(pair_store, spec, np.ones(n), np.zeros(n), 3)
+    G = cm.realize_norm(norm, pair_store, factored=True)
+    assert cm.pi_m_norm(cm.coarse_correction(pair_store, pair), G) == pytest.approx(1.0)
+    refs = weakref.ref(store), weakref.ref(pair_store)
+    gc.disable()
+    try:
+        del store, pair_store, G
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def _constant_diagonals(n, dl, d, du):
+    return linalg._Diagonals(np.full(n - 1, dl), np.full(n, d), np.full(n - 1, du))
+
+
+@pytest.mark.parametrize("kind", ["advection1d", "laplacian1d", "advdiff1d"])
+def test_a_store_made_from_diagonals_builds_its_dense_a_once_on_first_read(monkeypatch, kind):
+    # the store holds read-only copies of the diagonals it was given, with the
+    # values a store of the dense A reads off it; the dense A is built on the
+    # first read only, with generate's bits, and is the one array that every
+    # store made from it reads, so a norm factor realized on it recognises it
+    spec = cm.ProblemSpec(kind, n=9, epsilon=0.01)
+    builds = []
+    dense = linalg._Diagonals.dense
+    monkeypatch.setattr(linalg._Diagonals, "dense", lambda d: (builds.append(1), dense(d))[1])
+    store = cm.problem_store(spec)
+    ref = cm.ProblemStore(cm.generate(spec))
+    builds.clear()
+    assert store.n == 9 and store.shape == (9, 9)
+    for v, w in zip(store.tridiagonal(), ref.tridiagonal()):
+        assert v.tobytes() == w.tobytes() and not v.flags.writeable
+    child = cm.ProblemStore(cm.ProblemStore(store))
+    assert child.n == 9 and builds == []
+    A = child.A
+    assert builds == [1] and A.tobytes() == ref.A.tobytes() and A.flags.c_contiguous
+    assert store.A is A and cm.ProblemStore(store).A is A and builds == [1]
+    G = cm.realize_norm("AstarA", store, factored=True)
+    assert G.h_on(child.A) is not None
+
+
+def test_threads_reading_a_store_made_from_diagonals_share_one_dense_a(monkeypatch):
+    # case threads read A through stores made from one command's store; more
+    # threads than cores, under a short switch interval, build it once and
+    # all get that one array
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    builds = []
+    dense = linalg._Diagonals.dense
+    monkeypatch.setattr(linalg._Diagonals, "dense", lambda d: (builds.append(1), dense(d))[1])
+    store = cm.problem_store(cm.ProblemSpec("advdiff1d", n=300, epsilon=0.01))
+    stores = [store] + [cm.ProblemStore(store) for _ in range(15)]
+    start = threading.Barrier(len(stores))  # every thread reads at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(stores)) as ex:
+            arrays = list(ex.map(lambda s: (start.wait(timeout=30), s.A)[1], stores, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [1]
+    assert all(A is arrays[0] for A in arrays)
+
+
+def test_a_non_finite_diagonal_is_rejected_with_the_dense_message():
+    # a non-finite entry on any of the three diagonals is rejected by a store
+    # made from them as by a store of the dense array, and so is a 1D problem
+    # whose epsilon / h^2 overflows
+    for k in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            diags = _constant_diagonals(6, -1.0, 2.0, -1.0)
+            diags[k][1] = bad
+            messages = []
+            for A in (diags, diags.dense()):
+                with pytest.raises(ValueError) as err:
+                    cm.ProblemStore(A)
+                messages.append(str(err.value))
+            assert messages == ["A contains non-finite entries"] * 2
+    spec = cm.ProblemSpec("advdiff1d", n=50, epsilon=1e306)
+    for make in (cm.problem_store, lambda s: cm.ProblemStore(cm.generate(s))):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            make(spec)
+
+
+def test_diagonals_of_order_2_take_the_dense_path():
+    # scipy's dgttrf wrapper rejects n = 2, so a store made from diagonals of
+    # order 2 holds their dense array as a store of that array does
+    for spec in (cm.ProblemSpec("laplacian1d", n=2), cm.ProblemSpec("advdiff1d", n=2, epsilon=0.1)):
+        store, ref = cm.problem_store(spec), cm.ProblemStore(cm.generate(spec))
+        assert store.tridiagonal() is None and store.n == 2
+        assert store.A.tobytes() == ref.A.tobytes()
+        assert len(linalg._guarded_lu(store.A, "A")) == 2
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        cm.ProblemStore(_constant_diagonals(2, -1.0, np.nan, -1.0))
+
 
 def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
     # every entry point that takes A takes its ProblemStore in its place, with
@@ -780,9 +886,11 @@ def test_blocks_read_off_the_diagonals_keep_the_gathered_bits(kind, split, n):
 
 @pytest.mark.parametrize("case", ["sorted", "unsorted"])
 def test_a_block_is_factored_on_its_diagonals_when_sorted_and_of_order_3(monkeypatch, case):
-    # at n = 5 under the alternate splitting A_ff has order 3 and is read off
-    # A's diagonals, while A_cc, of order 2, is gathered; with its F-points
-    # out of order A_ff is gathered too, with the same solves
+    # at n = 5 under the alternate splitting A_ff has order 3 and is factored
+    # on diagonals read off A's, while A_cc, of order 2, and an A_ff whose
+    # F-points are out of order are factored as dense blocks, scattered off
+    # A's diagonals by block, with the solves of the gathered blocks: only
+    # the gathering reference gathers
     n = 5
     A = tridiagonal_problem("advdiff1d", n)
     part = cm.default_splitting(n, "alternate")
@@ -792,11 +900,11 @@ def test_a_block_is_factored_on_its_diagonals_when_sorted_and_of_order_3(monkeyp
     store, ref = cm.ProblemStore(A), GatheringStore(A)
     x = np.arange(1.0, part.nf + 1.0)
     assert_same_array(store.ff_solve(part)(x), ref.ff_solve(part)(x))
-    assert len(gathers) == (1 if case == "sorted" else 2)
+    assert len(gathers) == 1
     gathers.clear()
     y = np.arange(1.0, part.nc + 1.0)
     assert_same_array(store.cc_solve(part)(y), ref.cc_solve(part)(y))
-    assert len(gathers) == 2
+    assert len(gathers) == 1
 
 
 @pytest.mark.parametrize("split", ["alternate", "firsthalf"])

@@ -38,6 +38,44 @@ def test_json_malformed(tmp_path):
         cm.load_matrix_json(p)
 
 
+@pytest.mark.parametrize("layout, message", [
+    ('{"rows": 2.5, "cols": 2, "data": [1, 2, 3, 4]}', "rows must be an integer >= 0, got 2.5"),
+    ('{"rows": "2", "cols": 2, "data": [1, 2, 3, 4]}', "rows must be an integer >= 0, got '2'"),
+    ('{"rows": true, "cols": 1, "data": [1]}', "rows must be an integer >= 0, got True"),
+    ('{"rows": 2, "cols": 2.0, "data": [1, 2, 3, 4]}', "cols must be an integer >= 0, got 2.0"),
+    ('{"rows": -1, "cols": -1, "data": [1]}', "rows must be an integer >= 0, got -1"),
+    ('{"rows": 1, "cols": 2, "data": ["1e3", 2]}', "data must be a flat list of numbers, found str"),
+    ('{"rows": 1, "cols": 2, "data": [true, 2.0]}', "data must be a flat list of numbers, found bool"),
+    ('{"rows": 1, "cols": 2, "data": [null, 2.0]}', "data must be a flat list of numbers, found NoneType"),
+    ('{"rows": 2, "cols": 2, "data": [[1, 2], [3, 4]]}', "data must be a flat list of numbers, found list"),
+    ('{"rows": 1, "cols": 2, "data": "12"}', "data must be a list of numbers, got str"),
+    ('{"rows": 1, "cols": 2, "data": {"0": 1, "1": 2}}', "data must be a list of numbers, got dict"),
+    ('[1, 2]', "expected keys rows/cols/data"),
+    ('{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + ']}', "data: int too large to convert to float"),
+], ids=["fractional-rows", "quoted-rows", "bool-rows", "float-cols", "negative-rows",
+        "quoted-entry", "bool-entry", "null-entry", "nested-data", "string-data", "object-data",
+        "not-an-object", "huge-integer-entry"])
+def test_a_malformed_json_layout_is_refused_not_coerced(tmp_path, layout, message):
+    # each of these once loaded as a coerced matrix (2.5 rows read as 2,
+    # "1e3" as 1000.0, true as 1.0) or failed outside the ValueError contract
+    p = tmp_path / "bad.json"
+    p.write_text(layout)
+    with pytest.raises(ValueError) as exc:
+        cm.load_matrix(p)
+    assert str(exc.value).startswith(f"{p}: {message}")
+
+
+def test_json_integers_and_empty_layouts_load(tmp_path):
+    # JSON integers are numbers: entries and sizes written without a
+    # fraction load as doubles, and a 0 x k layout is a valid empty matrix
+    p = tmp_path / "ints.json"
+    p.write_text('{"rows": 2, "cols": 2, "data": [1, -2, 3.5, 0]}')
+    A = cm.load_matrix(p)
+    assert A.dtype == float and A.tolist() == [[1.0, -2.0], [3.5, 0.0]]
+    p.write_text('{"rows": 0, "cols": 3, "data": []}')
+    assert cm.load_matrix(p).shape == (0, 3)
+
+
 def test_matrix_market_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 6)) / 7.0

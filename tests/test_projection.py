@@ -297,7 +297,7 @@ def test_galerkin_skips_zero_blocks_with_the_same_bits(zero):
     if zero:
         blocks[zero][:] = 0.0
     pair = cm.make_pair(part, blocks["Z"], blocks["W"])
-    RA, K = _galerkin(A, pair, None)
+    RA, K = _galerkin(cm.ProblemStore(A), pair, None)
     RA_ref = blocks["Z"].T @ A[f]
     RA_ref += A[c]
     K_ref = RA_ref[:, f] @ blocks["W"] + RA_ref[:, c]
@@ -333,7 +333,7 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind, split, blo
     A, part, store, Z, W = _tridiagonal_case(kind, split, 40, blocks, 47)
     pair = cm.make_pair(part, Z, W)
     diags = store.tridiagonal()
-    RA_formed, K = _galerkin(A, pair, diags)
+    RA_formed, K = _galerkin(store, pair, diags)
     assert RA_formed is None
     RA = cm.coarse_correction(A, pair).RA
     RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
@@ -358,7 +358,7 @@ def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_produc
     A, part, store, _, W = _tridiagonal_case(kind, split, n, blocks, 50)
     pair = cm.make_pair(part, np.zeros((part.nf, part.nc)), W)
     diags = store.tridiagonal()
-    RA, K = _galerkin(A, pair, diags)
+    RA, K = _galerkin(store, pair, diags)
     assert RA is None
     RA = cm.coarse_correction(A, pair).RA
     P_ref = part.assemble_rows(W, np.eye(part.nc))
@@ -379,7 +379,7 @@ def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_fu
     A, part, store, Z, _ = _tridiagonal_case(kind, split, 41, blocks, 51)
     pair = cm.make_pair(part, Z, np.zeros((part.nf, part.nc)))
     diags = store.tridiagonal()
-    RA, K = _galerkin(A, pair, diags)
+    RA, K = _galerkin(store, pair, diags)
     assert RA is None
     RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
     assert K.tobytes() == RA_ref[:, part.cidx].tobytes()
