@@ -10,15 +10,9 @@ share between threads.
 Every matrix the package solves with first passes one singularity guard,
 which factors it once by LU with partial pivoting and reads the LAPACK
 reciprocal condition estimate (dgecon; Higham, ACM TOMS 14, 1988) off that
-factor, so no SVD is spent on it. A tridiagonal matrix, a
-diagonal one included, is factored by tridiagonal elimination with partial
-pivoting instead (dgttrf), and its estimate is dgtcon's, in O(n); a matrix
-is read as tridiagonal from its nonzero count, so it stays a dense array.
-A ProblemStore is made from A's diagonals or from the array, whose count
-it reads once, and keeps the diagonals for R*AP, the iteration and the
-blocks of A: A_ff and A_cc are factored on diagonals read off A's, and
-the other blocks are scattered from them, so no block of a tridiagonal A
-is gathered or scanned again.
+factor, so no SVD is spent on it. A tridiagonal matrix, a diagonal one
+included, is factored by tridiagonal elimination with partial pivoting
+instead (dgttrf), and its estimate is dgtcon's, in O(n).
 COND_LIMIT is defined on that estimate of the 1-norm condition number, not
 on the 2-norm condition number; the two differ by at most a factor n. Every
 guarded solve runs on the guard's factor, which lu_solver hands on as a
@@ -26,7 +20,16 @@ solve closure (dgttrs on a tridiagonal factor, O(n) per right-hand side;
 a division by the diagonal of a diagonal one, with dgttrs's values).
 That factor is the only factor of every matrix: nothing is inverted
 densely (no dgetri), and a tridiagonal matrix never gets a dense LU.
-Products with a tridiagonal matrix are taken on its three diagonals.
+
+One type holds a tridiagonal matrix: _Diagonals, its three diagonals. It
+is the only code that knows their layout. It reads them off a dense array
+by one nonzero count (scan), so a user's tridiagonal matrix, or a K formed
+densely, stays an array. On them it takes products, ||A||_1, blocks of A
+and the diagonals of a principal block. Its one row kernel (rows) forms
+rows of A [B; I] and A* [B; I] for a classical operator's block B. The
+ideal blocks over a diagonal A_ff are held by their nonzeros
+(_CompactBlock), and K on them is read off the kernel as its own
+_Diagonals.
 
 A symmetric matrix is accepted as positive definite by its Cholesky factor:
 LAPACK dpotrf must succeed on the symmetric part and the reciprocal condition
@@ -38,15 +41,14 @@ decided is the one the norm is applied through, so no eigenvalue problem is
 solved.
 
 One command works on one problem matrix A, and a ProblemStore carries what
-its cases share: A, checked for finite entries once (on its diagonals alone
-when it is given as them or its nonzero count finds it tridiagonal, and
-then built densely only on its first read), its diagonals when it is
-tridiagonal, the guard's factor of A and of its blocks A_ff and A_cc,
-the Cholesky factor of (A + A*)/2 and the norm factors built from them,
-each made once for the command and dropped with it. A store made from the
-command's store, as converge makes one per pair, shares all of these and
-holds only its pair's own entries. The store is the one handle on its
-problem: every function that takes A takes the store in its place
+its cases share: A, checked for finite entries once, its _Diagonals when it
+is tridiagonal (given as them or found by scan, and then the dense A is
+built only on its first read), the guard's factor of A and of its blocks
+A_ff and A_cc, the Cholesky factor of (A + A*)/2 and the norm factors built
+from them, each made once for the command and dropped with it. A store made
+from the command's store, as converge makes one per pair, shares all of
+these and holds only its pair's own entries. The store is the one handle on
+its problem: every function that takes A takes the store in its place
 (_store_for), so no store is ever paired with a matrix other than its own,
 and A's diagonals and factors reach every layer through the store alone.
 """
@@ -125,11 +127,47 @@ def _tag_key(tag):
 
 
 class _Diagonals(NamedTuple):
-    """The sub-, main and superdiagonal of a tridiagonal matrix."""
+    """The sub-, main and superdiagonal of a tridiagonal matrix A, and every
+    operation the package takes on A through them, so that the layout of
+    the three diagonals is known here alone. A diagonal matrix is
+    tridiagonal.
+    """
 
     dl: np.ndarray
     d: np.ndarray
     du: np.ndarray
+
+    @classmethod
+    def scan(cls, a, name="matrix"):
+        """(as_matrix(a, name), its _Diagonals or None), reading a tridiagonal a once.
+
+        The diagonals are read-only copies, which do not keep A alive, of a
+        square A of order n >= 3 whose nonzeros all lie on its three central
+        diagonals; smaller orders take the dense path, since scipy's dgttrf
+        wrapper rejects n = 2. The nonzero count that decides the structure
+        makes no n x n temporary and comes first. NaN and inf count as
+        nonzeros, so when every nonzero lies on the three diagonals every
+        other entry is an exact zero, and finiteness is checked on the
+        diagonals alone. Any other a is checked entry by entry, as as_matrix
+        does, after its count: two passes.
+        """
+        A = np.asarray(a, dtype=float)
+        if A.ndim == 2 and A.shape[0] == A.shape[1] >= 3:
+            diags = cls(*(_frozen(np.diag(A, k)) for k in (-1, 0, 1)))
+            if np.count_nonzero(A) == sum(np.count_nonzero(v) for v in diags):
+                return A, diags.finite(name)
+        return as_matrix(A, name), None
+
+    @property
+    def T(self):
+        """The diagonals of A*."""
+        return _Diagonals(self.du, self.d, self.dl)
+
+    def finite(self, name):
+        """self, after checking that the entries on the diagonals are finite."""
+        if not all(np.isfinite(v).all() for v in self):
+            raise ValueError(f"{name} contains non-finite entries")
+        return self
 
     def dense(self):
         """The matrix as an n x n array, with +0 off its three diagonals."""
@@ -140,6 +178,146 @@ class _Diagonals(NamedTuple):
         A[i[1:], i[:-1]] = self.dl
         A[i[:-1], i[1:]] = self.du
         return A
+
+    def product(self, X, trans=0):
+        """A X, or A* X with trans=1, for a vector or n x k block X, in O(nk)."""
+        dl, d, du = self.T if trans else self
+        X = np.asarray(X, dtype=float)
+        shape = (-1,) + (1,) * (X.ndim - 1)
+        Y = d.reshape(shape) * X
+        Y[:-1] += du.reshape(shape) * X[1:]
+        Y[1:] += dl.reshape(shape) * X[:-1]
+        return Y
+
+    def rows(self, part, B, rows, trans=0):
+        """(A X)[rows], or (A* X)[rows] with trans=1, for the classical
+        operator X = [B; I] over the CFPartition part, without forming X.
+
+        Row i is d_i x_i + du_i x_{i+1} + dl_{i-1} x_{i-1}, each product
+        taken and added in product's order, so its bits are those of row i
+        of the full product; a term whose point is off the matrix is left
+        out. Each term's rows of X are gathered from [B; I]: a row of B at
+        an F point, and at a C point a unit row, whose product with the
+        coefficient v is 0 v but for the entry 1 v, so the signed zeros
+        are the product's. For an array B every column is formed; for a
+        _CompactBlock, whose rows must then be C points, only the columns
+        r - 1, r, r + 1 of the row of C point r, through B.window, as
+        len(rows) x 3. Rows are taken _ROWS_PER_PASS x n_c entries at a
+        time, so beside the result no larger block of terms is held.
+        """
+        dl, d, du = self.T if trans else self
+        n, pos, is_c = d.size, part.pos, part.is_c
+        rows = np.asarray(rows, np.intp)
+        compact = isinstance(B, _CompactBlock)
+        width = 3 if compact else part.nc
+        step = _ROWS_PER_PASS * part.nc // width
+        Y = np.empty((rows.size, width))
+        T = np.empty((min(rows.size, step), width))
+        for lo in range(0, rows.size, step):
+            i = rows[lo:lo + step]
+            out = Y[lo:lo + i.size]
+            first = pos[i] - 1 if compact else np.zeros(i.size, np.intp)  # each row's first column
+            for t, (j, coef) in enumerate(((i, d), (i + 1, du), (i - 1, dl))):
+                k = np.flatnonzero((j >= 0) & (j < n))  # rows whose point j is in A
+                j = j[k]
+                v = coef[np.minimum(i[k], j)]
+                X = T[:k.size] if t else out  # the term on rows k
+                u, g = np.flatnonzero(is_c[j]), np.flatnonzero(~is_c[j])
+                X[u] = 0.0 * v[u, None]
+                at = pos[j[u]] - first[k[u]]  # column of each unit row's 1
+                hit = (at >= 0) & (at < width)
+                X[u[hit], at[hit]] = v[u[hit]]
+                X[g] = v[g, None] * (B.window(pos[j[g]], first[k[g]]) if compact else B[pos[j[g]]])
+                if t and k.size == i.size:
+                    out += X
+                elif t:
+                    out[k] += X
+        return Y
+
+    def norm1(self):
+        """||A||_1, the largest column sum of |A|."""
+        dl, cols, du = (np.abs(v) for v in self)  # cols: column sums of |A|
+        cols[:-1] += dl
+        cols[1:] += du
+        return cols.max()
+
+    def principal(self, idx):
+        """The _Diagonals of A[np.ix_(idx, idx)] for strictly ascending idx.
+
+        Its entry (i, i+1) is A's (idx_i, idx_i + 1) where idx_{i+1} =
+        idx_i + 1 and zero otherwise, and likewise (i+1, i); so the block is
+        tridiagonal with these values, and no block is gathered.
+        """
+        lo = idx[:-1]
+        adj = idx[1:] == lo + 1
+        return _Diagonals(np.where(adj, self.dl[lo], 0.0), self.d[idx], np.where(adj, self.du[lo], 0.0))
+
+    def block(self, rows, cols):
+        """A[np.ix_(rows, cols)], C-ordered, scattered from the diagonals: row
+        i holds at most A's entries (rows_i, rows_i + k) for k = -1, 0, 1,
+        in every column whose point is that one. The indices are read as
+        numpy reads them: a negative one counts from the end, and one out of
+        range raises IndexError.
+        """
+        points = np.arange(self.d.size)
+        rows, cols = points[rows], points[cols]
+        pos = np.full(points.size, -1, np.intp)  # last column of each point in the block, or -1
+        pos[cols] = np.arange(cols.size)
+        B = np.zeros((rows.size, cols.size))
+        for k, v in ((-1, self.dl), (0, self.d), (1, self.du)):
+            j = rows + k
+            i = np.flatnonzero((j >= 0) & (j < points.size))
+            i = i[pos[j[i]] >= 0]
+            B[i, pos[j[i]]] = v[np.minimum(rows[i], j[i])]
+        repeated = np.flatnonzero(pos[cols] != np.arange(cols.size))
+        B[:, repeated] = B[:, pos[cols[repeated]]]
+        return B
+
+    def compact_ideal(self, part, d, trans=0):
+        """-A_ff^{-1} A_fc (W), or with trans=1 -A_ff^{-*} A_cf* (Z), as a
+        _CompactBlock over the CFPartition part, where A_ff is diagonal with
+        diagonal d and n_c >= 2.
+
+        F row q couples its point f only with the neighbours f - 1 and f + 1
+        that are C points, whose columns are adjacent when the C points
+        ascend, as the caller ensures; each such entry of A (A* for
+        trans=1) is divided by -d_q, and the row's other entries are
+        0 / -d_q. These are the bits of the negated division of the block
+        that block scatters (_DiagonalSolve.negated).
+        """
+        dl, _, du = self.T if trans else self
+        n, nc, f = part.n, part.nc, part.fidx
+        # the column of point i - 1 in the C block, or -1
+        col = np.pad(np.where(part.is_c, part.pos, -1), 1, constant_values=-1)
+        left, right = col[f], col[f + 2]
+        first = np.minimum(np.where(left >= 0, left, np.maximum(right, 0)), nc - 2)
+        num = np.zeros((2, f.size))
+        for q, at, v in ((np.flatnonzero(left >= 0), left, dl[f - 1]),
+                         (np.flatnonzero(right >= 0), right, du[np.minimum(f, n - 2)])):
+            num[at[q] - first[q], q] = v[q]
+        neg = -d
+        return _CompactBlock(first, num / neg, np.zeros(f.size) / neg, nc)
+
+    def compact_coarse(self, part, B, trans=0):
+        """The _Diagonals of K = R*AP for a classical pair whose one nonzero
+        block is the _CompactBlock B: W with Z = 0 (trans=0), where K is the
+        C rows of A [W; I], or Z with W = 0 (trans=1), where K is the
+        transpose of the C rows of A* [Z; I].
+
+        Those rows are tridiagonal: C point r's row of A reaches only its
+        neighbours, and an F neighbour's row of B is nonzero only in the
+        columns of its own C neighbours, r and r +- 1. So rows forms only
+        the columns r - 1, r, r + 1 of each, with the bits of the full rows,
+        in O(n_c), and K's diagonals are read off them.
+        """
+        Y = self.rows(part, B, part.cidx, trans)  # Y[r, t] is entry (r, r - 1 + t)
+        K = _Diagonals(Y[1:, 0].copy(), Y[:, 1].copy(), Y[:-1, 2].copy())
+        return K.T if trans else K
+
+
+# The kernel _Diagonals.rows gathers at most this many rows of n_c entries at
+# a time, so that beside its result it holds no larger block.
+_ROWS_PER_PASS = 64
 
 
 class _DenseA:
@@ -163,179 +341,13 @@ class _DenseA:
             return self._A
 
 
-def _tridiagonal(A):
-    """Read-only copies of the _Diagonals (dl, d, du) of a square A of order
-    n >= 3 whose nonzeros all lie on its three central diagonals, else None.
-
-    A diagonal matrix is tridiagonal. The test compares nonzero counts, so
-    it makes no n x n temporary. Smaller orders take the dense path, since
-    scipy's dgttrf wrapper rejects n = 2. The copies do not keep A alive.
-    """
-    n = A.shape[0]
-    if n < 3 or A.shape[1] != n:
-        return None
-    diags = _Diagonals(*(_frozen(np.diag(A, k)) for k in (-1, 0, 1)))
-    if np.count_nonzero(A) != sum(np.count_nonzero(v) for v in diags):
-        return None
-    return diags
-
-
-def _scanned(a, name="matrix"):
-    """(as_matrix(a, name), _tridiagonal of it), reading a tridiagonal a once.
-
-    The nonzero count that decides the structure comes first. NaN and inf
-    count as nonzeros, so when every nonzero lies on the three central
-    diagonals every other entry is an exact zero, and finiteness is checked
-    on the diagonals alone. Any other a is checked entry by entry, as
-    as_matrix does, after its count: two passes.
-    """
-    A = np.asarray(a, dtype=float)
-    diags = _tridiagonal(A) if A.ndim == 2 else None
-    if diags is None:
-        return as_matrix(A, name), None
-    return A, _finite(diags, name)
-
-
-def _finite(diags, name):
-    """diags, after checking that the entries on them are finite."""
-    if not all(np.isfinite(v).all() for v in diags):
-        raise ValueError(f"{name} contains non-finite entries")
-    return diags
-
-
-def _tridiagonal_product(diags, X, trans=0):
-    """A X, or A* X with trans=1, for the tridiagonal A with diagonals diags.
-
-    X is a vector or an n x k block; the product costs O(nk).
-    """
-    dl, d, du = diags
-    if trans:
-        dl, du = du, dl
-    X = np.asarray(X, dtype=float)
-    shape = (-1,) + (1,) * (X.ndim - 1)
-    Y = d.reshape(shape) * X
-    Y[:-1] += du.reshape(shape) * X[1:]
-    Y[1:] += dl.reshape(shape) * X[:-1]
-    return Y
-
-
-# Rows of the operator that _tridiagonal_rows gathers at a time, so that
-# beside its result it holds a block of at most this many rows.
-_ROWS_PER_PASS = 64
-
-
-def _span(r):
-    """The ascending row indices r as a slice when they are consecutive, so
-    that their rows are written in place rather than gathered and scattered."""
-    if r.size and r[-1] - r[0] + 1 == r.size:
-        return slice(r[0], r[-1] + 1)
-    return r
-
-
-def _tridiagonal_rows(diags, part, B, rows, trans=0):
-    """(A X)[rows], or (A* X)[rows] with trans=1, for the classical operator
-    X = [B; I] over the CFPartition part and the tridiagonal A with
-    diagonals diags, without forming X.
-
-    Row i is d_i x_i + du_i x_{i+1} + dl_{i-1} x_{i-1}, each product taken
-    and added in _tridiagonal_product's order, so its bits are those of row
-    i of the full product; a term whose point is off the matrix is left
-    out. The d term is written and the du and dl terms then added, each on
-    the rows where its point is an F point and, apart, where it is a C
-    point. An F-point's row of X is a
-    row of B: only these are gathered, _ROWS_PER_PASS at a time, so no
-    n x n_c block is made, and a run of consecutive rows is written in
-    place. A C-point's row of X is an identity row, whose product with a
-    coefficient v is the signed zero 0 * v but for one entry v: it is
-    written as that fill and the entry, and added as the fill and then the
-    entry, where adding the fill changes a row only when a +0 fill turns
-    its -0 entries into +0.
-    """
-    dl, d, du = diags
-    if trans:
-        dl, du = du, dl
-    n, nc = part.n, part.nc
-    pos = np.empty(n, np.intp)  # row of each point in its own block of X
-    pos[part.fidx] = np.arange(part.nf)
-    pos[part.cidx] = np.arange(nc)
-    is_c = np.zeros(n, bool)
-    is_c[part.cidx] = True
-    rows = np.asarray(rows, np.intp)
-    Y = np.empty((rows.size, nc))
-    T = np.empty((min(rows.size, _ROWS_PER_PASS), nc))
-    for added, j, coef in ((False, rows, d), (True, rows + 1, du), (True, rows - 1, dl)):
-        r = np.flatnonzero((j >= 0) & (j < n))  # rows whose point j is in A
-        j = j[r]
-        v = coef[np.minimum(j, rows[r])]  # the term's coefficient on each row
-        c = is_c[j]
-        rc, vc = r[c], v[c]
-        if added:
-            Y[_span(rc[~np.signbit(vc)])] += 0.0
-            Y[rc, pos[j[c]]] += vc
-        else:
-            Y[_span(rc)] = np.copysign(0.0, vc)[:, None]
-            Y[rc, pos[j[c]]] = vc
-        rf, jf, vf = r[~c], pos[j[~c]], v[~c]
-        for lo in range(0, rf.size, _ROWS_PER_PASS):
-            m = min(_ROWS_PER_PASS, rf.size - lo)
-            i = _span(rf[lo:lo + m])
-            in_place = not added and isinstance(i, slice)
-            t = np.take(B, jf[lo:lo + m], axis=0, out=Y[i] if in_place else T[:m], mode="clip")
-            t *= vf[lo:lo + m, None]
-            if added:
-                Y[i] += t
-            elif not in_place:
-                Y[i] = t
-    return Y
-
-
-def _tridiagonal_norm1(diags):
-    """||A||_1, the largest column sum of |A|, of the tridiagonal A with diagonals diags."""
-    dl, cols, du = (np.abs(v) for v in diags)  # cols: column sums of |A|
-    cols[:-1] += dl
-    cols[1:] += du
-    return cols.max()
-
-
-def _principal_diagonals(diags, idx):
-    """The diagonals of A[np.ix_(idx, idx)] for the tridiagonal A with
-    diagonals diags and strictly ascending idx, read off A's diagonals.
-
-    Its entry (i, i+1) is A's (idx_i, idx_i + 1) where idx_{i+1} = idx_i + 1
-    and zero otherwise, and likewise (i+1, i); so the block is tridiagonal
-    with these values, and no block is gathered.
-    """
-    dl, d, du = diags
-    lo = idx[:-1]
-    adj = idx[1:] == lo + 1
-    return _Diagonals(np.where(adj, dl[lo], 0.0), d[idx], np.where(adj, du[lo], 0.0))
-
-
-def _tridiagonal_block(diags, rows, cols):
-    """A[np.ix_(rows, cols)], C-ordered, for the tridiagonal A with diagonals
-    diags, scattered from them: row i holds at most A's entries
-    (rows_i, rows_i + k) for k = -1, 0, 1 whose column is in cols.
-    """
-    dl, d, du = diags
-    n = d.size
-    pos = np.full(n, -1, np.intp)  # column of each point in the block, or -1
-    pos[cols] = np.arange(len(cols))
-    B = np.zeros((len(rows), len(cols)))
-    for k, v in ((-1, dl), (0, d), (1, du)):
-        j = rows + k
-        i = np.flatnonzero((j >= 0) & (j < n))
-        i = i[pos[j[i]] >= 0]
-        B[i, pos[j[i]]] = v[np.minimum(rows[i], j[i])]
-    return B
-
-
 class _CompactBlock:
     """A read-only m x k block, k >= 2, held by its nonzeros: row i is the
     zero fill[i], of either sign, but at the adjacent columns first[i] and
     first[i] + 1, whose entries are vals[0, i] and vals[1, i].
 
     The ideal blocks of a tridiagonal A over a diagonal A_ff and the zero
-    block have this form (_compact_ideal, zero). Products with the block
+    block have this form (_Diagonals.compact_ideal, zero). Products with the block
     and its adjoint cost O(m). dense() builds the C-ordered array on first
     read and keeps it, so every reader gets the same read-only array.
     """
@@ -390,79 +402,13 @@ class _CompactBlock:
         a = np.abs(self.vals)
         return float(np.max(np.bincount(self.first, a[0], k) + np.bincount(self._second, a[1], k)))
 
-    def window(self, q, r):
-        """The entries of rows q at columns r - 1, r, r + 1, as len(q) x 3; a
-        column off the block reads the row's fill."""
-        off = r[:, None] + np.arange(-1, 2) - self.first[q][:, None]
+    def window(self, q, lo):
+        """The entries of rows q at the columns lo, lo + 1, lo + 2, as
+        len(q) x 3; a column off the block reads the row's fill."""
+        off = lo[:, None] + np.arange(3) - self.first[q][:, None]
         fill = self.fill[q][:, None]
         return np.where(off == 0, self.vals[0, q][:, None],
                         np.where(off == 1, self.vals[1, q][:, None], fill))
-
-
-def _compact_ideal(diags, part, d, trans=0):
-    """-A_ff^{-1} A_fc (W), or with trans=1 -A_ff^{-*} A_cf* (Z), as a
-    _CompactBlock, for the tridiagonal A with diagonals diags over the
-    CFPartition part, where A_ff is diagonal with diagonal d and n_c >= 2.
-
-    F row q couples its point f only with the neighbours f - 1 and f + 1
-    that are C points, whose columns are adjacent; each such entry of A
-    (A* for trans=1) is divided by -d_q, and the row's other entries are
-    0 / -d_q. These are the bits of the negated division of the block
-    _tridiagonal_block scatters (_DiagonalSolve.negated).
-    """
-    dl, _, du = diags
-    if trans:
-        dl, du = du, dl
-    n, nc, f = part.n, part.nc, part.fidx
-    col = np.full(n + 2, -1, np.intp)  # column of point i - 1 in the C block, or -1
-    col[part.cidx + 1] = np.arange(nc)
-    left, right = col[f], col[f + 2]
-    first = np.minimum(np.where(left >= 0, left, np.maximum(right, 0)), nc - 2)
-    num = np.zeros((2, f.size))
-    for q, at, v in ((np.flatnonzero(left >= 0), left, dl[f - 1]),
-                     (np.flatnonzero(right >= 0), right, du[np.minimum(f, n - 2)])):
-        num[at[q] - first[q], q] = v[q]
-    neg = -d
-    return _CompactBlock(first, num / neg, np.zeros(f.size) / neg, nc)
-
-
-def _compact_coarse(diags, part, B, trans=0):
-    """The _Diagonals of K = R*AP for a classical pair on the tridiagonal A
-    with diagonals diags whose one nonzero block is the _CompactBlock B:
-    W with Z = 0 (trans=0), where K is the C rows of A [W; I], or Z with
-    W = 0 (trans=1), where K is the transpose of the C rows of A* [Z; I].
-
-    Those rows, Y = _tridiagonal_rows(diags, part, B, part.cidx, trans),
-    are tridiagonal: C point r's row of A reaches only its neighbours, and
-    an F neighbour's row of B is nonzero only in the columns of its own C
-    neighbours, r and r +- 1. Only the columns r - 1, r, r + 1 of each row
-    r are formed, term by term in _tridiagonal_rows' order, so the
-    diagonals keep its bits, signed zeros included, in O(n_c).
-    """
-    dl, d, du = diags
-    if trans:
-        dl, du = du, dl
-    n, nc, c = part.n, part.nc, part.cidx
-    pos = np.empty(n, np.intp)  # row of each point in its own block
-    pos[part.fidx] = np.arange(part.nf)
-    pos[c] = np.arange(nc)
-    is_c = np.zeros(n, bool)
-    is_c[c] = True
-    Y = np.repeat(np.copysign(0.0, d[c])[:, None], 3, axis=1)  # Y[r, t] is entry (r, r - 1 + t)
-    Y[:, 1] = d[c]
-    for step, coef, t in ((1, du, 2), (-1, dl, 0)):
-        j = c + step
-        r = np.flatnonzero((j >= 0) & (j < n))  # rows whose point j is in A
-        j = j[r]
-        v = coef[np.minimum(j, c[r])]
-        at_c = is_c[j]
-        rc, vc = r[at_c], v[at_c]
-        Y[rc[~np.signbit(vc)]] += 0.0
-        Y[rc, t] += vc
-        rf = r[~at_c]
-        Y[rf] += v[~at_c, None] * B.window(pos[j[~at_c]], rf)
-    low, high = Y[1:, 0].copy(), Y[:-1, 2].copy()
-    return _Diagonals(high, Y[:, 1].copy(), low) if trans else _Diagonals(low, Y[:, 1].copy(), high)
 
 
 def _norm1(X):
@@ -474,27 +420,22 @@ def _norm1(X):
 def _guarded_lu(A, what, norm=None):
     """The factor of A, after rejecting A as numerically singular.
 
-    A tridiagonal A (see _tridiagonal), a diagonal one included, is factored
-    by tridiagonal elimination with partial pivoting (dgttrf) into
-    (dl, d, du, du2, ipiv), and its 1-norm condition number is estimated
-    from that factor by dgtcon, in O(n). A is read by _scanned: one nonzero
-    count decides its structure, and a tridiagonal A is checked for finite
-    entries on its diagonals alone, so a K formed on A's diagonals is read
-    once. A may also be given as such a matrix's _Diagonals, checked for
-    finite entries alone, so that a block read off a held matrix's
-    diagonals, or a K formed as its diagonals, is neither gathered nor
-    scanned. Any other A is checked entry by entry, factored
-    by dgetrf into (lu, piv) and estimated by dgecon. An exactly zero pivot
-    reads as an infinite estimate. Both factorizations
-    call LAPACK directly, so an exactly singular A raises without a
+    A is given as its _Diagonals, checked for finite entries alone, or as
+    an array, read once by _Diagonals.scan. A tridiagonal A, a diagonal one
+    included, is factored by tridiagonal elimination with partial pivoting
+    (dgttrf) into (dl, d, du, du2, ipiv), and its 1-norm condition number
+    is estimated from that factor by dgtcon, in O(n). Any other A is
+    factored by dgetrf into (lu, piv) and estimated by dgecon. An exactly
+    zero pivot reads as an infinite estimate. Both factorizations call
+    LAPACK directly, so an exactly singular A raises without a
     LinAlgWarning. With norm given, the estimate is norm * ||A^{-1}||_1
     instead of ||A||_1 ||A^{-1}||_1: a block of a matrix X, judged against
     ||X||_1, is singular when it is round-off relative to X.
     """
     if isinstance(A, _Diagonals):
-        diags = _finite(A, what)
+        diags = A.finite(what)
     else:
-        A, diags = _scanned(A, what)
+        A, diags = _Diagonals.scan(A, what)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"{what} must be square, got shape {A.shape}")
     c = np.inf
@@ -502,7 +443,7 @@ def _guarded_lu(A, what, norm=None):
     if diags is not None:
         *factor, info = lapack.dgttrf(*diags)
         if info == 0:
-            rcond, _ = lapack.dgtcon(*factor, _tridiagonal_norm1(diags) if norm is None else norm)
+            rcond, _ = lapack.dgtcon(*factor, diags.norm1() if norm is None else norm)
             if rcond > 0.0:
                 c = 1.0 / rcond
     elif A.size:
@@ -599,8 +540,10 @@ class CFPartition:
 
     fpoints and cpoints are disjoint index tuples whose union is 0..n-1; both
     must be nonempty. Gathers and scatters index with fidx and cidx, their
-    read-only intp arrays, which take no part in equality or hashing. Block
-    operations permute to F-first ordering internally and permute back.
+    read-only intp arrays; pos holds each point's row in its own block and
+    is_c whether it is a C point. These arrays, built once, take no part in
+    equality or hashing. Block operations permute to F-first ordering
+    internally and permute back.
     """
 
     n: int
@@ -608,6 +551,8 @@ class CFPartition:
     cpoints: tuple
     fidx: np.ndarray = field(init=False, repr=False, compare=False)
     cidx: np.ndarray = field(init=False, repr=False, compare=False)
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
+    is_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = tuple(int(i) for i in self.fpoints)
@@ -624,6 +569,11 @@ class CFPartition:
             raise ValueError("F-points and C-points must partition 0..n-1")
         object.__setattr__(self, "fidx", _frozen(f, np.intp))
         object.__setattr__(self, "cidx", _frozen(c, np.intp))
+        pos, is_c = np.empty(self.n, np.intp), np.zeros(self.n, bool)
+        pos[self.fidx], pos[self.cidx] = np.arange(len(f)), np.arange(len(c))
+        is_c[self.cidx] = True
+        object.__setattr__(self, "pos", _frozen(pos, np.intp))
+        object.__setattr__(self, "is_c", _frozen(is_c, bool))
 
     @property
     def nf(self):
@@ -924,22 +874,19 @@ class ProblemStore:
     _Diagonals, which is how compatamg.problems hands on the 1D problems.
     Diagonals are checked for finite entries and held as read-only copies,
     and the dense A is built from them only on its first read (_DenseA).
-    An array is read once when the store is made (_scanned): one nonzero
-    count decides whether it is tridiagonal, and then its finiteness is
-    checked on its three diagonals alone, which the store holds as
-    read-only copies; any other A is checked entry by entry. Diagonals of
-    a smaller order take that path as their dense array. Each entry is
-    built on first use and then kept: ||A||_1, the guard's factor of A,
-    its only one, the guard's factors of A_ff and A_cc per partition, the
-    Cholesky factor of (A + A*)/2 that decides whether it is SPD, the norm
-    factors realized
+    An array is read once when the store is made, by _Diagonals.scan, which
+    keeps its diagonals when it is tridiagonal. Diagonals of a smaller order
+    take that path as their dense array. Each entry is built on first use
+    and then kept: ||A||_1, the guard's factor of A, its only one, the
+    guard's factors of A_ff and A_cc per partition, the Cholesky factor of
+    (A + A*)/2 that decides whether it is SPD, the norm factors realized
     from them and, through compatamg.transfer, the ideal blocks of the
     companion matrices and, through compatamg.solver, each two-grid method's
-    coarse correction. On a tridiagonal A the blocks of A are read off its
-    diagonals: A_ff and A_cc are factored on their own diagonals, and block
-    gathers the other blocks from the diagonals, so no block is gathered
-    from A or scanned again. No entry refers back to the store, so it is
-    freed by reference counting. A store serves one command and is dropped
+    coarse correction. tridiagonal() is the one decision its methods
+    consult: on a tridiagonal A, ||A||_1, A X, diag(A), the blocks of A and
+    the factors of A_ff and A_cc are taken on A's diagonals, so no block is
+    gathered from A or scanned again. No entry refers back to the store, so
+    it is freed by reference counting. A store serves one command and is dropped
     with it, so nothing outlives the problem.
 
     ProblemStore(store) makes a store for one part of a command, in
@@ -954,18 +901,16 @@ class ProblemStore:
     """
 
     def __init__(self, A):
+        self._parent = None
         if isinstance(A, ProblemStore):
             self._dense, self._diags, self.shape = A._dense, A._diags, A.shape
             self._parent = A._parent or A
+        elif isinstance(A, _Diagonals) and A.d.size >= 3:
+            self._diags = _Diagonals(*map(_frozen, A)).finite("A")
+            self._dense, self.shape = _DenseA(diags=self._diags), (A.d.size,) * 2
         else:
-            if isinstance(A, _Diagonals) and A.d.size >= 3:
-                diags = _finite(_Diagonals(*map(_frozen, A)), "A")
-                self._dense, self._diags = _DenseA(diags=diags), diags
-                self.shape = (diags.d.size,) * 2
-            else:
-                A, self._diags = _scanned(A.dense() if isinstance(A, _Diagonals) else A, "A")
-                self._dense, self.shape = _DenseA(A), A.shape
-            self._parent = None
+            A, self._diags = _Diagonals.scan(A.dense() if isinstance(A, _Diagonals) else A, "A")
+            self._dense, self.shape = _DenseA(A), A.shape
         self._lock = threading.RLock()
         self._built = {}
 
@@ -1005,16 +950,16 @@ class ProblemStore:
             return self._built.get(key, (None, None))[0]
 
     def tridiagonal(self):
-        """A's three diagonals when it is tridiagonal, else None: the
-        diagonals the first store of A was made from, or _tridiagonal(A),
-        decided with A's finiteness when that store was made."""
+        """A's _Diagonals when it is tridiagonal, else None: those the
+        first store of A was made from or found by scan, decided with A's
+        finiteness when that store was made."""
         return self._diags
 
     def norm1(self):
         """||A||_1, on A's diagonals when it is tridiagonal."""
         def build():
             diags = self.tridiagonal()
-            return _norm1(self.A) if diags is None else _tridiagonal_norm1(diags)
+            return _norm1(self.A) if diags is None else diags.norm1()
 
         return self._shared("norm1", build)
 
@@ -1025,23 +970,31 @@ class ProblemStore:
 
     def block(self, rows, cols):
         """A[np.ix_(rows, cols)], C-ordered; scattered from A's diagonals
-        when A is tridiagonal (_tridiagonal_block), with the same values."""
+        when A is tridiagonal (_Diagonals.block), with the same values."""
         diags = self.tridiagonal()
-        if diags is None:
-            return self.A[np.ix_(rows, cols)]
-        return _tridiagonal_block(diags, rows, cols)
+        return self.A[np.ix_(rows, cols)] if diags is None else diags.block(rows, cols)
+
+    def diagonal(self):
+        """The main diagonal of A, its d when A is tridiagonal."""
+        diags = self.tridiagonal()
+        return np.diag(self.A) if diags is None else diags.d
+
+    def product(self, X):
+        """A X, on A's diagonals when it is tridiagonal."""
+        diags = self.tridiagonal()
+        return self.A @ X if diags is None else diags.product(X)
 
     def _block_solver(self, idx, what):
         """lu_solver on A[np.ix_(idx, idx)], guarded as what.
 
         On a tridiagonal A with strictly ascending idx of at least 3 points
         the block is tridiagonal, and it is factored on the diagonals read
-        off A's (_principal_diagonals), with the values the gathered block
+        off A's (_Diagonals.principal), with the values the gathered block
         would give; otherwise the block is read by block.
         """
         diags = self.tridiagonal()
         if diags is not None and idx.size >= 3 and np.all(idx[1:] > idx[:-1]):
-            return lu_solver(_principal_diagonals(diags, idx), what)
+            return lu_solver(diags.principal(idx), what)
         return lu_solver(self.block(idx, idx), what)
 
     def ff_solve(self, part):

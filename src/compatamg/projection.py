@@ -31,11 +31,11 @@ basis is H R without a solve with A; the other norms solve with G* against
 A* R. A dense SPD M is taken through its Cholesky factor. Any other input
 than a correction raises TypeError. K = R*AP is formed and guarded in one
 place, _coarse, which build_pi, coarse_correction and the solver's
-binding of a two-grid method share, on the diagonals that A's ProblemStore
-keeps when A is tridiagonal, and as its own three diagonals where the
-pair's one nonzero block is compact; every function here takes the store
-for A.
-R*A is formed there only where K is made from it, and otherwise when the
+binding of a two-grid method share; every function here takes the store
+for A. On a tridiagonal A, K and R*A are rows of A [W; I] or A* [Z; I],
+formed by the one row kernel of A's _Diagonals (rows), and K is its own
+_Diagonals where the pair's one nonzero block is compact.
+R*A is formed only where K is made from it, and otherwise when the
 correction first reads it, so the two-grid iteration, which reads neither,
 forms no n x n_c array on a tridiagonal A.
 
@@ -84,12 +84,9 @@ from .linalg import (
     RANK_RTOL,
     SingularMatrixError,
     _CompactBlock,
-    _compact_coarse,
     _Diagonals,
     _norm1,
     _store_for,
-    _tridiagonal_block,
-    _tridiagonal_rows,
     as_norm_factor,
     lu_solver,
 )
@@ -346,8 +343,8 @@ class CoarseCorrection:
         if self.pair.zero_blocks[0]:
             if self.diags is None:
                 return self.A[part.cidx]
-            return _tridiagonal_block(self.diags, part.cidx, np.arange(part.n))
-        return _tridiagonal_rows(self.diags, part, self.pair.Z, np.arange(part.n), trans=1).T
+            return self.diags.block(part.cidx, np.arange(part.n))
+        return self.diags.rows(part, self.pair.Z, np.arange(part.n), trans=1).T
 
     @cached_property
     def B(self):
@@ -400,11 +397,12 @@ def _galerkin(store, pair, diags):
     exact zeros. With Z = W = 0, K is A_cc, read by the store's block. With
     Z = 0, K is the C rows of A P, A[C, F] W + A[C, C];
     for a tridiagonal A with Z != 0, R* A is (A* R)*, so K is read off the
-    F and C rows of A* R. Those rows, and the C rows of A P, come from A's
-    three diagonals and the block in O(n n_c) (_tridiagonal_rows), so on a
-    tridiagonal A no n x n_c array is formed. Where the one nonzero block
-    is a _CompactBlock, K is tridiagonal, and it is formed as its
-    _Diagonals, with the bits of those rows, in O(n) (_compact_coarse).
+    F and C rows of A* R. Those rows, and the C rows of A P, come from the
+    row kernel on A's diagonals and the block (_Diagonals.rows), in
+    O(n n_c), so on a tridiagonal A no n x n_c array is formed. Where the
+    one nonzero block is a _CompactBlock, K is tridiagonal, and the kernel
+    forms its three diagonals, with the bits of those rows, in O(n)
+    (_Diagonals.compact_coarse).
     A dense A with Z != 0 forms
     R* A = Z* A[F, :] + A[C, :] and K = (R* A)[:, F] W + (R* A)[:, C]. Each
     operand has the values and memory order that the full R* A gave, so K
@@ -418,24 +416,23 @@ def _galerkin(store, pair, diags):
     zero_z, zero_w = pair.zero_blocks
     Z, W = pair.blocks
     if diags is not None and zero_z != zero_w:
+        # the C rows of A [W; I], or the transpose of those of A* [Z; I]
         B, trans = (W, 0) if zero_z else (Z, 1)
         if isinstance(B, _CompactBlock):
-            return None, _compact_coarse(diags, part, B, trans)
+            return None, diags.compact_coarse(part, B, trans)
+        K = diags.rows(part, B, c, trans)
+        return None, K.T if trans else K
     if zero_z:
         if zero_w:
             return None, store.block(c, c)
-        if diags is not None:
-            return None, _tridiagonal_rows(diags, part, pair.W, c)
         # A[C, F] gathered in Fortran order, the order of (R*A)[:, F] below,
         # so the GEMM sums alike
         A = store.A
         return None, A.T[np.ix_(f, c)].T @ pair.W + A[np.ix_(c, c)]
     if diags is not None:
-        # (A* R)[C]* and (A* R)[F]* are the C and F columns of R* A, in its order
-        ARc = _tridiagonal_rows(diags, part, pair.Z, c, trans=1).T
-        if zero_w:
-            return None, ARc
-        return None, _tridiagonal_rows(diags, part, pair.Z, f, trans=1).T @ pair.W + ARc
+        # (A* R)[F]* and (A* R)[C]* are the F and C columns of R* A, in its order
+        RAf, RAc = (diags.rows(part, pair.Z, rows, trans=1).T for rows in (f, c))
+        return None, RAf @ pair.W + RAc
     A = store.A
     RA = pair.Z.T @ A[f]
     RA += A[c]

@@ -28,18 +28,20 @@ that path reads A's rows and R*A off its diagonals where N^{-1} is
 diagonal on its rows, so only an exact F-solve on a non-diagonal A_ff
 reads the dense A.
 
-Every function here takes A or its ProblemStore. A pair's correction is
+Every function here takes A or its ProblemStore, and reads A's diagonal,
+its blocks and its products with vectors from the store, which takes them
+on A's diagonals when A is tridiagonal. A pair's correction is
 bound once per store, as the store entry ("coarse", pair), so the calls on
 one store guard and factor K once between them. A_ff is factored once per
 store, and once per command for the stores made from the command's store:
 the ideal blocks of A, the exact F-relaxation and its dense oracle all
 solve with the store's A_ff solver, and on a tridiagonal A the nonzero-T
-path reads A_ff off its diagonals (ProblemStore.block). iterate applies
-each relaxation to the residual as an operator, a diagonal scaling or an
-F-block solve, and forms no N^{-1}; a classical pair's coarse step works
-on its blocks as held, skipping a block its zero_blocks finds zero, and
-the residual of a tridiagonal A is a product on the three diagonals the
-store decided once; n is the store's, so iterate reads no dense A there.
+path reads A_ff from ProblemStore.block. iterate applies each relaxation
+to the residual as an operator, a diagonal scaling or an F-block solve,
+and forms no N^{-1}; a classical pair's coarse step works on its blocks as
+held, skipping a block its zero_blocks finds zero, and the residual is the
+store's product; n is the store's, so iterate reads no dense A on a
+tridiagonal A.
 The ideal blocks of a tridiagonal A over a diagonal A_ff, and the zero
 blocks of the identity, are held by their nonzeros
 (linalg._CompactBlock), so W y and Z* r[F] are two gathered products per
@@ -65,7 +67,6 @@ from .linalg import (
     _DiagonalSolve,
     _store_for,
     _tag_key,
-    _tridiagonal_product,
     as_matrix,
 )
 from .projection import _coarse, coarse_correction
@@ -141,8 +142,8 @@ def _relaxation(store, spec, part):
 
     spec is not the identity (see _is_identity). rows are all points for
     Jacobi and the F-points otherwise. apply scales by omega / diag(A),
-    read off the store's diagonals when A is tridiagonal, or solves with
-    A_ff against the store's factor for the exact F-solve.
+    the store's diagonal, or solves with A_ff against the store's factor
+    for the exact F-solve.
     """
     if spec.kind == "jacobi":
         rows, what = np.arange(store.n), "Jacobi relaxation needs a zero-free diagonal"
@@ -152,8 +153,7 @@ def _relaxation(store, spec, part):
         return part.fidx, store.ff_solve(part)
     else:
         rows, what = part.fidx, "F-Jacobi relaxation needs a zero-free F-point diagonal"
-    diags = store.tridiagonal()
-    d = (np.diag(store.A) if diags is None else diags.d)[rows]
+    d = store.diagonal()[rows]
     if np.any(d == 0.0):
         raise ValueError(what)
     w = spec.omega / d
@@ -337,11 +337,8 @@ def iterate(A, spec, b, x0, iters):
     if not _is_identity(spec.post):
         steps += [_relaxation(store, spec.post, part)] * spec.post.sweeps
 
-    diags = store.tridiagonal()
-    A = store.A if diags is None else None
-
     def residual(x):
-        return b - (A @ x if diags is None else _tridiagonal_product(diags, x))
+        return b - store.product(x)
 
     r = residual(x)
     history = [float(np.linalg.norm(r))]

@@ -29,7 +29,6 @@ from .linalg import (
     _CompactBlock,
     _DiagonalSolve,
     _TagChoice,
-    _compact_ideal,
     _frozen,
     _store_for,
     as_matrix,
@@ -703,9 +702,10 @@ def _held_block(store, part, q, side):
     or "W", as the store holds it: a read-only array, or a _CompactBlock.
 
     On a tridiagonal A with n_c >= 3 the blocks of the identity are the
-    zero _CompactBlock, and where A_ff is diagonal (a _DiagonalSolve) so are
-    those of A (_compact_ideal): per F row, A's couplings with the point's
-    C neighbours over -A_ff, in O(n). Otherwise the blocks of A take A_fc
+    zero _CompactBlock, and where A_ff is diagonal (a _DiagonalSolve) and
+    the C points ascend, so that a point's C neighbours have adjacent
+    columns, so are those of A (_Diagonals.compact_ideal): per F row, A's
+    couplings with the point's C neighbours over -A_ff, in O(n). Otherwise the blocks of A take A_fc
     and A_cf from the store (on a tridiagonal A, off its diagonals) and
     solve with the store's A_ff solver, W's numerator A_fc and Z's A_cf*
     (see _negated_solve), and those of the identity are zero, so neither
@@ -726,8 +726,8 @@ def _held_block(store, part, q, side):
             f, c = part.fidx, part.cidx
             solve = store.ff_solve(part)
             diagonal = isinstance(solve, _DiagonalSolve)
-            if diagonal and diags is not None:
-                return _compact_ideal(diags, part, solve.d, trans=int(side == "Z"))
+            if diagonal and diags is not None and np.all(c[1:] > c[:-1]):
+                return diags.compact_ideal(part, solve.d, trans=int(side == "Z"))
             if side == "W":
                 block = _w_of(solve, store.block(f, c))
             else:  # the transposed view of A_cf, which the solves take as it is

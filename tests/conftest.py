@@ -19,6 +19,11 @@ def pytest_configure(config):
     # numpy reports only as a warning, and a deprecated call
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # but for the one hypothesis's failure report raises as it imports
+    # mypy_extensions: as an error it aborts the session, and no later test
+    # is reported
+    config.addinivalue_line("filterwarnings",
+                            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 # The 1D kinds, whose A is tridiagonal, a diagonally dominant tridiagonal A

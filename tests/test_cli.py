@@ -1073,7 +1073,11 @@ def test_converge_on_a_1d_kind_never_builds_a_dense_a(tmp_path, monkeypatch, kin
      "--pair", "single4", "--pair", "random:2", "--pair", "t1:Asym:A", "--post", "fexact"],
     ["converge", "--pair", "single1", "--pair", "single3", "--pair", "random:2",
      "--pre", "jacobi", "--post", "fjacobi:0.5:2", "--split", "firsthalf"],
-], ids=lambda a: a[0])
+    ["verify-pairs", "--split", "random", "--pair", "single1", "--pair", "single2",
+     "--pair", "single3", "--pair", "single4", "--pair", "random:3",
+     "--norm", "identity", "--norm", "AstarA", "--norm", "AstarAsymInvA"],
+    ["tables", "--split", "random"],
+], ids=lambda a: a[0] + ("-split-random" if "random" in a[1:3] else ""))
 def test_a_store_made_from_diagonals_writes_the_reports_of_a_dense_store(
         tmp_path, monkeypatch, kind, command):
     # every command on a 1D kind writes, bit for bit, the report of a run
@@ -1124,11 +1128,11 @@ def test_a_command_scans_a_for_its_diagonals_at_most_twice(tmp_path, monkeypatch
 
     monkeypatch.delenv("COMPATAMG_THREADS", raising=False)
     n = 60
-    scan = compatamg.linalg._tridiagonal.__code__
+    scan = compatamg.linalg._Diagonals.scan.__code__
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is scan and np.shape(frame.f_locals["A"]) == (n, n):
+        if event == "call" and frame.f_code is scan and np.shape(frame.f_locals["a"]) == (n, n):
             calls.append(frame.f_back.f_code.co_name)
 
     sys.setprofile(profile)

@@ -10,10 +10,8 @@ import pytest
 
 import compatamg as cm
 import compatamg.linalg as linalg
-import compatamg.projection as projection
-import compatamg.transfer as transfer
 from compatamg.cli import main
-from compatamg.linalg import _CompactBlock, _Diagonals, _tridiagonal
+from compatamg.linalg import _CompactBlock, _Diagonals
 from compatamg.projection import _coarse, _galerkin, _scale
 from compatamg.transfer import _held_block, _ideal_block
 from conftest import ORDERS, SPLITS, TRIDIAGONAL_KINDS, DenseStore, tridiagonal_problem
@@ -79,6 +77,20 @@ def test_compact_blocks_read_as_the_dense_blocks(kind, split, n):
             assert got is _ideal_block(store, part, q, side)
 
 
+@pytest.mark.parametrize("n", (7, 20))
+def test_descending_c_points_keep_the_dense_ideal_blocks(n):
+    # with C points listed in descending order an F point's C neighbours
+    # need not have adjacent columns, so A's ideal blocks are held as arrays
+    A = tridiagonal_problem("advdiff1d", n)
+    part = cm.CFPartition(n, range(0, n, 2), range(n - 2 if n % 2 else n - 1, 0, -2))
+    store, ref = cm.ProblemStore(A), DenseStore(A)
+    assert isinstance(store.ff_solve(part), linalg._DiagonalSolve)
+    for side in "ZW":
+        assert not isinstance(_held_block(store, part, "A", side), _CompactBlock)
+        got, dense = _ideal_block(store, part, "A", side), _ideal_block(ref, part, "A", side)
+        assert got.tobytes() == dense.tobytes()
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("n", COMPACT_ORDERS)
 @pytest.mark.parametrize("split", COMPACT_SPLITS)
@@ -99,7 +111,7 @@ def test_compact_k_scale_rho_and_guard_keep_the_dense_bits(kind, split, n, sign)
         _, K = _galerkin(store, pair, diags)
         _, K_ref = _galerkin(store, dense, diags)
         if isinstance(K, _Diagonals):
-            assert all(v.tobytes() == w.tobytes() for v, w in zip(K, _tridiagonal(K_ref)))
+            assert all(v.tobytes() == w.tobytes() for v, w in zip(K, _Diagonals.scan(K_ref)[1]))
         else:
             assert K.tobytes() == K_ref.tobytes()
         assert _verdict(A, pair) == _verdict(A, dense)
@@ -149,13 +161,22 @@ def _count_reads(monkeypatch, cls, name, counts):
 
 
 def _converge_counts(monkeypatch, tmp_path, split):
-    """The calls of the dense-block kernels and the reads of pair.Z and
-    pair.W in the benchmark's converge command at n = 1000 on split."""
+    """The calls of the block kernels and the reads of pair.Z and pair.W in
+    the benchmark's converge command at n = 1000 on split. The row kernel
+    counts as "rows" where it gathers full rows of an array block and as
+    "window" where it reads three columns of a _CompactBlock."""
     counts = {}
-    for owner, name in ((linalg, "_tridiagonal_block"), (projection, "_tridiagonal_rows"),
-                        (linalg._DiagonalSolve, "negated"), (linalg._CompactBlock, "dense"),
-                        (transfer, "_compact_ideal")):
+    for owner, name in ((_Diagonals, "block"), (_Diagonals, "compact_ideal"),
+                        (linalg._DiagonalSolve, "negated"), (_CompactBlock, "dense")):
         _count_calls(monkeypatch, owner, name, counts)
+    rows = _Diagonals.rows
+
+    def counting_rows(diags, part, B, *args, **kwargs):
+        name = "window" if isinstance(B, _CompactBlock) else "rows"
+        counts[name] = counts.get(name, 0) + 1
+        return rows(diags, part, B, *args, **kwargs)
+
+    monkeypatch.setattr(_Diagonals, "rows", counting_rows)
     for name in "ZW":
         _count_reads(monkeypatch, cm.TransferPair, name, counts)
     out = tmp_path / "converge.json"
@@ -169,13 +190,15 @@ def _converge_counts(monkeypatch, tmp_path, split):
 
 
 def test_converge_reads_no_dense_block_on_the_alternate_split(monkeypatch, tmp_path):
+    # each pair's compact block is built once and K read through its window:
+    # no full-width gather, no dense block, no pair.Z or pair.W
     counts = _converge_counts(monkeypatch, tmp_path, "alternate")
-    assert counts == {"_compact_ideal": 2}
+    assert counts == {"compact_ideal": 2, "window": 2}
 
 
 def test_converge_keeps_the_dense_path_on_the_first_half_split(monkeypatch, tmp_path):
     # A_ff is tridiagonal, not diagonal: A's ideal blocks are arrays, and K
     # is formed on them
     counts = _converge_counts(monkeypatch, tmp_path, "firsthalf")
-    assert "_compact_ideal" not in counts
-    assert counts["_tridiagonal_block"] == 2 and counts["_tridiagonal_rows"] == 2
+    assert "compact_ideal" not in counts and "window" not in counts
+    assert counts["block"] == 2 and counts["rows"] == 2

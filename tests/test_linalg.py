@@ -722,7 +722,7 @@ def test_diagonal_and_order_two_matrices_are_guarded_and_solved():
     with pytest.raises(SingularMatrixError):
         require_nonsingular(np.diag([1.0, 1e-13, 1.0]))
     A = np.array([[2.0, 1.0], [-1.0, 3.0]])
-    assert linalg._tridiagonal(A) is None and len(linalg._guarded_lu(A, "A")) == 2
+    assert linalg._Diagonals.scan(A)[1] is None and len(linalg._guarded_lu(A, "A")) == 2
     np.testing.assert_allclose(A @ lu_solver(A)(np.ones(2)), np.ones(2), rtol=1e-15)
 
 
@@ -819,11 +819,11 @@ def test_tridiagonal_product_matches_the_dense_product(diagonal):
     A = np.diag(rng.standard_normal(n))
     if not diagonal:
         A += np.diag(rng.standard_normal(n - 1), 1) + np.diag(rng.standard_normal(n - 1), -1)
-    diags = linalg._tridiagonal(A)
+    diags = linalg._Diagonals.scan(A)[1]
     assert diags is not None
     for X in (rng.standard_normal(n), rng.standard_normal((n, 5))):
         for trans, M in ((0, A), (1, A.T)):
-            Y = linalg._tridiagonal_product(diags, X, trans=trans)
+            Y = diags.product(X, trans=trans)
             assert Y.shape == X.shape
             bound = 4 * np.finfo(float).eps * (np.abs(M) @ np.abs(X))
             assert np.all(np.abs(Y - M @ X) <= bound)
@@ -831,12 +831,12 @@ def test_tridiagonal_product_matches_the_dense_product(diagonal):
 
 def test_tridiagonal_detection_rejects_any_entry_off_the_band():
     A = cm.generate(cm.ProblemSpec("laplacian1d", n=12))
-    assert linalg._tridiagonal(A) is not None
+    assert linalg._Diagonals.scan(A)[1] is not None
     for i, j in ((0, 2), (11, 0), (5, 9)):
         B = A.copy()
         B[i, j] = 1e-300
-        assert linalg._tridiagonal(B) is None
-    assert linalg._tridiagonal(np.zeros((4, 3))) is None
+        assert linalg._Diagonals.scan(B)[1] is None
+    assert linalg._Diagonals.scan(np.zeros((4, 3)))[1] is None
 
 
 def test_store_diagonals_of_a_are_read_only_copies():
@@ -851,6 +851,32 @@ def test_store_diagonals_of_a_are_read_only_copies():
         np.testing.assert_array_equal(v, np.diag(A, k))
         with pytest.raises(ValueError):
             v[0] = 0.0
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([-1], [-2, -1]),
+    ([1], [0, 0]),
+    ([0, 2, 2], [3, 1, -6, 1, 3]),
+    ([], [1]),
+    ([True, False, True, False, False, True], [5, 0]),
+], ids=str)
+def test_a_block_read_off_the_diagonals_indexes_as_numpy_does(rows, cols):
+    # A[np.ix_(rows, cols)] for index lists: a negative index counts from
+    # the end, and a repeated one repeats its row or column
+    spec = cm.ProblemSpec("advdiff1d", n=6, epsilon=0.01)
+    ref = GatheringStore(cm.generate(spec)).block(rows, cols)
+    for store in (cm.problem_store(spec), cm.ProblemStore(cm.generate(spec))):
+        assert store.tridiagonal() is not None
+        B = store.block(rows, cols)
+        assert B.shape == ref.shape and B.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rows, cols", [([6], [0]), ([0], [-7])])
+def test_a_block_read_off_the_diagonals_rejects_an_index_out_of_range(rows, cols):
+    spec = cm.ProblemSpec("advdiff1d", n=6, epsilon=0.01)
+    for store in (cm.problem_store(spec), GatheringStore(cm.generate(spec))):
+        with pytest.raises(IndexError):
+            store.block(rows, cols)
 
 
 def _gathers(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import compatamg as cm
-from compatamg.linalg import SingularMatrixError, _tridiagonal_product, _tridiagonal_rows, orth_basis
+from compatamg.linalg import SingularMatrixError, _CompactBlock, orth_basis
 from compatamg.projection import _galerkin
 from compatamg.transfer import _ideal_block
 from conftest import (
@@ -336,7 +336,7 @@ def test_galerkin_on_a_tridiagonal_a_matches_the_dense_products(kind, split, blo
     RA_formed, K = _galerkin(store, pair, diags)
     assert RA_formed is None
     RA = cm.coarse_correction(A, pair).RA
-    RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
+    RA_ref = diags.product(part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
     assert RA.tobytes() == RA_ref.tobytes()
     f, c = part.fidx, part.cidx
     assert K.tobytes() == (RA_ref[:, f] @ W + RA_ref[:, c]).tobytes()
@@ -362,7 +362,7 @@ def test_galerkin_k_of_a_zero_z_pair_on_a_tridiagonal_a_matches_the_dense_produc
     assert RA is None
     RA = cm.coarse_correction(A, pair).RA
     P_ref = part.assemble_rows(W, np.eye(part.nc))
-    assert K.tobytes() == _tridiagonal_product(diags, P_ref)[part.cidx].tobytes()
+    assert K.tobytes() == diags.product(P_ref)[part.cidx].tobytes()
     R, P = pair.R, pair.P
     assert RA.tobytes() == A[list(part.cpoints)].tobytes()
     bound = 4 * np.finfo(float).eps * (np.abs(R.T) @ np.abs(A) @ np.abs(P))
@@ -381,7 +381,7 @@ def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_fu
     diags = store.tridiagonal()
     RA, K = _galerkin(store, pair, diags)
     assert RA is None
-    RA_ref = _tridiagonal_product(diags, part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
+    RA_ref = diags.product(part.assemble_rows(Z, np.eye(part.nc)), trans=1).T
     assert K.tobytes() == RA_ref[:, part.cidx].tobytes()
     assert cm.coarse_correction(A, pair).RA.tobytes() == RA_ref.tobytes()
 
@@ -392,18 +392,34 @@ def test_galerkin_k_of_a_zero_w_pair_on_a_tridiagonal_a_keeps_the_bits_of_the_fu
 def test_row_kernel_keeps_the_bits_of_the_full_product(kind, split, n):
     # every row subset of A X and A* X for X = [B; I], with B holding zeros
     # of both signs, has the bits of those rows of the product on A's
-    # diagonals; on -A the identity rows' fill is the other signed zero
+    # diagonals; on -A the identity rows' fill is the other signed zero. For
+    # a _CompactBlock B the kernel forms columns r - 1, r, r + 1 of C row r,
+    # and those in the block have the bits of the product on [B.dense(); I]
     A = tridiagonal_problem(kind, n)
     part = cm.default_splitting(n, split, seed=n)
     rng = np.random.default_rng(n)
     B = rng.standard_normal((part.nf, part.nc))
     B[rng.random(B.shape) < 0.3] = 0.0
     B[rng.random(B.shape) < 0.3] = -0.0
+    compact = None
+    if part.nc >= 2:
+        vals = rng.standard_normal((2, part.nf))
+        vals[rng.random(vals.shape) < 0.3] = -0.0
+        fill = np.where(rng.random(part.nf) < 0.5, 0.0, -0.0)
+        compact = _CompactBlock(rng.integers(0, part.nc - 1, part.nf), vals, fill, part.nc)
     for M in (A, -A):
         diags = cm.ProblemStore(M).tridiagonal()
         X = part.assemble_rows(B, np.eye(part.nc))
         for trans in (0, 1):
-            full = _tridiagonal_product(diags, X, trans=trans)
+            full = diags.product(X, trans=trans)
             for rows in (part.fidx, part.cidx, np.arange(n), np.arange(n)[::-1]):
-                Y = _tridiagonal_rows(diags, part, B, rows, trans=trans)
+                Y = diags.rows(part, B, rows, trans=trans)
                 assert Y.tobytes() == full[rows].tobytes()
+            if compact is None:
+                continue
+            full = diags.product(part.assemble_rows(compact.dense(), np.eye(part.nc)), trans=trans)
+            Y = diags.rows(part, compact, part.cidx, trans=trans)
+            r = np.arange(part.nc)
+            for t in range(3):
+                q = r[(r - 1 + t >= 0) & (r - 1 + t < part.nc)]
+                assert Y[q, t].tobytes() == full[part.cidx[q], q - 1 + t].tobytes()

@@ -586,8 +586,8 @@ def test_bound_method_skips_the_scan_of_its_matrix(monkeypatch):
     store = cm.ProblemStore(A)
     bound = cm.TwoGridSpec(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"))
     scans = []
-    real = compatamg.linalg._scanned
-    monkeypatch.setattr(compatamg.linalg, "_scanned",
+    real = compatamg.linalg._Diagonals.scan
+    monkeypatch.setattr(compatamg.linalg._Diagonals, "scan",
                         lambda a, name="matrix": (scans.append(np.shape(a)), real(a, name))[1])
     for module in (solver, compatamg.linalg):
         as_matrix = module.as_matrix
