@@ -21,8 +21,8 @@ print(f"{'pair':8s} {'norm':14s} {'||Pi||_M':>22s} {'orthogonal?':>12s}")
 for rec in cm.SINGLE_OPERATOR_PAIRS:
     pair, tag = cm.single_operator_pair(A, part, rec["name"])
     # the norm is applied through a factor G with M = G*G; M is never formed
-    M = cm.realize_norm(tag, A, factored=True)
-    report = cm.projection_report(A, pair, M)
+    G = cm.realize_norm(tag, A)
+    report = cm.projection_report(A, pair, G)
     orthogonal = all(report["orthogonality_checks"].values())
     print(f"{rec['name']:8s} {tag:14s} {report['pi_norm']:22.16f} {str(orthogonal):>12s}")
 

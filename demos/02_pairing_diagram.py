@@ -18,14 +18,14 @@ def run(label, A, part):
           f"{'norm':10s} {'|  ||Pi||_M - 1  |':>18s}")
     for style, norm, r_q, p_q in FIGURE_EDGES:
         try:
-            M = cm.realize_norm(norm, A)
+            G = cm.realize_norm(norm, A)  # the factor of M = G*G
         except ValueError as e:
             print(f"  {style:8s} R_ideal({r_q:8s}) P_ideal({p_q:8s})  skipped: {e}")
             continue
         Z = cm.ideal_z(partition(cm.realize_q(r_q, A), part))
         W = cm.ideal_w(partition(cm.realize_q(p_q, A), part))
         corr = cm.coarse_correction(A, cm.make_pair(part, Z, W))
-        err = abs(cm.pi_m_norm(corr, M) - 1.0)
+        err = abs(cm.pi_m_norm(corr, G) - 1.0)
         print(f"  {style:8s} R_ideal({r_q:8s}) P_ideal({p_q:8s})  {norm:10s} {err:18.3e}")
 
 

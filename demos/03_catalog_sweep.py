@@ -19,10 +19,10 @@ for entry in cm.catalog_pairs(A, part):
         skipped += 1
         print(f"{head} SKIP ({entry.reason})")
         continue
-    M = cm.realize_norm(entry.norm, A)
+    G = cm.realize_norm(entry.norm, A)  # the factor of M = G*G
     corr = cm.coarse_correction(A, entry.pair)
-    err = abs(cm.pi_m_norm(corr, M) - 1.0)
-    ranged = cm.verify_compat_equation(A, M, entry.pair)
+    err = abs(cm.pi_m_norm(corr, G) - 1.0)
+    ranged = cm.verify_compat_equation(A, G, entry.pair)
     tag = " single-operator" if entry.label == "single" else ""
     print(f"{head} |norm-1| = {err:8.1e}  range-match = {ranged}{tag}")
     passed += err <= 1e-8 and ranged

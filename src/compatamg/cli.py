@@ -53,7 +53,7 @@ import numpy as np
 
 from .linalg import NormSpec, ProblemStore, realize_norm
 from .matio import load_matrix
-from .problems import PROBLEM_KINDS, ProblemSpec, default_splitting, problem_store
+from .problems import PROBLEM_KINDS, SPLIT_POLICIES, ProblemSpec, default_splitting, problem_store
 from .projection import (
     INCOMPATIBLE,
     coarse_correction,
@@ -283,8 +283,8 @@ def cmd_verify_pairs(cfg):
     norms = [NormSpec(t).tag for t in cfg.norms]
 
     def measure(pair, tag, expected):
-        M = realize_norm(tag, store, factored=True)
-        rec = projection_report(store, pair, M, cfg.tol)
+        G = realize_norm(tag, store)
+        rec = projection_report(store, pair, G, cfg.tol)
         if expected:
             rec["pass"] = abs(rec["pi_norm"] - 1.0) <= cfg.tol
         return rec
@@ -312,9 +312,9 @@ def cmd_figure1(cfg):
     store, part = _problem_setup(cfg)
 
     def measure(norm, r_q, p_q):
-        M = realize_norm(norm, store, factored=True)
+        G = realize_norm(norm, store)
         corr = coarse_correction(store, ideal_blocks_pair(store, part, r_q, p_q))
-        pi_norm = float(pi_m_norm(corr, M))
+        pi_norm = float(pi_m_norm(corr, G))
         return {"pi_norm": pi_norm, "pass": abs(pi_norm - 1.0) <= cfg.tol}
 
     return _run_cases(
@@ -332,10 +332,10 @@ def cmd_tables(cfg):
     def measure(entry):
         if entry.skipped:
             raise ValueError(entry.reason)
-        M = realize_norm(entry.norm, store, factored=True)
+        G = realize_norm(entry.norm, store)
         corr = coarse_correction(store, entry.pair)
-        pi_norm = float(pi_m_norm(corr, M))
-        compat_eq = verify_compat_equation(store, M, corr)
+        pi_norm = float(pi_m_norm(corr, G))
+        compat_eq = verify_compat_equation(store, G, corr)
         return {"pi_norm": pi_norm, "compat_eq": compat_eq,
                 "pass": compat_eq and abs(pi_norm - 1.0) <= cfg.tol}
 
@@ -421,7 +421,7 @@ def _build_parser():
     shared.add_argument("--ny", type=int, default=None)
     shared.add_argument("--epsilon", type=float, default=None)
     shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--split", default="alternate", choices=("alternate", "firsthalf", "random"))
+    shared.add_argument("--split", default="alternate", choices=SPLIT_POLICIES)
     shared.add_argument("--cfrac", type=float, default=None)
     shared.add_argument("--norm", action="append", default=[], metavar="TAG")
     shared.add_argument("--pair", action="append", default=[], metavar="RECIPE")

@@ -1,6 +1,6 @@
-"""Dense linear-algebra substrate: CF-partitioned blocks, Schur complements,
-SPD norm matrices and their factors G with M = G*G, induced operator norms
-and orthonormal bases.
+"""Dense linear-algebra substrate: CF-partitioned blocks, the SPD norms
+M = G*G held by their factors G, orthonormal bases, and the one alias
+reader of every tag family.
 
 Everything works on plain numpy arrays in double precision and targets desk
 scale (n up to a couple thousand). Constructed objects hold read-only copies
@@ -55,6 +55,7 @@ and A's diagonals and factors reach every layer through the store alone.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -73,15 +74,11 @@ __all__ = [
     "PartitionedMatrix",
     "NormSpec",
     "partition",
-    "schur_c",
-    "schur_f",
     "NormFactor",
     "ProblemStore",
     "realize_norm",
     "as_norm_factor",
     "spd_check",
-    "spd_sqrt_pair",
-    "operator_m_norm",
     "orth_basis",
     "require_nonsingular",
     "lu_solver",
@@ -124,6 +121,28 @@ def _frozen(a, dtype=float):
 def _tag_key(tag):
     """Lookup key of a tag alias: lower case, with '-', '_' and ' ' removed."""
     return str(tag).replace("-", "").replace("_", "").replace(" ", "").lower()
+
+
+def _aliases(tags, **extra):
+    """The alias table of one tag family: each tag under its _tag_key, and
+    each extra key, itself a _tag_key, under the tag it names."""
+    return {**{_tag_key(t): t for t in tags}, **extra}
+
+
+def _read_tag(value, aliases, what):
+    """The tag that value names in the alias table aliases, whatever its
+    case and its '-', '_' and ' '; any other value raises ValueError naming
+    the family what and its tags."""
+    key = _tag_key(value)
+    if key not in aliases:
+        tags = tuple(dict.fromkeys(aliases.values()))
+        raise ValueError(f"unknown {what} {value!r}; expected one of {tags}")
+    return aliases[key]
+
+
+def _is_int(value):
+    """Whether value is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class _Diagonals(NamedTuple):
@@ -282,8 +301,9 @@ class _Diagonals(NamedTuple):
         that are C points, whose columns are adjacent when the C points
         ascend, as the caller ensures; each such entry of A (A* for
         trans=1) is divided by -d_q, and the row's other entries are
-        0 / -d_q. These are the bits of the negated division of the block
-        that block scatters (_DiagonalSolve.negated).
+        0 / -d_q. These are the bits of the negated solve of the block
+        that block scatters: IEEE division is correctly rounded and
+        symmetric in sign, so x / -d is -(x / d).
         """
         dl, _, du = self.T if trans else self
         n, nc, f = part.n, part.nc, part.fidx
@@ -478,11 +498,9 @@ def lu_solver(A, what="matrix", norm=None):
     interchange, no multiplier, no superdiagonal and no fill, is solved by
     a _DiagonalSolve, which divides by its diagonal: trans has no effect,
     the values are those of dgttrs and so is the memory order, Fortran for
-    a block whatever the order of X. Its negated(X) is -A^{-1} X in C
-    order, by one division of X by the negated diagonal, with the bits
-    of the solve's negation. The solve is safe to share between threads:
-    scipy's getrs wrapper shifts the pivot indices in place during each
-    call, so every solve gets its own copy of them.
+    a block whatever the order of X. The solve is safe to share between
+    threads: scipy's getrs wrapper shifts the pivot indices in place during
+    each call, so every solve gets its own copy of them.
     """
     factor = _guarded_lu(A, what, norm)
     if len(factor) == 5:
@@ -511,22 +529,11 @@ class _DiagonalSolve:
     def __init__(self, d, what):
         self.d, self.what = d, what
 
-    def _rhs(self, X):
+    def __call__(self, X, trans=0):
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2) or X.shape[0] != self.d.size:
             raise ValueError(f"right-hand side of shape {X.shape} for {self.what} of order {self.d.size}")
-        return X
-
-    def __call__(self, X, trans=0):
-        X = self._rhs(X)
         return X / self.d if X.ndim == 1 else np.divide(X, self.d[:, None], order="F")
-
-    def negated(self, X):
-        """-A^{-1} X, C-ordered: X / (-d), which is -(X / d) bit for bit,
-        since IEEE division is correctly rounded and symmetric in sign."""
-        X = self._rhs(X)
-        d = -self.d
-        return X / d if X.ndim == 1 else np.divide(X, d[:, None], order="C")
 
 
 def solve_checked(A, B, what="matrix"):
@@ -665,47 +672,21 @@ def partition(A, part):
     return PartitionedMatrix(A, part)
 
 
-def schur_c(Q):
-    """Schur complement onto the C-block: Q_cc - Q_cf Q_ff^{-1} Q_fc."""
-    return Q.cc - Q.cf @ solve_checked(Q.ff, Q.fc, "ff-block")
-
-
-def schur_f(Q):
-    """Schur complement onto the F-block: Q_ff - Q_fc Q_cc^{-1} Q_cf."""
-    return Q.ff - Q.fc @ solve_checked(Q.cc, Q.cf, "cc-block")
-
-
-_NORM_TAGS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
-_NORM_ALIASES = {
-    "i": "identity",
-    "id": "identity",
-    "identity": "identity",
-    "a": "A",
-    "asym": "Asym",
-    "astara": "AstarA",
-    "sqrtastara": "SqrtAstarA",
-    "astarasyminva": "AstarAsymInvA",
-    "custom": "Custom",
-}
-
-
 @dataclass(frozen=True)
 class _TagChoice:
-    """A tag, read through the subclass's aliases, and a payload matrix that
-    the Custom tag alone takes, and requires; it is held as a read-only copy.
+    """A tag, read through the subclass's alias table, and a payload matrix
+    that the Custom tag alone takes, and requires; it is held as a read-only
+    copy.
 
-    A subclass sets _WHAT, the family's name in its messages, _TAGS and
-    _ALIASES, which maps each _tag_key to its tag.
+    A subclass sets _WHAT, the family's name in its messages, and _ALIASES,
+    its table (_aliases).
     """
 
     tag: str
     payload: np.ndarray | None = None
 
     def __post_init__(self):
-        key = _tag_key(self.tag)
-        if key not in self._ALIASES:
-            raise ValueError(f"unknown {self._WHAT} tag {self.tag!r}; expected one of {self._TAGS}")
-        object.__setattr__(self, "tag", self._ALIASES[key])
+        object.__setattr__(self, "tag", _read_tag(self.tag, self._ALIASES, f"{self._WHAT} tag"))
         if self.tag == "Custom":
             if self.payload is None:
                 raise ValueError(f"Custom {self._WHAT} requires a payload matrix")
@@ -722,7 +703,9 @@ class NormSpec(_TagChoice):
     symmetric part (A + A*)/2 to be SPD; Custom carries its own SPD payload.
     """
 
-    _WHAT, _TAGS, _ALIASES = "norm", _NORM_TAGS, _NORM_ALIASES
+    _WHAT = "norm"
+    _ALIASES = _aliases(("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom"),
+                        i="identity", id="identity")
 
 
 def _symmetric(M):
@@ -768,7 +751,7 @@ class NormFactor:
 
     Each method applies one of G, G*, G^{-1}, G^{-*} to an n x k block, by
     products with and triangular or LU solves against factors computed once.
-    Built by realize_norm(..., factored=True) or as_norm_factor.
+    Built by realize_norm or as_norm_factor.
 
     For the norms built on a problem matrix A, A is that matrix, and H,
     where the tag gives it by algebra, is the factor with G^{-*} A* = H: the
@@ -815,56 +798,6 @@ def _cholesky_factor(tag, L):
         lambda X: scipy.linalg.solve_triangular(L, X, lower=True, trans="T"),
         lambda X: scipy.linalg.solve_triangular(L, X, lower=True),
     )
-
-
-def _factored_norm(tag, A, L, lu_solve):
-    """The factor G of the norm selected by tag, preconditions already checked.
-
-    L is the lower Cholesky factor of the SPD matrix the tag's check accepted:
-    (A + A*)/2 or the payload. lu_solve solves with A against the LU factor of
-    the guard on A. A and lu_solve are read only by the tags AstarA,
-    SqrtAstarA and AstarAsymInvA.
-    """
-    if tag == "identity":
-        return _identity_factor()
-    if tag in ("A", "Asym", "Custom"):
-        return _cholesky_factor(tag, L)
-    if tag == "AstarA":
-        # G = A, so G^{-*} A* = I
-        return NormFactor(
-            tag,
-            lambda X: A @ X,
-            lambda X: A.T @ X,
-            lu_solve,
-            lambda X: lu_solve(X, trans=1),
-            A=A,
-            H=_identity_factor(),
-        )
-    if tag == "SqrtAstarA":
-        # G = Sigma^{1/2} V* from the SVD A = U Sigma V*
-        _, s, Vt = np.linalg.svd(A)
-        r = np.sqrt(s)[:, None]
-        return NormFactor(
-            tag,
-            lambda X: r * (Vt @ X),
-            lambda X: Vt.T @ (r * X),
-            lambda X: Vt.T @ (X / r),
-            lambda X: (Vt @ X) / r,
-        )
-    if tag == "AstarAsymInvA":
-        # G = L^{-1} A with Asym = L L*; C is the factor L* of Asym, so that
-        # L^{-1} = C.solve_adj and L = C.apply_adj, and G^{-*} A* = L* = C
-        C = _cholesky_factor("Asym", L)
-        return NormFactor(
-            tag,
-            lambda X: C.solve_adj(A @ X),
-            lambda X: A.T @ C.solve(X),
-            lambda X: lu_solve(C.apply_adj(X)),
-            lambda X: C.apply(lu_solve(X, trans=1)),
-            A=A,
-            H=C,
-        )
-    raise AssertionError(f"unhandled norm tag {tag!r}")
 
 
 class ProblemStore:
@@ -1022,15 +955,22 @@ def _store_for(A):
     return A if isinstance(A, ProblemStore) else ProblemStore(A)
 
 
-def _norm_cholesky(tag, store, M):
-    """The lower Cholesky factor of a Cholesky-factored tag's SPD matrix.
+# The norm tags whose factor is built on a Cholesky factor L, and those
+# whose preconditions include the guard on A.
+_CHOLESKY_TAGS = ("A", "Asym", "AstarAsymInvA", "Custom")
+_GUARDED_TAGS = ("AstarA", "SqrtAstarA", "AstarAsymInvA")
+
+
+def _norm_cholesky(spec, store):
+    """The lower Cholesky factor of the SPD matrix of a tag in _CHOLESKY_TAGS.
 
     Raises the tag's precondition error when the matrix is not SPD. The A
     tag's matrix is A itself, whose symmetric part is (A + A*)/2, so once A
     is symmetric its Cholesky factor is the stored one.
     """
+    tag = spec.tag
     if tag == "Custom":
-        L = _spd_cholesky(M)
+        L = _spd_cholesky(spec.payload)
         if L is None:
             raise ValueError("custom norm matrix is not SPD")
         return L
@@ -1045,14 +985,67 @@ def _norm_cholesky(tag, store, M):
     return L
 
 
-def realize_norm(spec, A, factored=False):
-    """Build the SPD matrix M selected by a NormSpec (or bare tag) for A.
+def _factored_norm(spec, store):
+    """The factor G of the norm the NormSpec spec selects on the store's A,
+    after its preconditions: the Cholesky factor L of its SPD matrix, and
+    the guard on A. The dense A is read only by the tags whose G applies it.
+    """
+    tag = spec.tag
+    L = _norm_cholesky(spec, store) if tag in _CHOLESKY_TAGS else None
+    lu_solve = store.lu_solve() if tag in _GUARDED_TAGS else None
+    if tag == "identity":
+        return _identity_factor()
+    if tag in ("A", "Asym", "Custom"):
+        return _cholesky_factor(tag, L)
+    A = store.A
+    if tag == "AstarA":
+        # G = A, so G^{-*} A* = I
+        return NormFactor(
+            tag,
+            lambda X: A @ X,
+            lambda X: A.T @ X,
+            lu_solve,
+            lambda X: lu_solve(X, trans=1),
+            A=A,
+            H=_identity_factor(),
+        )
+    if tag == "SqrtAstarA":
+        # G = Sigma^{1/2} V* from the SVD A = U Sigma V*
+        _, s, Vt = np.linalg.svd(A)
+        r = np.sqrt(s)[:, None]
+        return NormFactor(
+            tag,
+            lambda X: r * (Vt @ X),
+            lambda X: Vt.T @ (r * X),
+            lambda X: Vt.T @ (X / r),
+            lambda X: (Vt @ X) / r,
+        )
+    # AstarAsymInvA: G = L^{-1} A with Asym = L L*; C is the factor L* of
+    # Asym, so that L^{-1} = C.solve_adj and L = C.apply_adj, and
+    # G^{-*} A* = L* = C
+    C = _cholesky_factor("Asym", L)
+    return NormFactor(
+        tag,
+        lambda X: C.solve_adj(A @ X),
+        lambda X: A.T @ C.solve(X),
+        lambda X: lu_solve(C.apply_adj(X)),
+        lambda X: C.apply(lu_solve(X, trans=1)),
+        A=A,
+        H=C,
+    )
 
-    With factored=True, return the NormFactor G with M = G* G instead, without
-    forming M. Both forms check the same preconditions and raise the same
-    errors. A is the matrix or its ProblemStore: a store's LU and Cholesky
-    factors are used, and its factor for the tag is returned once built;
-    for a bare matrix, the factors are made for this call.
+
+def realize_norm(spec, A):
+    """The NormFactor G of the SPD norm matrix M = G* G selected by a
+    NormSpec (or bare tag) for A; M is never formed.
+
+    A is the matrix or its ProblemStore. The tag's preconditions on A are
+    decided first, and a failed one raises ValueError: norm A needs A SPD,
+    Asym and AstarAsymInvA need (A + A*)/2 SPD, AstarA, SqrtAstarA and
+    AstarAsymInvA need A nonsingular, and Custom needs its payload n x n
+    and SPD. The store's LU and Cholesky factors are used, and its factor
+    for the tag is returned once built; a Custom factor is made for each
+    call. For a bare matrix, the factors are made for this call.
     """
     if not isinstance(spec, NormSpec):
         spec = NormSpec(spec)
@@ -1060,49 +1053,11 @@ def realize_norm(spec, A, factored=False):
     n = store.n
     if store.shape[1] != n:
         raise ValueError("A must be square")
-
-    tag = spec.tag
-    M = None
-    if tag == "Custom":
-        M = np.array(spec.payload, dtype=float)
-        if M.shape != (n, n):
-            raise ValueError(f"custom norm matrix has shape {M.shape}, expected {(n, n)}")
-    if factored:
-        if tag == "Custom":
-            return _factored_norm(tag, None, _norm_cholesky(tag, store, M), None)
-        return store._shared(("factor", tag), lambda: _realized_factor(tag, store))
-
-    A = store.A
-    L = None
-    if tag in ("A", "Asym", "AstarAsymInvA", "Custom"):
-        L = _norm_cholesky(tag, store, M)
-    if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA"):
-        store.lu_solve()
-    if tag == "identity":
-        return np.eye(n)
-    if tag == "A":
-        return A.copy()
-    if tag == "Asym":
-        return (A + A.T) / 2.0
-    if tag == "AstarA":
-        return A.T @ A
-    if tag == "SqrtAstarA":
-        # (A*A)^{1/2} = V Sigma V* from the SVD A = U Sigma V*
-        _, s, Vt = np.linalg.svd(A)
-        return (Vt.T * s) @ Vt
-    if tag == "AstarAsymInvA":
-        # M = G* G with G = L^{-1} A
-        G = scipy.linalg.solve_triangular(L, A, lower=True)
-        return G.T @ G
-    return M
-
-
-def _realized_factor(tag, store):
-    """The factor G of a non-Custom tag on the store's A, preconditions
-    checked; the dense A is read only by the tags whose G applies it."""
-    L = _norm_cholesky(tag, store, None) if tag in ("A", "Asym", "AstarAsymInvA") else None
-    lu_solve = store.lu_solve() if tag in ("AstarA", "SqrtAstarA", "AstarAsymInvA") else None
-    return _factored_norm(tag, None if lu_solve is None else store.A, L, lu_solve)
+    if spec.tag != "Custom":
+        return store._shared(("factor", spec.tag), lambda: _factored_norm(spec, store))
+    if spec.payload.shape != (n, n):
+        raise ValueError(f"custom norm matrix has shape {spec.payload.shape}, expected {(n, n)}")
+    return _factored_norm(spec, store)
 
 
 def as_norm_factor(M):
@@ -1113,27 +1068,6 @@ def as_norm_factor(M):
     if L is None:
         raise ValueError("M must be SPD")
     return _cholesky_factor("Custom", L)
-
-
-def spd_sqrt_pair(M):
-    """Return (M^{1/2}, M^{-1/2}) via symmetric eigendecomposition."""
-    M = as_matrix(M, "M")
-    S = (M + M.T) / 2.0
-    w, V = np.linalg.eigh(S)
-    if w[-1] <= 0.0 or w[0] <= SPD_TOL * w[-1]:
-        raise ValueError("matrix is not SPD (nonpositive or negligible eigenvalue)")
-    r = np.sqrt(w)
-    return (V * r) @ V.T, (V / r) @ V.T
-
-
-def operator_m_norm(T, M):
-    """Induced operator norm sup_{x != 0} ||T x||_M / ||x||_M.
-
-    Computed as the largest singular value of M^{1/2} T M^{-1/2}.
-    """
-    T = as_matrix(T, "T")
-    Ms, Msi = spd_sqrt_pair(M)
-    return float(np.linalg.norm(Ms @ T @ Msi, 2))
 
 
 def orth_basis(X):

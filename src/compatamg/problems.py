@@ -10,9 +10,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import CFPartition, ProblemStore, _Diagonals, _tag_key
+from .linalg import CFPartition, ProblemStore, _aliases, _Diagonals, _is_int, _read_tag
 
-__all__ = ["ProblemSpec", "generate", "problem_store", "default_splitting", "PROBLEM_KINDS", "MAX_N"]
+__all__ = ["ProblemSpec", "generate", "problem_store", "default_splitting", "PROBLEM_KINDS",
+           "SPLIT_POLICIES", "MAX_N"]
 
 # The largest order of a generated matrix, n or nx * ny for advection2d. One
 # dense n x n array of doubles takes 128 MiB at this order, and a command
@@ -22,15 +23,11 @@ MAX_N = 4096
 
 PROBLEM_KINDS = ("advection1d", "advection2d", "advdiff1d", "laplacian1d", "random")
 
-_KIND_ALIASES = {
-    "advection1d": "advection1d",
-    "advection2d": "advection2d",
-    "advdiff1d": "advdiff1d",
-    "advectiondiffusion1d": "advdiff1d",
-    "laplacian1d": "laplacian1d",
-    "random": "random",
-    "randomstablenonsym": "random",
-}
+_KINDS = _aliases(PROBLEM_KINDS, advectiondiffusion1d="advdiff1d", randomstablenonsym="random")
+
+# The CF splitting policies of default_splitting.
+SPLIT_POLICIES = ("alternate", "firsthalf", "random")
+_SPLITS = _aliases(SPLIT_POLICIES, firsthalff="firsthalf")
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,9 @@ class ProblemSpec:
 
     n sizes the 1D kinds and random; nx/ny size the 2D grid; epsilon is the
     diffusion coefficient for advdiff1d; seed drives the random kind. Each
-    size must be at least 2, and a matrix order above MAX_N is rejected, so
-    every spec that is made can be generated.
+    size must be an integer of at least 2, the seed an integer of at least
+    0 (numpy integers count, bools do not), and a matrix order above MAX_N
+    is rejected, so every spec that is made can be generated.
     """
 
     kind: str
@@ -51,13 +49,15 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        key = _tag_key(self.kind)
-        if key not in _KIND_ALIASES:
-            raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
-        object.__setattr__(self, "kind", _KIND_ALIASES[key])
+        object.__setattr__(self, "kind", _read_tag(self.kind, _KINDS, "problem kind"))
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         sizes = {"nx": self.nx, "ny": self.ny} if self.kind == "advection2d" else {"n": self.n}
+        for k, d in sizes.items():
+            if d is not None and not _is_int(d):
+                raise ValueError(f"{self.kind} needs an integer {k}, got {k}={d!r}")
         if any(d is None or d < 2 for d in sizes.values()):
             got = " ".join(f"{k}={v}" for k, v in sizes.items())
             raise ValueError(f"{self.kind} needs {', '.join(sizes)} >= 2, got {got}")
@@ -151,18 +151,18 @@ def generate(spec):
 
 
 def default_splitting(n, policy="alternate", seed=0, cfrac=0.5):
-    """Standard CF splittings: even/odd, first-half-F, or seeded random."""
+    """Standard CF splittings (SPLIT_POLICIES): even/odd, first-half-F, or seeded random."""
     if n < 2:
         raise ValueError("need n >= 2 to split")
-    key = _tag_key(policy)
-    if key == "alternate":
+    policy = _read_tag(policy, _SPLITS, "splitting policy")
+    if policy == "alternate":
         f = tuple(range(0, n, 2))
         c = tuple(range(1, n, 2))
-    elif key in ("firsthalf", "firsthalff"):
+    elif policy == "firsthalf":
         k = (n + 1) // 2
         f = tuple(range(k))
         c = tuple(range(k, n))
-    elif key == "random":
+    else:
         if not 0.0 < cfrac < 1.0:
             raise ValueError("cfrac must lie strictly between 0 and 1")
         rng = np.random.default_rng(seed)
@@ -173,6 +173,4 @@ def default_splitting(n, policy="alternate", seed=0, cfrac=0.5):
             is_c[-1] = True
         f = tuple(int(i) for i in np.flatnonzero(~is_c))
         c = tuple(int(i) for i in np.flatnonzero(is_c))
-    else:
-        raise ValueError(f"unknown splitting policy {policy!r}")
     return CFPartition(n, f, c)

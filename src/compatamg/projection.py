@@ -14,7 +14,7 @@ H, and reflects Qu into that frame: the rows of H* Qu below the first
 dim V lie outside V, and the sines of the angles are their singular values
 (Bjorck & Golub, Math. Comp. 27, 1973), so a correction close to
 M-orthogonal is measured without cancellation. G comes from
-realize_norm(..., factored=True):
+realize_norm:
 
     identity        I
     AstarA          A, through one LU

@@ -65,8 +65,10 @@ import numpy as np
 from .linalg import (
     _CompactBlock,
     _DiagonalSolve,
+    _aliases,
+    _is_int,
+    _read_tag,
     _store_for,
-    _tag_key,
     as_matrix,
 )
 from .projection import _coarse, coarse_correction
@@ -86,6 +88,7 @@ __all__ = [
 ]
 
 RELAX_KINDS = ("none", "jacobi", "fjacobi", "fexact")
+_RELAX_KINDS = _aliases(RELAX_KINDS)
 
 # Window over which the asymptotic contraction is measured from a residual
 # history: geometric mean of the per-iteration ratios on iterations 10..25.
@@ -95,19 +98,20 @@ RATE_WINDOW = (10, 25)
 @dataclass(frozen=True)
 class RelaxSpec:
     """One relaxation scheme: weighted Jacobi, its F-point restriction to the
-    fine points only, an exact F-point solve, or nothing."""
+    fine points only, an exact F-point solve, or nothing, applied sweeps
+    times; sweeps is an integer >= 0 (a numpy integer counts, a bool does
+    not)."""
 
     kind: str = "none"
     omega: float = 2.0 / 3.0
     sweeps: int = 1
 
     def __post_init__(self):
-        key = _tag_key(self.kind)
-        if key not in RELAX_KINDS:
-            raise ValueError(f"unknown relaxation kind {self.kind!r}; expected one of {RELAX_KINDS}")
-        object.__setattr__(self, "kind", key)
+        object.__setattr__(self, "kind", _read_tag(self.kind, _RELAX_KINDS, "relaxation kind"))
         if not 0.0 < self.omega < 2.0:
             raise ValueError("omega must lie in (0, 2)")
+        if not _is_int(self.sweeps):
+            raise ValueError(f"sweeps must be an integer, got {self.sweeps!r}")
         if self.sweeps < 0:
             raise ValueError("sweeps must be >= 0")
 

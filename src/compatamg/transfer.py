@@ -29,7 +29,9 @@ from .linalg import (
     _CompactBlock,
     _DiagonalSolve,
     _TagChoice,
+    _aliases,
     _frozen,
+    _read_tag,
     _store_for,
     as_matrix,
     as_norm_factor,
@@ -205,29 +207,15 @@ def make_pair(part, Z, W):
     return TransferPair._of_blocks(part, *blocks)
 
 
-_Q_TAGS = ("identity", "A", "Asym", "AstarA", "AAstar", "AinvStar", "Ainv", "Custom")
-_Q_ALIASES = {
-    "i": "identity",
-    "id": "identity",
-    "identity": "identity",
-    "a": "A",
-    "aop": "A",
-    "asym": "Asym",
-    "astara": "AstarA",
-    "aastar": "AAstar",
-    "ainvstar": "AinvStar",
-    "ainv": "Ainv",
-    "custom": "Custom",
-}
-
-
 class QChoice(_TagChoice):
     """Companion-matrix choice for ideal transfer operators.
 
     Tags: identity | A | Asym | AstarA | AAstar | AinvStar | Ainv | Custom.
     """
 
-    _WHAT, _TAGS, _ALIASES = "Q", _Q_TAGS, _Q_ALIASES
+    _WHAT = "Q"
+    _ALIASES = _aliases(("identity", "A", "Asym", "AstarA", "AAstar", "AinvStar", "Ainv", "Custom"),
+                        i="identity", id="identity", aop="A")
 
 
 _INVERSE_TAGS = ("Ainv", "AinvStar")
@@ -272,28 +260,13 @@ def realize_q(choice, A):
 def _negated_solve(solve_ff, X, trans):
     """-Q_ff^{-1} X, or -Q_ff^{-*} X with trans=1, C-ordered, by the solve with the ff-block.
 
-    A pair's blocks are C-ordered, as the rows gathered from an assembled
-    operator are, so that the products with them keep one summation order.
-    A diagonal Q_ff (a _DiagonalSolve) divides X by its negated diagonal in
-    C order, one pass; any other solve returns Fortran order, which the
-    negation copies into C order.
+    W = -Q_ff^{-1} Q_fc is the solve of X = Q_fc, and Z, with
+    Z* = -Q_cf Q_ff^{-1}, the transposed solve of X = Q_cf*. A pair's
+    blocks are C-ordered, as the rows gathered from an assembled operator
+    are, so that the products with them keep one summation order; the
+    solves return Fortran order, which the negation copies into C order.
     """
-    if isinstance(solve_ff, _DiagonalSolve):
-        return solve_ff.negated(X)
     return np.negative(solve_ff(X, trans=trans), order="C")
-
-
-def _w_of(solve_ff, fc):
-    """W = -Q_ff^{-1} Q_fc, C-ordered, from Q_fc and the solve with Q_ff."""
-    return _negated_solve(solve_ff, fc, 0)
-
-
-def _z_of(solve_ff, cf_adj):
-    """Z with Z* = -Q_cf Q_ff^{-1}, C-ordered, from Q_cf* (n_f x n_c) and the
-    solve with Q_ff: Z = -Q_ff^{-*} Q_cf*. On a diagonal Q_ff a C-ordered
-    Q_cf* is divided in one pass; the transposed view of a gathered Q_cf is
-    divided in a transposing pass."""
-    return _negated_solve(solve_ff, cf_adj, 1)
 
 
 def ideal_w(Q):
@@ -302,7 +275,7 @@ def ideal_w(Q):
     The F-point rows of Q [W; I] vanish and the C-point rows equal the Schur
     complement of Q onto the C-block. Only Q's F rows are read.
     """
-    return _w_of(lu_solver(Q.ff, _FF), Q.fc)
+    return _negated_solve(lu_solver(Q.ff, _FF), Q.fc, 0)
 
 
 def ideal_z(Q):
@@ -312,7 +285,7 @@ def ideal_z(Q):
     columns and C-point columns equal to the Schur complement of Q. Only Q's
     F columns are read, and Q_ff is factored as for ideal_w.
     """
-    return _z_of(lu_solver(Q.ff, _FF), Q.cf.T)
+    return _negated_solve(lu_solver(Q.ff, _FF), Q.cf.T, 1)
 
 
 def p_ideal(Q):
@@ -435,13 +408,8 @@ def _inverse_columns(A, part, tag, side):
     return (A[c].T if adj else A[:, c]), adj
 
 
-def _anchor_tag(anchor):
-    a = str(anchor).upper()
-    if a in ("P", "PFROMQ", "P_FROM_Q"):
-        return "P"
-    if a in ("R", "RFROMQ", "R_FROM_Q"):
-        return "R"
-    raise ValueError(f"anchor must be 'P' or 'R', got {anchor!r}")
+# The anchors of ideal_pair: the operator taken ideal on the companion.
+_ANCHORS = _aliases(("P", "R"), pfromq="P", rfromq="R")
 
 
 def _ideal_cell(store, part, G, q, anchor):
@@ -474,11 +442,12 @@ def ideal_pair(A, part, norm, q, anchor="P"):
     of A^{-*} M P or M^{-1} A* R through the factor G of M = G* G (see
     _complete): neither M nor the derived companion is formed. A is the
     matrix or its ProblemStore, whose factors of A and ideal blocks are used.
+    anchor is read as a tag: "P" or "R", or "P from Q" or "R from Q".
     """
     store = _store_for(A)
     store.lu_solve()
-    anchor = _anchor_tag(anchor)
-    G = realize_norm(norm, store, factored=True)
+    anchor = _read_tag(anchor, _ANCHORS, "anchor")
+    G = realize_norm(norm, store)
     return _ideal_cell(store, part, G, q, anchor)
 
 
@@ -602,7 +571,7 @@ def _catalog_cells(store, part):
         for norm in CATALOG_NORMS:
             G, row_reason = None, None
             try:
-                G = realize_norm(norm, store, factored=True)
+                G = realize_norm(norm, store)
             except ValueError as e:  # a SingularMatrixError is a ValueError
                 row_reason = str(e)
             for q in CATALOG_QS:
@@ -682,7 +651,7 @@ def _companion_blocks(store, part, choice):
         Q = partition(realize_q(choice, store.A), part)
         solve, fc, cf = lu_solver(Q.ff, _FF), Q.fc, Q.cf
         del Q
-        blocks = _z_of(solve, cf.T), _w_of(solve, fc)
+        blocks = _negated_solve(solve, cf.T, 1), _negated_solve(solve, fc, 0)
         for block in blocks:
             block.setflags(write=False)
         return blocks
@@ -729,9 +698,9 @@ def _held_block(store, part, q, side):
             if diagonal and diags is not None and np.all(c[1:] > c[:-1]):
                 return diags.compact_ideal(part, solve.d, trans=int(side == "Z"))
             if side == "W":
-                block = _w_of(solve, store.block(f, c))
+                block = _negated_solve(solve, store.block(f, c), 0)
             else:  # the transposed view of A_cf, which the solves take as it is
-                block = _z_of(solve, store.block(c, f).T)
+                block = _negated_solve(solve, store.block(c, f).T, 1)
         elif choice.tag in _INVERSE_TAGS:
             X, adj = _inverse_columns(store.A, part, choice.tag, side)
             block = _inverse_block(X, part, store.cc_solve(part), adj)

@@ -2,9 +2,10 @@
 caller so every test is reproducible."""
 
 import numpy as np
+import scipy.linalg
 
 import compatamg as cm
-from compatamg.linalg import lu_solver
+from compatamg.linalg import SPD_TOL, as_matrix, lu_solver, solve_checked
 
 # numpy.exceptions exists from numpy 1.25; before it, the class is numpy's own
 COMPLEX_WARNING = "numpy.exceptions.ComplexWarning" if hasattr(np, "exceptions") \
@@ -62,6 +63,69 @@ class DenseStore(GatheringStore):
 
     def tridiagonal(self):
         return None
+
+
+# Dense references the package does not use: the norm matrix M that a
+# NormFactor G applies as M = G*G, the M-norm of an operator, and the Schur
+# complements of a partitioned matrix.
+
+def norm_matrix(spec, A):
+    """The dense SPD norm matrix M selected by a NormSpec (or bare tag) for
+    the matrix or ProblemStore A, formed from its definition: the oracle
+    for the factor G, M = G*G, that realize_norm returns. realize_norm
+    decides the preconditions first, so both raise the same errors."""
+    spec = spec if isinstance(spec, cm.NormSpec) else cm.NormSpec(spec)
+    store = cm.ProblemStore(A)
+    cm.realize_norm(spec, store)
+    A = store.A
+    if spec.tag == "identity":
+        return np.eye(store.n)
+    if spec.tag == "A":
+        return A.copy()
+    if spec.tag == "Asym":
+        return (A + A.T) / 2.0
+    if spec.tag == "AstarA":
+        return A.T @ A
+    if spec.tag == "SqrtAstarA":
+        # (A*A)^{1/2} = V Sigma V* from the SVD A = U Sigma V*
+        _, s, Vt = np.linalg.svd(A)
+        return (Vt.T * s) @ Vt
+    if spec.tag == "AstarAsymInvA":
+        # M = G* G with G = L^{-1} A, where (A + A*)/2 = L L*
+        G = scipy.linalg.solve_triangular(store.asym_cholesky(), A, lower=True)
+        return G.T @ G
+    return np.array(spec.payload)
+
+
+def spd_sqrt_pair(M):
+    """Return (M^{1/2}, M^{-1/2}) via symmetric eigendecomposition."""
+    M = as_matrix(M, "M")
+    S = (M + M.T) / 2.0
+    w, V = np.linalg.eigh(S)
+    if w[-1] <= 0.0 or w[0] <= SPD_TOL * w[-1]:
+        raise ValueError("matrix is not SPD (nonpositive or negligible eigenvalue)")
+    r = np.sqrt(w)
+    return (V * r) @ V.T, (V / r) @ V.T
+
+
+def operator_m_norm(T, M):
+    """Induced operator norm sup_{x != 0} ||T x||_M / ||x||_M.
+
+    Computed as the largest singular value of M^{1/2} T M^{-1/2}.
+    """
+    T = as_matrix(T, "T")
+    Ms, Msi = spd_sqrt_pair(M)
+    return float(np.linalg.norm(Ms @ T @ Msi, 2))
+
+
+def schur_c(Q):
+    """Schur complement onto the C-block: Q_cc - Q_cf Q_ff^{-1} Q_fc."""
+    return Q.cc - Q.cf @ solve_checked(Q.ff, Q.fc, "ff-block")
+
+
+def schur_f(Q):
+    """Schur complement onto the F-block: Q_ff - Q_fc Q_cc^{-1} Q_cf."""
+    return Q.ff - Q.fc @ solve_checked(Q.cc, Q.cf, "cc-block")
 
 
 def assert_same_array(X, Y):

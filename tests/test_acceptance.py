@@ -10,7 +10,7 @@ import numpy as np
 
 import compatamg as cm
 from compatamg.cli import FIGURE_EDGES
-from conftest import random_pair_case, random_spd
+from conftest import norm_matrix, operator_m_norm, random_pair_case, random_spd
 
 NORM_TOL = 1e-8
 
@@ -35,7 +35,7 @@ class _report:
 def _log_norm_identity(corr, M):
     a = cm.pi_m_norm(corr, M)
     pi, _ = cm.build_pi(corr.A, corr.pair)
-    b = cm.operator_m_norm(np.eye(pi.shape[0]) - pi, M)
+    b = operator_m_norm(np.eye(pi.shape[0]) - pi, M)
     _norm_identity_log.append(abs(a - b) / max(1.0, a))
 
 
@@ -53,7 +53,7 @@ def _red_list_cases():
         part = cm.default_splitting(A.shape[0], "alternate")
         for item in range(1, 5):
             pair, tag = cm.single_operator_pair(A, part, item)
-            yield spec.kind, item, A, part, pair, cm.realize_norm(tag, A)
+            yield spec.kind, item, A, part, pair, norm_matrix(tag, A)
 
 
 def _hundred_cases():
@@ -89,7 +89,7 @@ def test_criterion_02_pairing_diagram():
             verified, skipped = {}, []
             for style, norm, r_q, p_q in FIGURE_EDGES:
                 try:
-                    M = cm.realize_norm(norm, A)
+                    M = norm_matrix(norm, A)
                 except ValueError:
                     skipped.append((style, r_q, p_q))
                     continue
@@ -129,7 +129,7 @@ def test_criterion_03_catalog_sweep():
             if entry.skipped:
                 assert entry.reason
                 continue
-            M = cm.realize_norm(entry.norm, A)
+            M = norm_matrix(entry.norm, A)
             corr = cm.coarse_correction(A, entry.pair)
             assert cm.verify_compat_equation(A, M, entry.pair), (
                 f"range test failed at table {entry.table} ({entry.norm}, {entry.q})"
@@ -178,7 +178,7 @@ def test_criterion_05_equivalence_chain():
         for entry in cm.catalog_pairs(A, part):
             if entry.skipped:
                 continue
-            M = cm.realize_norm(entry.norm, A)
+            M = norm_matrix(entry.norm, A)
             check(A, M, entry.pair, f"catalog t{entry.table} ({entry.norm}, {entry.q})")
         assert not discordant, f"discordant cases: {discordant}"
 

@@ -15,7 +15,7 @@ import compatamg.projection as projection
 from compatamg.cli import main
 from compatamg.linalg import RANK_RTOL
 from compatamg.transfer import CATALOG_QS
-from conftest import random_spd
+from conftest import norm_matrix, operator_m_norm, random_spd
 
 NORM_TAGS = ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA", "Custom")
 RTOL = 1e-9
@@ -98,8 +98,8 @@ def test_factor_reproduces_the_dense_norm(tag):
     n = 9
     A = _problem(rng, n, tag)
     spec = _spec(tag, rng, n)
-    M = cm.realize_norm(spec, A)
-    G = cm.realize_norm(spec, A, factored=True)
+    M = norm_matrix(spec, A)
+    G = cm.realize_norm(spec, A)
     X = rng.standard_normal((n, 4))
     scale = np.linalg.norm(M, 2)
     np.testing.assert_allclose(G.gram(X), M @ X, atol=1e-12 * scale)
@@ -110,25 +110,10 @@ def test_factor_reproduces_the_dense_norm(tag):
     np.testing.assert_allclose(G.apply(X).T @ Y, X.T @ G.apply_adj(Y), atol=1e-12 * scale)
 
 
-def test_factor_keeps_the_dense_preconditions():
-    nonsym = np.array([[2.0, 1.0], [0.0, 2.0]])
-    indefinite = np.diag([1.0, -1.0])
-    for tag, A in (("A", nonsym), ("Asym", indefinite), ("AstarAsymInvA", indefinite)):
-        with pytest.raises(ValueError) as dense:
-            cm.realize_norm(tag, A)
-        with pytest.raises(ValueError) as factored:
-            cm.realize_norm(tag, A, factored=True)
-        assert str(dense.value) == str(factored.value)
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    for tag in ("AstarA", "SqrtAstarA"):
-        with pytest.raises(cm.SingularMatrixError):
-            cm.realize_norm(tag, singular, factored=True)
-
-
 def test_shared_lu_factor_is_thread_safe():
     rng = np.random.default_rng(5)
     A = _problem(rng, 60, "AstarA")
-    G = cm.realize_norm("AstarA", A, factored=True)
+    G = cm.realize_norm("AstarA", A)
     blocks = [rng.standard_normal((60, 8)) for _ in range(64)]
     serial = [G.solve_adj(B) for B in blocks]
     with ThreadPoolExecutor(max_workers=4) as ex:
@@ -164,10 +149,10 @@ def _case(seed, n, tag, compatible):
 )
 def test_kernel_matches_the_dense_oracle(seed, n, tag, compatible):
     A, pair, spec = _case(seed, n, tag, compatible)
-    M = cm.realize_norm(spec, A)
-    G = cm.realize_norm(spec, A, factored=True)
+    M = norm_matrix(spec, A)
+    G = cm.realize_norm(spec, A)
     pi, _ = cm.build_pi(A, pair)
-    oracle = cm.operator_m_norm(pi, M)
+    oracle = operator_m_norm(pi, M)
     assume(oracle < 1e4)
 
     corr = cm.coarse_correction(A, pair)
@@ -178,7 +163,7 @@ def test_kernel_matches_the_dense_oracle(seed, n, tag, compatible):
     assert abs(nrm - oracle) <= RTOL * oracle
     assert abs(nrm * np.sin(ang) - 1.0) <= RTOL
     assert abs(sup**2 - (nrm**2 - 1.0)) <= RTOL * nrm**2
-    complement = cm.operator_m_norm(np.eye(n) - pi, M)
+    complement = operator_m_norm(np.eye(n) - pi, M)
     assert abs(nrm - complement) <= RTOL * nrm
     if compatible:
         assert abs(nrm - 1.0) <= 1e-12
@@ -192,7 +177,7 @@ def test_astara_factor_verifies_the_ill_conditioned_laplacian(n):
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single3")
     assert tag == "AstarA"
-    G = cm.realize_norm(tag, A, factored=True)
+    G = cm.realize_norm(tag, A)
     assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), G) - 1.0) <= 1e-10
 
 
@@ -204,7 +189,7 @@ def test_orthogonality_checks_agree_on_the_ill_conditioned_laplacian(n):
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single3")
     pi, _ = cm.build_pi(A, pair)
-    G = cm.realize_norm(tag, A, factored=True)
+    G = cm.realize_norm(tag, A)
     checks = cm.orthogonality_checks(cm.coarse_correction(A, pair), G)
     assert checks.all_true and checks.agree
     assert checks.range_match == _four_svd_range_match(pi, G)
@@ -264,7 +249,7 @@ def test_range_match_follows_the_four_svd_rule(kind):
     factors = []
     for tag in NORM_TAGS:
         try:
-            factors.append(cm.realize_norm(_spec(tag, rng, n), A, factored=True))
+            factors.append(cm.realize_norm(_spec(tag, rng, n), A))
         except ValueError:
             pass
     decisions = []
@@ -290,7 +275,7 @@ def test_orthogonality_checks_make_no_square_svd(monkeypatch):
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single1")
     corr = cm.coarse_correction(A, pair)
-    G = cm.realize_norm(tag, A, factored=True)
+    G = cm.realize_norm(tag, A)
     shapes = []
 
     def recording(fn):
@@ -326,7 +311,7 @@ def test_compat_eq_and_checks_follow_the_dense_oracles(kind):
     factors = []
     for tag in NORM_TAGS:
         try:
-            factors.append(cm.realize_norm(_spec(tag, rng, n), A, factored=True))
+            factors.append(cm.realize_norm(_spec(tag, rng, n), A))
         except ValueError:
             pass
     decisions = []
@@ -359,7 +344,7 @@ def test_compat_eq_reads_exact_pairs_with_a_large_z_entry():
             Z[0, 0] = 2e8
             W = cm.compatible_w_from_z(cm.partition(A, part), Z, "AstarA")
             pair = cm.make_pair(part, Z, W)
-            G = cm.realize_norm("AstarA", A, factored=True)
+            G = cm.realize_norm("AstarA", A)
             report = cm.projection_report(A, pair, G)
             assert report["compat_eq"], (kind, n)
             assert all(report["orthogonality_checks"].values()), (kind, n)
@@ -411,7 +396,7 @@ def test_projection_report_forms_no_dense_pi_and_decomposes_nothing_square(monke
     g = np.random.default_rng(2)
     cases.append((cm.make_pair(part, g.standard_normal((part.nf, part.nc)),
                                g.standard_normal((part.nf, part.nc))), "SqrtAstarA"))
-    cases = [(pair, cm.realize_norm(tag, A, factored=True)) for pair, tag in cases]
+    cases = [(pair, cm.realize_norm(tag, A)) for pair, tag in cases]
     shapes = {}
 
     def no_build_pi(*args, **kwargs):
@@ -486,7 +471,7 @@ def test_verify_pairs_case_makes_two_thin_qrs_and_one_small_eigensolve(monkeypat
     A = cm.generate(cm.ProblemSpec("random", n=n))
     part = cm.default_splitting(n, "alternate")
     pair, tag = cm.single_operator_pair(A, part, "single3")
-    G = cm.realize_norm(tag, A, factored=True)
+    G = cm.realize_norm(tag, A)
     corr = cm.coarse_correction(A, pair)
     cm.pi_m_norm(corr, G)
     shapes.clear()
@@ -514,7 +499,7 @@ def test_catalog_cells_keep_the_equivalence_chain(kind, n, epsilon, cells):
         if entry.skipped:
             continue
         if entry.norm not in factors:
-            factors[entry.norm] = cm.realize_norm(entry.norm, A, factored=True)
+            factors[entry.norm] = cm.realize_norm(entry.norm, A)
         G = factors[entry.norm]
         corr = cm.coarse_correction(A, entry.pair)
         chain = list(cm.orthogonality_checks(corr, G).as_dict().values())
@@ -565,7 +550,7 @@ def test_reflector_sines_and_compat_eq_match_the_explicit_basis(kind, n, epsilon
     decisions = []
     for norm, pair, exact, oracle in cases:
         if norm not in factors:
-            factors[norm] = cm.realize_norm(norm, A, factored=True)
+            factors[norm] = cm.realize_norm(norm, A)
         G = factors[norm]
         corr = cm.coarse_correction(A, pair)
         sines = corr.angles(G).sines
@@ -647,7 +632,7 @@ def test_frame_adjoint_ratio_matches_the_formed_x(kind, n, epsilon):
     checked = 0
     for tag in NORM_TAGS:
         try:
-            G = cm.realize_norm(_spec(tag, rng, n), A, factored=True)
+            G = cm.realize_norm(_spec(tag, rng, n), A)
         except ValueError:
             continue
         for pair in pairs:
@@ -685,7 +670,7 @@ def test_gram_sin_max_matches_the_svd(kind, n):
     angles = []
     for entry in cm.catalog_pairs(A, part):
         if not entry.skipped:
-            G = cm.realize_norm(entry.norm, A, factored=True)
+            G = cm.realize_norm(entry.norm, A)
             angles.append(cm.coarse_correction(A, entry.pair).angles(G))
     Q, _ = np.linalg.qr(rng.standard_normal((n, 2 * 5)))
     for theta_max in (1e-12, 1e-6, 0.3, 1.2, 1.5):

@@ -166,8 +166,7 @@ def _converge_counts(monkeypatch, tmp_path, split):
     counts as "rows" where it gathers full rows of an array block and as
     "window" where it reads three columns of a _CompactBlock."""
     counts = {}
-    for owner, name in ((_Diagonals, "block"), (_Diagonals, "compact_ideal"),
-                        (linalg._DiagonalSolve, "negated"), (_CompactBlock, "dense")):
+    for owner, name in ((_Diagonals, "block"), (_Diagonals, "compact_ideal"), (_CompactBlock, "dense")):
         _count_calls(monkeypatch, owner, name, counts)
     rows = _Diagonals.rows
 

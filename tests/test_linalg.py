@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra substrate."""
 
+import re
 import warnings
 
 import numpy as np
@@ -18,16 +19,21 @@ from compatamg.linalg import (
     orth_basis,
     require_nonsingular,
     solve_checked,
-    spd_sqrt_pair,
 )
+from compatamg.problems import PROBLEM_KINDS, SPLIT_POLICIES
+from compatamg.solver import RELAX_KINDS
 from conftest import (
     ORDERS,
     SPLITS,
     TRIDIAGONAL_KINDS,
     GatheringStore,
     assert_same_array,
+    operator_m_norm,
     random_spd,
     random_stable,
+    schur_c,
+    schur_f,
+    spd_sqrt_pair,
     tridiagonal_problem,
 )
 
@@ -128,7 +134,7 @@ def test_reassembly_exact(n, seed):
 def test_schur_c(A, f, expected):
     n = A.shape[0]
     c = tuple(i for i in range(n) if i not in f)
-    S = cm.schur_c(cm.partition(A, cm.CFPartition(n, f, c)))
+    S = schur_c(cm.partition(A, cm.CFPartition(n, f, c)))
     np.testing.assert_allclose(S, expected, atol=1e-14)
 
 
@@ -143,7 +149,7 @@ def test_schur_c(A, f, expected):
 def test_schur_f(A, f, expected):
     n = A.shape[0]
     c = tuple(i for i in range(n) if i not in f)
-    S = cm.schur_f(cm.partition(A, cm.CFPartition(n, f, c)))
+    S = schur_f(cm.partition(A, cm.CFPartition(n, f, c)))
     np.testing.assert_allclose(S, expected, atol=1e-14)
 
 
@@ -155,9 +161,9 @@ def test_schur_singular_block_raises():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     Ap = cm.partition(A, cm.CFPartition(2, (0,), (1,)))
     with pytest.raises(SingularMatrixError):
-        cm.schur_c(Ap)
+        schur_c(Ap)
     with pytest.raises(SingularMatrixError):
-        cm.schur_f(Ap)
+        schur_f(Ap)
 
 
 @pytest.mark.parametrize(
@@ -212,45 +218,52 @@ def test_schur_inverse_identity():
         Ainv = np.linalg.inv(A)
         c, f = list(part.cpoints), list(part.fpoints)
         np.testing.assert_allclose(
-            Ainv[np.ix_(c, c)], np.linalg.inv(cm.schur_c(Ap)), rtol=1e-10, atol=1e-12
+            Ainv[np.ix_(c, c)], np.linalg.inv(schur_c(Ap)), rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            Ainv[np.ix_(f, f)], np.linalg.inv(cm.schur_f(Ap)), rtol=1e-10, atol=1e-12
+            Ainv[np.ix_(f, f)], np.linalg.inv(schur_f(Ap)), rtol=1e-10, atol=1e-12
         )
 
 
 def test_realize_norm_identity_and_astara():
-    M = cm.realize_norm("identity", A2)
-    np.testing.assert_array_equal(M, np.eye(2))
-    M = cm.realize_norm("AstarA", A2)
-    np.testing.assert_allclose(M, [[2.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+    G = cm.realize_norm("identity", A2)
+    np.testing.assert_array_equal(G.gram(np.eye(2)), np.eye(2))
+    G = cm.realize_norm("AstarA", A2)
+    np.testing.assert_allclose(G.gram(np.eye(2)), [[2.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
 
 def test_realize_norm_sqrt_squares_to_astara():
     rng = np.random.default_rng(5)
     for _ in range(5):
         A = random_stable(rng, 9)
-        S = cm.realize_norm("SqrtAstarA", A)
-        T = cm.realize_norm("AstarA", A)
+        S = cm.realize_norm("SqrtAstarA", A).gram(np.eye(9))
+        T = cm.realize_norm("AstarA", A).gram(np.eye(9))
         np.testing.assert_allclose(S @ S, T, rtol=1e-10, atol=1e-12)
         assert cm.spd_check(S)
 
 
 def test_realize_norm_prerequisites():
     nonsym = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm tag 'A' requires A to be SPD"):
         cm.realize_norm("A", nonsym)
     indefinite_sym = np.array([[1.0, 3.0], [-1.0, -1.0]])  # sym part [[1,1],[1,-1]]
-    with pytest.raises(ValueError):
-        cm.realize_norm("Asym", indefinite_sym)
-    with pytest.raises(ValueError):
-        cm.realize_norm("AstarAsymInvA", indefinite_sym)
-    with pytest.raises(ValueError):
+    for tag in ("Asym", "AstarAsymInvA"):
+        with pytest.raises(ValueError, match=rf"norm tag '{tag}' requires \(A \+ A\*\)/2 to be SPD"):
+            cm.realize_norm(tag, indefinite_sym)
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    for tag in ("AstarA", "SqrtAstarA"):
+        with pytest.raises(SingularMatrixError):
+            cm.realize_norm(tag, singular)
+    with pytest.raises(ValueError, match="custom norm matrix is not SPD"):
         cm.realize_norm(cm.NormSpec("Custom", np.array([[0.0, 1.0], [-1.0, 0.0]])), A2)
+    with pytest.raises(ValueError, match=r"custom norm matrix has shape \(3, 3\), expected \(2, 2\)"):
+        cm.realize_norm(cm.NormSpec("Custom", np.eye(3)), A2)
+    with pytest.raises(ValueError, match="A must be square"):
+        cm.realize_norm("identity", np.ones((2, 3)))
     payload = np.array([[2.0, 0.0], [0.0, 3.0]])
-    np.testing.assert_array_equal(
-        cm.realize_norm(cm.NormSpec("Custom", payload), A2), payload
-    )
+    G = cm.realize_norm(cm.NormSpec("Custom", payload), A2)
+    assert isinstance(G, cm.NormFactor)
+    np.testing.assert_allclose(G.gram(np.eye(2)), payload, rtol=1e-15)
 
 
 def test_norm_spec_validation():
@@ -283,6 +296,70 @@ def test_tag_aliases_ignore_case_and_separators(parse, spelling, canonical):
     assert parse(spelling) == canonical
 
 
+def _by_result(read, tags):
+    """A reader of a family whose reader returns no tag: the tag whose own
+    result equals the value's."""
+    results = {tag: read(tag) for tag in tags}
+
+    def lookup(value):
+        got = read(value)
+        return next(tag for tag, r in results.items() if r == got)
+
+    return lookup
+
+
+def _anchor_family():
+    rng = np.random.default_rng(8)
+    A = random_stable(rng, 8)
+    part = cm.default_splitting(8, "alternate")
+
+    def read(anchor):
+        pair = cm.ideal_pair(A, part, "identity", "A", anchor=anchor)
+        return pair.Z.tobytes(), pair.W.tobytes()
+
+    return _by_result(read, ("P", "R")), ("P", "R"), {"p-from-q": "P", "r from q": "R", "P_FROM_Q": "P"}
+
+
+# Each tag family: (its reader, which returns the tag it reads, its tags and
+# its extra aliases), built when its case runs.
+_TAG_FAMILIES = {
+    "norm tag": lambda: (
+        lambda v: cm.NormSpec(v).tag,
+        ("identity", "A", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA"),
+        {"I": "identity", "Id": "identity"}),
+    "Q tag": lambda: (
+        lambda v: cm.QChoice(v).tag,
+        ("identity", "A", "Asym", "AstarA", "AAstar", "AinvStar", "Ainv"),
+        {"I": "identity", "ID": "identity", "A op": "A"}),
+    "problem kind": lambda: (
+        lambda v: cm.ProblemSpec(v, n=4, nx=2, ny=2).kind,
+        PROBLEM_KINDS,
+        {"advection-diffusion-1d": "advdiff1d", "Random Stable Nonsym": "random"}),
+    "splitting policy": lambda: (
+        _by_result(lambda v: cm.default_splitting(9, v, seed=3), SPLIT_POLICIES),
+        SPLIT_POLICIES,
+        {"first_half_F": "firsthalf"}),
+    "relaxation kind": lambda: (lambda v: cm.RelaxSpec(v).kind, RELAX_KINDS, {}),
+    "anchor": _anchor_family,
+}
+
+
+@pytest.mark.parametrize("family", list(_TAG_FAMILIES))
+def test_every_tag_family_reads_its_aliases(family):
+    # one alias reader for every family: any case and any '-', '_' or ' '
+    # name a tag, and so does each extra alias; an unknown value is refused
+    # with the family's name and its tags
+    read, tags, extra = _TAG_FAMILIES[family]()
+    for tag in tags:
+        for value in (tag, tag.upper(), tag.lower(), "_".join(tag), " ".join(tag.upper()), f"-{tag}-"):
+            assert read(value) == tag, value
+    for value, tag in extra.items():
+        assert read(value) == tag, value
+    expected = re.escape(str(tuple(tags) + (("Custom",) if "tag" in family else ())))
+    with pytest.raises(ValueError, match=rf"^unknown {family} 'bogus'; expected one of {expected}$"):
+        read("bogus")
+
+
 @pytest.mark.parametrize(
     "M,expected",
     [
@@ -303,21 +380,21 @@ def test_spd_check_scaling():
 
 
 def test_operator_m_norm_examples():
-    assert cm.operator_m_norm(np.array([[0.0, 0.0], [0.0, 1.0]]), np.eye(2)) == pytest.approx(1.0)
-    assert cm.operator_m_norm(np.array([[0.0, 1.0], [0.0, 1.0]]), np.eye(2)) == pytest.approx(np.sqrt(2.0))
+    assert operator_m_norm(np.array([[0.0, 0.0], [0.0, 1.0]]), np.eye(2)) == pytest.approx(1.0)
+    assert operator_m_norm(np.array([[0.0, 1.0], [0.0, 1.0]]), np.eye(2)) == pytest.approx(np.sqrt(2.0))
     rng = np.random.default_rng(9)
     M = random_spd(rng, 5)
-    assert cm.operator_m_norm(np.eye(5), M) == pytest.approx(1.0, abs=1e-12)
+    assert operator_m_norm(np.eye(5), M) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_operator_m_norm_consistency():
     rng = np.random.default_rng(11)
     for _ in range(20):
         T = rng.standard_normal((7, 7))
-        assert abs(cm.operator_m_norm(T, np.eye(7)) - np.linalg.norm(T, 2)) <= 1e-12
+        assert abs(operator_m_norm(T, np.eye(7)) - np.linalg.norm(T, 2)) <= 1e-12
         M = random_spd(rng, 7)
-        a = cm.operator_m_norm(T, M)
-        b = cm.operator_m_norm(T, 37.5 * M)
+        a = operator_m_norm(T, M)
+        b = operator_m_norm(T, 37.5 * M)
         assert abs(a - b) <= 1e-10 * a
 
 
@@ -430,7 +507,7 @@ def test_norm_factor_h_is_g_inverse_adjoint_times_a_adjoint(tag):
     rng = np.random.default_rng(41)
     n = 12
     A = random_stable(rng, n)
-    G = cm.realize_norm(tag, A, factored=True)
+    G = cm.realize_norm(tag, A)
     eye = np.eye(n)
     Gd = G.apply(eye)
     close = dict(rtol=1e-12, atol=1e-12 * np.linalg.norm(A))
@@ -452,7 +529,7 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     store = cm.ProblemStore(A)
     for _ in range(2):
         with pytest.raises(ValueError, match="requires A to be SPD"):
-            cm.realize_norm("A", store, factored=True)
+            cm.realize_norm("A", store)
     ref = weakref.ref(store)
     del store
     assert ref() is None
@@ -481,7 +558,7 @@ def test_store_keeps_a_failed_entry_without_a_reference_cycle():
     spec = cm.TwoGridSpec(pair, pre=cm.RelaxSpec("jacobi"), post=cm.RelaxSpec("fexact"))
     cm.two_grid_conv_factor(pair_store, spec)
     cm.iterate(pair_store, spec, np.ones(n), np.zeros(n), 3)
-    G = cm.realize_norm(norm, pair_store, factored=True)
+    G = cm.realize_norm(norm, pair_store)
     assert cm.pi_m_norm(cm.coarse_correction(pair_store, pair), G) == pytest.approx(1.0)
     refs = weakref.ref(store), weakref.ref(pair_store)
     gc.disable()
@@ -517,7 +594,7 @@ def test_a_store_made_from_diagonals_builds_its_dense_a_once_on_first_read(monke
     A = child.A
     assert builds == [1] and A.tobytes() == ref.A.tobytes() and A.flags.c_contiguous
     assert store.A is A and cm.ProblemStore(store).A is A and builds == [1]
-    G = cm.realize_norm("AstarA", store, factored=True)
+    G = cm.realize_norm("AstarA", store)
     assert G.h_on(child.A) is not None
 
 
@@ -617,7 +694,7 @@ def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
     dense = cm.TwoGridSpec(pair, cm.RelaxSpec("jacobi"), cm.RelaxSpec("fexact"))
     calls = {
         "realize_norm": lambda a: (cm.realize_norm("AstarAsymInvA", a),
-                                   cm.realize_norm("AstarA", a, factored=True)),
+                                   cm.realize_norm("AstarA", a)),
         "ideal_pair": lambda a: cm.ideal_pair(a, part, "AstarA", "Asym", "R"),
         "catalog_pairs": lambda a: list(cm.catalog_pairs(a, part)),
         "ideal_blocks_pair": lambda a: cm.ideal_blocks_pair(a, part, "Ainv", "Asym"),
@@ -629,9 +706,9 @@ def test_a_problem_store_is_the_one_handle_on_its_matrix(monkeypatch):
         "coarse_correction": lambda a: cm.coarse_correction(a, pair),
         "build_pi": lambda a: cm.build_pi(a, pair),
         "projection_report": lambda a: cm.projection_report(
-            a, pair, cm.realize_norm("AstarAsymInvA", a, factored=True)),
+            a, pair, cm.realize_norm("AstarAsymInvA", a)),
         "verify_compat_equation": lambda a: (
-            cm.verify_compat_equation(a, cm.realize_norm("AstarA", a, factored=True), pair),
+            cm.verify_compat_equation(a, cm.realize_norm("AstarA", a), pair),
             cm.verify_compat_equation(a, np.eye(n), pair)),
         "air_cpoint_residual": lambda a: cm.air_cpoint_residual(a, pair, b),
         "relax_propagator": lambda a: (cm.relax_propagator(a, cm.RelaxSpec("fexact"), part),

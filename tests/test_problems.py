@@ -114,6 +114,28 @@ def test_degenerate_sizes():
         cm.generate(cm.ProblemSpec("laplacian1d"))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "advection1d", "n": 5.5}, r"advection1d needs an integer n, got n=5\.5"),
+    ({"kind": "random", "n": 6.0}, r"random needs an integer n, got n=6\.0"),
+    ({"kind": "laplacian1d", "n": True}, r"laplacian1d needs an integer n, got n=True"),
+    ({"kind": "advection2d", "nx": 3, "ny": 2.5}, r"advection2d needs an integer ny, got ny=2\.5"),
+    ({"kind": "random", "n": 6, "seed": -1}, r"seed must be an integer >= 0, got -1"),
+    ({"kind": "random", "n": 6, "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+    ({"kind": "random", "n": 6, "seed": False}, r"seed must be an integer >= 0, got False"),
+    ({"kind": "advection1d", "n": 6, "seed": -2}, r"seed must be an integer >= 0, got -2"),
+])
+def test_a_spec_that_cannot_be_generated_is_refused_when_made(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cm.ProblemSpec(**kwargs)
+
+
+def test_numpy_integer_sizes_and_seeds_make_the_same_matrix():
+    spec = cm.ProblemSpec("random", n=np.int64(7), seed=np.uint8(3))
+    np.testing.assert_array_equal(cm.generate(spec), cm.generate(cm.ProblemSpec("random", n=7, seed=3)))
+    assert cm.generate(cm.ProblemSpec("advection2d", nx=np.int32(3), ny=np.int16(2))).shape == (6, 6)
+    assert cm.problem_store(cm.ProblemSpec("advdiff1d", n=np.int64(5), epsilon=0.1)).n == 5
+
+
 def test_the_size_bound_is_checked_on_the_spec():
     from compatamg.problems import MAX_N
 

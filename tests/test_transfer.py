@@ -17,10 +17,12 @@ from conftest import (
     TRIDIAGONAL_KINDS,
     GatheringStore,
     assert_same_array,
+    norm_matrix,
     random_nonsingular,
     random_partition,
     random_spd,
     random_stable,
+    schur_c,
     tridiagonal_problem,
 )
 
@@ -73,7 +75,7 @@ def test_ideal_annihilation():
         drawn += 1
         P = cm.p_ideal(Qp)
         QP = Q @ P
-        S = cm.schur_c(Qp)
+        S = schur_c(Qp)
         scale = max(1.0, np.linalg.norm(Q) * np.linalg.norm(P))
         assert np.max(np.abs(part.f_rows(QP))) <= 1e-12 * scale
         np.testing.assert_allclose(part.c_rows(QP), S, rtol=1e-12, atol=1e-12 * scale)
@@ -200,7 +202,7 @@ def test_ideal_pair_compat_equation_all_norms():
     A = random_stable(rng, 10)
     part = _split(10)
     for norm in ("identity", "Asym", "AstarA", "SqrtAstarA", "AstarAsymInvA"):
-        M = cm.realize_norm(norm, A)
+        M = norm_matrix(norm, A)
         for anchor in ("P", "R"):
             pair = cm.ideal_pair(A, part, norm, "Asym", anchor=anchor)
             assert cm.verify_compat_equation(A, M, pair)
@@ -215,7 +217,7 @@ def test_compatible_solves_satisfy_range_condition():
         Z = rng.standard_normal((part.nf, part.nc))
         W = cm.compatible_w_from_z(Ap, Z, norm)
         pair = cm.make_pair(part, Z, W)
-        assert cm.verify_compat_equation(A, cm.realize_norm(norm, A), pair)
+        assert cm.verify_compat_equation(A, norm_matrix(norm, A), pair)
 
 
 def test_svd_route():
@@ -227,7 +229,7 @@ def test_svd_route():
     U, s, Vh = np.linalg.svd(A)
     s = np.linalg.svd(np.hstack([Vh @ pair.P, U.T @ pair.R]), compute_uv=False)
     assert np.count_nonzero(s > RANK_RTOL * s[0]) == part.nc
-    M = cm.realize_norm("SqrtAstarA", A)
+    M = norm_matrix("SqrtAstarA", A)
     assert abs(cm.pi_m_norm(cm.coarse_correction(A, pair), M) - 1.0) <= 1e-8
 
 
@@ -239,7 +241,7 @@ def _dense_cell(A, part, norm, q, anchor, C=None):
     (anchor R). The pair is (R_ideal(C), P_ideal(Q)) for anchor P and
     (R_ideal(Q), P_ideal(C)) for anchor R.
     """
-    M = cm.realize_norm(norm, A)
+    M = norm_matrix(norm, A)
     Qp = cm.partition(cm.realize_q(q, A), part)
     if anchor == "P":
         W = cm.ideal_w(Qp)
@@ -359,7 +361,7 @@ def test_catalog_cells_are_exact_to_round_off(kind, epsilon, computable):
     sines = {}
     for e in cm.catalog_pairs(store, _split(n)):
         if not e.skipped:
-            G = cm.realize_norm(e.norm, store, factored=True)
+            G = cm.realize_norm(e.norm, store)
             sines[(e.table, e.norm, e.q)] = cm.coarse_correction(A, e.pair).angles(G).sin_max
     assert len(sines) == computable
     worst = max(sines, key=sines.get)
@@ -575,7 +577,7 @@ def test_inverse_cells_are_exact_to_round_off(kind, epsilon, computable):
                     pair = cm.ideal_pair(store, part, norm, q, anchor)
                 except ValueError:
                     continue
-                G = cm.realize_norm(norm, store, factored=True)
+                G = cm.realize_norm(norm, store)
                 rep = cm.projection_report(A, pair, G, 1e-8)
                 cell = (anchor, norm, q)
                 assert rep["compat_eq"], cell
@@ -637,11 +639,11 @@ def test_general_w_from_z_matches_known_solutions():
     Asym = (A + A.T) / 2.0
 
     # symmetric-part norm, restriction ideal on A: interpolation ideal on Asym
-    W = cm.compatible_w_from_z_general(Ap, cm.ideal_z(Ap), cm.realize_norm("Asym", A))
+    W = cm.compatible_w_from_z_general(Ap, cm.ideal_z(Ap), norm_matrix("Asym", A))
     np.testing.assert_allclose(W, cm.ideal_w(cm.partition(Asym, part)), rtol=1e-9)
 
     # stronger norm, restriction ideal on Asym: interpolation ideal on A
-    M = cm.realize_norm("AstarAsymInvA", A)
+    M = norm_matrix("AstarAsymInvA", A)
     W = cm.compatible_w_from_z_general(Ap, cm.ideal_z(cm.partition(Asym, part)), M)
     np.testing.assert_allclose(W, cm.ideal_w(Ap), rtol=1e-9)
 
@@ -685,10 +687,10 @@ def test_general_w_from_z_reproduces_every_catalog_cell(kind, n, cell):
     A, part, entries = _catalog_of(kind, n)
     e = entries[cell]
     assume(not e.skipped)
-    M = cm.realize_norm(e.norm, A)
+    M = norm_matrix(e.norm, A)
     W = cm.compatible_w_from_z_general(cm.partition(A, part), e.pair.Z, M)
     assert np.linalg.norm(W - e.pair.W) <= 1e-8 * np.linalg.norm(e.pair.P)
-    G = cm.realize_norm(e.norm, A, factored=True)
+    G = cm.realize_norm(e.norm, A)
     corr = cm.coarse_correction(A, cm.make_pair(part, e.pair.Z, W))
     assert abs(cm.pi_m_norm(corr, G) - 1.0) <= 1e-8
 
@@ -717,7 +719,7 @@ def test_general_completion_is_compatible_in_every_norm(kind, n, policy, seed):
     for tag in _COMPLETION_NORMS:
         norm = cm.NormSpec("Custom", random_spd(rng, n)) if tag == "Custom" else tag
         try:
-            G = cm.realize_norm(norm, store, factored=True)
+            G = cm.realize_norm(norm, store)
         except ValueError:  # the norm's precondition fails on this A
             continue
         W = cm.compatible_w_from_z_general(Ap, Z, G)
@@ -744,9 +746,9 @@ def test_general_completion_through_a_factor_of_another_matrix_matches_its_dense
     Ap = cm.partition(A, part)
     Z = np.random.default_rng(13).standard_normal((part.nf, part.nc))
     for B in (A2, A):
-        M = cm.realize_norm(tag, B)
+        M = norm_matrix(tag, B)
         want = cm.compatible_w_from_z_general(Ap, Z, M)
-        W = cm.compatible_w_from_z_general(Ap, Z, cm.realize_norm(tag, B, factored=True))
+        W = cm.compatible_w_from_z_general(Ap, Z, cm.realize_norm(tag, B))
         assert np.linalg.norm(W - want) <= 1e-10 * np.linalg.norm(want), tag
         corr = cm.coarse_correction(A, cm.make_pair(part, Z, W))
         assert abs(cm.pi_m_norm(corr, M) - 1.0) <= 1e-10, tag
@@ -926,7 +928,7 @@ def test_ideal_pair_takes_a_custom_companion(anchor, custom_norm):
     Qp = cm.partition(Q, part)
     anchored = (pair.W, cm.ideal_w(Qp)) if anchor == "P" else (pair.Z, cm.ideal_z(Qp))
     np.testing.assert_allclose(*anchored, rtol=1e-12, atol=1e-12)
-    G = cm.realize_norm(norm, A, factored=True)
+    G = cm.realize_norm(norm, A)
     report = cm.projection_report(A, pair, G)
     assert report["compat_eq"] and all(report["orthogonality_checks"].values())
     assert abs(report["pi_norm"] - 1.0) <= 1e-10
